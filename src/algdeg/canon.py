@@ -16,7 +16,7 @@ Dictionary of submodules for an n-dimensional algebra space over F:
     N = C^T                                    dim n^3/2 + n^2/2 - n
 """
 
-from .exactla import Subspace, kernel_rows
+from .exactla import Subspace, combine, kernel_rows
 from .structvec import (
     DualVector, StructureVector, flat, unit, tr, tr_op,
     tr_matrix_rows, tr_op_matrix_rows, zero_structure_vector,
@@ -180,37 +180,27 @@ def basis_TcapTtilde(ctx, n):
     return Subspace(ctx, n ** 3, kernel_rows(rows, n ** 3, ctx))
 
 
-def _restricted_kernel(carrier, functional_rows, ctx):
-    """Kernel of a linear map restricted to a subspace, lifted back to ambient."""
-    amb = carrier.ambient
-    # columns of the restricted map: functional values on the carrier basis
-    rest = []
-    for b in carrier.rows:
-        rest.append([_dot(ctx, row, b) for row in functional_rows])
-    # row kernel {x : x * rest = 0} = right kernel of rest^T
-    restT = [[rest[i][j] for i in range(len(rest))] for j in range(len(functional_rows))]
-    lifted = []
-    for x in kernel_rows(restT, len(rest), ctx):
-        v = [ctx.zero()] * amb
-        for c, b in zip(x, carrier.rows):
-            if c != ctx.zero():
-                v = ctx.row_addmul(v, b, c)
-        lifted.append(v)
-    return Subspace(ctx, amb, lifted)
+def _restricted_kernel(carrier, images, ctx):
+    """Kernel of a linear map restricted to a subspace, lifted back to ambient.
+
+    images[i] is the image of carrier.rows[i] under the map.
+    """
+    # row kernel {x : x * images = 0} = right kernel of images^T
+    imagesT = [list(col) for col in zip(*images)]
+    lifted = [combine(x, carrier.rows, ctx)
+              for x in kernel_rows(imagesT, len(images), ctx)]
+    return Subspace(ctx, carrier.ambient, lifted)
 
 
-def _dot(ctx, u, v):
-    acc = ctx.zero()
-    zero = ctx.zero()
-    for x, y in zip(u, v):
-        if x != zero and y != zero:
-            acc = ctx.add(acc, ctx.mul(x, y))
-    return acc
+def _trace_images(carrier, n):
+    """tr of each basis row of a carrier inside the structure-vector space."""
+    return [tr(StructureVector(carrier.ctx, n, r)).coords for r in carrier.rows]
 
 
 def basis_U(ctx, n):
     """U = K meet T, computed as the kernel of tr restricted to K."""
-    return _restricted_kernel(basis_K(ctx, n), tr_matrix_rows(ctx, n), ctx)
+    K = basis_K(ctx, n)
+    return _restricted_kernel(K, _trace_images(K, n), ctx)
 
 
 def basis_Mstarstar(ctx, n):
@@ -353,9 +343,6 @@ def delta(ctx, n):
     return unit(ctx, n, 1, 1, 2)
 
 
-NAMED_VECTORS = ("eta", "delta")
-
-
 def named_vector(name, ctx, n):
     if name == "eta":
         return eta(ctx, n)
@@ -369,10 +356,6 @@ def named_vector(name, ctx, n):
         a, b, c = (int(ch) for ch in name[4:])
         return unit(ctx, n, a, b, c)
     raise ValueError(f"unknown vector name {name!r}")
-
-
-SUBMODULE_NAMES = ("Lambda", "C", "K", "Mstar", "Mstarstar", "T", "Ttilde",
-                   "TcapTtilde", "N", "U")
 
 
 def submodule(name, ctx, n):
@@ -409,21 +392,6 @@ def parse_point(name, ctx):
         return None
     a, d = (int(x) for x in body.split(","))
     return ProjectivePoint(ctx, ctx.from_int(a), ctx.from_int(d))
-
-
-class CanonicalSubmodule:
-    """A named canonical submodule bundled with its subspace."""
-
-    __slots__ = ("id", "n", "ctx", "subspace")
-
-    def __init__(self, name, ctx, n):
-        self.id = name
-        self.n = n
-        self.ctx = ctx
-        self.subspace = submodule(name, ctx, n)
-
-    def __repr__(self):
-        return f"CanonicalSubmodule({self.id}, n={self.n}, dim={self.subspace.dim})"
 
 
 # -- intersection dictionary --------------------------------------------------

@@ -1,12 +1,15 @@
 """Command-line surface: dimension tables, spins, surveys, series, suites.
 
 Exit codes: 0 all claims verified (or skipped), 1 some claim falsified,
-2 usage error, 3 some claim inconclusive.
+2 usage error, 3 some claim inconclusive, 4 internal error (any other
+exception; its traceback goes to stderr), so a crash never reads as a
+falsified claim.
 """
 
 import argparse
 import json
 import sys
+import traceback
 
 from . import canon, degen, gamma2, spinmx
 from .gfield import make_field
@@ -68,24 +71,38 @@ def _small_field_guard(report, ctx, ids_anchors):
     return False
 
 
+def _timed_cell(report, tag, fn, *args):
+    """report.timed for one grid cell: claim ids (and timing keys) get the tag."""
+
+    def prefixed():
+        claims = fn(*args)
+        if isinstance(claims, dict):
+            claims = [claims]
+        for c in claims:
+            c["id"] = f"{tag}.{c['id']}"
+        return claims
+
+    return report.timed(prefixed)
+
+
 # -- subcommands ---------------------------------------------------------------
+
+def dim_claim(ctx, n, name):
+    """The dimension of one canonical submodule against its closed form."""
+    computed = canon.submodule(name, ctx, n).dim
+    expected = canon.expected_dims(n)[name]
+    return {"id": f"dim.{name}",
+            "anchor": f"dim {name} matches its closed form",
+            "status": "verified" if computed == expected else "falsified",
+            "data": {"computed": computed, "expected": expected}}
+
 
 def cmd_dims(args):
     report = Report("dims", {"n": args.n, "field": _field_label(args.field)}, args.seed)
     ctx, n = args.field, args.n
-    expected = canon.expected_dims(n)
     print(f"dimension table for n = {n} over {ctx!r}")
     for name in DIM_ORDER:
-
-        def compute(name=name):
-            space = canon.submodule(name, ctx, n)
-            ok = space.dim == expected[name]
-            return [{"id": f"dim.{name}",
-                     "anchor": f"dim {name} matches its closed form",
-                     "status": "verified" if ok else "falsified",
-                     "data": {"computed": space.dim, "expected": expected[name]}}]
-
-        (claim,) = report.timed(compute)
+        (claim,) = report.timed(dim_claim, ctx, n, name)
         print(f"  {name:<12} dim {claim['data']['computed']:>4}  [{claim['status']}]")
     return report
 
@@ -112,22 +129,21 @@ def cmd_spin(args):
                              "vector": args.vector, "expect": args.expect}, args.seed)
     gens = spinmx.standard_generators(ctx, n)
     lam = parse_vector(args.vector, ctx, n)
-    import time
-    t0 = time.monotonic()
-    result = spinmx.spin(lam, gens)
-    elapsed = time.monotonic() - t0
-    print(f"spin of {args.vector}: dim {result.dim}")
-    if args.expect:
-        target = canon.submodule(args.expect, ctx, n)
-        ok = result == target
-        report.add({"id": "spin",
-                    "anchor": f"spin({args.vector}) equals {args.expect}",
-                    "status": "verified" if ok else "falsified",
-                    "data": {"dim": result.dim, "expected_dim": target.dim}}, elapsed)
-    else:
-        report.add({"id": "spin", "anchor": f"spin({args.vector}) computed",
+
+    def spin_claim():
+        result = spinmx.spin(lam, gens)
+        print(f"spin of {args.vector}: dim {result.dim}")
+        if not args.expect:
+            return {"id": "spin", "anchor": f"spin({args.vector}) computed",
                     "status": "verified",
-                    "data": {"dim": result.dim, "subspace": result.to_json()}}, elapsed)
+                    "data": {"dim": result.dim, "subspace": result.to_json()}}
+        target = canon.submodule(args.expect, ctx, n)
+        return {"id": "spin",
+                "anchor": f"spin({args.vector}) equals {args.expect}",
+                "status": "verified" if result == target else "falsified",
+                "data": {"dim": result.dim, "expected_dim": target.dim}}
+
+    report.timed(spin_claim)
     report.print_summary()
     return report
 
@@ -139,17 +155,17 @@ def cmd_survey(args):
     gens = spinmx.standard_generators(ctx, n)
     carrier = canon.submodule(args.module, ctx, n)
     handle = spinmx.module_handle(gens, carrier, label=args.module)
-    import time
-    t0 = time.monotonic()
-    lattice = spinmx.survey_submodules(handle, budget=args.budget, workers=args.workers)
-    elapsed = time.monotonic() - t0
-    dims = [s.dim for s in lattice]
-    print(f"submodule lattice of {args.module}: dims {dims}")
-    report.add({"id": "survey",
+
+    def survey_claim():
+        lattice = spinmx.survey_submodules(handle, budget=args.budget, workers=args.workers)
+        dims = [s.dim for s in lattice]
+        print(f"submodule lattice of {args.module}: dims {dims}")
+        return {"id": "survey",
                 "anchor": f"exhaustive submodule lattice of {args.module}",
                 "status": "verified",
-                "data": {"dims": dims,
-                         "members": [s.to_json() for s in lattice]}}, elapsed)
+                "data": {"dims": dims, "members": [s.to_json() for s in lattice]}}
+
+    report.timed(survey_claim)
     report.print_summary()
     return report
 
@@ -160,17 +176,18 @@ def cmd_series(args):
                                "chain": args.chain}, args.seed)
     gens = spinmx.standard_generators(ctx, n)
     chain = [canon.submodule(name, ctx, n) for name in split_chain(args.chain)]
-    import time
-    t0 = time.monotonic()
-    rep = spinmx.composition_series(chain, gens, args.seed)
-    elapsed = time.monotonic() - t0
-    status = ("verified" if rep["certified"]
-              else "inconclusive" if not rep["conclusive"] else "falsified")
-    for f in rep["factors"]:
-        print(f"  factor {f['index']}: dim {f['dim']} -> {f['verdict']}")
-    report.add({"id": "series",
+
+    def series_claim():
+        rep = spinmx.composition_series(chain, gens, args.seed)
+        status = ("verified" if rep["certified"]
+                  else "inconclusive" if not rep["conclusive"] else "falsified")
+        for f in rep["factors"]:
+            print(f"  factor {f['index']}: dim {f['dim']} -> {f['verdict']}")
+        return {"id": "series",
                 "anchor": f"chain {args.chain} is a composition series",
-                "status": status, "data": rep}, elapsed)
+                "status": status, "data": rep}
+
+    report.timed(series_claim)
     report.print_summary()
     return report
 
@@ -195,36 +212,35 @@ def cmd_degen(args):
         return report
     gens = spinmx.standard_generators(ctx, n)
     lam = parse_vector(args.lam, ctx, n)
-    import time
-    t0 = time.monotonic()
-    if args.mode == "q":
-        if not args.q:
-            raise ValueError("mode 'q' needs --q")
-        q = [int(x) for x in args.q.split(",")]
-        applicable, mw = degen.lindeg_theorem_check(lam, q)
-        if not applicable:
-            report.add({"id": "degen.q",
+
+    def degen_claim():
+        if args.mode == "q":
+            if not args.q:
+                raise ValueError("mode 'q' needs --q")
+            q = [int(x) for x in args.q.split(",")]
+            applicable, mw = degen.lindeg_theorem_check(lam, q)
+            if not applicable:
+                return {"id": "degen.q",
                         "anchor": "weight truncation stays in the cyclic module",
                         "status": "skipped",
-                        "data": {"reason": "hypotheses fail", "max_weight": mw}})
-        else:
+                        "data": {"reason": "hypotheses fail", "max_weight": mw}}
             ok = degen.verify_lindeg(lam, q, gens)
-            report.add({"id": "degen.q",
-                        "anchor": "weight truncation stays in the cyclic module",
-                        "status": "verified" if ok else "falsified",
-                        "data": {"max_weight": mw}}, time.monotonic() - t0)
-    else:
+            return {"id": "degen.q",
+                    "anchor": "weight truncation stays in the cyclic module",
+                    "status": "verified" if ok else "falsified",
+                    "data": {"max_weight": mw}}
         fn = degen.reach_eta if args.mode == "reach-eta" else degen.reach_delta
         cert = fn(lam, gens)
-        report.add({"id": f"degen.{args.mode}",
-                    "anchor": f"the vector reaches {cert.target} inside its cyclic module",
-                    "status": "verified" if cert.success else "falsified",
-                    "data": {"branch": cert.branch, "spin_member": cert.spin_member,
-                             "z": [ctx.raw_to_json(x) for x in cert.z],
-                             "zeta": [ctx.raw_to_json(x) for x in cert.zeta],
-                             "basis_change": [[ctx.raw_to_json(x) for x in row]
-                                              for row in cert.basis_change]}},
-                   time.monotonic() - t0)
+        return {"id": f"degen.{args.mode}",
+                "anchor": f"the vector reaches {cert.target} inside its cyclic module",
+                "status": "verified" if cert.success else "falsified",
+                "data": {"branch": cert.branch, "spin_member": cert.spin_member,
+                         "z": [ctx.raw_to_json(x) for x in cert.z],
+                         "zeta": [ctx.raw_to_json(x) for x in cert.zeta],
+                         "basis_change": [[ctx.raw_to_json(x) for x in row]
+                                          for row in cert.basis_change]}}
+
+    report.timed(degen_claim)
     report.print_summary()
     return report
 
@@ -258,67 +274,51 @@ def cmd_verify_all(args):
                     "|F| > 2 required")
                 continue
             gens = spinmx.standard_generators(ctx, n)
-
-            def dims_claims():
-                expected = canon.expected_dims(n)
-                out = []
-                for name in DIM_ORDER:
-                    d = canon.submodule(name, ctx, n).dim
-                    out.append({"id": f"{tag}.dim.{name}",
-                                "anchor": f"dim {name} matches its closed form",
-                                "status": "verified" if d == expected[name] else "falsified",
-                                "data": {"computed": d, "expected": expected[name]}})
-                return out
-
-            report.timed(dims_claims)
-            for c in report.timed(canon.intersection_table, ctx, n):
-                c["id"] = f"{tag}.{c['id']}"
-            for c in report.timed(canon.check_trace_biconditional, ctx, n):
-                c["id"] = f"{tag}.{c['id']}"
-            for c in report.timed(spinmx.verify_lattice_diagrams, ctx, n, args.seed):
-                c["id"] = f"{tag}.{c['id']}"
+            for name in DIM_ORDER:
+                _timed_cell(report, tag, dim_claim, ctx, n, name)
+            _timed_cell(report, tag, canon.intersection_table, ctx, n)
+            _timed_cell(report, tag, canon.check_trace_biconditional, ctx, n)
+            _timed_cell(report, tag, spinmx.verify_lattice_diagrams, ctx, n, args.seed)
 
             def spin_claims():
                 out = []
                 for vec, target in (("eta", "U"), ("delta", "N")):
                     got = spinmx.spin(canon.named_vector(vec, ctx, n), gens)
                     want = canon.submodule(target, ctx, n)
-                    out.append({"id": f"{tag}.spin.{vec}",
+                    out.append({"id": f"spin.{vec}",
                                 "anchor": f"spin({vec}) = {target}",
                                 "status": "verified" if got == want else "falsified",
                                 "data": {"dim": got.dim}})
                 return out
 
-            report.timed(spin_claims)
+            _timed_cell(report, tag, spin_claims)
 
             def degen_claims():
                 out = []
                 if ctx.order >= 5:
                     rep = degen.lindeg_suite(ctx, n, gens, args.seed, count=args.samples)
-                    out.append({"id": f"{tag}.degen.lindeg",
+                    out.append({"id": "degen.lindeg",
                                 "anchor": "weight truncations stay in their cyclic modules",
                                 "status": "verified" if not rep["failures"] else "falsified",
                                 "data": rep})
                 rep = degen.reach_eta_suite(ctx, n, gens, args.seed, count=args.samples)
-                out.append({"id": f"{tag}.degen.eta",
+                out.append({"id": "degen.eta",
                             "anchor": "square-factor vectors outside the span-preserving "
                                       "submodule reach 123-213",
                             "status": "verified" if not rep["failures"] else "falsified",
                             "data": rep})
                 rep = degen.reach_delta_suite(ctx, n, gens, args.seed, count=args.samples)
-                out.append({"id": f"{tag}.degen.delta",
+                out.append({"id": "degen.delta",
                             "anchor": "commutative vectors outside the square-factor "
                                       "submodule reach 112",
                             "status": "verified" if not rep["failures"] else "falsified",
                             "data": rep})
                 return out
 
-            report.timed(degen_claims)
+            _timed_cell(report, tag, degen_claims)
             if ctx.char == 2 and ctx.order >= 4:
-                for c in report.timed(gamma2.sigma_gmap_claims, ctx, n):
-                    c["id"] = f"{tag}.{c['id']}"
-                for c in report.timed(gamma2.verify_gamma_irreducible, ctx, n, args.seed):
-                    c["id"] = f"{tag}.{c['id']}"
+                _timed_cell(report, tag, gamma2.sigma_gmap_claims, ctx, n)
+                _timed_cell(report, tag, gamma2.verify_gamma_irreducible, ctx, n, args.seed)
     report.print_summary()
     return report
 
@@ -356,7 +356,6 @@ def build_parser():
     sp = add_parser("canon", help="canonical submodules and their intersections")
     common(sp)
     sp.add_argument("--list", action="store_true", help="print the dimension table")
-    sp.add_argument("--check-intersections", action="store_true")
     sp.set_defaults(fn=cmd_canon)
 
     sp = add_parser("spin", help="cyclic module of a named or JSON vector")
@@ -392,7 +391,6 @@ def build_parser():
 
     sp = add_parser("gamma", help="characteristic-2 semilinear verification")
     common(sp)
-    sp.add_argument("--verify", action="store_true")
     sp.set_defaults(fn=cmd_gamma)
 
     sp = add_parser("verify-all", help="run every suite over a grid")
@@ -402,8 +400,6 @@ def build_parser():
                     default=[make_field(3), make_field(2, 2), make_field(5)])
     sp.add_argument("--samples", type=int, default=10,
                     help="sample count per randomized suite")
-    sp.add_argument("--budget", type=int, default=spinmx.SURVEY_BUDGET)
-    sp.add_argument("--workers", type=int, default=1)
     sp.set_defaults(fn=cmd_verify_all)
 
     return p
@@ -414,11 +410,15 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         report = args.fn(args)
+        if args.json:
+            report.write(args.json, with_timing=not args.no_timing)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.json:
-        report.write(args.json, with_timing=not args.no_timing)
+    except Exception:
+        traceback.print_exc()
+        print("internal error", file=sys.stderr)
+        return 4
     return report.exit_code
 
 

@@ -26,7 +26,9 @@ from itertools import combinations
 from .canon import delta as delta_vector
 from .canon import eta as eta_vector
 from .canon import omega, predicate_C, predicate_Mstar, predicate_Mstarstar
-from .exactla import GroupElement, Matrix, Subspace, kernel_rows, rref_rows, solve_right
+from .exactla import (
+    GroupElement, Matrix, Subspace, combine, kernel_rows, rref_rows, solve_right,
+)
 from .gfield import primitive_element
 from .structvec import (
     DualVector, StructureVector, Vector, act, basis_vector, flat, product, unit,
@@ -287,7 +289,8 @@ def reach_eta(lam, gens):
         ctx, n, [zeta(product(lam, z, basis_vector(ctx, n, j))).raw
                  for j in range(1, n + 1)])
     radical = Subspace(ctx, n, kernel_rows([zeta.coords, zeta_prime.coords], n, ctx))
-    assert radical.contains(z.coords)
+    if not radical.contains(z.coords):
+        raise AssertionError("z lies outside the radical of the alternating form")
     rad_rest = _complement_in([z.coords], radical, ctx, n)
     cols = [w.coords, (-zw).coords, z.coords] + rad_rest
     h = GroupElement(Matrix.from_rows(ctx, cols).transpose())
@@ -341,7 +344,8 @@ def reach_delta(lam, gens):
                 if c != zero:
                     for k in range(1, n + 1):
                         coords[flat(n, i, j, k)] = ctx.mul(c, z.coords[k - 1])
-        assert lam6.coords == coords
+        if lam6.coords != coords:
+            raise AssertionError("second difference disagrees with zeta(u) zeta(v) z")
         ker = Subspace(ctx, n, kernel_rows([zeta.coords], n, ctx))
         rest = _complement_in([z.coords], ker, ctx, n)
         cols = [w.coords, z.coords] + rest
@@ -364,19 +368,22 @@ def reach_delta(lam, gens):
         c = zeta_prime(w).raw
         expect = (unit(ctx, n, 1, 2, 1) + unit(ctx, n, 2, 1, 1)
                   - unit(ctx, n, 2, 2, 1).scale(c) - unit(ctx, n, 2, 2, 2))
-        assert nu == expect
+        if nu != expect:
+            raise AssertionError("GF(3) basis change missed its normal form")
         if c != zero:
             flip = GroupElement.diagonal(ctx, [ctx.neg(one)] + [one] * (n - 1))
             diff = act(nu, flip) - nu          # 2c * 221 = -c * 221
             v221 = diff.scale(ctx.inv(ctx.neg(c)))
-            assert v221 == unit(ctx, n, 2, 2, 1)
+            if v221 != unit(ctx, n, 2, 2, 1):
+                raise AssertionError("the sign flip did not isolate 221")
             swap = GroupElement.permutation(ctx, [2, 1] + list(range(3, n + 1)))
             final = act(v221, swap)
             branch = "gf3-nonzero"
         else:
             shear = GroupElement.transvection(ctx, n, 3, 2)
             diff = act(nu, shear) - nu
-            assert diff == unit(ctx, n, 2, 2, 3)
+            if diff != unit(ctx, n, 2, 2, 3):
+                raise AssertionError("the shear did not isolate 223")
             cyc = GroupElement.permutation(ctx, [2, 3, 1] + list(range(4, n + 1)))
             final = act(diff, cyc)
             branch = "gf3-zero"
@@ -396,10 +403,8 @@ def sample_in_between(ctx, n, inside, outside_pred, rng, tries=200):
     """A random vector of `inside` failing `outside_pred` (rejection sampling)."""
     q = ctx.order
     for _ in range(tries):
-        coords = [ctx.zero()] * n ** 3
-        for row in inside.rows:
-            coords = ctx.row_addmul(coords, row, rng.randrange(q))
-        lam = StructureVector(ctx, n, coords)
+        coeffs = [rng.randrange(q) for _ in inside.rows]
+        lam = StructureVector(ctx, n, combine(coeffs, inside.rows, ctx))
         if not lam.is_zero() and not outside_pred(lam):
             return lam
     raise RuntimeError("rejection sampling failed; the strata are too thin")

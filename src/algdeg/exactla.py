@@ -56,6 +56,63 @@ def reduce_against(vec, rows, pivots, ctx):
     return v
 
 
+def combine(coeffs, rows, ctx):
+    """sum_i coeffs[i] * rows[i] as a raw row, skipping zero coefficients."""
+    zero = ctx.zero()
+    out = [zero] * len(rows[0])
+    for c, row in zip(coeffs, rows):
+        if c != zero:
+            out = ctx.row_addmul(out, row, c)
+    return out
+
+
+class Echelon:
+    """Pivot-sorted row-echelon store with incremental insertion.
+
+    Each stored row is 1 at its pivot and 0 left of it, so reducing a vector
+    against the rows in pivot order clears every pivot column: the residual
+    is unique, and zero exactly for members of the span.
+    """
+
+    __slots__ = ("ctx", "ambient", "rows", "pivots")
+
+    def __init__(self, ctx, ambient, rows=()):
+        self.ctx = ctx
+        self.ambient = ambient
+        self.rows = []
+        self.pivots = []
+        for r in rows:
+            self.add(r)
+
+    @property
+    def dim(self):
+        return len(self.rows)
+
+    def add(self, vec):
+        """Insert if independent; returns the reduced, normalized row or None."""
+        ctx = self.ctx
+        zero = ctx.zero()
+        v = list(vec)
+        for row, p in zip(self.rows, self.pivots):
+            c = v[p]
+            if c != zero:
+                v = ctx.row_submul(v, row, c)
+        lead = next((j for j, x in enumerate(v) if x != zero), None)
+        if lead is None:
+            return None
+        if v[lead] != ctx.one():
+            v = ctx.row_scale(v, ctx.inv(v[lead]))
+        at = 0
+        while at < len(self.pivots) and self.pivots[at] < lead:
+            at += 1
+        self.rows.insert(at, v)
+        self.pivots.insert(at, lead)
+        return v
+
+    def subspace(self):
+        return Subspace(self.ctx, self.ambient, self.rows)
+
+
 def reduce_with_coeffs(vec, rows, pivots, ctx):
     """Residual plus the elimination coefficients (vec = sum c_i rows_i + residual)."""
     v = list(vec)
@@ -123,18 +180,11 @@ class Matrix:
     def mul(self, other):
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in matrix product")
-        ctx = self.ctx
+        if other.nrows == 0:
+            return Matrix.zeros(self.ctx, self.nrows, other.ncols)
         orows = other.rows()
-        out = []
-        zero = ctx.zero()
-        for i in range(self.nrows):
-            acc = [zero] * other.ncols
-            row = self.row(i)
-            for k, c in enumerate(row):
-                if c != zero:
-                    acc = ctx.row_addmul(acc, orows[k], c)
-            out.append(acc)
-        return Matrix.from_rows(ctx, out)
+        return Matrix.from_rows(self.ctx, [combine(self.row(i), orows, self.ctx)
+                                           for i in range(self.nrows)])
 
     def __mul__(self, other):
         return self.mul(other)
@@ -281,20 +331,9 @@ class Subspace:
         """Echelon basis of a complement of sub in self; cosets form a quotient basis."""
         if not sub <= self:
             raise ValueError("not a subspace of this space")
-        ctx = self.ctx
-        zero = ctx.zero()
-        reps, rep_pivots = [], []
-        for r in self.rows:
-            t = reduce_against(r, sub.rows, sub.pivots, ctx)
-            t = reduce_against(t, reps, rep_pivots, ctx)
-            lead = next((j for j, x in enumerate(t) if x != zero), None)
-            if lead is None:
-                continue
-            if t[lead] != ctx.one():
-                t = ctx.row_scale(t, ctx.inv(t[lead]))
-            reps.append(t)
-            rep_pivots.append(lead)
-        reps, _ = rref_rows(reps, ctx)
+        ech = Echelon(self.ctx, self.ambient, sub.rows)
+        reps = [t for t in map(ech.add, self.rows) if t is not None]
+        reps, _ = rref_rows(reps, self.ctx)
         return reps
 
     def to_json(self):

@@ -105,8 +105,6 @@ class FieldCtx:
         self.order = char ** degree
         if degree == 1:
             self.modulus = None
-            self._mul_table = None
-            self._inv_table = None
         else:
             try:
                 self.modulus = _MODULI[(char, degree)]
@@ -128,11 +126,14 @@ class FieldCtx:
     def _build_tables(self):
         q, p = self.order, self.char
         mod = list(self.modulus)
+        digits = [self._decode(a) for a in range(q)]
+        self._add_table = [[self._encode([x + y for x, y in zip(da, db)]) for db in digits]
+                           for da in digits]
+        self._neg_table = [self._encode([-x for x in da]) for da in digits]
         mul = [[0] * q for _ in range(q)]
         for a in range(q):
-            ca = self._decode(a)
             for b in range(a, q):
-                v = self._encode(_poly_mul_mod(ca, self._decode(b), mod, p))
+                v = self._encode(_poly_mul_mod(digits[a], digits[b], mod, p))
                 mul[a][b] = v
                 mul[b][a] = v
         inv = [None] * q
@@ -164,14 +165,7 @@ class FieldCtx:
             return a + b
         if self.degree == 1:
             return (a + b) % self.char
-        p = self.char
-        r, pw = 0, 1
-        for _ in range(self.degree):
-            r += ((a + b) % p) * pw
-            a //= p
-            b //= p
-            pw *= p
-        return r
+        return self._add_table[a][b]
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
@@ -181,13 +175,7 @@ class FieldCtx:
             return -a
         if self.degree == 1:
             return (-a) % self.char
-        p = self.char
-        r, pw = 0, 1
-        for _ in range(self.degree):
-            r += ((-a) % p) * pw
-            a //= p
-            pw *= p
-        return r
+        return self._neg_table[a]
 
     def mul(self, a, b):
         if self.kind == "rational":
@@ -229,9 +217,9 @@ class FieldCtx:
             if self.degree == 1:
                 p = self.char
                 return [(x - c * y) % p for x, y in zip(u, v)]
-            mc = self._mul_table[c]
-            sub = self.sub
-            return [sub(x, mc[y]) for x, y in zip(u, v)]
+            mc = self._mul_table[self._neg_table[c]]
+            add = self._add_table
+            return [add[x][mc[y]] for x, y in zip(u, v)]
         return [x - c * y for x, y in zip(u, v)]
 
     def row_addmul(self, u, v, c):

@@ -19,7 +19,9 @@ from dataclasses import dataclass, field
 from itertools import product as iproduct
 from typing import Optional
 
-from .exactla import GroupElement, Matrix, Subspace, kernel_rows, quotient_coords
+from .exactla import (
+    Echelon, GroupElement, Matrix, Subspace, combine, kernel_rows, quotient_coords,
+)
 from .gfield import FieldCtx, primitive_element
 from .structvec import act_coords
 
@@ -85,81 +87,46 @@ def rational_generators(ctx, n):
     return GeneratorSet(gens, "rational-subgroup", ctx, n)
 
 
-class _Echelon:
-    """Triangular pivot-sorted row store with incremental insertion."""
-
-    __slots__ = ("ctx", "ambient", "rows", "pivots")
-
-    def __init__(self, ctx, ambient):
-        self.ctx = ctx
-        self.ambient = ambient
-        self.rows = []
-        self.pivots = []
-
-    @property
-    def dim(self):
-        return len(self.rows)
-
-    def add(self, vec):
-        """Insert if independent; returns the reduced row or None."""
-        ctx = self.ctx
-        zero = ctx.zero()
-        v = list(vec)
-        for row, p in zip(self.rows, self.pivots):
-            c = v[p]
-            if c != zero:
-                v = ctx.row_submul(v, row, c)
-        lead = next((j for j, x in enumerate(v) if x != zero), None)
-        if lead is None:
-            return None
-        if v[lead] != ctx.one():
-            v = ctx.row_scale(v, ctx.inv(v[lead]))
-        at = 0
-        while at < len(self.pivots) and self.pivots[at] < lead:
-            at += 1
-        self.rows.insert(at, v)
-        self.pivots.insert(at, lead)
-        return v
-
-    def contains(self, vec):
-        zero = self.ctx.zero()
-        v = list(vec)
-        for row, p in zip(self.rows, self.pivots):
-            c = v[p]
-            if c != zero:
-                v = self.ctx.row_submul(v, row, c)
-        return all(x == zero for x in v)
-
-    def subspace(self):
-        return Subspace(self.ctx, self.ambient, self.rows)
-
-
 def _span_closure(seed_rows, appliers, ambient, ctx, stop_dim=None, probe=None):
     """Smallest subspace containing the seeds and closed under every applier.
 
     With `probe` set, stops early as soon as probe lies in the span and
-    returns (echelon, True); otherwise runs to closure.
+    returns (echelon, True); otherwise runs to closure.  The probe's residual
+    is kept reduced against every inserted row: each new row is zero at the
+    older pivots, so one row operation per insert keeps the residual zero at
+    every pivot, and it vanishes exactly when the probe lies in the span.
     """
-    ech = _Echelon(ctx, ambient)
+    ech = Echelon(ctx, ambient)
+    residual = None if probe is None else list(probe)
     queue = []
     for r in seed_rows:
         added = ech.add(r)
         if added is not None:
             queue.append(added)
-    if probe is not None and ech.contains(probe):
+            if residual is not None:
+                residual = _absorb(residual, added, ctx)
+    if residual is not None and not any(residual):
         return ech, True
     while queue:
         if stop_dim is not None and ech.dim >= stop_dim:
             break
         r = queue.pop()
         for f in appliers:
-            w = f(r)
-            added = ech.add(w)
+            added = ech.add(f(r))
             if added is not None:
                 queue.append(added)
-                if probe is not None and ech.contains(probe):
-                    return ech, True
-    return ech, (probe is not None and ech.contains(probe))
+                if residual is not None:
+                    residual = _absorb(residual, added, ctx)
+                    if not any(residual):
+                        return ech, True
+    return ech, residual is not None and not any(residual)
+
+
+def _absorb(residual, row, ctx):
+    """Clear the pivot of a freshly inserted echelon row from the probe residual."""
+    zero = ctx.zero()
+    c = residual[next(j for j, x in enumerate(row) if x != zero)]
+    return residual if c == zero else ctx.row_submul(residual, row, c)
 
 
 def _structvec_appliers(gens):
@@ -182,9 +149,9 @@ def spin_contains(lam, gens, probe):
     ctx, n = gens.ctx, gens.n
     coords = getattr(lam, "coords", lam)
     probe_coords = getattr(probe, "coords", probe)
-    ech, hit = _span_closure([coords], _structvec_appliers(gens), n ** 3, ctx,
-                             probe=probe_coords)
-    return hit or ech.contains(probe_coords)
+    _, hit = _span_closure([coords], _structvec_appliers(gens), n ** 3, ctx,
+                           probe=probe_coords)
+    return hit
 
 
 def close_subspace(sub, gens):
@@ -208,15 +175,6 @@ def is_generator_stable(sub, gens):
 
 # -- module handles ----------------------------------------------------------
 
-def _mat_apply(row, mat_rows, ctx):
-    zero = ctx.zero()
-    out = [zero] * len(mat_rows[0])
-    for i, c in enumerate(row):
-        if c != zero:
-            out = ctx.row_addmul(out, mat_rows[i], c)
-    return out
-
-
 @dataclass
 class ModuleHandle:
     """A module carrier with the generator action restricted to its basis.
@@ -239,30 +197,22 @@ class ModuleHandle:
 
     def lift(self, coeff_rows, include_sub=False):
         """Handle-coordinate rows back to the carrier's ambient space."""
-        ctx = self.ctx
-        amb = self.carrier.ambient
-        rows = []
-        for cr in coeff_rows:
-            v = [ctx.zero()] * amb
-            for c, rep in zip(cr, self.reps):
-                if c != ctx.zero():
-                    v = ctx.row_addmul(v, rep, c)
-            rows.append(v)
+        rows = [combine(cr, self.reps, self.ctx) for cr in coeff_rows]
         if include_sub and self.sub is not None:
             rows.extend(list(r) for r in self.sub.rows)
-        return Subspace(ctx, amb, rows)
+        return Subspace(self.ctx, self.carrier.ambient, rows)
 
     def preimage(self, coeff_rows):
         return self.lift(coeff_rows, include_sub=True)
 
 
 def _ambient_appliers(gens, ambient):
-    ctx, n = gens.ctx, gens.n
+    n = gens.n
     if ambient == n ** 3:
-        return [lambda r, g=g: act_coords(r, g, n, ctx) for g in gens.elements]
+        return _structvec_appliers(gens)
     if ambient == n:
         # the dual space: row vectors acted on by right multiplication with [g]
-        return [lambda r, g=g: _mat_apply(r, g.mat.rows(), ctx) for g in gens.elements]
+        return _handle_appliers([g.mat.rows() for g in gens.elements], gens.ctx)
     raise ValueError(f"no generator action on ambient dimension {ambient}")
 
 
@@ -306,11 +256,13 @@ def dual_space_handle(gens, label="dual"):
 
 
 def handle_spin(handle, coeff_row, probe=None, stop_dim=None):
-    ctx = handle.ctx
-    appliers = [lambda r, m=m: _mat_apply(r, m, ctx) for m in handle.action]
-    ech, hit = _span_closure([coeff_row], appliers, handle.dim, ctx,
-                             stop_dim=stop_dim, probe=probe)
-    return ech, hit
+    return _span_closure([coeff_row], _handle_appliers(handle.action, handle.ctx),
+                         handle.dim, handle.ctx, stop_dim=stop_dim, probe=probe)
+
+
+def _handle_appliers(action, ctx):
+    """One applier per action matrix: the row vector times the matrix."""
+    return [lambda r, m=m: combine(r, m, ctx) for m in action]
 
 
 # -- the irreducibility test ---------------------------------------------------
@@ -324,7 +276,7 @@ class NortonResult:
 
 
 def _matmul_rows(a, b, ctx):
-    return [_mat_apply(row, b, ctx) for row in a]
+    return [combine(row, b, ctx) for row in a]
 
 
 def _transpose_rows(rows):
@@ -341,21 +293,9 @@ def _lines_of(rows, ctx, cap):
     """All scalar-line representatives inside the span of independent rows."""
     k = len(rows)
     q = ctx.order
-    count = (q ** k - 1) // (q - 1)
-    if count > cap:
+    if (q ** k - 1) // (q - 1) > cap:
         return None
-    els = ctx.raw_elements()
-    out = []
-    zero = ctx.zero()
-    for lead in range(k):
-        for tail in iproduct(els, repeat=k - lead - 1):
-            coeffs = [zero] * lead + [ctx.one()] + list(tail)
-            v = [zero] * len(rows[0])
-            for c, r in zip(coeffs, rows):
-                if c != zero:
-                    v = ctx.row_addmul(v, r, c)
-            out.append(v)
-    return out
+    return [combine(coeffs, rows, ctx) for coeffs in _all_lines(ctx, k)]
 
 
 def _random_envelope(handle, rng):
@@ -428,7 +368,7 @@ def norton_irreducible(handle, seed):
 
 
 def _first_proper_spin(action, lines, d, ctx):
-    appliers = [lambda r, m=m: _mat_apply(r, m, ctx) for m in action]
+    appliers = _handle_appliers(action, ctx)
     for v in lines:
         ech, _ = _span_closure([v], appliers, d, ctx, stop_dim=d)
         if ech.dim < d:
@@ -528,10 +468,6 @@ def survey_submodules(handle, budget=SURVEY_BUDGET, workers=1):
     return lifted
 
 
-def _handle_appliers(action, ctx):
-    return [lambda r, m=m: _mat_apply(r, m, ctx) for m in action]
-
-
 def _survey_chunks(ctx, d, workers):
     lines = list(_all_lines(ctx, d))
     size = max(1, (len(lines) + workers - 1) // workers)
@@ -582,6 +518,22 @@ def _claim(claims, cid, anchor, ok, data=None):
                    "data": data if data is not None else {}})
 
 
+def norton_claim(claims, cid, anchor, res, want, data, holds=True):
+    """A claim resting on a kernel-vector verdict `res` that should be `want`.
+
+    `holds` is the deterministic rest of the claim.  It is falsified when that
+    part fails or the verdict is the opposite one, and inconclusive when the
+    verdict is inconclusive and the rest holds.
+    """
+    if not holds or res.verdict not in (want, "inconclusive"):
+        status = "falsified"
+    elif res.verdict == "inconclusive":
+        status = "inconclusive"
+    else:
+        status = "verified"
+    claims.append({"id": cid, "anchor": anchor, "status": status, "data": data})
+
+
 def verify_lattice_diagrams(ctx, n, seed=0, gens=None):
     """Check the submodule diagrams branch by branch for one (n, field).
 
@@ -620,9 +572,9 @@ def verify_lattice_diagrams(ctx, n, seed=0, gens=None):
     for name, anchor, carrier, ker in (
             ("KOverU", "tr restricted to K is onto the dual with kernel U", K, U),
             ("COverN", "tr restricted to C is onto the dual with kernel N", C, N)):
-        values = [[_dotrow(ctx, r, b) for r in tr_rows] for b in carrier.rows]
+        values = canon._trace_images(carrier, n)
         rank = Matrix.from_rows(ctx, values).rank() if values else 0
-        restr_ker = canon._restricted_kernel(carrier, tr_rows, ctx)
+        restr_ker = canon._restricted_kernel(carrier, values, ctx)
         _claim(claims, name, anchor, rank == n and restr_ker == ker)
 
     v_handle = dual_space_handle(gens)
@@ -638,8 +590,8 @@ def verify_lattice_diagrams(ctx, n, seed=0, gens=None):
                (K & UM) == U and (K | UM) == Mss)
         h = module_handle(gens, UM, sub=Ms, label="(U+M*)/M*")
         res = norton_irreducible(h, derive_seed(seed, "UM/M*"))
-        _claim(claims, "UplusMstarOverMstar.irr", "(U + M*)/M* is irreducible",
-               res.verdict == "irreducible", {"verdict": res.verdict})
+        norton_claim(claims, "UplusMstarOverMstar.irr", "(U + M*)/M* is irreducible",
+                     res, "irreducible", {"verdict": res.verdict})
         hU = module_handle(gens, U, label="U")
         dU, _ = hom_space(hU, v_handle)
         hQ = module_handle(gens, Mss, sub=Ms, label="M**/M*")
@@ -652,14 +604,13 @@ def verify_lattice_diagrams(ctx, n, seed=0, gens=None):
                (U & Ms).dim == 0 and (U | Ms) == Mss)
         res = norton_irreducible(module_handle(gens, U, label="U"),
                                  derive_seed(seed, "U"))
-        _claim(claims, "U.irr", "U is irreducible when char does not divide n-1",
-               res.verdict == "irreducible", {"verdict": res.verdict})
+        norton_claim(claims, "U.irr", "U is irreducible when char does not divide n-1",
+                     res, "irreducible", {"verdict": res.verdict})
         res = norton_irreducible(module_handle(gens, Ms, label="M*"),
                                  derive_seed(seed, "M*"))
-        _claim(claims, "Mstar.red", "M* is reducible (a sum of two dual copies)",
-               res.verdict == "reducible",
-               {"verdict": res.verdict,
-                "witness_dim": len(res.witness_coords or [])})
+        norton_claim(claims, "Mstar.red", "M* is reducible (a sum of two dual copies)",
+                     res, "reducible",
+                     {"verdict": res.verdict, "witness_dim": len(res.witness_coords or [])})
 
     # diagram over the full space
     if char2:
@@ -680,15 +631,15 @@ def verify_lattice_diagrams(ctx, n, seed=0, gens=None):
                                                    label="Lambda/(TT+M**)",
                                                    check_stable=False),
                                      derive_seed(seed, "L/TTM"))
-            _claim(claims, "LambdaOverTTplusMss.irr",
-                   "the top factor over (T ^ T~) + M** is irreducible",
-                   res.verdict == "irreducible", {"verdict": res.verdict, "dim": n})
+            norton_claim(claims, "LambdaOverTTplusMss.irr",
+                         "the top factor over (T ^ T~) + M** is irreducible",
+                         res, "irreducible", {"verdict": res.verdict, "dim": n})
             res = norton_irreducible(module_handle(gens, TM, sub=NM,
                                                    label="(TT+M**)/(N+M**)"),
                                      derive_seed(seed, "TTM/NM"))
-            _claim(claims, "TTplusMssOverNplusMss.irr",
-                   "((T ^ T~) + M**)/(N + M**) is irreducible",
-                   res.verdict == "irreducible", {"verdict": res.verdict})
+            norton_claim(claims, "TTplusMssOverNplusMss.irr",
+                         "((T ^ T~) + M**)/(N + M**) is irreducible",
+                         res, "irreducible", {"verdict": res.verdict})
         else:
             # for even n the traces satisfy tr + tr~ = omega on M**, so the
             # triple intersection collapses to U and the sum is everything;
@@ -702,20 +653,21 @@ def verify_lattice_diagrams(ctx, n, seed=0, gens=None):
         res = norton_irreducible(hQ, derive_seed(seed, "L/NM"))
         du = dims["U"]
         if n % 2 == 0:
-            _claim(claims, "LambdaOverNplusMss.even",
-                   "the factor over N + M** is irreducible of dim U for even n",
-                   res.verdict == "irreducible" and hQ.dim == du,
-                   {"verdict": res.verdict, "dim": hQ.dim})
+            norton_claim(claims, "LambdaOverNplusMss.even",
+                         "the factor over N + M** is irreducible of dim U for even n",
+                         res, "irreducible", {"verdict": res.verdict, "dim": hQ.dim},
+                         hQ.dim == du)
         else:
-            ok = res.verdict == "reducible"
+            ok = True
             data = {"verdict": res.verdict, "dim": hQ.dim}
-            if ok:
+            if res.verdict == "reducible":
                 m = len(res.witness_coords)
                 data["factor_dims"] = sorted((m, hQ.dim - m))
                 ok = sorted((m, hQ.dim - m)) == sorted((n, du - n))
-            _claim(claims, "LambdaOverNplusMss.odd",
-                   "the factor over N + M** has length two with the factor dims of U (odd n)",
-                   ok, data)
+            norton_claim(claims, "LambdaOverNplusMss.odd",
+                         "the factor over N + M** has length two with the factor "
+                         "dims of U (odd n)",
+                         res, "reducible", data, ok)
     elif (n + 1) % ctx.char == 0:
         NM = N | Mss
         M11 = canon.basis_MstarP(ctx, n, canon.ProjectivePoint(ctx, one, one))
@@ -730,8 +682,8 @@ def verify_lattice_diagrams(ctx, n, seed=0, gens=None):
                Matrix.from_rows(ctx, psi_rows).rank() == n and ker_psi == NM)
         res = norton_irreducible(module_handle(gens, NM, sub=Mss, label="(N+M**)/M**"),
                                  derive_seed(seed, "NM/Mss"))
-        _claim(claims, "NplusMssOverMss.irr", "(N + M**)/M** is irreducible",
-               res.verdict == "irreducible", {"verdict": res.verdict})
+        norton_claim(claims, "NplusMssOverMss.irr", "(N + M**)/M** is irreducible",
+                     res, "irreducible", {"verdict": res.verdict})
         hN = module_handle(gens, N, label="N")
         dN, _ = hom_space(hN, v_handle)
         hQ = module_handle(gens, Lam, sub=Mss, label="Lambda/M**", check_stable=False)
@@ -744,21 +696,12 @@ def verify_lattice_diagrams(ctx, n, seed=0, gens=None):
                (N & Mss).dim == 0 and (N | Mss) == Lam)
         res = norton_irreducible(module_handle(gens, N, label="N"),
                                  derive_seed(seed, "N"))
-        _claim(claims, "N.irr", "N is irreducible when char does not divide n+1",
-               res.verdict == "irreducible", {"verdict": res.verdict})
+        norton_claim(claims, "N.irr", "N is irreducible when char does not divide n+1",
+                     res, "irreducible", {"verdict": res.verdict})
         hQ = module_handle(gens, Lam, sub=Mss, label="Lambda/M**", check_stable=False)
         res = norton_irreducible(hQ, derive_seed(seed, "L/Mss"))
-        _claim(claims, "LambdaOverMss.irr",
-               "the quotient by M** is irreducible of the dimension of N",
-               res.verdict == "irreducible" and hQ.dim == dims["N"],
-               {"verdict": res.verdict, "dim": hQ.dim})
+        norton_claim(claims, "LambdaOverMss.irr",
+                     "the quotient by M** is irreducible of the dimension of N",
+                     res, "irreducible", {"verdict": res.verdict, "dim": hQ.dim},
+                     hQ.dim == dims["N"])
     return claims
-
-
-def _dotrow(ctx, u, v):
-    acc = ctx.zero()
-    zero = ctx.zero()
-    for x, y in zip(u, v):
-        if x != zero and y != zero:
-            acc = ctx.add(acc, ctx.mul(x, y))
-    return acc

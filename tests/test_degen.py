@@ -1,6 +1,13 @@
+import json
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
+
+import algdeg
 
 from algdeg.gfield import make_field
 from algdeg.structvec import (
@@ -290,3 +297,40 @@ def test_truncation_application_outside_square_factor():
                 break
         assert verify_lindeg(lam, [1, 2, 2], gens)
         assert spin_contains(lam, gens, delta(GF5, 3))
+
+
+def test_proof_checks_survive_optimize():
+    # under python -O the proof steps still run and still raise when broken
+    script = textwrap.dedent("""
+        import json, sys
+        from algdeg import gamma2
+        from algdeg.degen import reach_delta_suite
+        from algdeg.gfield import make_field
+        from algdeg.spinmx import standard_generators
+
+        gf3, gf4 = make_field(3), make_field(2, 2)
+        out = {"optimize": sys.flags.optimize}
+        seed = gamma2.SemilinearMap.unit(gf4, 3, 1, 2)
+        out["replay"] = gamma2.replay_irreducible_from(seed).reached_full
+        rep = reach_delta_suite(gf3, 3, standard_generators(gf3, 3), seed=5, count=4)
+        out["delta"] = [len(rep["failures"]), rep["branches"]]
+        # break one proof step: the relabeling permutations become the identity
+        gamma2._perm_mapping = lambda ctx, n, want: gamma2.GroupElement.identity(ctx, n)
+        try:
+            gamma2.replay_irreducible_from(seed)
+            out["broken"] = "returned"
+        except AssertionError:
+            out["broken"] = "raised"
+        print(json.dumps(out))
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(algdeg.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["optimize"] == 1
+    assert out["replay"] is True
+    assert out["delta"][0] == 0
+    assert {"gf3-nonzero", "gf3-zero"} <= set(out["delta"][1])
+    assert out["broken"] == "raised"

@@ -175,10 +175,25 @@ def test_json_round_trip():
     assert q.raw_to_json(raw) == "3/4"
 
 
+def _digits(r, p, k):
+    return [(r // p ** t) % p for t in range(k)]
+
+
+def _undigits(ds, p):
+    return sum(d % p * p ** t for t, d in enumerate(ds))
+
+
 def test_row_kernels_match_scalar_ops():
-    for p, k in [(5, 1), (2, 2), (3, 2)]:
+    # every tabled field; add/neg against base-p digit arithmetic
+    for p, k in [(3, 1), (5, 1), (7, 1), (2, 2), (2, 3), (3, 2), (5, 2)]:
         ctx = make_field(p, k)
         els = ctx.raw_elements()
+        for a in els:
+            da = _digits(a, p, k)
+            assert ctx.neg(a) == _undigits([-x for x in da], p)
+            for b in els:
+                db = _digits(b, p, k)
+                assert ctx.add(a, b) == _undigits([x + y for x, y in zip(da, db)], p)
         u = els[: min(6, len(els))]
         v = list(reversed(u))
         for c in els:

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from algdeg.gfield import make_field
-from algdeg.exactla import Subspace, random_invertible
+from algdeg.exactla import Subspace, combine, random_invertible
 from algdeg.structvec import StructureVector, act, unit
 from algdeg.canon import (
     ProjectivePoint, basis_C, basis_K, basis_Mstar, basis_MstarP, basis_N,
@@ -15,6 +15,7 @@ from algdeg.spinmx import (
     rational_generators, spin, spin_contains, standard_generators,
     survey_submodules, verify_lattice_diagrams, is_generator_stable,
 )
+from algdeg.spinmx import _span_closure, _structvec_appliers
 
 GF3 = make_field(3)
 GF4 = make_field(2, 2)
@@ -87,9 +88,26 @@ def test_close_112_plus_K_is_C_over_gf4():
 
 
 def test_spin_contains_probe():
-    gens = gens_for(GF5, 3)
-    assert spin_contains(eta(GF5, 3), gens, eta(GF5, 3))
-    assert not spin_contains(eta(GF5, 3), gens, delta(GF5, 3))
+    # the probe residual kept inside the closure agrees with membership in the
+    # finished spin: probes met at the seed, at the last insert, or never
+    for ctx in (GF3, GF4, GF5):
+        gens = gens_for(ctx, 3)
+        assert spin_contains(eta(ctx, 3), gens, eta(ctx, 3))
+        assert not spin_contains(eta(ctx, 3), gens, delta(ctx, 3))
+        lam = delta(ctx, 3)
+        full = spin(lam, gens)
+        rng = random.Random(7)
+        for _ in range(20):
+            late = combine([rng.randrange(ctx.order) for _ in full.rows], full.rows, ctx)
+            ech, hit = _span_closure([lam.coords], _structvec_appliers(gens), 27, ctx,
+                                     probe=late)
+            if hit and ech.dim == full.dim:
+                break
+        assert hit and ech.dim == full.dim
+        outside = ctx.row_addmul(late, unit(ctx, 3, 1, 2, 3).coords, ctx.one())
+        for probe in (lam.coords, eta(ctx, 3).coords, unit(ctx, 3, 1, 1, 1).coords,
+                      late, outside, list(full.rows[-1])):
+            assert spin_contains(lam, gens, probe) == full.contains(probe)
 
 
 def test_rational_spin_eta():
@@ -336,8 +354,8 @@ def test_spin_matches_full_group_orbit_span():
         group.append(GroupElement(m, inv))
     assert len(group) == 11232  # |GL(3,3)|
     for lam in (eta(ctx, n), delta(ctx, n), unit(ctx, n, 1, 1, 1)):
-        from algdeg.spinmx import _Echelon
-        ech = _Echelon(ctx, 27)
+        from algdeg.exactla import Echelon
+        ech = Echelon(ctx, 27)
         for g in group:
             ech.add(act_coords(lam.coords, g, n, ctx))
             if ech.dim == 27:
