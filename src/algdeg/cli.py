@@ -42,9 +42,14 @@ def _field_label(ctx):
 
 
 def parse_vector(text, ctx, n):
-    if text.startswith("{"):
-        return StructureVector.from_json(json.loads(text))
-    return canon.named_vector(text, ctx, n)
+    """A named vector, or a JSON one whose field and n match the command's."""
+    if not text.startswith("{"):
+        return canon.named_vector(text, ctx, n)
+    lam = StructureVector.from_json(json.loads(text))
+    if lam.ctx != ctx or lam.n != n:
+        raise ValueError(f"vector over {lam.ctx!r} with n = {lam.n} given to a command "
+                         f"over {ctx!r} with n = {n}")
+    return lam
 
 
 def split_chain(text):

@@ -14,9 +14,11 @@ ker(theta^T).
 """
 
 import hashlib
+import os
 import random
 from dataclasses import dataclass, field
 from itertools import product as iproduct
+from operator import mul
 from typing import Optional
 
 from .exactla import (
@@ -426,28 +428,32 @@ def composition_series(chain, gens, seed):
 # -- exhaustive submodule survey ------------------------------------------------
 
 def survey_submodules(handle, budget=SURVEY_BUDGET, workers=1):
-    """Spin every scalar line of the carrier; close under sums and intersections.
+    """Spin one line per generator orbit; close under sums and intersections.
 
-    Returns the full submodule lattice (0 and the carrier included) lifted to
-    the carrier's ambient space, sorted by (dim, basis).  Worker counts only
-    change the partitioning; the merged lattice is identical.
+    Spinning is constant on the orbits of the group the action matrices
+    generate, so spinning the first line of each orbit (`_line_orbit_reps`)
+    finds the same cyclic submodules as spinning every scalar line of the
+    carrier.  Returns the full submodule lattice (0 and the carrier included)
+    lifted to the carrier's ambient space, sorted by (dim, basis).  Worker
+    counts only change the partitioning; the merged lattice is identical.
     """
     ctx, d = handle.ctx, handle.dim
     if ctx.order ** d > budget:
         raise ValueError(f"survey budget exceeded: {ctx.order}^{d} > {budget}")
-    found = set()
-    if workers > 1:
-        chunks = _survey_chunks(ctx, d, workers)
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    reps = _line_orbit_reps(handle.action, ctx, d)
+    chunks = ([reps] if workers == 1
+              else _survey_chunks(list(reps), min(workers, os.cpu_count() or 1)))
+    if len(chunks) == 1:
+        found = _spin_lines(handle.action, ctx, d, chunks[0])
+    else:
         payload = (ctx.to_json(), d, handle.action)
+        found = set()
         import multiprocessing
-        with multiprocessing.Pool(workers) as pool:
+        with multiprocessing.Pool(len(chunks)) as pool:
             for part in pool.map(_survey_worker, [(payload, ch) for ch in chunks]):
                 found.update(part)
-    else:
-        appliers = _handle_appliers(handle.action, ctx)
-        for v in _all_lines(ctx, d):
-            ech, _ = _span_closure([v], appliers, d, ctx, stop_dim=d)
-            found.add(tuple(tuple(r) for r in ech.subspace().rows))
     subs = {Subspace(ctx, d, [list(r) for r in rows]) for rows in found}
     subs.add(Subspace.zero(ctx, d))
     subs.add(Subspace.full(ctx, d))
@@ -468,20 +474,103 @@ def survey_submodules(handle, budget=SURVEY_BUDGET, workers=1):
     return lifted
 
 
-def _survey_chunks(ctx, d, workers):
-    lines = list(_all_lines(ctx, d))
-    size = max(1, (len(lines) + workers - 1) // workers)
-    return [lines[i:i + size] for i in range(0, len(lines), size)]
+def _line_orbit_reps(action, ctx, d):
+    """The first line, in `_all_lines` order, of each orbit of the action's group.
+
+    The group is the one the action matrices generate, acting on the scalar
+    lines of F^d.  A line is marked by the base-q code of its representative
+    with first nonzero entry 1 (first coordinate most significant), so
+    `_all_lines` order is ascending code order within each leading position.
+    A line is yielded before its orbit is walked, and the orbit of a line
+    still unmarked is disjoint from every orbit walked so far, so that line
+    is the first of its orbit.
+    """
+    q = ctx.order
+    images = _line_image_codes(action, ctx, d)
+    seen = bytearray(q ** d)
+    for lead in range(d):
+        start = q ** (d - 1 - lead)
+        code = seen.find(0, start, 2 * start)
+        while code != -1:
+            seen[code] = 1
+            yield _decode(code, q, d)
+            stack = [code]
+            while stack:
+                for c in images(stack.pop()):
+                    if not seen[c]:
+                        seen[c] = 1
+                        stack.append(c)
+            code = seen.find(0, code + 1, 2 * start)
+
+
+def _decode(code, q, d):
+    w = [0] * d
+    for i in range(d - 1, -1, -1):
+        code, w[i] = divmod(code, q)
+    return w
+
+
+def _line_image_codes(action, ctx, d):
+    """A function from a line's code to the codes of its images, one per matrix."""
+    q = ctx.order
+    places = [q ** (d - 1 - i) for i in range(d)]
+    inverse = [None] + [ctx.inv(a) for a in range(1, q)]
+    if ctx.degree > 1 or ctx.char > 127:
+        def images(code):
+            w = _decode(code, q, d)
+            out = []
+            for m in action:
+                v = combine(w, m, ctx)
+                c = next(x for x in v if x)
+                if c != 1:
+                    v = ctx.row_scale(v, inverse[c])
+                out.append(sum(map(mul, v, places)))
+            return out
+        return images
+
+    # Prime field below 128: the image is the sum of the images of the code's
+    # high and low digits, tabled per matrix as rows packed one byte per entry;
+    # two reduced entries sum below 256, so bytes.translate reduces the sum.
+    p = ctx.char
+    split = q ** (d - d // 2)
+    reduce = bytes(x % p for x in range(256))
+    scale = [None] + [bytes(x * a % p for x in range(256)) for a in inverse[1:]]
+
+    def table(rows):
+        return [int.from_bytes(bytes(combine(cs, rows, ctx)) if rows else bytes(d), "big")
+                for cs in iproduct(range(q), repeat=len(rows))]
+
+    tables = [(table(m[:d // 2]), table(m[d // 2:])) for m in action]
+
+    def images(code):
+        hi, lo = divmod(code, split)
+        out = []
+        for high, low in tables:
+            v = (high[hi] + low[lo]).to_bytes(d, "big").translate(reduce)
+            out.append(sum(map(mul, v.translate(scale[v.lstrip(b"\0")[0]]), places)))
+        return out
+    return images
+
+
+def _spin_lines(action, ctx, d, lines):
+    """The distinct spins of the given lines, as tuples of echelon rows."""
+    appliers = _handle_appliers(action, ctx)
+    out = set()
+    for v in lines:
+        ech, _ = _span_closure([v], appliers, d, ctx, stop_dim=d)
+        out.add(tuple(tuple(r) for r in ech.subspace().rows))
+    return out
+
+
+def _survey_chunks(lines, parts):
+    """At most `parts` consecutive slices of `lines`, and at least one."""
+    size = max(1, (len(lines) + parts - 1) // parts)
+    return [lines[i:i + size] for i in range(0, max(1, len(lines)), size)]
 
 
 def _survey_worker(args):
     (ctx_json, d, action), lines = args
-    ctx = FieldCtx.from_json(ctx_json)
-    out = set()
-    for v in lines:
-        ech, _ = _span_closure([v], _handle_appliers(action, ctx), d, ctx, stop_dim=d)
-        out.add(tuple(tuple(r) for r in ech.subspace().rows))
-    return out
+    return _spin_lines(action, FieldCtx.from_json(ctx_json), d, lines)
 
 
 # -- homomorphism spaces ---------------------------------------------------------

@@ -18,6 +18,8 @@ from .gfield import FieldCtx, FieldElement
 
 def flat(n, i, j, k):
     """Flat storage index of the 1-based coordinate triple (i, j, k)."""
+    if not (0 < i <= n and 0 < j <= n and 0 < k <= n):
+        raise ValueError(f"index ({i}, {j}, {k}) outside 1..{n}")
     return (i - 1) * n * n + (j - 1) * n + (k - 1)
 
 
@@ -156,13 +158,20 @@ def unit(ctx, n, a, b, c):
     return StructureVector(ctx, n, coords)
 
 
+def _check_index(n, i):
+    if not 0 < i <= n:
+        raise ValueError(f"index {i} outside 1..{n}")
+
+
 def basis_vector(ctx, n, i):
+    _check_index(n, i)
     coords = [ctx.zero()] * n
     coords[i - 1] = ctx.one()
     return Vector(ctx, n, coords)
 
 
 def dual_basis_vector(ctx, n, i):
+    _check_index(n, i)
     coords = [ctx.zero()] * n
     coords[i - 1] = ctx.one()
     return DualVector(ctx, n, coords)

@@ -3,7 +3,9 @@ import json
 import pytest
 
 from algdeg import cli
+from algdeg.canon import eta
 from algdeg.cli import main
+from algdeg.gfield import make_field
 from algdeg.report import Report
 
 
@@ -43,6 +45,18 @@ def test_spin_eta_expect_U(capsys):
     assert "dim 6" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("vector", ["unit000", "eps0", "unit999"])
+def test_spin_rejects_index_outside_range(vector):
+    assert run(["spin", "--vector", vector, "--n", "3", "--field", "3"]) == 2
+
+
+def test_spin_json_vector_must_match_field_and_n():
+    argv = ["spin", "--n", "3", "--field", "3", "--expect", "U", "--vector"]
+    assert run(argv + [json.dumps(eta(make_field(3), 3).to_json())]) == 0
+    assert run(argv + [json.dumps(eta(make_field(5), 3).to_json())]) == 2
+    assert run(argv + [json.dumps(eta(make_field(3), 4).to_json())]) == 2
+
+
 def test_spin_wrong_expectation_fails():
     assert run(["spin", "--vector", "eta", "--n", "3", "--field", "5",
                 "--expect", "N"]) == 1
@@ -55,6 +69,11 @@ def test_survey_mstar(tmp_path):
     data = json.loads(path.read_text())
     dims = data["claims"][0]["data"]["dims"]
     assert dims == [0, 3, 3, 3, 3, 6]
+
+
+def test_survey_rejects_workers_below_one():
+    assert run(["survey", "--module", "Mstar", "--n", "3", "--field", "3",
+                "--workers", "0"]) == 2
 
 
 def test_series_certified():

@@ -15,7 +15,9 @@ from algdeg.spinmx import (
     rational_generators, spin, spin_contains, standard_generators,
     survey_submodules, verify_lattice_diagrams, is_generator_stable,
 )
-from algdeg.spinmx import _span_closure, _structvec_appliers
+from algdeg.spinmx import (
+    _all_lines, _handle_appliers, _line_orbit_reps, _span_closure, _structvec_appliers,
+)
 
 GF3 = make_field(3)
 GF4 = make_field(2, 2)
@@ -367,3 +369,52 @@ def test_survey_K_workers_deterministic():
     gens = gens_for(GF3, 3)
     h = module_handle(gens, submodule("K", GF3, 3), label="K")
     assert survey_submodules(h, workers=1) == survey_submodules(h, workers=2)
+
+
+def _brute_force_survey(handle):
+    """The survey by its definition: spin every scalar line, close, lift."""
+    ctx, d = handle.ctx, handle.dim
+    appliers = _handle_appliers(handle.action, ctx)
+    subs = {_span_closure([v], appliers, d, ctx, stop_dim=d)[0].subspace()
+            for v in _all_lines(ctx, d)}
+    subs |= {Subspace.zero(ctx, d), Subspace.full(ctx, d)}
+    while True:
+        new = {c for a in subs for b in subs for c in (a.sum(b), a.intersect(b))} - subs
+        if not new:
+            break
+        subs |= new
+    lifted = [handle.lift([list(r) for r in s.rows]) for s in subs]
+    return sorted(lifted, key=lambda s: (s.dim, s.rows))
+
+
+@pytest.mark.parametrize("name,ctx", [("K", GF3), ("Mstar", GF3), ("Mstar", GF4), ("U", GF5)])
+def test_survey_matches_spinning_every_line(name, ctx):
+    h = module_handle(gens_for(ctx, 3), submodule(name, ctx, 3), label=name)
+    assert survey_submodules(h) == _brute_force_survey(h)
+
+
+def _line_orbit(v, action, ctx):
+    orbit, todo = {tuple(v)}, [v]
+    while todo:
+        w = todo.pop()
+        for m in action:
+            u = combine(w, m, ctx)
+            u = ctx.row_scale(u, ctx.inv(next(x for x in u if x)))
+            if tuple(u) not in orbit:
+                orbit.add(tuple(u))
+                todo.append(u)
+    return orbit
+
+
+@pytest.mark.parametrize("name,ctx", [("K", GF3), ("Mstar", GF4)])
+def test_line_orbit_reps_cover_every_line_once(name, ctx):
+    h = module_handle(gens_for(ctx, 3), submodule(name, ctx, 3), label=name)
+    lines = [tuple(v) for v in _all_lines(ctx, h.dim)]
+    position = {v: i for i, v in enumerate(lines)}
+    reps = [tuple(v) for v in _line_orbit_reps(h.action, ctx, h.dim)]
+    orbits = [_line_orbit(list(v), h.action, ctx) for v in reps]
+    assert sum(len(o) for o in orbits) == len(lines)
+    assert set().union(*orbits) == set(lines)
+    # each representative is the first line of its orbit, in line order
+    assert [min(o, key=position.get) for o in orbits] == reps
+    assert sorted(reps, key=position.get) == reps

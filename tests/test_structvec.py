@@ -35,6 +35,16 @@ def test_flat_round_trip():
         assert flat(n, i, j, k) == f
 
 
+@pytest.mark.parametrize("index", [0, 4, -1])
+def test_indices_outside_1_to_n_are_rejected(index):
+    with pytest.raises(ValueError):
+        flat(3, 1, index, 1)
+    with pytest.raises(ValueError):
+        basis_vector(GF3, 3, index)
+    with pytest.raises(ValueError):
+        dual_basis_vector(GF3, 3, index)
+
+
 def test_act_identity():
     lam = sv(GF5, 3, (2, 1, 1, 2), (3, 3, 2, 1))
     g = GroupElement.identity(GF5, 3)
