@@ -37,6 +37,13 @@ def dimension_arg(text):
     return n
 
 
+def positive_int(text):
+    k = int(text)
+    if k < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {k}")
+    return k
+
+
 def _field_label(ctx):
     return f"{ctx.char}^{ctx.degree}" if ctx.degree > 1 else str(ctx.char)
 
@@ -77,7 +84,7 @@ def _small_field_guard(report, ctx, ids_anchors):
 
 
 def _timed_cell(report, tag, fn, *args):
-    """report.timed for one grid cell: claim ids (and timing keys) get the tag."""
+    """report.timed for one grid cell: claim ids (and their timing record) get the tag."""
 
     def prefixed():
         claims = fn(*args)
@@ -162,7 +169,7 @@ def cmd_survey(args):
     handle = spinmx.module_handle(gens, carrier, label=args.module)
 
     def survey_claim():
-        lattice = spinmx.survey_submodules(handle, budget=args.budget, workers=args.workers)
+        lattice = spinmx.survey_submodules(handle, budget=args.budget)
         dims = [s.dim for s in lattice]
         print(f"submodule lattice of {args.module}: dims {dims}")
         return {"id": "survey",
@@ -373,7 +380,6 @@ def build_parser():
     common(sp)
     sp.add_argument("--module", required=True)
     sp.add_argument("--budget", type=int, default=spinmx.SURVEY_BUDGET)
-    sp.add_argument("--workers", type=int, default=1)
     sp.set_defaults(fn=cmd_survey)
 
     sp = add_parser("series", help="certify a chain as a composition series")
@@ -403,7 +409,7 @@ def build_parser():
                     default=[3])
     sp.add_argument("--fields", type=lambda s: [field_spec(x) for x in s.split(",")],
                     default=[make_field(3), make_field(2, 2), make_field(5)])
-    sp.add_argument("--samples", type=int, default=10,
+    sp.add_argument("--samples", type=positive_int, default=10,
                     help="sample count per randomized suite")
     sp.set_defaults(fn=cmd_verify_all)
 

@@ -82,7 +82,7 @@ class FieldCtx:
     """Immutable arithmetic context: GF(p^k) for the frozen modulus table, or Q.
 
     Two contexts are interchangeable iff (char, degree, modulus) agree.
-    All operations are pure; instances are safe to share across workers.
+    All operations are pure.
     """
 
     def __init__(self, char, degree=1):

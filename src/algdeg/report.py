@@ -1,9 +1,10 @@
 """Verification reports: per-claim records with a versioned JSON schema.
 
 A claim is {id, anchor, status, data} with status one of verified, falsified,
-inconclusive, skipped.  Wall-clock timing lives in a separate top-level map so
-the claim payload is byte-identical across runs for a fixed (config, seed);
---no-timing drops the map for literal reproducibility.
+inconclusive, skipped.  Wall-clock timing lives in a separate top-level list,
+one {claims, seconds} record per timed phase, so the claim payload is
+byte-identical across runs for a fixed (config, seed); --no-timing drops the
+list for literal reproducibility.
 """
 
 import json
@@ -22,22 +23,23 @@ class Report:
         self.config = config
         self.seed = seed
         self.claims = []
-        self.timing = {}
+        self.timing = []
 
-    def add(self, claim, seconds=None):
+    def add(self, claim):
         if claim["status"] not in STATUS_ORDER:
             raise ValueError(f"bad claim status {claim['status']!r}")
         self.claims.append(claim)
-        if seconds is not None:
-            self.timing[claim["id"]] = round(seconds, 6)
 
-    def extend(self, claims, seconds=None):
-        share = None if seconds is None or not claims else seconds / len(claims)
+    def extend(self, claims, seconds):
+        """Add the claims of one phase and record the phase's time once."""
         for c in claims:
-            self.add(c, share)
+            self.add(c)
+        if claims:
+            self.timing.append({"claims": [c["id"] for c in claims],
+                                "seconds": round(seconds, 6)})
 
     def timed(self, fn, *args, **kwargs):
-        """Run fn, collect its claim list, and amortize the elapsed time."""
+        """Run fn, collect its claim list, and record the elapsed time once."""
         t0 = time.monotonic()
         claims = fn(*args, **kwargs)
         if isinstance(claims, dict):

@@ -14,7 +14,6 @@ ker(theta^T).
 """
 
 import hashlib
-import os
 import random
 from dataclasses import dataclass, field
 from itertools import product as iproduct
@@ -136,7 +135,7 @@ def _structvec_appliers(gens):
     return [lambda r, g=g: act_coords(r, g, n, ctx) for g in gens.elements]
 
 
-def spin(lam, gens, probe=None):
+def spin(lam, gens):
     """The cyclic module lam(FG): smallest generator-stable subspace around lam."""
     ctx, n = gens.ctx, gens.n
     if gens.provenance == "standard-finite" and ctx.kind != "finite":
@@ -257,9 +256,10 @@ def dual_space_handle(gens, label="dual"):
     return module_handle(gens, Subspace.full(ctx, n), label=label, check_stable=False)
 
 
-def handle_spin(handle, coeff_row, probe=None, stop_dim=None):
+def handle_spin(handle, coeff_row):
+    """The spin of one handle-coordinate row, as (echelon, hit) from `_span_closure`."""
     return _span_closure([coeff_row], _handle_appliers(handle.action, handle.ctx),
-                         handle.dim, handle.ctx, stop_dim=stop_dim, probe=probe)
+                         handle.dim, handle.ctx)
 
 
 def _handle_appliers(action, ctx):
@@ -427,49 +427,33 @@ def composition_series(chain, gens, seed):
 
 # -- exhaustive submodule survey ------------------------------------------------
 
-def survey_submodules(handle, budget=SURVEY_BUDGET, workers=1):
-    """Spin one line per generator orbit; close under sums and intersections.
+def survey_submodules(handle, budget=SURVEY_BUDGET):
+    """Spin one line per generator orbit; close the spins under sums.
 
     Spinning is constant on the orbits of the group the action matrices
-    generate, so spinning the first line of each orbit (`_line_orbit_reps`)
-    finds the same cyclic submodules as spinning every scalar line of the
-    carrier.  Returns the full submodule lattice (0 and the carrier included)
-    lifted to the carrier's ambient space, sorted by (dim, basis).  Worker
-    counts only change the partitioning; the merged lattice is identical.
+    generate, so the spins of the first lines of the orbits
+    (`_line_orbit_reps`) are all the cyclic submodules.  Every submodule is
+    the sum of the spins of its vectors, so the sums of cyclic submodules,
+    the empty sum 0 included, are the whole lattice, and intersections add
+    nothing.  Returns that lattice lifted to the carrier's ambient space,
+    sorted by (dim, basis).
     """
     ctx, d = handle.ctx, handle.dim
     if ctx.order ** d > budget:
         raise ValueError(f"survey budget exceeded: {ctx.order}^{d} > {budget}")
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
-    reps = _line_orbit_reps(handle.action, ctx, d)
-    chunks = ([reps] if workers == 1
-              else _survey_chunks(list(reps), min(workers, os.cpu_count() or 1)))
-    if len(chunks) == 1:
-        found = _spin_lines(handle.action, ctx, d, chunks[0])
-    else:
-        payload = (ctx.to_json(), d, handle.action)
-        found = set()
-        import multiprocessing
-        with multiprocessing.Pool(len(chunks)) as pool:
-            for part in pool.map(_survey_worker, [(payload, ch) for ch in chunks]):
-                found.update(part)
-    subs = {Subspace(ctx, d, [list(r) for r in rows]) for rows in found}
-    subs.add(Subspace.zero(ctx, d))
-    subs.add(Subspace.full(ctx, d))
-    # lattice closure under pairwise sum and intersection
-    changed = True
-    while changed:
-        changed = False
-        items = sorted(subs, key=lambda s: (s.dim, s.rows))
-        for i, a in enumerate(items):
-            for b in items[i + 1:]:
-                for c in (a.sum(b), a.intersect(b)):
-                    if c not in subs:
-                        subs.add(c)
-                        changed = True
-    ordered = sorted(subs, key=lambda s: (s.dim, s.rows))
-    lifted = [handle.lift([list(r) for r in s.rows]) for s in ordered]
+    appliers = _handle_appliers(handle.action, ctx)
+    cyclic = {_span_closure([v], appliers, d, ctx, stop_dim=d)[0].subspace()
+              for v in _line_orbit_reps(handle.action, ctx, d)}
+    todo = [Subspace.zero(ctx, d)]
+    subs = set(todo)
+    while todo:
+        s = todo.pop()
+        for c in cyclic:
+            t = s.sum(c)
+            if t not in subs:
+                subs.add(t)
+                todo.append(t)
+    lifted = [handle.lift([list(r) for r in s.rows]) for s in subs]
     lifted.sort(key=lambda s: (s.dim, s.rows))
     return lifted
 
@@ -550,27 +534,6 @@ def _line_image_codes(action, ctx, d):
             out.append(sum(map(mul, v.translate(scale[v.lstrip(b"\0")[0]]), places)))
         return out
     return images
-
-
-def _spin_lines(action, ctx, d, lines):
-    """The distinct spins of the given lines, as tuples of echelon rows."""
-    appliers = _handle_appliers(action, ctx)
-    out = set()
-    for v in lines:
-        ech, _ = _span_closure([v], appliers, d, ctx, stop_dim=d)
-        out.add(tuple(tuple(r) for r in ech.subspace().rows))
-    return out
-
-
-def _survey_chunks(lines, parts):
-    """At most `parts` consecutive slices of `lines`, and at least one."""
-    size = max(1, (len(lines) + parts - 1) // parts)
-    return [lines[i:i + size] for i in range(0, max(1, len(lines)), size)]
-
-
-def _survey_worker(args):
-    (ctx_json, d, action), lines = args
-    return _spin_lines(action, FieldCtx.from_json(ctx_json), d, lines)
 
 
 # -- homomorphism spaces ---------------------------------------------------------

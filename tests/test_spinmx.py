@@ -10,7 +10,7 @@ from algdeg.canon import (
     basis_U, delta, eta, submodule,
 )
 from algdeg.spinmx import (
-    composition_series, close_subspace, derive_seed, dual_space_handle,
+    ModuleHandle, composition_series, close_subspace, derive_seed, dual_space_handle,
     handle_spin, hom_space, module_handle, norton_irreducible,
     rational_generators, spin, spin_contains, standard_generators,
     survey_submodules, verify_lattice_diagrams, is_generator_stable,
@@ -22,6 +22,7 @@ from algdeg.spinmx import (
 GF3 = make_field(3)
 GF4 = make_field(2, 2)
 GF5 = make_field(5)
+GF25 = make_field(5, 2)
 
 
 def gens_for(ctx, n):
@@ -51,8 +52,11 @@ def test_spin_zero():
     assert spin([GF3.zero()] * 27, gens).dim == 0
 
 
-@pytest.mark.parametrize("ctx", [GF3, GF4, GF5])
-@pytest.mark.parametrize("n", [3, 4])
+# GF(25) at n = 3 only; the ids keep the n-ctxI form of test_spin_delta_is_N
+@pytest.mark.parametrize("ctx,n", [
+    pytest.param(ctx, n, id=f"{n}-ctx{i}")
+    for n in (3, 4) for i, ctx in enumerate((GF3, GF4, GF5))
+] + [pytest.param(GF25, 3, id="3-ctx3")])
 def test_spin_eta_is_U(ctx, n):
     gens = gens_for(ctx, n)
     assert spin(eta(ctx, n), gens) == basis_U(ctx, n)
@@ -231,14 +235,6 @@ def test_survey_mstar_gf3():
     assert len(lattice) == len(expect) + 2
 
 
-def test_survey_workers_deterministic():
-    gens = gens_for(GF3, 3)
-    h = module_handle(gens, basis_Mstar(GF3, 3), label="M*")
-    a = survey_submodules(h, workers=1)
-    b = survey_submodules(h, workers=2)
-    assert a == b
-
-
 def test_survey_budget_guard():
     gens = gens_for(GF5, 3)
     h = module_handle(gens, basis_C(GF5, 3), label="C")
@@ -365,12 +361,6 @@ def test_spin_matches_full_group_orbit_span():
         assert ech.subspace() == spin(lam, gens)
 
 
-def test_survey_K_workers_deterministic():
-    gens = gens_for(GF3, 3)
-    h = module_handle(gens, submodule("K", GF3, 3), label="K")
-    assert survey_submodules(h, workers=1) == survey_submodules(h, workers=2)
-
-
 def _brute_force_survey(handle):
     """The survey by its definition: spin every scalar line, close, lift."""
     ctx, d = handle.ctx, handle.dim
@@ -391,6 +381,19 @@ def _brute_force_survey(handle):
 def test_survey_matches_spinning_every_line(name, ctx):
     h = module_handle(gens_for(ctx, 3), submodule(name, ctx, 3), label=name)
     assert survey_submodules(h) == _brute_force_survey(h)
+
+
+@pytest.mark.parametrize("diagonal", [[1, 1], [1, 1, 2]])
+def test_survey_reaches_submodules_that_are_not_cyclic(diagonal):
+    # a diagonal action with a repeated eigenvalue: the eigenspace of 1 is a
+    # submodule that no single vector spins to, only a sum of spins
+    d = len(diagonal)
+    rows = [[int(i == j) * c for j in range(d)] for i, c in enumerate(diagonal)]
+    h = ModuleHandle(GF3, "diag", Subspace.full(GF3, d), None,
+                     [[int(i == j) for j in range(d)] for i in range(d)], [rows], None)
+    lattice = survey_submodules(h)
+    assert lattice == _brute_force_survey(h)
+    assert Subspace(GF3, d, [[1, 0] + [0] * (d - 2), [0, 1] + [0] * (d - 2)]) in lattice
 
 
 def _line_orbit(v, action, ctx):
