@@ -27,7 +27,7 @@ from .canon import delta as delta_vector
 from .canon import eta as eta_vector
 from .canon import omega, predicate_C, predicate_Mstar, predicate_Mstarstar
 from .exactla import (
-    GroupElement, Matrix, Subspace, combine, kernel_rows, rref_rows, solve_right,
+    Echelon, GroupElement, Matrix, Subspace, combine, kernel_rows, solve_right,
 )
 from .gfield import primitive_element
 from .structvec import (
@@ -173,7 +173,7 @@ def transvection_g5(lam, spec):
 # -- witness searches ------------------------------------------------------------
 
 def _rank(rows, ctx):
-    return len(rref_rows(rows, ctx)[0])
+    return Echelon(ctx, len(rows[0]), rows).dim
 
 
 def _independent_pair_pool(ctx, n):

@@ -1,10 +1,13 @@
 """Dense exact linear algebra over a FieldCtx.
 
-Matrices are row-major lists of raw scalars.  Subspace keeps the canonical
-reduced row-echelon basis, so equal subspaces compare equal as data.  Pivoting
-is deterministic first-nonzero: exact arithmetic makes stability a non-issue
-and determinism makes outputs diffable.
+Matrices are row-major lists of raw scalars.  `Echelon` is the one elimination
+engine: every rref, rank, kernel, sum and intersection runs on it.  Subspace
+keeps the canonical reduced row-echelon basis, so equal subspaces compare
+equal as data.  Pivots are first nonzero entries: exact arithmetic makes
+stability a non-issue and the unique reduced form makes outputs diffable.
 """
+
+from bisect import bisect_left
 
 from .gfield import FieldCtx
 
@@ -14,35 +17,9 @@ def rref_rows(rows, ctx):
 
     Returns (rows, pivots) with zero rows dropped; the input is not modified.
     """
-    rows = [list(r) for r in rows]
     if not rows:
         return [], []
-    ncols = len(rows[0])
-    zero = ctx.zero()
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        pr = None
-        for i in range(r, len(rows)):
-            if rows[i][col] != zero:
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        lead = rows[r][col]
-        if lead != ctx.one():
-            rows[r] = ctx.row_scale(rows[r], ctx.inv(lead))
-        for i in range(len(rows)):
-            if i != r:
-                c = rows[i][col]
-                if c != zero:
-                    rows[i] = ctx.row_submul(rows[i], rows[r], c)
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
+    return Echelon(ctx, len(rows[0]), rows).reduced()
 
 
 def reduce_against(vec, rows, pivots, ctx):
@@ -69,9 +46,10 @@ def combine(coeffs, rows, ctx):
 class Echelon:
     """Pivot-sorted row-echelon store with incremental insertion.
 
-    Each stored row is 1 at its pivot and 0 left of it, so reducing a vector
-    against the rows in pivot order clears every pivot column: the residual
-    is unique, and zero exactly for members of the span.
+    Each stored row is 1 at its pivot and 0 left of it and at every older
+    pivot, so reducing a vector against the rows in pivot order clears every
+    pivot column: the residual is unique, and zero exactly for members of the
+    span.  `reduced` back-substitutes to the reduced row echelon form.
     """
 
     __slots__ = ("ctx", "ambient", "rows", "pivots")
@@ -91,26 +69,43 @@ class Echelon:
     def add(self, vec):
         """Insert if independent; returns the reduced, normalized row or None."""
         ctx = self.ctx
-        zero = ctx.zero()
         v = list(vec)
+        if len(v) != self.ambient:
+            raise ValueError("row length does not match the ambient dimension")
         for row, p in zip(self.rows, self.pivots):
             c = v[p]
-            if c != zero:
+            if c:
                 v = ctx.row_submul(v, row, c)
-        lead = next((j for j, x in enumerate(v) if x != zero), None)
-        if lead is None:
+        for lead, c in enumerate(v):
+            if c:
+                break
+        else:
             return None
-        if v[lead] != ctx.one():
-            v = ctx.row_scale(v, ctx.inv(v[lead]))
-        at = 0
-        while at < len(self.pivots) and self.pivots[at] < lead:
-            at += 1
+        if c != ctx.one():
+            v = ctx.row_scale(v, ctx.inv(c))
+        at = bisect_left(self.pivots, lead)
         self.rows.insert(at, v)
         self.pivots.insert(at, lead)
         return v
 
+    def reduced(self):
+        """Back-substitute in place, last pivot first; returns the RREF (rows, pivots).
+
+        A row is zero left of its pivot, so clearing its pivot from the rows
+        above leaves the later pivot columns, already cleared, as they are.
+        """
+        ctx, rows, pivots = self.ctx, self.rows, self.pivots
+        for j in range(len(rows) - 1, 0, -1):
+            row, p = rows[j], pivots[j]
+            for i in range(j):
+                c = rows[i][p]
+                if c:
+                    rows[i] = ctx.row_submul(rows[i], row, c)
+        return rows, pivots
+
     def subspace(self):
-        return Subspace(self.ctx, self.ambient, self.rows)
+        rows, pivots = self.reduced()
+        return Subspace(self.ctx, self.ambient, rows, pivots, _canonical=True)
 
 
 def reduce_with_coeffs(vec, rows, pivots, ctx):
@@ -183,8 +178,8 @@ class Matrix:
         if other.nrows == 0:
             return Matrix.zeros(self.ctx, self.nrows, other.ncols)
         orows = other.rows()
-        return Matrix.from_rows(self.ctx, [combine(self.row(i), orows, self.ctx)
-                                           for i in range(self.nrows)])
+        flat = [x for i in range(self.nrows) for x in combine(self.row(i), orows, self.ctx)]
+        return Matrix(self.ctx, self.nrows, other.ncols, flat)
 
     def __mul__(self, other):
         return self.mul(other)
@@ -198,8 +193,7 @@ class Matrix:
         return f"Matrix({self.nrows}x{self.ncols} over {self.ctx!r})"
 
     def rank(self):
-        _, pivots = rref_rows(self.rows(), self.ctx)
-        return len(pivots)
+        return Echelon(self.ctx, self.ncols, self.rows()).dim
 
     def inverse(self):
         if self.nrows != self.ncols:
@@ -245,16 +239,10 @@ class Subspace:
     def __init__(self, ctx, ambient, rows, pivots=None, _canonical=False):
         self.ctx = ctx
         self.ambient = ambient
-        if _canonical and pivots is not None:
-            self.rows = tuple(tuple(r) for r in rows)
-            self.pivots = tuple(pivots)
-            return
-        red, piv = rref_rows(rows, ctx)
-        for r in red:
-            if len(r) != ambient:
-                raise ValueError("row length does not match the ambient dimension")
-        self.rows = tuple(tuple(r) for r in red)
-        self.pivots = tuple(piv)
+        if not (_canonical and pivots is not None):
+            rows, pivots = Echelon(ctx, ambient, rows).reduced()
+        self.rows = tuple(tuple(r) for r in rows)
+        self.pivots = tuple(pivots)
 
     @classmethod
     def zero(cls, ctx, ambient):
@@ -309,14 +297,14 @@ class Subspace:
         return self.sum(other)
 
     def intersect(self, other):
-        """Zassenhaus: rref of [[A|A],[B|0]]; zero-left rows carry the intersection."""
+        """Zassenhaus: echelon of [[A|A],[B|0]]; rows with pivot >= d carry the intersection."""
         self._check_compatible(other)
         ctx, d = self.ctx, self.ambient
         zero = ctx.zero()
         stacked = [list(r) + list(r) for r in self.rows]
         stacked += [list(r) + [zero] * d for r in other.rows]
-        red, _ = rref_rows(stacked, ctx)
-        out = [r[d:] for r in red if all(x == zero for x in r[:d])]
+        ech = Echelon(ctx, 2 * d, stacked)
+        out = [r[d:] for r, p in zip(ech.rows, ech.pivots) if p >= d]
         return Subspace(ctx, d, out)
 
     def __and__(self, other):
@@ -333,8 +321,7 @@ class Subspace:
             raise ValueError("not a subspace of this space")
         ech = Echelon(self.ctx, self.ambient, sub.rows)
         reps = [t for t in map(ech.add, self.rows) if t is not None]
-        reps, _ = rref_rows(reps, self.ctx)
-        return reps
+        return rref_rows(reps, self.ctx)[0]
 
     def to_json(self):
         ctx = self.ctx

@@ -268,9 +268,12 @@ class FieldCtx:
         if self.kind == "rational":
             return Fraction(raw)
         if isinstance(raw, int):
-            if 0 <= raw < self.order:
-                return raw
-            return self.from_int(raw)
+            # over GF(p) a code and an integer read the same; over GF(p^k) they
+            # differ, so an integer outside the codes is refused
+            if 0 <= raw < self.order or self.degree == 1:
+                return raw % self.order
+            raise ValueError(f"raw code {raw} outside 0..{self.order - 1} for {self!r}; "
+                             "use from_int for an integer")
         raise TypeError(f"cannot coerce {raw!r} into {self!r}")
 
     def to_json(self):
@@ -297,7 +300,10 @@ class FieldCtx:
                 num, den = v.split("/")
                 return Fraction(int(num), int(den))
             return Fraction(v)
-        return int(v) % self.order
+        if type(v) is not int or not 0 <= v < self.order:
+            raise ValueError(f"raw code {v!r} is not an integer in 0..{self.order - 1} "
+                             f"for {self!r}")
+        return v
 
 
 class FieldElement:

@@ -99,6 +99,8 @@ def _span_closure(seed_rows, appliers, ambient, ctx, stop_dim=None, probe=None):
     """
     ech = Echelon(ctx, ambient)
     residual = None if probe is None else list(probe)
+    if residual is not None and len(residual) != ambient:
+        raise ValueError("probe length does not match the ambient dimension")
     queue = []
     for r in seed_rows:
         added = ech.add(r)
@@ -135,33 +137,34 @@ def _structvec_appliers(gens):
     return [lambda r, g=g: act_coords(r, g, n, ctx) for g in gens.elements]
 
 
+def _check_field(gens, *data):
+    """Reject vectors and subspaces over another field (`Echelon` checks lengths)."""
+    for x in data:
+        if getattr(x, "ctx", gens.ctx) != gens.ctx:
+            raise ValueError(f"data over {x.ctx!r} given to generators over {gens.ctx!r}")
+
+
 def spin(lam, gens):
     """The cyclic module lam(FG): smallest generator-stable subspace around lam."""
-    ctx, n = gens.ctx, gens.n
-    if gens.provenance == "standard-finite" and ctx.kind != "finite":
-        raise ValueError("standard-finite spinning needs a finite field")
-    coords = getattr(lam, "coords", lam)
-    ech, _ = _span_closure([coords], _structvec_appliers(gens), n ** 3, ctx)
+    _check_field(gens, lam)
+    ech, _ = _span_closure([getattr(lam, "coords", lam)], _structvec_appliers(gens),
+                           gens.n ** 3, gens.ctx)
     return ech.subspace()
 
 
 def spin_contains(lam, gens, probe):
     """Membership probe ran inside the closure loop (early exit on success)."""
-    ctx, n = gens.ctx, gens.n
-    coords = getattr(lam, "coords", lam)
-    probe_coords = getattr(probe, "coords", probe)
-    _, hit = _span_closure([coords], _structvec_appliers(gens), n ** 3, ctx,
-                           probe=probe_coords)
+    _check_field(gens, lam, probe)
+    _, hit = _span_closure([getattr(lam, "coords", lam)], _structvec_appliers(gens),
+                           gens.n ** 3, gens.ctx, probe=getattr(probe, "coords", probe))
     return hit
 
 
 def close_subspace(sub, gens):
     """Smallest generator-stable subspace containing the given subspace."""
-    ctx, n = gens.ctx, gens.n
-    if gens.provenance == "standard-finite" and ctx.kind != "finite":
-        raise ValueError("standard-finite spinning needs a finite field")
+    _check_field(gens, sub)
     ech, _ = _span_closure([list(r) for r in sub.rows], _structvec_appliers(gens),
-                           n ** 3, ctx)
+                           gens.n ** 3, gens.ctx)
     return ech.subspace()
 
 
@@ -219,7 +222,8 @@ def _ambient_appliers(gens, ambient):
 
 def module_handle(gens, carrier, sub=None, label="module", check_stable=True):
     """Restrict (and quotient) the generator action to an invariant carrier."""
-    ctx, n = gens.ctx, gens.n
+    ctx = gens.ctx
+    _check_field(gens, carrier, sub)
     appliers = _ambient_appliers(gens, carrier.ambient)
     full = carrier.dim == carrier.ambient
     if check_stable and not full:
@@ -359,7 +363,7 @@ def norton_irreducible(handle, seed):
         return NortonResult("irreducible", None, None,
                             {"attempt": attempt, "nullity": len(ker)})
     if ctx.order ** d <= SURVEY_BUDGET:
-        lines = _all_lines(ctx, d)
+        lines = _line_orbit_reps(handle.action, ctx, d)
         proper = _first_proper_spin(handle.action, lines, d, ctx)
         if proper is not None:
             wit_rows = [list(r) for r in proper.rows]

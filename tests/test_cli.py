@@ -57,6 +57,16 @@ def test_spin_json_vector_must_match_field_and_n():
     assert run(argv + [json.dumps(eta(make_field(3), 4).to_json())]) == 2
 
 
+def test_spin_json_vector_rejects_raw_codes_outside_the_field():
+    gf9 = make_field(3, 2)
+    payload = eta(gf9, 3).to_json()
+    argv = ["spin", "--n", "3", "--field", "3^2", "--vector"]
+    assert run(argv + [json.dumps(payload)]) == 0
+    for bad in (-1, 9, 12, 1.5, "1"):
+        payload["coords"][5] = bad
+        assert run(argv + [json.dumps(payload)]) == 2
+
+
 def test_spin_wrong_expectation_fails():
     assert run(["spin", "--vector", "eta", "--n", "3", "--field", "5",
                 "--expect", "N"]) == 1

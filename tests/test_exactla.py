@@ -1,10 +1,12 @@
 import random
+from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from algdeg.gfield import make_field
 from algdeg.exactla import (
-    Matrix, Subspace, GroupElement, rref, null_space, kernel_rows,
+    Echelon, Matrix, Subspace, GroupElement, rref, null_space, kernel_rows,
     quotient_coords, random_invertible, rref_rows,
 )
 
@@ -243,3 +245,136 @@ def test_quotient_reps_commutative_over_square_zero():
     gf3 = make_field(3)
     with pytest.raises(ValueError):
         basis_C(gf3, 3).quotient_dim(basis_K(gf3, 3))
+
+
+# -- the elimination engine against a scalar Gauss-Jordan reference ------------
+
+ENGINE_FIELDS = [make_field(p, k) for p, k in
+                 ((3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (5, 2), (0, 1))]
+ENGINE_SHAPES = [(1, 1), (1, 4), (3, 2), (2, 5), (4, 4), (6, 3), (3, 7), (7, 6)]
+
+
+def _scalar(ctx, rng):
+    if ctx.kind == "rational":
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    return rng.randrange(ctx.order)
+
+
+def _random_rows(ctx, nrows, ncols, rng):
+    """nrows rows of length ncols: random, zero, and combinations of earlier rows."""
+    rows = []
+    for _ in range(nrows):
+        kind = rng.randrange(4) if rows else 0
+        if kind == 1:
+            rows.append([ctx.zero()] * ncols)
+        elif kind == 2:
+            v = [ctx.zero()] * ncols
+            for r in rng.sample(rows, min(2, len(rows))):
+                v = ctx.row_addmul(v, r, _scalar(ctx, rng))
+            rows.append(v)
+        else:
+            rows.append([_scalar(ctx, rng) for _ in range(ncols)])
+    rng.shuffle(rows)
+    return rows
+
+
+def _reference_rref(rows, ctx):
+    """Gauss-Jordan one column at a time, scalar operations only."""
+    rows = [list(r) for r in rows]
+    zero, pivots, r = ctx.zero(), [], 0
+    for col in range(len(rows[0])):
+        pr = next((i for i in range(r, len(rows)) if rows[i][col] != zero), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = ctx.inv(rows[r][col])
+        rows[r] = [ctx.mul(inv, x) for x in rows[r]]
+        for i in range(len(rows)):
+            c = rows[i][col]
+            if i != r and c != zero:
+                rows[i] = [ctx.sub(x, ctx.mul(c, y)) for x, y in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+    return rows[:r], pivots
+
+
+def _dot(ctx, u, v):
+    out = ctx.zero()
+    for x, y in zip(u, v):
+        out = ctx.add(out, ctx.mul(x, y))
+    return out
+
+
+def _engine_cases():
+    rng = random.Random(61)
+    for ctx in ENGINE_FIELDS:
+        for nrows, ncols in ENGINE_SHAPES:
+            for _ in range(3):
+                yield ctx, _random_rows(ctx, nrows, ncols, rng)
+
+
+def test_rref_rows_is_the_reduced_form_of_the_row_space():
+    for ctx, rows in _engine_cases():
+        zero, one = ctx.zero(), ctx.one()
+        red, pivots = rref_rows(rows, ctx)
+        assert (red, pivots) == _reference_rref(rows, ctx)
+        assert pivots == sorted(set(pivots))
+        for r, p in zip(red, pivots):
+            assert r[p] == one and all(x == zero for x in r[:p])
+            assert all(s[p] == zero for s in red if s is not r)
+        # every input row is the combination of red given by its pivot entries
+        for v in rows:
+            back = [zero] * len(v)
+            for r, p in zip(red, pivots):
+                back = [ctx.add(x, ctx.mul(v[p], y)) for x, y in zip(back, r)]
+            assert back == v
+
+
+def _brute_span(rows, ncols):
+    return {tuple(sum(c * x for c, x in zip(cs, col)) % 3 for col in zip(*rows))
+            for cs in product(range(3), repeat=len(rows))} if rows else {(0,) * ncols}
+
+
+def test_rref_rows_row_space_brute_force_gf3():
+    rng = random.Random(67)
+    for nrows, ncols in ENGINE_SHAPES[:6]:
+        for _ in range(4):
+            rows = _random_rows(GF3, nrows, ncols, rng)
+            red, _ = rref_rows(rows, GF3)
+            assert _brute_span(red, ncols) == _brute_span(rows, ncols)
+            assert len(_brute_span(red, ncols)) == 3 ** len(red)
+
+
+def test_rank_plus_kernel_is_the_column_count():
+    for ctx, rows in _engine_cases():
+        ncols = len(rows[0])
+        ker = kernel_rows(rows, ncols, ctx)
+        assert Matrix.from_rows(ctx, rows).rank() + len(ker) == ncols
+        assert Matrix.from_rows(ctx, rows).rank() == len(_reference_rref(rows, ctx)[1])
+        for k in ker:
+            assert all(_dot(ctx, r, k) == ctx.zero() for r in rows)
+
+
+def test_intersection_dimension_formula():
+    cases = list(_engine_cases())
+    for (ctx, a_rows), (ctx_b, b_rows) in zip(cases, cases[1:]):
+        if ctx_b != ctx or len(a_rows[0]) != len(b_rows[0]):
+            continue
+        d = len(a_rows[0])
+        a, b = Subspace(ctx, d, a_rows), Subspace(ctx, d, b_rows)
+        meet = a.intersect(b)
+        assert meet <= a and meet <= b
+        assert a.sum(b).dim + meet.dim == a.dim + b.dim
+
+
+def test_rows_of_the_wrong_length_are_rejected():
+    for ctx in ENGINE_FIELDS:
+        zero = ctx.zero()
+        with pytest.raises(ValueError):
+            Subspace(ctx, 3, [[zero, zero]])
+        with pytest.raises(ValueError):
+            Subspace(ctx, 2, [[ctx.one(), zero], [zero, ctx.one(), zero]])
+        with pytest.raises(ValueError):
+            rref_rows([[ctx.one(), zero], [ctx.one()]], ctx)
+        with pytest.raises(ValueError):
+            Echelon(ctx, 3).add([ctx.one()] * 4)

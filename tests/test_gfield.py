@@ -208,3 +208,23 @@ def test_gf25_constructible():
     assert ctx.modulus == (1, 1, 1)
     g = primitive_element(ctx)
     assert multiplicative_order(ctx, g.raw) == 24
+
+
+def test_raw_codes_outside_the_field_are_rejected():
+    for p, k in [(2, 1), (3, 1), (5, 1), (2, 2), (2, 3), (3, 2), (5, 2)]:
+        ctx = make_field(p, k)
+        q = ctx.order
+        assert ctx.raw_from_json(q - 1) == q - 1
+        for code in (-1, q, q + 3, 1.5, 1.0, True, "1"):
+            with pytest.raises(ValueError):
+                ctx.raw_from_json(code)
+        for code in (-1, q, q + 3):
+            if k == 1:
+                # over GF(p) the integer and the code readings agree
+                assert ctx.element(code).raw == code % p
+            else:
+                with pytest.raises(ValueError):
+                    ctx.element(code)
+    gf9 = make_field(3, 2)
+    assert gf9.element(5).raw == 5
+    assert gf9.from_int(10) == 1

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from algdeg import spinmx
 from algdeg.gfield import make_field
 from algdeg.exactla import Subspace, combine, random_invertible
 from algdeg.structvec import StructureVector, act, unit
@@ -421,3 +422,45 @@ def test_line_orbit_reps_cover_every_line_once(name, ctx):
     # each representative is the first line of its orbit, in line order
     assert [min(o, key=position.get) for o in orbits] == reps
     assert sorted(reps, key=position.get) == reps
+
+
+@pytest.mark.parametrize("name,ctx,verdict", [
+    ("K", GF3, "reducible"), ("Mstar", GF4, "reducible"), ("U", GF5, "irreducible")])
+def test_norton_exhaustive_fallback_matches_spinning_every_line(monkeypatch, name, ctx,
+                                                                verdict):
+    # with no random draws the verdict comes from the fallback, which spins one
+    # line per orbit; the first proper spin over every line is the same witness
+    h = module_handle(gens_for(ctx, 3), submodule(name, ctx, 3), label=name)
+    monkeypatch.setattr(spinmx, "NORTON_ATTEMPTS", 0)
+    res = norton_irreducible(h, seed=0)
+    appliers = _handle_appliers(h.action, ctx)
+    spins = (_span_closure([v], appliers, h.dim, ctx, stop_dim=h.dim)[0]
+             for v in _all_lines(ctx, h.dim))
+    first = next((ech.subspace() for ech in spins if ech.dim < h.dim), None)
+    assert res.detail == {"mode": "exhaustive"}
+    assert res.verdict == verdict
+    if first is None:
+        assert res.witness is None
+    else:
+        assert res.witness_coords == [list(r) for r in first.rows]
+        assert res.witness == h.preimage(res.witness_coords)
+
+
+_GF3_GENS = standard_generators(GF3, 3)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: spin(eta(GF5, 3), _GF3_GENS),
+    lambda: spin([0] * 64, _GF3_GENS),
+    lambda: spin_contains(eta(GF5, 3), _GF3_GENS, eta(GF5, 3)),
+    lambda: spin_contains(eta(GF3, 3), _GF3_GENS, eta(GF3, 4)),
+    lambda: close_subspace(basis_U(GF5, 3), _GF3_GENS),
+    lambda: close_subspace(basis_U(GF3, 4), _GF3_GENS),
+    lambda: module_handle(_GF3_GENS, basis_C(GF5, 3), label="C"),
+    lambda: module_handle(_GF3_GENS, Subspace.full(GF5, 3), check_stable=False),
+], ids=["spin-field", "spin-n", "spin_contains-field", "spin_contains-n",
+        "close_subspace-field", "close_subspace-n", "module_handle-field",
+        "module_handle-dual-field"])
+def test_entry_points_reject_data_off_the_generator_set(call):
+    with pytest.raises(ValueError):
+        call()
