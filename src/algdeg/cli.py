@@ -122,8 +122,6 @@ def cmd_dims(args):
 def cmd_canon(args):
     report = Report("canon", {"n": args.n, "field": _field_label(args.field)}, args.seed)
     ctx, n = args.field, args.n
-    if args.list:
-        return cmd_dims(args)
     if _small_field_guard(report, ctx, [
             ("intersections", "intersection dictionary"),
             ("TmeetMstarstarBiconditional", "trace-kernel symmetry")]):
@@ -363,11 +361,10 @@ def build_parser():
 
     sp = add_parser("dims", help="dimension table against the closed forms")
     common(sp)
-    sp.set_defaults(fn=cmd_dims, list=True)
+    sp.set_defaults(fn=cmd_dims)
 
     sp = add_parser("canon", help="canonical submodules and their intersections")
     common(sp)
-    sp.add_argument("--list", action="store_true", help="print the dimension table")
     sp.set_defaults(fn=cmd_canon)
 
     sp = add_parser("spin", help="cyclic module of a named or JSON vector")

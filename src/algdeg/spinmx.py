@@ -6,11 +6,12 @@ closure under each g is closure under g^-1 and the generator closure equals
 the full group closure.  The irreducibility test is the classical kernel-
 vector criterion: draw theta in the enveloping algebra with ker(theta) != 0;
 if some kernel-line spin (or transposed-side spin) is proper the module is
-reducible with an exhibited witness, and if every kernel line on both sides
-spins to the whole module it is irreducible, because a proper submodule S
-forces either S ^ ker(theta) != 0 (theta singular on S) or, when theta is
-invertible on S, a nonzero annihilator vector of im(theta) + S inside
-ker(theta^T).
+reducible with an exhibited witness.  If every line of ker(theta) spins to the
+whole module, a proper submodule S meets ker(theta) in 0, so theta is
+invertible on S, S lies in im(theta), and all of ker(theta^T) lies in the
+annihilator of S, a proper submodule of the transpose.  So one vector of
+ker(theta^T) decides (Norton's lemma): it spins full exactly when the module
+is irreducible.
 """
 
 import hashlib
@@ -220,44 +221,40 @@ def _ambient_appliers(gens, ambient):
     raise ValueError(f"no generator action on ambient dimension {ambient}")
 
 
-def module_handle(gens, carrier, sub=None, label="module", check_stable=True):
-    """Restrict (and quotient) the generator action to an invariant carrier."""
+def module_handle(gens, carrier, sub=None, label="module"):
+    """Restrict (and quotient) the generator action to carrier/sub, checking both stable.
+
+    `coset_representatives` checks sub <= carrier.  Each sub row must map into
+    sub; each complement row's image gets its coordinates from
+    `quotient_coords`, whose vanishing residual proves the image lies in sub +
+    complement = carrier.  Together these prove both subspaces generator-stable.
+    """
     ctx = gens.ctx
     _check_field(gens, carrier, sub)
     appliers = _ambient_appliers(gens, carrier.ambient)
-    full = carrier.dim == carrier.ambient
-    if check_stable and not full:
-        for f in appliers:
-            for row in carrier.rows:
-                if not carrier.contains(f(list(row))):
-                    raise ValueError(f"carrier of {label!r} is not generator-stable")
     if sub is None or sub.dim == 0:
         sub = None
         sub_rows, sub_pivots = (), ()
         reps = [list(r) for r in carrier.rows]
     else:
-        if not sub <= carrier:
-            raise ValueError("sub is not contained in the carrier")
-        if check_stable:
-            for f in appliers:
-                for row in sub.rows:
-                    if not sub.contains(f(list(row))):
-                        raise ValueError(f"sub of {label!r} is not generator-stable")
         sub_rows, sub_pivots = sub.rows, sub.pivots
         reps = carrier.coset_representatives(sub)
     rep_pivots = [next(j for j, x in enumerate(r) if x != ctx.zero()) for r in reps]
-    action = []
-    for f in appliers:
-        rows = [quotient_coords(f(list(rep)), sub_rows, sub_pivots, reps, rep_pivots, ctx)
-                for rep in reps]
-        action.append(rows)
+    try:
+        action = [[quotient_coords(f(list(rep)), sub_rows, sub_pivots, reps, rep_pivots, ctx)
+                   for rep in reps] for f in appliers]
+    except ValueError:
+        raise ValueError(f"carrier of {label!r} is not generator-stable") from None
+    if sub is not None and not all(sub.contains(f(list(row)))
+                                   for f in appliers for row in sub_rows):
+        raise ValueError(f"sub of {label!r} is not generator-stable")
     return ModuleHandle(ctx, label, carrier, sub, reps, action, gens)
 
 
 def dual_space_handle(gens, label="dual"):
     """The n-dimensional dual space as a right module."""
     ctx, n = gens.ctx, gens.n
-    return module_handle(gens, Subspace.full(ctx, n), label=label, check_stable=False)
+    return module_handle(gens, Subspace.full(ctx, n), label=label)
 
 
 def handle_spin(handle, coeff_row):
@@ -289,12 +286,6 @@ def _transpose_rows(rows):
     return [list(col) for col in zip(*rows)]
 
 
-def _row_kernel(mat_rows, ctx):
-    """{v : v * M = 0} as raw rows."""
-    t = _transpose_rows(mat_rows)
-    return kernel_rows(t, len(mat_rows), ctx)
-
-
 def _lines_of(rows, ctx, cap):
     """All scalar-line representatives inside the span of independent rows."""
     k = len(rows)
@@ -311,13 +302,13 @@ def _random_envelope(handle, rng):
     ident = Matrix.identity(ctx, d).rows()
     c0 = ctx.from_int(rng.randrange(q))
     theta = [ctx.row_scale(r, c0) for r in ident]
-    terms = [ident] + list(handle.action)
+    terms = list(handle.action)
     for _ in range(rng.randrange(2, 5)):
         word = handle.action[rng.randrange(len(handle.action))]
         for _ in range(rng.randrange(0, 3)):
             word = _matmul_rows(word, handle.action[rng.randrange(len(handle.action))], ctx)
         terms.append(word)
-    for t in terms[1:]:
+    for t in terms:
         c = ctx.from_int(rng.randrange(q))
         if c != ctx.zero():
             theta = [ctx.row_addmul(tr_, wr, c) for tr_, wr in zip(theta, t)]
@@ -329,7 +320,8 @@ def norton_irreducible(handle, seed):
 
     Reducible verdicts always carry an explicit invariant witness subspace.
     Irreducible verdicts require every kernel line of some singular theta to
-    spin full on both the module and its transpose.
+    spin full on the module, and one vector of ker(theta^T) to spin full on
+    the transpose (Norton's lemma; see the module docstring).
     """
     ctx, d = handle.ctx, handle.dim
     if d == 0:
@@ -337,10 +329,9 @@ def norton_irreducible(handle, seed):
     if d == 1:
         return NortonResult("irreducible", None, None, {"reason": "dimension 1"})
     rng = random.Random(derive_seed(seed, "norton", handle.label, d))
-    action_t = [_transpose_rows(m) for m in handle.action]
     for attempt in range(NORTON_ATTEMPTS):
         theta = _random_envelope(handle, rng)
-        ker = _row_kernel(theta, ctx)
+        ker = kernel_rows(_transpose_rows(theta), d, ctx)
         if not ker or len(ker) == d:
             continue
         lines = _lines_of(ker, ctx, LINE_CAP)
@@ -351,11 +342,10 @@ def norton_irreducible(handle, seed):
             wit_rows = [list(r) for r in proper.rows]
             return NortonResult("reducible", handle.preimage(wit_rows), wit_rows,
                                 {"attempt": attempt, "nullity": len(ker), "side": "module"})
-        ker_t = _row_kernel(_transpose_rows(theta), ctx)
-        lines_t = _lines_of(ker_t, ctx, LINE_CAP)
-        if lines_t is None:
-            continue
-        proper_t = _first_proper_spin(action_t, lines_t, d, ctx)
+        # nullity(theta^T) = nullity(theta); ker_t[0] is the first line of ker(theta^T)
+        ker_t = kernel_rows(theta, d, ctx)
+        action_t = [_transpose_rows(m) for m in handle.action]
+        proper_t = _first_proper_spin(action_t, ker_t[:1], d, ctx)
         if proper_t is not None:
             ann = kernel_rows([list(r) for r in proper_t.rows], d, ctx)
             return NortonResult("reducible", handle.preimage(ann), ann,
@@ -684,8 +674,7 @@ def verify_lattice_diagrams(ctx, n, seed=0, gens=None):
             _claim(claims, "TTplusMss.dim", "dim((T ^ T~) + M**) = n^3 - n (odd n)",
                    TM.dim == n ** 3 - n, {"dim": TM.dim})
             res = norton_irreducible(module_handle(gens, Lam, sub=TM,
-                                                   label="Lambda/(TT+M**)",
-                                                   check_stable=False),
+                                                   label="Lambda/(TT+M**)"),
                                      derive_seed(seed, "L/TTM"))
             norton_claim(claims, "LambdaOverTTplusMss.irr",
                          "the top factor over (T ^ T~) + M** is irreducible",
@@ -705,7 +694,7 @@ def verify_lattice_diagrams(ctx, n, seed=0, gens=None):
             _claim(claims, "TTplusMss.even",
                    "(T ^ T~) + M** is the whole space (char 2, even n)",
                    TM.dim == n ** 3, {"dim": TM.dim})
-        hQ = module_handle(gens, Lam, sub=NM, label="Lambda/(N+M**)", check_stable=False)
+        hQ = module_handle(gens, Lam, sub=NM, label="Lambda/(N+M**)")
         res = norton_irreducible(hQ, derive_seed(seed, "L/NM"))
         du = dims["U"]
         if n % 2 == 0:
@@ -742,7 +731,7 @@ def verify_lattice_diagrams(ctx, n, seed=0, gens=None):
                      res, "irreducible", {"verdict": res.verdict})
         hN = module_handle(gens, N, label="N")
         dN, _ = hom_space(hN, v_handle)
-        hQ = module_handle(gens, Lam, sub=Mss, label="Lambda/M**", check_stable=False)
+        hQ = module_handle(gens, Lam, sub=Mss, label="Lambda/M**")
         dQ, _ = hom_space(hQ, v_handle)
         _claim(claims, "LambdaOverMss.notN",
                "the dual is a top factor of the quotient by M** but not of N",
@@ -754,7 +743,7 @@ def verify_lattice_diagrams(ctx, n, seed=0, gens=None):
                                  derive_seed(seed, "N"))
         norton_claim(claims, "N.irr", "N is irreducible when char does not divide n+1",
                      res, "irreducible", {"verdict": res.verdict})
-        hQ = module_handle(gens, Lam, sub=Mss, label="Lambda/M**", check_stable=False)
+        hQ = module_handle(gens, Lam, sub=Mss, label="Lambda/M**")
         res = norton_irreducible(hQ, derive_seed(seed, "L/Mss"))
         norton_claim(claims, "LambdaOverMss.irr",
                      "the quotient by M** is irreducible of the dimension of N",

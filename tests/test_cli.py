@@ -35,6 +35,13 @@ def test_field_spec_rejects_junk():
     assert exc.value.code == 2
 
 
+def test_canon_list_is_rejected():
+    # `algdeg dims` is the one dimension-table command
+    with pytest.raises(SystemExit) as exc:
+        run(["canon", "--list", "--n", "3", "--field", "3"])
+    assert exc.value.code == 2
+
+
 def test_canon_check_intersections():
     assert run(["canon", "--n", "3", "--field", "5"]) == 0
 

@@ -4,7 +4,8 @@ import pytest
 
 from algdeg import spinmx
 from algdeg.gfield import make_field
-from algdeg.exactla import Subspace, combine, random_invertible
+from algdeg.exactla import Subspace, combine, kernel_rows, random_invertible
+from algdeg.gamma2 import gamma_handle
 from algdeg.structvec import StructureVector, act, unit
 from algdeg.canon import (
     ProjectivePoint, basis_C, basis_K, basis_Mstar, basis_MstarP, basis_N,
@@ -17,7 +18,8 @@ from algdeg.spinmx import (
     survey_submodules, verify_lattice_diagrams, is_generator_stable,
 )
 from algdeg.spinmx import (
-    _all_lines, _handle_appliers, _line_orbit_reps, _span_closure, _structvec_appliers,
+    _all_lines, _first_proper_spin, _handle_appliers, _line_orbit_reps, _lines_of,
+    _random_envelope, _span_closure, _structvec_appliers, _transpose_rows,
 )
 
 GF3 = make_field(3)
@@ -150,8 +152,50 @@ def test_module_handle_round_trip():
 def test_module_handle_rejects_unstable():
     gens = gens_for(GF5, 3)
     bad = Subspace(GF5, 27, [unit(GF5, 3, 1, 2, 3).coords])
-    with pytest.raises(ValueError):
-        module_handle(gens, bad)
+    K = basis_K(GF5, 3)
+    # an unstable carrier, an unstable sub inside K, an unstable sub of the full space
+    for carrier, sub, part in ((bad, None, "carrier"),
+                               (K, Subspace(GF5, 27, [K.rows[0]]), "sub"),
+                               (Subspace.full(GF5, 27), bad, "sub")):
+        with pytest.raises(ValueError, match=f"^{part} of 'bad' is not generator-stable$"):
+            module_handle(gens, carrier, sub=sub, label="bad")
+
+
+def test_norton_lemma_one_dual_vector_decides():
+    """Once every line of ker(theta) spins full, the lines of ker(theta^T) spin
+    all full (irreducible module) or all proper (reducible module)."""
+    GF8 = make_field(2, 3)
+    NM = basis_N(GF4, 3) | submodule("Mstarstar", GF4, 3)
+    lam_nm = module_handle(gens_for(GF4, 3), Subspace.full(GF4, 27), sub=NM,
+                           label="Lambda/(N+M**)")
+    rng = random.Random(2024)
+    for h, irreducible in ((lam_nm, False),
+                           (gamma_handle(gens_for(GF8, 3)), True),
+                           (module_handle(gens_for(GF5, 3), basis_U(GF5, 3), label="U"), True)):
+        ctx, d = h.ctx, h.dim
+        action_t = [_transpose_rows(m) for m in h.action]
+        decided = 0
+        for _ in range(300):
+            theta = _random_envelope(h, rng)
+            ker = kernel_rows(_transpose_rows(theta), d, ctx)
+            lines = _lines_of(ker, ctx, spinmx.LINE_CAP) if 0 < len(ker) < d else None
+            if lines is None or _first_proper_spin(h.action, lines, d, ctx) is not None:
+                continue
+            ker_t = kernel_rows(theta, d, ctx)
+            assert len(ker_t) == len(ker)
+            full = {_first_proper_spin(action_t, [v], d, ctx) is None
+                    for v in _lines_of(ker_t, ctx, spinmx.LINE_CAP)}
+            assert full == {irreducible}, h.label
+            decided += 1
+            if decided == 8:
+                break
+        assert decided == 8, h.label
+    # seed 21 decides on the dual side at nullity 2, where ker(theta^T) has five lines
+    res = norton_irreducible(lam_nm, seed=21)
+    assert res.verdict == "reducible" and res.detail["side"] == "dual"
+    assert res.detail["nullity"] == 2
+    assert NM < res.witness < Subspace.full(GF4, 27)
+    assert is_generator_stable(res.witness, gens_for(GF4, 3))
 
 
 def test_norton_dual_space_irreducible():
@@ -457,7 +501,7 @@ _GF3_GENS = standard_generators(GF3, 3)
     lambda: close_subspace(basis_U(GF5, 3), _GF3_GENS),
     lambda: close_subspace(basis_U(GF3, 4), _GF3_GENS),
     lambda: module_handle(_GF3_GENS, basis_C(GF5, 3), label="C"),
-    lambda: module_handle(_GF3_GENS, Subspace.full(GF5, 3), check_stable=False),
+    lambda: module_handle(_GF3_GENS, Subspace.full(GF5, 3)),
 ], ids=["spin-field", "spin-n", "spin_contains-field", "spin_contains-n",
         "close_subspace-field", "close_subspace-n", "module_handle-field",
         "module_handle-dual-field"])
