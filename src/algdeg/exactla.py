@@ -1,7 +1,13 @@
 """Dense exact linear algebra over a FieldCtx.
 
 Matrices are row-major lists of raw scalars.  `Echelon` is the one elimination
-engine: every rref, rank, kernel, sum and intersection runs on it.  Subspace
+engine: every rref, rank, kernel, sum and intersection runs on it.  It packs
+each input row once (`FieldCtx.pack`: `bytes` over GF(p), p <= 13, and
+GF(2^k), a list elsewhere) and stores packed rows, so a vector is reduced
+against every stored row with no conversions.  `combine`, `reduce_against`
+and `Echelon.add` hand back packed rows for further elimination; the results
+that leave the engine, `rref_rows` rows, `Subspace.rows` and `Matrix.entries`,
+stay lists and tuples of raw scalars.  Subspace
 keeps the canonical reduced row-echelon basis, so equal subspaces compare
 equal as data.  Pivots are first nonzero entries: exact arithmetic makes
 stability a non-issue and the unique reduced form makes outputs diffable.
@@ -15,30 +21,29 @@ from .gfield import FieldCtx
 def rref_rows(rows, ctx):
     """Reduced row echelon form of a list of raw rows.
 
-    Returns (rows, pivots) with zero rows dropped; the input is not modified.
+    Returns (list rows, pivots) with zero rows dropped; the input is not modified.
     """
     if not rows:
         return [], []
-    return Echelon(ctx, len(rows[0]), rows).reduced()
+    red, pivots = Echelon(ctx, len(rows[0]), rows).reduced()
+    return [list(r) for r in red], pivots
 
 
 def reduce_against(vec, rows, pivots, ctx):
-    """Residual of vec after elimination against rref rows."""
-    v = list(vec)
-    zero = ctx.zero()
+    """Residual of vec after elimination against rref rows, as a packed row."""
+    v = ctx.pack(vec)
     for row, p in zip(rows, pivots):
         c = v[p]
-        if c != zero:
+        if c:
             v = ctx.row_submul(v, row, c)
     return v
 
 
 def combine(coeffs, rows, ctx):
-    """sum_i coeffs[i] * rows[i] as a raw row, skipping zero coefficients."""
-    zero = ctx.zero()
-    out = [zero] * len(rows[0])
+    """sum_i coeffs[i] * rows[i] as a packed row, skipping zero coefficients."""
+    out = ctx.pack([ctx.zero()] * len(rows[0]))
     for c, row in zip(coeffs, rows):
-        if c != zero:
+        if c:
             out = ctx.row_addmul(out, row, c)
     return out
 
@@ -67,20 +72,19 @@ class Echelon:
         return len(self.rows)
 
     def add(self, vec):
-        """Insert if independent; returns the reduced, normalized row or None."""
+        """Insert if independent; returns the reduced, normalized packed row or None."""
         ctx = self.ctx
-        v = list(vec)
+        v = ctx.pack(vec)
         if len(v) != self.ambient:
             raise ValueError("row length does not match the ambient dimension")
         for row, p in zip(self.rows, self.pivots):
             c = v[p]
             if c:
                 v = ctx.row_submul(v, row, c)
-        for lead, c in enumerate(v):
-            if c:
-                break
-        else:
+        lead = ctx.lead(v)
+        if lead == self.ambient:
             return None
+        c = v[lead]
         if c != ctx.one():
             v = ctx.row_scale(v, ctx.inv(c))
         at = bisect_left(self.pivots, lead)
@@ -89,7 +93,7 @@ class Echelon:
         return v
 
     def reduced(self):
-        """Back-substitute in place, last pivot first; returns the RREF (rows, pivots).
+        """Back-substitute in place, last pivot first; returns the packed RREF (rows, pivots).
 
         A row is zero left of its pivot, so clearing its pivot from the rows
         above leaves the later pivot columns, already cleared, as they are.
@@ -109,14 +113,13 @@ class Echelon:
 
 
 def reduce_with_coeffs(vec, rows, pivots, ctx):
-    """Residual plus the elimination coefficients (vec = sum c_i rows_i + residual)."""
-    v = list(vec)
-    zero = ctx.zero()
+    """Packed residual plus the elimination coefficients (vec = sum c_i rows_i + residual)."""
+    v = ctx.pack(vec)
     coeffs = []
     for row, p in zip(rows, pivots):
         c = v[p]
         coeffs.append(c)
-        if c != zero:
+        if c:
             v = ctx.row_submul(v, row, c)
     return v, coeffs
 
@@ -232,9 +235,13 @@ def kernel_rows(rows, ncols, ctx):
 
 
 class Subspace:
-    """A subspace of F^d held as its canonical rref basis (no zero rows)."""
+    """A subspace of F^d held as its canonical rref basis (no zero rows).
 
-    __slots__ = ("ctx", "ambient", "rows", "pivots")
+    `rows` is a tuple of tuples of raw scalars; `_rows` holds the same rows
+    packed (`FieldCtx.pack`) for the elimination kernels.
+    """
+
+    __slots__ = ("ctx", "ambient", "rows", "pivots", "_rows")
 
     def __init__(self, ctx, ambient, rows, pivots=None, _canonical=False):
         self.ctx = ctx
@@ -243,6 +250,7 @@ class Subspace:
             rows, pivots = Echelon(ctx, ambient, rows).reduced()
         self.rows = tuple(tuple(r) for r in rows)
         self.pivots = tuple(pivots)
+        self._rows = tuple(map(ctx.pack, rows)) if ctx.packed else self.rows
 
     @classmethod
     def zero(cls, ctx, ambient):
@@ -261,16 +269,15 @@ class Subspace:
         vec = getattr(vec, "coords", vec)
         if len(vec) != self.ambient:
             raise ValueError("vector length does not match the ambient dimension")
-        zero = self.ctx.zero()
-        res = reduce_against(vec, self.rows, self.pivots, self.ctx)
-        return all(x == zero for x in res)
+        res = reduce_against(vec, self._rows, self.pivots, self.ctx)
+        return self.ctx.lead(res) == self.ambient
 
     def __contains__(self, vec):
         return self.contains(vec)
 
     def __le__(self, other):
         self._check_compatible(other)
-        return all(other.contains(r) for r in self.rows)
+        return all(other.contains(r) for r in self._rows)
 
     def __lt__(self, other):
         return self <= other and self.dim < other.dim
@@ -291,7 +298,7 @@ class Subspace:
 
     def sum(self, other):
         self._check_compatible(other)
-        return Subspace(self.ctx, self.ambient, list(self.rows) + list(other.rows))
+        return Subspace(self.ctx, self.ambient, self._rows + other._rows)
 
     def __or__(self, other):
         return self.sum(other)
@@ -300,9 +307,9 @@ class Subspace:
         """Zassenhaus: echelon of [[A|A],[B|0]]; rows with pivot >= d carry the intersection."""
         self._check_compatible(other)
         ctx, d = self.ctx, self.ambient
-        zero = ctx.zero()
-        stacked = [list(r) + list(r) for r in self.rows]
-        stacked += [list(r) + [zero] * d for r in other.rows]
+        pad = ctx.pack([ctx.zero()] * d)
+        stacked = [ctx.pack(r) * 2 for r in self._rows]
+        stacked += [ctx.pack(r) + pad for r in other._rows]
         ech = Echelon(ctx, 2 * d, stacked)
         out = [r[d:] for r, p in zip(ech.rows, ech.pivots) if p >= d]
         return Subspace(ctx, d, out)
@@ -319,8 +326,8 @@ class Subspace:
         """Echelon basis of a complement of sub in self; cosets form a quotient basis."""
         if not sub <= self:
             raise ValueError("not a subspace of this space")
-        ech = Echelon(self.ctx, self.ambient, sub.rows)
-        reps = [t for t in map(ech.add, self.rows) if t is not None]
+        ech = Echelon(self.ctx, self.ambient, sub._rows)
+        reps = [t for t in map(ech.add, self._rows) if t is not None]
         return rref_rows(reps, self.ctx)[0]
 
     def to_json(self):
@@ -361,8 +368,7 @@ def quotient_coords(vec, sub_rows, sub_pivots, reps, rep_pivots, ctx):
     """Coordinates of vec + sub over the complement basis reps; residual must vanish."""
     t = reduce_against(vec, sub_rows, sub_pivots, ctx)
     res, coeffs = reduce_with_coeffs(t, reps, rep_pivots, ctx)
-    zero = ctx.zero()
-    if any(x != zero for x in res):
+    if ctx.lead(res) != len(res):
         raise ValueError("vector does not lie in the given span")
     return coeffs
 

@@ -3,8 +3,11 @@
 A FieldCtx owns the arithmetic; raw scalars are plain ints (finite fields,
 encoding polynomial-basis coefficients base p) or Fractions (rationals).
 FieldElement is a thin operator-overloading wrapper around (ctx, raw).
-Hot loops in the linear algebra work on raw scalars through the ctx kernels
-(`row_submul`, `row_scale`, ...) so list comprehensions stay tight.
+Hot loops in the linear algebra work on raw rows through the ctx kernels
+(`row_submul`, `row_scale`, `lead`).  Over GF(p), p <= 13, and GF(2^k) a row
+is packed: a `bytes` object holding one raw code per byte, and a row update
+is one big-int operation plus one `bytes.translate` (the packed-row method of
+Boothby & Bradshaw, arXiv:0901.1413).  Other fields keep rows as lists.
 """
 
 from fractions import Fraction
@@ -78,14 +81,30 @@ def _poly_remainder_is_zero(num, div, p):
     return all(c % p == 0 for c in rem)
 
 
+# row types the packed kernels hand back as lists, so callers holding list rows
+# never see `bytes`
+_UNPACKED = (list, tuple)
+
+
 class FieldCtx:
     """Immutable arithmetic context: GF(p^k) for the frozen modulus table, or Q.
 
     Two contexts are interchangeable iff (char, degree, modulus) agree.
     All operations are pure.
+
+    `packed` is true over GF(p), p <= 13, and GF(2^k).  There the row kernels
+    work on `bytes` rows, one raw code per byte: they accept lists, tuples or
+    `bytes`, and return `bytes` unless the first row is a list or tuple, which
+    gets a list back.  `pack` turns any row into the packed form.  Over GF(p)
+    a slot of u + (p-c)*v is at most (p-1) + p(p-1) = p^2 - 1 < 256, so the
+    slots of the big-int sum never carry and one `translate` reduces them
+    mod p.  Over GF(2^k) addition is XOR.  Every other field (GF(9), GF(25),
+    larger primes, Q) keeps rows as lists.  The byte of a code is the code
+    itself, so packed rows order and serialize like the lists they replace.
     """
 
     def __init__(self, char, degree=1):
+        self.packed = False
         if char == 0:
             if degree != 1:
                 raise ValueError("rational field has degree 1")
@@ -113,6 +132,13 @@ class FieldCtx:
             if not _check_irreducible(list(self.modulus), char):
                 raise ValueError(f"modulus for GF({char}^{degree}) is reducible")
             self._build_tables()
+        if char == 2 or (degree == 1 and char <= 13):
+            self.packed = True
+            q = self.order
+            # translate tables: multiplication by each scalar, and reduction mod p
+            self._scale_bytes = [bytes(self.mul(c, x) if x < q else 0 for x in range(256))
+                                 for c in range(q)]
+            self._mod_bytes = bytes(x % char for x in range(256))
 
     def _decode(self, r):
         """Integer repr -> coefficient list, least-significant (constant) first."""
@@ -211,8 +237,32 @@ class FieldCtx:
 
     # -- row kernels (hot paths of the exact linear algebra) ------------
 
+    def pack(self, vec):
+        """A row in this field's row form: `bytes` when packed, else a new list."""
+        return bytes(vec) if self.packed else list(vec)
+
+    def lead(self, v):
+        """Index of the first nonzero entry of a row; len(v) for the zero row."""
+        if type(v) is bytes:
+            return len(v) - len(v.lstrip(b"\0"))
+        for j, x in enumerate(v):
+            if x:
+                return j
+        return len(v)
+
     def row_submul(self, u, v, c):
-        """u - c*v, elementwise on raw rows."""
+        """u - c*v, elementwise on raw rows; a list or tuple u gives a list."""
+        if self.packed:
+            d = len(u)
+            if self.char == 2:
+                if c != 1:
+                    v = bytes(v).translate(self._scale_bytes[c])
+                out = (int.from_bytes(u, "big") ^ int.from_bytes(v, "big")).to_bytes(d, "big")
+            else:
+                p = self.char
+                out = (int.from_bytes(u, "big") + (p - c % p) * int.from_bytes(v, "big")
+                       ).to_bytes(d, "big").translate(self._mod_bytes)
+            return list(out) if type(u) in _UNPACKED else out
         if self.kind == "finite":
             if self.degree == 1:
                 p = self.char
@@ -227,6 +277,10 @@ class FieldCtx:
         return self.row_submul(u, v, self.neg(c))
 
     def row_scale(self, v, c):
+        """c*v on a raw row; a list or tuple v gives a list."""
+        if self.packed:
+            out = bytes(v).translate(self._scale_bytes[c])
+            return list(out) if type(v) in _UNPACKED else out
         if self.kind == "finite":
             if self.degree == 1:
                 p = self.char

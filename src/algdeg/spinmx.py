@@ -99,7 +99,7 @@ def _span_closure(seed_rows, appliers, ambient, ctx, stop_dim=None, probe=None):
     every pivot, and it vanishes exactly when the probe lies in the span.
     """
     ech = Echelon(ctx, ambient)
-    residual = None if probe is None else list(probe)
+    residual = None if probe is None else ctx.pack(probe)
     if residual is not None and len(residual) != ambient:
         raise ValueError("probe length does not match the ambient dimension")
     queue = []
@@ -109,7 +109,7 @@ def _span_closure(seed_rows, appliers, ambient, ctx, stop_dim=None, probe=None):
             queue.append(added)
             if residual is not None:
                 residual = _absorb(residual, added, ctx)
-    if residual is not None and not any(residual):
+    if residual is not None and ctx.lead(residual) == ambient:
         return ech, True
     while queue:
         if stop_dim is not None and ech.dim >= stop_dim:
@@ -121,16 +121,15 @@ def _span_closure(seed_rows, appliers, ambient, ctx, stop_dim=None, probe=None):
                 queue.append(added)
                 if residual is not None:
                     residual = _absorb(residual, added, ctx)
-                    if not any(residual):
+                    if ctx.lead(residual) == ambient:
                         return ech, True
-    return ech, residual is not None and not any(residual)
+    return ech, residual is not None and ctx.lead(residual) == ambient
 
 
 def _absorb(residual, row, ctx):
     """Clear the pivot of a freshly inserted echelon row from the probe residual."""
-    zero = ctx.zero()
-    c = residual[next(j for j, x in enumerate(row) if x != zero)]
-    return residual if c == zero else ctx.row_submul(residual, row, c)
+    c = residual[ctx.lead(row)]
+    return ctx.row_submul(residual, row, c) if c else residual
 
 
 def _structvec_appliers(gens):
@@ -164,7 +163,7 @@ def spin_contains(lam, gens, probe):
 def close_subspace(sub, gens):
     """Smallest generator-stable subspace containing the given subspace."""
     _check_field(gens, sub)
-    ech, _ = _span_closure([list(r) for r in sub.rows], _structvec_appliers(gens),
+    ech, _ = _span_closure(sub._rows, _structvec_appliers(gens),
                            gens.n ** 3, gens.ctx)
     return ech.subspace()
 
@@ -172,8 +171,8 @@ def close_subspace(sub, gens):
 def is_generator_stable(sub, gens):
     ctx, n = gens.ctx, gens.n
     for g in gens.elements:
-        for row in sub.rows:
-            if not sub.contains(act_coords(list(row), g, n, ctx)):
+        for row in sub._rows:
+            if not sub.contains(act_coords(row, g, n, ctx)):
                 return False
     return True
 
@@ -204,7 +203,7 @@ class ModuleHandle:
         """Handle-coordinate rows back to the carrier's ambient space."""
         rows = [combine(cr, self.reps, self.ctx) for cr in coeff_rows]
         if include_sub and self.sub is not None:
-            rows.extend(list(r) for r in self.sub.rows)
+            rows.extend(self.sub._rows)
         return Subspace(self.ctx, self.carrier.ambient, rows)
 
     def preimage(self, coeff_rows):
@@ -237,15 +236,16 @@ def module_handle(gens, carrier, sub=None, label="module"):
         sub_rows, sub_pivots = (), ()
         reps = [list(r) for r in carrier.rows]
     else:
-        sub_rows, sub_pivots = sub.rows, sub.pivots
+        sub_rows, sub_pivots = sub._rows, sub.pivots
         reps = carrier.coset_representatives(sub)
-    rep_pivots = [next(j for j, x in enumerate(r) if x != ctx.zero()) for r in reps]
+    packed = [ctx.pack(r) for r in reps]
+    rep_pivots = [ctx.lead(r) for r in packed]
     try:
-        action = [[quotient_coords(f(list(rep)), sub_rows, sub_pivots, reps, rep_pivots, ctx)
-                   for rep in reps] for f in appliers]
+        action = [[quotient_coords(f(rep), sub_rows, sub_pivots, packed, rep_pivots, ctx)
+                   for rep in packed] for f in appliers]
     except ValueError:
         raise ValueError(f"carrier of {label!r} is not generator-stable") from None
-    if sub is not None and not all(sub.contains(f(list(row)))
+    if sub is not None and not all(sub.contains(f(row))
                                    for f in appliers for row in sub_rows):
         raise ValueError(f"sub of {label!r} is not generator-stable")
     return ModuleHandle(ctx, label, carrier, sub, reps, action, gens)
@@ -265,7 +265,7 @@ def handle_spin(handle, coeff_row):
 
 def _handle_appliers(action, ctx):
     """One applier per action matrix: the row vector times the matrix."""
-    return [lambda r, m=m: combine(r, m, ctx) for m in action]
+    return [lambda r, m=[ctx.pack(row) for row in m]: combine(r, m, ctx) for m in action]
 
 
 # -- the irreducibility test ---------------------------------------------------
@@ -493,26 +493,29 @@ def _line_image_codes(action, ctx, d):
     q = ctx.order
     places = [q ** (d - 1 - i) for i in range(d)]
     inverse = [None] + [ctx.inv(a) for a in range(1, q)]
-    if ctx.degree > 1 or ctx.char > 127:
+    xor = ctx.char == 2
+    if not (xor or (ctx.degree == 1 and ctx.char < 128)):
         def images(code):
             w = _decode(code, q, d)
             out = []
             for m in action:
                 v = combine(w, m, ctx)
-                c = next(x for x in v if x)
+                c = v[ctx.lead(v)]
                 if c != 1:
                     v = ctx.row_scale(v, inverse[c])
                 out.append(sum(map(mul, v, places)))
             return out
         return images
 
-    # Prime field below 128: the image is the sum of the images of the code's
-    # high and low digits, tabled per matrix as rows packed one byte per entry;
-    # two reduced entries sum below 256, so bytes.translate reduces the sum.
-    p = ctx.char
+    # GF(p), p < 128, and GF(2^k): the image is the sum of the images of the
+    # code's high and low digits, tabled per matrix as rows packed one byte
+    # per entry.  Over GF(2^k) the sum is XOR; over GF(p) two reduced entries
+    # sum below 256, so bytes.translate reduces the sum.  One more translate
+    # scales the image to a leading 1.
     split = q ** (d - d // 2)
-    reduce = bytes(x % p for x in range(256))
-    scale = [None] + [bytes(x * a % p for x in range(256)) for a in inverse[1:]]
+    reduce = bytes(x % ctx.char for x in range(256))
+    scale = [None] + [bytes(ctx.mul(a, x) if x < q else 0 for x in range(256))
+                      for a in inverse[1:]]
 
     def table(rows):
         return [int.from_bytes(bytes(combine(cs, rows, ctx)) if rows else bytes(d), "big")
@@ -527,7 +530,15 @@ def _line_image_codes(action, ctx, d):
             v = (high[hi] + low[lo]).to_bytes(d, "big").translate(reduce)
             out.append(sum(map(mul, v.translate(scale[v.lstrip(b"\0")[0]]), places)))
         return out
-    return images
+
+    def images_xor(code):
+        hi, lo = divmod(code, split)
+        out = []
+        for high, low in tables:
+            v = (high[hi] ^ low[lo]).to_bytes(d, "big")
+            out.append(sum(map(mul, v.translate(scale[v.lstrip(b"\0")[0]]), places)))
+        return out
+    return images_xor if xor else images
 
 
 # -- homomorphism spaces ---------------------------------------------------------

@@ -9,7 +9,9 @@ g v_1, ..., g v_n:
     (lam g)_ijk = sum_{a,b,c} g_ai g_bj (g^-1)_kc lam_abc
 
 computed as three mode contractions (O(n^4) each), with sparse fast paths for
-tagged transvection and diagonal group elements.
+tagged transvection and diagonal group elements.  Over fields with packed rows
+(`FieldCtx.packed`) a transvection is three packed row updates on slices of
+one `bytearray`; `StructureVector.coords` is always a list.
 """
 
 from .exactla import Matrix
@@ -43,10 +45,11 @@ class _Coords:
             raise ValueError("coordinate list has the wrong length")
 
     def _like(self, coords):
+        """A new vector of this type; kernel rows (possibly `bytes`) become a list."""
         out = object.__new__(type(self))
         out.ctx = self.ctx
         out.n = self.n
-        out.coords = coords
+        out.coords = coords if type(coords) is list else list(coords)
         return out
 
     def _check(self, other):
@@ -227,8 +230,21 @@ def _act_general(coords, gmat, ginv, n, ctx):
 
 def _act_transvection(coords, n, ctx, r, s, t):
     # g = I + t*e_rs (0-based r != s): three sparse slice updates.
-    add, mul, sub = ctx.add, ctx.mul, ctx.sub
     nn = n * n
+    if ctx.packed:
+        # mode 1: block s += t*block r; mode 2: in each block, run s += t*run r;
+        # mode 3: the stride-n column r -= t*column s
+        out = bytearray(coords)
+        mt = ctx.neg(t)
+        sub = ctx.row_submul
+        bs, br = s * nn, r * nn
+        out[bs:bs + nn] = sub(out[bs:bs + nn], out[br:br + nn], mt)
+        for i in range(0, n * nn, nn):
+            os_, or_ = i + s * n, i + r * n
+            out[os_:os_ + n] = sub(out[os_:os_ + n], out[or_:or_ + n], mt)
+        out[r::n] = sub(out[r::n], out[s::n], t)
+        return bytes(out)
+    add, mul, sub = ctx.add, ctx.mul, ctx.sub
     out = list(coords)
     base_s, base_r = s * nn, r * nn
     for bc in range(nn):

@@ -1,0 +1,208 @@
+"""Differential tests of the packed row kernels against plain list references.
+
+Over GF(p), p <= 13, and GF(2^k) a row is packed into `bytes`; over the other
+fields rows stay lists.  Every kernel and every packed path of the engine is
+compared here with a reference written on the scalar operations alone, over
+every field in the modulus table, two packed primes above 7, and Q.
+"""
+
+import functools
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from algdeg import cli, spinmx
+from algdeg.exactla import Echelon, GroupElement, Subspace, rref_rows
+from algdeg.gfield import make_field
+from algdeg.structvec import StructureVector, act, act_coords, action_matrix
+
+FIELDS = [make_field(p, k) for p, k in
+          [(3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (5, 2), (0, 1)]]
+PACKED = {"GF(3)", "GF(2^2)", "GF(5)", "GF(7)", "GF(2^3)", "GF(11)", "GF(13)"}
+
+SETTINGS = settings(max_examples=25, deadline=None)
+per_field = pytest.mark.parametrize("ctx", FIELDS, ids=repr)
+
+
+def _scalars(ctx):
+    if ctx.kind == "rational":
+        return st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5))
+    return st.integers(0, ctx.order - 1)
+
+
+@st.composite
+def field_rows(draw, ctx, count=1, max_len=40):
+    """`count` rows of one length over ctx, zero rows drawn often."""
+    d = draw(st.integers(1, max_len))
+    rows = []
+    for _ in range(count):
+        if draw(st.integers(0, 4)) == 0:
+            rows.append([ctx.zero()] * d)
+        else:
+            rows.append(draw(st.lists(_scalars(ctx), min_size=d, max_size=d)))
+    return rows
+
+
+# -- list references ------------------------------------------------------------
+
+def ref_submul(ctx, u, v, c):
+    return [ctx.sub(x, ctx.mul(c, y)) for x, y in zip(u, v)]
+
+
+def ref_addmul(ctx, u, v, c):
+    return [ctx.add(x, ctx.mul(c, y)) for x, y in zip(u, v)]
+
+
+def ref_scale(ctx, v, c):
+    return [ctx.mul(c, y) for y in v]
+
+
+def ref_lead(v):
+    for j, x in enumerate(v):
+        if x:
+            return j
+    return len(v)
+
+
+def _forms(ctx, row):
+    """The row as a list, a tuple and (over packed fields) packed bytes."""
+    out = [list(row), tuple(row)]
+    if ctx.packed:
+        out.append(bytes(row))
+    return out
+
+
+# -- the kernels ------------------------------------------------------------------
+
+def test_packed_fields_are_exactly_the_small_primes_and_char_2():
+    assert {repr(ctx) for ctx in FIELDS if ctx.packed} == PACKED
+
+
+@per_field
+@SETTINGS
+@given(data=st.data())
+def test_row_submul_and_addmul_match_the_list_reference(ctx, data):
+    u, v = data.draw(field_rows(ctx, count=2))
+    for c in (ctx.zero(), ctx.one(), data.draw(_scalars(ctx))):
+        for uf in _forms(ctx, u):
+            for vf in _forms(ctx, v):
+                sub = ctx.row_submul(uf, vf, c)
+                add = ctx.row_addmul(uf, vf, c)
+                assert list(sub) == ref_submul(ctx, u, v, c)
+                assert list(add) == ref_addmul(ctx, u, v, c)
+                # list and tuple rows come back as lists, packed rows as bytes
+                want = bytes if type(uf) is bytes else list
+                assert type(sub) is want and type(add) is want
+
+
+@per_field
+@SETTINGS
+@given(data=st.data())
+def test_row_scale_matches_the_list_reference(ctx, data):
+    (v,) = data.draw(field_rows(ctx))
+    for c in (ctx.zero(), ctx.one(), data.draw(_scalars(ctx))):
+        for vf in _forms(ctx, v):
+            out = ctx.row_scale(vf, c)
+            assert list(out) == ref_scale(ctx, v, c)
+            assert type(out) is (bytes if type(vf) is bytes else list)
+
+
+@per_field
+@SETTINGS
+@given(data=st.data())
+def test_lead_matches_the_list_reference(ctx, data):
+    (v,) = data.draw(field_rows(ctx, max_len=12))
+    v = [ctx.zero()] * data.draw(st.integers(0, 12)) + v
+    for vf in _forms(ctx, v) + [ctx.pack(v)]:
+        assert ctx.lead(vf) == ref_lead(v)
+
+
+def test_pack_keeps_codes_and_order():
+    for ctx in FIELDS:
+        if ctx.packed:
+            rows = [[a, b] for a in ctx.raw_elements() for b in ctx.raw_elements()]
+            assert [list(ctx.pack(r)) for r in rows] == rows
+            assert sorted(rows) == [list(r) for r in sorted(map(ctx.pack, rows))]
+        else:
+            assert type(ctx.pack((ctx.one(),))) is list
+
+
+# -- the transvection action ---------------------------------------------------------
+
+@functools.lru_cache(maxsize=64)
+def _transvection_matrix(ctx, n, i, j, t):
+    g = GroupElement.transvection(ctx, n, i, j, t)
+    return g, action_matrix(g, n).rows()
+
+
+@per_field
+@pytest.mark.parametrize("n", [3, 4])
+@SETTINGS
+@given(data=st.data())
+def test_transvection_action_matches_the_action_matrix(ctx, n, data):
+    i, j = data.draw(st.permutations(range(1, n + 1)))[:2]
+    t = data.draw(_scalars(ctx).filter(bool)) if data.draw(st.booleans()) else ctx.one()
+    g, rows = _transvection_matrix(ctx, n, i, j, t)
+    coords = data.draw(st.lists(_scalars(ctx), min_size=n ** 3, max_size=n ** 3))
+    expect = [ctx.zero()] * n ** 3
+    for x, row in zip(coords, rows):
+        expect = ref_addmul(ctx, expect, row, x)
+    for cf in _forms(ctx, coords):
+        assert list(act_coords(cf, g, n, ctx)) == expect
+
+
+# -- the echelon engine ----------------------------------------------------------------
+
+@per_field
+@SETTINGS
+@given(data=st.data())
+def test_echelon_on_mixed_rows_matches_all_list_input(ctx, data):
+    rows = data.draw(field_rows(ctx, count=data.draw(st.integers(1, 8)), max_len=10))
+    d = len(rows[0])
+    mixed = [data.draw(st.sampled_from(_forms(ctx, r))) for r in rows]
+    ech = Echelon(ctx, d, mixed)
+    assert all(type(r) is (bytes if ctx.packed else list) for r in ech.rows)
+    sub = ech.subspace()
+    assert sub == Subspace(ctx, d, rows)
+    # and the result is the reduced form of a space holding every input row
+    assert all(sub.contains(r) for r in rows)
+    for r, p in zip(sub.rows, sub.pivots):
+        assert ref_lead(r) == p and r[p] == ctx.one()
+        assert all(s[p] == ctx.zero() for s in sub.rows if s is not r)
+
+
+# -- no bytes leave the engine -----------------------------------------------------------
+
+def _holds_bytes(x):
+    if isinstance(x, (bytes, bytearray)):
+        return True
+    if isinstance(x, dict):
+        return any(_holds_bytes(v) for v in x.values())
+    if isinstance(x, (list, tuple)):
+        return any(_holds_bytes(v) for v in x)
+    return False
+
+
+def test_values_leaving_the_engine_hold_no_bytes(capsys):
+    for ctx in FIELDS:
+        if not ctx.packed:
+            continue
+        g = GroupElement.transvection(ctx, 3, 1, 2)
+        lam = StructureVector(ctx, 3, [x % ctx.order for x in range(27)])
+        assert type(act(lam, g).coords) is list
+        assert type(lam.scale(ctx.one()).coords) is list
+        assert type((lam + lam).coords) is list
+        red, _ = rref_rows([lam.coords, act(lam, g).coords], ctx)
+        assert all(type(r) is list for r in red)
+        sub = Subspace(ctx, 27, red)
+        assert type(sub.rows) is tuple and all(type(r) is tuple for r in sub.rows)
+        assert not _holds_bytes(sub.rows) and not _holds_bytes(sub.to_json())
+    for field in ("3", "2^2"):
+        args = cli.build_parser().parse_args(
+            ["survey", "--module", "Mstar", "--n", "3", "--field", field])
+        assert args.field.packed
+        assert not _holds_bytes(args.fn(args).claims)
+        handle = spinmx.dual_space_handle(spinmx.standard_generators(args.field, 3))
+        assert not _holds_bytes(handle.reps) and not _holds_bytes(handle.action)
+    capsys.readouterr()
