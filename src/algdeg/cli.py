@@ -44,6 +44,18 @@ def positive_int(text):
     return k
 
 
+def distinct_list(item):
+    """An argparse type: comma-separated values parsed by `item`, none repeated."""
+
+    def parse(text):
+        values = [item(x) for x in text.split(",")]
+        if len(set(values)) != len(values):
+            raise argparse.ArgumentTypeError(f"repeated entry in {text!r}")
+        return values
+
+    return parse
+
+
 def _field_label(ctx):
     return f"{ctx.char}^{ctx.degree}" if ctx.degree > 1 else str(ctx.char)
 
@@ -402,9 +414,8 @@ def build_parser():
     sp.set_defaults(fn=cmd_gamma)
 
     sp = add_parser("verify-all", help="run every suite over a grid")
-    sp.add_argument("--n-list", type=lambda s: [dimension_arg(x) for x in s.split(",")],
-                    default=[3])
-    sp.add_argument("--fields", type=lambda s: [field_spec(x) for x in s.split(",")],
+    sp.add_argument("--n-list", type=distinct_list(dimension_arg), default=[3])
+    sp.add_argument("--fields", type=distinct_list(field_spec),
                     default=[make_field(3), make_field(2, 2), make_field(5)])
     sp.add_argument("--samples", type=positive_int, default=10,
                     help="sample count per randomized suite")

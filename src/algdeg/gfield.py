@@ -338,6 +338,11 @@ class FieldCtx:
 
     @staticmethod
     def from_json(d):
+        if (not isinstance(d, dict) or type(d.get("char")) is not int
+                or type(d.get("degree", 1)) is not int
+                or not isinstance(d.get("modulus", []), list)):
+            raise ValueError(f"field descriptor {d!r} is not an object with an integer "
+                             "char, an integer degree and a modulus list")
         ctx = FieldCtx(d["char"], d.get("degree", 1))
         if "modulus" in d and ctx.modulus is not None and tuple(d["modulus"]) != ctx.modulus:
             raise ValueError("modulus in descriptor disagrees with the frozen table")
@@ -350,10 +355,13 @@ class FieldCtx:
 
     def raw_from_json(self, v):
         if self.kind == "rational":
-            if isinstance(v, str):
-                num, den = v.split("/")
-                return Fraction(int(num), int(den))
-            return Fraction(v)
+            try:
+                if isinstance(v, str):
+                    num, den = v.split("/")
+                    return Fraction(int(num), int(den))
+                return Fraction(v)
+            except (TypeError, ValueError, ZeroDivisionError):
+                raise ValueError(f"{v!r} is not a rational 'p/q' or a number") from None
         if type(v) is not int or not 0 <= v < self.order:
             raise ValueError(f"raw code {v!r} is not an integer in 0..{self.order - 1} "
                              f"for {self!r}")

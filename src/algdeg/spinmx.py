@@ -18,7 +18,7 @@ import hashlib
 import random
 from dataclasses import dataclass, field
 from itertools import product as iproduct
-from operator import mul
+from operator import add, mul, xor
 from typing import Optional
 
 from .exactla import (
@@ -493,8 +493,7 @@ def _line_image_codes(action, ctx, d):
     q = ctx.order
     places = [q ** (d - 1 - i) for i in range(d)]
     inverse = [None] + [ctx.inv(a) for a in range(1, q)]
-    xor = ctx.char == 2
-    if not (xor or (ctx.degree == 1 and ctx.char < 128)):
+    if not ctx.packed:
         def images(code):
             w = _decode(code, q, d)
             out = []
@@ -507,18 +506,18 @@ def _line_image_codes(action, ctx, d):
             return out
         return images
 
-    # GF(p), p < 128, and GF(2^k): the image is the sum of the images of the
-    # code's high and low digits, tabled per matrix as rows packed one byte
-    # per entry.  Over GF(2^k) the sum is XOR; over GF(p) two reduced entries
-    # sum below 256, so bytes.translate reduces the sum.  One more translate
-    # scales the image to a leading 1.
+    # Packed fields (`FieldCtx.packed`): the image is the sum of the images of
+    # the code's high and low digits, tabled per matrix as packed rows read as
+    # big ints.  Over GF(2^k) the sum is XOR; over GF(p), p <= 13, two reduced
+    # entries sum below 256, so the field's `_mod_bytes` reduces the sum.  Its
+    # `_scale_bytes` table for the inverse of the leading entry scales the
+    # image to a leading 1.
     split = q ** (d - d // 2)
-    reduce = bytes(x % ctx.char for x in range(256))
-    scale = [None] + [bytes(ctx.mul(a, x) if x < q else 0 for x in range(256))
-                      for a in inverse[1:]]
+    plus, reduce = (xor, None) if ctx.char == 2 else (add, ctx._mod_bytes)
+    normalise = [None] + [ctx._scale_bytes[a] for a in inverse[1:]]
 
     def table(rows):
-        return [int.from_bytes(bytes(combine(cs, rows, ctx)) if rows else bytes(d), "big")
+        return [int.from_bytes(combine(cs, rows, ctx) if rows else bytes(d), "big")
                 for cs in iproduct(range(q), repeat=len(rows))]
 
     tables = [(table(m[:d // 2]), table(m[d // 2:])) for m in action]
@@ -527,18 +526,10 @@ def _line_image_codes(action, ctx, d):
         hi, lo = divmod(code, split)
         out = []
         for high, low in tables:
-            v = (high[hi] + low[lo]).to_bytes(d, "big").translate(reduce)
-            out.append(sum(map(mul, v.translate(scale[v.lstrip(b"\0")[0]]), places)))
+            v = plus(high[hi], low[lo]).to_bytes(d, "big").translate(reduce)
+            out.append(sum(map(mul, v.translate(normalise[v.lstrip(b"\0")[0]]), places)))
         return out
-
-    def images_xor(code):
-        hi, lo = divmod(code, split)
-        out = []
-        for high, low in tables:
-            v = (high[hi] ^ low[lo]).to_bytes(d, "big")
-            out.append(sum(map(mul, v.translate(scale[v.lstrip(b"\0")[0]]), places)))
-        return out
-    return images_xor if xor else images
+    return images
 
 
 # -- homomorphism spaces ---------------------------------------------------------

@@ -9,12 +9,14 @@ g v_1, ..., g v_n:
     (lam g)_ijk = sum_{a,b,c} g_ai g_bj (g^-1)_kc lam_abc
 
 computed as three mode contractions (O(n^4) each), with sparse fast paths for
-tagged transvection and diagonal group elements.  Over fields with packed rows
-(`FieldCtx.packed`) a transvection is three packed row updates on slices of
-one `bytearray`; `StructureVector.coords` is always a list.
+tagged transvection and diagonal group elements.  Every path, and the actions
+on V and its dual, is a sequence of slice updates through the field's row
+kernels (`row_submul`, `row_scale`, `combine`): on a `bytearray` where
+`FieldCtx.packed` holds, on a list otherwise.  `StructureVector.coords` is
+always a list.
 """
 
-from .exactla import Matrix
+from .exactla import Matrix, combine
 from .gfield import FieldCtx, FieldElement
 
 
@@ -58,17 +60,14 @@ class _Coords:
 
     def __add__(self, other):
         self._check(other)
-        add = self.ctx.add
-        return self._like([add(x, y) for x, y in zip(self.coords, other.coords)])
+        return self._like(self.ctx.row_addmul(self.coords, other.coords, self.ctx.one()))
 
     def __sub__(self, other):
         self._check(other)
-        sub = self.ctx.sub
-        return self._like([sub(x, y) for x, y in zip(self.coords, other.coords)])
+        return self._like(self.ctx.row_submul(self.coords, other.coords, self.ctx.one()))
 
     def __neg__(self):
-        neg = self.ctx.neg
-        return self._like([neg(x) for x in self.coords])
+        return self.scale(self.ctx.neg(self.ctx.one()))
 
     def scale(self, c):
         c = self.ctx._coerce(c)
@@ -119,7 +118,11 @@ class StructureVector(_Coords):
 
     @staticmethod
     def from_json(d):
-        ctx = FieldCtx.from_json(d["field"])
+        if (not isinstance(d, dict) or type(d.get("n")) is not int
+                or not isinstance(d.get("coords"), list)):
+            raise ValueError("a structure vector is an object with an integer n, "
+                             "a field and a coords list")
+        ctx = FieldCtx.from_json(d.get("field"))
         return StructureVector(ctx, d["n"], [ctx.raw_from_json(x) for x in d["coords"]])
 
 
@@ -193,98 +196,85 @@ def act_coords(coords, g, n, ctx):
     return _act_general(coords, g.mat, g.inv, n, ctx)
 
 
+def _work(coords, ctx):
+    """A mutable copy of a row: a `bytearray` over packed fields, else a list."""
+    return bytearray(coords) if ctx.packed else list(coords)
+
+
+def _swap_ij(coords, n, ctx):
+    """The coordinates with the first two indices exchanged: (i, j, k) -> (j, i, k)."""
+    out = _work(coords, ctx)
+    nn = n * n
+    for i in range(n):
+        for j in range(n):
+            a, b = i * nn + j * n, j * nn + i * n
+            out[a:a + n] = coords[b:b + n]
+    return out
+
+
 def _act_general(coords, gmat, ginv, n, ctx):
-    zero = ctx.zero()
-    mul, add = ctx.mul, ctx.add
+    # index i: block i = sum_a g_ai * block a, over the n blocks of n^2; index
+    # j: the same between two exchanges of i and j; index k: column k =
+    # sum_c (g^-1)_kc * column c, over the stride-n columns
     gm, gi = gmat.entries, ginv.entries
     nn = n * n
-    # mode 1: contract the first index with g
-    t1 = [zero] * (n * nn)
-    for i in range(n):
-        for a in range(n):
-            c = gm[a * n + i]
-            if c != zero:
-                base_out, base_in = i * nn, a * nn
-                for bc in range(nn):
-                    t1[base_out + bc] = add(t1[base_out + bc], mul(c, coords[base_in + bc]))
-    # mode 2: contract the middle index with g
-    t2 = [zero] * (n * nn)
-    for j in range(n):
-        for b in range(n):
-            c = gm[b * n + j]
-            if c != zero:
-                for i in range(n):
-                    base_out, base_in = i * nn + j * n, i * nn + b * n
-                    for k in range(n):
-                        t2[base_out + k] = add(t2[base_out + k], mul(c, t1[base_in + k]))
-    # mode 3: contract the last index with g^-1
-    out = [zero] * (n * nn)
+
+    def contract_first(src):
+        out = _work(src, ctx)
+        blocks = [src[a:a + nn] for a in range(0, n * nn, nn)]
+        for i in range(n):
+            out[i * nn:i * nn + nn] = combine(gm[i::n], blocks, ctx)
+        return out
+
+    out = _swap_ij(contract_first(_swap_ij(contract_first(coords), n, ctx)), n, ctx)
+    cols = [out[c::n] for c in range(n)]
     for k in range(n):
-        for c0 in range(n):
-            c = gi[k * n + c0]
-            if c != zero:
-                for ij in range(nn):
-                    out[ij * n + k] = add(out[ij * n + k], mul(c, t2[ij * n + c0]))
-    return out
+        out[k::n] = combine(gi[k * n:k * n + n], cols, ctx)
+    return ctx.pack(out)
 
 
 def _act_transvection(coords, n, ctx, r, s, t):
-    # g = I + t*e_rs (0-based r != s): three sparse slice updates.
+    # g = I + t*e_rs (0-based r != s), three slice updates: block s += t*block
+    # r; in each block, run s += t*run r; the stride-n column r -= t*column s
     nn = n * n
-    if ctx.packed:
-        # mode 1: block s += t*block r; mode 2: in each block, run s += t*run r;
-        # mode 3: the stride-n column r -= t*column s
-        out = bytearray(coords)
-        mt = ctx.neg(t)
-        sub = ctx.row_submul
-        bs, br = s * nn, r * nn
-        out[bs:bs + nn] = sub(out[bs:bs + nn], out[br:br + nn], mt)
-        for i in range(0, n * nn, nn):
-            os_, or_ = i + s * n, i + r * n
-            out[os_:os_ + n] = sub(out[os_:os_ + n], out[or_:or_ + n], mt)
-        out[r::n] = sub(out[r::n], out[s::n], t)
-        return bytes(out)
-    add, mul, sub = ctx.add, ctx.mul, ctx.sub
-    out = list(coords)
-    base_s, base_r = s * nn, r * nn
-    for bc in range(nn):
-        x = out[base_r + bc]
-        if x != ctx.zero():
-            out[base_s + bc] = add(out[base_s + bc], mul(t, x))
-    for i in range(n):
-        off_s, off_r = i * nn + s * n, i * nn + r * n
-        for k in range(n):
-            x = out[off_r + k]
-            if x != ctx.zero():
-                out[off_s + k] = add(out[off_s + k], mul(t, x))
-    for ij in range(nn):
-        x = out[ij * n + s]
-        if x != ctx.zero():
-            out[ij * n + r] = sub(out[ij * n + r], mul(t, x))
-    return out
+    out = _work(coords, ctx)
+    mt = ctx.neg(t)
+    sub = ctx.row_submul
+    bs, br = s * nn, r * nn
+    out[bs:bs + nn] = sub(out[bs:bs + nn], out[br:br + nn], mt)
+    for i in range(0, n * nn, nn):
+        os_, or_ = i + s * n, i + r * n
+        out[os_:os_ + n] = sub(out[os_:os_ + n], out[or_:or_ + n], mt)
+    out[r::n] = sub(out[r::n], out[s::n], t)
+    return ctx.pack(out)
 
 
 def _act_diagonal(coords, n, ctx, diag):
-    mul, inv = ctx.mul, ctx.inv
-    one = ctx.one()
-    out = list(coords)
-    inv_diag = [inv(d) for d in diag]
+    # (lam g)_ijk = d_i d_j d_k^-1 lam_ijk: scale each run (i, j) by d_i d_j,
+    # then each stride-n column k by d_k^-1
+    one, mul, scale = ctx.one(), ctx.mul, ctx.row_scale
+    out = _work(coords, ctx)
     f = 0
-    for i in range(n):
-        for j in range(n):
-            dij = mul(diag[i], diag[j])
-            for k in range(n):
-                c = mul(dij, inv_diag[k])
-                if c != one:
-                    out[f] = mul(out[f], c)
-                f += 1
-    return out
+    for di in diag:
+        for dj in diag:
+            c = mul(di, dj)
+            if c != one:
+                out[f:f + n] = scale(out[f:f + n], c)
+            f += n
+    for k, dk in enumerate(diag):
+        if dk != one:
+            out[k::n] = scale(out[k::n], ctx.inv(dk))
+    return ctx.pack(out)
+
+
+def _check_element(g, x):
+    if g.n != x.n or g.ctx != x.ctx:
+        raise ValueError("group element does not match the space it acts on")
 
 
 def act(lam, g):
     """Right action lam |-> lam*g; act(act(lam,g),h) == act(lam, g*h)."""
-    if g.n != lam.n or g.ctx != lam.ctx:
-        raise ValueError("group element does not match the structure space")
+    _check_element(g, lam)
     return lam._like(act_coords(lam.coords, g, lam.n, lam.ctx))
 
 
@@ -321,46 +311,24 @@ def action_matrix(g, n):
 
 
 def vector_act(g, v):
-    """Left action on V: coordinates [g][v]."""
-    ctx, n = v.ctx, v.n
-    zero = ctx.zero()
-    out = [zero] * n
-    gm = g.mat.entries
-    for i in range(n):
-        acc = zero
-        for j in range(n):
-            acc = ctx.add(acc, ctx.mul(gm[i * n + j], v.coords[j]))
-        out[i] = acc
-    return Vector(ctx, n, out)
+    """Left action on V: coordinates [g][v], the columns of [g] combined by v."""
+    _check_element(g, v)
+    gm, n = g.mat.entries, v.n
+    return v._like(combine(v.coords, [gm[j::n] for j in range(n)], v.ctx))
 
 
 def dual_act(phi, g):
-    """Right action on the dual: row vector times [g]."""
-    ctx, n = phi.ctx, phi.n
-    zero = ctx.zero()
-    out = [zero] * n
-    gm = g.mat.entries
-    for j in range(n):
-        acc = zero
-        for i in range(n):
-            acc = ctx.add(acc, ctx.mul(phi.coords[i], gm[i * n + j]))
-        out[j] = acc
-    return DualVector(ctx, n, out)
+    """Right action on the dual: row vector times [g], the rows of [g] combined by phi."""
+    _check_element(g, phi)
+    gm, n = g.mat.entries, phi.n
+    return phi._like(combine(phi.coords, [gm[i * n:i * n + n] for i in range(n)], phi.ctx))
 
 
 # -- algebra structure ------------------------------------------------------
 
 def opposite(lam):
     """Structure vector of the opposite algebra: indices (i,j,k) -> (j,i,k)."""
-    n = lam.n
-    out = [None] * n ** 3
-    src = lam.coords
-    nn = n * n
-    for i in range(n):
-        for j in range(n):
-            a, b = i * nn + j * n, j * nn + i * n
-            out[a:a + n] = src[b:b + n]
-    return lam._like(out)
+    return lam._like(_swap_ij(lam.coords, lam.n, lam.ctx))
 
 
 def plus_tilde(lam):

@@ -74,6 +74,20 @@ def test_spin_json_vector_rejects_raw_codes_outside_the_field():
         assert run(argv + [json.dumps(payload)]) == 2
 
 
+@pytest.mark.parametrize("payload", [
+    {"n": 3},
+    {"n": 3, "field": 5, "coords": []},
+    {"n": "3", "field": {"char": 5}, "coords": []},
+    {"n": 3, "field": {"char": "5"}, "coords": []},
+    {"n": 3, "field": {"char": 3, "degree": 2, "modulus": 1}, "coords": []},
+    {"n": 3, "field": {"char": 5}, "coords": 0},
+    {"n": 3, "field": {"char": 0}, "coords": [[1]] * 27},
+])
+def test_spin_json_vector_of_the_wrong_shape_is_a_usage_error(payload, capsys):
+    assert run(["spin", "--n", "3", "--field", "5", "--vector", json.dumps(payload)]) == 2
+    assert "internal error" not in capsys.readouterr().err
+
+
 def test_spin_wrong_expectation_fails():
     assert run(["spin", "--vector", "eta", "--n", "3", "--field", "5",
                 "--expect", "N"]) == 1
@@ -221,6 +235,15 @@ def _assert_one_timing_record_per_claim(data):
 def test_verify_all_rejects_samples_below_one():
     with pytest.raises(SystemExit) as exc:
         run(["verify-all", "--n-list", "3", "--fields", "5", "--samples", "0"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("grid", [["--n-list", "3,3", "--fields", "3"],
+                                  ["--n-list", "3", "--fields", "3,3^1"],
+                                  ["--n-list", "3,4,3", "--fields", "5"]])
+def test_verify_all_rejects_repeated_grid_entries(grid):
+    with pytest.raises(SystemExit) as exc:
+        run(["verify-all"] + grid)
     assert exc.value.code == 2
 
 

@@ -7,13 +7,16 @@ every field in the modulus table, two packed primes above 7, and Q.
 """
 
 import functools
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from algdeg import cli, spinmx
-from algdeg.exactla import Echelon, GroupElement, Subspace, rref_rows
+from algdeg.exactla import (
+    Echelon, GroupElement, Matrix, Subspace, random_invertible, rref_rows,
+)
 from algdeg.gfield import make_field
 from algdeg.structvec import StructureVector, act, act_coords, action_matrix
 
@@ -144,12 +147,60 @@ def test_transvection_action_matches_the_action_matrix(ctx, n, data):
     i, j = data.draw(st.permutations(range(1, n + 1)))[:2]
     t = data.draw(_scalars(ctx).filter(bool)) if data.draw(st.booleans()) else ctx.one()
     g, rows = _transvection_matrix(ctx, n, i, j, t)
+    _check_action(ctx, n, g, rows, data)
+
+
+def _check_action(ctx, n, g, rows, data):
+    """act_coords on a drawn vector, in every row form, against the action matrix."""
     coords = data.draw(st.lists(_scalars(ctx), min_size=n ** 3, max_size=n ** 3))
     expect = [ctx.zero()] * n ** 3
     for x, row in zip(coords, rows):
         expect = ref_addmul(ctx, expect, row, x)
     for cf in _forms(ctx, coords):
         assert list(act_coords(cf, g, n, ctx)) == expect
+
+
+@per_field
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("kind", ["diagonal", "general"])
+@settings(max_examples=10, deadline=None)   # each example builds an n^3 x n^3 matrix
+@given(data=st.data())
+def test_diagonal_and_general_actions_match_the_action_matrix(ctx, n, kind, data):
+    if kind == "diagonal":
+        diag = data.draw(st.lists(_scalars(ctx).filter(bool), min_size=n, max_size=n))
+        g = GroupElement.diagonal(ctx, diag)
+    else:
+        entries = data.draw(st.lists(_scalars(ctx), min_size=n * n, max_size=n * n))
+        mat = Matrix(ctx, n, n, entries)
+        assume(mat.rank() == n)
+        g = GroupElement(mat)
+        assert g.tag is None
+    _check_action(ctx, n, g, action_matrix(g, n).rows(), data)
+
+
+# -- survey line images ------------------------------------------------------------------
+
+@pytest.mark.parametrize("ctx", [c for c in FIELDS if c.kind == "finite"] + [make_field(17)],
+                         ids=repr)
+@SETTINGS
+@given(data=st.data())
+def test_line_image_codes_match_the_scalar_reference(ctx, data):
+    # packed fields take the table path (added tables over GF(p), XORed ones
+    # over GF(2^k)); GF(9), GF(25) and GF(17) take the decode-and-combine path
+    q, d = ctx.order, data.draw(st.integers(1, 4))
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    action = [random_invertible(ctx, d, rng).mat.rows() for _ in range(2)]
+    images = spinmx._line_image_codes(action, ctx, d)
+    for code in data.draw(st.lists(st.integers(1, q ** d - 1), min_size=1, max_size=8)):
+        w = [code // q ** (d - 1 - i) % q for i in range(d)]
+        want = []
+        for m in action:
+            v = [ctx.zero()] * d
+            for x, row in zip(w, m):
+                v = ref_addmul(ctx, v, row, x)
+            c = ctx.inv(v[ref_lead(v)])
+            want.append(sum(ctx.mul(c, x) * q ** (d - 1 - i) for i, x in enumerate(v)))
+        assert images(code) == want
 
 
 # -- the echelon engine ----------------------------------------------------------------

@@ -231,6 +231,15 @@ def test_tr_equivariance():
         assert tr_op(act(lam, g)) == dual_act(tr_op(lam), g)
 
 
+def test_actions_reject_an_element_of_another_size_or_field():
+    v, phi = basis_vector(GF5, 3, 1), dual_basis_vector(GF5, 3, 1)
+    lam = unit(GF5, 3, 1, 1, 1)
+    for g in (GroupElement.transvection(GF5, 4, 1, 2), GroupElement.transvection(GF7, 3, 1, 2)):
+        for apply in (lambda: vector_act(g, v), lambda: dual_act(phi, g), lambda: act(lam, g)):
+            with pytest.raises(ValueError):
+                apply()
+
+
 def test_psi():
     assert psi(unit(GF5, 3, 1, 1, 1)) == dual_basis_vector(GF5, 3, 1).scale(2)
     assert psi(eta(GF5)).is_zero()
