@@ -17,6 +17,7 @@ Dictionary of submodules for an n-dimensional algebra space over F:
 """
 
 from .exactla import Subspace, combine, kernel_rows
+from .report import claim
 from .structvec import (
     DualVector, StructureVector, flat, unit, tr, tr_op,
     tr_matrix_rows, tr_op_matrix_rows, zero_structure_vector,
@@ -403,8 +404,9 @@ def _char_divides(ctx, m):
 def intersection_table(ctx, n):
     """Evaluate every claimed intersection with M* / M** and report per claim.
 
-    Claims are returned as dicts {id, anchor, expected, computed, status} with
-    status "verified" or "falsified"; branching follows the divisibility of
+    Claims are dicts {id, anchor, status, computed, expected}: `report.claim`
+    sets the status, and the computed and expected subspaces (as JSON) or
+    dimensions stand in place of data.  Branching follows the divisibility of
     n-1 and n+1 by the characteristic.
     """
     if ctx.kind != "finite" or ctx.order <= 2:
@@ -430,65 +432,50 @@ def intersection_table(ctx, n):
 
     claims = []
 
-    def claim(cid, anchor, computed, expected):
-        claims.append({
-            "id": cid,
-            "anchor": anchor,
-            "status": "verified" if computed == expected else "falsified",
-            "computed": computed.to_json(),
-            "expected": expected.to_json(),
-        })
+    def check(cid, anchor, computed, expected, show=Subspace.to_json):
+        entry = claim(cid, anchor, computed == expected)
+        del entry["data"]
+        entry.update(computed=show(computed), expected=show(expected))
+        claims.append(entry)
 
-    claim("CmeetMstar", "C ^ M* = M*_(1,1)", C & Ms, mp(one, one))
-    claim("KmeetMstar", "K ^ M* = M*_(1,-1)", K & Ms, mp(one, mone))
-    claim("TmeetMstar", "T ^ M* = M*_(-n,1)", T & Ms, mp(ctx.neg(nval), one))
-    claim("TtildemeetMstar", "T~ ^ M* = M*_(1,-n)", Tt & Ms, mp(one, ctx.neg(nval)))
+    check("CmeetMstar", "C ^ M* = M*_(1,1)", C & Ms, mp(one, one))
+    check("KmeetMstar", "K ^ M* = M*_(1,-1)", K & Ms, mp(one, mone))
+    check("TmeetMstar", "T ^ M* = M*_(-n,1)", T & Ms, mp(ctx.neg(nval), one))
+    check("TtildemeetMstar", "T~ ^ M* = M*_(1,-n)", Tt & Ms, mp(one, ctx.neg(nval)))
 
     if _char_divides(ctx, n - 1):
-        claim("UmeetMstar", "U ^ M* = M*_(1,-1) when char | n-1", U & Ms, mp(one, mone))
+        check("UmeetMstar", "U ^ M* = M*_(1,-1) when char | n-1", U & Ms, mp(one, mone))
     else:
-        claim("UmeetMstar", "U ^ M* = 0 when char does not divide n-1", U & Ms, zero_sub)
+        check("UmeetMstar", "U ^ M* = 0 when char does not divide n-1", U & Ms, zero_sub)
 
     if _char_divides(ctx, n + 1):
-        claim("NmeetMstar", "N ^ M* = M*_(1,1) when char | n+1", N & Ms, mp(one, one))
+        check("NmeetMstar", "N ^ M* = M*_(1,1) when char | n+1", N & Ms, mp(one, one))
     else:
-        claim("NmeetMstar", "N ^ M* = 0 when char does not divide n+1", N & Ms, zero_sub)
+        check("NmeetMstar", "N ^ M* = 0 when char does not divide n+1", N & Ms, zero_sub)
 
     if char2:
-        claim("CmeetMstarstar", "C ^ M** = K in characteristic 2 (|F| > 2)",
+        check("CmeetMstarstar", "C ^ M** = K in characteristic 2 (|F| > 2)",
               C & Mss, K)
-        claim("NmeetMstarstar", "N ^ M** = U in characteristic 2", N & Mss, U)
-        nm = N | Mss
-        expected_dim = (n ** 3 + n ** 2) // 2 + n
-        claims.append({
-            "id": "dimNplusMstarstar",
-            "anchor": "dim(N + M**) = n^3/2 + n^2/2 + n in characteristic 2",
-            "status": "verified" if nm.dim == expected_dim else "falsified",
-            "computed": nm.dim,
-            "expected": expected_dim,
-        })
+        check("NmeetMstarstar", "N ^ M** = U in characteristic 2", N & Mss, U)
+        check("dimNplusMstarstar", "dim(N + M**) = n^3/2 + n^2/2 + n in characteristic 2",
+              (N | Mss).dim, (n ** 3 + n ** 2) // 2 + n, show=int)
     else:
-        claim("CmeetMstarstar", "C ^ M** = C ^ M* = M*_(1,1) in odd characteristic",
+        check("CmeetMstarstar", "C ^ M** = C ^ M* = M*_(1,1) in odd characteristic",
               C & Mss, mp(one, one))
         if _char_divides(ctx, n + 1):
-            claim("NmeetMstarstar", "N ^ M** = M*_(1,1) when char | n+1",
+            check("NmeetMstarstar", "N ^ M** = M*_(1,1) when char | n+1",
                   N & Mss, mp(one, one))
         else:
-            claim("NmeetMstarstar", "N ^ M** = 0 when char does not divide n+1",
+            check("NmeetMstarstar", "N ^ M** = 0 when char does not divide n+1",
                   N & Mss, zero_sub)
 
     if _char_divides(ctx, n + 1):
         tm = TcT & Mss
-        claim("TcapTtildemeetMstarstar",
+        check("TcapTtildemeetMstarstar",
               "(T ^ T~) ^ M** = T ^ M** when char | n+1", tm, T & Mss)
-        expected_dim = (n ** 3 - n ** 2) // 2
-        claims.append({
-            "id": "dimTcapTtildemeetMstarstar",
-            "anchor": "dim((T ^ T~) ^ M**) = n^3/2 - n^2/2 when char | n+1",
-            "status": "verified" if tm.dim == expected_dim else "falsified",
-            "computed": tm.dim,
-            "expected": expected_dim,
-        })
+        check("dimTcapTtildemeetMstarstar",
+              "dim((T ^ T~) ^ M**) = n^3/2 - n^2/2 when char | n+1",
+              tm.dim, (n ** 3 - n ** 2) // 2, show=int)
     return claims
 
 
@@ -510,17 +497,14 @@ def check_trace_biconditional(ctx, n):
     Mss = basis_Mstarstar(ctx, n)
     left, right = T & Mss, Tt & Mss
     if _char_divides(ctx, n + 1):
-        status = "verified" if left == right else "falsified"
+        ok = left == right
         data = {"branch": "char divides n+1", "equal": left == right}
     else:
         w = trace_kernel_witness(ctx, n)
         ok = (predicate_Mstarstar(w) and tr_op(w).is_zero() and not tr(w).is_zero()
               and left != right)
-        status = "verified" if ok else "falsified"
         data = {"branch": "char does not divide n+1",
                 "witness_in_Ttilde_meet_Mstarstar": predicate_Mstarstar(w) and tr_op(w).is_zero(),
                 "witness_outside_T": not tr(w).is_zero(),
                 "equal": left == right}
-    return {"id": "TmeetMstarstarBiconditional",
-            "anchor": "T ^ M** = T~ ^ M** iff char | n+1",
-            "status": status, "data": data}
+    return claim("TmeetMstarstarBiconditional", "T ^ M** = T~ ^ M** iff char | n+1", ok, data)

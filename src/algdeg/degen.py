@@ -20,9 +20,11 @@ witnesses turn this bracket into the canonical generators: a rank-2
 alternating form reaches 123 - 213, and a second difference reaches 112.
 """
 
+import random
 from dataclasses import dataclass, field
 from itertools import combinations
 
+from .canon import basis_C, basis_Mstarstar
 from .canon import delta as delta_vector
 from .canon import eta as eta_vector
 from .canon import omega, predicate_C, predicate_Mstar, predicate_Mstarstar
@@ -33,29 +35,20 @@ from .gfield import primitive_element
 from .structvec import (
     DualVector, StructureVector, Vector, act, basis_vector, flat, product, unit,
 )
-from .spinmx import spin_contains
+from .spinmx import derive_seed, spin_contains
 
 
-def weight(q, i, j, k):
-    return q[i - 1] + q[j - 1] - q[k - 1]
+def weights(q):
+    """The weight q_i + q_j - q_k of every coordinate (i, j, k), in storage order."""
+    return [qi + qj - qk for qi in q for qj in q for qk in q]
 
 
 def q_truncate(lam, q):
     """Keep the coordinates of weight zero, kill the rest."""
-    n = lam.n
-    if len(q) != n:
+    if len(q) != lam.n:
         raise ValueError("weight sequence length must match the dimension")
-    ctx = lam.ctx
-    zero = ctx.zero()
-    out = list(lam.coords)
-    f = 0
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            for k in range(1, n + 1):
-                if weight(q, i, j, k) != 0:
-                    out[f] = zero
-                f += 1
-    return lam._like(out)
+    zero = lam.ctx.zero()
+    return lam._like([x if w == 0 else zero for x, w in zip(lam.coords, weights(q))])
 
 
 def lindeg_theorem_check(lam, q):
@@ -66,17 +59,9 @@ def lindeg_theorem_check(lam, q):
     if len(q) != n:
         raise ValueError("weight sequence length must match the dimension")
     zero = ctx.zero()
-    max_weight = max(weight(q, i, j, k)
-                     for i in range(1, n + 1) for j in range(1, n + 1)
-                     for k in range(1, n + 1))
-    vanishing = True
-    f = 0
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            for k in range(1, n + 1):
-                if weight(q, i, j, k) < 0 and lam.coords[f] != zero:
-                    vanishing = False
-                f += 1
+    ws = weights(q)
+    max_weight = max(ws)
+    vanishing = all(x == zero for x, w in zip(lam.coords, ws) if w < 0)
     applicable = vanishing and max_weight < ctx.order - 1
     return applicable, max_weight
 
@@ -301,7 +286,7 @@ def reach_eta(lam, gens):
     return ReachCertificate(
         success=ok and member, target="eta", branch="symplectic",
         z=z.coords, zeta=zeta.coords,
-        basis_change=[list(r) for r in h.mat.rows()],
+        basis_change=h.mat.rows(),
         final=final.coords, spin_member=member,
         data={"a": a.coords, "b": b.coords, "alpha": ctx.raw_to_json(alpha)})
 
@@ -393,7 +378,7 @@ def reach_delta(lam, gens):
     return ReachCertificate(
         success=ok and member, target="delta", branch=branch,
         z=z.coords, zeta=zeta.coords,
-        basis_change=[list(r) for r in h.mat.rows()],
+        basis_change=h.mat.rows(),
         final=final.coords, spin_member=member, data=steps)
 
 
@@ -412,9 +397,7 @@ def sample_in_between(ctx, n, inside, outside_pred, rng, tries=200):
 
 def lindeg_suite(ctx, n, gens, seed, count=100):
     """Random applicable pairs (lam, q): truncation stays in the spin, always."""
-    import random as _random
-    from .spinmx import derive_seed
-    rng = _random.Random(derive_seed(seed, "lindeg", ctx.order, n))
+    rng = random.Random(derive_seed(seed, "lindeg", ctx.order, n))
     q_max = (ctx.order - 2) // 2
     checked = 0
     failures = []
@@ -422,14 +405,8 @@ def lindeg_suite(ctx, n, gens, seed, count=100):
         q = [rng.randrange(0, q_max + 1) for _ in range(n)]
         coords = [ctx.from_int(rng.randrange(ctx.order)) for _ in range(n ** 3)]
         # satisfy the vanishing hypothesis by construction
-        f = 0
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                for k in range(1, n + 1):
-                    if weight(q, i, j, k) < 0:
-                        coords[f] = ctx.zero()
-                    f += 1
-        lam = StructureVector(ctx, n, coords)
+        lam = StructureVector(ctx, n, [ctx.zero() if w < 0 else x
+                                       for x, w in zip(coords, weights(q))])
         applicable, mw = lindeg_theorem_check(lam, q)
         if not applicable or lam.is_zero():
             continue
@@ -440,10 +417,7 @@ def lindeg_suite(ctx, n, gens, seed, count=100):
 
 
 def reach_eta_suite(ctx, n, gens, seed, count=50):
-    from .canon import basis_Mstar, basis_Mstarstar
-    import random as _random
-    from .spinmx import derive_seed
-    rng = _random.Random(derive_seed(seed, "reach-eta", ctx.order, n))
+    rng = random.Random(derive_seed(seed, "reach-eta", ctx.order, n))
     inside = basis_Mstarstar(ctx, n)
     failures = []
     for _ in range(count):
@@ -455,10 +429,7 @@ def reach_eta_suite(ctx, n, gens, seed, count=50):
 
 
 def reach_delta_suite(ctx, n, gens, seed, count=50):
-    from .canon import basis_C
-    import random as _random
-    from .spinmx import derive_seed
-    rng = _random.Random(derive_seed(seed, "reach-delta", ctx.order, n))
+    rng = random.Random(derive_seed(seed, "reach-delta", ctx.order, n))
     inside = basis_C(ctx, n)
     fixtures = []
     if ctx.order == 3:

@@ -109,7 +109,7 @@ class Echelon:
 
     def subspace(self):
         rows, pivots = self.reduced()
-        return Subspace(self.ctx, self.ambient, rows, pivots, _canonical=True)
+        return Subspace(self.ctx, self.ambient, rows, pivots)
 
 
 def reduce_with_coeffs(vec, rows, pivots, ctx):
@@ -238,15 +238,17 @@ class Subspace:
     """A subspace of F^d held as its canonical rref basis (no zero rows).
 
     `rows` is a tuple of tuples of raw scalars; `_rows` holds the same rows
-    packed (`FieldCtx.pack`) for the elimination kernels.
+    packed (`FieldCtx.pack`) for the elimination kernels.  A caller that
+    passes `pivots` vouches that `rows` already are that rref; otherwise the
+    rows are reduced here.
     """
 
     __slots__ = ("ctx", "ambient", "rows", "pivots", "_rows")
 
-    def __init__(self, ctx, ambient, rows, pivots=None, _canonical=False):
+    def __init__(self, ctx, ambient, rows, pivots=None):
         self.ctx = ctx
         self.ambient = ambient
-        if not (_canonical and pivots is not None):
+        if pivots is None:
             rows, pivots = Echelon(ctx, ambient, rows).reduced()
         self.rows = tuple(tuple(r) for r in rows)
         self.pivots = tuple(pivots)
@@ -254,12 +256,12 @@ class Subspace:
 
     @classmethod
     def zero(cls, ctx, ambient):
-        return cls(ctx, ambient, [], pivots=[], _canonical=True)
+        return cls(ctx, ambient, [], pivots=[])
 
     @classmethod
     def full(cls, ctx, ambient):
         ident = Matrix.identity(ctx, ambient)
-        return cls(ctx, ambient, ident.rows(), pivots=range(ambient), _canonical=True)
+        return cls(ctx, ambient, ident.rows(), pivots=range(ambient))
 
     @property
     def dim(self):

@@ -20,8 +20,9 @@ from dataclasses import dataclass
 from .canon import _restricted_kernel, basis_C, basis_K, predicate_C
 from .exactla import Echelon, GroupElement, Matrix, Subspace
 from .gfield import primitive_element
+from .report import claim, norton_claim
 from .spinmx import (
-    ModuleHandle, derive_seed, norton_claim, norton_irreducible, standard_generators,
+    ModuleHandle, derive_seed, norton_irreducible, standard_generators,
 )
 from .structvec import StructureVector, act, flat
 
@@ -183,25 +184,20 @@ def sigma_gmap_claims(ctx, n, gens=None):
     if gens is None:
         gens = standard_generators(ctx, n)
     C = basis_C(ctx, n)
-    claims = []
     ok = True
     for g in gens.elements:
         for row in C.rows:
             lam = StructureVector(ctx, n, list(row))
             if sigma(act(lam, g)) != star(sigma(lam), g):
                 ok = False
-    claims.append({"id": "sigmaGmap",
-                   "anchor": "sigma(lam g) = sigma(lam) * g on the commutative submodule",
-                   "status": "verified" if ok else "falsified", "data": {}})
     # kernel of sigma restricted to C equals K, and sigma is onto (rank n^2)
     values = [sigma(StructureVector(ctx, n, list(r))).coords() for r in C.rows]
     rank = Matrix.from_rows(ctx, values).rank()
     ok2 = rank == n * n and _restricted_kernel(C, values, ctx) == basis_K(ctx, n)
-    claims.append({"id": "sigmaKernel",
-                   "anchor": "sigma maps C onto the semilinear space with kernel K",
-                   "status": "verified" if ok2 else "falsified",
-                   "data": {"rank": rank, "expected_rank": n * n}})
-    return claims
+    return [claim("sigmaGmap", "sigma(lam g) = sigma(lam) * g on the commutative submodule",
+                  ok),
+            claim("sigmaKernel", "sigma maps C onto the semilinear space with kernel K",
+                  ok2, {"rank": rank, "expected_rank": n * n})]
 
 
 # -- constructive irreducibility replay -----------------------------------------
@@ -343,7 +339,6 @@ def verify_gamma_irreducible(ctx, n, seed=0, gens=None):
         raise ValueError("needs a finite field of characteristic 2 with |F| >= 4")
     if gens is None:
         gens = standard_generators(ctx, n)
-    claims = []
     seeds = [SemilinearMap.unit(ctx, n, i, j)
              for i in range(1, n + 1) for j in range(1, n + 1)]
     rng = random.Random(derive_seed(seed, "gamma-seeds", ctx.order, n))
@@ -359,17 +354,13 @@ def verify_gamma_irreducible(ctx, n, seed=0, gens=None):
         total_steps += len(res.steps)
         if not res.reached_full:
             replay_ok = False
-    claims.append({"id": "gammaReplay",
-                   "anchor": "every nonzero seed generates the full semilinear space "
-                             "via the documented moves",
-                   "status": "verified" if replay_ok else "falsified",
-                   "data": {"seeds": len(seeds), "steps": total_steps}})
+    replay = claim("gammaReplay",
+                   "every nonzero seed generates the full semilinear space via the "
+                   "documented moves", replay_ok, {"seeds": len(seeds), "steps": total_steps})
     res = norton_irreducible(gamma_handle(gens), derive_seed(seed, "gamma-norton"))
-    norton_claim(claims, "gammaMeatAxe",
-                 "the semilinear module passes the kernel-vector irreducibility test",
-                 res, "irreducible", res.detail)
-    claims.append({"id": "eq15",
-                   "anchor": "the shear identity holds for every nonzero scalar",
-                   "status": "verified" if eq15_identity_holds(ctx, n) else "falsified",
-                   "data": {}})
-    return claims
+    return [replay,
+            norton_claim("gammaMeatAxe",
+                         "the semilinear module passes the kernel-vector irreducibility test",
+                         res, "irreducible", res.detail),
+            claim("eq15", "the shear identity holds for every nonzero scalar",
+                  eq15_identity_holds(ctx, n))]

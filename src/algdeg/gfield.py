@@ -355,13 +355,15 @@ class FieldCtx:
 
     def raw_from_json(self, v):
         if self.kind == "rational":
-            try:
-                if isinstance(v, str):
+            if type(v) is int:
+                return Fraction(v)
+            if isinstance(v, str):
+                try:
                     num, den = v.split("/")
                     return Fraction(int(num), int(den))
-                return Fraction(v)
-            except (TypeError, ValueError, ZeroDivisionError):
-                raise ValueError(f"{v!r} is not a rational 'p/q' or a number") from None
+                except (ValueError, ZeroDivisionError):
+                    pass
+            raise ValueError(f"{v!r} is not a rational 'p/q' or an integer")
         if type(v) is not int or not 0 <= v < self.order:
             raise ValueError(f"raw code {v!r} is not an integer in 0..{self.order - 1} "
                              f"for {self!r}")

@@ -1,10 +1,16 @@
 """Verification reports: per-claim records with a versioned JSON schema.
 
 A claim is {id, anchor, status, data} with status one of verified, falsified,
-inconclusive, skipped.  Wall-clock timing lives in a separate top-level list,
-one {claims, seconds} record per timed phase, so the claim payload is
-byte-identical across runs for a fixed (config, seed); --no-timing drops the
-list for literal reproducibility.
+inconclusive, skipped.  `claim` is the one constructor of that record, and it
+holds the one rule from a verdict to a status: True is verified, False is
+falsified and None is inconclusive.  `norton_claim` maps a kernel-vector
+verdict onto that rule, and `Report.skip_all` writes the skipped claims.  The
+intersection dictionary (`canon.intersection_table`) keeps its own
+{computed, expected} shape in place of `data`.
+
+Wall-clock timing lives in a separate top-level list, one {claims, seconds}
+record per timed phase, so the claim payload is byte-identical across runs for
+a fixed (config, seed); --no-timing drops the list for literal reproducibility.
 """
 
 import json
@@ -15,6 +21,24 @@ from . import __version__
 SCHEMA = "algdeg-report/1"
 
 STATUS_ORDER = ("verified", "falsified", "inconclusive", "skipped")
+
+
+def claim(cid, anchor, ok, data=None):
+    """The claim record; `ok` is True (verified), False (falsified) or None (inconclusive)."""
+    status = "inconclusive" if ok is None else "verified" if ok else "falsified"
+    return {"id": cid, "anchor": anchor, "status": status,
+            "data": {} if data is None else data}
+
+
+def norton_claim(cid, anchor, res, want, data, holds=True):
+    """A claim resting on a kernel-vector verdict `res` that should be `want`.
+
+    `holds` is the deterministic rest of the claim.  It is falsified when that
+    part fails or the verdict is the opposite one, and inconclusive when the
+    verdict is inconclusive and the rest holds.
+    """
+    inconclusive = holds and res.verdict == "inconclusive"
+    return claim(cid, anchor, None if inconclusive else holds and res.verdict == want, data)
 
 
 class Report:

@@ -25,6 +25,7 @@ from .exactla import (
     Echelon, GroupElement, Matrix, Subspace, combine, kernel_rows, quotient_coords,
 )
 from .gfield import FieldCtx, primitive_element
+from .report import claim, norton_claim
 from .structvec import act_coords
 
 LINE_CAP = 4096          # max kernel lines examined per theta draw
@@ -560,28 +561,6 @@ def hom_space(ha, hb):
 
 # -- diagram verification ----------------------------------------------------------
 
-def _claim(claims, cid, anchor, ok, data=None):
-    claims.append({"id": cid, "anchor": anchor,
-                   "status": "verified" if ok else "falsified",
-                   "data": data if data is not None else {}})
-
-
-def norton_claim(claims, cid, anchor, res, want, data, holds=True):
-    """A claim resting on a kernel-vector verdict `res` that should be `want`.
-
-    `holds` is the deterministic rest of the claim.  It is falsified when that
-    part fails or the verdict is the opposite one, and inconclusive when the
-    verdict is inconclusive and the rest holds.
-    """
-    if not holds or res.verdict not in (want, "inconclusive"):
-        status = "falsified"
-    elif res.verdict == "inconclusive":
-        status = "inconclusive"
-    else:
-        status = "verified"
-    claims.append({"id": cid, "anchor": anchor, "status": status, "data": data})
-
-
 def verify_lattice_diagrams(ctx, n, seed=0, gens=None):
     """Check the submodule diagrams branch by branch for one (n, field).
 
@@ -612,143 +591,130 @@ def verify_lattice_diagrams(ctx, n, seed=0, gens=None):
     one = ctx.one()
     char2 = ctx.char == 2
 
+    add = claims.append
+
+    def factor(cid, anchor, carrier, sub, label, tag, want="irreducible", rest=None):
+        """Build carrier/sub's handle, run the kernel-vector test, add the claim.
+
+        `rest(handle, result)` gives the claim's extra data and its
+        deterministic part.
+        """
+        h = module_handle(gens, carrier, sub=sub, label=label)
+        res = norton_irreducible(h, derive_seed(seed, tag))
+        extra, holds = rest(h, res) if rest else ({}, True)
+        add(norton_claim(cid, anchor, res, want, {"verdict": res.verdict, **extra}, holds))
+
     # dual-space filtration factors via the explicit trace surjections
     tr_rows = tr_matrix_rows(ctx, n)
-    _claim(claims, "LambdaOverT", "tr maps the full space onto the dual with kernel T",
-           Matrix.from_rows(ctx, tr_rows).rank() == n
-           and Subspace(ctx, n ** 3, kernel_rows(tr_rows, n ** 3, ctx)) == T)
+    add(claim("LambdaOverT", "tr maps the full space onto the dual with kernel T",
+              Matrix.from_rows(ctx, tr_rows).rank() == n
+              and Subspace(ctx, n ** 3, kernel_rows(tr_rows, n ** 3, ctx)) == T))
     for name, anchor, carrier, ker in (
             ("KOverU", "tr restricted to K is onto the dual with kernel U", K, U),
             ("COverN", "tr restricted to C is onto the dual with kernel N", C, N)):
         values = canon._trace_images(carrier, n)
         rank = Matrix.from_rows(ctx, values).rank() if values else 0
         restr_ker = canon._restricted_kernel(carrier, values, ctx)
-        _claim(claims, name, anchor, rank == n and restr_ker == ker)
+        add(claim(name, anchor, rank == n and restr_ker == ker))
 
     v_handle = dual_space_handle(gens)
 
     # diagram over M**
     if (n - 1) % ctx.char == 0:
         UM = U | Ms
-        _claim(claims, "UmeetMstar.branch", "U ^ M* = M*_(1,-1) when char | n-1",
-               (U & Ms) == canon.basis_MstarP(ctx, n, canon.ProjectivePoint(ctx, one, ctx.neg(one))))
-        _claim(claims, "UplusMstar.dim", "dim(U + M*) = n^3/2 - n^2/2 when char | n-1",
-               UM.dim == (n ** 3 - n ** 2) // 2, {"dim": UM.dim})
-        _claim(claims, "MssOverU.split", "K and U+M* are distinct complements over U inside M**",
-               (K & UM) == U and (K | UM) == Mss)
-        h = module_handle(gens, UM, sub=Ms, label="(U+M*)/M*")
-        res = norton_irreducible(h, derive_seed(seed, "UM/M*"))
-        norton_claim(claims, "UplusMstarOverMstar.irr", "(U + M*)/M* is irreducible",
-                     res, "irreducible", {"verdict": res.verdict})
+        add(claim("UmeetMstar.branch", "U ^ M* = M*_(1,-1) when char | n-1",
+                  (U & Ms) == canon.basis_MstarP(ctx, n,
+                                                 canon.ProjectivePoint(ctx, one, ctx.neg(one)))))
+        add(claim("UplusMstar.dim", "dim(U + M*) = n^3/2 - n^2/2 when char | n-1",
+                  UM.dim == (n ** 3 - n ** 2) // 2, {"dim": UM.dim}))
+        add(claim("MssOverU.split", "K and U+M* are distinct complements over U inside M**",
+                  (K & UM) == U and (K | UM) == Mss))
+        factor("UplusMstarOverMstar.irr", "(U + M*)/M* is irreducible",
+               UM, Ms, "(U+M*)/M*", "UM/M*")
         hU = module_handle(gens, U, label="U")
         dU, _ = hom_space(hU, v_handle)
         hQ = module_handle(gens, Mss, sub=Ms, label="M**/M*")
         dQ, _ = hom_space(hQ, v_handle)
-        _claim(claims, "MssOverMstar.notU",
-               "the dual is a top factor of M**/M* but not of U (hom-space dims)",
-               dU == 0 and dQ >= 1, {"hom(U,dual)": dU, "hom(M**/M*,dual)": dQ})
+        add(claim("MssOverMstar.notU",
+                  "the dual is a top factor of M**/M* but not of U (hom-space dims)",
+                  dU == 0 and dQ >= 1, {"hom(U,dual)": dU, "hom(M**/M*,dual)": dQ}))
     else:
-        _claim(claims, "MssSplit", "M** = U (+) M* when char does not divide n-1",
-               (U & Ms).dim == 0 and (U | Ms) == Mss)
-        res = norton_irreducible(module_handle(gens, U, label="U"),
-                                 derive_seed(seed, "U"))
-        norton_claim(claims, "U.irr", "U is irreducible when char does not divide n-1",
-                     res, "irreducible", {"verdict": res.verdict})
-        res = norton_irreducible(module_handle(gens, Ms, label="M*"),
-                                 derive_seed(seed, "M*"))
-        norton_claim(claims, "Mstar.red", "M* is reducible (a sum of two dual copies)",
-                     res, "reducible",
-                     {"verdict": res.verdict, "witness_dim": len(res.witness_coords or [])})
+        add(claim("MssSplit", "M** = U (+) M* when char does not divide n-1",
+                  (U & Ms).dim == 0 and (U | Ms) == Mss))
+        factor("U.irr", "U is irreducible when char does not divide n-1", U, None, "U", "U")
+        factor("Mstar.red", "M* is reducible (a sum of two dual copies)", Ms, None, "M*", "M*",
+               "reducible", lambda h, res: ({"witness_dim": len(res.witness_coords or [])}, True))
 
     # diagram over the full space
     if char2:
         NM = N | Mss
-        _claim(claims, "NmeetMss.char2", "N ^ M** = U in characteristic 2",
-               (N & Mss) == U)
-        _claim(claims, "NplusMss.dim.char2", "dim(N + M**) = n^3/2 + n^2/2 + n",
-               NM.dim == (n ** 3 + n ** 2) // 2 + n, {"dim": NM.dim})
+        add(claim("NmeetMss.char2", "N ^ M** = U in characteristic 2", (N & Mss) == U))
+        add(claim("NplusMss.dim.char2", "dim(N + M**) = n^3/2 + n^2/2 + n",
+                  NM.dim == (n ** 3 + n ** 2) // 2 + n, {"dim": NM.dim}))
         TM = TcT | Mss
-        _claim(claims, "TTplusMss.proper", "(T ^ T~) + M** properly contains N + M**",
-               NM < TM, {"lower": NM.dim, "upper": TM.dim})
+        add(claim("TTplusMss.proper", "(T ^ T~) + M** properly contains N + M**",
+                  NM < TM, {"lower": NM.dim, "upper": TM.dim}))
         if n % 2 == 1:
             # char 2 and n odd is a char | n+1 case, so the triple intersection
             # is T ^ M** and the sum has codimension n
-            _claim(claims, "TTplusMss.dim", "dim((T ^ T~) + M**) = n^3 - n (odd n)",
-                   TM.dim == n ** 3 - n, {"dim": TM.dim})
-            res = norton_irreducible(module_handle(gens, Lam, sub=TM,
-                                                   label="Lambda/(TT+M**)"),
-                                     derive_seed(seed, "L/TTM"))
-            norton_claim(claims, "LambdaOverTTplusMss.irr",
-                         "the top factor over (T ^ T~) + M** is irreducible",
-                         res, "irreducible", {"verdict": res.verdict, "dim": n})
-            res = norton_irreducible(module_handle(gens, TM, sub=NM,
-                                                   label="(TT+M**)/(N+M**)"),
-                                     derive_seed(seed, "TTM/NM"))
-            norton_claim(claims, "TTplusMssOverNplusMss.irr",
-                         "((T ^ T~) + M**)/(N + M**) is irreducible",
-                         res, "irreducible", {"verdict": res.verdict})
+            add(claim("TTplusMss.dim", "dim((T ^ T~) + M**) = n^3 - n (odd n)",
+                      TM.dim == n ** 3 - n, {"dim": TM.dim}))
+            factor("LambdaOverTTplusMss.irr",
+                   "the top factor over (T ^ T~) + M** is irreducible",
+                   Lam, TM, "Lambda/(TT+M**)", "L/TTM", rest=lambda h, res: ({"dim": n}, True))
+            factor("TTplusMssOverNplusMss.irr", "((T ^ T~) + M**)/(N + M**) is irreducible",
+                   TM, NM, "(TT+M**)/(N+M**)", "TTM/NM")
         else:
             # for even n the traces satisfy tr + tr~ = omega on M**, so the
             # triple intersection collapses to U and the sum is everything;
             # the n^3 - n value would need char | n+1
-            _claim(claims, "TTmeetMss.even", "(T ^ T~) ^ M** = U (char 2, even n)",
-                   (TcT & Mss) == U)
-            _claim(claims, "TTplusMss.even",
-                   "(T ^ T~) + M** is the whole space (char 2, even n)",
-                   TM.dim == n ** 3, {"dim": TM.dim})
-        hQ = module_handle(gens, Lam, sub=NM, label="Lambda/(N+M**)")
-        res = norton_irreducible(hQ, derive_seed(seed, "L/NM"))
+            add(claim("TTmeetMss.even", "(T ^ T~) ^ M** = U (char 2, even n)",
+                      (TcT & Mss) == U))
+            add(claim("TTplusMss.even", "(T ^ T~) + M** is the whole space (char 2, even n)",
+                      TM.dim == n ** 3, {"dim": TM.dim}))
         du = dims["U"]
         if n % 2 == 0:
-            norton_claim(claims, "LambdaOverNplusMss.even",
-                         "the factor over N + M** is irreducible of dim U for even n",
-                         res, "irreducible", {"verdict": res.verdict, "dim": hQ.dim},
-                         hQ.dim == du)
+            factor("LambdaOverNplusMss.even",
+                   "the factor over N + M** is irreducible of dim U for even n",
+                   Lam, NM, "Lambda/(N+M**)", "L/NM",
+                   rest=lambda h, res: ({"dim": h.dim}, h.dim == du))
         else:
-            ok = True
-            data = {"verdict": res.verdict, "dim": hQ.dim}
-            if res.verdict == "reducible":
+            def length_two(h, res):
+                if res.verdict != "reducible":
+                    return {"dim": h.dim}, True
                 m = len(res.witness_coords)
-                data["factor_dims"] = sorted((m, hQ.dim - m))
-                ok = sorted((m, hQ.dim - m)) == sorted((n, du - n))
-            norton_claim(claims, "LambdaOverNplusMss.odd",
-                         "the factor over N + M** has length two with the factor "
-                         "dims of U (odd n)",
-                         res, "reducible", data, ok)
+                factor_dims = sorted((m, h.dim - m))
+                return ({"dim": h.dim, "factor_dims": factor_dims},
+                        factor_dims == sorted((n, du - n)))
+
+            factor("LambdaOverNplusMss.odd",
+                   "the factor over N + M** has length two with the factor dims of U (odd n)",
+                   Lam, NM, "Lambda/(N+M**)", "L/NM", "reducible", length_two)
     elif (n + 1) % ctx.char == 0:
         NM = N | Mss
         M11 = canon.basis_MstarP(ctx, n, canon.ProjectivePoint(ctx, one, one))
-        _claim(claims, "NmeetMss.divides", "N ^ M** = M*_(1,1) when char | n+1",
-               (N & Mss) == M11)
-        _claim(claims, "NplusMss.dim", "dim(N + M**) = n^3 - n",
-               NM.dim == n ** 3 - n, {"dim": NM.dim})
+        add(claim("NmeetMss.divides", "N ^ M** = M*_(1,1) when char | n+1", (N & Mss) == M11))
+        add(claim("NplusMss.dim", "dim(N + M**) = n^3 - n",
+                  NM.dim == n ** 3 - n, {"dim": NM.dim}))
         psi_rows = [ctx.row_addmul(a, b, one) for a, b in
                     zip(tr_rows, tr_op_matrix_rows(ctx, n))]
         ker_psi = Subspace(ctx, n ** 3, kernel_rows(psi_rows, n ** 3, ctx))
-        _claim(claims, "kerPsi", "ker(tr + tr~) = N + M**, so the top factor is the dual",
-               Matrix.from_rows(ctx, psi_rows).rank() == n and ker_psi == NM)
-        res = norton_irreducible(module_handle(gens, NM, sub=Mss, label="(N+M**)/M**"),
-                                 derive_seed(seed, "NM/Mss"))
-        norton_claim(claims, "NplusMssOverMss.irr", "(N + M**)/M** is irreducible",
-                     res, "irreducible", {"verdict": res.verdict})
+        add(claim("kerPsi", "ker(tr + tr~) = N + M**, so the top factor is the dual",
+                  Matrix.from_rows(ctx, psi_rows).rank() == n and ker_psi == NM))
+        factor("NplusMssOverMss.irr", "(N + M**)/M** is irreducible",
+               NM, Mss, "(N+M**)/M**", "NM/Mss")
         hN = module_handle(gens, N, label="N")
         dN, _ = hom_space(hN, v_handle)
         hQ = module_handle(gens, Lam, sub=Mss, label="Lambda/M**")
         dQ, _ = hom_space(hQ, v_handle)
-        _claim(claims, "LambdaOverMss.notN",
-               "the dual is a top factor of the quotient by M** but not of N",
-               dN == 0 and dQ >= 1, {"hom(N,dual)": dN, "hom(L/M**,dual)": dQ})
+        add(claim("LambdaOverMss.notN",
+                  "the dual is a top factor of the quotient by M** but not of N",
+                  dN == 0 and dQ >= 1, {"hom(N,dual)": dN, "hom(L/M**,dual)": dQ}))
     else:
-        _claim(claims, "LambdaSplit", "the full space is N (+) M** away from char | n+1",
-               (N & Mss).dim == 0 and (N | Mss) == Lam)
-        res = norton_irreducible(module_handle(gens, N, label="N"),
-                                 derive_seed(seed, "N"))
-        norton_claim(claims, "N.irr", "N is irreducible when char does not divide n+1",
-                     res, "irreducible", {"verdict": res.verdict})
-        hQ = module_handle(gens, Lam, sub=Mss, label="Lambda/M**")
-        res = norton_irreducible(hQ, derive_seed(seed, "L/Mss"))
-        norton_claim(claims, "LambdaOverMss.irr",
-                     "the quotient by M** is irreducible of the dimension of N",
-                     res, "irreducible", {"verdict": res.verdict, "dim": hQ.dim},
-                     hQ.dim == dims["N"])
+        add(claim("LambdaSplit", "the full space is N (+) M** away from char | n+1",
+                  (N & Mss).dim == 0 and (N | Mss) == Lam))
+        factor("N.irr", "N is irreducible when char does not divide n+1", N, None, "N", "N")
+        factor("LambdaOverMss.irr", "the quotient by M** is irreducible of the dimension of N",
+               Lam, Mss, "Lambda/M**", "L/Mss",
+               rest=lambda h, res: ({"dim": h.dim}, h.dim == dims["N"]))
     return claims

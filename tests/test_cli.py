@@ -1,3 +1,5 @@
+import argparse
+import hashlib
 import json
 
 import pytest
@@ -255,3 +257,94 @@ def test_lattice_gf25_falsifies_nothing(tmp_path, seed):
                 "--field", "5^2", "--seed", str(seed)]) in (0, 3)
     claims = json.loads(path.read_text())["claims"]
     assert claims and all(c["status"] != "falsified" for c in claims)
+
+
+# (command, exit code, sha256 of its --no-timing JSON report); the GF(2)
+# entries are the skip paths
+PINNED_REPORTS = [
+    ("verify-all --seed 7", 0,
+     "b3675c213a38f639349a7e15a7a2b6569cf17cba669151e601cc5acb05586825"),
+    ("verify-all --n-list 3 --fields 2^3,3^2,7,5^2 --seed 11", 0,
+     "502d41eb8257b32cf4267a770ce9e4151cccf3b6f86d5aecb4701a6acc227519"),
+    ("verify-all --n-list 3 --fields 5^2 --seed 130520985369857", 3,
+     "f44d72497045397d6e2038875fe51e27e68d0d5fcc8bdbe947f25ba44a4c48a9"),
+    ("verify-all --n-list 3 --fields 2,3 --seed 3", 0,
+     "3df3d514ad1cad2def41acdbb9cff1734b8467a1162b6628f01a917272f711cc"),
+    ("lattice --n 4 --field 5", 0,
+     "3af72863f947d25fb9daf4495208a8abf61c0ca1fbe970f9266b98bbfcd6982e"),
+    ("lattice --n 3 --field 2", 0,
+     "ff8e7c6ef6ca9176aefc565e854a9a01568140e6d8823cbbc1fc5ff50ee695f4"),
+    ("gamma --n 3 --field 2^3", 0,
+     "030c48d80fc48f958cb62b75fdcd7634715f37c6e3f05b3b8c97ab8565781c07"),
+    ("gamma --n 3 --field 3", 0,
+     "8ebf9dc47763c53c781e3c34677d4d4a8dffa9a96982fb591c85f0643b08c11f"),
+    ("canon --n 3 --field 5^2", 0,
+     "110acccf8a621918d88280f68ba75de7f6da69bb67c892c09545cecaf96f7fde"),
+    ("canon --n 3 --field 2", 0,
+     "202ce712c9ed3e6baf8684e319d93f1bd5451c3e16030e8dd51d9192b6ca1c0e"),
+    ("series --n 4 --field 3 --chain 0,Mstar(1,-1),U,K", 0,
+     "c250e19160cc4a2936123c71b3b7a698aa058514ea619b5aef4050b9f26d4f54"),
+    ("series --n 3 --field 2^2 --chain 0,K,C", 1,
+     "236b5fc82b5b221ffb3f15e15c091ab93596f2dd3955f40097ee8c2aa8595c46"),
+    ("survey --n 3 --field 3 --module K", 0,
+     "6e8fc2f4f24958b36bd02940d8bce21e98c75820261e69eed5819e475151dcfb"),
+    ("dims --n 4 --field 5", 0,
+     "9140fafdba9046d0dc7a4f7d736aa6ed57f083a8c685e0f993cfc9b3f61a021f"),
+    ("spin --n 3 --field 5 --vector eta --expect U", 0,
+     "ff8142a049dbff13527a0002203efe320d7304cb4f34648361fa5acac1cb290a"),
+    ("spin --n 3 --field 5 --vector delta --expect N", 0,
+     "804b456e29b13f7d7c3e5c56f7df8e517a78295fbb710799d8bf0adafaf1b3f0"),
+    ("spin --n 3 --field 5 --vector eta", 0,
+     "435af8c2e1e651e5084127674fa209fd6c21c858da6f2cbc15ea28caa74dc113"),
+    ("degen q --n 3 --field 5 --lambda eta --q 1,2,3", 0,
+     "7a4992f9e74bf8421f121246a14bdaaca994b067f5133d9af7cd8d978e28d1c8"),
+    ("degen q --n 3 --field 5 --lambda delta --q 0,0,0", 0,
+     "0461247de9cd4e21e58d16c6ef66a8950393b18546dffa0b4342c5fd71dfcf36"),
+    ("degen reach-eta --n 3 --field 5 --lambda eta", 0,
+     "4378264620ce146135e3a463894184c14ac4f114a7c92868f0c748a450b0a5c3"),
+    ("degen reach-delta --n 3 --field 5 --lambda delta", 0,
+     "75f060d5c4c81510055041158f4363ffb267b101c0c1461b6d876216285de4bc"),
+    ("degen reach-eta --n 3 --field 2 --lambda eta", 0,
+     "9958c50d9767ebac53590b0d3ad8c0bb00ac8a6b2b1f18247fd1cf694dd79787"),
+]
+
+
+def test_no_timing_reports_match_pinned_digests(tmp_path, capsys):
+    """The --no-timing JSON report of each command is pinned byte for byte.
+
+    A deliberate change to a report updates its digest here and records the
+    change in CHANGES.md.
+    """
+    path = tmp_path / "r.json"
+    mismatches = []
+    for command, code, digest in PINNED_REPORTS:
+        got_code = run(["--no-timing", "--json", str(path)] + command.split())
+        got = hashlib.sha256(path.read_bytes()).hexdigest()
+        if (got_code, got) != (code, digest):
+            mismatches.append((command, got_code, got))
+    capsys.readouterr()
+    assert mismatches == []
+
+
+SUMMARY_RUNS = {
+    "dims": ["--n", "3", "--field", "3"],
+    "canon": ["--n", "3", "--field", "2"],
+    "spin": ["--n", "3", "--field", "5", "--vector", "eta"],
+    "survey": ["--n", "3", "--field", "3", "--module", "Mstar"],
+    "series": ["--n", "3", "--field", "2^2", "--chain", "0,K,C"],
+    "lattice": ["--n", "3", "--field", "2"],
+    "degen": ["reach-eta", "--n", "3", "--field", "5", "--lambda", "eta"],
+    "gamma": ["--n", "3", "--field", "3"],
+    "verify-all": ["--n-list", "3", "--fields", "2"],
+}
+
+
+def test_every_subcommand_ends_with_the_summary(capsys):
+    (sub,) = [a for a in cli.build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    assert set(sub.choices) == set(SUMMARY_RUNS)
+    for name, argv in SUMMARY_RUNS.items():
+        assert run([name] + argv) in (0, 1)
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1].startswith("summary: "), name
+        assert sum(line.startswith("summary: ") for line in lines) == 1, name

@@ -228,3 +228,11 @@ def test_raw_codes_outside_the_field_are_rejected():
     gf9 = make_field(3, 2)
     assert gf9.element(5).raw == 5
     assert gf9.from_int(10) == 1
+    # over Q a raw code is a non-bool integer or a 'p/q' string, never a float
+    rationals = make_field(0)
+    assert rationals.raw_from_json(-3) == -3
+    assert rationals.raw_from_json("-3/4") == Fraction(-3, 4)
+    for code in (0.1, 1.0, float("inf"), float("nan"), True, False, None, "3", "1/0",
+                 "1/2/3", [1, 2]):
+        with pytest.raises(ValueError):
+            rationals.raw_from_json(code)
