@@ -164,13 +164,14 @@ def cmd_spin(args):
 def cmd_survey(args):
     ctx, n = args.field, args.n
     report = Report("survey", {"n": n, "field": _field_label(ctx),
-                               "module": args.module, "budget": args.budget}, args.seed)
+                               "module": args.module, "budget": spinmx.SURVEY_BUDGET},
+                    args.seed)
     gens = spinmx.standard_generators(ctx, n)
     carrier = canon.submodule(args.module, ctx, n)
     handle = spinmx.module_handle(gens, carrier, label=args.module)
 
     def survey_claim():
-        lattice = spinmx.survey_submodules(handle, budget=args.budget)
+        lattice = spinmx.survey_submodules(handle)
         dims = [s.dim for s in lattice]
         print(f"submodule lattice of {args.module}: dims {dims}")
         return claim("survey", f"exhaustive submodule lattice of {args.module}", True,
@@ -191,8 +192,10 @@ def cmd_series(args):
         rep = spinmx.composition_series(chain, gens, args.seed)
         for f in rep["factors"]:
             print(f"  factor {f['index']}: dim {f['dim']} -> {f['verdict']}")
-        return claim("series", f"chain {args.chain} is a composition series",
-                     rep["certified"] if rep["conclusive"] else None, rep)
+        # one reducible factor refutes the chain, whatever the other verdicts
+        verdicts = {f["verdict"] for f in rep["factors"]}
+        ok = False if "reducible" in verdicts else None if "inconclusive" in verdicts else True
+        return claim("series", f"chain {args.chain} is a composition series", ok, rep)
 
     report.timed(series_claim)
     return report
@@ -352,7 +355,6 @@ def build_parser():
     sp = add_parser("survey", help="exhaustive submodule lattice of a carrier")
     common(sp)
     sp.add_argument("--module", required=True)
-    sp.add_argument("--budget", type=int, default=spinmx.SURVEY_BUDGET)
     sp.set_defaults(fn=cmd_survey)
 
     sp = add_parser("series", help="certify a chain as a composition series")

@@ -4,7 +4,8 @@ Matrices are row-major lists of raw scalars.  `Echelon` is the one elimination
 engine: every rref, rank, kernel, sum and intersection runs on it.  It packs
 each input row once (`FieldCtx.pack`: `bytes` over GF(p), p <= 13, and
 GF(2^k), a list elsewhere) and stores packed rows, so a vector is reduced
-against every stored row with no conversions.  `combine`, `reduce_against`
+against every stored row with no conversions, all in the one loop
+`_eliminate`.  `combine`, `reduce_against`
 and `Echelon.add` hand back packed rows for further elimination; the results
 that leave the engine, `rref_rows` rows, `Subspace.rows` and `Matrix.entries`,
 stay lists and tuples of raw scalars.  Subspace
@@ -29,14 +30,23 @@ def rref_rows(rows, ctx):
     return [list(r) for r in red], pivots
 
 
-def reduce_against(vec, rows, pivots, ctx):
-    """Residual of vec after elimination against rref rows, as a packed row."""
-    v = ctx.pack(vec)
+def _eliminate(v, rows, pivots, ctx):
+    """Clear each pivot column of the packed row v with its echelon row, in pivot order.
+
+    The one elimination loop: every reduction of a vector against echelon
+    rows runs here.  Each row is zero at the pivots before its own, so a
+    cleared column stays clear.
+    """
     for row, p in zip(rows, pivots):
         c = v[p]
         if c:
             v = ctx.row_submul(v, row, c)
     return v
+
+
+def reduce_against(vec, rows, pivots, ctx):
+    """Residual of vec after elimination against rref rows, as a packed row."""
+    return _eliminate(ctx.pack(vec), rows, pivots, ctx)
 
 
 def combine(coeffs, rows, ctx):
@@ -77,10 +87,7 @@ class Echelon:
         v = ctx.pack(vec)
         if len(v) != self.ambient:
             raise ValueError("row length does not match the ambient dimension")
-        for row, p in zip(self.rows, self.pivots):
-            c = v[p]
-            if c:
-                v = ctx.row_submul(v, row, c)
+        v = _eliminate(v, self.rows, self.pivots, ctx)
         lead = ctx.lead(v)
         if lead == self.ambient:
             return None
@@ -93,18 +100,14 @@ class Echelon:
         return v
 
     def reduced(self):
-        """Back-substitute in place, last pivot first; returns the packed RREF (rows, pivots).
+        """Back-substitute in place, bottom row first; returns the packed RREF (rows, pivots).
 
-        A row is zero left of its pivot, so clearing its pivot from the rows
-        above leaves the later pivot columns, already cleared, as they are.
+        Each row is reduced against the rows below it, which are already
+        reduced, so each is zero at every pivot but its own.
         """
         ctx, rows, pivots = self.ctx, self.rows, self.pivots
-        for j in range(len(rows) - 1, 0, -1):
-            row, p = rows[j], pivots[j]
-            for i in range(j):
-                c = rows[i][p]
-                if c:
-                    rows[i] = ctx.row_submul(rows[i], row, c)
+        for j in range(len(rows) - 2, -1, -1):
+            rows[j] = _eliminate(rows[j], rows[j + 1:], pivots[j + 1:], ctx)
         return rows, pivots
 
     def subspace(self):
@@ -113,15 +116,13 @@ class Echelon:
 
 
 def reduce_with_coeffs(vec, rows, pivots, ctx):
-    """Packed residual plus the elimination coefficients (vec = sum c_i rows_i + residual)."""
+    """Packed residual plus the elimination coefficients (vec = sum c_i rows_i + residual).
+
+    `rows` must be rref rows: each is zero at every pivot but its own, so
+    the coefficient of a row is vec's entry at its pivot.
+    """
     v = ctx.pack(vec)
-    coeffs = []
-    for row, p in zip(rows, pivots):
-        c = v[p]
-        coeffs.append(c)
-        if c:
-            v = ctx.row_submul(v, row, c)
-    return v, coeffs
+    return _eliminate(v, rows, pivots, ctx), [v[p] for p in pivots]
 
 
 class Matrix:

@@ -208,7 +208,7 @@ class ReplayResult:
     steps: list
 
 
-def replay_irreducible_from(phi, steps_out=None):
+def replay_irreducible_from(phi):
     """Extract every matrix unit from phi by the documented moves.
 
     Moves: relabeling permutations, e&f collapses, the shear identity that
@@ -221,7 +221,7 @@ def replay_irreducible_from(phi, steps_out=None):
         raise ValueError("the extraction argument needs |F| >= 4")
     if phi.is_zero():
         raise ValueError("seed must be nonzero")
-    steps = steps_out if steps_out is not None else []
+    steps = []
     span = Echelon(ctx, n * n)
     span.add(phi.coords())
     zero = ctx.zero()
@@ -251,7 +251,7 @@ def replay_irreducible_from(phi, steps_out=None):
             steps.append(("unit-seed-shear", (1, 2)))
         else:
             i, j = distinct
-            perm = _perm_moving_to_front(ctx, n, i, j)
+            perm = _perm_mapping(ctx, n, {1: i, 2: j})
             moved = star(phi, perm)
             steps.append(("relabel", (i, j)))
             shear = GroupElement.transvection(ctx, n, 1, 2)
@@ -262,7 +262,7 @@ def replay_irreducible_from(phi, steps_out=None):
         if pos is None:
             raise AssertionError("the diagonal escape left no off-diagonal entry")
     i, j = pos
-    perm = _perm_moving_to_front(ctx, n, i, j)
+    perm = _perm_mapping(ctx, n, {1: i, 2: j})
     phi12 = star(phi, perm)
     steps.append(("relabel", (i, j)))
     span.add(phi12.coords())
@@ -306,12 +306,6 @@ def replay_irreducible_from(phi, steps_out=None):
         span.add(star(e11, perm).coords())
     steps.append(("permutation-closure", "diagonal units"))
     return ReplayResult(span.dim == n * n, steps)
-
-
-def _perm_moving_to_front(ctx, n, i, j):
-    """Permutation g with g v_1 = v_i, g v_2 = v_j (so star relabels (i,j) to (1,2))."""
-    images = [i, j] + [k for k in range(1, n + 1) if k not in (i, j)]
-    return GroupElement.permutation(ctx, images)
 
 
 def _perm_mapping(ctx, n, want):

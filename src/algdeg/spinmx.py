@@ -22,7 +22,8 @@ from operator import add, mul, xor
 from typing import Optional
 
 from .exactla import (
-    Echelon, GroupElement, Matrix, Subspace, combine, kernel_rows, quotient_coords,
+    Echelon, GroupElement, Matrix, Subspace, _eliminate, combine, kernel_rows,
+    quotient_coords,
 )
 from .gfield import FieldCtx, primitive_element
 from .report import claim, norton_claim
@@ -90,47 +91,35 @@ def rational_generators(ctx, n):
     return GeneratorSet(gens, "rational-subgroup", ctx, n)
 
 
-def _span_closure(seed_rows, appliers, ambient, ctx, stop_dim=None, probe=None):
+def _span_closure(seed_rows, appliers, ambient, ctx, probe=None):
     """Smallest subspace containing the seeds and closed under every applier.
 
-    With `probe` set, stops early as soon as probe lies in the span and
-    returns (echelon, True); otherwise runs to closure.  The probe's residual
-    is kept reduced against every inserted row: each new row is zero at the
-    older pivots, so one row operation per insert keeps the residual zero at
-    every pivot, and it vanishes exactly when the probe lies in the span.
+    Stops as soon as the echelon is full.  With `probe` set, stops early as
+    soon as probe lies in the span and returns (echelon, True); otherwise
+    runs to closure.  The probe's residual is kept reduced against the
+    echelon: it is zero at every older pivot, and each new row is zero
+    there too, so an insert costs it at most one row operation, and it
+    vanishes exactly when the probe lies in the span.
     """
     ech = Echelon(ctx, ambient)
     residual = None if probe is None else ctx.pack(probe)
     if residual is not None and len(residual) != ambient:
         raise ValueError("probe length does not match the ambient dimension")
-    queue = []
-    for r in seed_rows:
-        added = ech.add(r)
-        if added is not None:
+    queue, batch = [], seed_rows
+    while True:
+        for v in batch:
+            added = ech.add(v)
+            if added is None:
+                continue
             queue.append(added)
             if residual is not None:
-                residual = _absorb(residual, added, ctx)
-    if residual is not None and ctx.lead(residual) == ambient:
-        return ech, True
-    while queue:
-        if stop_dim is not None and ech.dim >= stop_dim:
-            break
+                residual = _eliminate(residual, ech.rows, ech.pivots, ctx)
+                if ctx.lead(residual) == ambient:
+                    return ech, True
+        if not queue or ech.dim == ambient:
+            return ech, residual is not None and ctx.lead(residual) == ambient
         r = queue.pop()
-        for f in appliers:
-            added = ech.add(f(r))
-            if added is not None:
-                queue.append(added)
-                if residual is not None:
-                    residual = _absorb(residual, added, ctx)
-                    if ctx.lead(residual) == ambient:
-                        return ech, True
-    return ech, residual is not None and ctx.lead(residual) == ambient
-
-
-def _absorb(residual, row, ctx):
-    """Clear the pivot of a freshly inserted echelon row from the probe residual."""
-    c = residual[ctx.lead(row)]
-    return ctx.row_submul(residual, row, c) if c else residual
+        batch = (f(r) for f in appliers)     # lazy: a probe hit skips the rest
 
 
 def _structvec_appliers(gens):
@@ -367,7 +356,7 @@ def norton_irreducible(handle, seed):
 def _first_proper_spin(action, lines, d, ctx):
     appliers = _handle_appliers(action, ctx)
     for v in lines:
-        ech, _ = _span_closure([v], appliers, d, ctx, stop_dim=d)
+        ech, _ = _span_closure([v], appliers, d, ctx)
         if ech.dim < d:
             return ech.subspace()
     return None
@@ -437,7 +426,7 @@ def survey_submodules(handle, budget=SURVEY_BUDGET):
     if ctx.order ** d > budget:
         raise ValueError(f"survey budget exceeded: {ctx.order}^{d} > {budget}")
     appliers = _handle_appliers(handle.action, ctx)
-    cyclic = {_span_closure([v], appliers, d, ctx, stop_dim=d)[0].subspace()
+    cyclic = {_span_closure([v], appliers, d, ctx)[0].subspace()
               for v in _line_orbit_reps(handle.action, ctx, d)}
     todo = [Subspace.zero(ctx, d)]
     subs = set(todo)

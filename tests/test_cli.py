@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from algdeg import cli
+from algdeg import cli, spinmx
 from algdeg.canon import eta
 from algdeg.cli import main
 from algdeg.gfield import make_field
@@ -114,6 +114,22 @@ def test_series_reports_reducible_first_factor(capsys):
     assert run(["series", "--chain", "0,U,N,C", "--n", "3", "--field", "2^2"]) == 1
     out = capsys.readouterr().out
     assert "factor 0: dim 6 -> reducible" in out
+
+
+def test_series_with_a_reducible_factor_is_falsified_even_if_another_is_inconclusive(
+        tmp_path, monkeypatch, capsys):
+    # with no random draws M* (dim 6) falls back to the exhaustive test, which
+    # finds a witness, and Lambda/M* (dim 21) is past the survey budget
+    monkeypatch.setattr(spinmx, "NORTON_ATTEMPTS", 0)
+    path = tmp_path / "r.json"
+    assert run(["--json", str(path), "--no-timing", "series", "--chain", "0,Mstar,Lambda",
+                "--n", "3", "--field", "5"]) == 1
+    out = capsys.readouterr().out
+    assert "factor 0: dim 6 -> reducible" in out
+    assert "factor 1: dim 21 -> inconclusive" in out
+    claim = json.loads(path.read_text())["claims"][0]
+    assert claim["status"] == "falsified"
+    assert not claim["data"]["certified"] and not claim["data"]["conclusive"]
 
 
 def test_lattice_gf5():

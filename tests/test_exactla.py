@@ -9,6 +9,7 @@ from algdeg.exactla import (
     Echelon, Matrix, Subspace, GroupElement, rref, null_space, kernel_rows,
     quotient_coords, random_invertible, rref_rows,
 )
+from test_packed import FIELDS
 
 GF3 = make_field(3)
 GF5 = make_field(5)
@@ -179,22 +180,27 @@ def test_quotient_dim_and_reps():
         line.quotient_dim(full)
 
 
-def test_quotient_coords_reconstructs():
-    ctx = GF5
-    sub = span(ctx, 4, [1, 1, 0, 0])
-    big = span(ctx, 4, [1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 0, 1])
+@pytest.mark.parametrize("ctx", FIELDS, ids=repr)
+def test_quotient_coords_reconstructs(ctx):
+    def vec(*xs):
+        return [ctx.from_int(x) for x in xs]
+
+    sub = span(ctx, 5, vec(1, 1, 0, 0, 0))
+    big = span(ctx, 5, vec(1, 1, 0, 0, 0), vec(0, 1, 1, 0, 1), vec(0, 0, 1, 1, 0),
+               vec(0, 0, 0, 1, 1))
     reps = big.coset_representatives(sub)
     rep_pivots = [next(j for j, x in enumerate(r) if x) for r in reps]
     rng = random.Random(3)
     for _ in range(25):
-        v = [0, 0, 0, 0]
+        v = [ctx.zero()] * 5
         for row in big.rows:
-            v = ctx.row_addmul(v, row, rng.randrange(5))
+            v = ctx.row_addmul(v, row, _scalar(ctx, rng))
         coeffs = quotient_coords(v, sub.rows, sub.pivots, reps, rep_pivots, ctx)
-        back = [0, 0, 0, 0]
+        assert len(coeffs) == len(reps) == 3
+        back = [ctx.zero()] * 5
         for c, r in zip(coeffs, reps):
             back = ctx.row_addmul(back, r, c)
-        assert ctx.row_submul(v, back, 1) in sub
+        assert ctx.row_submul(v, back, ctx.one()) in sub
 
 
 def test_group_element_constructors():

@@ -410,7 +410,7 @@ def _brute_force_survey(handle):
     """The survey by its definition: spin every scalar line, close, lift."""
     ctx, d = handle.ctx, handle.dim
     appliers = _handle_appliers(handle.action, ctx)
-    subs = {_span_closure([v], appliers, d, ctx, stop_dim=d)[0].subspace()
+    subs = {_span_closure([v], appliers, d, ctx)[0].subspace()
             for v in _all_lines(ctx, d)}
     subs |= {Subspace.zero(ctx, d), Subspace.full(ctx, d)}
     while True:
@@ -478,7 +478,7 @@ def test_norton_exhaustive_fallback_matches_spinning_every_line(monkeypatch, nam
     monkeypatch.setattr(spinmx, "NORTON_ATTEMPTS", 0)
     res = norton_irreducible(h, seed=0)
     appliers = _handle_appliers(h.action, ctx)
-    spins = (_span_closure([v], appliers, h.dim, ctx, stop_dim=h.dim)[0]
+    spins = (_span_closure([v], appliers, h.dim, ctx)[0]
              for v in _all_lines(ctx, h.dim))
     first = next((ech.subspace() for ech in spins if ech.dim < h.dim), None)
     assert res.detail == {"mode": "exhaustive"}
