@@ -379,8 +379,8 @@ def quotient_coords(vec, sub_rows, sub_pivots, reps, rep_pivots, ctx):
 class GroupElement:
     """Invertible n x n matrix with its inverse cached at construction.
 
-    `tag` marks the structured generators (transvections, diagonals) so the
-    structure-vector action can use the sparse fast path.
+    `tag` marks the structured elements (transvections, diagonals,
+    permutations) so the structure-vector action can take its fast path.
     """
 
     __slots__ = ("ctx", "n", "mat", "inv", "tag")
@@ -430,13 +430,15 @@ class GroupElement:
 
     @classmethod
     def permutation(cls, ctx, images):
-        """g v_j = v_sigma(j) for the 1-based image list sigma."""
+        """g v_j = v_sigma(j) for the 1-based image list sigma; the inverse is the transpose."""
+        images = tuple(images)
         n = len(images)
-        zero, one = ctx.zero(), ctx.one()
-        rows = [[zero] * n for _ in range(n)]
+        if sorted(images) != list(range(1, n + 1)):
+            raise ValueError(f"{list(images)} is not a permutation of 1..{n}")
+        mat = Matrix.zeros(ctx, n, n)
         for j, im in enumerate(images):
-            rows[im - 1][j] = one
-        return cls(Matrix.from_rows(ctx, rows))
+            mat.entries[(im - 1) * n + j] = ctx.one()
+        return cls(mat, mat.transpose(), tag=("permutation", images))
 
     def compose(self, other):
         """Product g*h as transformations (apply h's matrix on the right of [g])."""

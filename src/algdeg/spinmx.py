@@ -4,14 +4,19 @@ Spinning realizes the cyclic module lam(FG) as a worklist closure under a
 finite generator set; over a finite field the generators have finite order, so
 closure under each g is closure under g^-1 and the generator closure equals
 the full group closure.  The irreducibility test is the classical kernel-
-vector criterion: draw theta in the enveloping algebra with ker(theta) != 0;
-if some kernel-line spin (or transposed-side spin) is proper the module is
-reducible with an exhibited witness.  If every line of ker(theta) spins to the
-whole module, a proper submodule S meets ker(theta) in 0, so theta is
-invertible on S, S lies in im(theta), and all of ker(theta^T) lies in the
-annihilator of S, a proper submodule of the transpose.  So one vector of
-ker(theta^T) decides (Norton's lemma): it spins full exactly when the module
-is irreducible.
+vector criterion with Holt-Rees shifts: draw theta in the enveloping algebra;
+every shift theta - a*I lies in the envelope too, and a root a of the order
+polynomial of e_1 under theta makes it singular.  The first such shift whose
+kernel has at most `LINE_CAP` lines is tested, and a draw with none is
+redrawn.  If some kernel-line spin (or transposed-side spin) is proper the
+module is reducible with an exhibited witness, checked invariant before it is
+returned.  If every line of ker(theta - a*I) spins to the whole module, a
+proper submodule S meets that kernel in 0, so theta - a*I is invertible on S,
+S lies in its image, and all of ker((theta - a*I)^T) lies in the annihilator
+of S, a proper submodule of the transpose.  So one vector of that kernel
+decides (Norton's lemma): it spins full exactly when the module is
+irreducible.  (Holt & Rees, "Testing modules for irreducibility", J. Austral.
+Math. Soc. A 57, 1994.)
 """
 
 import hashlib
@@ -29,7 +34,7 @@ from .gfield import FieldCtx, primitive_element
 from .report import claim, norton_claim
 from .structvec import act_coords
 
-LINE_CAP = 4096          # max kernel lines examined per theta draw
+LINE_CAP = 128           # max kernel lines spun for one shift of a theta draw
 NORTON_ATTEMPTS = 64
 SURVEY_BUDGET = 2 ** 22  # max |F|^dim for exhaustive vector surveys
 
@@ -48,15 +53,21 @@ def derive_seed(base, *tags):
 class GeneratorSet:
     """Group generators with provenance.
 
-    standard-finite: all unit transvections plus one primitive diagonal;
-    generates the full matrix group over a finite field.  rational-subgroup:
-    integer transvections and a 2-power diagonal; generates a subgroup only,
-    so results spun with it carry a caveat.
+    standard-finite: x_12(1), the n-cycle, the transposition (1 2) and one
+    primitive diagonal; they generate the full matrix group over a finite
+    field.  rational-subgroup: integer transvections and a 2-power diagonal;
+    they generate a subgroup only, so results spun with it carry a caveat.
+    `probe_elements` generates the same group as `elements` and is what the
+    early-exit membership probe `spin_contains` spins with: over a finite
+    field the unit transvections plus the diagonal, which reach the probes of
+    `degen` with about half the applier calls the four elements need; over Q
+    `elements` itself.
     """
     elements: list
     provenance: str
     ctx: FieldCtx
     n: int
+    probe_elements: list
 
     @property
     def subgroup_caveat(self):
@@ -64,15 +75,30 @@ class GeneratorSet:
 
 
 def standard_generators(ctx, n):
-    """Unit transvections x_ij(1) plus diag(zeta,1,...,1), zeta primitive."""
+    """x_12(1), the n-cycle (1 2 ... n), the transposition (1 2) and diag(zeta, 1, ..., 1).
+
+    The permutations generate the symmetric group, which conjugates x_12(1)
+    to every x_ij(1).  Conjugating x_1j(1) by powers of the diagonal gives
+    x_1j(zeta^k), the powers of the primitive zeta span F additively, so
+    products reach every x_ij(t); these generate SL(n, q), and the diagonal's
+    determinant zeta then gives GL(n, q).  Over GF(2) the diagonal is the
+    identity and is dropped, and at n = 2 the cycle is the transposition.
+    """
     if ctx.kind != "finite":
         raise ValueError("standard generators need a finite field")
-    gens = [GroupElement.transvection(ctx, n, i, j)
-            for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    cycle = list(range(2, n + 1)) + [1]
+    swap = [2, 1] + list(range(3, n + 1))
+    gens = [GroupElement.transvection(ctx, n, 1, 2), GroupElement.permutation(ctx, cycle)]
+    if swap != cycle:
+        gens.append(GroupElement.permutation(ctx, swap))
+    probe = [GroupElement.transvection(ctx, n, i, j)
+             for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
     if ctx.order > 2:
         zeta = primitive_element(ctx).raw
-        gens.append(GroupElement.diagonal(ctx, [zeta] + [ctx.one()] * (n - 1)))
-    return GeneratorSet(gens, "standard-finite", ctx, n)
+        diag = GroupElement.diagonal(ctx, [zeta] + [ctx.one()] * (n - 1))
+        gens.append(diag)
+        probe.append(diag)
+    return GeneratorSet(gens, "standard-finite", ctx, n, probe)
 
 
 def rational_generators(ctx, n):
@@ -88,7 +114,7 @@ def rational_generators(ctx, n):
     two = ctx.from_int(2)
     gens.append(GroupElement.diagonal(ctx, [two] + [ctx.one()] * (n - 1)))
     gens.append(GroupElement.diagonal(ctx, [ctx.inv(two)] + [ctx.one()] * (n - 1)))
-    return GeneratorSet(gens, "rational-subgroup", ctx, n)
+    return GeneratorSet(gens, "rational-subgroup", ctx, n, gens)
 
 
 def _span_closure(seed_rows, appliers, ambient, ctx, probe=None):
@@ -122,9 +148,10 @@ def _span_closure(seed_rows, appliers, ambient, ctx, probe=None):
         batch = (f(r) for f in appliers)     # lazy: a probe hit skips the rest
 
 
-def _structvec_appliers(gens):
+def _structvec_appliers(gens, elements=None):
     ctx, n = gens.ctx, gens.n
-    return [lambda r, g=g: act_coords(r, g, n, ctx) for g in gens.elements]
+    return [lambda r, g=g: act_coords(r, g, n, ctx)
+            for g in (gens.elements if elements is None else elements)]
 
 
 def _check_field(gens, *data):
@@ -143,9 +170,14 @@ def spin(lam, gens):
 
 
 def spin_contains(lam, gens, probe):
-    """Membership probe ran inside the closure loop (early exit on success)."""
+    """Membership probe ran inside the closure loop (early exit on success).
+
+    Spins with `gens.probe_elements`, which generate the same group as
+    `gens.elements`, so the closure and the answer are the same.
+    """
     _check_field(gens, lam, probe)
-    _, hit = _span_closure([getattr(lam, "coords", lam)], _structvec_appliers(gens),
+    _, hit = _span_closure([getattr(lam, "coords", lam)],
+                           _structvec_appliers(gens, gens.probe_elements),
                            gens.n ** 3, gens.ctx, probe=getattr(probe, "coords", probe))
     return hit
 
@@ -305,13 +337,80 @@ def _random_envelope(handle, rng):
     return theta
 
 
-def norton_irreducible(handle, seed):
-    """Kernel-vector irreducibility test with exhaustive fallback.
+def _eigenvalue_candidates(theta, ctx):
+    """The roots in F of the order polynomial of e_1 under theta (rows act on the right).
 
-    Reducible verdicts always carry an explicit invariant witness subspace.
-    Irreducible verdicts require every kernel line of some singular theta to
-    spin full on the module, and one vector of ker(theta^T) to spin full on
-    the transpose (Norton's lemma; see the module docstring).
+    Echelon rows [e_1 theta^k | x^k] of length 2d + 1: the first one whose
+    vector part reduces to zero carries in its tail a nonzero multiple of the
+    least polynomial p with e_1 p(theta) = 0.  Each root a of p is an
+    eigenvalue, so theta - a*I is singular.  Roots are tested by Horner.
+    """
+    d = len(theta)
+    rows = [ctx.pack(r) for r in theta]
+    zero, one = ctx.zero(), ctx.one()
+    ech = Echelon(ctx, 2 * d + 1)
+    v = ctx.pack([one] + [zero] * (d - 1))
+    for k in range(d + 1):
+        row = ech.add(v + ctx.pack([zero] * k + [one] + [zero] * (d - k)))
+        if ctx.lead(row) >= d:
+            poly = row[d:d + k + 1]
+            break
+        v = combine(v, rows, ctx)
+    roots = []
+    for a in ctx.raw_elements():
+        acc = zero
+        for c in reversed(poly):
+            acc = ctx.add(ctx.mul(acc, a), c)
+        if acc == zero:
+            roots.append(a)
+    return roots
+
+
+def _small_shift(theta, ctx):
+    """The first shift theta - a*I at a root a whose kernel has 1..`LINE_CAP` lines.
+
+    Returns (a, shifted rows, module-side kernel rows, kernel lines), or None.
+    """
+    d = len(theta)
+    for a in _eigenvalue_candidates(theta, ctx):
+        shifted = [list(r) for r in theta]
+        for i, r in enumerate(shifted):
+            r[i] = ctx.sub(r[i], a)
+        ker = kernel_rows(_transpose_rows(shifted), d, ctx)
+        lines = _lines_of(ker, ctx, LINE_CAP) if len(ker) < d else None
+        if lines:
+            return a, shifted, ker, lines
+    return None
+
+
+def _reducible(handle, rows, detail):
+    """The reducible verdict on witness rows in handle coordinates, checked first.
+
+    The rows must span a proper nonzero subspace that every action matrix
+    maps into itself; otherwise the test itself is wrong, which is a
+    RuntimeError (an internal error), never a verdict.
+    """
+    ctx, d = handle.ctx, handle.dim
+    wit = Subspace(ctx, d, rows)
+    if not 0 < wit.dim < d:
+        raise RuntimeError(f"the witness for {handle.label!r} has dimension {wit.dim} of {d}")
+    for f in _handle_appliers(handle.action, ctx):
+        for r in wit._rows:
+            if ctx.lead(_eliminate(f(r), wit._rows, wit.pivots, ctx)) != d:
+                raise RuntimeError(f"the witness for {handle.label!r} is not invariant")
+    return NortonResult("reducible", handle.preimage(rows), rows, detail)
+
+
+def norton_irreducible(handle, seed):
+    """Kernel-vector irreducibility test with Holt-Rees shifts and exhaustive fallback.
+
+    Each draw theta is tested at the first root a (`_small_shift`) whose
+    kernel of theta - a*I has at most `LINE_CAP` lines, or redrawn.
+    Reducible verdicts always carry an explicit witness subspace, checked
+    invariant (`_reducible`).  Irreducible verdicts require every kernel line
+    of that shift to spin full on the module, and one vector of the kernel of
+    its transpose to spin full on the transpose (Norton's lemma; see the
+    module docstring).
     """
     ctx, d = handle.ctx, handle.dim
     if d == 0:
@@ -320,35 +419,28 @@ def norton_irreducible(handle, seed):
         return NortonResult("irreducible", None, None, {"reason": "dimension 1"})
     rng = random.Random(derive_seed(seed, "norton", handle.label, d))
     for attempt in range(NORTON_ATTEMPTS):
-        theta = _random_envelope(handle, rng)
-        ker = kernel_rows(_transpose_rows(theta), d, ctx)
-        if not ker or len(ker) == d:
+        found = _small_shift(_random_envelope(handle, rng), ctx)
+        if found is None:
             continue
-        lines = _lines_of(ker, ctx, LINE_CAP)
-        if lines is None:
-            continue
+        a, shifted, ker, lines = found
+        detail = {"attempt": attempt, "shift": ctx.raw_to_json(a), "nullity": len(ker)}
         proper = _first_proper_spin(handle.action, lines, d, ctx)
         if proper is not None:
-            wit_rows = [list(r) for r in proper.rows]
-            return NortonResult("reducible", handle.preimage(wit_rows), wit_rows,
-                                {"attempt": attempt, "nullity": len(ker), "side": "module"})
-        # nullity(theta^T) = nullity(theta); ker_t[0] is the first line of ker(theta^T)
-        ker_t = kernel_rows(theta, d, ctx)
+            return _reducible(handle, [list(r) for r in proper.rows],
+                              {**detail, "side": "module"})
+        # the transpose has the same nullity; its first kernel row decides
+        ker_t = kernel_rows(shifted, d, ctx)
         action_t = [_transpose_rows(m) for m in handle.action]
         proper_t = _first_proper_spin(action_t, ker_t[:1], d, ctx)
         if proper_t is not None:
             ann = kernel_rows([list(r) for r in proper_t.rows], d, ctx)
-            return NortonResult("reducible", handle.preimage(ann), ann,
-                                {"attempt": attempt, "nullity": len(ker_t), "side": "dual"})
-        return NortonResult("irreducible", None, None,
-                            {"attempt": attempt, "nullity": len(ker)})
+            return _reducible(handle, ann, {**detail, "side": "dual"})
+        return NortonResult("irreducible", None, None, detail)
     if ctx.order ** d <= SURVEY_BUDGET:
         lines = _line_orbit_reps(handle.action, ctx, d)
         proper = _first_proper_spin(handle.action, lines, d, ctx)
         if proper is not None:
-            wit_rows = [list(r) for r in proper.rows]
-            return NortonResult("reducible", handle.preimage(wit_rows), wit_rows,
-                                {"mode": "exhaustive"})
+            return _reducible(handle, [list(r) for r in proper.rows], {"mode": "exhaustive"})
         return NortonResult("irreducible", None, None, {"mode": "exhaustive"})
     return NortonResult("inconclusive", None, None, {"attempts": NORTON_ATTEMPTS})
 

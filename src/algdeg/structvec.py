@@ -8,13 +8,18 @@ g v_1, ..., g v_n:
 
     (lam g)_ijk = sum_{a,b,c} g_ai g_bj (g^-1)_kc lam_abc
 
-computed as three mode contractions (O(n^4) each), with sparse fast paths for
-tagged transvection and diagonal group elements.  Every path, and the actions
-on V and its dual, is a sequence of slice updates through the field's row
+computed as three mode contractions (O(n^4) each), with fast paths for
+tagged group elements.  A permutation sigma (g v_j = v_sigma(j)) only
+relabels coordinates, (lam g)_ijk = lam_{sigma i, sigma j, sigma k}, which is
+one cached `itemgetter` gather.  Transvections, diagonals, the general path
+and the actions on V and its dual are slice updates through the field's row
 kernels (`row_submul`, `row_scale`, `combine`): on a `bytearray` where
 `FieldCtx.packed` holds, on a list otherwise.  `StructureVector.coords` is
 always a list.
 """
+
+from functools import lru_cache
+from operator import itemgetter
 
 from .exactla import Matrix, combine
 from .gfield import FieldCtx, FieldElement
@@ -189,11 +194,21 @@ def act_coords(coords, g, n, ctx):
     """Raw-coordinate action; dispatches on the generator tag when present."""
     tag = g.tag
     if tag is not None:
+        if tag[0] == "permutation":
+            return ctx.pack(_gather(n, tag[1])(coords))
         if tag[0] == "transvection":
             return _act_transvection(coords, n, ctx, tag[1], tag[2], tag[3])
         if tag[0] == "diagonal":
             return _act_diagonal(coords, n, ctx, tag[1])
     return _act_general(coords, g.mat, g.inv, n, ctx)
+
+
+@lru_cache(maxsize=256)
+def _gather(n, images):
+    """The getter of out[i, j, k] = in[sigma i, sigma j, sigma k] over flat indices."""
+    s = [im - 1 for im in images]
+    nn = n * n
+    return itemgetter(*[a * nn + b * n + c for a in s for b in s for c in s])
 
 
 def _work(coords, ctx):

@@ -211,8 +211,12 @@ def test_group_element_constructors():
     assert d.inv.rows()[0][0] == 3
     p = GroupElement.permutation(GF3, [2, 1, 3])
     assert p.mat.rows() == [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
+    assert p.tag == ("permutation", (2, 1, 3))
     with pytest.raises(ValueError):
         GroupElement.transvection(GF3, 3, 2, 2)
+    for images in ([1, 1, 2], [0, 1, 2], [1, 2, 4]):
+        with pytest.raises(ValueError, match="is not a permutation"):
+            GroupElement.permutation(GF3, images)
 
 
 def test_group_element_compose():

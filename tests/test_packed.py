@@ -178,6 +178,25 @@ def test_diagonal_and_general_actions_match_the_action_matrix(ctx, n, kind, data
     _check_action(ctx, n, g, action_matrix(g, n).rows(), data)
 
 
+@per_field
+@pytest.mark.parametrize("n", [3, 4])
+@settings(max_examples=10, deadline=None)   # each example builds an n^3 x n^3 matrix
+@given(data=st.data())
+def test_permutation_gather_matches_the_action_matrix(ctx, n, data):
+    sigma = data.draw(st.permutations(range(1, n + 1)))
+    tau = data.draw(st.permutations(range(1, n + 1)))
+    g, h = GroupElement.permutation(ctx, sigma), GroupElement.permutation(ctx, tau)
+    assert g.tag == ("permutation", tuple(sigma))
+    _check_action(ctx, n, g, action_matrix(g, n).rows(), data)
+    # act(act(lam, sigma), tau) = act(lam, sigma tau); the product is gathered
+    # when tagged (g h v_j = v_sigma(tau(j))) and contracted when untagged
+    lam = StructureVector(ctx, n, data.draw(
+        st.lists(_scalars(ctx), min_size=n ** 3, max_size=n ** 3)))
+    gh = GroupElement.permutation(ctx, [sigma[t - 1] for t in tau])
+    assert gh == g * h and (g * h).tag is None
+    assert act(act(lam, g), h) == act(lam, gh) == act(lam, g * h)
+
+
 # -- survey line images ------------------------------------------------------------------
 
 @pytest.mark.parametrize("ctx", [c for c in FIELDS if c.kind == "finite"] + [make_field(17)],

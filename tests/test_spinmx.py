@@ -1,8 +1,10 @@
+import dataclasses
 import random
 
 import pytest
 
 from algdeg import spinmx
+from algdeg.cli import main
 from algdeg.gfield import make_field
 from algdeg.exactla import Subspace, combine, kernel_rows, random_invertible
 from algdeg.gamma2 import gamma_handle
@@ -17,6 +19,7 @@ from algdeg.spinmx import (
     rational_generators, spin, spin_contains, standard_generators,
     survey_submodules, verify_lattice_diagrams, is_generator_stable,
 )
+from test_packed import FIELDS
 from algdeg.spinmx import (
     _all_lines, _first_proper_spin, _handle_appliers, _line_orbit_reps, _lines_of,
     _random_envelope, _span_closure, _structvec_appliers, _transpose_rows,
@@ -33,9 +36,90 @@ def gens_for(ctx, n):
 
 
 def test_standard_generator_count():
-    assert len(gens_for(GF3, 3).elements) == 7
-    assert len(gens_for(GF5, 4).elements) == 13
-    assert len(standard_generators(make_field(2), 3).elements) == 6
+    # x_12(1), the n-cycle, the transposition (1 2), diag(zeta, 1, ..., 1);
+    # the membership probe keeps the unit transvections plus the diagonal
+    for ctx, n, count, probe in ((GF3, 3, 4, 7), (GF5, 4, 4, 13), (make_field(2), 3, 3, 6)):
+        gens = standard_generators(ctx, n)
+        assert len(gens.elements) == count and len(gens.probe_elements) == probe
+        assert [g.tag[0] for g in gens.elements[:3]] == ["transvection", "permutation",
+                                                         "permutation"]
+
+
+def _bfs_group_order(ctx, mats, n):
+    """Size of the group the matrices generate, by BFS over right products.
+
+    A matrix is a tuple of columns; column j of g*s sums the columns k of g
+    scaled by the nonzero s_kj.
+    """
+    els = ctx.raw_elements()
+    add = [[ctx.add(a, b) for b in els] for a in els]
+    mul = [[ctx.mul(a, b) for b in els] for a in els]
+    zero = ctx.zero()
+
+    def column_terms(entries):
+        return [[(k, entries[k * n + j]) for k in range(n) if entries[k * n + j] != zero]
+                for j in range(n)]
+
+    def times(g, terms):
+        out = []
+        for col in terms:
+            acc = (zero,) * n
+            for k, c in col:
+                acc = tuple(add[x][mul[c][y]] for x, y in zip(acc, g[k]))
+            out.append(acc)
+        return tuple(out)
+
+    gens = [column_terms(m) for m in mats]
+    start = tuple(tuple(ctx.one() if i == j else zero for i in range(n)) for j in range(n))
+    seen, todo = {start}, [start]
+    while todo:
+        g = todo.pop()
+        for t in gens:
+            h = times(g, t)
+            if h not in seen:
+                seen.add(h)
+                todo.append(h)
+    return len(seen)
+
+
+@pytest.mark.parametrize("n, p, k, order", [
+    (3, 2, 1, 168), (3, 3, 1, 11232), (4, 2, 1, 20160), (2, 2, 2, 180),
+    (2, 5, 1, 480), (2, 7, 1, 2016), (2, 2, 3, 3528), (2, 3, 2, 5760)])
+def test_standard_generators_generate_the_general_linear_group(n, p, k, order):
+    ctx = make_field(p, k)
+    q = ctx.order
+    gl = 1
+    for i in range(n):
+        gl *= q ** n - q ** i
+    assert gl == order
+    gens = standard_generators(ctx, n)
+    assert _bfs_group_order(ctx, [g.mat.entries for g in gens.elements], n) == order
+
+
+@pytest.mark.parametrize("ctx", [c for c in FIELDS if c.kind == "finite"], ids=repr)
+def test_spin_is_the_same_with_the_transvection_set(ctx):
+    gens = standard_generators(ctx, 3)
+    old = dataclasses.replace(gens, elements=gens.probe_elements)
+    rng = random.Random(derive_seed(5, ctx.order))
+    vectors = [eta(ctx, 3), delta(ctx, 3), unit(ctx, 3, 1, 2, 3)]
+    vectors += [StructureVector(ctx, 3, [rng.randrange(ctx.order) if rng.random() < 0.2 else 0
+                                         for _ in range(27)]) for _ in range(3)]
+    for lam in vectors:
+        assert spin(lam, gens) == spin(lam, old)
+
+
+def test_a_witness_that_is_not_invariant_is_an_internal_error(monkeypatch, capsys):
+    h = module_handle(gens_for(GF5, 3), basis_K(GF5, 3), label="K")
+    e1 = [1] + [0] * (h.dim - 1)
+    assert not is_generator_stable(h.preimage([e1]), gens_for(GF5, 3))
+    for witness, message in (([e1], "is not invariant"), ([], "has dimension 0 of 9")):
+        monkeypatch.setattr(spinmx, "_first_proper_spin",
+                            lambda action, lines, d, ctx: Subspace(ctx, d, witness))
+        with pytest.raises(RuntimeError, match=message):
+            norton_irreducible(h, seed=7)
+    # through the command line the check is an internal error, exit 4
+    assert main(["lattice", "--n", "3", "--field", "5"]) == 4
+    assert "RuntimeError: the witness for" in capsys.readouterr().err
 
 
 def test_generators_act_transitively_on_dual():
@@ -190,11 +274,13 @@ def test_norton_lemma_one_dual_vector_decides():
             if decided == 8:
                 break
         assert decided == 8, h.label
-    # seed 21 decides on the dual side at nullity 2, where ker(theta^T) has five lines
-    res = norton_irreducible(lam_nm, seed=21)
+    # on N over GF(4), seed 11 decides on the dual side at nullity 2, where the
+    # kernel of the shift's transpose has five lines
+    N = basis_N(GF4, 3)
+    res = norton_irreducible(module_handle(gens_for(GF4, 3), N, label="N"), seed=11)
     assert res.verdict == "reducible" and res.detail["side"] == "dual"
     assert res.detail["nullity"] == 2
-    assert NM < res.witness < Subspace.full(GF4, 27)
+    assert Subspace.zero(GF4, 27) < res.witness < N
     assert is_generator_stable(res.witness, gens_for(GF4, 3))
 
 
