@@ -3,17 +3,20 @@
 Matrices are row-major lists of raw scalars.  `Echelon` is the one elimination
 engine: every rref, rank, kernel, sum and intersection runs on it.  It packs
 each input row once (`FieldCtx.pack`: `bytes` over GF(p), p <= 13, and
-GF(2^k), a list elsewhere) and stores packed rows, so a vector is reduced
-against every stored row with no conversions, all in the one loop
-`_eliminate`.  `combine`, `reduce_against`
-and `Echelon.add` hand back packed rows for further elimination; the results
-that leave the engine, `rref_rows` rows, `Subspace.rows` and `Matrix.entries`,
-stay lists and tuples of raw scalars.  Subspace
-keeps the canonical reduced row-echelon basis, so equal subspaces compare
-equal as data.  Pivots are first nonzero entries: exact arithmetic makes
-stability a non-issue and the unique reduced form makes outputs diffable.
+GF(2^k), a list elsewhere) and stores packed rows, and every reduction of a
+vector against echelon rows goes through its one entry point, `reduce`.
+Over packed fields the echelon also holds an int view of each row and a
+pivot mask, and `FieldCtx.row_eliminate` jumps from one pivot to clear to
+the next, so a reduction costs one step per row operation rather than one
+per stored row; over the list fields it walks the stored rows in pivot
+order.  `combine`, `reduce_against` and `Echelon.add` hand back packed rows
+for further elimination; the results that leave the engine, `rref_rows`
+rows, `Subspace.rows` and `Matrix.entries`, stay lists and tuples of raw
+scalars.  Subspace keeps the canonical reduced row-echelon basis, so equal
+subspaces compare equal as data, together with the `Echelon` over it.
+Pivots are first nonzero entries: exact arithmetic makes stability a
+non-issue and the unique reduced form makes outputs diffable.
 """
-
 from bisect import bisect_left
 
 from .gfield import FieldCtx
@@ -30,28 +33,17 @@ def rref_rows(rows, ctx):
     return [list(r) for r in red], pivots
 
 
-def _eliminate(v, rows, pivots, ctx):
-    """Clear each pivot column of the packed row v with its echelon row, in pivot order.
-
-    The one elimination loop: every reduction of a vector against echelon
-    rows runs here.  Each row is zero at the pivots before its own, so a
-    cleared column stays clear.
-    """
-    for row, p in zip(rows, pivots):
-        c = v[p]
-        if c:
-            v = ctx.row_submul(v, row, c)
-    return v
-
-
 def reduce_against(vec, rows, pivots, ctx):
     """Residual of vec after elimination against rref rows, as a packed row."""
-    return _eliminate(ctx.pack(vec), rows, pivots, ctx)
+    return Echelon.from_rref(ctx, len(vec), rows, pivots).reduce(vec)
 
 
 def combine(coeffs, rows, ctx):
     """sum_i coeffs[i] * rows[i] as a packed row, skipping zero coefficients."""
-    out = ctx.pack([ctx.zero()] * len(rows[0]))
+    if ctx.packed:
+        return ctx.row_combine([(c, int.from_bytes(r, "big"))
+                                for c, r in zip(coeffs, rows) if c], len(rows[0]))
+    out = [ctx.zero()] * len(rows[0])
     for c, row in zip(coeffs, rows):
         if c:
             out = ctx.row_addmul(out, row, c)
@@ -65,29 +57,81 @@ class Echelon:
     pivot, so reducing a vector against the rows in pivot order clears every
     pivot column: the residual is unique, and zero exactly for members of the
     span.  `reduced` back-substitutes to the reduced row echelon form.
+
+    Over packed fields the echelon also keeps an int view of each row, keyed
+    by the bit shift of its pivot slot, and one pivot mask, 0xFF at each
+    pivot slot; `reduce` hands them to `FieldCtx.row_eliminate`, which goes
+    straight to the next pivot to clear.  Elsewhere `reduce` walks the
+    stored rows in pivot order.  `reduce` is the one elimination routine.
     """
 
-    __slots__ = ("ctx", "ambient", "rows", "pivots")
+    __slots__ = ("ctx", "ambient", "rows", "pivots", "_ints", "_mask")
 
     def __init__(self, ctx, ambient, rows=()):
         self.ctx = ctx
         self.ambient = ambient
         self.rows = []
         self.pivots = []
+        self._ints = {} if ctx.packed else None
+        self._mask = 0
         for r in rows:
             self.add(r)
+
+    @classmethod
+    def from_rref(cls, ctx, ambient, rows, pivots):
+        """The echelon of rows already in echelon form with these pivots, without elimination."""
+        ech = cls(ctx, ambient)
+        ech.rows = [ctx.pack(r) for r in rows] if ctx.packed else list(rows)
+        ech.pivots = list(pivots)
+        if ctx.packed:
+            for r, p in zip(ech.rows, ech.pivots):
+                ech._view(r, p)
+        return ech
+
+    def copy(self):
+        out = Echelon(self.ctx, self.ambient)
+        out.rows, out.pivots, out._mask = list(self.rows), list(self.pivots), self._mask
+        if self._ints is not None:
+            out._ints = dict(self._ints)
+        return out
+
+    def _view(self, row, pivot):
+        sh = (self.ambient - 1 - pivot) << 3
+        self._ints[sh] = int.from_bytes(row, "big")
+        self._mask |= 0xFF << sh
 
     @property
     def dim(self):
         return len(self.rows)
 
+    def reduce(self, vec):
+        """Residual of vec after clearing every stored pivot, as a packed row."""
+        v = self.ctx.pack(vec)
+        if len(v) != self.ambient:
+            raise ValueError("row length does not match the ambient dimension")
+        return self._clear(v, 0)
+
+    def _clear(self, v, start):
+        """The packed row v with the pivots of rows[start:] cleared: the one elimination loop."""
+        ctx, rows, pivots = self.ctx, self.rows, self.pivots
+        if self._ints is None:
+            for j in range(start, len(rows)):
+                c = v[pivots[j]]
+                if c:
+                    v = ctx.row_submul(v, rows[j], c)
+            return v
+        mask = self._mask
+        if start:
+            mask &= (1 << ((self.ambient - 1 - pivots[start - 1]) << 3)) - 1
+        x = int.from_bytes(v, "big")
+        if not x & mask:
+            return v
+        return ctx.row_eliminate(x, mask, self._ints, self.ambient)
+
     def add(self, vec):
         """Insert if independent; returns the reduced, normalized packed row or None."""
         ctx = self.ctx
-        v = ctx.pack(vec)
-        if len(v) != self.ambient:
-            raise ValueError("row length does not match the ambient dimension")
-        v = _eliminate(v, self.rows, self.pivots, ctx)
+        v = self.reduce(vec)
         lead = ctx.lead(v)
         if lead == self.ambient:
             return None
@@ -97,6 +141,8 @@ class Echelon:
         at = bisect_left(self.pivots, lead)
         self.rows.insert(at, v)
         self.pivots.insert(at, lead)
+        if self._ints is not None:
+            self._view(v, lead)
         return v
 
     def reduced(self):
@@ -105,24 +151,48 @@ class Echelon:
         Each row is reduced against the rows below it, which are already
         reduced, so each is zero at every pivot but its own.
         """
-        ctx, rows, pivots = self.ctx, self.rows, self.pivots
+        rows, pivots, ints = self.rows, self.pivots, self._ints
         for j in range(len(rows) - 2, -1, -1):
-            rows[j] = _eliminate(rows[j], rows[j + 1:], pivots[j + 1:], ctx)
+            row = self._clear(rows[j], j + 1)
+            if row is not rows[j]:
+                rows[j] = row
+                if ints is not None:
+                    ints[(self.ambient - 1 - pivots[j]) << 3] = int.from_bytes(row, "big")
         return rows, pivots
 
+    def reduce_with_coeffs(self, vec):
+        """Packed residual plus the elimination coefficients (vec = sum c_i rows_i + residual).
+
+        The rows must be rref rows: each is zero at every pivot but its own,
+        so the coefficient of a row is vec's entry at its pivot.
+        """
+        v = self.ctx.pack(vec)
+        return self.reduce(v), [v[p] for p in self.pivots]
+
+    def quotient_coords(self, vec, reps):
+        """Coordinates of vec + span(rows) over the rref echelon `reps`; the residual must vanish."""
+        res, coeffs = reps.reduce_with_coeffs(self.reduce(vec))
+        if self.ctx.lead(res) != len(res):
+            raise ValueError("vector does not lie in the given span")
+        return coeffs
+
     def subspace(self):
-        rows, pivots = self.reduced()
-        return Subspace(self.ctx, self.ambient, rows, pivots)
+        self.reduced()
+        return Subspace._of(self.copy())
 
 
 def reduce_with_coeffs(vec, rows, pivots, ctx):
-    """Packed residual plus the elimination coefficients (vec = sum c_i rows_i + residual).
+    """One-shot `Echelon.reduce_with_coeffs` against rref rows."""
+    return Echelon.from_rref(ctx, len(vec), rows, pivots).reduce_with_coeffs(vec)
 
-    `rows` must be rref rows: each is zero at every pivot but its own, so
-    the coefficient of a row is vec's entry at its pivot.
-    """
-    v = ctx.pack(vec)
-    return _eliminate(v, rows, pivots, ctx), [v[p] for p in pivots]
+
+def combiner(rows, ctx):
+    """coeffs -> combine(coeffs, rows, ctx), with the rows read into the kernel's form once."""
+    if not ctx.packed:
+        return lambda coeffs: combine(coeffs, rows, ctx)
+    ints = [int.from_bytes(r, "big") for r in rows]
+    d = len(rows[0]) if rows else 0
+    return lambda coeffs: ctx.row_combine(zip(coeffs, ints), d)
 
 
 class Matrix:
@@ -239,21 +309,36 @@ class Subspace:
     """A subspace of F^d held as its canonical rref basis (no zero rows).
 
     `rows` is a tuple of tuples of raw scalars; `_rows` holds the same rows
-    packed (`FieldCtx.pack`) for the elimination kernels.  A caller that
-    passes `pivots` vouches that `rows` already are that rref; otherwise the
-    rows are reduced here.
+    packed (`FieldCtx.pack`) and `_ech` the `Echelon` over them, which every
+    membership test and quotient reduces against.  A caller that passes
+    `pivots` vouches that `rows` already are that rref; otherwise the rows
+    are reduced here.
     """
 
-    __slots__ = ("ctx", "ambient", "rows", "pivots", "_rows")
+    __slots__ = ("ctx", "ambient", "rows", "pivots", "_rows", "_ech")
 
     def __init__(self, ctx, ambient, rows, pivots=None):
-        self.ctx = ctx
-        self.ambient = ambient
         if pivots is None:
-            rows, pivots = Echelon(ctx, ambient, rows).reduced()
-        self.rows = tuple(tuple(r) for r in rows)
-        self.pivots = tuple(pivots)
-        self._rows = tuple(map(ctx.pack, rows)) if ctx.packed else self.rows
+            ech = Echelon(ctx, ambient, rows)
+            ech.reduced()
+        else:
+            ech = Echelon.from_rref(ctx, ambient, rows, pivots)
+        self._hold(ech)
+
+    @classmethod
+    def _of(cls, ech):
+        """The subspace of a reduced echelon, which it takes over."""
+        out = object.__new__(cls)
+        out._hold(ech)
+        return out
+
+    def _hold(self, ech):
+        self.ctx, self.ambient, self._ech = ech.ctx, ech.ambient, ech
+        self.rows = tuple(tuple(r) for r in ech.rows)
+        self.pivots = tuple(ech.pivots)
+        if not ech.ctx.packed:
+            ech.rows = list(self.rows)
+        self._rows = tuple(ech.rows)
 
     @classmethod
     def zero(cls, ctx, ambient):
@@ -272,8 +357,7 @@ class Subspace:
         vec = getattr(vec, "coords", vec)
         if len(vec) != self.ambient:
             raise ValueError("vector length does not match the ambient dimension")
-        res = reduce_against(vec, self._rows, self.pivots, self.ctx)
-        return self.ctx.lead(res) == self.ambient
+        return self.ctx.lead(self._ech.reduce(vec)) == self.ambient
 
     def __contains__(self, vec):
         return self.contains(vec)
@@ -301,7 +385,12 @@ class Subspace:
 
     def sum(self, other):
         self._check_compatible(other)
-        return Subspace(self.ctx, self.ambient, self._rows + other._rows)
+        big, small = (self, other) if self.dim >= other.dim else (other, self)
+        ech = big._ech.copy()
+        for r in small._rows:
+            ech.add(r)
+        ech.reduced()
+        return Subspace._of(ech)
 
     def __or__(self, other):
         return self.sum(other)
@@ -329,7 +418,7 @@ class Subspace:
         """Echelon basis of a complement of sub in self; cosets form a quotient basis."""
         if not sub <= self:
             raise ValueError("not a subspace of this space")
-        ech = Echelon(self.ctx, self.ambient, sub._rows)
+        ech = sub._ech.copy()
         reps = [t for t in map(ech.add, self._rows) if t is not None]
         return rref_rows(reps, self.ctx)[0]
 
@@ -368,12 +457,10 @@ def solve_right(rows, rhs, ctx):
 
 
 def quotient_coords(vec, sub_rows, sub_pivots, reps, rep_pivots, ctx):
-    """Coordinates of vec + sub over the complement basis reps; residual must vanish."""
-    t = reduce_against(vec, sub_rows, sub_pivots, ctx)
-    res, coeffs = reduce_with_coeffs(t, reps, rep_pivots, ctx)
-    if ctx.lead(res) != len(res):
-        raise ValueError("vector does not lie in the given span")
-    return coeffs
+    """One-shot `Echelon.quotient_coords`: vec + sub over the complement basis reps."""
+    d = len(vec)
+    return Echelon.from_rref(ctx, d, sub_rows, sub_pivots).quotient_coords(
+        vec, Echelon.from_rref(ctx, d, reps, rep_pivots))
 
 
 class GroupElement:

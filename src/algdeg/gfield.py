@@ -7,7 +7,10 @@ Hot loops in the linear algebra work on raw rows through the ctx kernels
 (`row_submul`, `row_scale`, `lead`).  Over GF(p), p <= 13, and GF(2^k) a row
 is packed: a `bytes` object holding one raw code per byte, and a row update
 is one big-int operation plus one `bytes.translate` (the packed-row method of
-Boothby & Bradshaw, arXiv:0901.1413).  Other fields keep rows as lists.
+Boothby & Bradshaw, arXiv:0901.1413).  Eliminations and linear combinations
+run on the rows read as big ints (`row_eliminate`, `row_combine`): they add
+whole rows and, over GF(p), reduce the slots mod p with one `translate`
+only when a slot could next pass 255.  Other fields keep rows as lists.
 """
 
 from fractions import Fraction
@@ -139,6 +142,9 @@ class FieldCtx:
             self._scale_bytes = [bytes(self.mul(c, x) if x < q else 0 for x in range(256))
                                  for c in range(q)]
             self._mod_bytes = bytes(x % char for x in range(256))
+            # terms a reduced slot takes before it could pass 255: each adds
+            # at most (p-1)^2 to a slot of at most p-1
+            self._lazy_terms = (256 - char) // (char - 1) ** 2
 
     def _decode(self, r):
         """Integer repr -> coefficient list, least-significant (constant) first."""
@@ -288,6 +294,75 @@ class FieldCtx:
             mc = self._mul_table[c]
             return [mc[y] for y in v]
         return [c * y for y in v]
+
+    # -- big-int row kernels (packed fields only) --------------------------
+    #
+    # An int view is `int.from_bytes(row, "big")` of a packed row: slot j of a
+    # row of length d is the byte at bit shift 8*(d-1-j).  Over GF(p) the
+    # kernels add whole rows and reduce the slots only once they could pass
+    # 255, every `_lazy_terms` terms (63 for GF(3), 15 for GF(5), 6 for GF(7),
+    # 2 for GF(11), 1 for GF(13)) and once at the end; over GF(2^k) they XOR.
+
+    def _reduced_int(self, x, d):
+        return int.from_bytes(x.to_bytes(d, "big").translate(self._mod_bytes), "big")
+
+    def row_combine(self, terms, d):
+        """sum c*y over the (c, y) pairs, y the int view of a row, as a packed row of length d."""
+        if self.char == 2:
+            scale = self._scale_bytes
+            x = 0
+            for c, y in terms:
+                if c == 1:
+                    x ^= y
+                elif c:
+                    x ^= int.from_bytes(y.to_bytes(d, "big").translate(scale[c]), "big")
+            return x.to_bytes(d, "big")
+        lazy = left = self._lazy_terms
+        x = 0
+        for c, y in terms:
+            if c:
+                if not left:
+                    x, left = self._reduced_int(x, d), lazy
+                x += c * y
+                left -= 1
+        return x.to_bytes(d, "big").translate(self._mod_bytes)
+
+    def row_eliminate(self, x, mask, rows, d):
+        """The int view x with every pivot slot under `mask` cleared, as a packed row of length d.
+
+        `mask` is 0xFF at each pivot slot, and `rows` maps the bit shift of
+        each pivot slot to the int view of its echelon row: 1 at that slot
+        and 0 at the pivot slots left of it (above it).  The next slot to
+        clear is the top byte of x & mask, so the loop takes one step per
+        row operation, not one per stored row; each step clears its slot
+        and changes x only to the right (below), so the slots above stay
+        clear.  Over GF(p) an unreduced slot is read mod p, so a slot that
+        is a nonzero multiple of p is skipped.
+        """
+        m = x & mask
+        if self.char == 2:
+            scale = self._scale_bytes
+            while m:
+                sh = (m.bit_length() - 1) & -8
+                c = m >> sh
+                y = rows[sh]
+                if c != 1:
+                    y = int.from_bytes(y.to_bytes(d, "big").translate(scale[c]), "big")
+                x ^= y
+                m = x & mask & ((1 << sh) - 1)
+            return x.to_bytes(d, "big")
+        p = self.char
+        lazy = left = self._lazy_terms
+        while m:
+            sh = (m.bit_length() - 1) & -8
+            c = (m >> sh) % p
+            if c:
+                if not left:
+                    x, left = self._reduced_int(x, d), lazy
+                x += (p - c) * rows[sh]
+                left -= 1
+            m = x & mask & ((1 << sh) - 1)
+        return x.to_bytes(d, "big").translate(self._mod_bytes)
 
     # -- identity / serialization ----------------------------------------
 

@@ -22,13 +22,13 @@ Math. Soc. A 57, 1994.)
 import hashlib
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product as iproduct
 from operator import add, mul, xor
 from typing import Optional
 
 from .exactla import (
-    Echelon, GroupElement, Matrix, Subspace, _eliminate, combine, kernel_rows,
-    quotient_coords,
+    Echelon, GroupElement, Matrix, Subspace, combine, combiner, kernel_rows,
 )
 from .gfield import FieldCtx, primitive_element
 from .report import claim, norton_claim
@@ -58,20 +58,29 @@ class GeneratorSet:
     field.  rational-subgroup: integer transvections and a 2-power diagonal;
     they generate a subgroup only, so results spun with it carry a caveat.
     `probe_elements` generates the same group as `elements` and is what the
-    early-exit membership probe `spin_contains` spins with: over a finite
-    field the unit transvections plus the diagonal, which reach the probes of
-    `degen` with about half the applier calls the four elements need; over Q
-    `elements` itself.
+    early-exit membership probe `spin_contains` spins with: for the standard
+    set the unit transvections plus its diagonal, which reach the probes of
+    `degen` with about half the applier calls the four elements need;
+    otherwise `elements` itself.  It is built on first use, since most
+    commands never probe.
     """
     elements: list
     provenance: str
     ctx: FieldCtx
     n: int
-    probe_elements: list
 
     @property
     def subgroup_caveat(self):
         return self.provenance == "rational-subgroup"
+
+    @cached_property
+    def probe_elements(self):
+        if self.provenance != "standard-finite":
+            return self.elements
+        ctx, n = self.ctx, self.n
+        probe = [GroupElement.transvection(ctx, n, i, j)
+                 for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+        return probe + [g for g in self.elements if g.tag and g.tag[0] == "diagonal"]
 
 
 def standard_generators(ctx, n):
@@ -91,14 +100,10 @@ def standard_generators(ctx, n):
     gens = [GroupElement.transvection(ctx, n, 1, 2), GroupElement.permutation(ctx, cycle)]
     if swap != cycle:
         gens.append(GroupElement.permutation(ctx, swap))
-    probe = [GroupElement.transvection(ctx, n, i, j)
-             for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
     if ctx.order > 2:
         zeta = primitive_element(ctx).raw
-        diag = GroupElement.diagonal(ctx, [zeta] + [ctx.one()] * (n - 1))
-        gens.append(diag)
-        probe.append(diag)
-    return GeneratorSet(gens, "standard-finite", ctx, n, probe)
+        gens.append(GroupElement.diagonal(ctx, [zeta] + [ctx.one()] * (n - 1)))
+    return GeneratorSet(gens, "standard-finite", ctx, n)
 
 
 def rational_generators(ctx, n):
@@ -114,7 +119,7 @@ def rational_generators(ctx, n):
     two = ctx.from_int(2)
     gens.append(GroupElement.diagonal(ctx, [two] + [ctx.one()] * (n - 1)))
     gens.append(GroupElement.diagonal(ctx, [ctx.inv(two)] + [ctx.one()] * (n - 1)))
-    return GeneratorSet(gens, "rational-subgroup", ctx, n, gens)
+    return GeneratorSet(gens, "rational-subgroup", ctx, n)
 
 
 def _span_closure(seed_rows, appliers, ambient, ctx, probe=None):
@@ -139,7 +144,7 @@ def _span_closure(seed_rows, appliers, ambient, ctx, probe=None):
                 continue
             queue.append(added)
             if residual is not None:
-                residual = _eliminate(residual, ech.rows, ech.pivots, ctx)
+                residual = ech.reduce(residual)
                 if ctx.lead(residual) == ambient:
                     return ech, True
         if not queue or ech.dim == ambient:
@@ -223,7 +228,7 @@ class ModuleHandle:
 
     def lift(self, coeff_rows, include_sub=False):
         """Handle-coordinate rows back to the carrier's ambient space."""
-        rows = [combine(cr, self.reps, self.ctx) for cr in coeff_rows]
+        rows = list(map(combiner(self.reps, self.ctx), coeff_rows))
         if include_sub and self.sub is not None:
             rows.extend(self.sub._rows)
         return Subspace(self.ctx, self.carrier.ambient, rows)
@@ -255,20 +260,20 @@ def module_handle(gens, carrier, sub=None, label="module"):
     appliers = _ambient_appliers(gens, carrier.ambient)
     if sub is None or sub.dim == 0:
         sub = None
-        sub_rows, sub_pivots = (), ()
+        sub_ech = Echelon(ctx, carrier.ambient)
         reps = [list(r) for r in carrier.rows]
     else:
-        sub_rows, sub_pivots = sub._rows, sub.pivots
+        sub_ech = sub._ech
         reps = carrier.coset_representatives(sub)
     packed = [ctx.pack(r) for r in reps]
-    rep_pivots = [ctx.lead(r) for r in packed]
+    rep_ech = Echelon.from_rref(ctx, carrier.ambient, packed, map(ctx.lead, packed))
     try:
-        action = [[quotient_coords(f(rep), sub_rows, sub_pivots, packed, rep_pivots, ctx)
-                   for rep in packed] for f in appliers]
+        action = [[sub_ech.quotient_coords(f(rep), rep_ech) for rep in packed]
+                  for f in appliers]
     except ValueError:
         raise ValueError(f"carrier of {label!r} is not generator-stable") from None
     if sub is not None and not all(sub.contains(f(row))
-                                   for f in appliers for row in sub_rows):
+                                   for f in appliers for row in sub._rows):
         raise ValueError(f"sub of {label!r} is not generator-stable")
     return ModuleHandle(ctx, label, carrier, sub, reps, action, gens)
 
@@ -287,7 +292,7 @@ def handle_spin(handle, coeff_row):
 
 def _handle_appliers(action, ctx):
     """One applier per action matrix: the row vector times the matrix."""
-    return [lambda r, m=[ctx.pack(row) for row in m]: combine(r, m, ctx) for m in action]
+    return [combiner(m, ctx) for m in action]
 
 
 # -- the irreducibility test ---------------------------------------------------
@@ -301,7 +306,7 @@ class NortonResult:
 
 
 def _matmul_rows(a, b, ctx):
-    return [combine(row, b, ctx) for row in a]
+    return list(map(combiner(b, ctx), a))
 
 
 def _transpose_rows(rows):
@@ -314,7 +319,7 @@ def _lines_of(rows, ctx, cap):
     q = ctx.order
     if (q ** k - 1) // (q - 1) > cap:
         return None
-    return [combine(coeffs, rows, ctx) for coeffs in _all_lines(ctx, k)]
+    return list(map(combiner(rows, ctx), _all_lines(ctx, k)))
 
 
 def _random_envelope(handle, rng):
@@ -346,7 +351,7 @@ def _eigenvalue_candidates(theta, ctx):
     eigenvalue, so theta - a*I is singular.  Roots are tested by Horner.
     """
     d = len(theta)
-    rows = [ctx.pack(r) for r in theta]
+    times_theta = combiner(theta, ctx)
     zero, one = ctx.zero(), ctx.one()
     ech = Echelon(ctx, 2 * d + 1)
     v = ctx.pack([one] + [zero] * (d - 1))
@@ -355,7 +360,7 @@ def _eigenvalue_candidates(theta, ctx):
         if ctx.lead(row) >= d:
             poly = row[d:d + k + 1]
             break
-        v = combine(v, rows, ctx)
+        v = times_theta(v)
     roots = []
     for a in ctx.raw_elements():
         acc = zero
@@ -396,7 +401,7 @@ def _reducible(handle, rows, detail):
         raise RuntimeError(f"the witness for {handle.label!r} has dimension {wit.dim} of {d}")
     for f in _handle_appliers(handle.action, ctx):
         for r in wit._rows:
-            if ctx.lead(_eliminate(f(r), wit._rows, wit.pivots, ctx)) != d:
+            if ctx.lead(wit._ech.reduce(f(r))) != d:
                 raise RuntimeError(f"the witness for {handle.label!r} is not invariant")
     return NortonResult("reducible", handle.preimage(rows), rows, detail)
 
@@ -599,8 +604,8 @@ def _line_image_codes(action, ctx, d):
     normalise = [None] + [ctx._scale_bytes[a] for a in inverse[1:]]
 
     def table(rows):
-        return [int.from_bytes(combine(cs, rows, ctx) if rows else bytes(d), "big")
-                for cs in iproduct(range(q), repeat=len(rows))]
+        times = combiner(rows, ctx)
+        return [int.from_bytes(times(cs), "big") for cs in iproduct(range(q), repeat=len(rows))]
 
     tables = [(table(m[:d // 2]), table(m[d // 2:])) for m in action]
 

@@ -47,7 +47,13 @@ class _Coords:
     def __init__(self, ctx, n, coords):
         self.ctx = ctx
         self.n = n
-        self.coords = [ctx._coerce(x) for x in coords]
+        coords = list(coords)
+        # over a finite field a list of plain ints in 0..q-1 already is raw
+        # codes; anything else (bools, other ints, elements, Q) is coerced
+        if not (ctx.kind == "finite" and coords and set(map(type, coords)) == {int}
+                and min(coords) >= 0 and max(coords) < ctx.order):
+            coords = [ctx._coerce(x) for x in coords]
+        self.coords = coords
         if len(self.coords) != self._expected_len():
             raise ValueError("coordinate list has the wrong length")
 

@@ -15,7 +15,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from algdeg import cli, spinmx
 from algdeg.exactla import (
-    Echelon, GroupElement, Matrix, Subspace, random_invertible, rref_rows,
+    Echelon, GroupElement, Matrix, Subspace, combine, combiner, quotient_coords,
+    random_invertible, reduce_with_coeffs, rref_rows,
 )
 from algdeg.gfield import make_field
 from algdeg.structvec import StructureVector, act, act_coords, action_matrix
@@ -240,6 +241,206 @@ def test_echelon_on_mixed_rows_matches_all_list_input(ctx, data):
     for r, p in zip(sub.rows, sub.pivots):
         assert ref_lead(r) == p and r[p] == ctx.one()
         assert all(s[p] == ctx.zero() for s in sub.rows if s is not r)
+
+
+# -- jump elimination and lazily reduced combine ------------------------------------------
+#
+# Over packed fields `Echelon.reduce` runs `FieldCtx.row_eliminate` on int views
+# and `combine` runs `FieldCtx.row_combine`, both reducing slots mod p only
+# every `_lazy_terms` terms.  The references below run the textbook loops on
+# the scalar operations alone.
+
+def ref_insert(ctx, rows, pivots, vec):
+    """Textbook echelon insertion: (rows, pivots) after adding vec, or None if dependent."""
+    v = ref_reduce(ctx, vec, rows, pivots)
+    lead = ref_lead(v)
+    if lead == len(v):
+        return None
+    v = ref_scale(ctx, v, ctx.inv(v[lead]))
+    at = sum(1 for p in pivots if p < lead)
+    return rows[:at] + [v] + rows[at:], pivots[:at] + [lead] + pivots[at:]
+
+
+def ref_reduce(ctx, vec, rows, pivots):
+    """Clear each pivot column of vec, one stored row at a time in pivot order."""
+    v = list(vec)
+    for row, p in sorted(zip(rows, pivots), key=lambda rp: rp[1]):
+        if v[p]:
+            v = ref_submul(ctx, v, row, v[p])
+    return v
+
+
+def ref_combine(ctx, coeffs, rows):
+    out = [ctx.zero()] * len(rows[0])
+    for c, row in zip(coeffs, rows):
+        out = ref_addmul(ctx, out, row, c)
+    return out
+
+
+def _check_views(ech):
+    """The int views and the pivot mask agree with the stored rows."""
+    if not ech.ctx.packed:
+        return
+    d = ech.ambient
+    assert ech._ints == {(d - 1 - p) * 8: int.from_bytes(r, "big")
+                         for r, p in zip(ech.rows, ech.pivots)}
+    assert ech._mask == sum(0xFF << (d - 1 - p) * 8 for p in ech.pivots)
+
+
+def test_lazy_terms_keep_every_slot_below_256():
+    got = {ctx.char: ctx._lazy_terms for ctx in FIELDS if ctx.packed and ctx.char != 2}
+    assert got == {3: 63, 5: 15, 7: 6, 11: 2, 13: 1}
+    for p, k in got.items():
+        assert (p - 1) + k * (p - 1) ** 2 <= 255 < (p - 1) + (k + 1) * (p - 1) ** 2
+
+
+@per_field
+@SETTINGS
+@given(data=st.data())
+def test_echelon_add_and_reduce_match_the_textbook_loop(ctx, data):
+    rows = data.draw(field_rows(ctx, count=data.draw(st.integers(1, 12)), max_len=24))
+    d = len(rows[0])
+    ech = Echelon(ctx, d)
+    ref_rows, ref_pivots = [], []
+    for r in rows:
+        added = ech.add(r)
+        step = ref_insert(ctx, ref_rows, ref_pivots, r)
+        assert (added is None) == (step is None)
+        if step is not None:
+            ref_rows, ref_pivots = step
+            assert list(added) == ref_rows[ref_pivots.index(ref_lead(added))]
+        assert [list(x) for x in ech.rows] == ref_rows and ech.pivots == ref_pivots
+        _check_views(ech)
+    v = data.draw(st.lists(_scalars(ctx), min_size=d, max_size=d))
+    assert list(ech.reduce(v)) == ref_reduce(ctx, v, ref_rows, ref_pivots)
+
+
+@per_field
+@SETTINGS
+@given(data=st.data())
+def test_reduced_then_more_adds_keeps_the_views_consistent(ctx, data):
+    rows = data.draw(field_rows(ctx, count=data.draw(st.integers(2, 12)), max_len=16))
+    d = len(rows[0])
+    split = data.draw(st.integers(1, len(rows) - 1))
+    ech = Echelon(ctx, d, rows[:split])
+    red, pivots = ech.reduced()
+    _check_views(ech)
+    assert [list(r) for r in red] == [list(r) for r in Subspace(ctx, d, rows[:split]).rows]
+    for r in rows[split:]:
+        ech.add(r)
+        _check_views(ech)
+    ref_rows, ref_pivots = [list(r) for r in ech.rows], list(ech.pivots)
+    for r in rows:
+        assert ref_lead(ech.reduce(r)) == d
+    v = data.draw(st.lists(_scalars(ctx), min_size=d, max_size=d))
+    assert list(ech.reduce(v)) == ref_reduce(ctx, v, ref_rows, ref_pivots)
+    assert ech.subspace() == Subspace(ctx, d, rows)
+    _check_views(ech)
+
+
+@per_field
+@SETTINGS
+@given(data=st.data())
+def test_combine_matches_the_list_reference(ctx, data):
+    rows = data.draw(field_rows(ctx, count=data.draw(st.integers(1, 40)), max_len=12))
+    coeffs = [data.draw(_scalars(ctx)) for _ in rows]
+    want = ref_combine(ctx, coeffs, rows)
+    for form in range(len(_forms(ctx, rows[0]))):
+        shaped = [_forms(ctx, r)[form] for r in rows]
+        assert list(combine(coeffs, shaped, ctx)) == want
+        assert list(combiner(shaped, ctx)(coeffs)) == want
+        assert list(combiner(shaped, ctx)(bytes(coeffs) if ctx.packed else coeffs)) == want
+
+
+@per_field
+@SETTINGS
+@given(data=st.data())
+def test_quotient_coords_and_contains_match_the_list_path(ctx, data):
+    rows = data.draw(field_rows(ctx, count=data.draw(st.integers(2, 8)), max_len=12))
+    d = len(rows[0])
+    big = Subspace(ctx, d, rows)
+    sub = Subspace(ctx, d, rows[:data.draw(st.integers(0, len(rows) - 1))])
+    reps = big.coset_representatives(sub)
+    rep_pivots = [ref_lead(r) for r in reps]
+    coeffs = [data.draw(_scalars(ctx)) for _ in big.rows]
+    v = ref_combine(ctx, coeffs, big.rows) if big.rows else [ctx.zero()] * d
+    got = quotient_coords(v, sub.rows, sub.pivots, reps, rep_pivots, ctx)
+    # the list path: clear sub's pivots, read the reps' pivots, clear those too
+    t = ref_reduce(ctx, v, [list(r) for r in sub.rows], list(sub.pivots))
+    assert got == [t[p] for p in rep_pivots]
+    assert ref_lead(ref_reduce(ctx, t, reps, rep_pivots)) == d
+    res, cs = reduce_with_coeffs(t, reps, rep_pivots, ctx)
+    assert cs == got and ref_lead(res) == d
+    w = [data.draw(_scalars(ctx)) for _ in range(d)]
+    assert big.contains(w) == (ref_lead(ref_reduce(ctx, w, [list(r) for r in big.rows],
+                                                     list(big.pivots))) == d)
+    assert sub.contains(v) == (ref_lead(t) == d)
+
+
+def _count_reductions(monkeypatch, ctx):
+    calls = []
+    reduce = ctx._reduced_int
+    monkeypatch.setattr(ctx, "_reduced_int", lambda x, d: calls.append(1) or reduce(x, d))
+    return calls
+
+
+def test_gf13_reduces_before_every_further_term(monkeypatch):
+    ctx = make_field(13)
+    rng = random.Random(13)
+    rows = [[rng.randrange(13) for _ in range(30)] for _ in range(25)]
+    ech = Echelon(ctx, 30, rows)
+    calls = _count_reductions(monkeypatch, ctx)
+    v = [12] * 30
+    want = ref_reduce(ctx, v, [list(r) for r in ech.rows], ech.pivots)
+    assert list(ech.reduce(v)) == want
+    assert calls                                    # K = 1: a reduction per term after the first
+    coeffs = [rng.randrange(1, 13) for _ in rows]
+    del calls[:]
+    assert list(combine(coeffs, rows, ctx)) == ref_combine(ctx, coeffs, rows)
+    assert len(calls) == len(rows) - 1
+
+
+def test_gf5_reduces_midway_after_fifteen_row_operations(monkeypatch):
+    # rows e_i + 4 e_20: clearing twenty 1s adds 4*4 = 16 to the last slot
+    # each time, 1 + 20*16 = 321 > 255 without a reduction on the way
+    ctx, d = make_field(5), 21
+    rows = [[1 if j == i else 4 if j == 20 else 0 for j in range(d)] for i in range(20)]
+    ech = Echelon(ctx, d, rows)
+    calls = _count_reductions(monkeypatch, ctx)
+    res = ech.reduce([1] * d)
+    assert list(res) == ref_reduce(ctx, [1] * d, rows, list(range(20))) == [0] * 20 + [1]
+    assert len(calls) == 1                          # after the 15th of 20 row operations
+    del calls[:]
+    assert list(combine([4] * 20, rows, ctx)) == ref_combine(ctx, [4] * 20, rows)
+    assert len(calls) == 1
+
+
+def test_a_pivot_slot_that_is_a_nonzero_multiple_of_p_is_skipped():
+    # over GF(3): clearing pivot 0 of v = [1, 2, 1, 0] with r0 = [1, 2, 0, 0]
+    # adds 2*r0, so the unreduced pivot-1 slot holds 2 + 4 = 6 = 2p; r1 must
+    # be skipped and pivot 2 still cleared
+    ctx = make_field(3)
+    ech = Echelon(ctx, 4, [[1, 2, 0, 0], [0, 1, 0, 1], [0, 0, 1, 1]])
+    assert ech.pivots == [0, 1, 2]
+    v = [1, 2, 1, 0]
+    want = ref_reduce(ctx, v, [list(r) for r in ech.rows], ech.pivots)
+    assert list(ech.reduce(v)) == want == [0, 0, 0, 2]
+
+
+@pytest.mark.parametrize("ctx", [make_field(2, 2), make_field(2, 3)], ids=repr)
+def test_gf2k_scales_the_row_when_the_pivot_entry_is_not_one(ctx):
+    rng = random.Random(ctx.order)
+    rows = [[rng.randrange(ctx.order) for _ in range(12)] for _ in range(8)]
+    ech = Echelon(ctx, 12, rows)
+    for c in range(2, ctx.order):
+        v = ctx.row_scale(list(ech.rows[0]), c)
+        v = ctx.row_addmul(v, list(ech.rows[-1]), c)
+        assert ref_lead(ech.reduce(v)) == 12
+        w = [rng.randrange(ctx.order) for _ in range(12)]
+        assert list(ech.reduce(w)) == ref_reduce(ctx, w, [list(r) for r in ech.rows],
+                                                 ech.pivots)
+        coeffs = [c] * len(rows)
+        assert list(combine(coeffs, rows, ctx)) == ref_combine(ctx, coeffs, rows)
 
 
 # -- no bytes leave the engine -----------------------------------------------------------

@@ -281,3 +281,36 @@ def test_psi_vanishes_on_commutative_char2():
     ctx = make_field(2, 2)
     for row in basis_C(ctx, 3).rows:
         assert psi(StructureVector(ctx, 3, list(row))).is_zero()
+
+
+def test_coordinate_validation_keeps_the_per_coordinate_results():
+    # plain codes in 0..q-1 are taken as they are; every other entry goes
+    # through FieldCtx._coerce, with the same result or error as before
+    from fractions import Fraction
+    gf4, q = make_field(2, 2), make_field(0)
+    codes = [x % 4 for x in range(27)]
+    lam = StructureVector(gf4, 3, codes)
+    assert lam.coords == codes and lam.coords is not codes
+    assert StructureVector(GF5, 3, bytes(27)).coords == [0] * 27
+    # bools become the ints 0 and 1
+    flags = StructureVector(GF5, 3, [True, False] + [0] * 25).coords
+    assert flags[:2] == [1, 0] and set(map(type, flags)) == {int}
+    # over GF(p) an integer reads mod p, also negative or above p
+    assert StructureVector(GF5, 3, [-1, 7] + [0] * 25).coords[:2] == [4, 2]
+    # over GF(p^k) an integer outside the codes is refused
+    with pytest.raises(ValueError, match="outside 0..3"):
+        StructureVector(gf4, 3, [4] + [0] * 26)
+    with pytest.raises(ValueError, match="outside 0..3"):
+        StructureVector(gf4, 3, [-1] + [0] * 26)
+    # field elements give their raw codes, and must come from the same field
+    elems = [gf4.element(2)] + [gf4.element(0)] * 26
+    assert StructureVector(gf4, 3, elems).coords == [2] + [0] * 26
+    with pytest.raises(ValueError, match="different field"):
+        StructureVector(GF5, 3, [GF3.element(1)] + [0] * 26)
+    # over Q every entry becomes a Fraction
+    rat = StructureVector(q, 3, [1, Fraction(1, 2)] + [0] * 25).coords
+    assert rat[:2] == [1, Fraction(1, 2)] and set(map(type, rat)) == {Fraction}
+    with pytest.raises(TypeError):
+        StructureVector(GF5, 3, ["1"] + [0] * 26)
+    with pytest.raises(ValueError, match="wrong length"):
+        Vector(GF5, 3, [0, 1])
