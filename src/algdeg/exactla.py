@@ -81,9 +81,9 @@ class Echelon:
     def from_rref(cls, ctx, ambient, rows, pivots):
         """The echelon of rows already in echelon form with these pivots, without elimination."""
         ech = cls(ctx, ambient)
-        ech.rows = [ctx.pack(r) for r in rows] if ctx.packed else list(rows)
+        ech.rows = [ctx.pack(r) for r in rows]
         ech.pivots = list(pivots)
-        if ctx.packed:
+        if ech._ints is not None:
             for r, p in zip(ech.rows, ech.pivots):
                 ech._view(r, p)
         return ech
@@ -308,21 +308,16 @@ def kernel_rows(rows, ncols, ctx):
 class Subspace:
     """A subspace of F^d held as its canonical rref basis (no zero rows).
 
-    `rows` is a tuple of tuples of raw scalars; `_rows` holds the same rows
-    packed (`FieldCtx.pack`) and `_ech` the `Echelon` over them, which every
-    membership test and quotient reduces against.  A caller that passes
-    `pivots` vouches that `rows` already are that rref; otherwise the rows
-    are reduced here.
+    `rows` is a tuple of tuples of raw scalars, and `_ech` is the `Echelon`
+    over the same rows in packed form (`FieldCtx.pack`), which every
+    membership test and quotient reduces against.
     """
 
-    __slots__ = ("ctx", "ambient", "rows", "pivots", "_rows", "_ech")
+    __slots__ = ("ctx", "ambient", "rows", "pivots", "_ech")
 
-    def __init__(self, ctx, ambient, rows, pivots=None):
-        if pivots is None:
-            ech = Echelon(ctx, ambient, rows)
-            ech.reduced()
-        else:
-            ech = Echelon.from_rref(ctx, ambient, rows, pivots)
+    def __init__(self, ctx, ambient, rows):
+        ech = Echelon(ctx, ambient, rows)
+        ech.reduced()
         self._hold(ech)
 
     @classmethod
@@ -336,18 +331,15 @@ class Subspace:
         self.ctx, self.ambient, self._ech = ech.ctx, ech.ambient, ech
         self.rows = tuple(tuple(r) for r in ech.rows)
         self.pivots = tuple(ech.pivots)
-        if not ech.ctx.packed:
-            ech.rows = list(self.rows)
-        self._rows = tuple(ech.rows)
 
     @classmethod
     def zero(cls, ctx, ambient):
-        return cls(ctx, ambient, [], pivots=[])
+        return cls._of(Echelon(ctx, ambient))
 
     @classmethod
     def full(cls, ctx, ambient):
         ident = Matrix.identity(ctx, ambient)
-        return cls(ctx, ambient, ident.rows(), pivots=range(ambient))
+        return cls._of(Echelon.from_rref(ctx, ambient, ident.rows(), range(ambient)))
 
     @property
     def dim(self):
@@ -364,7 +356,7 @@ class Subspace:
 
     def __le__(self, other):
         self._check_compatible(other)
-        return all(other.contains(r) for r in self._rows)
+        return all(other.contains(r) for r in self._ech.rows)
 
     def __lt__(self, other):
         return self <= other and self.dim < other.dim
@@ -387,7 +379,7 @@ class Subspace:
         self._check_compatible(other)
         big, small = (self, other) if self.dim >= other.dim else (other, self)
         ech = big._ech.copy()
-        for r in small._rows:
+        for r in small._ech.rows:
             ech.add(r)
         ech.reduced()
         return Subspace._of(ech)
@@ -400,8 +392,8 @@ class Subspace:
         self._check_compatible(other)
         ctx, d = self.ctx, self.ambient
         pad = ctx.pack([ctx.zero()] * d)
-        stacked = [ctx.pack(r) * 2 for r in self._rows]
-        stacked += [ctx.pack(r) + pad for r in other._rows]
+        stacked = [ctx.pack(r) * 2 for r in self._ech.rows]
+        stacked += [ctx.pack(r) + pad for r in other._ech.rows]
         ech = Echelon(ctx, 2 * d, stacked)
         out = [r[d:] for r, p in zip(ech.rows, ech.pivots) if p >= d]
         return Subspace(ctx, d, out)
@@ -419,7 +411,7 @@ class Subspace:
         if not sub <= self:
             raise ValueError("not a subspace of this space")
         ech = sub._ech.copy()
-        reps = [t for t in map(ech.add, self._rows) if t is not None]
+        reps = [t for t in map(ech.add, self._ech.rows) if t is not None]
         return rref_rows(reps, self.ctx)[0]
 
     def to_json(self):

@@ -22,13 +22,12 @@ Math. Soc. A 57, 1994.)
 import hashlib
 import random
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import product as iproduct
-from operator import add, mul, xor
 from typing import Optional
 
 from .exactla import (
-    Echelon, GroupElement, Matrix, Subspace, combine, combiner, kernel_rows,
+    Echelon, GroupElement, Matrix, Subspace, combiner, kernel_rows,
 )
 from .gfield import FieldCtx, primitive_element
 from .report import claim, norton_claim
@@ -190,18 +189,18 @@ def spin_contains(lam, gens, probe):
 def close_subspace(sub, gens):
     """Smallest generator-stable subspace containing the given subspace."""
     _check_field(gens, sub)
-    ech, _ = _span_closure(sub._rows, _structvec_appliers(gens),
+    ech, _ = _span_closure(sub._ech.rows, _structvec_appliers(gens),
                            gens.n ** 3, gens.ctx)
     return ech.subspace()
 
 
+def _maps_into_itself(sub, appliers):
+    """Whether every applier maps every basis row of sub back into sub."""
+    return all(sub.contains(f(row)) for f in appliers for row in sub._ech.rows)
+
+
 def is_generator_stable(sub, gens):
-    ctx, n = gens.ctx, gens.n
-    for g in gens.elements:
-        for row in sub._rows:
-            if not sub.contains(act_coords(row, g, n, ctx)):
-                return False
-    return True
+    return _maps_into_itself(sub, _structvec_appliers(gens))
 
 
 # -- module handles ----------------------------------------------------------
@@ -226,15 +225,15 @@ class ModuleHandle:
     def dim(self):
         return len(self.reps)
 
-    def lift(self, coeff_rows, include_sub=False):
+    def lift(self, coeff_rows):
         """Handle-coordinate rows back to the carrier's ambient space."""
-        rows = list(map(combiner(self.reps, self.ctx), coeff_rows))
-        if include_sub and self.sub is not None:
-            rows.extend(self.sub._rows)
-        return Subspace(self.ctx, self.carrier.ambient, rows)
+        return Subspace(self.ctx, self.carrier.ambient,
+                        map(combiner(self.reps, self.ctx), coeff_rows))
 
     def preimage(self, coeff_rows):
-        return self.lift(coeff_rows, include_sub=True)
+        """The lift of the rows plus the sub: the carrier vectors whose cosets they span."""
+        lifted = self.lift(coeff_rows)
+        return lifted if self.sub is None else lifted | self.sub
 
 
 def _ambient_appliers(gens, ambient):
@@ -272,8 +271,7 @@ def module_handle(gens, carrier, sub=None, label="module"):
                   for f in appliers]
     except ValueError:
         raise ValueError(f"carrier of {label!r} is not generator-stable") from None
-    if sub is not None and not all(sub.contains(f(row))
-                                   for f in appliers for row in sub._rows):
+    if sub is not None and not _maps_into_itself(sub, appliers):
         raise ValueError(f"sub of {label!r} is not generator-stable")
     return ModuleHandle(ctx, label, carrier, sub, reps, action, gens)
 
@@ -399,10 +397,8 @@ def _reducible(handle, rows, detail):
     wit = Subspace(ctx, d, rows)
     if not 0 < wit.dim < d:
         raise RuntimeError(f"the witness for {handle.label!r} has dimension {wit.dim} of {d}")
-    for f in _handle_appliers(handle.action, ctx):
-        for r in wit._rows:
-            if ctx.lead(wit._ech.reduce(f(r))) != d:
-                raise RuntimeError(f"the witness for {handle.label!r} is not invariant")
+    if not _maps_into_itself(wit, _handle_appliers(handle.action, ctx)):
+        raise RuntimeError(f"the witness for {handle.label!r} is not invariant")
     return NortonResult("reducible", handle.preimage(rows), rows, detail)
 
 
@@ -576,70 +572,44 @@ def _decode(code, q, d):
 
 
 def _line_image_codes(action, ctx, d):
-    """A function from a line's code to the codes of its images, one per matrix."""
-    q = ctx.order
-    places = [q ** (d - 1 - i) for i in range(d)]
-    inverse = [None] + [ctx.inv(a) for a in range(1, q)]
-    if not ctx.packed:
-        def images(code):
-            w = _decode(code, q, d)
-            out = []
-            for m in action:
-                v = combine(w, m, ctx)
-                c = v[ctx.lead(v)]
-                if c != 1:
-                    v = ctx.row_scale(v, inverse[c])
-                out.append(sum(map(mul, v, places)))
-            return out
-        return images
+    """A function from a line's code to the codes of its images, one per matrix.
 
-    # Packed fields (`FieldCtx.packed`): the image is the sum of the images of
-    # the code's high and low digits, tabled per matrix as packed rows read as
-    # big ints.  Over GF(2^k) the sum is XOR; over GF(p), p <= 13, two reduced
-    # entries sum below 256, so the field's `_mod_bytes` reduces the sum.  Its
-    # `_scale_bytes` table for the inverse of the leading entry scales the
-    # image to a leading 1.
-    split = q ** (d - d // 2)
-    plus, reduce = (xor, None) if ctx.char == 2 else (add, ctx._mod_bytes)
-    normalise = [None] + [ctx._scale_bytes[a] for a in inverse[1:]]
+    A line's image is the sum of the images of its first d // 2 coordinates
+    and of the rest, tabled per matrix in `view` form for `FieldCtx.line_codes`
+    (with d = 1 the high table holds just the zero row).
+    """
+    q = ctx.order
 
     def table(rows):
+        if not rows:
+            return [ctx.view(ctx.pack([ctx.zero()] * d))]
         times = combiner(rows, ctx)
-        return [int.from_bytes(times(cs), "big") for cs in iproduct(range(q), repeat=len(rows))]
+        return [ctx.view(times(cs)) for cs in iproduct(range(q), repeat=len(rows))]
 
     tables = [(table(m[:d // 2]), table(m[d // 2:])) for m in action]
-
-    def images(code):
-        hi, lo = divmod(code, split)
-        out = []
-        for high, low in tables:
-            v = plus(high[hi], low[lo]).to_bytes(d, "big").translate(reduce)
-            out.append(sum(map(mul, v.translate(normalise[v.lstrip(b"\0")[0]]), places)))
-        return out
-    return images
+    return partial(ctx.line_codes, tables, q ** (d - d // 2), [q ** (d - 1 - i) for i in range(d)])
 
 
 # -- homomorphism spaces ---------------------------------------------------------
 
 def hom_space(ha, hb):
-    """Dimension and basis of the space of module maps between two handles."""
+    """Dimension and basis of the space of module maps between two handles.
+
+    The unknowns are X (da x db, row by row) with A X = X B for each action
+    pair: entry (i, j) is row i of A on slots j::db minus column j of B on block i.
+    """
     ctx = ha.ctx
     da, db = ha.dim, hb.dim
-    zero = ctx.zero()
+    zero, one = ctx.zero(), ctx.one()
     rows = []
     for ga, gb in zip(ha.action, hb.action):
-        # constraint (A X - X B)_{ij} = 0 over vec(X), X of shape da x db
+        cols = _transpose_rows(gb)
         for i in range(da):
+            block = slice(i * db, (i + 1) * db)
             for j in range(db):
                 row = [zero] * (da * db)
-                for k in range(da):
-                    c = ga[i][k]
-                    if c != zero:
-                        row[k * db + j] = ctx.add(row[k * db + j], c)
-                for l in range(db):
-                    c = gb[l][j]
-                    if c != zero:
-                        row[i * db + l] = ctx.sub(row[i * db + l], c)
+                row[j::db] = ga[i]
+                row[block] = ctx.row_submul(row[block], cols[j], one)
                 rows.append(row)
     basis = kernel_rows(rows, da * db, ctx)
     return len(basis), basis

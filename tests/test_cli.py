@@ -5,7 +5,8 @@ import json
 import pytest
 
 from algdeg import cli, spinmx
-from algdeg.canon import eta
+from algdeg.canon import ProjectivePoint, basis_Mstar, basis_MstarP, eta
+from algdeg.exactla import Subspace
 from algdeg.cli import main
 from algdeg.gfield import make_field
 from algdeg.report import Report
@@ -102,6 +103,21 @@ def test_survey_mstar(tmp_path):
     data = json.loads(path.read_text())
     dims = data["claims"][0]["data"]["dims"]
     assert dims == [0, 3, 3, 3, 3, 6]
+
+
+def test_survey_mstar_over_gf9_is_its_closed_form(tmp_path):
+    # GF(9) rows are lists, so this runs the list-field body of the survey's
+    # tabled line images: 0, M* and its ten projective pieces
+    path = tmp_path / "survey.json"
+    assert run(["--json", str(path), "survey", "--module", "Mstar",
+                "--n", "3", "--field", "3^2"]) == 0
+    members = [Subspace.from_json(m) for m in json.loads(path.read_text())["claims"][0]
+               ["data"]["members"]]
+    ctx = make_field(3, 2)
+    pieces = {basis_MstarP(ctx, 3, p) for p in ProjectivePoint.enumerate(ctx)}
+    assert len(pieces) == 10
+    assert members[0].dim == 0 and members[-1] == basis_Mstar(ctx, 3)
+    assert len(members) == 12 and set(members[1:-1]) == pieces
 
 
 def test_series_certified():

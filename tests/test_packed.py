@@ -205,8 +205,9 @@ def test_permutation_gather_matches_the_action_matrix(ctx, n, data):
 @SETTINGS
 @given(data=st.data())
 def test_line_image_codes_match_the_scalar_reference(ctx, data):
-    # packed fields take the table path (added tables over GF(p), XORed ones
-    # over GF(2^k)); GF(9), GF(25) and GF(17) take the decode-and-combine path
+    # every field takes the table path: packed fields add (GF(p)) or XOR
+    # (GF(2^k)) int views, and GF(9), GF(25) and GF(17) add list rows; with
+    # d = 1 the high half is empty and its one entry is the zero row
     q, d = ctx.order, data.draw(st.integers(1, 4))
     rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
     action = [random_invertible(ctx, d, rng).mat.rows() for _ in range(2)]

@@ -390,6 +390,21 @@ def test_hom_space_identity_and_zero():
     assert dim_uv == 0
 
 
+@pytest.mark.parametrize("ctx", [GF5, make_field(3, 2)], ids=repr)
+def test_hom_space_basis_maps_commute_with_every_generator(ctx):
+    gens = gens_for(ctx, 3)
+    ha = module_handle(gens, basis_Mstar(ctx, 3), label="M*")
+    hb = dual_space_handle(gens)
+    dim, basis = hom_space(ha, hb)
+    assert dim == len(basis) == 2
+    da, db = ha.dim, hb.dim
+    for vec in basis:
+        x = [vec[i * db:(i + 1) * db] for i in range(da)]
+        for a, b in zip(ha.action, hb.action):
+            assert ([list(combine(r, x, ctx)) for r in a]
+                    == [list(combine(r, b, ctx)) for r in x])
+
+
 @pytest.mark.parametrize("ctx,n", [(GF5, 3), (GF3, 3)])
 def test_lattice_diagrams_generic(ctx, n):
     for c in verify_lattice_diagrams(ctx, n, seed=11):
@@ -508,7 +523,8 @@ def _brute_force_survey(handle):
     return sorted(lifted, key=lambda s: (s.dim, s.rows))
 
 
-@pytest.mark.parametrize("name,ctx", [("K", GF3), ("Mstar", GF3), ("Mstar", GF4), ("U", GF5)])
+@pytest.mark.parametrize("name,ctx", [("K", GF3), ("Mstar", GF3), ("Mstar", GF4), ("U", GF5),
+                                      ("Mstar(1,1)", GF25), ("Mstar(1,1)", make_field(17))])
 def test_survey_matches_spinning_every_line(name, ctx):
     h = module_handle(gens_for(ctx, 3), submodule(name, ctx, 3), label=name)
     assert survey_submodules(h) == _brute_force_survey(h)
