@@ -171,7 +171,7 @@ def cmd_survey(args):
     handle = spinmx.module_handle(gens, carrier, label=args.module)
 
     def survey_claim():
-        lattice = spinmx.survey_submodules(handle)
+        lattice = spinmx.survey_submodules(handle, seed=args.seed)
         dims = [s.dim for s in lattice]
         print(f"submodule lattice of {args.module}: dims {dims}")
         return claim("survey", f"exhaustive submodule lattice of {args.module}", True,

@@ -11,8 +11,9 @@ Boothby & Bradshaw, arXiv:0901.1413).  Eliminations and linear combinations
 run on the rows read as big ints (`row_eliminate`, `row_combine`): they add
 whole rows and, over GF(p), reduce the slots mod p with one `translate`
 only when a slot could next pass 255.  Other fields keep rows as lists.
-The survey's line images (`line_codes`) add tabled rows in the `view` form
-of every finite field: big ints when packed, the list rows otherwise.
+The orbit walk's line images (`line_codes`, for the exhaustive fallback of
+the kernel-vector test) add tabled rows in the `view` form of every finite
+field: big ints when packed, the list rows otherwise.
 """
 
 from fractions import Fraction

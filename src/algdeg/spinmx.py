@@ -35,7 +35,7 @@ from .structvec import act_coords
 
 LINE_CAP = 128           # max kernel lines spun for one shift of a theta draw
 NORTON_ATTEMPTS = 64
-SURVEY_BUDGET = 2 ** 22  # max |F|^dim for exhaustive vector surveys
+SURVEY_BUDGET = 2 ** 22  # max |F|^dim for surveys and the exhaustive Norton fallback
 
 
 def derive_seed(base, *tags):
@@ -247,16 +247,21 @@ def _ambient_appliers(gens, ambient):
 
 
 def module_handle(gens, carrier, sub=None, label="module"):
-    """Restrict (and quotient) the generator action to carrier/sub, checking both stable.
+    """Restrict (and quotient) the generator action to carrier/sub, checking both stable."""
+    _check_field(gens, carrier, sub)
+    return _restricted_handle(gens, _ambient_appliers(gens, carrier.ambient),
+                              carrier, sub, label)
+
+
+def _restricted_handle(gens, appliers, carrier, sub, label):
+    """The handle of carrier/sub under the appliers, in any ambient dimension.
 
     `coset_representatives` checks sub <= carrier.  Each sub row must map into
     sub; each complement row's image gets its coordinates from
     `quotient_coords`, whose vanishing residual proves the image lies in sub +
-    complement = carrier.  Together these prove both subspaces generator-stable.
+    complement = carrier.  Together these prove both subspaces stable.
     """
-    ctx = gens.ctx
-    _check_field(gens, carrier, sub)
-    appliers = _ambient_appliers(gens, carrier.ambient)
+    ctx = carrier.ctx
     if sub is None or sub.dim == 0:
         sub = None
         sub_ech = Echelon(ctx, carrier.ambient)
@@ -502,37 +507,74 @@ def composition_series(chain, gens, seed):
     }
 
 
-# -- exhaustive submodule survey ------------------------------------------------
+# -- submodule survey -------------------------------------------------------------
 
-def survey_submodules(handle, budget=SURVEY_BUDGET):
-    """Spin one line per generator orbit; close the spins under sums.
+def survey_submodules(handle, budget=SURVEY_BUDGET, seed=0):
+    """Every submodule of the handle's module, from its composition factors and covers.
 
-    Spinning is constant on the orbits of the group the action matrices
-    generate, so the spins of the first lines of the orbits
-    (`_line_orbit_reps`) are all the cyclic submodules.  Every submodule is
-    the sum of the spins of its vectors, so the sums of cyclic submodules,
-    the empty sum 0 included, are the whole lattice, and intersections add
-    nothing.  Returns that lattice lifted to the carrier's ambient space,
-    sorted by (dim, basis).
+    Repeated kernel-vector splitting chops the module into composition
+    factors, kept one per isomorphism class (`_simple_types`).  A cover of a
+    submodule U is the preimage of a simple submodule of M/U; each of those is
+    the image of a nonzero map S -> M/U from a simple type S, and every such
+    map is injective, so its row space is simple.  Walking covers up from 0
+    reaches every submodule, since each has a composition series starting at
+    0, and no line of M is listed.  Returns the lattice lifted to the
+    carrier's ambient space, sorted by (dim, basis).  `seed` drives the
+    splitting only; the lattice does not depend on it.
     """
     ctx, d = handle.ctx, handle.dim
     if ctx.order ** d > budget:
         raise ValueError(f"survey budget exceeded: {ctx.order}^{d} > {budget}")
     appliers = _handle_appliers(handle.action, ctx)
-    cyclic = {_span_closure([v], appliers, d, ctx)[0].subspace()
-              for v in _line_orbit_reps(handle.action, ctx, d)}
-    todo = [Subspace.zero(ctx, d)]
-    subs = set(todo)
-    while todo:
-        s = todo.pop()
-        for c in cyclic:
-            t = s.sum(c)
-            if t not in subs:
-                subs.add(t)
-                todo.append(t)
-    lifted = [handle.lift([list(r) for r in s.rows]) for s in subs]
+    full = Subspace.full(ctx, d)
+
+    def quotient(top, bottom, label):
+        return _restricted_handle(handle.gens, appliers, top, bottom, f"{handle.label}:{label}")
+
+    types = _simple_types(quotient, full, seed)
+    lattice = [Subspace.zero(ctx, d)]
+    found = set(lattice)
+    for u in lattice:                    # breadth first: covers are appended as found
+        if u.dim == d:
+            continue
+        top = quotient(full, u, f"/{u.dim}")
+        for s in types:
+            _, basis = hom_space(s, top)
+            maps = map(combiner(basis, ctx), _all_lines(ctx, len(basis)))
+            images = {Subspace(ctx, top.dim, [x[i * top.dim:(i + 1) * top.dim]
+                                              for i in range(s.dim)]) for x in maps}
+            for image in images:
+                cover = top.preimage([list(r) for r in image.rows])
+                if cover not in found:
+                    found.add(cover)
+                    lattice.append(cover)
+    lifted = [handle.lift([list(r) for r in s.rows]) for s in lattice]
     lifted.sort(key=lambda s: (s.dim, s.rows))
     return lifted
+
+
+def _simple_types(quotient, full, seed):
+    """One handle per isomorphism class of composition factors of the module on `full`.
+
+    Each pair (top, bottom) still to chop is split at the witness of a
+    reducible verdict, which is invariant and contains bottom.  Two simple
+    factors are isomorphic exactly when a nonzero map joins them.
+    """
+    types = []
+    todo = [(full, Subspace.zero(full.ctx, full.ambient))] if full.dim else []
+    step = 0
+    while todo:
+        top, bottom = todo.pop()
+        h = quotient(top, bottom, f"{top.dim}/{bottom.dim}")
+        res = norton_irreducible(h, derive_seed(seed, "survey", step))
+        step += 1
+        if res.verdict == "reducible":
+            todo += [(res.witness, bottom), (top, res.witness)]
+        elif res.verdict != "irreducible":
+            raise RuntimeError(f"no verdict on the factor {h.label!r} inside the survey budget")
+        elif not any(t.dim == h.dim and hom_space(t, h)[0] for t in types):
+            types.append(h)
+    return types
 
 
 def _line_orbit_reps(action, ctx, d):
@@ -597,7 +639,11 @@ def hom_space(ha, hb):
 
     The unknowns are X (da x db, row by row) with A X = X B for each action
     pair: entry (i, j) is row i of A on slots j::db minus column j of B on block i.
+    The pairs mean something only when both handles come from one generator
+    set, so different fields, `gens` or action counts are a ValueError.
     """
+    if ha.ctx != hb.ctx or ha.gens != hb.gens or len(ha.action) != len(hb.action):
+        raise ValueError(f"{ha.label!r} and {hb.label!r} are over different generator sets")
     ctx = ha.ctx
     da, db = ha.dim, hb.dim
     zero, one = ctx.zero(), ctx.one()

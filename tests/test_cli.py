@@ -120,6 +120,15 @@ def test_survey_mstar_over_gf9_is_its_closed_form(tmp_path):
     assert len(members) == 12 and set(members[1:-1]) == pieces
 
 
+def test_survey_passes_its_seed(monkeypatch):
+    seen = []
+    survey = spinmx.survey_submodules
+    monkeypatch.setattr(spinmx, "survey_submodules",
+                        lambda handle, **kw: seen.append(kw) or survey(handle, **kw))
+    assert run(["survey", "--module", "U", "--n", "3", "--field", "3", "--seed", "7"]) == 0
+    assert seen == [{"seed": 7}]
+
+
 def test_series_certified():
     assert run(["series", "--chain", "0,Mstar(1,-1),U,K",
                 "--n", "4", "--field", "3"]) == 0

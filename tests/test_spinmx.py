@@ -390,6 +390,21 @@ def test_hom_space_identity_and_zero():
     assert dim_uv == 0
 
 
+def test_hom_space_rejects_handles_over_different_generator_sets():
+    v3 = dual_space_handle(gens_for(GF5, 3))
+    v4 = dual_space_handle(gens_for(GF5, 4))
+    with pytest.raises(ValueError):
+        hom_space(v3, v4)
+    bare = dataclasses.replace(v3, gens=None)
+    for other in (dataclasses.replace(dual_space_handle(gens_for(GF3, 3)), gens=None),
+                  dataclasses.replace(bare, action=bare.action[:2])):
+        with pytest.raises(ValueError):
+            hom_space(bare, other)
+    # one generator set built twice is the same set, and so is no set at all
+    assert hom_space(v3, dual_space_handle(gens_for(GF5, 3)))[0] == 1
+    assert hom_space(bare, dataclasses.replace(v3, gens=None))[0] == 1
+
+
 @pytest.mark.parametrize("ctx", [GF5, make_field(3, 2)], ids=repr)
 def test_hom_space_basis_maps_commute_with_every_generator(ctx):
     gens = gens_for(ctx, 3)
@@ -541,6 +556,69 @@ def test_survey_reaches_submodules_that_are_not_cyclic(diagonal):
     lattice = survey_submodules(h)
     assert lattice == _brute_force_survey(h)
     assert Subspace(GF3, d, [[1, 0] + [0] * (d - 2), [0, 1] + [0] * (d - 2)]) in lattice
+
+
+def _orbit_walk_survey(handle):
+    """The survey as the orbit walk: spin the first line of each orbit, close under sums."""
+    ctx, d = handle.ctx, handle.dim
+    appliers = _handle_appliers(handle.action, ctx)
+    cyclic = {_span_closure([v], appliers, d, ctx)[0].subspace()
+              for v in _line_orbit_reps(handle.action, ctx, d)}
+    todo = [Subspace.zero(ctx, d)]
+    subs = set(todo)
+    while todo:
+        s = todo.pop()
+        for t in {s.sum(c) for c in cyclic} - subs:
+            subs.add(t)
+            todo.append(t)
+    lifted = [handle.lift([list(r) for r in s.rows]) for s in subs]
+    return sorted(lifted, key=lambda s: (s.dim, s.rows))
+
+
+_GF9 = make_field(3, 2)
+
+
+@pytest.mark.parametrize("name,ctx", [
+    ("K", GF3), ("Mstar", GF3), ("Mstarstar", GF3), ("U", GF3),
+    ("Mstar", GF4), ("U", GF4), ("Mstar", GF5), ("U", GF5), ("Mstar", _GF9), ("U", _GF9)])
+def test_survey_matches_the_orbit_walk_at_every_seed(name, ctx):
+    h = module_handle(gens_for(ctx, 3), submodule(name, ctx, 3), label=name)
+    oracle = _orbit_walk_survey(h)
+    for seed in (0, 1, 7):
+        assert survey_submodules(h, seed=seed) == oracle
+
+
+def test_survey_matches_the_orbit_walk_on_criterion_06():
+    gens = gens_for(GF3, 3)
+    for name, label in (("K", "K"), ("Mstar", "M*")):
+        h = module_handle(gens, submodule(name, GF3, 3), label=label)
+        assert survey_submodules(h) == _orbit_walk_survey(h)
+
+
+@pytest.mark.parametrize("copies,members,planes", [(2, 12, 10), (3, 184, 91)])
+def test_survey_of_copies_of_a_factor_that_is_not_absolutely_irreducible(copies, members,
+                                                                         planes):
+    # J = [[0,1],[2,0]] has minimal polynomial x^2 + 1, irreducible over GF(3),
+    # so F^2 under J is simple with endomorphisms GF(9), and the submodules of
+    # `copies` copies are the GF(9)-subspaces of GF(9)^copies
+    d = 2 * copies
+    action = [[0] * d for _ in range(d)]
+    for b in range(0, d, 2):
+        action[b][b + 1], action[b + 1][b] = 1, 2
+    ident = [[int(i == j) for j in range(d)] for i in range(d)]
+    h = ModuleHandle(GF3, "JJ", Subspace.full(GF3, d), None, ident, [action], None)
+    lattice = survey_submodules(h)
+    assert len(lattice) == members
+    assert sum(s.dim == 2 for s in lattice) == planes
+    assert lattice == _brute_force_survey(h)
+
+
+def test_survey_refuses_a_factor_without_a_verdict(monkeypatch):
+    h = module_handle(gens_for(GF3, 3), basis_U(GF3, 3), label="U")
+    monkeypatch.setattr(spinmx, "norton_irreducible",
+                        lambda handle, seed: spinmx.NortonResult("inconclusive", None, None))
+    with pytest.raises(RuntimeError):
+        survey_submodules(h)
 
 
 def _line_orbit(v, action, ctx):
