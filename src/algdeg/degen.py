@@ -108,26 +108,22 @@ class TransvectionSpec:
 def _g5_closed_form(lam, spec):
     ctx, n = lam.ctx, lam.n
     z, zeta, alpha = spec.z, spec.zeta, spec.alpha
+    add, mul = ctx.add, ctx.mul
     zz = product(lam, z, z)
     zeta_zz = zeta(zz).raw
-    ap1 = ctx.add(alpha, ctx.one())
-    coords = [ctx.zero()] * n ** 3
-    for i in range(1, n + 1):
-        zi = zeta.coords[i - 1]
-        vi = basis_vector(ctx, n, i)
-        viz = zeta(product(lam, vi, z)).raw
-        for j in range(1, n + 1):
-            zj = zeta.coords[j - 1]
-            vj = basis_vector(ctx, n, j)
-            zvj = zeta(product(lam, z, vj)).raw
+    ap1 = add(alpha, ctx.one())
+    units = [basis_vector(ctx, n, i) for i in range(1, n + 1)]
+    viz = [zeta(product(lam, v, z)).raw for v in units]
+    zvj = [zeta(product(lam, z, v)).raw for v in units]
+    coords = []
+    for zi, vi_z in zip(zeta.coords, viz):
+        for zj, z_vj in zip(zeta.coords, zvj):
             # coefficient of z in the bracket
-            cz = ctx.add(ctx.mul(zi, zvj), ctx.mul(zj, viz))
-            cz = ctx.add(cz, ctx.mul(ap1, ctx.mul(ctx.mul(zi, zj), zeta_zz)))
-            czz = ctx.neg(ctx.mul(zi, zj))  # coefficient of [z,z]
-            for k in range(1, n + 1):
-                val = ctx.add(ctx.mul(cz, z.coords[k - 1]),
-                              ctx.mul(czz, zz.coords[k - 1]))
-                coords[flat(n, i, j, k)] = val
+            cz = add(mul(zi, z_vj), mul(zj, vi_z))
+            cz = add(cz, mul(ap1, mul(mul(zi, zj), zeta_zz)))
+            czz = ctx.neg(mul(zi, zj))  # coefficient of [z,z]
+            coords.extend(add(mul(cz, zk), mul(czz, zzk))
+                          for zk, zzk in zip(z.coords, zz.coords))
     return StructureVector(ctx, n, coords)
 
 

@@ -295,12 +295,14 @@ def kernel_rows(rows, ncols, ctx):
     pivot_set = set(pivots)
     free = [j for j in range(ncols) if j not in pivot_set]
     zero, one = ctx.zero(), ctx.one()
+    mone = ctx.neg(one)
+    cols = list(zip(*red)) or [()] * ncols
     out = []
     for f in free:
         v = [zero] * ncols
         v[f] = one
-        for r, p in zip(red, pivots):
-            v[p] = ctx.neg(r[f])
+        for p, x in zip(pivots, ctx.row_scale(cols[f], mone)):
+            v[p] = x
         out.append(v)
     return out
 

@@ -10,7 +10,9 @@ is one big-int operation plus one `bytes.translate` (the packed-row method of
 Boothby & Bradshaw, arXiv:0901.1413).  Eliminations and linear combinations
 run on the rows read as big ints (`row_eliminate`, `row_combine`): they add
 whole rows and, over GF(p), reduce the slots mod p with one `translate`
-only when a slot could next pass 255.  Other fields keep rows as lists.
+only when a slot could next pass 255.  The structure-vector action's
+transvections and diagonals run on int views too (`row_shift_add`,
+`row_slot_scale`).  Other fields keep rows as lists.
 The orbit walk's line images (`line_codes`, for the exhaustive fallback of
 the kernel-vector test) add tabled rows in the `view` form of every finite
 field: big ints when packed, the list rows otherwise.
@@ -339,6 +341,9 @@ class FieldCtx:
     # kernels add whole rows and reduce the slots only once they could pass
     # 255, every `_lazy_terms` terms (63 for GF(3), 15 for GF(5), 6 for GF(7),
     # 2 for GF(11), 1 for GF(13)) and once at the end; over GF(2^k) they XOR.
+    # `row_combine` and `row_eliminate` take int views; `row_shift_add` and
+    # `row_slot_scale` take a row in any form and move or scale masked slots
+    # of its int view.  All return packed rows.
 
     def _reduced_int(self, x, d):
         return int.from_bytes(x.to_bytes(d, "big").translate(self._mod_bytes), "big")
@@ -400,6 +405,58 @@ class FieldCtx:
                 left -= 1
             m = x & mask & ((1 << sh) - 1)
         return x.to_bytes(d, "big").translate(self._mod_bytes)
+
+    def row_shift_add(self, row, steps):
+        """The row after each (c, mask, shift) step in turn, as a packed row.
+
+        A step adds c times the slots of the int view under `mask` (0xFF at
+        each source slot), moved by `shift` bits: left when positive, right
+        when negative.  The moved slots must stay inside the row and miss
+        the source slots.  Over GF(p) a step takes the largest slot from b
+        to at most b + c*b; the slots are reduced before a step that could
+        take one past 255, and once at the end.  Over GF(2^k) a step is an
+        XOR, and c != 1 scales the source slots with one `translate`.
+        """
+        d = len(row)
+        x = int.from_bytes(row, "big")
+        if self.char == 2:
+            scale = self._scale_bytes
+            for c, mask, sh in steps:
+                if c:
+                    y = x & mask
+                    if c != 1:
+                        y = int.from_bytes(y.to_bytes(d, "big").translate(scale[c]), "big")
+                    x ^= y << sh if sh > 0 else y >> -sh
+            return x.to_bytes(d, "big")
+        top = self.char - 1
+        for c, mask, sh in steps:
+            if c:
+                if top * (c + 1) > 255:
+                    x, top = self._reduced_int(x, d), self.char - 1
+                top *= c + 1
+                y = x & mask
+                x += c * (y << sh if sh > 0 else y >> -sh)
+        return x.to_bytes(d, "big").translate(self._mod_bytes)
+
+    def row_slot_scale(self, row, parts):
+        """The row with the slots under each (c, mask) part scaled by c, as a packed row.
+
+        The masks (0xFF at each slot) partition the slots.  Over GF(p) a
+        scaled slot is at most (p-1)^2 < 256, so the parts are summed and
+        reduced by one `translate`; over GF(2^k) each part c != 1 is scaled
+        by one `translate` of the row.
+        """
+        d = len(row)
+        row = bytes(row)
+        x = int.from_bytes(row, "big")
+        if self.char == 2:
+            scale = self._scale_bytes
+            out = 0
+            for c, mask in parts:
+                out |= (x if c == 1 else int.from_bytes(row.translate(scale[c]), "big")) & mask
+            return out.to_bytes(d, "big")
+        return sum(c * (x & mask) for c, mask in parts).to_bytes(d, "big").translate(
+            self._mod_bytes)
 
     # -- identity / serialization ----------------------------------------
 

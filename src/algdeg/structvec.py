@@ -11,11 +11,16 @@ g v_1, ..., g v_n:
 computed as three mode contractions (O(n^4) each), with fast paths for
 tagged group elements.  A permutation sigma (g v_j = v_sigma(j)) only
 relabels coordinates, (lam g)_ijk = lam_{sigma i, sigma j, sigma k}, which is
-one cached `itemgetter` gather.  Transvections, diagonals, the general path
-and the actions on V and its dual are slice updates through the field's row
+one cached `itemgetter` gather.  Where `FieldCtx.packed` holds, a
+transvection x_rs(t) is three whole-row steps on the row's int view (block s
++= t*block r, run s += t*run r in every block, column r -= t*column s), each
+one cached mask and one shift (`FieldCtx.row_shift_add`), and a diagonal is
+one cached mask per distinct scalar d_i d_j d_k^-1 (`FieldCtx.row_slot_scale`).
+The general path, the actions on V and its dual, and transvections and
+diagonals over the list fields are slice updates through the field's row
 kernels (`row_submul`, `row_scale`, `combine`): on a `bytearray` where
-`FieldCtx.packed` holds, on a list otherwise.  `StructureVector.coords` is
-always a list.
+`FieldCtx.packed` holds, on a list otherwise.  Over packed fields
+`act_coords` returns `bytes`; `StructureVector.coords` is always a list.
 """
 
 from functools import lru_cache
@@ -254,11 +259,52 @@ def _act_general(coords, gmat, ginv, n, ctx):
     return ctx.pack(out)
 
 
+def _slot_mask(d, slots):
+    """The int view of a row of length d with 0xFF at the given slots."""
+    row = bytearray(d)
+    for f in slots:
+        row[f] = 255
+    return int.from_bytes(row, "big")
+
+
+@lru_cache(maxsize=256)
+def _transvection_moves(n, r, s):
+    """The (mask, shift) of each step of x_rs on the int view of a row of length n^3.
+
+    Slot f sits at bit 8*(n^3 - 1 - f), so moving a slot from index a to
+    index b is a shift of 8*(a - b) bits (left when positive).
+    """
+    nn, d = n * n, n ** 3
+    return ((_slot_mask(d, range(r * nn, r * nn + nn)), 8 * (r - s) * nn),
+            (_slot_mask(d, (b + r * n + k for b in range(0, d, nn) for k in range(n))),
+             8 * (r - s) * n),
+            (_slot_mask(d, range(s, d, n)), 8 * (s - r)))
+
+
+@lru_cache(maxsize=256)
+def _diagonal_parts(ctx, n, diag):
+    """The (c, mask) parts of diag(d_1..d_n): slot (i, j, k) has c = d_i d_j d_k^-1."""
+    d, mul = n ** 3, ctx.mul
+    inv = [ctx.inv(dk) for dk in diag]
+    slots = {}
+    f = 0
+    for di in diag:
+        for dj in diag:
+            dij = mul(di, dj)
+            for ik in inv:
+                slots.setdefault(mul(dij, ik), []).append(f)
+                f += 1
+    return tuple((c, _slot_mask(d, fs)) for c, fs in slots.items())
+
+
 def _act_transvection(coords, n, ctx, r, s, t):
-    # g = I + t*e_rs (0-based r != s), three slice updates: block s += t*block
+    # g = I + t*e_rs (0-based r != s), three steps in turn: block s += t*block
     # r; in each block, run s += t*run r; the stride-n column r -= t*column s
+    if ctx.packed:
+        (m1, h1), (m2, h2), (m3, h3) = _transvection_moves(n, r, s)
+        return ctx.row_shift_add(coords, ((t, m1, h1), (t, m2, h2), (ctx.neg(t), m3, h3)))
     nn = n * n
-    out = _work(coords, ctx)
+    out = list(coords)
     mt = ctx.neg(t)
     sub = ctx.row_submul
     bs, br = s * nn, r * nn
@@ -267,14 +313,17 @@ def _act_transvection(coords, n, ctx, r, s, t):
         os_, or_ = i + s * n, i + r * n
         out[os_:os_ + n] = sub(out[os_:os_ + n], out[or_:or_ + n], mt)
     out[r::n] = sub(out[r::n], out[s::n], t)
-    return ctx.pack(out)
+    return out
 
 
 def _act_diagonal(coords, n, ctx, diag):
-    # (lam g)_ijk = d_i d_j d_k^-1 lam_ijk: scale each run (i, j) by d_i d_j,
-    # then each stride-n column k by d_k^-1
+    # (lam g)_ijk = d_i d_j d_k^-1 lam_ijk: over packed fields one masked
+    # part per distinct scalar; else scale each run (i, j) by d_i d_j, then
+    # each stride-n column k by d_k^-1
+    if ctx.packed:
+        return ctx.row_slot_scale(coords, _diagonal_parts(ctx, n, diag))
     one, mul, scale = ctx.one(), ctx.mul, ctx.row_scale
-    out = _work(coords, ctx)
+    out = list(coords)
     f = 0
     for di in diag:
         for dj in diag:
@@ -285,7 +334,7 @@ def _act_diagonal(coords, n, ctx, diag):
     for k, dk in enumerate(diag):
         if dk != one:
             out[k::n] = scale(out[k::n], ctx.inv(dk))
-    return ctx.pack(out)
+    return out
 
 
 def _check_element(g, x):

@@ -106,8 +106,8 @@ def test_survey_mstar(tmp_path):
 
 
 def test_survey_mstar_over_gf9_is_its_closed_form(tmp_path):
-    # GF(9) rows are lists, so this runs the list-field body of the survey's
-    # tabled line images: 0, M* and its ten projective pieces
+    # GF(9) rows are lists, so this runs the survey's composition factors and
+    # covers on list rows: 0, M* and its ten projective pieces
     path = tmp_path / "survey.json"
     assert run(["--json", str(path), "survey", "--module", "Mstar",
                 "--n", "3", "--field", "3^2"]) == 0

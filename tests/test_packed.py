@@ -198,6 +198,128 @@ def test_permutation_gather_matches_the_action_matrix(ctx, n, data):
     assert act(act(lam, g), h) == act(lam, gh) == act(lam, g * h)
 
 
+# -- whole-row shifts: transvections and diagonals on int views ---------------------------
+#
+# Over packed fields `_act_transvection` runs `FieldCtx.row_shift_add` and
+# `_act_diagonal` runs `FieldCtx.row_slot_scale` on the int view of the row;
+# the list fields keep the slice loop.  The reference is the defining sum
+# (lam g)_ijk = sum g_ai g_bj (g^-1)_kc lam_abc over the nonzero entries of g.
+
+def ref_act(ctx, coords, g, n):
+    gm, gi = g.mat.entries, g.inv.entries
+    zero = ctx.zero()
+    col = [[(a, gm[a * n + i]) for a in range(n) if gm[a * n + i] != zero] for i in range(n)]
+    row = [[(c, gi[k * n + c]) for c in range(n) if gi[k * n + c] != zero] for k in range(n)]
+    out = []
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                acc = zero
+                for a, x in col[i]:
+                    for b, y in col[j]:
+                        xy = ctx.mul(x, y)
+                        for c, z in row[k]:
+                            acc = ctx.add(acc, ctx.mul(ctx.mul(xy, z),
+                                                       coords[(a * n + b) * n + c]))
+                out.append(acc)
+    return out
+
+
+@per_field
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@SETTINGS
+@given(data=st.data())
+def test_transvection_and_diagonal_match_the_defining_sum(ctx, n, data):
+    coords = data.draw(st.lists(_scalars(ctx), min_size=n ** 3, max_size=n ** 3))
+    r, s = data.draw(st.permutations(range(1, n + 1)))[:2]
+    t = data.draw(_scalars(ctx).filter(bool))
+    diag = data.draw(st.lists(_scalars(ctx).filter(bool), min_size=n, max_size=n))
+    for g in (GroupElement.transvection(ctx, n, r, s, t), GroupElement.diagonal(ctx, diag)):
+        expect = ref_act(ctx, coords, g, n)
+        for cf in _forms(ctx, coords):
+            got = act_coords(cf, g, n, ctx)
+            assert type(got) is (bytes if ctx.packed else list)
+            assert list(got) == expect
+
+
+@pytest.mark.parametrize("ctx", [c for c in FIELDS if c.char in (11, 13)], ids=repr)
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_transvections_with_every_slot_and_t_at_p_minus_1(ctx, n):
+    # the largest slot the lazy bound allows: every entry p - 1, and t = p - 1
+    # (steps 1 and 2 add (p-1) times a slot, step 3 adds 1 times one)
+    top = ctx.char - 1
+    coords = [top] * n ** 3
+    for r in range(1, n + 1):
+        for s in range(1, n + 1):
+            if r != s:
+                for t in (top, 1):
+                    g = GroupElement.transvection(ctx, n, r, s, t)
+                    assert list(act_coords(coords, g, n, ctx)) == ref_act(ctx, coords, g, n)
+
+
+@pytest.mark.parametrize("ctx", [c for c in FIELDS if c.char == 2 and c.degree > 1], ids=repr)
+@pytest.mark.parametrize("n", [3, 4])
+def test_gf2k_transvections_with_t_not_1(ctx, n):
+    rng = random.Random(n)
+    coords = [rng.randrange(ctx.order) for _ in range(n ** 3)]
+    for t in range(2, ctx.order):
+        g = GroupElement.transvection(ctx, n, 1, n, t)
+        h = GroupElement.transvection(ctx, n, n, 2, t)
+        for x in (g, h):
+            assert list(act_coords(bytes(coords), x, n, ctx)) == ref_act(ctx, coords, x, n)
+
+
+@st.composite
+def shift_steps(draw, ctx, d):
+    """(c, mask, shift) steps whose moved slots stay inside the row and miss the sources."""
+    steps, moves = [], []
+    for _ in range(draw(st.integers(0, 6))):
+        m = draw(st.integers(1 - d, d - 1).filter(bool)) if d > 1 else 0
+        if not m:
+            continue
+        src = set()
+        for f in draw(st.permutations(range(max(0, -m), min(d, d - m)))):
+            if f + m not in src and f - m not in src and draw(st.booleans()):
+                src.add(f)
+        c = draw(st.sampled_from([ctx.order - 1, 1] + list(range(ctx.order))))
+        steps.append((c, sum(0xFF << 8 * (d - 1 - f) for f in src), -8 * m))
+        moves.append((c, src, m))
+    return steps, moves
+
+
+@pytest.mark.parametrize("ctx", [c for c in FIELDS if c.packed], ids=repr)
+@SETTINGS
+@given(data=st.data())
+def test_row_shift_add_matches_the_list_reference(ctx, data):
+    d = data.draw(st.integers(1, 40))
+    top = data.draw(st.booleans())
+    row = ([ctx.order - 1] * d if top else
+           data.draw(st.lists(_scalars(ctx), min_size=d, max_size=d)))
+    steps, moves = data.draw(shift_steps(ctx, d))
+    expect = list(row)
+    for c, src, m in moves:
+        old = list(expect)
+        for f in src:
+            expect[f + m] = ctx.add(old[f + m], ctx.mul(c, old[f]))
+    for rf in _forms(ctx, row):
+        assert ctx.row_shift_add(rf, steps) == bytes(expect)
+
+
+@pytest.mark.parametrize("ctx", [c for c in FIELDS if c.packed], ids=repr)
+@SETTINGS
+@given(data=st.data())
+def test_row_slot_scale_matches_the_list_reference(ctx, data):
+    d = data.draw(st.integers(1, 40))
+    row = data.draw(st.lists(_scalars(ctx), min_size=d, max_size=d))
+    scalar_of = data.draw(st.lists(_scalars(ctx), min_size=d, max_size=d))
+    parts = {}
+    for f, c in enumerate(scalar_of):
+        parts[c] = parts.get(c, 0) | 0xFF << 8 * (d - 1 - f)
+    expect = [ctx.mul(c, x) for c, x in zip(scalar_of, row)]
+    for rf in _forms(ctx, row):
+        assert ctx.row_slot_scale(rf, tuple(parts.items())) == bytes(expect)
+
+
 # -- survey line images ------------------------------------------------------------------
 
 @pytest.mark.parametrize("ctx", [c for c in FIELDS if c.kind == "finite"] + [make_field(17)],
