@@ -198,9 +198,10 @@ def _trace_images(carrier, n):
     return [tr(StructureVector(carrier.ctx, n, r)).coords for r in carrier.rows]
 
 
-def basis_U(ctx, n):
-    """U = K meet T, computed as the kernel of tr restricted to K."""
-    K = basis_K(ctx, n)
+def basis_U(ctx, n, K=None):
+    """U = K meet T, computed as the kernel of tr restricted to K (built unless given)."""
+    if K is None:
+        K = basis_K(ctx, n)
     return _restricted_kernel(K, _trace_images(K, n), ctx)
 
 
@@ -382,6 +383,52 @@ def submodule(name, ctx, n):
     raise ValueError(f"unknown submodule name {name!r}")
 
 
+class Bases:
+    """The canonical submodules of one (field, n), each built on first use.
+
+    `bases[name]` accepts every name `submodule` does and returns the same
+    Subspace; a later lookup returns the same object, and every spelling of
+    a projective piece shares one.  The builds go through `submodule` and the
+    `basis_*` functions of this module, looked up when called, and U is cut
+    out of the shared K.  Nothing is kept beyond the object itself.
+    """
+
+    def __init__(self, ctx, n):
+        self.ctx, self.n = ctx, n
+        self._built = {}
+
+    def __getitem__(self, name):
+        sub = self._built.get(name)
+        if sub is None:
+            sub = self._built[name] = self._build(name)
+        return sub
+
+    def _build(self, name):
+        if name == "U":
+            return basis_U(self.ctx, self.n, self["K"])
+        point = parse_point(name, self.ctx)
+        if point is not None:
+            return self.piece(point)
+        return submodule(name, self.ctx, self.n)
+
+    def piece(self, point):
+        """The projective piece of M* at a ProjectivePoint."""
+        sub = self._built.get(point)
+        if sub is None:
+            sub = self._built[point] = basis_MstarP(self.ctx, self.n, point)
+        return sub
+
+
+def bases_for(ctx, n, bases=None):
+    """`bases` if given, else a fresh Bases; bases over another (field, n) are a ValueError."""
+    if bases is None:
+        return Bases(ctx, n)
+    if bases.ctx != ctx or bases.n != n:
+        raise ValueError(f"bases over {bases.ctx!r} with n = {bases.n} given for "
+                         f"{ctx!r} with n = {n}")
+    return bases
+
+
 def parse_point(name, ctx):
     """Accepts 'MstarP:a,d', 'MstarP(a,d)' and 'Mstar(a,d)' spellings."""
     body = None
@@ -401,13 +448,14 @@ def _char_divides(ctx, m):
     return m % ctx.char == 0
 
 
-def intersection_table(ctx, n):
+def intersection_table(ctx, n, bases=None):
     """Evaluate every claimed intersection with M* / M** and report per claim.
 
     Claims are dicts {id, anchor, status, computed, expected}: `report.claim`
     sets the status, and the computed and expected subspaces (as JSON) or
     dimensions stand in place of data.  Branching follows the divisibility of
-    n-1 and n+1 by the characteristic.
+    n-1 and n+1 by the characteristic.  The submodules come from `bases`
+    (a `Bases` over (ctx, n), fresh if None).
     """
     if ctx.kind != "finite" or ctx.order <= 2:
         raise ValueError("the intersection dictionary assumes a finite field, |F| > 2")
@@ -416,19 +464,12 @@ def intersection_table(ctx, n):
     mone = ctx.neg(one)
     nval = ctx.from_int(n)
 
-    C = basis_C(ctx, n)
-    K = basis_K(ctx, n)
-    Ms = basis_Mstar(ctx, n)
-    Mss = basis_Mstarstar(ctx, n)
-    T = basis_T(ctx, n)
-    Tt = basis_Ttilde(ctx, n)
-    TcT = basis_TcapTtilde(ctx, n)
-    N = basis_N(ctx, n)
-    U = basis_U(ctx, n)
-    zero_sub = Subspace.zero(ctx, n ** 3)
+    bases = bases_for(ctx, n, bases)
+    C, K, Ms, Mss, T, Tt, TcT, N, U, zero_sub = (bases[name] for name in (
+        "C", "K", "Mstar", "Mstarstar", "T", "Ttilde", "TcapTtilde", "N", "U", "0"))
 
     def mp(a, d):
-        return basis_MstarP(ctx, n, ProjectivePoint(ctx, a, d))
+        return bases.piece(ProjectivePoint(ctx, a, d))
 
     claims = []
 
@@ -490,11 +531,10 @@ def trace_kernel_witness(ctx, n):
     return StructureVector(ctx, n, coords)
 
 
-def check_trace_biconditional(ctx, n):
+def check_trace_biconditional(ctx, n, bases=None):
     """T ^ M** = T~ ^ M** holds exactly when char | n+1; both directions."""
-    T = basis_T(ctx, n)
-    Tt = basis_Ttilde(ctx, n)
-    Mss = basis_Mstarstar(ctx, n)
+    bases = bases_for(ctx, n, bases)
+    T, Tt, Mss = bases["T"], bases["Ttilde"], bases["Mstarstar"]
     left, right = T & Mss, Tt & Mss
     if _char_divides(ctx, n + 1):
         ok = left == right

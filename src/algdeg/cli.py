@@ -111,10 +111,10 @@ def _timed_cell(report, tag, fn, *args):
 
 # -- subcommands ---------------------------------------------------------------
 
-def dim_claim(ctx, n, name):
+def dim_claim(bases, name):
     """The dimension of one canonical submodule against its closed form."""
-    computed = canon.submodule(name, ctx, n).dim
-    expected = canon.expected_dims(n)[name]
+    computed = bases[name].dim
+    expected = canon.expected_dims(bases.n)[name]
     return claim(f"dim.{name}", f"dim {name} matches its closed form",
                  computed == expected, {"computed": computed, "expected": expected})
 
@@ -122,9 +122,10 @@ def dim_claim(ctx, n, name):
 def cmd_dims(args):
     report = Report("dims", {"n": args.n, "field": _field_label(args.field)}, args.seed)
     ctx, n = args.field, args.n
+    bases = canon.Bases(ctx, n)
     print(f"dimension table for n = {n} over {ctx!r}")
     for name in DIM_ORDER:
-        (c,) = report.timed(dim_claim, ctx, n, name)
+        (c,) = report.timed(dim_claim, bases, name)
         print(f"  {name:<12} dim {c['data']['computed']:>4}  [{c['status']}]")
     return report
 
@@ -135,8 +136,9 @@ def cmd_canon(args):
     if not _small_field_guard(report, ctx, [
             ("intersections", "intersection dictionary"),
             ("TmeetMstarstarBiconditional", "trace-kernel symmetry")]):
-        report.timed(canon.intersection_table, ctx, n)
-        report.timed(canon.check_trace_biconditional, ctx, n)
+        bases = canon.Bases(ctx, n)
+        report.timed(canon.intersection_table, ctx, n, bases)
+        report.timed(canon.check_trace_biconditional, ctx, n, bases)
     return report
 
 
@@ -186,7 +188,8 @@ def cmd_series(args):
     report = Report("series", {"n": n, "field": _field_label(ctx),
                                "chain": args.chain}, args.seed)
     gens = spinmx.standard_generators(ctx, n)
-    chain = [canon.submodule(name, ctx, n) for name in split_chain(args.chain)]
+    bases = canon.Bases(ctx, n)
+    chain = [bases[name] for name in split_chain(args.chain)]
 
     def series_claim():
         rep = spinmx.composition_series(chain, gens, args.seed)
@@ -205,7 +208,8 @@ def cmd_lattice(args):
     ctx, n = args.field, args.n
     report = Report("lattice", {"n": n, "field": _field_label(ctx)}, args.seed)
     if not _small_field_guard(report, ctx, [("lattice", "submodule diagrams")]):
-        report.timed(spinmx.verify_lattice_diagrams, ctx, n, args.seed)
+        report.timed(spinmx.verify_lattice_diagrams, ctx, n, args.seed,
+                     bases=canon.Bases(ctx, n))
     return report
 
 
@@ -251,65 +255,69 @@ def cmd_gamma(args):
         report.skip_all([("gamma", "semilinear-module verification")],
                         "needs characteristic 2 with |F| >= 4")
         return report
-    report.timed(gamma2.sigma_gmap_claims, ctx, n)
+    report.timed(gamma2.sigma_gmap_claims, ctx, n, bases=canon.Bases(ctx, n))
     report.timed(gamma2.verify_gamma_irreducible, ctx, n, args.seed)
     return report
 
 
 def cmd_verify_all(args):
-    fields = args.fields
+    fields = args.fields or [make_field(3), make_field(2, 2), make_field(5)]
     ns = args.n_list
     report = Report("verify-all",
                     {"n": ns, "fields": [_field_label(c) for c in fields],
                      "samples": args.samples}, args.seed)
     for ctx in fields:
         for n in ns:
-            tag = f"n{n}.q{_field_label(ctx)}"
-            if ctx.kind == "finite" and ctx.order <= 2:
-                report.skip_all(
-                    [(f"{tag}.all-claims", "every suite for this field")],
-                    "|F| > 2 required")
-                continue
-            gens = spinmx.standard_generators(ctx, n)
-            for name in DIM_ORDER:
-                _timed_cell(report, tag, dim_claim, ctx, n, name)
-            _timed_cell(report, tag, canon.intersection_table, ctx, n)
-            _timed_cell(report, tag, canon.check_trace_biconditional, ctx, n)
-            _timed_cell(report, tag, spinmx.verify_lattice_diagrams, ctx, n, args.seed)
-
-            def spin_claims():
-                out = []
-                for vec, target in (("eta", "U"), ("delta", "N")):
-                    got = spinmx.spin(canon.named_vector(vec, ctx, n), gens)
-                    want = canon.submodule(target, ctx, n)
-                    out.append(claim(f"spin.{vec}", f"spin({vec}) = {target}", got == want,
-                                     {"dim": got.dim}))
-                return out
-
-            _timed_cell(report, tag, spin_claims)
-
-            def degen_claims():
-                # looked up per call, so the benchmark tracer's rebinding of
-                # degen's suites sees them; the truncation bound needs |F| >= 5
-                suites = [
-                    ("lindeg", degen.lindeg_suite,
-                     "weight truncations stay in their cyclic modules"),
-                    ("eta", degen.reach_eta_suite, "square-factor vectors outside the "
-                     "span-preserving submodule reach 123-213"),
-                    ("delta", degen.reach_delta_suite, "commutative vectors outside the "
-                     "square-factor submodule reach 112"),
-                ]
-                out = []
-                for name, suite, anchor in suites if ctx.order >= 5 else suites[1:]:
-                    rep = suite(ctx, n, gens, args.seed, count=args.samples)
-                    out.append(claim(f"degen.{name}", anchor, not rep["failures"], rep))
-                return out
-
-            _timed_cell(report, tag, degen_claims)
-            if ctx.char == 2 and ctx.order >= 4:
-                _timed_cell(report, tag, gamma2.sigma_gmap_claims, ctx, n)
-                _timed_cell(report, tag, gamma2.verify_gamma_irreducible, ctx, n, args.seed)
+            _verify_cell(report, args, ctx, n)
     return report
+
+
+def _verify_cell(report, args, ctx, n):
+    """Every suite for one (n, field), sharing one generator set and one Bases."""
+    tag = f"n{n}.q{_field_label(ctx)}"
+    if ctx.kind == "finite" and ctx.order <= 2:
+        report.skip_all([(f"{tag}.all-claims", "every suite for this field")],
+                        "|F| > 2 required")
+        return
+    gens = spinmx.standard_generators(ctx, n)
+    bases = canon.Bases(ctx, n)
+    for name in DIM_ORDER:
+        _timed_cell(report, tag, dim_claim, bases, name)
+    _timed_cell(report, tag, canon.intersection_table, ctx, n, bases)
+    _timed_cell(report, tag, canon.check_trace_biconditional, ctx, n, bases)
+    _timed_cell(report, tag, spinmx.verify_lattice_diagrams, ctx, n, args.seed, gens, bases)
+
+    def spin_claims():
+        out = []
+        for vec, target in (("eta", "U"), ("delta", "N")):
+            got = spinmx.spin(canon.named_vector(vec, ctx, n), gens)
+            out.append(claim(f"spin.{vec}", f"spin({vec}) = {target}", got == bases[target],
+                             {"dim": got.dim}))
+        return out
+
+    _timed_cell(report, tag, spin_claims)
+
+    def degen_claims():
+        # looked up per call, so the benchmark tracer's rebinding of degen's
+        # suites sees them; the truncation bound needs |F| >= 5
+        suites = [
+            ("lindeg", degen.lindeg_suite, {},
+             "weight truncations stay in their cyclic modules"),
+            ("eta", degen.reach_eta_suite, {"bases": bases}, "square-factor vectors "
+             "outside the span-preserving submodule reach 123-213"),
+            ("delta", degen.reach_delta_suite, {"bases": bases}, "commutative vectors "
+             "outside the square-factor submodule reach 112"),
+        ]
+        out = []
+        for name, suite, kw, anchor in suites if ctx.order >= 5 else suites[1:]:
+            rep = suite(ctx, n, gens, args.seed, count=args.samples, **kw)
+            out.append(claim(f"degen.{name}", anchor, not rep["failures"], rep))
+        return out
+
+    _timed_cell(report, tag, degen_claims)
+    if ctx.char == 2 and ctx.order >= 4:
+        _timed_cell(report, tag, gamma2.sigma_gmap_claims, ctx, n, gens, bases)
+        _timed_cell(report, tag, gamma2.verify_gamma_irreducible, ctx, n, args.seed)
 
 
 def build_parser():
@@ -340,32 +348,26 @@ def build_parser():
 
     sp = add_parser("dims", help="dimension table against the closed forms")
     common(sp)
-    sp.set_defaults(fn=cmd_dims)
 
     sp = add_parser("canon", help="canonical submodules and their intersections")
     common(sp)
-    sp.set_defaults(fn=cmd_canon)
 
     sp = add_parser("spin", help="cyclic module of a named or JSON vector")
     common(sp)
     sp.add_argument("--vector", required=True)
     sp.add_argument("--expect", help="named submodule the spin should equal")
-    sp.set_defaults(fn=cmd_spin)
 
     sp = add_parser("survey", help="exhaustive submodule lattice of a carrier")
     common(sp)
     sp.add_argument("--module", required=True)
-    sp.set_defaults(fn=cmd_survey)
 
     sp = add_parser("series", help="certify a chain as a composition series")
     common(sp)
     sp.add_argument("--chain", required=True,
                     help="comma-separated submodule names, e.g. 0,Mstar(1,-1),U,K")
-    sp.set_defaults(fn=cmd_series)
 
     sp = add_parser("lattice", help="verify the submodule diagrams per branch")
     common(sp)
-    sp.set_defaults(fn=cmd_lattice)
 
     sp = add_parser("degen", help="linear degeneration operations")
     sp.add_argument("mode", choices=["q", "reach-eta", "reach-delta"])
@@ -373,28 +375,35 @@ def build_parser():
     sp.add_argument("--lambda", dest="lam", required=True,
                     help="vector name or JSON")
     sp.add_argument("--q", help="comma-separated integer weights")
-    sp.set_defaults(fn=cmd_degen)
 
     sp = add_parser("gamma", help="characteristic-2 semilinear verification")
     common(sp)
-    sp.set_defaults(fn=cmd_gamma)
 
     sp = add_parser("verify-all", help="run every suite over a grid")
     sp.add_argument("--n-list", type=distinct_list(dimension_arg), default=[3])
     sp.add_argument("--fields", type=distinct_list(field_spec),
-                    default=[make_field(3), make_field(2, 2), make_field(5)])
+                    help="comma-separated field specs (default: 3,2^2,5)")
     sp.add_argument("--samples", type=positive_int, default=10,
                     help="sample count per randomized suite")
-    sp.set_defaults(fn=cmd_verify_all)
 
     return p
 
 
+_parser = None
+
+
+def command(args):
+    """The function of the parsed subcommand, looked up in this module when called."""
+    return globals()["cmd_" + args.cmd.replace("-", "_")]
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
-        report = args.fn(args)
+        report = command(args)(args)
         report.print_summary()
         if args.json:
             report.write(args.json, with_timing=not args.no_timing)

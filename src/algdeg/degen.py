@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .canon import basis_C, basis_Mstarstar
+from .canon import bases_for
 from .canon import delta as delta_vector
 from .canon import eta as eta_vector
 from .canon import omega, predicate_C, predicate_Mstar, predicate_Mstarstar
@@ -412,9 +412,9 @@ def lindeg_suite(ctx, n, gens, seed, count=100):
     return {"checked": checked, "failures": failures}
 
 
-def reach_eta_suite(ctx, n, gens, seed, count=50):
+def reach_eta_suite(ctx, n, gens, seed, count=50, bases=None):
     rng = random.Random(derive_seed(seed, "reach-eta", ctx.order, n))
-    inside = basis_Mstarstar(ctx, n)
+    inside = bases_for(ctx, n, bases)["Mstarstar"]
     failures = []
     for _ in range(count):
         lam = sample_in_between(ctx, n, inside, predicate_Mstar, rng)
@@ -424,9 +424,9 @@ def reach_eta_suite(ctx, n, gens, seed, count=50):
     return {"checked": count, "failures": failures}
 
 
-def reach_delta_suite(ctx, n, gens, seed, count=50):
+def reach_delta_suite(ctx, n, gens, seed, count=50, bases=None):
     rng = random.Random(derive_seed(seed, "reach-delta", ctx.order, n))
-    inside = basis_C(ctx, n)
+    inside = bases_for(ctx, n, bases)["C"]
     fixtures = []
     if ctx.order == 3:
         # deterministic fixtures covering both |F| = 3 proof branches

@@ -17,7 +17,7 @@ the kernel-vector criterion.
 import random
 from dataclasses import dataclass
 
-from .canon import _restricted_kernel, basis_C, basis_K, predicate_C
+from .canon import _restricted_kernel, bases_for, predicate_C
 from .exactla import Echelon, GroupElement, Matrix, Subspace
 from .gfield import primitive_element
 from .report import claim, norton_claim
@@ -179,11 +179,12 @@ def gamma_handle(gens, label="semilinear"):
     return ModuleHandle(ctx, label, carrier, None, reps, action, gens)
 
 
-def sigma_gmap_claims(ctx, n, gens=None):
+def sigma_gmap_claims(ctx, n, gens=None, bases=None):
     """sigma intertwines the two actions and has kernel K on C (both checked)."""
     if gens is None:
         gens = standard_generators(ctx, n)
-    C = basis_C(ctx, n)
+    bases = bases_for(ctx, n, bases)
+    C = bases["C"]
     ok = True
     for g in gens.elements:
         for row in C.rows:
@@ -193,7 +194,7 @@ def sigma_gmap_claims(ctx, n, gens=None):
     # kernel of sigma restricted to C equals K, and sigma is onto (rank n^2)
     values = [sigma(StructureVector(ctx, n, list(r))).coords() for r in C.rows]
     rank = Matrix.from_rows(ctx, values).rank()
-    ok2 = rank == n * n and _restricted_kernel(C, values, ctx) == basis_K(ctx, n)
+    ok2 = rank == n * n and _restricted_kernel(C, values, ctx) == bases["K"]
     return [claim("sigmaGmap", "sigma(lam g) = sigma(lam) * g on the commutative submodule",
                   ok),
             claim("sigmaKernel", "sigma maps C onto the semilinear space with kernel K",

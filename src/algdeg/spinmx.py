@@ -663,13 +663,14 @@ def hom_space(ha, hb):
 
 # -- diagram verification ----------------------------------------------------------
 
-def verify_lattice_diagrams(ctx, n, seed=0, gens=None):
+def verify_lattice_diagrams(ctx, n, seed=0, gens=None, bases=None):
     """Check the submodule diagrams branch by branch for one (n, field).
 
     Covers the two diagrams over M** (split by char | n-1), the three over
     the full space (split by char | n+1 and char 2), and the three dual-space
     filtration factors, each by explicit subspace computation plus kernel-
-    vector irreducibility verdicts.
+    vector irreducibility verdicts.  The submodules come from `bases` (a
+    `canon.Bases` over (ctx, n), fresh if None).
     """
     from . import canon
     from .structvec import tr_matrix_rows, tr_op_matrix_rows
@@ -681,15 +682,9 @@ def verify_lattice_diagrams(ctx, n, seed=0, gens=None):
     claims = []
     dims = canon.expected_dims(n)
 
-    C = canon.basis_C(ctx, n)
-    K = canon.basis_K(ctx, n)
-    Ms = canon.basis_Mstar(ctx, n)
-    Mss = canon.basis_Mstarstar(ctx, n)
-    T = canon.basis_T(ctx, n)
-    TcT = canon.basis_TcapTtilde(ctx, n)
-    N = canon.basis_N(ctx, n)
-    U = canon.basis_U(ctx, n)
-    Lam = Subspace.full(ctx, n ** 3)
+    bases = canon.bases_for(ctx, n, bases)
+    C, K, Ms, Mss, T, TcT, N, U, Lam = (bases[name] for name in (
+        "C", "K", "Mstar", "Mstarstar", "T", "TcapTtilde", "N", "U", "Lambda"))
     one = ctx.one()
     char2 = ctx.char == 2
 
@@ -725,8 +720,7 @@ def verify_lattice_diagrams(ctx, n, seed=0, gens=None):
     if (n - 1) % ctx.char == 0:
         UM = U | Ms
         add(claim("UmeetMstar.branch", "U ^ M* = M*_(1,-1) when char | n-1",
-                  (U & Ms) == canon.basis_MstarP(ctx, n,
-                                                 canon.ProjectivePoint(ctx, one, ctx.neg(one)))))
+                  (U & Ms) == bases.piece(canon.ProjectivePoint(ctx, one, ctx.neg(one)))))
         add(claim("UplusMstar.dim", "dim(U + M*) = n^3/2 - n^2/2 when char | n-1",
                   UM.dim == (n ** 3 - n ** 2) // 2, {"dim": UM.dim}))
         add(claim("MssOverU.split", "K and U+M* are distinct complements over U inside M**",
@@ -794,7 +788,7 @@ def verify_lattice_diagrams(ctx, n, seed=0, gens=None):
                    Lam, NM, "Lambda/(N+M**)", "L/NM", "reducible", length_two)
     elif (n + 1) % ctx.char == 0:
         NM = N | Mss
-        M11 = canon.basis_MstarP(ctx, n, canon.ProjectivePoint(ctx, one, one))
+        M11 = bases.piece(canon.ProjectivePoint(ctx, one, one))
         add(claim("NmeetMss.divides", "N ^ M** = M*_(1,1) when char | n+1", (N & Mss) == M11))
         add(claim("NplusMss.dim", "dim(N + M**) = n^3 - n",
                   NM.dim == n ** 3 - n, {"dim": NM.dim}))

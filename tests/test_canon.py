@@ -383,3 +383,48 @@ def test_submodule_name_parser():
     assert submodule("0", GF5, 3).dim == 0
     with pytest.raises(ValueError):
         submodule("bogus", GF5, 3)
+
+
+# -- Bases: one build per submodule, the same subspaces as `submodule` ---------
+
+BASES_NAMES = ("Lambda", "0", "C", "K", "Mstar", "Mstarstar", "T", "Ttilde", "TcapTtilde",
+               "N", "U")
+BASES_CASES = ([(make_field(p, k), 3) for p, k in
+                ((2, 2), (2, 3), (3, 2), (5, 2), (2, 1), (3, 1), (5, 1), (7, 1), (11, 1),
+                 (13, 1))]
+               + [(make_field(p, k), 4) for p, k in ((2, 1), (3, 1), (2, 2), (5, 1))])
+
+
+@pytest.mark.parametrize("ctx,n", BASES_CASES, ids=lambda x: repr(x))
+def test_bases_match_submodule_and_are_built_once(ctx, n):
+    bases = canon.Bases(ctx, n)
+    for name in BASES_NAMES:
+        sub = bases[name]
+        assert sub == submodule(name, ctx, n), name
+        assert bases[name] is sub, name
+    # every spelling of a projective piece with integer coordinates shares one object
+    for a, d in [(1, x) for x in range(ctx.char)] + [(0, 1)]:
+        spellings = [f"MstarP:{a},{d}", f"MstarP({a},{d})", f"Mstar({a},{d})"]
+        sub = bases[spellings[0]]
+        assert sub == submodule(spellings[0], ctx, n)
+        assert all(bases[s] is sub for s in spellings)
+        assert bases.piece(ProjectivePoint(ctx, ctx.from_int(a), ctx.from_int(d))) is sub
+    for point in ProjectivePoint.enumerate(ctx):
+        sub = bases.piece(point)
+        assert sub == basis_MstarP(ctx, n, point)
+        assert bases.piece(point) is sub
+
+
+def test_bases_reject_unknown_names_and_other_shapes():
+    bases = canon.Bases(GF5, 3)
+    with pytest.raises(ValueError):
+        bases["bogus"]
+    assert canon.bases_for(GF5, 3, bases) is bases
+    for ctx, n in ((GF7, 3), (GF5, 4)):
+        with pytest.raises(ValueError):
+            intersection_table(ctx, n, bases)
+
+
+def test_basis_U_from_a_given_K_is_basis_U():
+    K = basis_K(GF5, 4)
+    assert basis_U(GF5, 4, K) == basis_U(GF5, 4)

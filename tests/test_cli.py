@@ -265,6 +265,81 @@ def test_gf25_seed_once_inconclusive_now_verifies(tmp_path):
     assert claims["n3.q5^2.LambdaOverMss.irr"]["status"] == "verified"
 
 
+def _count_basis_builds(monkeypatch):
+    """Count each canon.basis_* call, per projective point for basis_MstarP.
+
+    Every algdeg global bound to a builder is rebound, so a call through a
+    name imported into another module is counted too.
+    """
+    import sys
+    from collections import Counter
+
+    from algdeg import canon
+
+    calls = Counter()
+    modules = [m for name, m in list(sys.modules.items())
+               if m is not None and (name == "algdeg" or name.startswith("algdeg."))]
+    for name in [n for n in vars(canon) if n.startswith("basis_")]:
+        orig = getattr(canon, name)
+
+        def counted(*args, _orig=orig, _name=name, **kwargs):
+            calls[(_name,) + tuple(repr(a) for a in args[2:])] += 1
+            return _orig(*args, **kwargs)
+
+        for m in modules:
+            for key, value in list(vars(m).items()):
+                if value is orig:
+                    monkeypatch.setattr(m, key, counted)
+    return calls
+
+
+def test_verify_all_cell_builds_each_basis_once(monkeypatch, capsys):
+    calls = _count_basis_builds(monkeypatch)
+    assert run(["verify-all", "--n-list", "4", "--fields", "5", "--samples", "2"]) == 0
+    capsys.readouterr()
+    assert {key[0] for key in calls} >= {"basis_C", "basis_K", "basis_Mstar", "basis_U",
+                                         "basis_MstarP"}
+    assert max(calls.values()) == 1, calls
+
+
+def test_verify_all_grid_claims_are_its_cells_claims_in_order(tmp_path, capsys):
+    def claims(grid):
+        path = tmp_path / "r.json"
+        assert run(["--json", str(path), "--no-timing", "verify-all", "--samples", "2",
+                    "--seed", "5"] + grid) == 0
+        return json.loads(path.read_text())["claims"]
+
+    joined = [c for f in ("3", "5") for n in ("3", "4")
+              for c in claims(["--n-list", n, "--fields", f])]
+    assert claims(["--n-list", "3,4", "--fields", "3,5"]) == joined
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-all", "--n-list", "3", "--fields", "5", "--samples", "2", "--seed", "3"],
+    ["dims", "--n", "4", "--field", "5"],
+    ["series", "--chain", "0,U,K", "--n", "3", "--field", "5"],
+    ["lattice", "--n", "3", "--field", "2^2", "--seed", "2"],
+])
+def test_repeated_main_calls_share_one_parser_and_write_identical_reports(
+        argv, tmp_path, monkeypatch, capsys):
+    builds = []
+    build_parser = cli.build_parser
+
+    def counted():
+        builds.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counted)
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    for path in (a, b):
+        assert run(["--no-timing", "--json", str(path)] + argv) == 0
+    capsys.readouterr()
+    assert len(builds) == 1
+    assert a.read_bytes() == b.read_bytes()
+
+
 def test_internal_error_exits_4(monkeypatch, capsys):
     def crash(args):
         raise RuntimeError("boom")

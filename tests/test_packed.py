@@ -596,7 +596,7 @@ def test_values_leaving_the_engine_hold_no_bytes(capsys):
         args = cli.build_parser().parse_args(
             ["survey", "--module", "Mstar", "--n", "3", "--field", field])
         assert args.field.packed
-        assert not _holds_bytes(args.fn(args).claims)
+        assert not _holds_bytes(cli.command(args)(args).claims)
         handle = spinmx.dual_space_handle(spinmx.standard_generators(args.field, 3))
         assert not _holds_bytes(handle.reps) and not _holds_bytes(handle.action)
     capsys.readouterr()
