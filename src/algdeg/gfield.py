@@ -13,13 +13,9 @@ whole rows and, over GF(p), reduce the slots mod p with one `translate`
 only when a slot could next pass 255.  The structure-vector action's
 transvections and diagonals run on int views too (`row_shift_add`,
 `row_slot_scale`).  Other fields keep rows as lists.
-The orbit walk's line images (`line_codes`, for the exhaustive fallback of
-the kernel-vector test) add tabled rows in the `view` form of every finite
-field: big ints when packed, the list rows otherwise.
 """
 
 from fractions import Fraction
-from operator import add, mul, xor
 
 # Fixed irreducible moduli, ascending coefficients c0..ck with ck = 1.
 # Frozen so serialized data is reproducible across runs and machines.
@@ -151,9 +147,6 @@ class FieldCtx:
             # terms a reduced slot takes before it could pass 255: each adds
             # at most (p-1)^2 to a slot of at most p-1
             self._lazy_terms = (256 - char) // (char - 1) ** 2
-            # `line_codes`: how two reduced rows sum, and the tables scaling a lead to 1
-            self._line_ops = (xor, None) if char == 2 else (add, self._mod_bytes)
-            self._normalise = [None] + [self._scale_bytes[self.inv(c)] for c in range(1, q)]
 
     def _decode(self, r):
         """Integer repr -> coefficient list, least-significant (constant) first."""
@@ -256,10 +249,6 @@ class FieldCtx:
         """A row in this field's row form: `bytes` when packed, else a new list."""
         return bytes(vec) if self.packed else list(vec)
 
-    def view(self, row):
-        """A row in the form `line_codes` adds: the int view of a packed row, else the row."""
-        return int.from_bytes(row, "big") if self.packed else row
-
     def lead(self, v):
         """Index of the first nonzero entry of a row; len(v) for the zero row."""
         if type(v) is bytes:
@@ -307,32 +296,6 @@ class FieldCtx:
             mc = self._mul_table[c]
             return [mc[y] for y in v]
         return [c * y for y in v]
-
-    def line_codes(self, tables, split, places, code):
-        """The base-q codes of one line's images, one per (high, low) table pair.
-
-        Each is high[hi] + low[lo] for the digit halves divmod(code, split),
-        scaled to a leading 1 and weighted by `places`.  Packed rows are summed
-        by one big-int XOR or addition (two reduced entries sum below 256),
-        then reduced and scaled by `translate`.
-        """
-        hi, lo = divmod(code, split)
-        out = []
-        if self.packed:
-            d = len(places)
-            (plus, reduce), normalise = self._line_ops, self._normalise
-            for high, low in tables:
-                v = plus(high[hi], low[lo]).to_bytes(d, "big").translate(reduce)
-                out.append(sum(map(mul, v.translate(normalise[v.lstrip(b"\0")[0]]), places)))
-            return out
-        one = self.one()
-        for high, low in tables:
-            v = self.row_addmul(high[hi], low[lo], one)
-            c = v[self.lead(v)]
-            if c != one:
-                v = self.row_scale(v, self.inv(c))
-            out.append(sum(map(mul, v, places)))
-        return out
 
     # -- big-int row kernels (packed fields only) --------------------------
     #

@@ -15,14 +15,21 @@ proper submodule S meets that kernel in 0, so theta - a*I is invertible on S,
 S lies in its image, and all of ker((theta - a*I)^T) lies in the annihilator
 of S, a proper submodule of the transpose.  So one vector of that kernel
 decides (Norton's lemma): it spins full exactly when the module is
-irreducible.  (Holt & Rees, "Testing modules for irreducibility", J. Austral.
-Math. Soc. A 57, 1994.)
+irreducible.  The same holds for any singular N in the envelope whose
+kernel meets every proper submodule in 0.  Draws past the first
+`NORTON_ATTEMPTS` reach the modules that are not absolutely irreducible,
+where every shift may have a large kernel: with no root of e_1's order
+polynomial they test N = theta^(q^e) - theta at the least e with a nonzero
+kernel.  When its nullity is e, ker N is a simple F[theta]-module, so a
+submodule meeting it contains it, and one kernel vector stands for every
+line.  (Holt & Rees, "Testing modules for irreducibility", J. Austral. Math.
+Soc. A 57, 1994.)
 """
 
 import hashlib
 import random
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import product as iproduct
 from typing import Optional
 
@@ -35,7 +42,7 @@ from .structvec import act_coords
 
 LINE_CAP = 128           # max kernel lines spun for one shift of a theta draw
 NORTON_ATTEMPTS = 64
-SURVEY_BUDGET = 2 ** 22  # max |F|^dim for surveys and the exhaustive Norton fallback
+SURVEY_BUDGET = 2 ** 22  # max |F|^dim of a survey's carrier
 
 
 def derive_seed(base, *tags):
@@ -374,21 +381,72 @@ def _eigenvalue_candidates(theta, ctx):
     return roots
 
 
-def _small_shift(theta, ctx):
-    """The first shift theta - a*I at a root a whose kernel has 1..`LINE_CAP` lines.
-
-    Returns (a, shifted rows, module-side kernel rows, kernel lines), or None.
-    """
+def _root_shifts(theta, ctx):
+    """(key, shifted rows, module-side kernel rows) of theta - a*I at each root a."""
     d = len(theta)
     for a in _eigenvalue_candidates(theta, ctx):
         shifted = [list(r) for r in theta]
         for i, r in enumerate(shifted):
             r[i] = ctx.sub(r[i], a)
+        yield {"shift": ctx.raw_to_json(a)}, shifted, kernel_rows(_transpose_rows(shifted), d, ctx)
+
+
+def _deciding_lines(ker, e, d, ctx):
+    """The kernel vectors whose spins decide a shift of degree e, or None.
+
+    One vector when the nullity is e (see `_degree_shift`), else every line
+    when the kernel has 1..`LINE_CAP` lines and is not the whole space.
+    """
+    if len(ker) == e:
+        return ker[:1]
+    return _lines_of(ker, ctx, LINE_CAP) if len(ker) < d else None
+
+
+def _degree_shift(theta, ctx):
+    """theta^(q^e) - theta at the least e >= 1 with a nonzero kernel, as (key, shifted, ker).
+
+    x^(q^e) - x is the product of the monic irreducibles over F of degree
+    dividing e, each once.  An irreducible factor f of theta's characteristic
+    polynomial has ker f(theta) != 0, so some e <= d qualifies, and at the
+    least one the kernel is the direct sum of ker f(theta) over the factors f
+    of degree e.  Each of those is a vector space over F[x]/(f), of
+    F-dimension a multiple of e, so nullity e means a single f with
+    nullity(f(theta)) = deg f.
+    """
+    d, one = len(theta), ctx.one()
+    power = theta
+    for e in range(1, d + 1):
+        base = power
+        for _ in range(ctx.order - 1):
+            power = _matmul_rows(power, base, ctx)
+        shifted = [list(ctx.row_submul(p, t, one)) for p, t in zip(power, theta)]
         ker = kernel_rows(_transpose_rows(shifted), d, ctx)
-        lines = _lines_of(ker, ctx, LINE_CAP) if len(ker) < d else None
+        if ker:
+            return {"degree": e}, shifted, ker
+    raise RuntimeError("theta^(q^e) - theta is invertible for every e <= d")
+
+
+def _shift(theta, ctx, general):
+    """The shift a draw is tested at: (key, shifted rows, kernel rows, lines), or None.
+
+    First the first root shift whose kernel has deciding lines.  A general
+    draw (`general`) without one takes the first root's shift, or with no
+    root `_degree_shift`'s.  `lines` are the deciding kernel vectors, or None
+    when only the first kernel vector may be spun, which can only give a
+    reducible witness (this covers theta - a*I = 0 too).
+    """
+    first = None
+    for key, shifted, ker in _root_shifts(theta, ctx):
+        lines = _deciding_lines(ker, 1, len(theta), ctx)
         if lines:
-            return a, shifted, ker, lines
-    return None
+            return key, shifted, ker, lines
+        first = first or (key, shifted, ker, None)
+    if not general:
+        return None
+    if first is None:
+        key, shifted, ker = _degree_shift(theta, ctx)
+        first = key, shifted, ker, _deciding_lines(ker, key["degree"], len(theta), ctx)
+    return first
 
 
 def _reducible(handle, rows, detail):
@@ -408,15 +466,18 @@ def _reducible(handle, rows, detail):
 
 
 def norton_irreducible(handle, seed):
-    """Kernel-vector irreducibility test with Holt-Rees shifts and exhaustive fallback.
+    """Kernel-vector irreducibility test with Holt-Rees shifts.
 
-    Each draw theta is tested at the first root a (`_small_shift`) whose
-    kernel of theta - a*I has at most `LINE_CAP` lines, or redrawn.
+    Each of the first `NORTON_ATTEMPTS` draws theta is tested at the first
+    root a whose kernel of theta - a*I has at most `LINE_CAP` lines, or
+    redrawn.  The next `NORTON_ATTEMPTS` draws are general (`_shift`); a
+    general draw without deciding kernel vectors can still give a witness.
     Reducible verdicts always carry an explicit witness subspace, checked
-    invariant (`_reducible`).  Irreducible verdicts require every kernel line
-    of that shift to spin full on the module, and one vector of the kernel of
-    its transpose to spin full on the transpose (Norton's lemma; see the
-    module docstring).
+    invariant (`_reducible`).  Irreducible verdicts require the deciding
+    kernel vectors of the shift to spin full on the module, and one vector
+    of the kernel of its transpose to spin full on the transpose (Norton's
+    lemma; see the module docstring).  An inconclusive detail counts the
+    draws made.
     """
     ctx, d = handle.ctx, handle.dim
     if d == 0:
@@ -424,16 +485,18 @@ def norton_irreducible(handle, seed):
     if d == 1:
         return NortonResult("irreducible", None, None, {"reason": "dimension 1"})
     rng = random.Random(derive_seed(seed, "norton", handle.label, d))
-    for attempt in range(NORTON_ATTEMPTS):
-        found = _small_shift(_random_envelope(handle, rng), ctx)
+    for attempt in range(2 * NORTON_ATTEMPTS):
+        found = _shift(_random_envelope(handle, rng), ctx, attempt >= NORTON_ATTEMPTS)
         if found is None:
             continue
-        a, shifted, ker, lines = found
-        detail = {"attempt": attempt, "shift": ctx.raw_to_json(a), "nullity": len(ker)}
-        proper = _first_proper_spin(handle.action, lines, d, ctx)
+        key, shifted, ker, lines = found
+        detail = {"attempt": attempt, **key, "nullity": len(ker)}
+        proper = _first_proper_spin(handle.action, lines or ker[:1], d, ctx)
         if proper is not None:
             return _reducible(handle, [list(r) for r in proper.rows],
                               {**detail, "side": "module"})
+        if lines is None:
+            continue
         # the transpose has the same nullity; its first kernel row decides
         ker_t = kernel_rows(shifted, d, ctx)
         action_t = [_transpose_rows(m) for m in handle.action]
@@ -442,13 +505,7 @@ def norton_irreducible(handle, seed):
             ann = kernel_rows([list(r) for r in proper_t.rows], d, ctx)
             return _reducible(handle, ann, {**detail, "side": "dual"})
         return NortonResult("irreducible", None, None, detail)
-    if ctx.order ** d <= SURVEY_BUDGET:
-        lines = _line_orbit_reps(handle.action, ctx, d)
-        proper = _first_proper_spin(handle.action, lines, d, ctx)
-        if proper is not None:
-            return _reducible(handle, [list(r) for r in proper.rows], {"mode": "exhaustive"})
-        return NortonResult("irreducible", None, None, {"mode": "exhaustive"})
-    return NortonResult("inconclusive", None, None, {"attempts": NORTON_ATTEMPTS})
+    return NortonResult("inconclusive", None, None, {"attempts": 2 * NORTON_ATTEMPTS})
 
 
 def _first_proper_spin(action, lines, d, ctx):
@@ -571,65 +628,10 @@ def _simple_types(quotient, full, seed):
         if res.verdict == "reducible":
             todo += [(res.witness, bottom), (top, res.witness)]
         elif res.verdict != "irreducible":
-            raise RuntimeError(f"no verdict on the factor {h.label!r} inside the survey budget")
+            raise RuntimeError(f"no verdict on the factor {h.label!r}")
         elif not any(t.dim == h.dim and hom_space(t, h)[0] for t in types):
             types.append(h)
     return types
-
-
-def _line_orbit_reps(action, ctx, d):
-    """The first line, in `_all_lines` order, of each orbit of the action's group.
-
-    The group is the one the action matrices generate, acting on the scalar
-    lines of F^d.  A line is marked by the base-q code of its representative
-    with first nonzero entry 1 (first coordinate most significant), so
-    `_all_lines` order is ascending code order within each leading position.
-    A line is yielded before its orbit is walked, and the orbit of a line
-    still unmarked is disjoint from every orbit walked so far, so that line
-    is the first of its orbit.
-    """
-    q = ctx.order
-    images = _line_image_codes(action, ctx, d)
-    seen = bytearray(q ** d)
-    for lead in range(d):
-        start = q ** (d - 1 - lead)
-        code = seen.find(0, start, 2 * start)
-        while code != -1:
-            seen[code] = 1
-            yield _decode(code, q, d)
-            stack = [code]
-            while stack:
-                for c in images(stack.pop()):
-                    if not seen[c]:
-                        seen[c] = 1
-                        stack.append(c)
-            code = seen.find(0, code + 1, 2 * start)
-
-
-def _decode(code, q, d):
-    w = [0] * d
-    for i in range(d - 1, -1, -1):
-        code, w[i] = divmod(code, q)
-    return w
-
-
-def _line_image_codes(action, ctx, d):
-    """A function from a line's code to the codes of its images, one per matrix.
-
-    A line's image is the sum of the images of its first d // 2 coordinates
-    and of the rest, tabled per matrix in `view` form for `FieldCtx.line_codes`
-    (with d = 1 the high table holds just the zero row).
-    """
-    q = ctx.order
-
-    def table(rows):
-        if not rows:
-            return [ctx.view(ctx.pack([ctx.zero()] * d))]
-        times = combiner(rows, ctx)
-        return [ctx.view(times(cs)) for cs in iproduct(range(q), repeat=len(rows))]
-
-    tables = [(table(m[:d // 2]), table(m[d // 2:])) for m in action]
-    return partial(ctx.line_codes, tables, q ** (d - d // 2), [q ** (d - 1 - i) for i in range(d)])
 
 
 # -- homomorphism spaces ---------------------------------------------------------
@@ -701,18 +703,22 @@ def verify_lattice_diagrams(ctx, n, seed=0, gens=None, bases=None):
         extra, holds = rest(h, res) if rest else ({}, True)
         add(norton_claim(cid, anchor, res, want, {"verdict": res.verdict, **extra}, holds))
 
-    # dual-space filtration factors via the explicit trace surjections
+    # dual-space filtration factors via the explicit trace surjections.  T and
+    # U are built as kernels of tr, so they are checked against the
+    # per-vector tr and the dimension a rank-n map leaves; N is a table basis
+    def rank(rows):
+        return Matrix.from_rows(ctx, rows).rank() if rows else 0
+
     tr_rows = tr_matrix_rows(ctx, n)
     add(claim("LambdaOverT", "tr maps the full space onto the dual with kernel T",
-              Matrix.from_rows(ctx, tr_rows).rank() == n
-              and Subspace(ctx, n ** 3, kernel_rows(tr_rows, n ** 3, ctx)) == T))
-    for name, anchor, carrier, ker in (
-            ("KOverU", "tr restricted to K is onto the dual with kernel U", K, U),
-            ("COverN", "tr restricted to C is onto the dual with kernel N", C, N)):
-        values = canon._trace_images(carrier, n)
-        rank = Matrix.from_rows(ctx, values).rank() if values else 0
-        restr_ker = canon._restricted_kernel(carrier, values, ctx)
-        add(claim(name, anchor, rank == n and restr_ker == ker))
+              rank(tr_rows) == n and T.dim == n ** 3 - n
+              and not any(map(any, canon._trace_images(T, n)))))
+    add(claim("KOverU", "tr restricted to K is onto the dual with kernel U",
+              rank(canon._trace_images(K, n)) == n
+              and U <= K and U <= T and U.dim == K.dim - n))
+    values = canon._trace_images(C, n)
+    add(claim("COverN", "tr restricted to C is onto the dual with kernel N",
+              rank(values) == n and canon._restricted_kernel(C, values, ctx) == N))
 
     v_handle = dual_space_handle(gens)
 

@@ -143,9 +143,18 @@ def test_series_reports_reducible_first_factor(capsys):
 
 def test_series_with_a_reducible_factor_is_falsified_even_if_another_is_inconclusive(
         tmp_path, monkeypatch, capsys):
-    # with no random draws M* (dim 6) falls back to the exhaustive test, which
-    # finds a witness, and Lambda/M* (dim 21) is past the survey budget
-    monkeypatch.setattr(spinmx, "NORTON_ATTEMPTS", 0)
+    # M* (dim 6) gets the real test, which finds a witness, and Lambda/M*
+    # (dim 21) is given an inconclusive verdict
+    real = spinmx.norton_irreducible
+
+    def stub(handle, seed):
+        if handle.label == "factor1":
+            return spinmx.NortonResult("inconclusive", None, None)
+        res = real(handle, seed)
+        assert res.verdict == "reducible"
+        return res
+
+    monkeypatch.setattr(spinmx, "norton_irreducible", stub)
     path = tmp_path / "r.json"
     assert run(["--json", str(path), "--no-timing", "series", "--chain", "0,Mstar,Lambda",
                 "--n", "3", "--field", "5"]) == 1
@@ -243,8 +252,7 @@ def test_verify_all_ids_unique_and_deterministic(tmp_path):
 
 def test_inconclusive_norton_verdict_is_not_falsified(tmp_path, monkeypatch):
     # with no draws the kernel-vector test gives up on the quotient by M**,
-    # 15-dimensional over GF(25) and so past the survey budget, while its
-    # dimension check holds
+    # 15-dimensional over GF(25), while its dimension check holds
     monkeypatch.setattr(spinmx, "NORTON_ATTEMPTS", 0)
     path = tmp_path / "r.json"
     assert run(["--json", str(path), "--no-timing", "verify-all", "--n-list", "3",

@@ -16,7 +16,7 @@ from hypothesis import assume, given, settings, strategies as st
 from algdeg import cli, spinmx
 from algdeg.exactla import (
     Echelon, GroupElement, Matrix, Subspace, combine, combiner, quotient_coords,
-    random_invertible, reduce_with_coeffs, rref_rows,
+    reduce_with_coeffs, rref_rows,
 )
 from algdeg.gfield import make_field
 from algdeg.structvec import StructureVector, act, act_coords, action_matrix
@@ -318,32 +318,6 @@ def test_row_slot_scale_matches_the_list_reference(ctx, data):
     expect = [ctx.mul(c, x) for c, x in zip(scalar_of, row)]
     for rf in _forms(ctx, row):
         assert ctx.row_slot_scale(rf, tuple(parts.items())) == bytes(expect)
-
-
-# -- survey line images ------------------------------------------------------------------
-
-@pytest.mark.parametrize("ctx", [c for c in FIELDS if c.kind == "finite"] + [make_field(17)],
-                         ids=repr)
-@SETTINGS
-@given(data=st.data())
-def test_line_image_codes_match_the_scalar_reference(ctx, data):
-    # every field takes the table path: packed fields add (GF(p)) or XOR
-    # (GF(2^k)) int views, and GF(9), GF(25) and GF(17) add list rows; with
-    # d = 1 the high half is empty and its one entry is the zero row
-    q, d = ctx.order, data.draw(st.integers(1, 4))
-    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
-    action = [random_invertible(ctx, d, rng).mat.rows() for _ in range(2)]
-    images = spinmx._line_image_codes(action, ctx, d)
-    for code in data.draw(st.lists(st.integers(1, q ** d - 1), min_size=1, max_size=8)):
-        w = [code // q ** (d - 1 - i) % q for i in range(d)]
-        want = []
-        for m in action:
-            v = [ctx.zero()] * d
-            for x, row in zip(w, m):
-                v = ref_addmul(ctx, v, row, x)
-            c = ctx.inv(v[ref_lead(v)])
-            want.append(sum(ctx.mul(c, x) * q ** (d - 1 - i) for i, x in enumerate(v)))
-        assert images(code) == want
 
 
 # -- the echelon engine ----------------------------------------------------------------

@@ -1,12 +1,14 @@
 import dataclasses
 import random
+from itertools import product as iproduct
+from operator import mul
 
 import pytest
 
 from algdeg import spinmx
 from algdeg.cli import main
 from algdeg.gfield import make_field
-from algdeg.exactla import Subspace, combine, kernel_rows, random_invertible
+from algdeg.exactla import Subspace, combine, combiner, kernel_rows, random_invertible
 from algdeg.gamma2 import gamma_handle
 from algdeg.structvec import StructureVector, act, unit
 from algdeg.canon import (
@@ -21,8 +23,8 @@ from algdeg.spinmx import (
 )
 from test_packed import FIELDS
 from algdeg.spinmx import (
-    _all_lines, _first_proper_spin, _handle_appliers, _line_orbit_reps, _lines_of,
-    _random_envelope, _span_closure, _structvec_appliers, _transpose_rows,
+    _all_lines, _first_proper_spin, _handle_appliers, _lines_of, _random_envelope,
+    _shift, _span_closure, _structvec_appliers, _transpose_rows,
 )
 
 GF3 = make_field(3)
@@ -431,6 +433,16 @@ def test_lattice_diagrams_char2():
         assert c["status"] == "verified", (c["id"], c["anchor"], c["data"])
 
 
+def test_lambda_over_t_catches_a_trace_matrix_with_another_kernel(monkeypatch):
+    # tr~'s matrix has rank n as well, so with it in place of tr's, T is built
+    # as T~, of the right dimension; only the per-vector trace tells them apart
+    from algdeg import canon, structvec
+    for module in (structvec, canon):
+        monkeypatch.setattr(module, "tr_matrix_rows", structvec.tr_op_matrix_rows)
+    status = {c["id"]: c["status"] for c in verify_lattice_diagrams(GF5, 3, seed=11)}
+    assert status["LambdaOverT"] == "falsified"
+
+
 def test_derive_seed_stable():
     assert derive_seed(1, "x") == derive_seed(1, "x")
     assert derive_seed(1, "x") != derive_seed(1, "y")
@@ -545,21 +557,72 @@ def test_survey_matches_spinning_every_line(name, ctx):
     assert survey_submodules(h) == _brute_force_survey(h)
 
 
+def _diag_handle(diagonal):
+    d = len(diagonal)
+    rows = [[int(i == j) * c for j in range(d)] for i, c in enumerate(diagonal)]
+    return ModuleHandle(GF3, "diag", Subspace.full(GF3, d), None,
+                        [[int(i == j) for j in range(d)] for i in range(d)], [rows], None)
+
+
 @pytest.mark.parametrize("diagonal", [[1, 1], [1, 1, 2]])
 def test_survey_reaches_submodules_that_are_not_cyclic(diagonal):
     # a diagonal action with a repeated eigenvalue: the eigenspace of 1 is a
     # submodule that no single vector spins to, only a sum of spins
     d = len(diagonal)
-    rows = [[int(i == j) * c for j in range(d)] for i, c in enumerate(diagonal)]
-    h = ModuleHandle(GF3, "diag", Subspace.full(GF3, d), None,
-                     [[int(i == j) for j in range(d)] for i in range(d)], [rows], None)
+    h = _diag_handle(diagonal)
     lattice = survey_submodules(h)
     assert lattice == _brute_force_survey(h)
     assert Subspace(GF3, d, [[1, 0] + [0] * (d - 2), [0, 1] + [0] * (d - 2)]) in lattice
 
 
+def _line_orbit_reps(action, ctx, d):
+    """The first line, in `_all_lines` order, of each orbit of the action's group.
+
+    A line is marked by the base-q code of its representative with first
+    nonzero entry 1 (first coordinate most significant), so `_all_lines`
+    order is ascending code order within each leading position.  A line's
+    image is the sum of the tabled images of its first d // 2 digits and of
+    the rest.  The orbit of a line still unmarked is disjoint from every
+    orbit walked so far, so that line is the first of its orbit.
+    """
+    q, one = ctx.order, ctx.one()
+    inv = [None] + [ctx.inv(c) for c in range(1, q)]
+    split, places = q ** (d - d // 2), [q ** (d - 1 - i) for i in range(d)]
+
+    def table(rows):
+        times = combiner(rows, ctx)
+        return [times(cs) for cs in iproduct(range(q), repeat=len(rows))] if rows else [[0] * d]
+
+    tables = [(table(m[:d // 2]), table(m[d // 2:])) for m in action]
+
+    def images(code):
+        hi, lo = divmod(code, split)
+        for high, low in tables:
+            v = ctx.row_addmul(high[hi], low[lo], one)
+            c = v[ctx.lead(v)]
+            yield sum(map(mul, v if c == one else ctx.row_scale(v, inv[c]), places))
+
+    seen = bytearray(q ** d)
+    for start in places:
+        code = seen.find(0, start, 2 * start)
+        while code != -1:
+            seen[code] = 1
+            yield [code // p % q for p in places]
+            stack = [code]
+            while stack:
+                for c in images(stack.pop()):
+                    if not seen[c]:
+                        seen[c] = 1
+                        stack.append(c)
+            code = seen.find(0, code + 1, 2 * start)
+
+
 def _orbit_walk_survey(handle):
-    """The survey as the orbit walk: spin the first line of each orbit, close under sums."""
+    """The survey as the orbit walk: spin the first line of each orbit, close under sums.
+
+    A generator maps a spin into itself and has finite order, so every line
+    of an orbit has the same spin.
+    """
     ctx, d = handle.ctx, handle.dim
     appliers = _handle_appliers(handle.action, ctx)
     cyclic = {_span_closure([v], appliers, d, ctx)[0].subspace()
@@ -595,22 +658,101 @@ def test_survey_matches_the_orbit_walk_on_criterion_06():
         assert survey_submodules(h) == _orbit_walk_survey(h)
 
 
-@pytest.mark.parametrize("copies,members,planes", [(2, 12, 10), (3, 184, 91)])
-def test_survey_of_copies_of_a_factor_that_is_not_absolutely_irreducible(copies, members,
-                                                                         planes):
-    # J = [[0,1],[2,0]] has minimal polynomial x^2 + 1, irreducible over GF(3),
-    # so F^2 under J is simple with endomorphisms GF(9), and the submodules of
-    # `copies` copies are the GF(9)-subspaces of GF(9)^copies
-    d = 2 * copies
+_GF2 = make_field(2)
+# J = [[0,1],[2,0]] has minimal polynomial x^2 + 1, irreducible over GF(3),
+# and the companion matrix of x^3 + x + 1 is irreducible over GF(2): F^e under
+# either is simple with endomorphisms GF(q^e), and not absolutely irreducible
+_BLOCKS = {"J": (GF3, [[0, 1], [2, 0]]), "C3": (_GF2, [[0, 1, 0], [0, 0, 1], [1, 1, 0]])}
+
+
+def _copies_handle(block, copies):
+    """The block-diagonal action of `copies` copies of a block, as a handle on F^d."""
+    ctx, m = _BLOCKS[block]
+    e = len(m)
+    d = e * copies
     action = [[0] * d for _ in range(d)]
-    for b in range(0, d, 2):
-        action[b][b + 1], action[b + 1][b] = 1, 2
+    for b in range(0, d, e):
+        for i in range(e):
+            action[b + i][b:b + e] = m[i]
     ident = [[int(i == j) for j in range(d)] for i in range(d)]
-    h = ModuleHandle(GF3, "JJ", Subspace.full(GF3, d), None, ident, [action], None)
+    return ModuleHandle(ctx, f"{block}x{copies}", Subspace.full(ctx, d), None, ident,
+                        [action], None)
+
+
+@pytest.mark.parametrize("block,copies,members,simple", [
+    pytest.param("J", 2, 12, 10, id="2-12-10"), pytest.param("J", 3, 184, 91, id="3-184-91"),
+    ("C3", 1, 2, 1), ("C3", 2, 11, 9)])
+def test_survey_of_copies_of_a_factor_that_is_not_absolutely_irreducible(block, copies,
+                                                                         members, simple):
+    # the submodules of `copies` copies of a block of size e are the
+    # GF(q^e)-subspaces of GF(q^e)^copies; `simple` counts those of dimension e
+    h = _copies_handle(block, copies)
+    e = len(_BLOCKS[block][1])
     lattice = survey_submodules(h)
     assert len(lattice) == members
-    assert sum(s.dim == 2 for s in lattice) == planes
+    assert sum(s.dim == e for s in lattice) == simple
     assert lattice == _brute_force_survey(h)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _copies_handle("J", 1), lambda: _copies_handle("J", 2),
+    lambda: _copies_handle("J", 3), lambda: _diag_handle([1, 1]),
+    lambda: _copies_handle("C3", 1), lambda: _copies_handle("C3", 2)],
+    ids=["J", "JJ", "JJJ", "diag11", "C3", "C3C3"])
+def test_norton_on_modules_that_are_not_absolutely_irreducible(make):
+    # no shift of a draw here has a kernel of 1..LINE_CAP lines that is not
+    # the whole space, so the first NORTON_ATTEMPTS draws are all redrawn and
+    # the general draws decide; the module is reducible exactly when some
+    # line spins to a proper submodule
+    h = make()
+    ctx, d = h.ctx, h.dim
+    brute = _first_proper_spin(h.action, _all_lines(ctx, d), d, ctx)
+    appliers = _handle_appliers(h.action, ctx)
+    for seed in (0, 1, 7):
+        res = norton_irreducible(h, seed)
+        assert res.detail["attempt"] >= spinmx.NORTON_ATTEMPTS
+        assert res.verdict == ("irreducible" if brute is None else "reducible")
+        if res.verdict == "reducible":
+            wit = Subspace(ctx, d, res.witness_coords)
+            assert 0 < wit.dim < d
+            assert all(wit.contains(f(r)) for f in appliers for r in wit.rows)
+            assert res.witness == h.preimage(res.witness_coords)
+
+
+@pytest.mark.parametrize("name,ctx,verdict", [
+    ("K", GF3, "reducible"), ("Mstar", GF4, "reducible"), ("U", GF5, "irreducible")])
+def test_general_draws_alone_decide_the_canonical_modules(monkeypatch, name, ctx, verdict):
+    # every draw general: the modules the exhaustive test was checked on keep
+    # their verdicts, and a witness is a proper submodule
+    h = module_handle(gens_for(ctx, 3), submodule(name, ctx, 3), label=name)
+    shift = spinmx._shift
+    monkeypatch.setattr(spinmx, "_shift", lambda theta, ctx, general: shift(theta, ctx, True))
+    for seed in (0, 1, 7):
+        res = norton_irreducible(h, seed)
+        assert res.verdict == verdict
+        if verdict == "reducible":
+            assert Subspace.zero(ctx, 27) < res.witness < h.carrier
+            assert is_generator_stable(res.witness, h.gens)
+
+
+def test_general_shift_stops_at_the_least_degree_with_a_kernel():
+    # theta = (companion of x^3 + 2x + 1, irreducible over GF(3)) (+) diag(1, 2),
+    # e_1 in the cubic block: e_1's order polynomial has no root in GF(3), but
+    # theta^3 - theta kills the diagonal block, so the shift has degree 1 and
+    # nullity 2, and all four kernel lines decide, not one vector
+    theta = [[0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [2, 1, 0, 0, 0],
+             [0, 0, 0, 1, 0], [0, 0, 0, 0, 2]]
+    assert _shift(theta, GF3, general=False) is None
+    key, shifted, ker, lines = _shift(theta, GF3, general=True)
+    assert key == {"degree": 1} and len(ker) == 2
+    plane = Subspace(GF3, 5, [[0, 0, 0, 1, 0], [0, 0, 0, 0, 1]])
+    assert Subspace(GF3, 5, ker) == plane
+    assert len(lines) == 4 and {Subspace(GF3, 5, [v]) for v in lines} == {
+        Subspace(GF3, 5, [v]) for v in ([0, 0, 0, 1, 0], [0, 0, 0, 0, 1],
+                                        [0, 0, 0, 1, 1], [0, 0, 0, 1, 2])}
+    # the companion block alone is a field element of degree 3
+    key, _, ker, lines = _shift([r[:3] for r in theta[:3]], GF3, general=True)
+    assert key == {"degree": 3} and len(ker) == 3 and len(lines) == 1
 
 
 def test_survey_refuses_a_factor_without_a_verdict(monkeypatch):
@@ -619,55 +761,6 @@ def test_survey_refuses_a_factor_without_a_verdict(monkeypatch):
                         lambda handle, seed: spinmx.NortonResult("inconclusive", None, None))
     with pytest.raises(RuntimeError):
         survey_submodules(h)
-
-
-def _line_orbit(v, action, ctx):
-    orbit, todo = {tuple(v)}, [v]
-    while todo:
-        w = todo.pop()
-        for m in action:
-            u = combine(w, m, ctx)
-            u = ctx.row_scale(u, ctx.inv(next(x for x in u if x)))
-            if tuple(u) not in orbit:
-                orbit.add(tuple(u))
-                todo.append(u)
-    return orbit
-
-
-@pytest.mark.parametrize("name,ctx", [("K", GF3), ("Mstar", GF4)])
-def test_line_orbit_reps_cover_every_line_once(name, ctx):
-    h = module_handle(gens_for(ctx, 3), submodule(name, ctx, 3), label=name)
-    lines = [tuple(v) for v in _all_lines(ctx, h.dim)]
-    position = {v: i for i, v in enumerate(lines)}
-    reps = [tuple(v) for v in _line_orbit_reps(h.action, ctx, h.dim)]
-    orbits = [_line_orbit(list(v), h.action, ctx) for v in reps]
-    assert sum(len(o) for o in orbits) == len(lines)
-    assert set().union(*orbits) == set(lines)
-    # each representative is the first line of its orbit, in line order
-    assert [min(o, key=position.get) for o in orbits] == reps
-    assert sorted(reps, key=position.get) == reps
-
-
-@pytest.mark.parametrize("name,ctx,verdict", [
-    ("K", GF3, "reducible"), ("Mstar", GF4, "reducible"), ("U", GF5, "irreducible")])
-def test_norton_exhaustive_fallback_matches_spinning_every_line(monkeypatch, name, ctx,
-                                                                verdict):
-    # with no random draws the verdict comes from the fallback, which spins one
-    # line per orbit; the first proper spin over every line is the same witness
-    h = module_handle(gens_for(ctx, 3), submodule(name, ctx, 3), label=name)
-    monkeypatch.setattr(spinmx, "NORTON_ATTEMPTS", 0)
-    res = norton_irreducible(h, seed=0)
-    appliers = _handle_appliers(h.action, ctx)
-    spins = (_span_closure([v], appliers, h.dim, ctx)[0]
-             for v in _all_lines(ctx, h.dim))
-    first = next((ech.subspace() for ech in spins if ech.dim < h.dim), None)
-    assert res.detail == {"mode": "exhaustive"}
-    assert res.verdict == verdict
-    if first is None:
-        assert res.witness is None
-    else:
-        assert res.witness_coords == [list(r) for r in first.rows]
-        assert res.witness == h.preimage(res.witness_coords)
 
 
 _GF3_GENS = standard_generators(GF3, 3)
