@@ -390,12 +390,15 @@ class Bases:
     Subspace; a later lookup returns the same object, and every spelling of
     a projective piece shares one.  The builds go through `submodule` and the
     `basis_*` functions of this module, looked up when called, and U is cut
-    out of the shared K.  Nothing is kept beyond the object itself.
+    out of the shared K.  `meet(a, b)` intersects two of them once, for
+    every check of the cell that needs that intersection.  Nothing is kept
+    beyond the object itself.
     """
 
     def __init__(self, ctx, n):
         self.ctx, self.n = ctx, n
         self._built = {}
+        self._meets = {}
 
     def __getitem__(self, name):
         sub = self._built.get(name)
@@ -410,6 +413,14 @@ class Bases:
         if point is not None:
             return self.piece(point)
         return submodule(name, self.ctx, self.n)
+
+    def meet(self, a, b):
+        """bases[a] & bases[b], computed on the first request for either order of a, b."""
+        key = (a, b) if a <= b else (b, a)
+        sub = self._meets.get(key)
+        if sub is None:
+            sub = self._meets[key] = self[a] & self[b]
+        return sub
 
     def piece(self, point):
         """The projective piece of M* at a ProjectivePoint."""
@@ -465,8 +476,8 @@ def intersection_table(ctx, n, bases=None):
     nval = ctx.from_int(n)
 
     bases = bases_for(ctx, n, bases)
-    C, K, Ms, Mss, T, Tt, TcT, N, U, zero_sub = (bases[name] for name in (
-        "C", "K", "Mstar", "Mstarstar", "T", "Ttilde", "TcapTtilde", "N", "U", "0"))
+    K, Mss, N, U, zero_sub = (bases[name] for name in ("K", "Mstarstar", "N", "U", "0"))
+    meet = bases.meet
 
     def mp(a, d):
         return bases.piece(ProjectivePoint(ctx, a, d))
@@ -479,41 +490,47 @@ def intersection_table(ctx, n, bases=None):
         entry.update(computed=show(computed), expected=show(expected))
         claims.append(entry)
 
-    check("CmeetMstar", "C ^ M* = M*_(1,1)", C & Ms, mp(one, one))
-    check("KmeetMstar", "K ^ M* = M*_(1,-1)", K & Ms, mp(one, mone))
-    check("TmeetMstar", "T ^ M* = M*_(-n,1)", T & Ms, mp(ctx.neg(nval), one))
-    check("TtildemeetMstar", "T~ ^ M* = M*_(1,-n)", Tt & Ms, mp(one, ctx.neg(nval)))
+    check("CmeetMstar", "C ^ M* = M*_(1,1)", meet("C", "Mstar"), mp(one, one))
+    check("KmeetMstar", "K ^ M* = M*_(1,-1)", meet("K", "Mstar"), mp(one, mone))
+    check("TmeetMstar", "T ^ M* = M*_(-n,1)", meet("T", "Mstar"), mp(ctx.neg(nval), one))
+    check("TtildemeetMstar", "T~ ^ M* = M*_(1,-n)", meet("Ttilde", "Mstar"),
+          mp(one, ctx.neg(nval)))
 
     if _char_divides(ctx, n - 1):
-        check("UmeetMstar", "U ^ M* = M*_(1,-1) when char | n-1", U & Ms, mp(one, mone))
+        check("UmeetMstar", "U ^ M* = M*_(1,-1) when char | n-1", meet("U", "Mstar"),
+              mp(one, mone))
     else:
-        check("UmeetMstar", "U ^ M* = 0 when char does not divide n-1", U & Ms, zero_sub)
+        check("UmeetMstar", "U ^ M* = 0 when char does not divide n-1", meet("U", "Mstar"),
+              zero_sub)
 
     if _char_divides(ctx, n + 1):
-        check("NmeetMstar", "N ^ M* = M*_(1,1) when char | n+1", N & Ms, mp(one, one))
+        check("NmeetMstar", "N ^ M* = M*_(1,1) when char | n+1", meet("N", "Mstar"),
+              mp(one, one))
     else:
-        check("NmeetMstar", "N ^ M* = 0 when char does not divide n+1", N & Ms, zero_sub)
+        check("NmeetMstar", "N ^ M* = 0 when char does not divide n+1", meet("N", "Mstar"),
+              zero_sub)
 
     if char2:
         check("CmeetMstarstar", "C ^ M** = K in characteristic 2 (|F| > 2)",
-              C & Mss, K)
-        check("NmeetMstarstar", "N ^ M** = U in characteristic 2", N & Mss, U)
+              meet("C", "Mstarstar"), K)
+        check("NmeetMstarstar", "N ^ M** = U in characteristic 2",
+              meet("N", "Mstarstar"), U)
         check("dimNplusMstarstar", "dim(N + M**) = n^3/2 + n^2/2 + n in characteristic 2",
               (N | Mss).dim, (n ** 3 + n ** 2) // 2 + n, show=int)
     else:
         check("CmeetMstarstar", "C ^ M** = C ^ M* = M*_(1,1) in odd characteristic",
-              C & Mss, mp(one, one))
+              meet("C", "Mstarstar"), mp(one, one))
         if _char_divides(ctx, n + 1):
             check("NmeetMstarstar", "N ^ M** = M*_(1,1) when char | n+1",
-                  N & Mss, mp(one, one))
+                  meet("N", "Mstarstar"), mp(one, one))
         else:
             check("NmeetMstarstar", "N ^ M** = 0 when char does not divide n+1",
-                  N & Mss, zero_sub)
+                  meet("N", "Mstarstar"), zero_sub)
 
     if _char_divides(ctx, n + 1):
-        tm = TcT & Mss
+        tm = meet("TcapTtilde", "Mstarstar")
         check("TcapTtildemeetMstarstar",
-              "(T ^ T~) ^ M** = T ^ M** when char | n+1", tm, T & Mss)
+              "(T ^ T~) ^ M** = T ^ M** when char | n+1", tm, meet("T", "Mstarstar"))
         check("dimTcapTtildemeetMstarstar",
               "dim((T ^ T~) ^ M**) = n^3/2 - n^2/2 when char | n+1",
               tm.dim, (n ** 3 - n ** 2) // 2, show=int)
@@ -534,8 +551,7 @@ def trace_kernel_witness(ctx, n):
 def check_trace_biconditional(ctx, n, bases=None):
     """T ^ M** = T~ ^ M** holds exactly when char | n+1; both directions."""
     bases = bases_for(ctx, n, bases)
-    T, Tt, Mss = bases["T"], bases["Ttilde"], bases["Mstarstar"]
-    left, right = T & Mss, Tt & Mss
+    left, right = bases.meet("T", "Mstarstar"), bases.meet("Ttilde", "Mstarstar")
     if _char_divides(ctx, n + 1):
         ok = left == right
         data = {"branch": "char divides n+1", "equal": left == right}

@@ -173,10 +173,15 @@ def cmd_survey(args):
     handle = spinmx.module_handle(gens, carrier, label=args.module)
 
     def survey_claim():
-        lattice = spinmx.survey_submodules(handle, seed=args.seed)
+        anchor = f"exhaustive submodule lattice of {args.module}"
+        try:
+            lattice = spinmx.survey_submodules(handle, seed=args.seed)
+        except spinmx.InconclusiveFactor as exc:
+            print(f"submodule lattice of {args.module}: {exc}")
+            return claim("survey", anchor, None, {"factor": exc.label, "dim": exc.dim})
         dims = [s.dim for s in lattice]
         print(f"submodule lattice of {args.module}: dims {dims}")
-        return claim("survey", f"exhaustive submodule lattice of {args.module}", True,
+        return claim("survey", anchor, True,
                      {"dims": dims, "members": [s.to_json() for s in lattice]})
 
     report.timed(survey_claim)

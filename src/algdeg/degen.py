@@ -33,7 +33,7 @@ from .exactla import (
 )
 from .gfield import primitive_element
 from .structvec import (
-    DualVector, StructureVector, Vector, act, basis_vector, flat, product, unit,
+    DualVector, StructureVector, Vector, act, basis_vector, product, unit,
 )
 from .spinmx import derive_seed, spin_contains
 
@@ -94,36 +94,50 @@ class TransvectionSpec:
             raise ValueError("alpha must avoid 0 and 1")
 
     def group_element(self, scale=None):
-        """The transvection v -> v + c zeta(v) z (c defaults to 1)."""
+        """The transvection v -> v + c zeta(v) z (c defaults to 1).
+
+        Its matrix is I + c z (x) zeta, and as zeta(z) = 0 its inverse is
+        I - c z (x) zeta.
+        """
         ctx, n = self.z.ctx, self.z.n
         c = ctx.one() if scale is None else ctx._coerce(scale)
         rows = Matrix.identity(ctx, n).rows()
+        inv_rows = Matrix.identity(ctx, n).rows()
         for i in range(n):
             zi = ctx.mul(c, self.z.coords[i])
             if zi != ctx.zero():
                 rows[i] = ctx.row_addmul(rows[i], self.zeta.coords, zi)
-        return GroupElement.from_rows(ctx, rows)
+                inv_rows[i] = ctx.row_submul(inv_rows[i], self.zeta.coords, zi)
+        return GroupElement(Matrix.from_rows(ctx, rows), Matrix.from_rows(ctx, inv_rows))
+
+
+def _outer(ctx, coeffs, row):
+    """coeffs (x) row, flattened: block i is coeffs[i] * row."""
+    row = list(row)
+    return [x for c in coeffs for x in ctx.row_scale(row, c)]
 
 
 def _g5_closed_form(lam, spec):
+    """[u,v]_5 from the closed bracket form, regrouped for the row kernels.
+
+    At the basis pair (e_i, e_j) it is (zeta_i r_j + zeta([e_i,z]) zeta_j) z
+    - zeta_i zeta_j [z,z], with r_j = zeta([z,e_j]) + (alpha+1) zeta([z,z])
+    zeta_j.  Every contraction of lam is a `combine` of its slices, and the
+    outer products are a `row_scale` or a `combine` per block.
+    """
     ctx, n = lam.ctx, lam.n
-    z, zeta, alpha = spec.z, spec.zeta, spec.alpha
-    add, mul = ctx.add, ctx.mul
-    zz = product(lam, z, z)
-    zeta_zz = zeta(zz).raw
-    ap1 = add(alpha, ctx.one())
-    units = [basis_vector(ctx, n, i) for i in range(1, n + 1)]
-    viz = [zeta(product(lam, v, z)).raw for v in units]
-    zvj = [zeta(product(lam, z, v)).raw for v in units]
-    coords = []
-    for zi, vi_z in zip(zeta.coords, viz):
-        for zj, z_vj in zip(zeta.coords, zvj):
-            # coefficient of z in the bracket
-            cz = add(mul(zi, z_vj), mul(zj, vi_z))
-            cz = add(cz, mul(ap1, mul(mul(zi, zj), zeta_zz)))
-            czz = ctx.neg(mul(zi, zj))  # coefficient of [z,z]
-            coords.extend(add(mul(cz, zk), mul(czz, zzk))
-                          for zk, zzk in zip(z.coords, zz.coords))
+    z, zeta, src, nn = spec.z.coords, spec.zeta.coords, lam.coords, n * n
+    w = combine(zeta, [src[k::n] for k in range(n)], ctx)          # w[i,j] = zeta([e_i,e_j])
+    iz = combine(z, [w[j::n] for j in range(n)], ctx)              # zeta([e_i,z])
+    zj = combine(z, [w[i * n:i * n + n] for i in range(n)], ctx)   # zeta([z,e_j])
+    half = combine(z, [src[i * nn:i * nn + nn] for i in range(n)], ctx)
+    zz = combine(z, [half[j * n:j * n + n] for j in range(n)], ctx)  # [z,z]
+    zeta_zz = spec.zeta(Vector(ctx, n, zz)).raw
+    r = ctx.row_addmul(zj, zeta, ctx.mul(ctx.add(spec.alpha, ctx.one()), zeta_zz))
+    x = ctx.row_submul(_outer(ctx, r, z), _outer(ctx, zeta, zz), ctx.one())
+    y = _outer(ctx, zeta, z)
+    # block i is zeta_i x + zeta([e_i,z]) y
+    coords = [v for a, b in zip(zeta, iz) for v in combine([a, b], [x, y], ctx)]
     return StructureVector(ctx, n, coords)
 
 
@@ -318,13 +332,7 @@ def reach_delta(lam, gens):
         mu5p = transvection_g5(lam, TransvectionSpec(z, zeta, alpha2))
         lam6 = (mu5p - mu5).scale(ctx.inv(ctx.sub(alpha2, alpha)))
         # closed form: zeta(u) zeta(v) z
-        coords = [zero] * n ** 3
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                c = ctx.mul(zeta.coords[i - 1], zeta.coords[j - 1])
-                if c != zero:
-                    for k in range(1, n + 1):
-                        coords[flat(n, i, j, k)] = ctx.mul(c, z.coords[k - 1])
+        coords = _outer(ctx, zeta.coords, _outer(ctx, zeta.coords, z.coords))
         if lam6.coords != coords:
             raise AssertionError("second difference disagrees with zeta(u) zeta(v) z")
         ker = Subspace(ctx, n, kernel_rows([zeta.coords], n, ctx))

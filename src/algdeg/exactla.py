@@ -478,10 +478,6 @@ class GroupElement:
         self.tag = tag
 
     @classmethod
-    def from_rows(cls, ctx, rows):
-        return cls(Matrix.from_rows(ctx, rows))
-
-    @classmethod
     def identity(cls, ctx, n):
         ident = Matrix.identity(ctx, n)
         return cls(ident, ident, tag=("diagonal", (ctx.one(),) * n))

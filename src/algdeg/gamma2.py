@@ -113,8 +113,12 @@ def star(phi, g):
     ctx = phi.ctx
     if g.ctx != ctx or g.n != phi.n:
         raise ValueError("group element does not match the map")
-    gsq = _frobenius_matrix(ctx, g.mat)
-    return SemilinearMap(g.inv.mul(phi.mat).mul(gsq))
+    return _star(phi, g.inv, _frobenius_matrix(ctx, g.mat))
+
+
+def _star(phi, ginv, gsq):
+    """phi * g from g^-1 and g^(2), for callers that reuse them."""
+    return SemilinearMap(ginv.mul(phi.mat).mul(gsq))
 
 
 def e_and_f(phi, e, f):
@@ -137,7 +141,9 @@ def e_and_f(phi, e, f):
         m = ident
         for p in parts:
             m = Matrix(ctx, n, n, [ctx.add(a, b) for a, b in zip(m.entries, p.mat.entries)])
-        total = total + star(phi, GroupElement(m))
+        # (I + e + f)(I - e - f) = I - (e + f)^2 = I as ef = fe = 0, and in
+        # characteristic 2 I - e - f = I + e + f: each element is its own inverse
+        total = total + star(phi, GroupElement(m, m))
     closed = SemilinearMap(eu.mat.mul(phi.mat).mul(fu.mat)) \
         + SemilinearMap(fu.mat.mul(phi.mat).mul(eu.mat))
     if total != closed:
@@ -147,11 +153,8 @@ def e_and_f(phi, e, f):
 
 def eq15_identity_holds(ctx, n=3):
     """e_12 * (I + a e_21) + e_12 = a e_22 + a^2 e_11 + a^3 e_21 for every a != 0."""
-    one = ctx.one()
     for a in ctx.raw_elements()[1:]:
-        g_rows = Matrix.identity(ctx, n).rows()
-        g_rows[1][0] = a
-        g = GroupElement(Matrix.from_rows(ctx, g_rows))
+        g = GroupElement.transvection(ctx, n, 2, 1, a)
         lhs = star(SemilinearMap.unit(ctx, n, 1, 2), g) + SemilinearMap.unit(ctx, n, 1, 2)
         a2, a3 = ctx.mul(a, a), ctx.mul(ctx.mul(a, a), a)
         rhs = (SemilinearMap.unit(ctx, n, 2, 2).scale(a)
@@ -180,19 +183,25 @@ def gamma_handle(gens, label="semilinear"):
 
 
 def sigma_gmap_claims(ctx, n, gens=None, bases=None):
-    """sigma intertwines the two actions and has kernel K on C (both checked)."""
+    """sigma intertwines the two actions and has kernel K on C (both checked).
+
+    sigma(lam) is computed once per row lam of C and g^-1, g^(2) once per
+    generator; the rank and kernel check reuses the same sigma values.
+    """
     if gens is None:
         gens = standard_generators(ctx, n)
     bases = bases_for(ctx, n, bases)
     C = bases["C"]
+    lams = [StructureVector(ctx, n, list(row)) for row in C.rows]
+    sigmas = [sigma(lam) for lam in lams]
     ok = True
     for g in gens.elements:
-        for row in C.rows:
-            lam = StructureVector(ctx, n, list(row))
-            if sigma(act(lam, g)) != star(sigma(lam), g):
+        gsq = _frobenius_matrix(ctx, g.mat)
+        for lam, s in zip(lams, sigmas):
+            if sigma(act(lam, g)) != _star(s, g.inv, gsq):
                 ok = False
     # kernel of sigma restricted to C equals K, and sigma is onto (rank n^2)
-    values = [sigma(StructureVector(ctx, n, list(r))).coords() for r in C.rows]
+    values = [s.coords() for s in sigmas]
     rank = Matrix.from_rows(ctx, values).rank()
     ok2 = rank == n * n and _restricted_kernel(C, values, ctx) == bases["K"]
     return [claim("sigmaGmap", "sigma(lam g) = sigma(lam) * g on the commutative submodule",
@@ -217,14 +226,26 @@ def replay_irreducible_from(phi):
     escapes.  Returns the recorded step list; raises if some move finds no
     footing (which would falsify the irreducibility argument).
     """
+    return _replay_seeds([phi])[0]
+
+
+def _replay_seeds(seeds):
+    """`replay_irreducible_from` of each seed, with one tail shared by all of them.
+
+    A seed's replay is its own head, the moves down to e_23, followed by the
+    tail from e_23 on, which does not depend on the seed.
+    """
+    tail = _replay_tail(seeds[0].ctx, seeds[0].n)
+    return [ReplayResult(tail.reached_full, _replay_head(phi) + tail.steps)
+            for phi in seeds]
+
+
+def _replay_head(phi):
+    """The steps that take phi exactly to e_23 (checked)."""
     ctx, n = phi.ctx, phi.n
-    if ctx.order < 4:
-        raise ValueError("the extraction argument needs |F| >= 4")
     if phi.is_zero():
         raise ValueError("seed must be nonzero")
     steps = []
-    span = Echelon(ctx, n * n)
-    span.add(phi.coords())
     zero = ctx.zero()
 
     def offdiag(p):
@@ -246,7 +267,6 @@ def replay_irreducible_from(phi):
             g = GroupElement.diagonal(ctx, [gamma] + [ctx.one()] * (n - 1))
             e11_like = star(phi, g) + phi     # d (gamma + 1) e_11
             steps.append(("diagonal-twist", ctx.raw_to_json(gamma)))
-            span.add(e11_like.coords())
             shear = GroupElement.transvection(ctx, n, 1, 2)
             phi = star(e11_like, shear) + e11_like   # multiple of e_12
             steps.append(("unit-seed-shear", (1, 2)))
@@ -258,7 +278,6 @@ def replay_irreducible_from(phi):
             shear = GroupElement.transvection(ctx, n, 1, 2)
             phi = star(moved, shear) + moved  # (d_i + d_j) e_12
             steps.append(("diagonal-shear", None))
-        span.add(phi.coords())
         pos = offdiag(phi)
         if pos is None:
             raise AssertionError("the diagonal escape left no off-diagonal entry")
@@ -266,15 +285,29 @@ def replay_irreducible_from(phi):
     perm = _perm_mapping(ctx, n, {1: i, 2: j})
     phi12 = star(phi, perm)
     steps.append(("relabel", (i, j)))
-    span.add(phi12.coords())
     psi1 = e_and_f(phi12, (2, 1), (3, 1))     # phi_12 e_31 + phi_13 e_21
     steps.append(("e&f", ((2, 1), (3, 1))))
-    span.add(psi1.coords())
     psi2 = e_and_f(psi1, (1, 3), (2, 3))      # phi_12 e_23
     steps.append(("e&f", ((1, 3), (2, 3))))
     e23 = psi2.scale(ctx.inv(psi2[2, 3]))
     steps.append(("scale", None))
-    span.add(e23.coords())
+    if e23 != SemilinearMap.unit(ctx, n, 2, 3):
+        raise AssertionError("the e&f moves did not reach e_23")
+    return steps
+
+
+def _replay_tail(ctx, n):
+    """Every matrix unit from e_23: permutations, the shear identity, permutations.
+
+    Each extracted unit is checked to be exactly the unit it should be, and
+    `reached_full` says that together they span the n^2-dimensional space.
+    """
+    if ctx.order < 4:
+        raise ValueError("the extraction argument needs |F| >= 4")
+    steps = []
+    span = Echelon(ctx, n * n)
+    zero = ctx.zero()
+    e23 = SemilinearMap.unit(ctx, n, 2, 3)
     # permutations reach every off-diagonal unit: e_23 * P = e_{s^-1(2), s^-1(3)}
     units = {}
     for a in range(1, n + 1):
@@ -290,9 +323,7 @@ def replay_irreducible_from(phi):
     alphas = [a for a in ctx.raw_elements() if a != zero][:2]
     extracted = []
     for a in alphas:
-        rows = Matrix.identity(ctx, n).rows()
-        rows[1][0] = a
-        g = GroupElement(Matrix.from_rows(ctx, rows))
+        g = GroupElement.transvection(ctx, n, 2, 1, a)
         t = star(units[(1, 2)], g) + units[(1, 2)]   # a e22 + a^2 e11 + a^3 e21
         t = t + units[(2, 1)].scale(ctx.mul(ctx.mul(a, a), a))
         extracted.append(t.scale(ctx.inv(a)))        # e22 + a e11
@@ -301,7 +332,6 @@ def replay_irreducible_from(phi):
     steps.append(("shear-identity", [ctx.raw_to_json(a) for a in alphas]))
     if e11 != SemilinearMap.unit(ctx, n, 1, 1):
         raise AssertionError("the shear identity did not isolate e_11")
-    span.add(e11.coords())
     for a in range(1, n + 1):
         perm = _perm_mapping(ctx, n, {a: 1})
         span.add(star(e11, perm).coords())
@@ -328,7 +358,8 @@ def verify_gamma_irreducible(ctx, n, seed=0, gens=None):
     """Both-ways irreducibility report for the semilinear module.
 
     The constructive replay is run from every matrix unit and from seeded
-    random elements; the kernel-vector test runs on the abstract module.
+    random elements, each seed down to e_23 and one shared tail from e_23 on
+    (`_replay_seeds`); the kernel-vector test runs on the abstract module.
     """
     if ctx.kind != "finite" or ctx.char != 2 or ctx.order < 4:
         raise ValueError("needs a finite field of characteristic 2 with |F| >= 4")
@@ -342,16 +373,11 @@ def verify_gamma_irreducible(ctx, n, seed=0, gens=None):
         phi = SemilinearMap.from_rows(ctx, rows)
         if not phi.is_zero():
             seeds.append(phi)
-    replay_ok = True
-    total_steps = 0
-    for phi in seeds:
-        res = replay_irreducible_from(phi)
-        total_steps += len(res.steps)
-        if not res.reached_full:
-            replay_ok = False
+    results = _replay_seeds(seeds)
     replay = claim("gammaReplay",
                    "every nonzero seed generates the full semilinear space via the "
-                   "documented moves", replay_ok, {"seeds": len(seeds), "steps": total_steps})
+                   "documented moves", all(r.reached_full for r in results),
+                   {"seeds": len(seeds), "steps": sum(len(r.steps) for r in results)})
     res = norton_irreducible(gamma_handle(gens), derive_seed(seed, "gamma-norton"))
     return [replay,
             norton_claim("gammaMeatAxe",

@@ -315,6 +315,14 @@ class NortonResult:
     detail: dict = field(default_factory=dict)
 
 
+class InconclusiveFactor(Exception):
+    """A composition factor got no kernel-vector verdict, so its lattice is undecided."""
+
+    def __init__(self, label, dim):
+        super().__init__(f"no verdict on the factor {label!r} (dim {dim})")
+        self.label, self.dim = label, dim
+
+
 def _matmul_rows(a, b, ctx):
     return list(map(combiner(b, ctx), a))
 
@@ -577,7 +585,8 @@ def survey_submodules(handle, budget=SURVEY_BUDGET, seed=0):
     reaches every submodule, since each has a composition series starting at
     0, and no line of M is listed.  Returns the lattice lifted to the
     carrier's ambient space, sorted by (dim, basis).  `seed` drives the
-    splitting only; the lattice does not depend on it.
+    splitting only; the lattice does not depend on it.  A factor whose
+    kernel-vector test stays inconclusive raises `InconclusiveFactor`.
     """
     ctx, d = handle.ctx, handle.dim
     if ctx.order ** d > budget:
@@ -628,7 +637,7 @@ def _simple_types(quotient, full, seed):
         if res.verdict == "reducible":
             todo += [(res.witness, bottom), (top, res.witness)]
         elif res.verdict != "irreducible":
-            raise RuntimeError(f"no verdict on the factor {h.label!r}")
+            raise InconclusiveFactor(h.label, h.dim)
         elif not any(t.dim == h.dim and hom_space(t, h)[0] for t in types):
             types.append(h)
     return types
@@ -725,8 +734,9 @@ def verify_lattice_diagrams(ctx, n, seed=0, gens=None, bases=None):
     # diagram over M**
     if (n - 1) % ctx.char == 0:
         UM = U | Ms
+        M1m1 = bases.piece(canon.ProjectivePoint(ctx, one, ctx.neg(one)))
         add(claim("UmeetMstar.branch", "U ^ M* = M*_(1,-1) when char | n-1",
-                  (U & Ms) == bases.piece(canon.ProjectivePoint(ctx, one, ctx.neg(one)))))
+                  bases.meet("U", "Mstar") == M1m1))
         add(claim("UplusMstar.dim", "dim(U + M*) = n^3/2 - n^2/2 when char | n-1",
                   UM.dim == (n ** 3 - n ** 2) // 2, {"dim": UM.dim}))
         add(claim("MssOverU.split", "K and U+M* are distinct complements over U inside M**",
@@ -742,7 +752,7 @@ def verify_lattice_diagrams(ctx, n, seed=0, gens=None, bases=None):
                   dU == 0 and dQ >= 1, {"hom(U,dual)": dU, "hom(M**/M*,dual)": dQ}))
     else:
         add(claim("MssSplit", "M** = U (+) M* when char does not divide n-1",
-                  (U & Ms).dim == 0 and (U | Ms) == Mss))
+                  bases.meet("U", "Mstar").dim == 0 and (U | Ms) == Mss))
         factor("U.irr", "U is irreducible when char does not divide n-1", U, None, "U", "U")
         factor("Mstar.red", "M* is reducible (a sum of two dual copies)", Ms, None, "M*", "M*",
                "reducible", lambda h, res: ({"witness_dim": len(res.witness_coords or [])}, True))
@@ -750,7 +760,8 @@ def verify_lattice_diagrams(ctx, n, seed=0, gens=None, bases=None):
     # diagram over the full space
     if char2:
         NM = N | Mss
-        add(claim("NmeetMss.char2", "N ^ M** = U in characteristic 2", (N & Mss) == U))
+        add(claim("NmeetMss.char2", "N ^ M** = U in characteristic 2",
+                  bases.meet("N", "Mstarstar") == U))
         add(claim("NplusMss.dim.char2", "dim(N + M**) = n^3/2 + n^2/2 + n",
                   NM.dim == (n ** 3 + n ** 2) // 2 + n, {"dim": NM.dim}))
         TM = TcT | Mss
@@ -771,7 +782,7 @@ def verify_lattice_diagrams(ctx, n, seed=0, gens=None, bases=None):
             # triple intersection collapses to U and the sum is everything;
             # the n^3 - n value would need char | n+1
             add(claim("TTmeetMss.even", "(T ^ T~) ^ M** = U (char 2, even n)",
-                      (TcT & Mss) == U))
+                      bases.meet("TcapTtilde", "Mstarstar") == U))
             add(claim("TTplusMss.even", "(T ^ T~) + M** is the whole space (char 2, even n)",
                       TM.dim == n ** 3, {"dim": TM.dim}))
         du = dims["U"]
@@ -795,7 +806,8 @@ def verify_lattice_diagrams(ctx, n, seed=0, gens=None, bases=None):
     elif (n + 1) % ctx.char == 0:
         NM = N | Mss
         M11 = bases.piece(canon.ProjectivePoint(ctx, one, one))
-        add(claim("NmeetMss.divides", "N ^ M** = M*_(1,1) when char | n+1", (N & Mss) == M11))
+        add(claim("NmeetMss.divides", "N ^ M** = M*_(1,1) when char | n+1",
+                  bases.meet("N", "Mstarstar") == M11))
         add(claim("NplusMss.dim", "dim(N + M**) = n^3 - n",
                   NM.dim == n ** 3 - n, {"dim": NM.dim}))
         psi_rows = [ctx.row_addmul(a, b, one) for a, b in
@@ -814,7 +826,7 @@ def verify_lattice_diagrams(ctx, n, seed=0, gens=None, bases=None):
                   dN == 0 and dQ >= 1, {"hom(N,dual)": dN, "hom(L/M**,dual)": dQ}))
     else:
         add(claim("LambdaSplit", "the full space is N (+) M** away from char | n+1",
-                  (N & Mss).dim == 0 and (N | Mss) == Lam))
+                  bases.meet("N", "Mstarstar").dim == 0 and (N | Mss) == Lam))
         factor("N.irr", "N is irreducible when char does not divide n+1", N, None, "N", "N")
         factor("LambdaOverMss.irr", "the quotient by M** is irreducible of the dimension of N",
                Lam, Mss, "Lambda/M**", "L/Mss",

@@ -8,7 +8,7 @@ from algdeg.structvec import (
     StructureVector, Vector, act, basis_vector, dual_basis_vector, flat,
     plus_tilde, product, tr, tr_op, unit,
 )
-from algdeg import canon
+from algdeg import canon, spinmx
 from algdeg.canon import (
     ProjectivePoint, basis_C, basis_K, basis_Mstar, basis_MstarP,
     basis_Mstarstar, basis_N, basis_T, basis_TcapTtilde, basis_Ttilde, basis_U,
@@ -423,6 +423,36 @@ def test_bases_reject_unknown_names_and_other_shapes():
     for ctx, n in ((GF7, 3), (GF5, 4)):
         with pytest.raises(ValueError):
             intersection_table(ctx, n, bases)
+
+
+def test_bases_meet_is_the_intersection_computed_once():
+    bases = canon.Bases(GF5, 3)
+    sub = bases.meet("N", "Mstarstar")
+    assert sub == bases["N"] & bases["Mstarstar"]
+    assert bases.meet("Mstarstar", "N") is sub
+    assert bases.meet("N", "Mstarstar") is sub
+
+
+@pytest.mark.parametrize("ctx,n,count", [(GF5, 4, 11), (GF4, 3, 12), (GF7, 3, 10)],
+                         ids=["GF5-4", "GF4-3", "GF7-3"])
+def test_a_cell_intersects_each_pair_of_submodules_once(ctx, n, count, monkeypatch):
+    # (4, GF5) has char | n+1: its table, trace biconditional and diagrams ask
+    # 14 times for 11 intersections; U ^ M*, N ^ M** and T ^ M** are shared
+    calls = []
+    intersect = Subspace.intersect
+
+    def counting(self, other):
+        calls.append((self, other))
+        return intersect(self, other)
+
+    monkeypatch.setattr(Subspace, "intersect", counting)
+    bases = canon.Bases(ctx, n)
+    table = intersection_table(ctx, n, bases)
+    bicond = canon.check_trace_biconditional(ctx, n, bases)
+    diagrams = spinmx.verify_lattice_diagrams(ctx, n, 1, bases=bases)
+    assert all(c["status"] == "verified" for c in table + [bicond] + diagrams)
+    pairs = {frozenset((a.rows, b.rows)) for a, b in calls}
+    assert len(calls) == len(pairs) == count
 
 
 def test_basis_U_from_a_given_K_is_basis_U():

@@ -19,7 +19,7 @@ from algdeg.canon import (
 )
 from algdeg.spinmx import spin, spin_contains, standard_generators
 from algdeg.degen import (
-    TransvectionSpec, lindeg_suite, lindeg_theorem_check, q_truncate,
+    TransvectionSpec, _g5_closed_form, lindeg_suite, lindeg_theorem_check, q_truncate,
     reach_delta, reach_delta_suite, reach_eta, reach_eta_suite,
     sample_in_between, transvection_g5, verify_lindeg,
 )
@@ -153,6 +153,81 @@ def test_g5_random_cross_check():
             alpha = alphas[rng.randrange(len(alphas))]
             out = transvection_g5(lam, TransvectionSpec(z=z, zeta=zeta, alpha=alpha))
             assert out is not None
+
+
+# -- the row-kernel closed form against the scalar bracket ---------------------
+
+G5_FIELDS = [make_field(p, k) for p, k in
+             ((2, 2), (2, 3), (3, 2), (5, 2), (3, 1), (5, 1), (7, 1), (11, 1), (13, 1), (0, 1))]
+
+
+def _random_scalar(ctx, rng):
+    if ctx.kind == "rational":
+        return ctx.from_int(rng.randrange(-4, 5)) / rng.randrange(1, 4)
+    return rng.randrange(ctx.order)
+
+
+def _random_spec(ctx, n, rng):
+    """Random z, zeta with zeta(z) = 0 and both nonzero, and alpha outside {0, 1}."""
+    zero = ctx.zero()
+    while True:
+        z = [_random_scalar(ctx, rng) for _ in range(n)]
+        zeta = [_random_scalar(ctx, rng) for _ in range(n)]
+        k = next((i for i, x in enumerate(z) if x != zero), None)
+        if k is None:
+            continue
+        zeta[k] = zero
+        zeta[k] = ctx.neg(ctx.div(DualVector(ctx, n, zeta)(Vector(ctx, n, z)).raw, z[k]))
+        alpha = _random_scalar(ctx, rng)
+        if any(x != zero for x in zeta) and alpha not in (zero, ctx.one()):
+            return TransvectionSpec(Vector(ctx, n, z), DualVector(ctx, n, zeta), alpha)
+
+
+def _g5_scalar_reference(lam, spec):
+    """The bracket [u,v]_5 coordinate by coordinate, with one scalar operation at a time."""
+    ctx, n = lam.ctx, lam.n
+    z, zeta, alpha = spec.z, spec.zeta, spec.alpha
+    add, mul = ctx.add, ctx.mul
+    zz = product(lam, z, z)
+    zeta_zz = zeta(zz).raw
+    ap1 = add(alpha, ctx.one())
+    units = [basis_vector(ctx, n, i) for i in range(1, n + 1)]
+    viz = [zeta(product(lam, v, z)).raw for v in units]
+    zvj = [zeta(product(lam, z, v)).raw for v in units]
+    coords = []
+    for zi, vi_z in zip(zeta.coords, viz):
+        for zj, z_vj in zip(zeta.coords, zvj):
+            cz = add(mul(zi, z_vj), mul(zj, vi_z))
+            cz = add(cz, mul(ap1, mul(mul(zi, zj), zeta_zz)))
+            czz = ctx.neg(mul(zi, zj))
+            coords.extend(add(mul(cz, zk), mul(czz, zzk))
+                          for zk, zzk in zip(z.coords, zz.coords))
+    return StructureVector(ctx, n, coords)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("ctx", G5_FIELDS, ids=repr)
+def test_g5_closed_form_matches_the_scalar_reference(ctx, n):
+    rng = random.Random(1000 * n + (ctx.order or 0))
+    for trial in range(6 if n < 5 else 3):
+        # the zero vector first, then random ones
+        lam = StructureVector(ctx, n, [_random_scalar(ctx, rng) if trial else ctx.zero()
+                                       for _ in range(n ** 3)])
+        spec = _random_spec(ctx, n, rng)
+        want = _g5_scalar_reference(lam, spec)
+        assert _g5_closed_form(lam, spec) == want
+        assert transvection_g5(lam, spec) == want
+
+
+@pytest.mark.parametrize("ctx", G5_FIELDS, ids=repr)
+def test_transvection_inverse_in_closed_form_is_the_rref_inverse(ctx):
+    rng = random.Random(ctx.order or 0)
+    for n in (3, 4, 5):
+        spec = _random_spec(ctx, n, rng)
+        for scale in (None, spec.alpha):
+            g = spec.group_element(scale)
+            assert g.inv == g.mat.inverse()
+            assert g.tag is None
 
 
 def test_g5_result_in_spin():

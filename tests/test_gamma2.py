@@ -2,15 +2,16 @@ import random
 
 import pytest
 
-from algdeg.gfield import make_field
-from algdeg.exactla import GroupElement, Matrix, random_invertible
+from algdeg import gamma2
+from algdeg.gfield import make_field, primitive_element
+from algdeg.exactla import Echelon, GroupElement, Matrix, random_invertible
 from algdeg.structvec import StructureVector, act, unit
 from algdeg.canon import basis_C, basis_K, basis_N, basis_U
 from algdeg.spinmx import norton_irreducible, standard_generators
 from algdeg.gamma2 import (
-    SemilinearMap, e_and_f, eq15_identity_holds, gamma_handle,
-    replay_irreducible_from, sigma, sigma_gmap_claims, star,
-    verify_gamma_irreducible,
+    ReplayResult, SemilinearMap, _perm_mapping, _replay_seeds, e_and_f,
+    eq15_identity_holds, gamma_handle, replay_irreducible_from, sigma,
+    sigma_gmap_claims, star, verify_gamma_irreducible,
 )
 
 GF4 = make_field(2, 2)
@@ -165,3 +166,168 @@ def test_char2_diamond_dims():
         assert basis_C(ctx, n).dim - basis_N(ctx, n).dim == n
         assert basis_K(ctx, n).dim - basis_U(ctx, n).dim == n
         assert basis_C(ctx, n).dim - basis_K(ctx, n).dim == n * n
+
+
+# -- the shared replay tail against the whole replay, seed by seed -------------
+
+def _reference_replay(phi):
+    """The whole replay for one seed, written out move by move.
+
+    Every element gets its inverse from an rref, and the span collects each
+    map the moves produce.
+    """
+    ctx, n = phi.ctx, phi.n
+    steps = []
+    span = Echelon(ctx, n * n)
+    span.add(phi.coords())
+    zero = ctx.zero()
+
+    def offdiag(p):
+        return next(((i, j) for i in range(1, n + 1) for j in range(1, n + 1)
+                     if i != j and p[i, j] != zero), None)
+
+    def shear(i, j, a):
+        rows = Matrix.identity(ctx, n).rows()
+        rows[i - 1][j - 1] = a
+        return GroupElement(Matrix.from_rows(ctx, rows))
+
+    pos = offdiag(phi)
+    if pos is None:
+        d = [phi[i, i] for i in range(1, n + 1)]
+        distinct = next(((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+                         if d[i - 1] != d[j - 1]), None)
+        if distinct is None:
+            gamma = primitive_element(ctx).raw
+            rows = Matrix.identity(ctx, n).rows()
+            rows[0][0] = gamma
+            e11_like = star(phi, GroupElement(Matrix.from_rows(ctx, rows))) + phi
+            steps.append(("diagonal-twist", ctx.raw_to_json(gamma)))
+            span.add(e11_like.coords())
+            phi = star(e11_like, shear(1, 2, 1)) + e11_like
+            steps.append(("unit-seed-shear", (1, 2)))
+        else:
+            i, j = distinct
+            moved = star(phi, _perm_mapping(ctx, n, {1: i, 2: j}))
+            steps.append(("relabel", (i, j)))
+            phi = star(moved, shear(1, 2, 1)) + moved
+            steps.append(("diagonal-shear", None))
+        span.add(phi.coords())
+        pos = offdiag(phi)
+    i, j = pos
+    phi12 = star(phi, _perm_mapping(ctx, n, {1: i, 2: j}))
+    steps.append(("relabel", (i, j)))
+    span.add(phi12.coords())
+    psi1 = e_and_f(phi12, (2, 1), (3, 1))
+    steps.append(("e&f", ((2, 1), (3, 1))))
+    span.add(psi1.coords())
+    psi2 = e_and_f(psi1, (1, 3), (2, 3))
+    steps.append(("e&f", ((1, 3), (2, 3))))
+    e23 = psi2.scale(ctx.inv(psi2[2, 3]))
+    steps.append(("scale", None))
+    span.add(e23.coords())
+    units = {}
+    for a in range(1, n + 1):
+        for b in range(1, n + 1):
+            if a != b:
+                units[(a, b)] = star(e23, _perm_mapping(ctx, n, {a: 2, b: 3}))
+                assert units[(a, b)] == SemilinearMap.unit(ctx, n, a, b)
+                span.add(units[(a, b)].coords())
+    steps.append(("permutation-closure", "off-diagonal units"))
+    alphas = [a for a in ctx.raw_elements() if a != zero][:2]
+    extracted = []
+    for a in alphas:
+        t = star(units[(1, 2)], shear(2, 1, a)) + units[(1, 2)]
+        t = t + units[(2, 1)].scale(ctx.mul(ctx.mul(a, a), a))
+        extracted.append(t.scale(ctx.inv(a)))
+    e11 = (extracted[0] + extracted[1]).scale(ctx.inv(ctx.add(alphas[0], alphas[1])))
+    steps.append(("shear-identity", [ctx.raw_to_json(a) for a in alphas]))
+    assert e11 == SemilinearMap.unit(ctx, n, 1, 1)
+    span.add(e11.coords())
+    for a in range(1, n + 1):
+        span.add(star(e11, _perm_mapping(ctx, n, {a: 1})).coords())
+    steps.append(("permutation-closure", "diagonal units"))
+    return ReplayResult(span.dim == n * n, steps)
+
+
+def _replay_test_seeds(ctx, n):
+    """Every matrix unit, random maps, diagonal maps with distinct entries, and scalars."""
+    rng = random.Random(ctx.order * 10 + n)
+    seeds = [SemilinearMap.unit(ctx, n, i, j)
+             for i in range(1, n + 1) for j in range(1, n + 1)]
+    for _ in range(6):
+        phi = SemilinearMap.from_rows(ctx, [[rng.randrange(ctx.order) for _ in range(n)]
+                                            for _ in range(n)])
+        if not phi.is_zero():
+            seeds.append(phi)
+    for _ in range(4):
+        diag = [rng.randrange(ctx.order) for _ in range(n)]
+        if len(set(diag)) > 1:
+            seeds.append(SemilinearMap.from_rows(
+                ctx, [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]))
+    for c in ctx.raw_elements()[1:]:
+        seeds.append(SemilinearMap(Matrix.identity(ctx, n)).scale(c))
+    return seeds
+
+
+@pytest.mark.parametrize("ctx,n", [(GF4, 3), (GF4, 4), (GF8, 3), (GF8, 4)],
+                         ids=["GF4-3", "GF4-4", "GF8-3", "GF8-4"])
+def test_shared_tail_replay_matches_the_whole_replay_of_each_seed(ctx, n):
+    seeds = _replay_test_seeds(ctx, n)
+    kinds = {s[0] for phi in seeds for s in _reference_replay(phi).steps}
+    assert {"diagonal-twist", "diagonal-shear"} <= kinds
+    want = [_reference_replay(phi) for phi in seeds]
+    assert all(r.reached_full for r in want)
+    assert _replay_seeds(seeds) == want
+    assert [replay_irreducible_from(phi) for phi in seeds] == want
+
+
+def test_one_gamma_verification_builds_the_replay_tail_once(monkeypatch):
+    # the diagonal units come from e_11 by the one-point relabelings {a: 1},
+    # which only the tail makes: n of them per tail, not n per seed
+    calls = []
+
+    def counting(ctx, n, want):
+        calls.append(len(want))
+        return _perm_mapping(ctx, n, want)
+
+    monkeypatch.setattr(gamma2, "_perm_mapping", counting)
+    for ctx, n in ((GF4, 3), (GF8, 4)):
+        calls.clear()
+        claims = verify_gamma_irreducible(ctx, n, seed=3)
+        assert claims[0]["id"] == "gammaReplay" and claims[0]["status"] == "verified"
+        assert claims[0]["data"]["seeds"] > 1
+        assert calls.count(1) == n
+
+
+# -- closed-form inverses against the rref inverse -----------------------------
+
+class _RecordingElement(GroupElement):
+    """A GroupElement that records each inverse it is handed instead of computing."""
+
+    __slots__ = ()
+    given = []
+
+    def __init__(self, mat, inv=None, tag=None):
+        if inv is not None:
+            _RecordingElement.given.append((mat, inv))
+        super().__init__(mat, inv, tag)
+
+
+def test_gamma_closed_form_inverses_equal_the_rref_inverse(monkeypatch):
+    monkeypatch.setattr(gamma2, "GroupElement", _RecordingElement)
+    given = _RecordingElement.given
+    rng = random.Random(23)
+    for ctx in (GF4, GF8):
+        phi = SemilinearMap.from_rows(ctx, [[rng.randrange(ctx.order) for _ in range(3)]
+                                            for _ in range(3)])
+        sources = {
+            "e&f": lambda: e_and_f(phi, (2, 1), (3, 1)),
+            "eq15": lambda: eq15_identity_holds(ctx, 4),
+            "replay": lambda: replay_irreducible_from(phi),
+        }
+        for name, call in sources.items():
+            given.clear()
+            call()
+            assert given, name
+            for mat, inv in given:
+                assert inv == mat.inverse(), name

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import random
 from itertools import product as iproduct
 from operator import mul
@@ -755,12 +756,23 @@ def test_general_shift_stops_at_the_least_degree_with_a_kernel():
     assert key == {"degree": 3} and len(ker) == 3 and len(lines) == 1
 
 
-def test_survey_refuses_a_factor_without_a_verdict(monkeypatch):
+def test_survey_refuses_a_factor_without_a_verdict(monkeypatch, tmp_path, capsys):
+    # a factor with no kernel-vector verdict leaves the lattice undecided: the
+    # survey claim is inconclusive (exit 3), not an internal error (exit 4)
     h = module_handle(gens_for(GF3, 3), basis_U(GF3, 3), label="U")
     monkeypatch.setattr(spinmx, "norton_irreducible",
                         lambda handle, seed: spinmx.NortonResult("inconclusive", None, None))
-    with pytest.raises(RuntimeError):
+    with pytest.raises(spinmx.InconclusiveFactor) as exc:
         survey_submodules(h)
+    assert (exc.value.label, exc.value.dim) == ("U:6/0", 6)
+    path = tmp_path / "survey.json"
+    assert main(["survey", "--module", "U", "--n", "3", "--field", "3",
+                 "--json", str(path), "--no-timing"]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "internal error" not in err
+    (c,) = json.loads(path.read_text())["claims"]
+    assert (c["id"], c["status"]) == ("survey", "inconclusive")
+    assert c["data"] == {"factor": "U:6/0", "dim": 6}
 
 
 _GF3_GENS = standard_generators(GF3, 3)

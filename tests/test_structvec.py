@@ -3,7 +3,7 @@ import random
 import pytest
 
 from algdeg.gfield import make_field
-from algdeg.exactla import GroupElement, random_invertible
+from algdeg.exactla import GroupElement, Matrix, random_invertible
 from algdeg.structvec import (
     StructureVector, Vector, flat, unit, basis_vector, dual_basis_vector,
     act, act_on_basis, action_matrix, opposite, plus_tilde, product, tr,
@@ -53,7 +53,7 @@ def test_act_identity():
 
 def test_act_112_permuting_matrix():
     # [g] = [[1,1,0],[0,0,1],[0,1,0]] sends 112 to 113 + 223 + 123 + 213
-    g = GroupElement.from_rows(GF5, [[1, 1, 0], [0, 0, 1], [0, 1, 0]])
+    g = GroupElement(Matrix.from_rows(GF5, [[1, 1, 0], [0, 0, 1], [0, 1, 0]]))
     out = act(unit(GF5, 3, 1, 1, 2), g)
     assert out == sv(GF5, 3, (1, 1, 1, 3), (1, 2, 2, 3), (1, 1, 2, 3), (1, 2, 1, 3))
 
