@@ -387,8 +387,9 @@ class Bases:
     """The canonical submodules of one (field, n), each built on first use.
 
     `bases[name]` accepts every name `submodule` does and returns the same
-    Subspace; a later lookup returns the same object, and every spelling of
-    a projective piece shares one.  The builds go through `submodule` and the
+    Subspace, and `bases[point]` the projective piece of M* at a
+    ProjectivePoint; a later lookup returns the same object, and every
+    spelling of a piece shares one.  The builds go through `submodule` and the
     `basis_*` functions of this module, looked up when called, and U is cut
     out of the shared K.  `meet(a, b)` intersects two of them once, for
     every check of the cell that needs that intersection.  Nothing is kept
@@ -407,11 +408,13 @@ class Bases:
         return sub
 
     def _build(self, name):
+        if isinstance(name, ProjectivePoint):
+            return basis_MstarP(self.ctx, self.n, name)
         if name == "U":
             return basis_U(self.ctx, self.n, self["K"])
         point = parse_point(name, self.ctx)
         if point is not None:
-            return self.piece(point)
+            return self[point]
         return submodule(name, self.ctx, self.n)
 
     def meet(self, a, b):
@@ -420,13 +423,6 @@ class Bases:
         sub = self._meets.get(key)
         if sub is None:
             sub = self._meets[key] = self[a] & self[b]
-        return sub
-
-    def piece(self, point):
-        """The projective piece of M* at a ProjectivePoint."""
-        sub = self._built.get(point)
-        if sub is None:
-            sub = self._built[point] = basis_MstarP(self.ctx, self.n, point)
         return sub
 
 
@@ -480,7 +476,7 @@ def intersection_table(ctx, n, bases=None):
     meet = bases.meet
 
     def mp(a, d):
-        return bases.piece(ProjectivePoint(ctx, a, d))
+        return bases[ProjectivePoint(ctx, a, d)]
 
     claims = []
 

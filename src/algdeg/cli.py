@@ -214,7 +214,7 @@ def cmd_lattice(args):
     report = Report("lattice", {"n": n, "field": _field_label(ctx)}, args.seed)
     if not _small_field_guard(report, ctx, [("lattice", "submodule diagrams")]):
         report.timed(spinmx.verify_lattice_diagrams, ctx, n, args.seed,
-                     bases=canon.Bases(ctx, n))
+                     spinmx.standard_generators(ctx, n), canon.Bases(ctx, n))
     return report
 
 
@@ -260,8 +260,9 @@ def cmd_gamma(args):
         report.skip_all([("gamma", "semilinear-module verification")],
                         "needs characteristic 2 with |F| >= 4")
         return report
-    report.timed(gamma2.sigma_gmap_claims, ctx, n, bases=canon.Bases(ctx, n))
-    report.timed(gamma2.verify_gamma_irreducible, ctx, n, args.seed)
+    gens = spinmx.standard_generators(ctx, n)
+    report.timed(gamma2.sigma_gmap_claims, ctx, n, gens, canon.Bases(ctx, n))
+    report.timed(gamma2.verify_gamma_irreducible, ctx, n, args.seed, gens)
     return report
 
 
@@ -322,7 +323,7 @@ def _verify_cell(report, args, ctx, n):
     _timed_cell(report, tag, degen_claims)
     if ctx.char == 2 and ctx.order >= 4:
         _timed_cell(report, tag, gamma2.sigma_gmap_claims, ctx, n, gens, bases)
-        _timed_cell(report, tag, gamma2.verify_gamma_irreducible, ctx, n, args.seed)
+        _timed_cell(report, tag, gamma2.verify_gamma_irreducible, ctx, n, args.seed, gens)
 
 
 def build_parser():

@@ -161,7 +161,7 @@ def transvection_g5(lam, spec):
     lam5 = lam4.scale(ctx.inv(denom))
     closed = _g5_closed_form(lam, spec)
     if lam5 != closed:
-        raise ValueError("pipeline and closed form disagree on the given data")
+        raise AssertionError("pipeline and closed form disagree on the given data")
     return lam5
 
 
@@ -221,10 +221,19 @@ def _functional_with_values(ctx, rows, values):
     return DualVector(ctx, len(rows[0]), x)
 
 
-def _complement_in(space_rows, inside, ctx, n):
-    """Complement rows of span(space_rows) inside the subspace `inside`."""
-    sub = Subspace(ctx, n, space_rows)
-    return inside.coset_representatives(sub)
+def _alternating_radical(lam, z, zeta):
+    """zeta' = zeta([z, .]) and the radical ker zeta ^ ker zeta' of the
+    alternating form zeta(u) zeta'(v) - zeta(v) zeta'(u)."""
+    ctx, n = lam.ctx, lam.n
+    zeta_prime = DualVector(
+        ctx, n, [zeta(product(lam, z, basis_vector(ctx, n, j))).raw
+                 for j in range(1, n + 1)])
+    return zeta_prime, Subspace(ctx, n, kernel_rows([zeta.coords, zeta_prime.coords], n, ctx))
+
+
+def _basis_change(ctx, cols):
+    """The group element whose matrix has the given columns."""
+    return GroupElement(Matrix.from_rows(ctx, cols).transpose())
 
 
 @dataclass
@@ -278,17 +287,12 @@ def reach_eta(lam, gens):
     alpha = primitive_element(ctx).raw
     spec = TransvectionSpec(z, zeta, alpha)
     mu5 = transvection_g5(lam, spec)
-    # rank-2 alternating form zeta(u) zeta'(v) - zeta(v) zeta'(u):
-    # radical = ker zeta ^ ker zeta', and z sits inside it
-    zeta_prime = DualVector(
-        ctx, n, [zeta(product(lam, z, basis_vector(ctx, n, j))).raw
-                 for j in range(1, n + 1)])
-    radical = Subspace(ctx, n, kernel_rows([zeta.coords, zeta_prime.coords], n, ctx))
+    # the alternating form has rank 2 and z sits inside its radical
+    _, radical = _alternating_radical(lam, z, zeta)
     if not radical.contains(z.coords):
         raise AssertionError("z lies outside the radical of the alternating form")
-    rad_rest = _complement_in([z.coords], radical, ctx, n)
-    cols = [w.coords, (-zw).coords, z.coords] + rad_rest
-    h = GroupElement(Matrix.from_rows(ctx, cols).transpose())
+    rad_rest = radical.coset_representatives(Subspace(ctx, n, [z.coords]))
+    h = _basis_change(ctx, [w.coords, (-zw).coords, z.coords] + rad_rest)
     final = act(mu5, h)
     target = eta_vector(ctx, n)
     ok = final == target
@@ -336,9 +340,8 @@ def reach_delta(lam, gens):
         if lam6.coords != coords:
             raise AssertionError("second difference disagrees with zeta(u) zeta(v) z")
         ker = Subspace(ctx, n, kernel_rows([zeta.coords], n, ctx))
-        rest = _complement_in([z.coords], ker, ctx, n)
-        cols = [w.coords, z.coords] + rest
-        h = GroupElement(Matrix.from_rows(ctx, cols).transpose())
+        rest = ker.coset_representatives(Subspace(ctx, n, [z.coords]))
+        h = _basis_change(ctx, [w.coords, z.coords] + rest)
         final = act(lam6, h)
         ok = final == target
         branch = "big-field"
@@ -346,13 +349,8 @@ def reach_delta(lam, gens):
     else:
         # |F| = 3: alpha is forced to 2 = -1 and the zeta([z,z]) term drops out
         mu5 = transvection_g5(lam, TransvectionSpec(z, zeta, ctx.from_int(2)))
-        zeta_prime = DualVector(
-            ctx, n, [zeta(product(lam, z, basis_vector(ctx, n, j))).raw
-                     for j in range(1, n + 1)])
-        radical = Subspace(ctx, n, kernel_rows([zeta.coords, zeta_prime.coords],
-                                               n, ctx))
-        cols = [z.coords, w.coords] + [list(r) for r in radical.rows]
-        h = GroupElement(Matrix.from_rows(ctx, cols).transpose())
+        zeta_prime, radical = _alternating_radical(lam, z, zeta)
+        h = _basis_change(ctx, [z.coords, w.coords] + [list(r) for r in radical.rows])
         nu = act(mu5, h)
         c = zeta_prime(w).raw
         expect = (unit(ctx, n, 1, 2, 1) + unit(ctx, n, 2, 1, 1)
@@ -388,10 +386,10 @@ def reach_delta(lam, gens):
 
 # -- seeded suites ---------------------------------------------------------------
 
-def sample_in_between(ctx, n, inside, outside_pred, rng, tries=200):
+def sample_in_between(ctx, n, inside, outside_pred, rng):
     """A random vector of `inside` failing `outside_pred` (rejection sampling)."""
     q = ctx.order
-    for _ in range(tries):
+    for _ in range(200):
         coeffs = [rng.randrange(q) for _ in inside.rows]
         lam = StructureVector(ctx, n, combine(coeffs, inside.rows, ctx))
         if not lam.is_zero() and not outside_pred(lam):

@@ -410,10 +410,12 @@ class Subspace:
 
     def coset_representatives(self, sub):
         """Echelon basis of a complement of sub in self; cosets form a quotient basis."""
-        if not sub <= self:
-            raise ValueError("not a subspace of this space")
+        self._check_compatible(sub)
         ech = sub._ech.copy()
         reps = [t for t in map(ech.add, self._ech.rows) if t is not None]
+        # sub + self has the dimension of self exactly when sub lies in self
+        if ech.dim != self.dim:
+            raise ValueError("not a subspace of this space")
         return rref_rows(reps, self.ctx)[0]
 
     def to_json(self):

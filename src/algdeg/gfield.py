@@ -55,37 +55,6 @@ def _poly_mul_mod(a, b, modulus, p):
     return [c % p for c in prod[:k]] + [0] * max(0, k - len(prod))
 
 
-def _check_irreducible(modulus, p):
-    """Trial-divide by every monic polynomial of degree <= deg/2 over GF(p)."""
-    k = len(modulus) - 1
-    for deg in range(1, k // 2 + 1):
-        for code in range(p ** deg):
-            div = []
-            c = code
-            for _ in range(deg):
-                div.append(c % p)
-                c //= p
-            div.append(1)
-            if _poly_remainder_is_zero(modulus, div, p):
-                return False
-    return True
-
-
-def _poly_remainder_is_zero(num, div, p):
-    rem = list(num)
-    dd = len(div) - 1
-    inv_lead = pow(div[dd], p - 2, p)
-    while len(rem) - 1 >= dd:
-        lead = rem[-1] % p
-        if lead:
-            f = lead * inv_lead % p
-            off = len(rem) - 1 - dd
-            for t in range(dd + 1):
-                rem[off + t] = (rem[off + t] - f * div[t]) % p
-        rem.pop()
-    return all(c % p == 0 for c in rem)
-
-
 # row types the packed kernels hand back as lists, so callers holding list rows
 # never see `bytes`
 _UNPACKED = (list, tuple)
@@ -134,8 +103,6 @@ class FieldCtx:
                 self.modulus = _MODULI[(char, degree)]
             except KeyError:
                 raise ValueError(f"no modulus on file for GF({char}^{degree})")
-            if not _check_irreducible(list(self.modulus), char):
-                raise ValueError(f"modulus for GF({char}^{degree}) is reducible")
             self._build_tables()
         if char == 2 or (degree == 1 and char <= 13):
             self.packed = True
@@ -176,6 +143,10 @@ class FieldCtx:
                 if mul[a][b] == 1:
                     inv[a] = b
                     break
+            else:
+                # a finite commutative ring is a field iff every nonzero element
+                # has an inverse, so this search proves the modulus irreducible
+                raise ValueError(f"modulus for GF({p}^{self.degree}) is reducible")
         self._mul_table = mul
         self._inv_table = inv
 
@@ -190,9 +161,8 @@ class FieldCtx:
     def from_int(self, m):
         if self.kind == "rational":
             return Fraction(m)
-        if self.degree == 1:
-            return m % self.char
-        return self._encode([m % self.char] + [0] * (self.degree - 1))
+        # the code of a constant polynomial is the constant
+        return m % self.char
 
     def add(self, a, b):
         if self.kind == "rational":

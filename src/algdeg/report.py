@@ -113,8 +113,8 @@ class Report:
         with open(path, "w") as fh:
             fh.write(self.dumps(with_timing) + "\n")
 
-    def print_summary(self, out=print):
+    def print_summary(self):
         for c in self.claims:
-            out(f"[{c['status']:>12}] {c['id']}: {c['anchor']}")
+            print(f"[{c['status']:>12}] {c['id']}: {c['anchor']}")
         counts = self.counts
-        out("summary: " + ", ".join(f"{counts[s]} {s}" for s in STATUS_ORDER))
+        print("summary: " + ", ".join(f"{counts[s]} {s}" for s in STATUS_ORDER))

@@ -574,7 +574,7 @@ def composition_series(chain, gens, seed):
 
 # -- submodule survey -------------------------------------------------------------
 
-def survey_submodules(handle, budget=SURVEY_BUDGET, seed=0):
+def survey_submodules(handle, seed=0):
     """Every submodule of the handle's module, from its composition factors and covers.
 
     Repeated kernel-vector splitting chops the module into composition
@@ -589,8 +589,8 @@ def survey_submodules(handle, budget=SURVEY_BUDGET, seed=0):
     kernel-vector test stays inconclusive raises `InconclusiveFactor`.
     """
     ctx, d = handle.ctx, handle.dim
-    if ctx.order ** d > budget:
-        raise ValueError(f"survey budget exceeded: {ctx.order}^{d} > {budget}")
+    if ctx.order ** d > SURVEY_BUDGET:
+        raise ValueError(f"survey budget exceeded: {ctx.order}^{d} > {SURVEY_BUDGET}")
     appliers = _handle_appliers(handle.action, ctx)
     full = Subspace.full(ctx, d)
 
@@ -734,7 +734,7 @@ def verify_lattice_diagrams(ctx, n, seed=0, gens=None, bases=None):
     # diagram over M**
     if (n - 1) % ctx.char == 0:
         UM = U | Ms
-        M1m1 = bases.piece(canon.ProjectivePoint(ctx, one, ctx.neg(one)))
+        M1m1 = bases[canon.ProjectivePoint(ctx, one, ctx.neg(one))]
         add(claim("UmeetMstar.branch", "U ^ M* = M*_(1,-1) when char | n-1",
                   bases.meet("U", "Mstar") == M1m1))
         add(claim("UplusMstar.dim", "dim(U + M*) = n^3/2 - n^2/2 when char | n-1",
@@ -805,7 +805,7 @@ def verify_lattice_diagrams(ctx, n, seed=0, gens=None, bases=None):
                    Lam, NM, "Lambda/(N+M**)", "L/NM", "reducible", length_two)
     elif (n + 1) % ctx.char == 0:
         NM = N | Mss
-        M11 = bases.piece(canon.ProjectivePoint(ctx, one, one))
+        M11 = bases[canon.ProjectivePoint(ctx, one, one)]
         add(claim("NmeetMss.divides", "N ^ M** = M*_(1,1) when char | n+1",
                   bases.meet("N", "Mstarstar") == M11))
         add(claim("NplusMss.dim", "dim(N + M**) = n^3 - n",

@@ -431,32 +431,28 @@ def product(lam, u, v):
     return Vector(ctx, n, out)
 
 
-def tr(lam):
-    """Adjoint trace functional: i-th coordinate sum_j lam_ijj."""
+def _trace(lam, opposite):
+    """i-th coordinate sum_j lam_ijj, or sum_j lam_jij if opposite."""
     ctx, n = lam.ctx, lam.n
     src = lam.coords
-    nn = n * n
+    a, b = (n, n * n + 1) if opposite else (n * n, n + 1)
     out = []
     for i in range(n):
         acc = ctx.zero()
         for j in range(n):
-            acc = ctx.add(acc, src[i * nn + j * n + j])
+            acc = ctx.add(acc, src[i * a + j * b])
         out.append(acc)
     return DualVector(ctx, n, out)
+
+
+def tr(lam):
+    """Adjoint trace functional: i-th coordinate sum_j lam_ijj."""
+    return _trace(lam, False)
 
 
 def tr_op(lam):
     """Opposite trace functional: i-th coordinate sum_j lam_jij."""
-    ctx, n = lam.ctx, lam.n
-    src = lam.coords
-    nn = n * n
-    out = []
-    for i in range(n):
-        acc = ctx.zero()
-        for j in range(n):
-            acc = ctx.add(acc, src[j * nn + i * n + j])
-        out.append(acc)
-    return DualVector(ctx, n, out)
+    return _trace(lam, True)
 
 
 def trace_form(lam, u):
@@ -469,24 +465,22 @@ def psi(lam):
     return tr(lam) + tr_op(lam)
 
 
-def tr_matrix_rows(ctx, n):
-    """Rows of the n x n^3 matrix of tr over the standard bases."""
+def _trace_rows(ctx, n, opposite):
+    """The trace matrix, built from flat indices apart from `_trace`'s strides."""
     zero, one = ctx.zero(), ctx.one()
     rows = []
     for i in range(1, n + 1):
         row = [zero] * n ** 3
         for j in range(1, n + 1):
-            row[flat(n, i, j, j)] = one
+            row[flat(n, j, i, j) if opposite else flat(n, i, j, j)] = one
         rows.append(row)
     return rows
+
+
+def tr_matrix_rows(ctx, n):
+    """Rows of the n x n^3 matrix of tr over the standard bases."""
+    return _trace_rows(ctx, n, False)
 
 
 def tr_op_matrix_rows(ctx, n):
-    zero, one = ctx.zero(), ctx.one()
-    rows = []
-    for i in range(1, n + 1):
-        row = [zero] * n ** 3
-        for j in range(1, n + 1):
-            row[flat(n, j, i, j)] = one
-        rows.append(row)
-    return rows
+    return _trace_rows(ctx, n, True)

@@ -8,10 +8,9 @@ from contextlib import contextmanager
 from algdeg.gfield import make_field
 from algdeg.exactla import Subspace
 from algdeg.structvec import tr, tr_op
-from algdeg import canon
 from algdeg.canon import (
     ProjectivePoint, basis_MstarP, check_trace_biconditional, delta, eta,
-    expected_dims, intersection_table, predicate_Mstar, predicate_Mstarstar,
+    expected_dims, intersection_table, predicate_Mstarstar,
     submodule, trace_kernel_witness,
 )
 from algdeg.spinmx import (

@@ -5,7 +5,7 @@ import pytest
 from algdeg.gfield import make_field
 from algdeg.exactla import Subspace, random_invertible
 from algdeg.structvec import (
-    StructureVector, Vector, act, basis_vector, dual_basis_vector, flat,
+    StructureVector, Vector, act, dual_basis_vector, flat,
     plus_tilde, product, tr, tr_op, unit,
 )
 from algdeg import canon, spinmx
@@ -408,11 +408,11 @@ def test_bases_match_submodule_and_are_built_once(ctx, n):
         sub = bases[spellings[0]]
         assert sub == submodule(spellings[0], ctx, n)
         assert all(bases[s] is sub for s in spellings)
-        assert bases.piece(ProjectivePoint(ctx, ctx.from_int(a), ctx.from_int(d))) is sub
+        assert bases[ProjectivePoint(ctx, ctx.from_int(a), ctx.from_int(d))] is sub
     for point in ProjectivePoint.enumerate(ctx):
-        sub = bases.piece(point)
+        sub = bases[point]
         assert sub == basis_MstarP(ctx, n, point)
-        assert bases.piece(point) is sub
+        assert bases[point] is sub
 
 
 def test_bases_reject_unknown_names_and_other_shapes():

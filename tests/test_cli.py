@@ -10,6 +10,7 @@ from algdeg.exactla import Subspace
 from algdeg.cli import main
 from algdeg.gfield import make_field
 from algdeg.report import Report
+from algdeg.structvec import StructureVector
 
 
 def run(argv):
@@ -273,20 +274,25 @@ def test_gf25_seed_once_inconclusive_now_verifies(tmp_path):
     assert claims["n3.q5^2.LambdaOverMss.irr"]["status"] == "verified"
 
 
-def _count_basis_builds(monkeypatch):
-    """Count each canon.basis_* call, per projective point for basis_MstarP.
-
-    Every algdeg global bound to a builder is rebound, so a call through a
-    name imported into another module is counted too.
-    """
+def _rebind_everywhere(monkeypatch, orig, wrapper):
+    """Rebind every algdeg global bound to `orig`, so a call through a name
+    imported into another module reaches `wrapper` too."""
     import sys
+
+    for name, m in list(sys.modules.items()):
+        if m is not None and (name == "algdeg" or name.startswith("algdeg.")):
+            for key, value in list(vars(m).items()):
+                if value is orig:
+                    monkeypatch.setattr(m, key, wrapper)
+
+
+def _count_basis_builds(monkeypatch):
+    """Count each canon.basis_* call, per projective point for basis_MstarP."""
     from collections import Counter
 
     from algdeg import canon
 
     calls = Counter()
-    modules = [m for name, m in list(sys.modules.items())
-               if m is not None and (name == "algdeg" or name.startswith("algdeg."))]
     for name in [n for n in vars(canon) if n.startswith("basis_")]:
         orig = getattr(canon, name)
 
@@ -294,10 +300,7 @@ def _count_basis_builds(monkeypatch):
             calls[(_name,) + tuple(repr(a) for a in args[2:])] += 1
             return _orig(*args, **kwargs)
 
-        for m in modules:
-            for key, value in list(vars(m).items()):
-                if value is orig:
-                    monkeypatch.setattr(m, key, counted)
+        _rebind_everywhere(monkeypatch, orig, counted)
     return calls
 
 
@@ -355,6 +358,45 @@ def test_internal_error_exits_4(monkeypatch, capsys):
     monkeypatch.setattr(cli, "cmd_dims", crash)
     assert run(["dims", "--n", "3", "--field", "3"]) == 4
     assert "RuntimeError: boom" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["degen", "reach-eta", "--n", "3", "--field", "5", "--lambda", "eta"],
+    ["verify-all", "--n-list", "3", "--fields", "5", "--samples", "2"],
+])
+def test_pipeline_disagreeing_with_its_closed_form_is_an_internal_error(
+        argv, monkeypatch, capsys):
+    from algdeg import degen
+    closed_form = degen._g5_closed_form
+
+    def one_coordinate_off(lam, spec):
+        coords = list(closed_form(lam, spec).coords)
+        coords[0] = lam.ctx.add(coords[0], lam.ctx.one())
+        return StructureVector(lam.ctx, lam.n, coords)
+
+    monkeypatch.setattr(degen, "_g5_closed_form", one_coordinate_off)
+    assert run(argv) == 4
+    err = capsys.readouterr().err
+    assert "closed form disagree" in err and "internal error" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["gamma", "--n", "3", "--field", "2^2"],
+    ["verify-all", "--n-list", "3", "--fields", "2^2", "--samples", "2"],
+    ["lattice", "--n", "3", "--field", "5"],
+])
+def test_each_command_builds_one_generator_set(argv, monkeypatch, capsys):
+    calls = []
+    orig = spinmx.standard_generators
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+
+    _rebind_everywhere(monkeypatch, orig, counted)
+    assert run(argv) == 0
+    capsys.readouterr()
+    assert len(calls) == 1, calls
 
 
 def test_verify_all_timing_keys_are_claim_ids(tmp_path):

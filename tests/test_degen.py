@@ -11,13 +11,13 @@ import algdeg
 
 from algdeg.gfield import make_field
 from algdeg.structvec import (
-    DualVector, StructureVector, Vector, act, basis_vector, flat, product, unit,
+    DualVector, StructureVector, Vector, basis_vector, flat, product, unit,
 )
 from algdeg.canon import (
-    basis_C, basis_K, basis_Mstar, basis_Mstarstar, delta, epsilon, eta,
+    basis_C, basis_K, basis_Mstarstar, delta, epsilon, eta,
     predicate_C, predicate_Mstar, predicate_Mstarstar,
 )
-from algdeg.spinmx import spin, spin_contains, standard_generators
+from algdeg.spinmx import spin_contains, standard_generators
 from algdeg.degen import (
     TransvectionSpec, _g5_closed_form, lindeg_suite, lindeg_theorem_check, q_truncate,
     reach_delta, reach_delta_suite, reach_eta, reach_eta_suite,

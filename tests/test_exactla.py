@@ -180,6 +180,18 @@ def test_quotient_dim_and_reps():
         line.quotient_dim(full)
 
 
+def test_coset_representatives_rejects_a_sub_outside_the_space():
+    plane = span(GF3, 3, e(3, 0), e(3, 1))
+    with pytest.raises(ValueError, match="not a subspace of this space"):
+        plane.coset_representatives(span(GF3, 3, e(3, 2)))
+    with pytest.raises(ValueError, match="not a subspace of this space"):
+        plane.coset_representatives(Subspace.full(GF3, 3))
+    with pytest.raises(ValueError, match="different ambient spaces"):
+        plane.coset_representatives(Subspace.full(GF3, 2))
+    with pytest.raises(ValueError, match="different ambient spaces"):
+        plane.coset_representatives(span(GF5, 3, [1, 0, 0]))
+
+
 @pytest.mark.parametrize("ctx", FIELDS, ids=repr)
 def test_quotient_coords_reconstructs(ctx):
     def vec(*xs):

@@ -38,6 +38,14 @@ def test_make_field_rejects_unknown_extension():
         make_field(7, 2)
 
 
+def test_reducible_modulus_is_rejected_when_the_context_is_built(monkeypatch):
+    from algdeg import gfield
+    # x^2 + 2 = (x - 1)(x + 1) over GF(3): x - 1 and x + 1 have no inverse
+    monkeypatch.setitem(gfield._MODULI, (3, 2), (2, 0, 1))
+    with pytest.raises(ValueError, match=r"modulus for GF\(3\^2\) is reducible"):
+        FieldCtx(3, 2)
+
+
 def test_rationals():
     ctx = make_field(0, 1)
     assert ctx.kind == "rational"

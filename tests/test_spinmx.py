@@ -369,11 +369,12 @@ def test_survey_mstar_gf3():
     assert len(lattice) == len(expect) + 2
 
 
-def test_survey_budget_guard():
+def test_survey_budget_guard(monkeypatch):
     gens = gens_for(GF5, 3)
     h = module_handle(gens, basis_C(GF5, 3), label="C")
-    with pytest.raises(ValueError):
-        survey_submodules(h, budget=100)
+    monkeypatch.setattr(spinmx, "SURVEY_BUDGET", 100)
+    with pytest.raises(ValueError, match="survey budget exceeded"):
+        survey_submodules(h)
 
 
 def test_survey_irreducible_carrier():
