@@ -1,10 +1,14 @@
 """Linear degenerations: weight truncation and the transvection pipeline.
 
 The weight truncation keeps exactly the coordinates with q_i + q_j - q_k = 0;
-when the negative-weight coordinates of lam vanish and the maximal weight is
-below |F| - 1, the truncation stays inside the cyclic module lam(FG) (the
-evaluation polynomial of any annihilating functional has degree < |F| - 1 and
-|F| - 1 roots, hence is zero).
+when the negative-weight coordinates of lam vanish and the maximal weight M
+is below |F| - 1, the truncation stays inside the cyclic module lam(FG).  The
+torus translate lam*diag(t^q_1, ..., t^q_n) scales the weight-w part of lam
+by t^w, so with t = zeta^e (zeta primitive) for e = 0..M the translates are
+a Vandermonde system in the M + 1 distinct values zeta^e over the weights
+0..M, and the weight-zero part is a combination of them.  `verify_lindeg`
+seeds its membership closure with these translates, so the truncation is
+found in their span before any generator image is taken.
 
 The transvection pipeline produces new members of lam(FG) from g: v -> v +
 zeta(v) z with zeta(z) = 0: subtracting lam from lam*g, repeating with
@@ -22,7 +26,7 @@ alternating form reaches 123 - 213, and a second difference reaches 112.
 
 import random
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 
 from .canon import bases_for
 from .canon import delta as delta_vector
@@ -67,11 +71,23 @@ def lindeg_theorem_check(lam, q):
 
 
 def verify_lindeg(lam, q, gens):
-    """Membership of the truncation in the cyclic module (the checkable claim)."""
-    applicable, _ = lindeg_theorem_check(lam, q)
+    """Membership of the truncation in the cyclic module (the checkable claim).
+
+    The closure is seeded with the torus translates lam*diag(zeta^(e q_1),
+    ..., zeta^(e q_n)) for e = 1..max_weight after lam itself (e = 0).  They
+    are group elements, so the closure is lam(FG) whatever the seeds, and
+    the verdict is the full spin's; under the hypotheses the truncation lies
+    in the span of the seeds, so the probe hits among them.
+    """
+    applicable, max_weight = lindeg_theorem_check(lam, q)
     if not applicable:
         raise ValueError("hypotheses of the degeneration bound do not hold")
-    return spin_contains(lam, gens, q_truncate(lam, q))
+    ctx = lam.ctx
+    # at max weight 0 lam is the only seed, and GF(2) has no primitive element
+    zeta = primitive_element(ctx).raw if max_weight >= 1 else None
+    torus = [GroupElement.diagonal(ctx, [ctx.pow(zeta, e * qi) for qi in q])
+             for e in range(1, max_weight + 1)]
+    return spin_contains(lam, gens, q_truncate(lam, q), translates=torus)
 
 
 # -- transvection pipeline -----------------------------------------------------
@@ -202,11 +218,10 @@ def _find_square_escape(lam):
     ctx, n = lam.ctx, lam.n
     scalars = (ctx.raw_elements()[1:] if ctx.kind == "finite"
                else [ctx.one(), ctx.from_int(2)])
-    candidates = [basis_vector(ctx, n, i) for i in range(1, n + 1)]
-    for i, j in combinations(range(1, n + 1), 2):
-        for c in scalars:
-            candidates.append(basis_vector(ctx, n, i)
-                              + basis_vector(ctx, n, j).scale(c))
+    units = [basis_vector(ctx, n, i) for i in range(1, n + 1)]
+    # built lazily: the first candidate nearly always escapes
+    candidates = chain(units, (units[i] + units[j].scale(c)
+                               for i, j in combinations(range(n), 2) for c in scalars))
     for z in candidates:
         zz = product(lam, z, z)
         if _rank([z.coords, zz.coords], ctx) == 2:

@@ -21,9 +21,7 @@ from .canon import _restricted_kernel, bases_for, predicate_C
 from .exactla import Echelon, GroupElement, Matrix, Subspace
 from .gfield import primitive_element
 from .report import claim, norton_claim
-from .spinmx import (
-    ModuleHandle, derive_seed, norton_irreducible, standard_generators,
-)
+from .spinmx import ModuleHandle, derive_seed, norton_irreducible
 from .structvec import StructureVector, act, flat
 
 
@@ -182,14 +180,12 @@ def gamma_handle(gens, label="semilinear"):
     return ModuleHandle(ctx, label, carrier, None, reps, action, gens)
 
 
-def sigma_gmap_claims(ctx, n, gens=None, bases=None):
+def sigma_gmap_claims(ctx, n, gens, bases=None):
     """sigma intertwines the two actions and has kernel K on C (both checked).
 
     sigma(lam) is computed once per row lam of C and g^-1, g^(2) once per
     generator; the rank and kernel check reuses the same sigma values.
     """
-    if gens is None:
-        gens = standard_generators(ctx, n)
     bases = bases_for(ctx, n, bases)
     C = bases["C"]
     lams = [StructureVector(ctx, n, list(row)) for row in C.rows]
@@ -354,7 +350,7 @@ def _perm_mapping(ctx, n, want):
     return GroupElement.permutation(ctx, images[1:])
 
 
-def verify_gamma_irreducible(ctx, n, seed=0, gens=None):
+def verify_gamma_irreducible(ctx, n, seed, gens):
     """Both-ways irreducibility report for the semilinear module.
 
     The constructive replay is run from every matrix unit and from seeded
@@ -363,8 +359,6 @@ def verify_gamma_irreducible(ctx, n, seed=0, gens=None):
     """
     if ctx.kind != "finite" or ctx.char != 2 or ctx.order < 4:
         raise ValueError("needs a finite field of characteristic 2 with |F| >= 4")
-    if gens is None:
-        gens = standard_generators(ctx, n)
     seeds = [SemilinearMap.unit(ctx, n, i, j)
              for i in range(1, n + 1) for j in range(1, n + 1)]
     rng = random.Random(derive_seed(seed, "gamma-seeds", ctx.order, n))

@@ -203,6 +203,9 @@ class FieldCtx:
         return self.mul(a, self.inv(b))
 
     def pow(self, a, e):
+        """a^e; for e < 0 the inverse of a is raised, so 0^e raises ZeroDivisionError."""
+        if e < 0:
+            a, e = self.inv(a), -e
         r = self.one()
         for _ in range(e):
             r = self.mul(r, a)

@@ -30,7 +30,7 @@ import hashlib
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product as iproduct
+from itertools import chain, product as iproduct
 from typing import Optional
 
 from .exactla import (
@@ -38,7 +38,7 @@ from .exactla import (
 )
 from .gfield import FieldCtx, primitive_element
 from .report import claim, norton_claim
-from .structvec import act_coords
+from .structvec import act, act_coords
 
 LINE_CAP = 128           # max kernel lines spun for one shift of a theta draw
 NORTON_ATTEMPTS = 64
@@ -180,15 +180,25 @@ def spin(lam, gens):
     return ech.subspace()
 
 
-def spin_contains(lam, gens, probe):
-    """Membership probe ran inside the closure loop (early exit on success).
+def spin_contains(lam, gens, probe, translates=()):
+    """Whether probe lies in lam(FG); the probe runs inside the closure loop
+    (early exit on success).
 
     Spins with `gens.probe_elements`, which generate the same group as
-    `gens.elements`, so the closure and the answer are the same.
+    `gens.elements`, so the closure and the answer are the same.  The
+    closure is seeded with lam and then with lam*g for each g in
+    `translates` (built here by `act`, lazily, so a hit skips the rest).
+    Each g is an element of the full group, so each seed is a member of
+    lam(FG) and the closure of the seeds is lam(FG) again: the seeds only
+    let a probe in their span hit before any generator image is taken, and
+    a probe outside lam(FG) still gives False after the full spin.  The
+    rational generators reach a subgroup only, so they take no translates.
     """
     _check_field(gens, lam, probe)
-    _, hit = _span_closure([getattr(lam, "coords", lam)],
-                           _structvec_appliers(gens, gens.probe_elements),
+    if translates and gens.subgroup_caveat:
+        raise ValueError("translates need generators of the full group")
+    seeds = chain([getattr(lam, "coords", lam)], (act(lam, g).coords for g in translates))
+    _, hit = _span_closure(seeds, _structvec_appliers(gens, gens.probe_elements),
                            gens.n ** 3, gens.ctx, probe=getattr(probe, "coords", probe))
     return hit
 
@@ -674,7 +684,7 @@ def hom_space(ha, hb):
 
 # -- diagram verification ----------------------------------------------------------
 
-def verify_lattice_diagrams(ctx, n, seed=0, gens=None, bases=None):
+def verify_lattice_diagrams(ctx, n, seed, gens, bases=None):
     """Check the submodule diagrams branch by branch for one (n, field).
 
     Covers the two diagrams over M** (split by char | n-1), the three over
@@ -688,8 +698,6 @@ def verify_lattice_diagrams(ctx, n, seed=0, gens=None, bases=None):
 
     if ctx.kind != "finite" or ctx.order <= 2:
         raise ValueError("diagram verification assumes a finite field, |F| > 2")
-    if gens is None:
-        gens = standard_generators(ctx, n)
     claims = []
     dims = canon.expected_dims(n)
 

@@ -449,7 +449,8 @@ def test_a_cell_intersects_each_pair_of_submodules_once(ctx, n, count, monkeypat
     bases = canon.Bases(ctx, n)
     table = intersection_table(ctx, n, bases)
     bicond = canon.check_trace_biconditional(ctx, n, bases)
-    diagrams = spinmx.verify_lattice_diagrams(ctx, n, 1, bases=bases)
+    gens = spinmx.standard_generators(ctx, n)
+    diagrams = spinmx.verify_lattice_diagrams(ctx, n, 1, gens, bases)
     assert all(c["status"] == "verified" for c in table + [bicond] + diagrams)
     pairs = {frozenset((a.rows, b.rows)) for a, b in calls}
     assert len(calls) == len(pairs) == count

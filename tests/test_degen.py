@@ -11,17 +11,19 @@ import algdeg
 
 from algdeg.gfield import make_field
 from algdeg.structvec import (
-    DualVector, StructureVector, Vector, basis_vector, flat, product, unit,
+    DualVector, StructureVector, Vector, act_coords, basis_vector, flat, product, unit,
 )
 from algdeg.canon import (
     basis_C, basis_K, basis_Mstarstar, delta, epsilon, eta,
     predicate_C, predicate_Mstar, predicate_Mstarstar,
 )
-from algdeg.spinmx import spin_contains, standard_generators
+from algdeg import spinmx, structvec
+from algdeg.exactla import GroupElement
+from algdeg.spinmx import rational_generators, spin, spin_contains, standard_generators
 from algdeg.degen import (
     TransvectionSpec, _g5_closed_form, lindeg_suite, lindeg_theorem_check, q_truncate,
     reach_delta, reach_delta_suite, reach_eta, reach_eta_suite,
-    sample_in_between, transvection_g5, verify_lindeg,
+    sample_in_between, transvection_g5, verify_lindeg, weights,
 )
 
 GF3 = make_field(3)
@@ -89,6 +91,70 @@ def test_verify_lindeg_requires_applicable():
     lam = StructureVector(GF3, 3, [rng.randrange(3) for _ in range(27)])
     with pytest.raises(ValueError):
         verify_lindeg(lam, [1, 1, 2], gens)  # max weight 3 >= |F| - 1 = 2
+
+
+# max weights 0, 0, 1, 2, 3, 3, 3 and 8, four with a negative entry; each field
+# takes those below |F| - 1 (GF(2) only the two of weight 0)
+LINDEG_Q = [[0, 0, 0], [-1, -1, -2], [1, 1, 1], [0, 0, 1], [0, 1, -1], [1, 1, 2],
+            [-1, 0, 1], [3, -2, 1]]
+
+
+@pytest.mark.parametrize("ctx", [make_field(2), GF3, GF4, GF5, make_field(7), make_field(2, 3),
+                                 make_field(3, 2), make_field(5, 2)], ids=repr)
+def test_seeded_verify_lindeg_matches_the_full_spin(ctx):
+    gens = standard_generators(ctx, 3)
+    rng = random.Random(ctx.order)
+    cases = 0
+    for q in LINDEG_Q:
+        ws = weights(q)
+        if max(ws) >= ctx.order - 1:
+            continue
+        for _ in range(2):
+            lam = StructureVector(ctx, 3, [0 if w < 0 else rng.randrange(ctx.order)
+                                           for w in ws])
+            assert lindeg_theorem_check(lam, q)[0]
+            full = spin(lam, gens).contains(q_truncate(lam, q).coords)
+            assert verify_lindeg(lam, q, gens) == full
+            cases += 1
+    assert cases >= 4
+
+
+@pytest.mark.parametrize("q", [[0, 1, 1, 0], [0, 1, -1, 0]])
+def test_verify_lindeg_hits_among_the_torus_translates(monkeypatch, q):
+    # the truncation lies in the span of lam's translates, so no generator
+    # image is taken: every action is one of the max_weight diagonals
+    tags = []
+
+    def recording(coords, g, n, ctx):
+        tags.append(g.tag[0])
+        return act_coords(coords, g, n, ctx)
+
+    monkeypatch.setattr(structvec, "act_coords", recording)
+    monkeypatch.setattr(spinmx, "act_coords", recording)
+    gens = standard_generators(GF5, 4)
+    rng = random.Random(4)
+    ws = weights(q)
+    for _ in range(5):
+        lam = StructureVector(GF5, 4, [0 if w < 0 else rng.randrange(5) for w in ws])
+        applicable, mw = lindeg_theorem_check(lam, q)
+        assert applicable and q_truncate(lam, q) != lam
+        tags.clear()
+        assert verify_lindeg(lam, q, gens)
+        assert tags and set(tags) == {"diagonal"} and len(tags) <= mw
+
+
+def test_seeded_spin_contains_still_rejects_a_probe_outside():
+    # eta spins to U, which does not hold delta; seeding with translates of
+    # eta leaves the closure U, so the answer is still False
+    gens = standard_generators(GF5, 3)
+    torus = [GroupElement.diagonal(GF5, [GF5.pow(2, e * qi) for qi in (0, 1, -1)])
+             for e in range(1, 4)]
+    assert not spin_contains(eta(GF5, 3), gens, delta(GF5, 3), translates=torus)
+    assert spin_contains(eta(GF5, 3), gens, eta(GF5, 3), translates=torus)
+    rat = make_field(0, 1)
+    with pytest.raises(ValueError, match="full group"):
+        spin_contains(eta(rat, 3), rational_generators(rat, 3), eta(rat, 3),
+                      translates=[GroupElement.diagonal(rat, [2, 1, 1])])
 
 
 def test_g5_pipeline_matches_hand_computation():

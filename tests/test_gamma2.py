@@ -124,7 +124,7 @@ def test_dim_gamma_matches_C_mod_K():
 
 
 def test_sigma_gmap_claims():
-    for c in sigma_gmap_claims(GF4, 3):
+    for c in sigma_gmap_claims(GF4, 3, standard_generators(GF4, 3)):
         assert c["status"] == "verified"
 
 
@@ -156,7 +156,7 @@ def test_gamma_norton_irreducible():
 
 @pytest.mark.parametrize("ctx,n", [(GF4, 3), (GF8, 3), (GF4, 4)])
 def test_verify_gamma_irreducible(ctx, n):
-    for c in verify_gamma_irreducible(ctx, n, seed=2):
+    for c in verify_gamma_irreducible(ctx, n, 2, standard_generators(ctx, n)):
         assert c["status"] == "verified", c
 
 
@@ -293,7 +293,7 @@ def test_one_gamma_verification_builds_the_replay_tail_once(monkeypatch):
     monkeypatch.setattr(gamma2, "_perm_mapping", counting)
     for ctx, n in ((GF4, 3), (GF8, 4)):
         calls.clear()
-        claims = verify_gamma_irreducible(ctx, n, seed=3)
+        claims = verify_gamma_irreducible(ctx, n, 3, standard_generators(ctx, n))
         assert claims[0]["id"] == "gammaReplay" and claims[0]["status"] == "verified"
         assert claims[0]["data"]["seeds"] > 1
         assert calls.count(1) == n

@@ -2,6 +2,7 @@ import pytest
 from fractions import Fraction
 from itertools import product
 
+from algdeg import gfield
 from algdeg.gfield import (
     FieldCtx, make_field, enumerate_elements, primitive_element, frobenius,
     multiplicative_order,
@@ -39,7 +40,6 @@ def test_make_field_rejects_unknown_extension():
 
 
 def test_reducible_modulus_is_rejected_when_the_context_is_built(monkeypatch):
-    from algdeg import gfield
     # x^2 + 2 = (x - 1)(x + 1) over GF(3): x - 1 and x + 1 have no inverse
     monkeypatch.setitem(gfield._MODULI, (3, 2), (2, 0, 1))
     with pytest.raises(ValueError, match=r"modulus for GF\(3\^2\) is reducible"):
@@ -119,6 +119,31 @@ def test_primitive_element_order(p, k):
     for d in range(1, target):
         if target % d == 0 and d < target:
             assert ctx.pow(g, d) != 1 or d == target
+
+
+MODULUS_TABLE_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (11, 1), (13, 1)] + sorted(gfield._MODULI)
+
+
+def test_negative_powers_are_powers_of_the_inverse():
+    assert make_field(5).element(2) ** -1 == 3
+    assert make_field(3, 2).pow(3, -1) == 6
+    for p, k in MODULUS_TABLE_FIELDS:
+        ctx = make_field(p, k)
+        for a in range(1, ctx.order):
+            inv = ctx.inv(a)
+            assert ctx.pow(a, -1) == inv and (ctx.element(a) ** -1).raw == inv
+            for e in range(1, ctx.order + 1):
+                assert ctx.pow(a, -e) == ctx.pow(inv, e)
+                assert ctx.mul(ctx.pow(a, -e), ctx.pow(a, e)) == 1
+        assert ctx.pow(0, 0) == 1
+        with pytest.raises(ZeroDivisionError):
+            ctx.pow(0, -1)
+        with pytest.raises(ZeroDivisionError):
+            ctx.element(0) ** -2
+    q = make_field(0, 1)
+    assert q.pow(Fraction(2, 3), -2) == Fraction(9, 4)
+    with pytest.raises(ZeroDivisionError):
+        q.pow(0, -1)
 
 
 def test_frobenius_gf4():
