@@ -426,16 +426,6 @@ class Bases:
         return sub
 
 
-def bases_for(ctx, n, bases=None):
-    """`bases` if given, else a fresh Bases; bases over another (field, n) are a ValueError."""
-    if bases is None:
-        return Bases(ctx, n)
-    if bases.ctx != ctx or bases.n != n:
-        raise ValueError(f"bases over {bases.ctx!r} with n = {bases.n} given for "
-                         f"{ctx!r} with n = {n}")
-    return bases
-
-
 def parse_point(name, ctx):
     """Accepts 'MstarP:a,d', 'MstarP(a,d)' and 'Mstar(a,d)' spellings."""
     body = None
@@ -445,7 +435,10 @@ def parse_point(name, ctx):
             break
     if body is None:
         return None
-    a, d = (int(x) for x in body.split(","))
+    try:
+        a, d = (int(x) for x in body.split(","))
+    except ValueError:
+        raise ValueError(f"bad projective point {name!r}: expected two integers a,d") from None
     return ProjectivePoint(ctx, ctx.from_int(a), ctx.from_int(d))
 
 
@@ -455,15 +448,16 @@ def _char_divides(ctx, m):
     return m % ctx.char == 0
 
 
-def intersection_table(ctx, n, bases=None):
+def intersection_table(bases):
     """Evaluate every claimed intersection with M* / M** and report per claim.
 
     Claims are dicts {id, anchor, status, computed, expected}: `report.claim`
     sets the status, and the computed and expected subspaces (as JSON) or
     dimensions stand in place of data.  Branching follows the divisibility of
-    n-1 and n+1 by the characteristic.  The submodules come from `bases`
-    (a `Bases` over (ctx, n), fresh if None).
+    n-1 and n+1 by the characteristic.  The field, n and the submodules
+    come from `bases`.
     """
+    ctx, n = bases.ctx, bases.n
     if ctx.kind != "finite" or ctx.order <= 2:
         raise ValueError("the intersection dictionary assumes a finite field, |F| > 2")
     char2 = ctx.char == 2
@@ -471,7 +465,6 @@ def intersection_table(ctx, n, bases=None):
     mone = ctx.neg(one)
     nval = ctx.from_int(n)
 
-    bases = bases_for(ctx, n, bases)
     K, Mss, N, U, zero_sub = (bases[name] for name in ("K", "Mstarstar", "N", "U", "0"))
     meet = bases.meet
 
@@ -544,9 +537,9 @@ def trace_kernel_witness(ctx, n):
     return StructureVector(ctx, n, coords)
 
 
-def check_trace_biconditional(ctx, n, bases=None):
-    """T ^ M** = T~ ^ M** holds exactly when char | n+1; both directions."""
-    bases = bases_for(ctx, n, bases)
+def check_trace_biconditional(bases):
+    """T ^ M** = T~ ^ M** exactly when char | n+1 (both directions), at bases' field and n."""
+    ctx, n = bases.ctx, bases.n
     left, right = bases.meet("T", "Mstarstar"), bases.meet("Ttilde", "Mstarstar")
     if _char_divides(ctx, n + 1):
         ok = left == right

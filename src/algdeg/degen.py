@@ -28,7 +28,6 @@ import random
 from dataclasses import dataclass, field
 from itertools import chain, combinations
 
-from .canon import bases_for
 from .canon import delta as delta_vector
 from .canon import eta as eta_vector
 from .canon import omega, predicate_C, predicate_Mstar, predicate_Mstarstar
@@ -412,8 +411,9 @@ def sample_in_between(ctx, n, inside, outside_pred, rng):
     raise RuntimeError("rejection sampling failed; the strata are too thin")
 
 
-def lindeg_suite(ctx, n, gens, seed, count=100):
-    """Random applicable pairs (lam, q): truncation stays in the spin, always."""
+def lindeg_suite(gens, seed, count):
+    """Random applicable pairs (lam, q) over gens' (field, n): truncation stays in the spin."""
+    ctx, n = gens.ctx, gens.n
     rng = random.Random(derive_seed(seed, "lindeg", ctx.order, n))
     q_max = (ctx.order - 2) // 2
     checked = 0
@@ -433,9 +433,11 @@ def lindeg_suite(ctx, n, gens, seed, count=100):
     return {"checked": checked, "failures": failures}
 
 
-def reach_eta_suite(ctx, n, gens, seed, count=50, bases=None):
+def reach_eta_suite(bases, gens, seed, count):
+    """Random vectors of M** outside M*, over bases' (field, n), each reaching eta."""
+    ctx, n = bases.ctx, bases.n
     rng = random.Random(derive_seed(seed, "reach-eta", ctx.order, n))
-    inside = bases_for(ctx, n, bases)["Mstarstar"]
+    inside = bases["Mstarstar"]
     failures = []
     for _ in range(count):
         lam = sample_in_between(ctx, n, inside, predicate_Mstar, rng)
@@ -445,9 +447,11 @@ def reach_eta_suite(ctx, n, gens, seed, count=50, bases=None):
     return {"checked": count, "failures": failures}
 
 
-def reach_delta_suite(ctx, n, gens, seed, count=50, bases=None):
+def reach_delta_suite(bases, gens, seed, count):
+    """Random vectors of C outside M**, over bases' (field, n), each reaching delta."""
+    ctx, n = bases.ctx, bases.n
     rng = random.Random(derive_seed(seed, "reach-delta", ctx.order, n))
-    inside = bases_for(ctx, n, bases)["C"]
+    inside = bases["C"]
     fixtures = []
     if ctx.order == 3:
         # deterministic fixtures covering both |F| = 3 proof branches

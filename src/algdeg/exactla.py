@@ -282,13 +282,6 @@ class Matrix:
         return Matrix.from_rows(ctx, [r[n:] for r in red])
 
 
-def rref(m):
-    """RREF of a Matrix: (reduced Matrix, rank, pivot columns)."""
-    rows, pivots = rref_rows(m.rows(), m.ctx)
-    reduced = Matrix.from_rows(m.ctx, rows) if rows else Matrix.zeros(m.ctx, 0, m.ncols)
-    return reduced, len(pivots), tuple(pivots)
-
-
 def kernel_rows(rows, ncols, ctx):
     """Right kernel {v : M v^T = 0} of the matrix with the given rows, as raw rows."""
     red, pivots = rref_rows(rows, ctx)

@@ -17,11 +17,11 @@ the kernel-vector criterion.
 import random
 from dataclasses import dataclass
 
-from .canon import _restricted_kernel, bases_for, predicate_C
+from .canon import _restricted_kernel, predicate_C
 from .exactla import Echelon, GroupElement, Matrix, Subspace
 from .gfield import primitive_element
 from .report import claim, norton_claim
-from .spinmx import ModuleHandle, derive_seed, norton_irreducible
+from .spinmx import _restricted_handle, derive_seed, norton_irreducible
 from .structvec import StructureVector, act, flat
 
 
@@ -164,29 +164,27 @@ def eq15_identity_holds(ctx, n=3):
 
 
 def gamma_handle(gens, label="semilinear"):
-    """The semilinear space as an abstract module over the generator set."""
+    """The semilinear space as a module over the generator set, one star applier per element.
+
+    Coordinates are over the matrix units, row-major, so a row r is the map
+    with matrix r and its image under g is star(r, g).
+    """
     ctx, n = gens.ctx, gens.n
     if ctx.char != 2:
         raise ValueError("the semilinear module needs characteristic 2")
-    action = []
-    for g in gens.elements:
-        rows = []
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                rows.append(star(SemilinearMap.unit(ctx, n, i, j), g).coords())
-        action.append(rows)
-    carrier = Subspace.full(ctx, n * n)
-    reps = [list(r) for r in carrier.rows]
-    return ModuleHandle(ctx, label, carrier, None, reps, action, gens)
+    appliers = [lambda r, g=g: star(SemilinearMap(Matrix(ctx, n, n, r)), g).coords()
+                for g in gens.elements]
+    return _restricted_handle(gens, appliers, Subspace.full(ctx, n * n), None, label)
 
 
-def sigma_gmap_claims(ctx, n, gens, bases=None):
+def sigma_gmap_claims(bases, gens):
     """sigma intertwines the two actions and has kernel K on C (both checked).
 
-    sigma(lam) is computed once per row lam of C and g^-1, g^(2) once per
-    generator; the rank and kernel check reuses the same sigma values.
+    The field, n, C and K come from `bases`.  sigma(lam) is computed once per
+    row lam of C and g^-1, g^(2) once per generator; the rank and kernel
+    check reuses the same sigma values.
     """
-    bases = bases_for(ctx, n, bases)
+    ctx, n = bases.ctx, bases.n
     C = bases["C"]
     lams = [StructureVector(ctx, n, list(row)) for row in C.rows]
     sigmas = [sigma(lam) for lam in lams]
@@ -350,13 +348,14 @@ def _perm_mapping(ctx, n, want):
     return GroupElement.permutation(ctx, images[1:])
 
 
-def verify_gamma_irreducible(ctx, n, seed, gens):
-    """Both-ways irreducibility report for the semilinear module.
+def verify_gamma_irreducible(gens, seed):
+    """Both-ways irreducibility report for the semilinear module over gens' (field, n).
 
     The constructive replay is run from every matrix unit and from seeded
     random elements, each seed down to e_23 and one shared tail from e_23 on
     (`_replay_seeds`); the kernel-vector test runs on the abstract module.
     """
+    ctx, n = gens.ctx, gens.n
     if ctx.kind != "finite" or ctx.char != 2 or ctx.order < 4:
         raise ValueError("needs a finite field of characteristic 2 with |F| >= 4")
     seeds = [SemilinearMap.unit(ctx, n, i, j)

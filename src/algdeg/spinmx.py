@@ -684,24 +684,24 @@ def hom_space(ha, hb):
 
 # -- diagram verification ----------------------------------------------------------
 
-def verify_lattice_diagrams(ctx, n, seed, gens, bases=None):
+def verify_lattice_diagrams(bases, gens, seed):
     """Check the submodule diagrams branch by branch for one (n, field).
 
     Covers the two diagrams over M** (split by char | n-1), the three over
     the full space (split by char | n+1 and char 2), and the three dual-space
     filtration factors, each by explicit subspace computation plus kernel-
-    vector irreducibility verdicts.  The submodules come from `bases` (a
-    `canon.Bases` over (ctx, n), fresh if None).
+    vector irreducibility verdicts.  The field, n and the submodules come
+    from `bases`; the handles act by `gens`.
     """
     from . import canon
     from .structvec import tr_matrix_rows, tr_op_matrix_rows
 
+    ctx, n = bases.ctx, bases.n
     if ctx.kind != "finite" or ctx.order <= 2:
         raise ValueError("diagram verification assumes a finite field, |F| > 2")
     claims = []
     dims = canon.expected_dims(n)
 
-    bases = canon.bases_for(ctx, n, bases)
     C, K, Ms, Mss, T, TcT, N, U, Lam = (bases[name] for name in (
         "C", "K", "Mstar", "Mstarstar", "T", "TcapTtilde", "N", "U", "Lambda"))
     one = ctx.one()

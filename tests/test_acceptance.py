@@ -9,7 +9,7 @@ from algdeg.gfield import make_field
 from algdeg.exactla import Subspace
 from algdeg.structvec import tr, tr_op
 from algdeg.canon import (
-    ProjectivePoint, basis_MstarP, check_trace_biconditional, delta, eta,
+    Bases, ProjectivePoint, basis_MstarP, check_trace_biconditional, delta, eta,
     expected_dims, intersection_table, predicate_Mstarstar,
     submodule, trace_kernel_witness,
 )
@@ -79,15 +79,15 @@ def test_criterion_03_intersection_table():
         cases += [(GF3, 4), (GF5, 4)]
         seen_ids = set()
         for ctx, n in cases:
-            for c in intersection_table(ctx, n):
+            for c in intersection_table(Bases(ctx, n)):
                 assert c["status"] == "verified", (ctx, n, c["anchor"])
                 seen_ids.add(c["id"])
         # the divisibility branches and the triple-intersection dimension ran
         assert "dimTcapTtildemeetMstarstar" in seen_ids
-        table = {c["id"]: c for c in intersection_table(GF3, 4)}
+        table = {c["id"]: c for c in intersection_table(Bases(GF3, 4))}
         got = Subspace.from_json(table["UmeetMstar"]["computed"])
         assert got == basis_MstarP(GF3, 4, ProjectivePoint(GF3, 1, GF3.neg(1)))
-        table = {c["id"]: c for c in intersection_table(GF5, 4)}
+        table = {c["id"]: c for c in intersection_table(Bases(GF5, 4))}
         got = Subspace.from_json(table["NmeetMstarstar"]["computed"])
         assert got == basis_MstarP(GF5, 4, ProjectivePoint(GF5, 1, 1))
         assert table["dimTcapTtildemeetMstarstar"]["computed"] == (4 ** 3 - 4 ** 2) // 2
@@ -96,7 +96,7 @@ def test_criterion_03_intersection_table():
 def test_criterion_04_weight_truncation_suite():
     with criterion(4, "weight-truncation-suite"):
         for ctx in (GF5, GF7, GF8, GF9):
-            rep = degen.lindeg_suite(ctx, 3, gens_for(ctx, 3), SEED, count=100)
+            rep = degen.lindeg_suite(gens_for(ctx, 3), SEED, 100)
             assert rep["checked"] == 100
             assert not rep["failures"], (ctx, rep["failures"][:1])
 
@@ -106,10 +106,10 @@ def test_criterion_05_transvection_reachability():
         gf3_branches = set()
         for n in (3, 4):
             for ctx in (GF3, GF4, GF5):
-                gens = gens_for(ctx, n)
-                rep = degen.reach_eta_suite(ctx, n, gens, SEED, count=50)
+                gens, bases = gens_for(ctx, n), Bases(ctx, n)
+                rep = degen.reach_eta_suite(bases, gens, SEED, 50)
                 assert not rep["failures"], ("eta", n, ctx)
-                rep = degen.reach_delta_suite(ctx, n, gens, SEED, count=50)
+                rep = degen.reach_delta_suite(bases, gens, SEED, 50)
                 assert not rep["failures"], ("delta", n, ctx)
                 if ctx is GF3:
                     gf3_branches.update(rep["branches"])
@@ -165,10 +165,9 @@ def test_criterion_08_semilinear_module():
         for ctx in (GF4, GF8):
             assert gamma2.eq15_identity_holds(ctx)
             for n in (3, 4):
-                for c in gamma2.sigma_gmap_claims(ctx, n, gens_for(ctx, n)):
+                for c in gamma2.sigma_gmap_claims(Bases(ctx, n), gens_for(ctx, n)):
                     assert c["status"] == "verified", (ctx, n, c)
-                for c in gamma2.verify_gamma_irreducible(ctx, n, SEED,
-                                                         gens_for(ctx, n)):
+                for c in gamma2.verify_gamma_irreducible(gens_for(ctx, n), SEED):
                     assert c["status"] == "verified", (ctx, n, c)
 
 
@@ -185,8 +184,7 @@ def test_criterion_09_lattice_diagrams():
         ]
         seen = set()
         for ctx, n in cases:
-            for c in verify_lattice_diagrams(ctx, n, seed=SEED,
-                                             gens=gens_for(ctx, n)):
+            for c in verify_lattice_diagrams(Bases(ctx, n), gens_for(ctx, n), SEED):
                 assert c["status"] == "verified", (ctx, n, c["id"], c["data"])
                 seen.add(c["id"])
         # every branch actually executed, with the stated dims at odd n
@@ -201,10 +199,10 @@ def test_criterion_09_lattice_diagrams():
 
 def test_criterion_10_trace_kernel_biconditional():
     with criterion(10, "trace-kernel-biconditional"):
-        pos = check_trace_biconditional(GF5, 4)
+        pos = check_trace_biconditional(Bases(GF5, 4))
         assert pos["status"] == "verified" and pos["data"]["equal"]
         for ctx in (GF5, GF7):
-            neg = check_trace_biconditional(ctx, 3)
+            neg = check_trace_biconditional(Bases(ctx, 3))
             assert neg["status"] == "verified" and not neg["data"]["equal"]
             w = trace_kernel_witness(ctx, 3)
             assert predicate_Mstarstar(w)

@@ -8,7 +8,7 @@ from algdeg.structvec import (
     StructureVector, Vector, act, dual_basis_vector, flat,
     plus_tilde, product, tr, tr_op, unit,
 )
-from algdeg import canon, spinmx
+from algdeg import canon, degen, gamma2, spinmx
 from algdeg.canon import (
     ProjectivePoint, basis_C, basis_K, basis_Mstar, basis_MstarP,
     basis_Mstarstar, basis_N, basis_T, basis_TcapTtilde, basis_Ttilde, basis_U,
@@ -228,22 +228,22 @@ def test_mstarp_basics():
 @pytest.mark.parametrize("ctx,n", [(GF5, 3), (GF4, 3), (GF7, 3),
                                    (GF3, 4), (GF5, 4)])
 def test_intersection_table_all_verified(ctx, n):
-    for c in intersection_table(ctx, n):
+    for c in intersection_table(canon.Bases(ctx, n)):
         assert c["status"] == "verified", c["anchor"]
 
 
 def test_intersection_witness_cases():
     # char | n-1 at (4, GF(3)): U ^ M* jumps to the (1,-1) line
-    table = {c["id"]: c for c in intersection_table(GF3, 4)}
+    table = {c["id"]: c for c in intersection_table(canon.Bases(GF3, 4))}
     got = Subspace.from_json(table["UmeetMstar"]["computed"])
     assert got == basis_MstarP(GF3, 4, ProjectivePoint(GF3, 1, GF3.neg(1)))
     assert got.dim == 4
     # char | n+1 at (4, GF(5)): N ^ M** is the (1,1) line
-    table = {c["id"]: c for c in intersection_table(GF5, 4)}
+    table = {c["id"]: c for c in intersection_table(canon.Bases(GF5, 4))}
     got = Subspace.from_json(table["NmeetMstarstar"]["computed"])
     assert got == basis_MstarP(GF5, 4, ProjectivePoint(GF5, 1, 1))
     # and away from the divisibility: U ^ M* = 0 at (3, GF(5))
-    table = {c["id"]: c for c in intersection_table(GF5, 3)}
+    table = {c["id"]: c for c in intersection_table(canon.Bases(GF5, 3))}
     assert Subspace.from_json(table["UmeetMstar"]["computed"]).dim == 0
 
 
@@ -358,9 +358,8 @@ def test_mstarp_is_g_stable():
 
 
 def test_trace_biconditional():
-    assert check_trace_biconditional(GF5, 4)["status"] == "verified"
-    assert check_trace_biconditional(GF5, 3)["status"] == "verified"
-    assert check_trace_biconditional(GF7, 3)["status"] == "verified"
+    for ctx, n in ((GF5, 4), (GF5, 3), (GF7, 3)):
+        assert check_trace_biconditional(canon.Bases(ctx, n))["status"] == "verified"
     w = trace_kernel_witness(GF5, 3)
     assert predicate_Mstarstar(w)
     assert tr_op(w).is_zero()
@@ -415,14 +414,23 @@ def test_bases_match_submodule_and_are_built_once(ctx, n):
         assert bases[point] is sub
 
 
-def test_bases_reject_unknown_names_and_other_shapes():
+def test_bases_reject_unknown_names():
     bases = canon.Bases(GF5, 3)
     with pytest.raises(ValueError):
         bases["bogus"]
-    assert canon.bases_for(GF5, 3, bases) is bases
-    for ctx, n in ((GF7, 3), (GF5, 4)):
-        with pytest.raises(ValueError):
-            intersection_table(ctx, n, bases)
+
+
+@pytest.mark.parametrize("check", [
+    lambda bases, gens: spinmx.verify_lattice_diagrams(bases, gens, 1),
+    lambda bases, gens: degen.reach_eta_suite(bases, gens, 1, 2),
+    lambda bases, gens: degen.reach_delta_suite(bases, gens, 1, 2),
+    lambda bases, gens: gamma2.sigma_gmap_claims(bases, gens),
+], ids=["lattice", "reach-eta", "reach-delta", "sigma"])
+@pytest.mark.parametrize("gens_shape", [(make_field(2, 3), 3), (GF4, 4)],
+                         ids=["other-field", "other-n"])
+def test_a_check_rejects_bases_and_generators_of_different_shapes(check, gens_shape):
+    with pytest.raises(ValueError):
+        check(canon.Bases(GF4, 3), spinmx.standard_generators(*gens_shape))
 
 
 def test_bases_meet_is_the_intersection_computed_once():
@@ -447,10 +455,10 @@ def test_a_cell_intersects_each_pair_of_submodules_once(ctx, n, count, monkeypat
 
     monkeypatch.setattr(Subspace, "intersect", counting)
     bases = canon.Bases(ctx, n)
-    table = intersection_table(ctx, n, bases)
-    bicond = canon.check_trace_biconditional(ctx, n, bases)
+    table = intersection_table(bases)
+    bicond = canon.check_trace_biconditional(bases)
     gens = spinmx.standard_generators(ctx, n)
-    diagrams = spinmx.verify_lattice_diagrams(ctx, n, 1, gens, bases)
+    diagrams = spinmx.verify_lattice_diagrams(bases, gens, 1)
     assert all(c["status"] == "verified" for c in table + [bicond] + diagrams)
     pairs = {frozenset((a.rows, b.rows)) for a, b in calls}
     assert len(calls) == len(pairs) == count

@@ -97,6 +97,18 @@ def test_spin_wrong_expectation_fails():
                 "--expect", "N"]) == 1
 
 
+@pytest.mark.parametrize("name", ["MstarP:1", "Mstar(1)", "MstarP:x,1"])
+def test_spin_malformed_point_is_a_usage_error_before_any_spin(name, monkeypatch, capsys):
+    def no_spin(*args):
+        raise AssertionError("spun before the expectation was resolved")
+
+    monkeypatch.setattr(spinmx, "spin", no_spin)
+    assert run(["spin", "--n", "3", "--field", "3", "--vector", "unit123",
+                "--expect", name]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(name) in err and "internal error" not in err
+
+
 def test_survey_mstar(tmp_path):
     path = tmp_path / "survey.json"
     assert run(["--json", str(path), "survey", "--module", "Mstar",
@@ -349,6 +361,14 @@ def test_repeated_main_calls_share_one_parser_and_write_identical_reports(
     capsys.readouterr()
     assert len(builds) == 1
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_unwritable_report_path_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "missing" / "r.json"
+    assert run(["dims", "--n", "3", "--field", "3", "--json", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err and "internal error" not in err
+    assert not path.exists()
 
 
 def test_internal_error_exits_4(monkeypatch, capsys):

@@ -14,7 +14,7 @@ from algdeg.structvec import (
     DualVector, StructureVector, Vector, act_coords, basis_vector, flat, product, unit,
 )
 from algdeg.canon import (
-    basis_C, basis_K, basis_Mstarstar, delta, epsilon, eta,
+    Bases, basis_C, basis_K, basis_Mstarstar, delta, epsilon, eta,
     predicate_C, predicate_Mstar, predicate_Mstarstar,
 )
 from algdeg import spinmx, structvec
@@ -395,21 +395,21 @@ def test_reach_delta_rejects():
 
 def test_lindeg_suite_small():
     gens = standard_generators(GF5, 3)
-    rep = lindeg_suite(GF5, 3, gens, seed=123, count=15)
+    rep = lindeg_suite(gens, 123, 15)
     assert rep["checked"] == 15 and not rep["failures"]
 
 
 def test_reach_suites_small():
-    gens = standard_generators(GF5, 3)
-    rep = reach_eta_suite(GF5, 3, gens, seed=5, count=5)
+    gens, bases = standard_generators(GF5, 3), Bases(GF5, 3)
+    rep = reach_eta_suite(bases, gens, 5, 5)
     assert not rep["failures"]
-    rep = reach_delta_suite(GF5, 3, gens, seed=5, count=5)
+    rep = reach_delta_suite(bases, gens, 5, 5)
     assert not rep["failures"] and rep["branches"] == ["big-field"]
 
 
 def test_reach_delta_suite_gf3_covers_branches():
     gens = standard_generators(GF3, 3)
-    rep = reach_delta_suite(GF3, 3, gens, seed=5, count=8)
+    rep = reach_delta_suite(Bases(GF3, 3), gens, 5, 8)
     assert not rep["failures"]
     assert set(rep["branches"]) >= {"gf3-nonzero", "gf3-zero"}
 
@@ -445,6 +445,7 @@ def test_proof_checks_survive_optimize():
     script = textwrap.dedent("""
         import json, sys
         from algdeg import gamma2
+        from algdeg.canon import Bases
         from algdeg.degen import reach_delta_suite
         from algdeg.gfield import make_field
         from algdeg.spinmx import standard_generators
@@ -453,7 +454,7 @@ def test_proof_checks_survive_optimize():
         out = {"optimize": sys.flags.optimize}
         seed = gamma2.SemilinearMap.unit(gf4, 3, 1, 2)
         out["replay"] = gamma2.replay_irreducible_from(seed).reached_full
-        rep = reach_delta_suite(gf3, 3, standard_generators(gf3, 3), seed=5, count=4)
+        rep = reach_delta_suite(Bases(gf3, 3), standard_generators(gf3, 3), 5, 4)
         out["delta"] = [len(rep["failures"]), rep["branches"]]
         # break one proof step: the relabeling permutations become the identity
         gamma2._perm_mapping = lambda ctx, n, want: gamma2.GroupElement.identity(ctx, n)

@@ -6,7 +6,7 @@ from algdeg import gamma2
 from algdeg.gfield import make_field, primitive_element
 from algdeg.exactla import Echelon, GroupElement, Matrix, random_invertible
 from algdeg.structvec import StructureVector, act, unit
-from algdeg.canon import basis_C, basis_K, basis_N, basis_U
+from algdeg.canon import Bases, basis_C, basis_K, basis_N, basis_U
 from algdeg.spinmx import norton_irreducible, standard_generators
 from algdeg.gamma2 import (
     ReplayResult, SemilinearMap, _perm_mapping, _replay_seeds, e_and_f,
@@ -124,7 +124,7 @@ def test_dim_gamma_matches_C_mod_K():
 
 
 def test_sigma_gmap_claims():
-    for c in sigma_gmap_claims(GF4, 3, standard_generators(GF4, 3)):
+    for c in sigma_gmap_claims(Bases(GF4, 3), standard_generators(GF4, 3)):
         assert c["status"] == "verified"
 
 
@@ -156,7 +156,7 @@ def test_gamma_norton_irreducible():
 
 @pytest.mark.parametrize("ctx,n", [(GF4, 3), (GF8, 3), (GF4, 4)])
 def test_verify_gamma_irreducible(ctx, n):
-    for c in verify_gamma_irreducible(ctx, n, 2, standard_generators(ctx, n)):
+    for c in verify_gamma_irreducible(standard_generators(ctx, n), 2):
         assert c["status"] == "verified", c
 
 
@@ -293,7 +293,7 @@ def test_one_gamma_verification_builds_the_replay_tail_once(monkeypatch):
     monkeypatch.setattr(gamma2, "_perm_mapping", counting)
     for ctx, n in ((GF4, 3), (GF8, 4)):
         calls.clear()
-        claims = verify_gamma_irreducible(ctx, n, 3, standard_generators(ctx, n))
+        claims = verify_gamma_irreducible(standard_generators(ctx, n), 3)
         assert claims[0]["id"] == "gammaReplay" and claims[0]["status"] == "verified"
         assert claims[0]["data"]["seeds"] > 1
         assert calls.count(1) == n

@@ -9,7 +9,7 @@ from algdeg.gfield import make_field
 from algdeg.exactla import GroupElement, Matrix, Subspace
 from algdeg.structvec import StructureVector, act, dual_act, opposite, tr, tr_op
 from algdeg.canon import (
-    basis_Mstar, basis_U, expected_dims, intersection_table, submodule,
+    Bases, basis_Mstar, basis_U, expected_dims, intersection_table, submodule,
 )
 from algdeg.spinmx import rational_generators
 
@@ -61,9 +61,9 @@ def test_split_intersections_over_q():
 
 def test_intersection_table_rejects_non_finite():
     with pytest.raises(ValueError):
-        intersection_table(Q, 3)
+        intersection_table(Bases(Q, 3))
     with pytest.raises(ValueError):
-        intersection_table(make_field(2), 3)
+        intersection_table(Bases(make_field(2), 3))
 
 
 def test_rational_generator_inverse_closure():

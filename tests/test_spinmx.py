@@ -13,7 +13,7 @@ from algdeg.exactla import Subspace, combine, combiner, kernel_rows, random_inve
 from algdeg.gamma2 import gamma_handle
 from algdeg.structvec import StructureVector, act, unit
 from algdeg.canon import (
-    ProjectivePoint, basis_C, basis_K, basis_Mstar, basis_MstarP, basis_N,
+    Bases, ProjectivePoint, basis_C, basis_K, basis_Mstar, basis_MstarP, basis_N,
     basis_U, delta, eta, submodule,
 )
 from algdeg.spinmx import (
@@ -426,12 +426,12 @@ def test_hom_space_basis_maps_commute_with_every_generator(ctx):
 
 @pytest.mark.parametrize("ctx,n", [(GF5, 3), (GF3, 3)])
 def test_lattice_diagrams_generic(ctx, n):
-    for c in verify_lattice_diagrams(ctx, n, 11, standard_generators(ctx, n)):
+    for c in verify_lattice_diagrams(Bases(ctx, n), standard_generators(ctx, n), 11):
         assert c["status"] == "verified", (c["id"], c["anchor"], c["data"])
 
 
 def test_lattice_diagrams_char2():
-    for c in verify_lattice_diagrams(GF4, 3, 11, standard_generators(GF4, 3)):
+    for c in verify_lattice_diagrams(Bases(GF4, 3), standard_generators(GF4, 3), 11):
         assert c["status"] == "verified", (c["id"], c["anchor"], c["data"])
 
 
@@ -441,7 +441,7 @@ def test_lambda_over_t_catches_a_trace_matrix_with_another_kernel(monkeypatch):
     from algdeg import canon, structvec
     for module in (structvec, canon):
         monkeypatch.setattr(module, "tr_matrix_rows", structvec.tr_op_matrix_rows)
-    claims = verify_lattice_diagrams(GF5, 3, 11, standard_generators(GF5, 3))
+    claims = verify_lattice_diagrams(Bases(GF5, 3), standard_generators(GF5, 3), 11)
     status = {c["id"]: c["status"] for c in claims}
     assert status["LambdaOverT"] == "falsified"
 
