@@ -427,16 +427,19 @@ class Bases:
 
 
 def parse_point(name, ctx):
-    """Accepts 'MstarP:a,d', 'MstarP(a,d)' and 'Mstar(a,d)' spellings."""
-    body = None
-    for prefix in ("MstarP:", "MstarP(", "Mstar("):
+    """Accepts 'MstarP:a,d', 'MstarP(a,d)' and 'Mstar(a,d)' spellings.
+
+    A parenthesised spelling ends in exactly one ')', and 'MstarP:' takes none.
+    """
+    for prefix, close in (("MstarP:", ""), ("MstarP(", ")"), ("Mstar(", ")")):
         if name.startswith(prefix):
-            body = name[len(prefix):].rstrip(")")
             break
-    if body is None:
+    else:
         return None
     try:
-        a, d = (int(x) for x in body.split(","))
+        if not name.endswith(close):
+            raise ValueError
+        a, d = (int(x) for x in name[len(prefix):len(name) - len(close)].split(","))
     except ValueError:
         raise ValueError(f"bad projective point {name!r}: expected two integers a,d") from None
     return ProjectivePoint(ctx, ctx.from_int(a), ctx.from_int(d))

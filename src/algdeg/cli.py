@@ -7,7 +7,9 @@ stderr), so a crash never reads as a falsified claim.
 """
 
 import argparse
+import errno
 import json
+import os
 import sys
 import traceback
 
@@ -395,6 +397,20 @@ def build_parser():
     return p
 
 
+def _check_report_path(path):
+    """Fail before any work with the error that writing the report to `path` would give.
+
+    Covers a missing folder, a folder that is a file and a path that is a
+    folder; any other error (permissions, a full disk) still comes at the write.
+    """
+    folder = os.path.dirname(path) or "."
+    code = (errno.ENOENT if not os.path.exists(folder)
+            else errno.ENOTDIR if not os.path.isdir(folder)
+            else errno.EISDIR if os.path.isdir(path) else None)
+    if code is not None:
+        raise ValueError(f"cannot write the report: {OSError(code, os.strerror(code), path)}")
+
+
 _parser = None
 
 
@@ -409,6 +425,8 @@ def main(argv=None):
         _parser = build_parser()
     args = _parser.parse_args(argv)
     try:
+        if args.json:
+            _check_report_path(args.json)
         report = command(args)(args)
         report.print_summary()
         if args.json:

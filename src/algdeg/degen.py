@@ -38,7 +38,7 @@ from .gfield import primitive_element
 from .structvec import (
     DualVector, StructureVector, Vector, act, basis_vector, product, unit,
 )
-from .spinmx import derive_seed, spin_contains
+from .spinmx import check_cell_shape, derive_seed, spin_contains
 
 
 def weights(q):
@@ -435,6 +435,7 @@ def lindeg_suite(gens, seed, count):
 
 def reach_eta_suite(bases, gens, seed, count):
     """Random vectors of M** outside M*, over bases' (field, n), each reaching eta."""
+    check_cell_shape(bases, gens)
     ctx, n = bases.ctx, bases.n
     rng = random.Random(derive_seed(seed, "reach-eta", ctx.order, n))
     inside = bases["Mstarstar"]
@@ -449,6 +450,7 @@ def reach_eta_suite(bases, gens, seed, count):
 
 def reach_delta_suite(bases, gens, seed, count):
     """Random vectors of C outside M**, over bases' (field, n), each reaching delta."""
+    check_cell_shape(bases, gens)
     ctx, n = bases.ctx, bases.n
     rng = random.Random(derive_seed(seed, "reach-delta", ctx.order, n))
     inside = bases["C"]

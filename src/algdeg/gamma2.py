@@ -21,7 +21,7 @@ from .canon import _restricted_kernel, predicate_C
 from .exactla import Echelon, GroupElement, Matrix, Subspace
 from .gfield import primitive_element
 from .report import claim, norton_claim
-from .spinmx import _restricted_handle, derive_seed, norton_irreducible
+from .spinmx import _restricted_handle, check_cell_shape, derive_seed, norton_irreducible
 from .structvec import StructureVector, act, flat
 
 
@@ -184,6 +184,7 @@ def sigma_gmap_claims(bases, gens):
     row lam of C and g^-1, g^(2) once per generator; the rank and kernel
     check reuses the same sigma values.
     """
+    check_cell_shape(bases, gens)
     ctx, n = bases.ctx, bases.n
     C = bases["C"]
     lams = [StructureVector(ctx, n, list(row)) for row in C.rows]

@@ -172,6 +172,13 @@ def _check_field(gens, *data):
             raise ValueError(f"data over {x.ctx!r} given to generators over {gens.ctx!r}")
 
 
+def check_cell_shape(bases, gens):
+    """Reject a cell check's Bases and generator set of different fields or n."""
+    if (bases.ctx, bases.n) != (gens.ctx, gens.n):
+        raise ValueError(f"bases over {bases.ctx!r}, n = {bases.n}; "
+                         f"generators over {gens.ctx!r}, n = {gens.n}")
+
+
 def spin(lam, gens):
     """The cyclic module lam(FG): smallest generator-stable subspace around lam."""
     _check_field(gens, lam)
@@ -691,11 +698,15 @@ def verify_lattice_diagrams(bases, gens, seed):
     the full space (split by char | n+1 and char 2), and the three dual-space
     filtration factors, each by explicit subspace computation plus kernel-
     vector irreducibility verdicts.  The field, n and the submodules come
-    from `bases`; the handles act by `gens`.
+    from `bases`; the handles act by `gens`.  Away from char | n+1 the
+    quotient by M** gets no handle of its own: `LambdaOverMss.irr` carries
+    N's verdict, and holds when the split N (+) M** = Lambda, the quotient's
+    dimension and the stability of M** do.
     """
     from . import canon
     from .structvec import tr_matrix_rows, tr_op_matrix_rows
 
+    check_cell_shape(bases, gens)
     ctx, n = bases.ctx, bases.n
     if ctx.kind != "finite" or ctx.order <= 2:
         raise ValueError("diagram verification assumes a finite field, |F| > 2")
@@ -713,12 +724,13 @@ def verify_lattice_diagrams(bases, gens, seed):
         """Build carrier/sub's handle, run the kernel-vector test, add the claim.
 
         `rest(handle, result)` gives the claim's extra data and its
-        deterministic part.
+        deterministic part.  Returns the test's result.
         """
         h = module_handle(gens, carrier, sub=sub, label=label)
         res = norton_irreducible(h, derive_seed(seed, tag))
         extra, holds = rest(h, res) if rest else ({}, True)
         add(norton_claim(cid, anchor, res, want, {"verdict": res.verdict, **extra}, holds))
+        return res
 
     # dual-space filtration factors via the explicit trace surjections.  T and
     # U are built as kernels of tr, so they are checked against the
@@ -833,10 +845,15 @@ def verify_lattice_diagrams(bases, gens, seed):
                   "the dual is a top factor of the quotient by M** but not of N",
                   dN == 0 and dQ >= 1, {"hom(N,dual)": dN, "hom(L/M**,dual)": dQ}))
     else:
-        add(claim("LambdaSplit", "the full space is N (+) M** away from char | n+1",
-                  bases.meet("N", "Mstarstar").dim == 0 and (N | Mss) == Lam))
-        factor("N.irr", "N is irreducible when char does not divide n+1", N, None, "N", "N")
-        factor("LambdaOverMss.irr", "the quotient by M** is irreducible of the dimension of N",
-               Lam, Mss, "Lambda/M**", "L/Mss",
-               rest=lambda h, res: ({"dim": h.dim}, h.dim == dims["N"]))
+        split = bases.meet("N", "Mstarstar").dim == 0 and (N | Mss) == Lam
+        add(claim("LambdaSplit", "the full space is N (+) M** away from char | n+1", split))
+        # N's handle proves N stable; with M** stable and the split, N maps
+        # isomorphically onto the quotient, so N's verdict is the quotient's
+        res = factor("N.irr", "N is irreducible when char does not divide n+1",
+                     N, None, "N", "N")
+        dim = Lam.dim - Mss.dim
+        add(norton_claim("LambdaOverMss.irr",
+                         "the quotient by M** is irreducible of the dimension of N",
+                         res, "irreducible", {"verdict": res.verdict, "dim": dim},
+                         split and dim == dims["N"] and is_generator_stable(Mss, gens)))
     return claims

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -426,11 +427,23 @@ def test_bases_reject_unknown_names():
     lambda bases, gens: degen.reach_delta_suite(bases, gens, 1, 2),
     lambda bases, gens: gamma2.sigma_gmap_claims(bases, gens),
 ], ids=["lattice", "reach-eta", "reach-delta", "sigma"])
-@pytest.mark.parametrize("gens_shape", [(make_field(2, 3), 3), (GF4, 4)],
-                         ids=["other-field", "other-n"])
-def test_a_check_rejects_bases_and_generators_of_different_shapes(check, gens_shape):
-    with pytest.raises(ValueError):
+@pytest.mark.parametrize("gens_shape,shown", [
+    ((make_field(2, 3), 3), "generators over GF(2^3), n = 3"),
+    ((GF4, 4), "generators over GF(2^2), n = 4"),
+], ids=["other-field", "other-n"])
+def test_a_check_rejects_bases_and_generators_of_different_shapes(check, gens_shape, shown):
+    message = re.escape(f"bases over GF(2^2), n = 3; {shown}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
         check(canon.Bases(GF4, 3), spinmx.standard_generators(*gens_shape))
+
+
+def test_a_point_takes_one_closing_parenthesis_or_none_after_the_colon():
+    for name in ["MstarP(1,1", "Mstar(1,1", "MstarP:1,1)", "MstarP:1,1)))", "Mstar(1,1))",
+                 "MstarP(1,1))"]:
+        with pytest.raises(ValueError, match="bad projective point"):
+            canon.parse_point(name, GF5)
+    for name in ["MstarP:1,1", "MstarP(1,1)", "Mstar(1,1)"]:
+        assert canon.parse_point(name, GF5) == ProjectivePoint(GF5, GF5.one(), GF5.one())
 
 
 def test_bases_meet_is_the_intersection_computed_once():

@@ -371,6 +371,21 @@ def test_unwritable_report_path_is_a_usage_error(tmp_path, capsys):
     assert not path.exists()
 
 
+def test_a_missing_report_folder_is_refused_before_the_command_runs(tmp_path, monkeypatch,
+                                                                     capsys):
+    path = tmp_path / "missing" / "r.json"
+
+    def never(args):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(cli, "cmd_dims", never)
+    assert run(["dims", "--n", "3", "--field", "3", "--json", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: cannot write the report: "
+                   f"[Errno 2] No such file or directory: {str(path)!r}\n")
+
+
 def test_internal_error_exits_4(monkeypatch, capsys):
     def crash(args):
         raise RuntimeError("boom")

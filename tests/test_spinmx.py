@@ -14,7 +14,7 @@ from algdeg.gamma2 import gamma_handle
 from algdeg.structvec import StructureVector, act, unit
 from algdeg.canon import (
     Bases, ProjectivePoint, basis_C, basis_K, basis_Mstar, basis_MstarP, basis_N,
-    basis_U, delta, eta, submodule,
+    basis_U, delta, eta, expected_dims, submodule,
 )
 from algdeg.spinmx import (
     ModuleHandle, composition_series, close_subspace, derive_seed, dual_space_handle,
@@ -433,6 +433,47 @@ def test_lattice_diagrams_generic(ctx, n):
 def test_lattice_diagrams_char2():
     for c in verify_lattice_diagrams(Bases(GF4, 3), standard_generators(GF4, 3), 11):
         assert c["status"] == "verified", (c["id"], c["anchor"], c["data"])
+
+
+SPLIT_CELLS = [(make_field(7), 3), (GF3, 4), (GF5, 5)]   # char odd, not dividing n+1
+
+
+@pytest.mark.parametrize("ctx,n", SPLIT_CELLS, ids=repr)
+def test_the_quotient_by_mss_carries_the_verdict_of_n(ctx, n, monkeypatch):
+    bases, tested = Bases(ctx, n), []
+
+    def recording(handle, seed):
+        tested.append(handle)
+        return norton_irreducible(handle, seed)
+
+    monkeypatch.setattr(spinmx, "norton_irreducible", recording)
+    claims = {c["id"]: c for c in verify_lattice_diagrams(bases, standard_generators(ctx, n), 1)}
+    assert [h.label for h in tested].count("N") == 1
+    assert not any(h.carrier == bases["Lambda"] and h.sub == bases["Mstarstar"] for h in tested)
+    carried = claims["LambdaOverMss.irr"]
+    assert carried["status"] == "verified"
+    assert carried["data"] == {"verdict": claims["N.irr"]["data"]["verdict"],
+                               "dim": expected_dims(n)["N"]}
+
+
+def test_an_n_that_meets_mss_falsifies_the_quotient_claim():
+    ctx, n = make_field(7), 3
+    bases = Bases(ctx, n)
+    bases._built["N"] = bases["U"]
+    claims = {c["id"]: c for c in verify_lattice_diagrams(bases, standard_generators(ctx, n), 1)}
+    assert claims["LambdaSplit"]["status"] == "falsified"
+    assert claims["LambdaOverMss.irr"]["status"] == "falsified"
+
+
+@pytest.mark.parametrize("ctx,n", SPLIT_CELLS, ids=repr)
+def test_the_quotient_handle_agrees_with_the_carried_verdict(ctx, n):
+    # the Norton test on the quotient's own handle, which the diagrams no longer run
+    bases, gens = Bases(ctx, n), standard_generators(ctx, n)
+    quotient = module_handle(gens, bases["Lambda"], sub=bases["Mstarstar"], label="Lambda/M**")
+    for seed in range(1, 11):
+        claims = {c["id"]: c for c in verify_lattice_diagrams(bases, gens, seed)}
+        verdict = norton_irreducible(quotient, derive_seed(seed, "L/Mss")).verdict
+        assert claims["LambdaOverMss.irr"]["data"]["verdict"] == verdict == "irreducible"
 
 
 def test_lambda_over_t_catches_a_trace_matrix_with_another_kernel(monkeypatch):
