@@ -26,7 +26,8 @@ alternating form reaches 123 - 213, and a second difference reaches 112.
 
 import random
 from dataclasses import dataclass, field
-from itertools import chain, combinations
+from functools import lru_cache
+from itertools import chain, combinations, product as cartesian
 
 from .canon import delta as delta_vector
 from .canon import eta as eta_vector
@@ -250,6 +251,55 @@ def _basis_change(ctx, cols):
     return GroupElement(Matrix.from_rows(ctx, cols).transpose())
 
 
+@lru_cache(maxsize=64)
+def _weight_class_translates(ctx, n, f):
+    """The flat indices of coordinate f's torus-weight class, and the torus
+    elements whose translates of any lam span lam's component on that class.
+
+    Coordinate (i, j, k) has weight e_i + e_j - e_k, whose entries lie in
+    -1..2, and diag(t_1, ..., t_n) scales it by t^weight.  Stage m keeps the
+    coordinates whose first m - 1 weight entries are f's; r_m counts the
+    m-th entries among them.  With a_m over 0..r_m - 1 the diagonals
+    diag(zeta^a_1, ..., zeta^a_n) give a tensor Vandermonde system: a
+    coordinate outside the class is told apart at the first stage where its
+    entry differs, among the r_m values zeta^v of that stage (distinct, as
+    -1..2 stay distinct mod |F| - 1 >= 4).  a = 0 is lam itself and is
+    left out.  There are none below |F| = 5 or over Q.
+    """
+    # the r-th entry of every coordinate's weight is `weights` at q = e_r
+    ws = list(zip(*(weights([int(m == r) for m in range(n)]) for r in range(n))))
+    cls = tuple(g for g, w in enumerate(ws) if w == ws[f])
+    if ctx.kind != "finite" or ctx.order < 5:
+        return cls, ()
+    zeta = primitive_element(ctx).raw
+    left, ranges = ws, []
+    for m in range(n):
+        ranges.append(range(len({w[m] for w in left})))
+        left = [w for w in left if w[m] == ws[f][m]]
+    return cls, tuple(GroupElement.diagonal(ctx, [ctx.pow(zeta, e) for e in a])
+                      for a in cartesian(*ranges) if any(a))
+
+
+def _reach_member(lam, gens, target):
+    """Whether target lies in lam(FG), as `spin_contains` decides it.
+
+    The support of target lies in one torus-weight class (eta's {123, 213},
+    delta's {112}).  When lam's component on that class is a nonzero multiple
+    of target, the class's torus translates of lam span target, so they seed
+    the closure and the probe hits among them; otherwise the probe spins
+    from lam alone.  The seeds depend on target's weight only, never on the
+    pipeline's witnesses, and each is lam*g for g in the full group, so the
+    closure is lam(FG) and the verdict is the full spin's either way.
+    """
+    ctx, t = lam.ctx, target.coords
+    f = ctx.lead(t)
+    cls, torus = _weight_class_translates(ctx, lam.n, f)
+    c = ctx.div(lam.coords[f], t[f])
+    if c == ctx.zero() or any(lam.coords[g] != ctx.mul(c, t[g]) for g in cls):
+        torus = ()
+    return spin_contains(lam, gens, target, translates=torus)
+
+
 @dataclass
 class ReachCertificate:
     success: bool
@@ -310,7 +360,7 @@ def reach_eta(lam, gens):
     final = act(mu5, h)
     target = eta_vector(ctx, n)
     ok = final == target
-    member = spin_contains(lam, gens, target)
+    member = _reach_member(lam, gens, target)
     return ReachCertificate(
         success=ok and member, target="eta", branch="symplectic",
         z=z.coords, zeta=zeta.coords,
@@ -390,7 +440,7 @@ def reach_delta(lam, gens):
             branch = "gf3-zero"
         ok = final == target
         steps = {"zeta_prime_w": ctx.raw_to_json(c)}
-    member = spin_contains(lam, gens, target)
+    member = _reach_member(lam, gens, target)
     return ReachCertificate(
         success=ok and member, target="delta", branch=branch,
         z=z.coords, zeta=zeta.coords,

@@ -3,16 +3,18 @@
 Matrices are row-major lists of raw scalars.  `Echelon` is the one elimination
 engine: every rref, rank, kernel, sum and intersection runs on it.  It packs
 each input row once (`FieldCtx.pack`: `bytes` over GF(p), p <= 13, and
-GF(2^k), a list elsewhere) and stores packed rows, and every reduction of a
-vector against echelon rows goes through its one entry point, `reduce`.
-Over packed fields the echelon also holds an int view of each row and a
-pivot mask, and `FieldCtx.row_eliminate` jumps from one pivot to clear to
-the next, so a reduction costs one step per row operation rather than one
-per stored row; over the list fields it walks the stored rows in pivot
-order.  `combine`, `reduce_against` and `Echelon.add` hand back packed rows
-for further elimination; the results that leave the engine, `rref_rows`
-rows, `Subspace.rows` and `Matrix.entries`, stay lists and tuples of raw
-scalars.  Subspace keeps the canonical reduced row-echelon basis, so equal
+GF(2^k), a list elsewhere) and stores packed rows.  Over packed fields the
+echelon also holds an int view of each row and a pivot mask, and every
+reduction against echelon rows is one `FieldCtx.row_eliminate`, which jumps
+from one pivot to clear to the next, so a reduction costs one step per row
+operation rather than one per stored row.  There `add` inserts in one pass
+over the row's int view: it eliminates only when the row meets a pivot
+slot, reads the zero test and the new pivot off the int, and scales the
+pivot entry to 1 with one `translate`.  Over the list fields the stored
+rows are walked in pivot order.  `combine`, `reduce_against` and
+`Echelon.add` hand back packed rows for further elimination; the results
+that leave the engine, `rref_rows` rows, `Subspace.rows` and
+`Matrix.entries`, stay lists and tuples of raw scalars.  Subspace keeps the canonical reduced row-echelon basis, so equal
 subspaces compare equal as data, together with the `Echelon` over it.
 Pivots are first nonzero entries: exact arithmetic makes stability a
 non-issue and the unique reduced form makes outputs diffable.
@@ -60,9 +62,9 @@ class Echelon:
 
     Over packed fields the echelon also keeps an int view of each row, keyed
     by the bit shift of its pivot slot, and one pivot mask, 0xFF at each
-    pivot slot; `reduce` hands them to `FieldCtx.row_eliminate`, which goes
-    straight to the next pivot to clear.  Elsewhere `reduce` walks the
-    stored rows in pivot order.  `reduce` is the one elimination routine.
+    pivot slot; `add`, `reduce` and `reduced` hand them to
+    `FieldCtx.row_eliminate`, which goes straight to the next pivot to
+    clear.  Elsewhere the stored rows are walked in pivot order (`_clear`).
     """
 
     __slots__ = ("ctx", "ambient", "rows", "pivots", "_ints", "_mask")
@@ -129,20 +131,48 @@ class Echelon:
         return ctx.row_eliminate(x, mask, self._ints, self.ambient)
 
     def add(self, vec):
-        """Insert if independent; returns the reduced, normalized packed row or None."""
-        ctx = self.ctx
-        v = self.reduce(vec)
-        lead = ctx.lead(v)
-        if lead == self.ambient:
-            return None
-        c = v[lead]
-        if c != ctx.one():
-            v = ctx.row_scale(v, ctx.inv(c))
+        """Insert if independent; returns the reduced, normalized packed row or None.
+
+        Over packed fields this is one pass over the row's int view x:
+        `FieldCtx.row_eliminate` runs only when x meets a pivot slot, x is
+        tested for zero and the new pivot slot is read from its bit length,
+        and one `translate` through `FieldCtx.unscale_bytes` makes the pivot
+        entry 1.  The residual modulo the span is unique, so the stored row
+        is the one the textbook loop (reduce, find the lead, scale by its
+        inverse) gives.
+        """
+        ints = self._ints
+        if ints is None:
+            ctx = self.ctx
+            v = self.reduce(vec)
+            lead = ctx.lead(v)
+            if lead == self.ambient:
+                return None
+            c = v[lead]
+            if c != ctx.one():
+                v = ctx.row_scale(v, ctx.inv(c))
+        else:
+            d, mask = self.ambient, self._mask
+            v = vec if type(vec) is bytes else bytes(vec)
+            if len(v) != d:
+                raise ValueError("row length does not match the ambient dimension")
+            x = int.from_bytes(v, "big")
+            if x & mask:
+                v = self.ctx.row_eliminate(x, mask, ints, d)
+                x = int.from_bytes(v, "big")
+            if not x:
+                return None
+            sh = (x.bit_length() - 1) & -8
+            c = x >> sh
+            if c != 1:
+                v = v.translate(self.ctx.unscale_bytes[c])
+                x = int.from_bytes(v, "big")
+            lead = d - 1 - (sh >> 3)
+            ints[sh] = x
+            self._mask = mask | 0xFF << sh
         at = bisect_left(self.pivots, lead)
         self.rows.insert(at, v)
         self.pivots.insert(at, lead)
-        if self._ints is not None:
-            self._view(v, lead)
         return v
 
     def reduced(self):

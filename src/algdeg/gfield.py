@@ -75,6 +75,8 @@ class FieldCtx:
     mod p.  Over GF(2^k) addition is XOR.  Every other field (GF(9), GF(25),
     larger primes, Q) keeps rows as lists.  The byte of a code is the code
     itself, so packed rows order and serialize like the lists they replace.
+    `unscale_bytes[c]` is the `translate` table of multiplication by c^-1,
+    with which `Echelon.add` makes a new pivot entry 1.
     """
 
     def __init__(self, char, degree=1):
@@ -107,9 +109,11 @@ class FieldCtx:
         if char == 2 or (degree == 1 and char <= 13):
             self.packed = True
             q = self.order
-            # translate tables: multiplication by each scalar, and reduction mod p
+            # translate tables: multiplication by each scalar, by the inverse of
+            # each nonzero scalar (the echelon's normalization), and reduction mod p
             self._scale_bytes = [bytes(self.mul(c, x) if x < q else 0 for x in range(256))
                                  for c in range(q)]
+            self.unscale_bytes = [None] + [self._scale_bytes[self.inv(c)] for c in range(1, q)]
             self._mod_bytes = bytes(x % char for x in range(256))
             # terms a reduced slot takes before it could pass 255: each adds
             # at most (p-1)^2 to a slot of at most p-1

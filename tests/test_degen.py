@@ -20,8 +20,10 @@ from algdeg.canon import (
 from algdeg import spinmx, structvec
 from algdeg.exactla import GroupElement
 from algdeg.spinmx import rational_generators, spin, spin_contains, standard_generators
+from algdeg import degen
 from algdeg.degen import (
-    TransvectionSpec, _g5_closed_form, lindeg_suite, lindeg_theorem_check, q_truncate,
+    TransvectionSpec, _g5_closed_form, _reach_member, _weight_class_translates,
+    lindeg_suite, lindeg_theorem_check, q_truncate,
     reach_delta, reach_delta_suite, reach_eta, reach_eta_suite,
     sample_in_between, transvection_g5, verify_lindeg, weights,
 )
@@ -155,6 +157,115 @@ def test_seeded_spin_contains_still_rejects_a_probe_outside():
     with pytest.raises(ValueError, match="full group"):
         spin_contains(eta(rat, 3), rational_generators(rat, 3), eta(rat, 3),
                       translates=[GroupElement.diagonal(rat, [2, 1, 1])])
+
+
+SEEDED_FIELDS = [GF5, make_field(7), make_field(2, 3), make_field(3, 2), make_field(5, 2)]
+
+
+def _class_translates(target):
+    lam = target
+    return _weight_class_translates(lam.ctx, lam.n, lam.ctx.lead(lam.coords))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("ctx", SEEDED_FIELDS, ids=repr)
+def test_seeded_reach_probe_matches_the_unseeded_probe(ctx, n):
+    gens, bases = standard_generators(ctx, n), Bases(ctx, n)
+    rng = random.Random(ctx.order * 10 + n)
+    e, d = eta(ctx, n), delta(ctx, n)
+    f_eta, f_delta = ctx.lead(e.coords), ctx.lead(d.coords)
+    # eta's class in another position, and 113: zero components on the classes
+    eta_132 = unit(ctx, n, 1, 3, 2) - unit(ctx, n, 3, 1, 2)
+    cases = [(e, e), (eta_132, e), (d, d), (unit(ctx, n, 1, 1, 3), d)]
+    cases += [(sample_in_between(ctx, n, bases["Mstarstar"], predicate_Mstar, rng), e)
+              for _ in range(3)]
+    cases += [(sample_in_between(ctx, n, bases["C"], predicate_Mstarstar, rng), d)
+              for _ in range(3)]
+    seeded = 0
+    for lam, target in cases:
+        _, torus = _class_translates(target)
+        f = f_eta if target is e else f_delta
+        want = spin_contains(lam, gens, target)
+        assert _reach_member(lam, gens, target) == want
+        if lam.coords[f]:
+            seeded += 1
+            assert spin_contains(lam, gens, target, translates=torus) == want
+    assert seeded >= 2
+    assert _reach_member(eta_132, gens, e) and _reach_member(unit(ctx, n, 1, 1, 3), gens, d)
+
+
+@pytest.mark.parametrize("ctx", SEEDED_FIELDS, ids=repr)
+def test_seeded_delta_probe_rejects_a_vector_of_mstarstar(ctx):
+    # delta lies outside M**, so no vector of M** reaches it, seeded or not
+    n = 3
+    gens, mss = standard_generators(ctx, n), Bases(ctx, n)["Mstarstar"]
+    _, torus = _class_translates(delta(ctx, n))
+    rng = random.Random(ctx.order)
+    lams = [eta(ctx, n)] + [sample_in_between(ctx, n, mss, lambda v: False, rng)
+                            for _ in range(2)]
+    for lam in lams:
+        assert predicate_Mstarstar(lam)
+        assert not spin_contains(lam, gens, delta(ctx, n))
+        assert not spin_contains(lam, gens, delta(ctx, n), translates=torus)
+        assert not _reach_member(lam, gens, delta(ctx, n))
+
+
+def test_translate_counts():
+    for ctx in SEEDED_FIELDS:
+        for n in (3, 4, 5):
+            assert len(_class_translates(delta(ctx, n))[1]) == 7
+            assert len(_class_translates(eta(ctx, n))[1]) == (11 if n == 3 else 23)
+    for ctx in (GF3, GF4, make_field(0, 1)):
+        for n in (3, 4):
+            assert _class_translates(delta(ctx, n))[1] == ()
+            assert _class_translates(eta(ctx, n))[1] == ()
+    gf7 = make_field(7)
+    assert _class_translates(eta(gf7, 4))[0] == (flat(4, 1, 2, 3), flat(4, 2, 1, 3))
+    assert _class_translates(delta(gf7, 4))[0] == (flat(4, 1, 1, 2),)
+
+
+@pytest.mark.parametrize("target", ["delta", "eta"])
+def test_reach_probe_hits_among_the_torus_translates(monkeypatch, target):
+    # at (4, GF7) with lam's class component a nonzero multiple of the target,
+    # the probe takes no generator image: each action is one of its translates
+    ctx, n = make_field(7), 4
+    gens, bases = standard_generators(ctx, n), Bases(ctx, n)
+    tags, probing = [], []
+
+    def recording(coords, g, n, ctx):
+        if probing:
+            tags.append(g.tag)
+        return act_coords(coords, g, n, ctx)
+
+    def probe(*args, **kwargs):
+        probing.append(True)
+        try:
+            return spin_contains(*args, **kwargs)
+        finally:
+            probing.clear()
+
+    monkeypatch.setattr(structvec, "act_coords", recording)
+    monkeypatch.setattr(spinmx, "act_coords", recording)
+    monkeypatch.setattr(degen, "spin_contains", probe)
+    goal = eta(ctx, n) if target == "eta" else delta(ctx, n)
+    _, torus = _class_translates(goal)
+    allowed = {g.tag for g in torus}
+    inside, outside = ((bases["Mstarstar"], predicate_Mstar) if target == "eta"
+                       else (bases["C"], predicate_Mstarstar))
+    reach = reach_eta if target == "eta" else reach_delta
+    rng = random.Random(7)
+    lams = [goal] + [sample_in_between(ctx, n, inside, outside, rng) for _ in range(4)]
+    probed = 0
+    for lam in lams:
+        if not lam.coords[ctx.lead(goal.coords)]:
+            continue
+        tags.clear()
+        cert = reach(lam, gens)
+        assert cert.success and cert.spin_member
+        # the target itself hits at lam, before any translate
+        assert set(tags) <= allowed and len(tags) <= len(torus)
+        probed += bool(tags)
+    assert probed >= 2
 
 
 def test_g5_pipeline_matches_hand_computation():

@@ -435,6 +435,82 @@ def test_reduced_then_more_adds_keeps_the_views_consistent(ctx, data):
     _check_views(ech)
 
 
+# every packed field: GF(p) for p <= 13, and GF(2^k)
+PACKED_FIELDS = [make_field(p, k) for p, k in
+                 [(2, 1), (3, 1), (5, 1), (7, 1), (11, 1), (13, 1), (2, 2), (2, 3)]]
+
+
+def _insert_cases(ctx, d, rng):
+    """Rows of length d >= 2|F| + 4 for an echelon: a zero row; three rows led
+    by 1 at the last odd slots; for each nonzero c two rows led by c at the
+    next free slots on the left, one zero at every pivot slot (it touches no
+    pivot) and one nonzero at every pivot slot (the elimination runs and keeps
+    c as its lead); a combination of the rows so far (dependent); the zero row."""
+    q, zero = ctx.order, ctx.zero()
+    base = [d - 1, d - 3, d - 5]
+    cases = [[zero] * d] + [[zero] * p + [ctx.one()] + [rng.randrange(q) for _ in range(d - p - 1)]
+                            for p in base]
+    for j in range(2 * (q - 1)):
+        row = [zero] * j + [1 + j // 2] + [rng.randrange(1, q) if m in base else
+                                          rng.randrange(q) for m in range(j + 1, d)]
+        if j % 2 == 0:
+            row = [zero if m in base else x for m, x in enumerate(row)]
+        cases.append(row)
+    cases.append(ref_combine(ctx, [rng.randrange(q) for _ in cases], cases))
+    cases.append([zero] * d)
+    return cases
+
+
+@pytest.mark.parametrize("ctx", PACKED_FIELDS, ids=repr)
+def test_one_pass_insert_and_reduce_match_the_scalar_semi_echelon(ctx):
+    assert ctx.packed
+    d, rng = 2 * ctx.order + 4, random.Random(ctx.order)
+    cases = _insert_cases(ctx, d, rng)
+    probes = cases + [[rng.randrange(ctx.order) for _ in range(d)] for _ in range(6)]
+    for form in range(3):
+        ech, ref_rows, ref_pivots = Echelon(ctx, d), [], []
+        for row in cases:
+            shaped = _forms(ctx, row)[form]
+            assert list(ech.reduce(shaped)) == ref_reduce(ctx, row, ref_rows, ref_pivots)
+            added = ech.add(shaped)
+            step = ref_insert(ctx, ref_rows, ref_pivots, row)
+            assert (added is None) == (step is None)
+            if step is not None:
+                ref_rows, ref_pivots = step
+                assert type(added) is bytes
+                assert list(added) == ref_rows[ref_pivots.index(ref_lead(added))]
+            assert [list(r) for r in ech.rows] == ref_rows and ech.pivots == ref_pivots
+            _check_views(ech)
+        for row in probes:
+            got = ech.reduce(_forms(ctx, row)[form])
+            assert type(got) is bytes
+            assert list(got) == ref_reduce(ctx, row, ref_rows, ref_pivots)
+        red, pivots = ech.reduced()
+        assert [list(r) for r in red] == [list(r) for r in Subspace(ctx, d, cases).rows]
+        _check_views(ech)
+        for bad in ([ctx.one()] * (d - 1), [ctx.one()] * (d + 1)):
+            for method in (ech.add, ech.reduce):
+                with pytest.raises(ValueError, match="ambient dimension"):
+                    method(_forms(ctx, bad)[form])
+        assert ech.pivots == pivots
+        _check_views(ech)
+
+
+def test_the_insert_cases_reach_every_pivot_value():
+    # each nonzero scalar leads one row that meets no pivot slot and one that
+    # meets all of them, so `add` normalizes by each on both of its paths
+    for ctx in PACKED_FIELDS:
+        d = 2 * ctx.order + 4
+        cases = _insert_cases(ctx, d, random.Random(ctx.order))
+        base = [d - 1, d - 3, d - 5]
+        led = [r for r in cases if ref_lead(r) < base[-1]]
+        assert {r[ref_lead(r)] for r in led if not any(r[p] for p in base)} == set(
+            range(1, ctx.order))
+        assert {r[ref_lead(r)] for r in led if all(r[p] for p in base)} == set(
+            range(1, ctx.order))
+        assert sum(all(x == 0 for x in r) for r in cases) == 2
+
+
 @per_field
 @SETTINGS
 @given(data=st.data())
