@@ -167,11 +167,17 @@ def transvection_g5(lam, spec):
     ctx = lam.ctx
     if ctx.kind == "finite" and ctx.order <= 2:
         raise ValueError("the pipeline needs |F| > 2")
-    alpha = spec.alpha
-    g1 = spec.group_element()
-    galpha = spec.group_element(scale=alpha)
-    lam2 = act(lam, g1) - lam
-    lam3 = act(lam, galpha) - lam
+    return _g5_from_first_difference(lam, spec, act(lam, spec.group_element()) - lam)
+
+
+def _g5_from_first_difference(lam, spec, lam2):
+    """`transvection_g5` given its first difference lam2 = lam*g_1 - lam.
+
+    g_1 = I + z (x) zeta does not depend on alpha, so the pipelines of one
+    (z, zeta) at several alphas share lam2.
+    """
+    ctx, alpha = lam.ctx, spec.alpha
+    lam3 = act(lam, spec.group_element(scale=alpha)) - lam
     lam4 = lam3 - lam2.scale(alpha)
     denom = ctx.neg(ctx.sub(ctx.mul(alpha, alpha), alpha))  # -(alpha^2 - alpha)
     lam5 = lam4.scale(ctx.inv(denom))
@@ -396,8 +402,10 @@ def reach_delta(lam, gens):
         alpha2 = next(e for e in (ctx.raw_elements() if ctx.kind == "finite"
                                   else [ctx.from_int(3)])
                       if e not in (zero, one, alpha))
-        mu5 = transvection_g5(lam, TransvectionSpec(z, zeta, alpha))
-        mu5p = transvection_g5(lam, TransvectionSpec(z, zeta, alpha2))
+        spec = TransvectionSpec(z, zeta, alpha)
+        lam2 = act(lam, spec.group_element()) - lam     # one first difference for both
+        mu5 = _g5_from_first_difference(lam, spec, lam2)
+        mu5p = _g5_from_first_difference(lam, TransvectionSpec(z, zeta, alpha2), lam2)
         lam6 = (mu5p - mu5).scale(ctx.inv(ctx.sub(alpha2, alpha)))
         # closed form: zeta(u) zeta(v) z
         coords = _outer(ctx, zeta.coords, _outer(ctx, zeta.coords, z.coords))
