@@ -37,7 +37,7 @@ from .exactla import (
 )
 from .gfield import primitive_element
 from .structvec import (
-    DualVector, StructureVector, Vector, act, basis_vector, product, unit,
+    DualVector, StructureVector, Vector, act, basis_vector, product, unit, weight_classes,
 )
 from .spinmx import check_cell_shape, derive_seed, spin_contains
 
@@ -259,8 +259,9 @@ def _basis_change(ctx, cols):
 
 @lru_cache(maxsize=64)
 def _weight_class_translates(ctx, n, f):
-    """The flat indices of coordinate f's torus-weight class, and the torus
-    elements whose translates of any lam span lam's component on that class.
+    """The flat indices of coordinate f's torus-weight class
+    (`weight_classes`), and the torus elements whose translates of any lam
+    span lam's component on that class.
 
     Coordinate (i, j, k) has weight e_i + e_j - e_k, whose entries lie in
     -1..2, and diag(t_1, ..., t_n) scales it by t^weight.  Stage m keeps the
@@ -272,11 +273,14 @@ def _weight_class_translates(ctx, n, f):
     -1..2 stay distinct mod |F| - 1 >= 4).  a = 0 is lam itself and is
     left out.  There are none below |F| = 5 or over Q.
     """
-    # the r-th entry of every coordinate's weight is `weights` at q = e_r
-    ws = list(zip(*(weights([int(m == r) for m in range(n)]) for r in range(n))))
-    cls = tuple(g for g, w in enumerate(ws) if w == ws[f])
+    classes = weight_classes(ctx, n)
+    cls = tuple(g for g, c in enumerate(classes) if c == classes[f])
     if ctx.kind != "finite" or ctx.order < 5:
         return cls, ()
+    # the r-th entry of every coordinate's weight is `weights` at q = e_r;
+    # from |F| = 5 on, entries -1..2 are distinct mod |F| - 1, so these
+    # weights split the coordinates into the classes above
+    ws = list(zip(*(weights([int(m == r) for m in range(n)]) for r in range(n))))
     zeta = primitive_element(ctx).raw
     left, ranges = ws, []
     for m in range(n):

@@ -3,15 +3,35 @@
 Spinning realizes the cyclic module lam(FG) as the closure of lam under a
 finite generator set; over a finite field the generators have finite order, so
 closure under each g is closure under g^-1 and the generator closure equals
-the full group closure.  The irreducibility test is the classical kernel-
-vector criterion with Holt-Rees shifts: draw theta in the enveloping algebra;
-every shift theta - a*I lies in the envelope too, and a root a of the order
-polynomial of e_1 under theta makes it singular.  The first such shift whose
-kernel has at most `LINE_CAP` lines is tested, and a draw with none is
-redrawn.  If some kernel-line spin (or transposed-side spin) is proper the
-module is reducible with an exhibited witness, checked invariant before it is
-returned.  If every line of ker(theta - a*I) spins to the whole module, a
-proper submodule S meets that kernel in 0, so theta - a*I is invertible on S,
+the full group closure.
+
+Over a finite field the standard generators grade every module handle of
+the structure space and of the dual by torus weight (`ModuleHandle.classes`):
+the diagonal torus T has order prime to p, so a stable subspace is the sum
+of its parts on the weight classes, and every basis vector of a handle is a
+weight vector, which `_restricted_handle` checks.  On a graded handle the
+irreducibility test needs no draw.  The projection P_c onto the smallest
+weight space lies in F[T], inside the envelope, so theta = I - P_c is a
+singular envelope element whose kernel, and its transpose's, is the span
+of that class's k unit vectors; every line of it is spun on the module and
+one unit vector on the transpose, and Norton's lemma (below) decides.  This
+is the peakword choice of Lux, Mueller & Ringe ("Peakword condensation and
+submodule lattices", J. Symb. Comput. 17, 1994).  The test falls back to
+random draws on an ungraded handle (rational generators, the semilinear
+module of `gamma2`, handles built by hand), over GF(2), where the torus is
+trivial, and when the smallest class holds every vector or spans more than
+`LINE_CAP` lines.  (On weight spaces: Green, "Polynomial Representations of
+GL_n", LNM 830, section 3.)
+
+The random test is the classical kernel-vector criterion with Holt-Rees
+shifts: draw theta in the enveloping algebra; every shift theta - a*I lies
+in the envelope too, and a root a of the order polynomial of e_1 under
+theta makes it singular.  The first such shift whose kernel has at most
+`LINE_CAP` lines is tested, and a draw with none is redrawn.  If some
+kernel-line spin (or transposed-side spin) is proper the module is reducible
+with an exhibited witness, checked invariant before it is returned.  If
+every line of ker(theta - a*I) spins to the whole module, a proper
+submodule S meets that kernel in 0, so theta - a*I is invertible on S,
 S lies in its image, and all of ker((theta - a*I)^T) lies in the annihilator
 of S, a proper submodule of the transpose.  So one vector of that kernel
 decides (Norton's lemma): it spins full exactly when the module is
@@ -35,7 +55,7 @@ import hashlib
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, product as iproduct
+from itertools import chain, compress, product as iproduct
 from typing import Optional
 
 from .exactla import (
@@ -43,7 +63,7 @@ from .exactla import (
 )
 from .gfield import FieldCtx, primitive_element
 from .report import claim, norton_claim
-from .structvec import act, act_coords
+from .structvec import act, act_coords, weight_classes
 
 LINE_CAP = 128           # max kernel lines spun for one shift of a theta draw
 NORTON_ATTEMPTS = 64
@@ -266,7 +286,9 @@ class ModuleHandle:
 
     Coordinates are over the complement basis `reps` of `sub` inside
     `carrier` (sub=None means the plain submodule).  Right action:
-    coords' = coords * action[i].
+    coords' = coords * action[i].  `classes` holds the torus weight class of
+    each rep, or None when the handle is ungraded; on a graded handle every
+    rep is a weight vector, so the torus acts on the coordinates diagonally.
     """
     ctx: FieldCtx
     label: str
@@ -275,6 +297,7 @@ class ModuleHandle:
     reps: list
     action: list            # one row-list matrix per generator
     gens: GeneratorSet
+    classes: Optional[tuple] = None
 
     @property
     def dim(self):
@@ -301,20 +324,44 @@ def _ambient_appliers(gens, ambient):
     raise ValueError(f"no generator action on ambient dimension {ambient}")
 
 
+def _ambient_classes(gens, ambient):
+    """The torus weight class of each ambient coordinate, or None.
+
+    Coordinate ijk of the structure space has class e_i + e_j - e_k and unit
+    vector e_k of the dual has class e_k, both mod |F| - 1 (`weight_classes`).
+    Only a finite field's standard generators are graded: they generate the
+    full group, so its torus, and the rational ones reach a subgroup only.
+    """
+    ctx, n = gens.ctx, gens.n
+    if ctx.kind != "finite" or gens.provenance != "standard-finite":
+        return None
+    if ambient == n ** 3:
+        return weight_classes(ctx, n)
+    m = ctx.order - 1
+    return tuple(tuple(int(r == k) % m for r in range(n)) for k in range(n))
+
+
 def module_handle(gens, carrier, sub=None, label="module"):
-    """Restrict (and quotient) the generator action to carrier/sub, checking both stable."""
+    """Restrict (and quotient) the generator action to carrier/sub, checking both
+    stable; graded by torus weight over a finite field's standard generators."""
     _check_field(gens, carrier, sub)
-    return _restricted_handle(gens, _ambient_appliers(gens, carrier.ambient),
-                              carrier, sub, label)
+    ambient = carrier.ambient
+    return _restricted_handle(gens, _ambient_appliers(gens, ambient), carrier, sub,
+                              label, _ambient_classes(gens, ambient))
 
 
-def _restricted_handle(gens, appliers, carrier, sub, label):
+def _restricted_handle(gens, appliers, carrier, sub, label, classes=None):
     """The handle of carrier/sub under the appliers, in any ambient dimension.
 
     `coset_representatives` checks sub <= carrier.  Each sub row must map into
     sub; each complement row's image gets its coordinates from
     `quotient_coords`, whose vanishing residual proves the image lies in sub +
     complement = carrier.  Together these prove both subspaces stable.
+
+    `classes`, the weight classes of the ambient coordinates, grades the
+    handle: a stable subspace is torus-stable, the sum of its parts on the
+    classes, so its RREF rows and the reps reduced against them are weight
+    vectors.  A rep whose support meets two classes is a ValueError.
     """
     ctx = carrier.ctx
     if sub is None or sub.dim == 0:
@@ -333,7 +380,19 @@ def _restricted_handle(gens, appliers, carrier, sub, label):
         raise ValueError(f"carrier of {label!r} is not generator-stable") from None
     if sub is not None and not _maps_into_itself(sub, appliers):
         raise ValueError(f"sub of {label!r} is not generator-stable")
-    return ModuleHandle(ctx, label, carrier, sub, reps, action, gens)
+    graded = None if classes is None else _rep_classes(packed, classes, label)
+    return ModuleHandle(ctx, label, carrier, sub, reps, action, gens, graded)
+
+
+def _rep_classes(reps, classes, label):
+    """The weight class of each rep, which must have its support in one class."""
+    out = []
+    for rep in reps:
+        support = set(compress(classes, rep))     # raw zeros are falsy
+        if len(support) != 1:
+            raise ValueError(f"a basis vector of {label!r} is not a torus weight vector")
+        out.append(support.pop())
+    return tuple(out)
 
 
 def dual_space_handle(gens, label="dual"):
@@ -522,7 +581,67 @@ def _reducible(handle, rows, detail):
 
 
 def norton_irreducible(handle, seed):
-    """Kernel-vector irreducibility test with Holt-Rees shifts.
+    """Kernel-vector irreducibility test: on the smallest weight space of a
+    graded handle, else with random draws (`norton_random`).
+
+    Let c be the class with the fewest basis vectors, k of them.  The torus
+    has order prime to p, so the idempotent P_c of F[T] lies in FG, and
+    theta = I - P_c is a singular element of the envelope.  In graded
+    coordinates it is diagonal, and ker theta and ker theta^T are both the
+    span of the k unit vectors of class c.  Norton's lemma then decides with
+    no draw: every line of that span is spun on the module, then one of the
+    unit vectors on the transpose (`_module_witness`, `_dual_verdict`).  An
+    ungraded handle, or one whose smallest class has as many vectors as the
+    module or more than `LINE_CAP` lines, takes the random test.
+    """
+    units = _smallest_weight_space(handle)
+    lines = None if units is None else _lines_of(units, handle.ctx, LINE_CAP)
+    if lines is None:
+        return norton_random(handle, seed)
+    detail = {"weight_space": len(units)}
+    return (_module_witness(handle, lines, detail)
+            or _dual_verdict(handle, units[0], detail))
+
+
+def _smallest_weight_space(handle):
+    """Unit rows of the handle's smallest weight class (the first one met on a
+    tie), or None when the handle is ungraded, empty or has a single class."""
+    if not handle.classes:
+        return None
+    members = {}
+    for i, c in enumerate(handle.classes):
+        members.setdefault(c, []).append(i)
+    smallest = min(members.values(), key=len)
+    if len(smallest) == handle.dim:
+        return None
+    ctx, d = handle.ctx, handle.dim
+    zero, one = ctx.zero(), ctx.one()
+    return [[one if j == i else zero for j in range(d)] for i in smallest]
+
+
+def _module_witness(handle, lines, detail):
+    """The reducible verdict on the first line that spins proper, or None."""
+    proper = _first_proper_spin(handle.action, lines, handle.dim, handle.ctx)
+    if proper is None:
+        return None
+    return _reducible(handle, [list(r) for r in proper.rows], {**detail, "side": "module"})
+
+
+def _dual_verdict(handle, vector, detail):
+    """Norton's lemma, once every deciding line spun full on the module: one
+    kernel vector of the transpose spins full exactly when the module is
+    irreducible, and a proper spin's annihilator is the witness."""
+    ctx, d = handle.ctx, handle.dim
+    action_t = [_transpose_rows(m) for m in handle.action]
+    proper_t = _first_proper_spin(action_t, [vector], d, ctx)
+    if proper_t is None:
+        return NortonResult("irreducible", None, None, detail)
+    ann = kernel_rows([list(r) for r in proper_t.rows], d, ctx)
+    return _reducible(handle, ann, {**detail, "side": "dual"})
+
+
+def norton_random(handle, seed):
+    """Kernel-vector irreducibility test with Holt-Rees shifts of random draws.
 
     Each of the first `NORTON_ATTEMPTS` draws theta is tested at the first
     root a whose kernel of theta - a*I has at most `LINE_CAP` lines, or
@@ -547,20 +666,12 @@ def norton_irreducible(handle, seed):
             continue
         key, shifted, ker, lines = found
         detail = {"attempt": attempt, **key, "nullity": len(ker)}
-        proper = _first_proper_spin(handle.action, lines or ker[:1], d, ctx)
-        if proper is not None:
-            return _reducible(handle, [list(r) for r in proper.rows],
-                              {**detail, "side": "module"})
-        if lines is None:
-            continue
-        # the transpose has the same nullity; its first kernel row decides
-        ker_t = kernel_rows(shifted, d, ctx)
-        action_t = [_transpose_rows(m) for m in handle.action]
-        proper_t = _first_proper_spin(action_t, ker_t[:1], d, ctx)
-        if proper_t is not None:
-            ann = kernel_rows([list(r) for r in proper_t.rows], d, ctx)
-            return _reducible(handle, ann, {**detail, "side": "dual"})
-        return NortonResult("irreducible", None, None, detail)
+        res = _module_witness(handle, lines or ker[:1], detail)
+        if res is None and lines is not None:
+            # the transpose has the same nullity; its first kernel row decides
+            res = _dual_verdict(handle, kernel_rows(shifted, d, ctx)[0], detail)
+        if res is not None:
+            return res
     return NortonResult("inconclusive", None, None, {"attempts": 2 * NORTON_ATTEMPTS})
 
 
@@ -643,7 +754,9 @@ def survey_submodules(handle, seed=0):
     full = Subspace.full(ctx, d)
 
     def quotient(top, bottom, label):
-        return _restricted_handle(handle.gens, appliers, top, bottom, f"{handle.label}:{label}")
+        # in handle coordinates, graded by the base handle's classes
+        return _restricted_handle(handle.gens, appliers, top, bottom,
+                                  f"{handle.label}:{label}", handle.classes)
 
     types = _simple_types(quotient, full, seed)
     lattice = [Subspace.zero(ctx, d)]

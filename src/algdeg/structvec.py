@@ -44,6 +44,26 @@ def unflat(n, f):
     return (i + 1, j + 1, k + 1)
 
 
+@lru_cache(maxsize=64)
+def weight_classes(ctx, n):
+    """The torus weight class of every coordinate (i, j, k), in storage order.
+
+    diag(t_1, ..., t_n) scales coordinate (i, j, k) by t_i t_j t_k^-1, a
+    character with exponent vector e_i + e_j - e_k.  Over GF(q) two such
+    characters agree exactly when their exponent vectors agree mod q - 1,
+    so the class is that vector mod q - 1 (one class over GF(2)); over Q it
+    is the vector itself.
+    """
+    m = ctx.order - 1 if ctx.kind == "finite" else None
+    out = []
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                w = [int(r == i) + int(r == j) - int(r == k) for r in range(n)]
+                out.append(tuple(w) if m is None else tuple(x % m for x in w))
+    return tuple(out)
+
+
 class _Coords:
     """Shared plumbing for coordinate-tuple wrappers."""
 

@@ -18,7 +18,7 @@ from algdeg.canon import (
 )
 from algdeg.spinmx import (
     ModuleHandle, composition_series, close_subspace, derive_seed, dual_space_handle,
-    handle_spin, hom_space, module_handle, norton_irreducible,
+    handle_spin, hom_space, module_handle, norton_irreducible, norton_random,
     rational_generators, spin, spin_contains, standard_generators,
     survey_submodules, verify_lattice_diagrams, is_generator_stable,
 )
@@ -277,10 +277,10 @@ def test_norton_lemma_one_dual_vector_decides():
             if decided == 8:
                 break
         assert decided == 8, h.label
-    # on N over GF(4), seed 11 decides on the dual side at nullity 2, where the
-    # kernel of the shift's transpose has five lines
+    # on N over GF(4), the random test at seed 11 decides on the dual side at
+    # nullity 2, where the kernel of the shift's transpose has five lines
     N = basis_N(GF4, 3)
-    res = norton_irreducible(module_handle(gens_for(GF4, 3), N, label="N"), seed=11)
+    res = norton_random(module_handle(gens_for(GF4, 3), N, label="N"), seed=11)
     assert res.verdict == "reducible" and res.detail["side"] == "dual"
     assert res.detail["nullity"] == 2
     assert Subspace.zero(GF4, 27) < res.witness < N
