@@ -37,7 +37,8 @@ from .exactla import (
 )
 from .gfield import primitive_element
 from .structvec import (
-    DualVector, StructureVector, Vector, act, basis_vector, product, unit, weight_classes,
+    DualVector, StructureVector, Vector, act, basis_vector, product, torus_weights, unit,
+    weight_classes,
 )
 from .spinmx import check_cell_shape, derive_seed, spin_contains
 
@@ -263,10 +264,11 @@ def _weight_class_translates(ctx, n, f):
     (`weight_classes`), and the torus elements whose translates of any lam
     span lam's component on that class.
 
-    Coordinate (i, j, k) has weight e_i + e_j - e_k, whose entries lie in
-    -1..2, and diag(t_1, ..., t_n) scales it by t^weight.  Stage m keeps the
-    coordinates whose first m - 1 weight entries are f's; r_m counts the
-    m-th entries among them.  With a_m over 0..r_m - 1 the diagonals
+    Coordinate (i, j, k) has weight e_i + e_j - e_k (`torus_weights`),
+    whose entries lie in -1..2, and diag(t_1, ..., t_n) scales it by
+    t^weight.  Stage m keeps the coordinates whose first m - 1 weight
+    entries are f's; r_m counts the m-th entries among them.  With a_m over
+    0..r_m - 1 the diagonals
     diag(zeta^a_1, ..., zeta^a_n) give a tensor Vandermonde system: a
     coordinate outside the class is told apart at the first stage where its
     entry differs, among the r_m values zeta^v of that stage (distinct, as
@@ -277,10 +279,9 @@ def _weight_class_translates(ctx, n, f):
     cls = tuple(g for g, c in enumerate(classes) if c == classes[f])
     if ctx.kind != "finite" or ctx.order < 5:
         return cls, ()
-    # the r-th entry of every coordinate's weight is `weights` at q = e_r;
-    # from |F| = 5 on, entries -1..2 are distinct mod |F| - 1, so these
+    # from |F| = 5 on, entries -1..2 are distinct mod |F| - 1, so the exact
     # weights split the coordinates into the classes above
-    ws = list(zip(*(weights([int(m == r) for m in range(n)]) for r in range(n))))
+    ws = torus_weights(n)
     zeta = primitive_element(ctx).raw
     left, ranges = ws, []
     for m in range(n):

@@ -327,18 +327,16 @@ def _ambient_appliers(gens, ambient):
 def _ambient_classes(gens, ambient):
     """The torus weight class of each ambient coordinate, or None.
 
-    Coordinate ijk of the structure space has class e_i + e_j - e_k and unit
-    vector e_k of the dual has class e_k, both mod |F| - 1 (`weight_classes`).
-    Only a finite field's standard generators are graded: they generate the
-    full group, so its torus, and the rational ones reach a subgroup only.
+    The structure space and the dual each take their table from
+    `weight_classes`: e_i + e_j - e_k for coordinate ijk, e_k for unit
+    vector e_k of the dual, mod |F| - 1.  Only a finite field's standard
+    generators are graded: they generate the full group, so its torus, and
+    the rational ones reach a subgroup only.
     """
     ctx, n = gens.ctx, gens.n
     if ctx.kind != "finite" or gens.provenance != "standard-finite":
         return None
-    if ambient == n ** 3:
-        return weight_classes(ctx, n)
-    m = ctx.order - 1
-    return tuple(tuple(int(r == k) % m for r in range(n)) for k in range(n))
+    return weight_classes(ctx, n, dual=ambient != n ** 3)
 
 
 def module_handle(gens, carrier, sub=None, label="module"):

@@ -45,23 +45,31 @@ def unflat(n, f):
 
 
 @lru_cache(maxsize=64)
-def weight_classes(ctx, n):
-    """The torus weight class of every coordinate (i, j, k), in storage order.
+def torus_weights(n):
+    """The torus weight e_i + e_j - e_k of every coordinate (i, j, k), in storage order.
 
-    diag(t_1, ..., t_n) scales coordinate (i, j, k) by t_i t_j t_k^-1, a
-    character with exponent vector e_i + e_j - e_k.  Over GF(q) two such
-    characters agree exactly when their exponent vectors agree mod q - 1,
-    so the class is that vector mod q - 1 (one class over GF(2)); over Q it
-    is the vector itself.
+    diag(t_1, ..., t_n) scales coordinate (i, j, k) by t_i t_j t_k^-1, the
+    character with this exponent vector.
     """
-    m = ctx.order - 1 if ctx.kind == "finite" else None
-    out = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                w = [int(r == i) + int(r == j) - int(r == k) for r in range(n)]
-                out.append(tuple(w) if m is None else tuple(x % m for x in w))
-    return tuple(out)
+    return tuple(tuple(int(r == i) + int(r == j) - int(r == k) for r in range(n))
+                 for i in range(n) for j in range(n) for k in range(n))
+
+
+@lru_cache(maxsize=64)
+def weight_classes(ctx, n, dual=False):
+    """The torus weight class of every coordinate (i, j, k), in storage order,
+    or with `dual` of every unit vector e_k of the dual, whose weight is e_k.
+
+    Over GF(q) two characters agree exactly when their exponent vectors
+    agree mod q - 1, so the class is the weight (`torus_weights`) mod q - 1
+    (one class over GF(2)); over Q it is the weight itself.
+    """
+    ws = (tuple(tuple(int(r == k) for r in range(n)) for k in range(n)) if dual
+          else torus_weights(n))
+    if ctx.kind != "finite":
+        return ws
+    m = ctx.order - 1
+    return tuple(tuple(x % m for x in w) for w in ws)
 
 
 class _Coords:

@@ -20,7 +20,7 @@ import algdeg
 from algdeg import spinmx
 from algdeg.canon import Bases, basis_K, basis_U
 from algdeg.cli import main
-from algdeg.degen import _weight_class_translates
+from algdeg.degen import _weight_class_translates, weights
 from algdeg.gamma2 import gamma_handle
 from algdeg.gfield import make_field
 from algdeg.spinmx import (
@@ -28,7 +28,7 @@ from algdeg.spinmx import (
     norton_irreducible, norton_random, rational_generators, standard_generators,
     survey_submodules, verify_lattice_diagrams,
 )
-from algdeg.structvec import flat, weight_classes
+from algdeg.structvec import flat, torus_weights, weight_classes
 from test_packed import FIELDS
 
 FINITE = [make_field(2)] + [ctx for ctx in FIELDS if ctx.kind == "finite"]
@@ -126,6 +126,17 @@ def test_classes_are_mod_q_minus_one():
     assert weight_classes(gf7, 3)[f221] == (5, 2, 0)
     assert set(weight_classes(make_field(2), 3)) == {(0, 0, 0)}
     assert weight_classes(gf7, 3) is weight_classes(gf7, 3)
+    assert weight_classes(q, 3) == torus_weights(3)
+    # unit vector e_k of the dual has weight e_k
+    assert weight_classes(gf7, 3, dual=True) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert set(weight_classes(make_field(2), 3, dual=True)) == {(0, 0, 0)}
+
+
+def test_torus_weights_are_the_weights_at_the_unit_sequences():
+    # the r-th entry of coordinate ijk's weight is its weight q_i + q_j - q_k at q = e_r
+    for n in (2, 3, 4):
+        at_units = zip(*(weights([int(m == r) for m in range(n)]) for r in range(n)))
+        assert torus_weights(n) == tuple(at_units)
 
 
 @pytest.mark.parametrize("ctx", [c for c in FINITE if c.order >= 5], ids=repr)

@@ -767,16 +767,23 @@ def test_norton_on_modules_that_are_not_absolutely_irreducible(make):
     ("K", GF3, "reducible"), ("Mstar", GF4, "reducible"), ("U", GF5, "irreducible")])
 def test_general_draws_alone_decide_the_canonical_modules(monkeypatch, name, ctx, verdict):
     # every draw general: the modules the exhaustive test was checked on keep
-    # their verdicts, and a witness is a proper submodule
+    # their verdicts, and a witness is a proper submodule; the handles are
+    # graded, so the random test is called by name
     h = module_handle(gens_for(ctx, 3), submodule(name, ctx, 3), label=name)
-    shift = spinmx._shift
-    monkeypatch.setattr(spinmx, "_shift", lambda theta, ctx, general: shift(theta, ctx, True))
+    shift, draws = spinmx._shift, []
+
+    def general(theta, ctx, _):
+        draws.append(theta)
+        return shift(theta, ctx, True)
+
+    monkeypatch.setattr(spinmx, "_shift", general)
     for seed in (0, 1, 7):
-        res = norton_irreducible(h, seed)
+        res = norton_random(h, seed)
         assert res.verdict == verdict
         if verdict == "reducible":
             assert Subspace.zero(ctx, 27) < res.witness < h.carrier
             assert is_generator_stable(res.witness, h.gens)
+    assert draws
 
 
 def test_general_shift_stops_at_the_least_degree_with_a_kernel():
