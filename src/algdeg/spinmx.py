@@ -807,27 +807,51 @@ def _simple_types(quotient, full, seed):
 def hom_space(ha, hb):
     """Dimension and basis of the space of module maps between two handles.
 
-    The unknowns are X (da x db, row by row) with A X = X B for each action
-    pair: entry (i, j) is row i of A on slots j::db minus column j of B on block i.
-    The pairs mean something only when both handles come from one generator
-    set, so different fields, `gens` or action counts are a ValueError.
+    A map is X (da x db) with A X = X B for each action pair, flattened row
+    by row.  A module map commutes with the torus, so on graded handles it
+    maps each weight class into the same class: X is zero off the blocks
+    ha.classes[i] == hb.classes[j], and only those entries are unknowns,
+    kept in row-major order.  Entry (i, j) of A X - X B gives a row over
+    them: A[i][k] at X_kj and -B[l][j] at X_il.  A row that meets no block
+    entry, as every row of a torus generator, is zero and dropped.  The
+    dense system has the same kernel, zero off the blocks, so the same free
+    columns, and `kernel_rows` returns the same reduced basis, scattered back
+    to the da*db layout.  An ungraded pair (either `classes` None) is one
+    block, the whole da x db system.  The pairs mean something only when
+    both handles come from one generator set, so different fields, `gens`
+    or action counts are a ValueError.
     """
     if ha.ctx != hb.ctx or ha.gens != hb.gens or len(ha.action) != len(hb.action):
         raise ValueError(f"{ha.label!r} and {hb.label!r} are over different generator sets")
     ctx = ha.ctx
     da, db = ha.dim, hb.dim
-    zero, one = ctx.zero(), ctx.one()
+    ca, cb = ha.classes, hb.classes
+    if ca is None or cb is None:
+        ca, cb = (0,) * da, (0,) * db
+    unknowns = [i * db + j for i in range(da) for j in range(db) if ca[i] == cb[j]]
+    slot = {x: p for p, x in enumerate(unknowns)}
+    in_col = [[(k, slot[k * db + j]) for k in range(da) if ca[k] == cb[j]] for j in range(db)]
+    in_row = [[(l, slot[i * db + l]) for l in range(db) if ca[i] == cb[l]] for i in range(da)]
+    zero, width = ctx.zero(), len(unknowns)
     rows = []
     for ga, gb in zip(ha.action, hb.action):
         cols = _transpose_rows(gb)
-        for i in range(da):
-            block = slice(i * db, (i + 1) * db)
-            for j in range(db):
-                row = [zero] * (da * db)
-                row[j::db] = ga[i]
-                row[block] = ctx.row_submul(row[block], cols[j], one)
-                rows.append(row)
-    basis = kernel_rows(rows, da * db, ctx)
+        for a, ls in zip(ga, in_row):
+            for b, ks in zip(cols, in_col):
+                row = [zero] * width
+                for k, p in ks:
+                    row[p] = a[k]
+                for l, p in ls:
+                    if b[l]:
+                        row[p] = ctx.sub(row[p], b[l])
+                if any(row):
+                    rows.append(row)
+    basis = []
+    for v in kernel_rows(rows, width, ctx):
+        x = [zero] * (da * db)
+        for p, c in zip(unknowns, v):
+            x[p] = c
+        basis.append(x)
     return len(basis), basis
 
 
