@@ -16,7 +16,7 @@ Dictionary of submodules for an n-dimensional algebra space over F:
     N = C^T                                    dim n^3/2 + n^2/2 - n
 """
 
-from .exactla import Subspace, combine, kernel_rows
+from .exactla import Subspace, combiner, kernel_rows
 from .report import claim
 from .structvec import (
     DualVector, StructureVector, flat, unit, tr, tr_op,
@@ -188,8 +188,7 @@ def _restricted_kernel(carrier, images, ctx):
     """
     # row kernel {x : x * images = 0} = right kernel of images^T
     imagesT = [list(col) for col in zip(*images)]
-    lifted = [combine(x, carrier.rows, ctx)
-              for x in kernel_rows(imagesT, len(images), ctx)]
+    lifted = map(combiner(carrier.rows, ctx), kernel_rows(imagesT, len(images), ctx))
     return Subspace(ctx, carrier.ambient, lifted)
 
 
@@ -362,38 +361,19 @@ def named_vector(name, ctx, n):
 
 def submodule(name, ctx, n):
     """Canonical submodule by name; 'MstarP:a,d' selects a projective piece."""
-    builders = {
-        "Lambda": lambda: Subspace.full(ctx, n ** 3),
-        "C": lambda: basis_C(ctx, n),
-        "K": lambda: basis_K(ctx, n),
-        "Mstar": lambda: basis_Mstar(ctx, n),
-        "Mstarstar": lambda: basis_Mstarstar(ctx, n),
-        "T": lambda: basis_T(ctx, n),
-        "Ttilde": lambda: basis_Ttilde(ctx, n),
-        "TcapTtilde": lambda: basis_TcapTtilde(ctx, n),
-        "N": lambda: basis_N(ctx, n),
-        "U": lambda: basis_U(ctx, n),
-        "0": lambda: Subspace.zero(ctx, n ** 3),
-    }
-    if name in builders:
-        return builders[name]()
-    point = parse_point(name, ctx)
-    if point is not None:
-        return basis_MstarP(ctx, n, point)
-    raise ValueError(f"unknown submodule name {name!r}")
+    return Bases(ctx, n)[name]
 
 
 class Bases:
     """The canonical submodules of one (field, n), each built on first use.
 
-    `bases[name]` accepts every name `submodule` does and returns the same
-    Subspace, and `bases[point]` the projective piece of M* at a
-    ProjectivePoint; a later lookup returns the same object, and every
-    spelling of a piece shares one.  The builds go through `submodule` and the
-    `basis_*` functions of this module, looked up when called, and U is cut
-    out of the shared K.  `meet(a, b)` intersects two of them once, for
-    every check of the cell that needs that intersection.  Nothing is kept
-    beyond the object itself.
+    `bases[name]` accepts every name `submodule` does, and `bases[point]` the
+    projective piece of M* at a ProjectivePoint; a later lookup returns the
+    same object, and every spelling of a piece shares one.  The builds go
+    through the `basis_*` functions of this module, looked up when called,
+    and U is cut out of the shared K.  `meet(a, b)` intersects two of them
+    once, for every check of the cell that needs that intersection.  Nothing
+    is kept beyond the object itself.
     """
 
     def __init__(self, ctx, n):
@@ -408,14 +388,28 @@ class Bases:
         return sub
 
     def _build(self, name):
+        ctx, n = self.ctx, self.n
         if isinstance(name, ProjectivePoint):
-            return basis_MstarP(self.ctx, self.n, name)
-        if name == "U":
-            return basis_U(self.ctx, self.n, self["K"])
-        point = parse_point(name, self.ctx)
+            return basis_MstarP(ctx, n, name)
+        builders = {
+            "Lambda": lambda: Subspace.full(ctx, n ** 3),
+            "C": lambda: basis_C(ctx, n),
+            "K": lambda: basis_K(ctx, n),
+            "Mstar": lambda: basis_Mstar(ctx, n),
+            "Mstarstar": lambda: basis_Mstarstar(ctx, n),
+            "T": lambda: basis_T(ctx, n),
+            "Ttilde": lambda: basis_Ttilde(ctx, n),
+            "TcapTtilde": lambda: basis_TcapTtilde(ctx, n),
+            "N": lambda: basis_N(ctx, n),
+            "U": lambda: basis_U(ctx, n, self["K"]),
+            "0": lambda: Subspace.zero(ctx, n ** 3),
+        }
+        if name in builders:
+            return builders[name]()
+        point = parse_point(name, ctx)
         if point is not None:
             return self[point]
-        return submodule(name, self.ctx, self.n)
+        raise ValueError(f"unknown submodule name {name!r}")
 
     def meet(self, a, b):
         """bases[a] & bases[b], computed on the first request for either order of a, b."""

@@ -33,7 +33,7 @@ from .canon import delta as delta_vector
 from .canon import eta as eta_vector
 from .canon import omega, predicate_C, predicate_Mstar, predicate_Mstarstar
 from .exactla import (
-    Echelon, GroupElement, Matrix, Subspace, combine, kernel_rows, solve_right,
+    Echelon, GroupElement, Matrix, Subspace, combiner, kernel_rows, solve_right,
 )
 from .gfield import primitive_element
 from .structvec import (
@@ -139,22 +139,23 @@ def _g5_closed_form(lam, spec):
 
     At the basis pair (e_i, e_j) it is (zeta_i r_j + zeta([e_i,z]) zeta_j) z
     - zeta_i zeta_j [z,z], with r_j = zeta([z,e_j]) + (alpha+1) zeta([z,z])
-    zeta_j.  Every contraction of lam is a `combine` of its slices, and the
-    outer products are a `row_scale` or a `combine` per block.
+    zeta_j.  Every contraction of lam is a `combiner` over its slices, and
+    the outer products are a `row_scale` per block or one `combiner`.
     """
     ctx, n = lam.ctx, lam.n
     z, zeta, src, nn = spec.z.coords, spec.zeta.coords, lam.coords, n * n
-    w = combine(zeta, [src[k::n] for k in range(n)], ctx)          # w[i,j] = zeta([e_i,e_j])
-    iz = combine(z, [w[j::n] for j in range(n)], ctx)              # zeta([e_i,z])
-    zj = combine(z, [w[i * n:i * n + n] for i in range(n)], ctx)   # zeta([z,e_j])
-    half = combine(z, [src[i * nn:i * nn + nn] for i in range(n)], ctx)
-    zz = combine(z, [half[j * n:j * n + n] for j in range(n)], ctx)  # [z,z]
+    w = combiner([src[k::n] for k in range(n)], ctx)(zeta)          # w[i,j] = zeta([e_i,e_j])
+    iz = combiner([w[j::n] for j in range(n)], ctx)(z)              # zeta([e_i,z])
+    zj = combiner([w[i * n:i * n + n] for i in range(n)], ctx)(z)   # zeta([z,e_j])
+    half = combiner([src[i * nn:i * nn + nn] for i in range(n)], ctx)(z)
+    zz = combiner([half[j * n:j * n + n] for j in range(n)], ctx)(z)  # [z,z]
     zeta_zz = spec.zeta(Vector(ctx, n, zz)).raw
     r = ctx.row_addmul(zj, zeta, ctx.mul(ctx.add(spec.alpha, ctx.one()), zeta_zz))
     x = ctx.row_submul(_outer(ctx, r, z), _outer(ctx, zeta, zz), ctx.one())
     y = _outer(ctx, zeta, z)
     # block i is zeta_i x + zeta([e_i,z]) y
-    coords = [v for a, b in zip(zeta, iz) for v in combine([a, b], [x, y], ctx)]
+    xy = combiner([x, y], ctx)
+    coords = [v for ab in zip(zeta, iz) for v in xy(ab)]
     return StructureVector(ctx, n, coords)
 
 
@@ -466,9 +467,10 @@ def reach_delta(lam, gens):
 def sample_in_between(ctx, n, inside, outside_pred, rng):
     """A random vector of `inside` failing `outside_pred` (rejection sampling)."""
     q = ctx.order
+    times = combiner(inside.rows, ctx)
     for _ in range(200):
         coeffs = [rng.randrange(q) for _ in inside.rows]
-        lam = StructureVector(ctx, n, combine(coeffs, inside.rows, ctx))
+        lam = StructureVector(ctx, n, times(coeffs))
         if not lam.is_zero() and not outside_pred(lam):
             return lam
     raise RuntimeError("rejection sampling failed; the strata are too thin")

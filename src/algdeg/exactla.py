@@ -11,11 +11,12 @@ operation rather than one per stored row.  There `add` inserts in one pass
 over the row's int view: it eliminates only when the row meets a pivot
 slot, reads the zero test and the new pivot off the int, and scales the
 pivot entry to 1 with one `translate`.  Over the list fields the stored
-rows are walked in pivot order.  `combine`, `reduce_against` and
+rows are walked in pivot order.  `combiner`, `reduce_against` and
 `Echelon.add` hand back packed rows for further elimination; the results
 that leave the engine, `rref_rows` rows, `Subspace.rows` and
-`Matrix.entries`, stay lists and tuples of raw scalars.  Subspace keeps the canonical reduced row-echelon basis, so equal
-subspaces compare equal as data, together with the `Echelon` over it.
+`Matrix.entries`, stay lists and tuples of raw scalars.  Subspace keeps the
+canonical reduced row-echelon basis, so equal subspaces compare equal as
+data, together with the `Echelon` over it.
 Pivots are first nonzero entries: exact arithmetic makes stability a
 non-issue and the unique reduced form makes outputs diffable.
 """
@@ -38,18 +39,6 @@ def rref_rows(rows, ctx):
 def reduce_against(vec, rows, pivots, ctx):
     """Residual of vec after elimination against rref rows, as a packed row."""
     return Echelon.from_rref(ctx, len(vec), rows, pivots).reduce(vec)
-
-
-def combine(coeffs, rows, ctx):
-    """sum_i coeffs[i] * rows[i] as a packed row, skipping zero coefficients."""
-    if ctx.packed:
-        return ctx.row_combine([(c, int.from_bytes(r, "big"))
-                                for c, r in zip(coeffs, rows) if c], len(rows[0]))
-    out = [ctx.zero()] * len(rows[0])
-    for c, row in zip(coeffs, rows):
-        if c:
-            out = ctx.row_addmul(out, row, c)
-    return out
 
 
 class Echelon:
@@ -217,12 +206,22 @@ def reduce_with_coeffs(vec, rows, pivots, ctx):
 
 
 def combiner(rows, ctx):
-    """coeffs -> combine(coeffs, rows, ctx), with the rows read into the kernel's form once."""
-    if not ctx.packed:
-        return lambda coeffs: combine(coeffs, rows, ctx)
-    ints = [int.from_bytes(r, "big") for r in rows]
+    """coeffs -> sum_i coeffs[i] * rows[i] as a packed row, skipping zero coefficients.
+
+    The rows are read into the kernel's form once, when the combiner is made.
+    """
     d = len(rows[0]) if rows else 0
-    return lambda coeffs: ctx.row_combine(zip(coeffs, ints), d)
+    if ctx.packed:
+        ints = [int.from_bytes(r, "big") for r in rows]
+        return lambda coeffs: ctx.row_combine(zip(coeffs, ints), d)
+
+    def times(coeffs):
+        out = [ctx.zero()] * d
+        for c, row in zip(coeffs, rows):
+            if c:
+                out = ctx.row_addmul(out, row, c)
+        return out
+    return times
 
 
 class Matrix:
@@ -281,8 +280,8 @@ class Matrix:
             raise ValueError("shape mismatch in matrix product")
         if other.nrows == 0:
             return Matrix.zeros(self.ctx, self.nrows, other.ncols)
-        orows = other.rows()
-        flat = [x for i in range(self.nrows) for x in combine(self.row(i), orows, self.ctx)]
+        times = combiner(other.rows(), self.ctx)
+        flat = [x for i in range(self.nrows) for x in times(self.row(i))]
         return Matrix(self.ctx, self.nrows, other.ncols, flat)
 
     def __mul__(self, other):

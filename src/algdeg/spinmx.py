@@ -58,12 +58,13 @@ from functools import cached_property
 from itertools import chain, compress, product as iproduct
 from typing import Optional
 
+from . import canon
 from .exactla import (
     Echelon, GroupElement, Matrix, Subspace, combiner, kernel_rows,
 )
 from .gfield import FieldCtx, primitive_element
 from .report import claim, norton_claim
-from .structvec import act, act_coords, weight_classes
+from .structvec import act, act_coords, tr_matrix_rows, tr_op_matrix_rows, weight_classes
 
 LINE_CAP = 128           # max kernel lines spun for one shift of a theta draw
 NORTON_ATTEMPTS = 64
@@ -436,11 +437,11 @@ def _transpose_rows(rows):
     return [list(col) for col in zip(*rows)]
 
 
-def _lines_of(rows, ctx, cap):
-    """All scalar-line representatives inside the span of independent rows."""
+def _lines_of(rows, ctx):
+    """All scalar-line representatives in the span of independent rows; None past `LINE_CAP`."""
     k = len(rows)
     q = ctx.order
-    if (q ** k - 1) // (q - 1) > cap:
+    if (q ** k - 1) // (q - 1) > LINE_CAP:
         return None
     return list(map(combiner(rows, ctx), _all_lines(ctx, k)))
 
@@ -512,7 +513,7 @@ def _deciding_lines(ker, e, d, ctx):
     """
     if len(ker) == e:
         return ker[:1]
-    return _lines_of(ker, ctx, LINE_CAP) if len(ker) < d else None
+    return _lines_of(ker, ctx) if len(ker) < d else None
 
 
 def _degree_shift(theta, ctx):
@@ -593,7 +594,7 @@ def norton_irreducible(handle, seed):
     module or more than `LINE_CAP` lines, takes the random test.
     """
     units = _smallest_weight_space(handle)
-    lines = None if units is None else _lines_of(units, handle.ctx, LINE_CAP)
+    lines = None if units is None else _lines_of(units, handle.ctx)
     if lines is None:
         return norton_random(handle, seed)
     detail = {"weight_space": len(units)}
@@ -705,8 +706,7 @@ def composition_series(chain, gens, seed):
     certified = True
     conclusive = True
     for i, (a, b) in enumerate(zip(chain, chain[1:])):
-        handle = module_handle(gens, b, sub=a if a.dim else None,
-                               label=f"factor{i}")
+        handle = module_handle(gens, b, sub=a, label=f"factor{i}")
         res = norton_irreducible(handle, derive_seed(seed, "series", i))
         facts = {
             "index": i,
@@ -869,9 +869,6 @@ def verify_lattice_diagrams(bases, gens, seed):
     N's verdict, and holds when the split N (+) M** = Lambda, the quotient's
     dimension and the stability of M** do.
     """
-    from . import canon
-    from .structvec import tr_matrix_rows, tr_op_matrix_rows
-
     check_cell_shape(bases, gens)
     ctx, n = bases.ctx, bases.n
     if ctx.kind != "finite" or ctx.order <= 2:

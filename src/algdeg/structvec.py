@@ -18,7 +18,7 @@ one cached mask and one shift (`FieldCtx.row_shift_add`), and a diagonal is
 one cached mask per distinct scalar d_i d_j d_k^-1 (`FieldCtx.row_slot_scale`).
 The general path, the actions on V and its dual, and transvections and
 diagonals over the list fields are slice updates through the field's row
-kernels (`row_submul`, `row_scale`, `combine`): on a `bytearray` where
+kernels (`row_submul`, `row_scale`, `combiner`): on a `bytearray` where
 `FieldCtx.packed` holds, on a list otherwise.  Over packed fields
 `act_coords` returns `bytes`; `StructureVector.coords` is always a list.
 """
@@ -26,7 +26,7 @@ kernels (`row_submul`, `row_scale`, `combine`): on a `bytearray` where
 from functools import lru_cache
 from operator import itemgetter
 
-from .exactla import Matrix, combine
+from .exactla import Matrix, combiner
 from .gfield import FieldCtx, FieldElement
 
 
@@ -275,15 +275,15 @@ def _act_general(coords, gmat, ginv, n, ctx):
 
     def contract_first(src):
         out = _work(src, ctx)
-        blocks = [src[a:a + nn] for a in range(0, n * nn, nn)]
+        times = combiner([src[a:a + nn] for a in range(0, n * nn, nn)], ctx)
         for i in range(n):
-            out[i * nn:i * nn + nn] = combine(gm[i::n], blocks, ctx)
+            out[i * nn:i * nn + nn] = times(gm[i::n])
         return out
 
     out = _swap_ij(contract_first(_swap_ij(contract_first(coords), n, ctx)), n, ctx)
-    cols = [out[c::n] for c in range(n)]
+    times = combiner([out[c::n] for c in range(n)], ctx)
     for k in range(n):
-        out[k::n] = combine(gi[k * n:k * n + n], cols, ctx)
+        out[k::n] = times(gi[k * n:k * n + n])
     return ctx.pack(out)
 
 
@@ -412,14 +412,14 @@ def vector_act(g, v):
     """Left action on V: coordinates [g][v], the columns of [g] combined by v."""
     _check_element(g, v)
     gm, n = g.mat.entries, v.n
-    return v._like(combine(v.coords, [gm[j::n] for j in range(n)], v.ctx))
+    return v._like(combiner([gm[j::n] for j in range(n)], v.ctx)(v.coords))
 
 
 def dual_act(phi, g):
     """Right action on the dual: row vector times [g], the rows of [g] combined by phi."""
     _check_element(g, phi)
     gm, n = g.mat.entries, phi.n
-    return phi._like(combine(phi.coords, [gm[i * n:i * n + n] for i in range(n)], phi.ctx))
+    return phi._like(combiner([gm[i * n:i * n + n] for i in range(n)], phi.ctx)(phi.coords))
 
 
 # -- algebra structure ------------------------------------------------------

@@ -385,10 +385,15 @@ def test_submodule_name_parser():
         submodule("bogus", GF5, 3)
 
 
-# -- Bases: one build per submodule, the same subspaces as `submodule` ---------
+# -- Bases: one build per submodule, the subspace of its `basis_*` builder ------
 
-BASES_NAMES = ("Lambda", "0", "C", "K", "Mstar", "Mstarstar", "T", "Ttilde", "TcapTtilde",
-               "N", "U")
+BASES_BUILDERS = {
+    "Lambda": lambda ctx, n: Subspace.full(ctx, n ** 3),
+    "0": lambda ctx, n: Subspace.zero(ctx, n ** 3),
+    "C": basis_C, "K": basis_K, "Mstar": basis_Mstar, "Mstarstar": basis_Mstarstar,
+    "T": basis_T, "Ttilde": basis_Ttilde, "TcapTtilde": basis_TcapTtilde,
+    "N": basis_N, "U": basis_U,
+}
 BASES_CASES = ([(make_field(p, k), 3) for p, k in
                 ((2, 2), (2, 3), (3, 2), (5, 2), (2, 1), (3, 1), (5, 1), (7, 1), (11, 1),
                  (13, 1))]
@@ -398,17 +403,18 @@ BASES_CASES = ([(make_field(p, k), 3) for p, k in
 @pytest.mark.parametrize("ctx,n", BASES_CASES, ids=lambda x: repr(x))
 def test_bases_match_submodule_and_are_built_once(ctx, n):
     bases = canon.Bases(ctx, n)
-    for name in BASES_NAMES:
+    for name, build in BASES_BUILDERS.items():
         sub = bases[name]
-        assert sub == submodule(name, ctx, n), name
+        assert sub == build(ctx, n), name
         assert bases[name] is sub, name
     # every spelling of a projective piece with integer coordinates shares one object
     for a, d in [(1, x) for x in range(ctx.char)] + [(0, 1)]:
         spellings = [f"MstarP:{a},{d}", f"MstarP({a},{d})", f"Mstar({a},{d})"]
+        point = ProjectivePoint(ctx, ctx.from_int(a), ctx.from_int(d))
         sub = bases[spellings[0]]
-        assert sub == submodule(spellings[0], ctx, n)
+        assert sub == basis_MstarP(ctx, n, point)
         assert all(bases[s] is sub for s in spellings)
-        assert bases[ProjectivePoint(ctx, ctx.from_int(a), ctx.from_int(d))] is sub
+        assert bases[point] is sub
     for point in ProjectivePoint.enumerate(ctx):
         sub = bases[point]
         assert sub == basis_MstarP(ctx, n, point)

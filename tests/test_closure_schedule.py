@@ -17,7 +17,7 @@ from algdeg.canon import (
     basis_K, basis_Mstar, basis_N, basis_U, delta, eta, predicate_Mstarstar, submodule,
 )
 from algdeg.degen import _reach_member, _weight_class_translates, sample_in_between
-from algdeg.exactla import Echelon, Subspace, combine
+from algdeg.exactla import Echelon, Subspace, combiner
 from algdeg.gfield import make_field
 from algdeg.spinmx import (
     _first_proper_spin, _handle_appliers, _span_closure, _structvec_appliers,
@@ -76,8 +76,8 @@ def _random_vector(ctx, n, rng, sub=None):
     if sub is None:
         return StructureVector(ctx, n, [ctx.from_int(rng.randrange(ctx.order or 5))
                                         for _ in range(n ** 3)])
-    return StructureVector(ctx, n, combine([ctx.from_int(rng.randrange(ctx.order or 5))
-                                            for _ in sub.rows], sub.rows, ctx))
+    return StructureVector(ctx, n, combiner(sub.rows, ctx)(
+        [ctx.from_int(rng.randrange(ctx.order or 5)) for _ in sub.rows]))
 
 
 def _same(new, old):

@@ -15,7 +15,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from algdeg import cli, spinmx
 from algdeg.exactla import (
-    Echelon, GroupElement, Matrix, Subspace, combine, combiner, quotient_coords,
+    Echelon, GroupElement, Matrix, Subspace, combiner, quotient_coords,
     reduce_with_coeffs, rref_rows,
 )
 from algdeg.gfield import make_field
@@ -340,10 +340,10 @@ def test_echelon_on_mixed_rows_matches_all_list_input(ctx, data):
         assert all(s[p] == ctx.zero() for s in sub.rows if s is not r)
 
 
-# -- jump elimination and lazily reduced combine ------------------------------------------
+# -- jump elimination and lazily reduced combiner -----------------------------------------
 #
 # Over packed fields `Echelon.reduce` runs `FieldCtx.row_eliminate` on int views
-# and `combine` runs `FieldCtx.row_combine`, both reducing slots mod p only
+# and `combiner` runs `FieldCtx.row_combine`, both reducing slots mod p only
 # every `_lazy_terms` terms.  The references below run the textbook loops on
 # the scalar operations alone.
 
@@ -520,7 +520,6 @@ def test_combine_matches_the_list_reference(ctx, data):
     want = ref_combine(ctx, coeffs, rows)
     for form in range(len(_forms(ctx, rows[0]))):
         shaped = [_forms(ctx, r)[form] for r in rows]
-        assert list(combine(coeffs, shaped, ctx)) == want
         assert list(combiner(shaped, ctx)(coeffs)) == want
         assert list(combiner(shaped, ctx)(bytes(coeffs) if ctx.packed else coeffs)) == want
 
@@ -569,7 +568,7 @@ def test_gf13_reduces_before_every_further_term(monkeypatch):
     assert calls                                    # K = 1: a reduction per term after the first
     coeffs = [rng.randrange(1, 13) for _ in rows]
     del calls[:]
-    assert list(combine(coeffs, rows, ctx)) == ref_combine(ctx, coeffs, rows)
+    assert list(combiner(rows, ctx)(coeffs)) == ref_combine(ctx, coeffs, rows)
     assert len(calls) == len(rows) - 1
 
 
@@ -584,7 +583,7 @@ def test_gf5_reduces_midway_after_fifteen_row_operations(monkeypatch):
     assert list(res) == ref_reduce(ctx, [1] * d, rows, list(range(20))) == [0] * 20 + [1]
     assert len(calls) == 1                          # after the 15th of 20 row operations
     del calls[:]
-    assert list(combine([4] * 20, rows, ctx)) == ref_combine(ctx, [4] * 20, rows)
+    assert list(combiner(rows, ctx)([4] * 20)) == ref_combine(ctx, [4] * 20, rows)
     assert len(calls) == 1
 
 
@@ -613,7 +612,7 @@ def test_gf2k_scales_the_row_when_the_pivot_entry_is_not_one(ctx):
         assert list(ech.reduce(w)) == ref_reduce(ctx, w, [list(r) for r in ech.rows],
                                                  ech.pivots)
         coeffs = [c] * len(rows)
-        assert list(combine(coeffs, rows, ctx)) == ref_combine(ctx, coeffs, rows)
+        assert list(combiner(rows, ctx)(coeffs)) == ref_combine(ctx, coeffs, rows)
 
 
 # -- no bytes leave the engine -----------------------------------------------------------

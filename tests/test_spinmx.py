@@ -9,7 +9,7 @@ import pytest
 from algdeg import spinmx
 from algdeg.cli import main
 from algdeg.gfield import make_field
-from algdeg.exactla import Subspace, combine, combiner, kernel_rows, random_invertible
+from algdeg.exactla import Subspace, combiner, kernel_rows, random_invertible
 from algdeg.gamma2 import gamma_handle
 from algdeg.structvec import StructureVector, act, unit
 from algdeg.canon import (
@@ -194,7 +194,7 @@ def test_spin_contains_probe():
         full = spin(lam, gens)
         rng = random.Random(7)
         for _ in range(20):
-            late = combine([rng.randrange(ctx.order) for _ in full.rows], full.rows, ctx)
+            late = combiner(full.rows, ctx)([rng.randrange(ctx.order) for _ in full.rows])
             ech, hit = _span_closure([lam.coords], _structvec_appliers(gens), 27, ctx,
                                      probe=late)
             if hit and ech.dim == full.dim:
@@ -265,13 +265,13 @@ def test_norton_lemma_one_dual_vector_decides():
         for _ in range(300):
             theta = _random_envelope(h, rng)
             ker = kernel_rows(_transpose_rows(theta), d, ctx)
-            lines = _lines_of(ker, ctx, spinmx.LINE_CAP) if 0 < len(ker) < d else None
+            lines = _lines_of(ker, ctx) if 0 < len(ker) < d else None
             if lines is None or _first_proper_spin(h.action, lines, d, ctx) is not None:
                 continue
             ker_t = kernel_rows(theta, d, ctx)
             assert len(ker_t) == len(ker)
             full = {_first_proper_spin(action_t, [v], d, ctx) is None
-                    for v in _lines_of(ker_t, ctx, spinmx.LINE_CAP)}
+                    for v in _lines_of(ker_t, ctx)}
             assert full == {irreducible}, h.label
             decided += 1
             if decided == 8:
@@ -420,8 +420,8 @@ def test_hom_space_basis_maps_commute_with_every_generator(ctx):
     for vec in basis:
         x = [vec[i * db:(i + 1) * db] for i in range(da)]
         for a, b in zip(ha.action, hb.action):
-            assert ([list(combine(r, x, ctx)) for r in a]
-                    == [list(combine(r, b, ctx)) for r in x])
+            assert ([list(combiner(x, ctx)(r)) for r in a]
+                    == [list(combiner(b, ctx)(r)) for r in x])
 
 
 @pytest.mark.parametrize("ctx,n", [(GF5, 3), (GF3, 3)])
