@@ -20,7 +20,7 @@ from .exactla import Subspace, combiner, kernel_rows
 from .report import claim
 from .structvec import (
     DualVector, StructureVector, flat, unit, tr, tr_op,
-    tr_matrix_rows, tr_op_matrix_rows, zero_structure_vector,
+    tr_matrix_rows, tr_op_matrix_rows,
 )
 
 
@@ -232,21 +232,6 @@ def epsilon_tilde(ctx, n, a):
     for j in range(1, n + 1):
         coords[flat(n, a, j, j)] = ctx.one()
     return StructureVector(ctx, n, coords)
-
-
-def mu_alpha_delta(alpha, delta):
-    """Structure vector of the product [u,v] = alpha(v)u + delta(u)v."""
-    ctx, n = alpha.ctx, alpha.n
-    if delta.ctx != ctx or delta.n != n:
-        raise ValueError("covector pair over mismatched spaces")
-    out = zero_structure_vector(ctx, n)
-    for a in range(1, n + 1):
-        ca, cd = alpha.coords[a - 1], delta.coords[a - 1]
-        if ca != ctx.zero():
-            out = out + epsilon(ctx, n, a).scale(ca)
-        if cd != ctx.zero():
-            out = out + epsilon_tilde(ctx, n, a).scale(cd)
-    return out
 
 
 def basis_Mstar(ctx, n):

@@ -283,9 +283,7 @@ def cmd_verify_all(args):
 def _verify_cell(report, args, ctx, n):
     """Every suite for one (n, field), sharing one generator set and one Bases."""
     tag = f"n{n}.q{_field_label(ctx)}"
-    if ctx.kind == "finite" and ctx.order <= 2:
-        report.skip_all([(f"{tag}.all-claims", "every suite for this field")],
-                        "|F| > 2 required")
+    if _small_field_guard(report, ctx, [(f"{tag}.all-claims", "every suite for this field")]):
         return
     gens = spinmx.standard_generators(ctx, n)
     bases = canon.Bases(ctx, n)
@@ -349,10 +347,9 @@ def build_parser():
     def add_parser(name, **kw):
         return sub.add_parser(name, parents=[shared], **kw)
 
-    def common(sp, needs_field=True):
+    def common(sp):
         sp.add_argument("--n", type=dimension_arg, default=3)
-        if needs_field:
-            sp.add_argument("--field", type=field_spec, required=True)
+        sp.add_argument("--field", type=field_spec, required=True)
 
     sp = add_parser("dims", help="dimension table against the closed forms")
     common(sp)

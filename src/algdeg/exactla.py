@@ -553,16 +553,3 @@ class GroupElement:
 
     def __repr__(self):
         return f"GroupElement({self.n}x{self.n} over {self.ctx!r})"
-
-
-def random_invertible(ctx, n, rng):
-    """Uniform-ish random GroupElement: resample raw matrices until invertible."""
-    q = ctx.order
-    while True:
-        rows = [[rng.randrange(q) for _ in range(n)] for _ in range(n)]
-        m = Matrix.from_rows(ctx, rows)
-        try:
-            inv = m.inverse()
-        except ValueError:
-            continue
-        return GroupElement(m, inv)

@@ -543,11 +543,6 @@ def make_field(char, degree=1):
     return FieldCtx(char, degree)
 
 
-def enumerate_elements(ctx):
-    """All elements of a finite field in ascending repr order, starting at 0."""
-    return list(ctx)
-
-
 def multiplicative_order(ctx, raw):
     if raw == 0:
         raise ValueError("0 has no multiplicative order")

@@ -16,17 +16,17 @@ transvection x_rs(t) is three whole-row steps on the row's int view (block s
 += t*block r, run s += t*run r in every block, column r -= t*column s), each
 one cached mask and one shift (`FieldCtx.row_shift_add`), and a diagonal is
 one cached mask per distinct scalar d_i d_j d_k^-1 (`FieldCtx.row_slot_scale`).
-The general path, the actions on V and its dual, and transvections and
-diagonals over the list fields are slice updates through the field's row
-kernels (`row_submul`, `row_scale`, `combiner`): on a `bytearray` where
-`FieldCtx.packed` holds, on a list otherwise.  Over packed fields
+The general path, and transvections and diagonals over the list fields,
+are slice updates through the field's row kernels (`row_submul`,
+`row_scale`, `combiner`): on a `bytearray` where `FieldCtx.packed` holds,
+on a list otherwise.  Over packed fields
 `act_coords` returns `bytes`; `StructureVector.coords` is always a list.
 """
 
 from functools import lru_cache
 from operator import itemgetter
 
-from .exactla import Matrix, combiner
+from .exactla import combiner
 from .gfield import FieldCtx, FieldElement
 
 
@@ -197,10 +197,6 @@ class DualVector(_Coords):
         return f"DualVector({self.coords})"
 
 
-def zero_structure_vector(ctx, n):
-    return StructureVector(ctx, n, [ctx.zero()] * n ** 3)
-
-
 def unit(ctx, n, a, b, c):
     """The standard basis vector 'abc': coordinate 1 at (a, b, c)."""
     coords = [ctx.zero()] * n ** 3
@@ -218,13 +214,6 @@ def basis_vector(ctx, n, i):
     coords = [ctx.zero()] * n
     coords[i - 1] = ctx.one()
     return Vector(ctx, n, coords)
-
-
-def dual_basis_vector(ctx, n, i):
-    _check_index(n, i)
-    coords = [ctx.zero()] * n
-    coords[i - 1] = ctx.one()
-    return DualVector(ctx, n, coords)
 
 
 # -- the right action -----------------------------------------------------
@@ -376,63 +365,7 @@ def act(lam, g):
     return lam._like(act_coords(lam.coords, g, lam.n, lam.ctx))
 
 
-def act_on_basis(ctx, n, a, b, c, g):
-    """Direct expansion of the basis action: abc*g = sum g_ai g_bj (g^-1)_kc ijk."""
-    if not (1 <= a <= n and 1 <= b <= n and 1 <= c <= n):
-        raise ValueError("basis indices out of range")
-    if g.n != n or g.ctx != ctx:
-        raise ValueError("group element does not match the structure space")
-    zero = ctx.zero()
-    mul, add = ctx.mul, ctx.add
-    gm, gi = g.mat.entries, g.inv.entries
-    coords = [zero] * n ** 3
-    f = 0
-    for i in range(n):
-        ga = gm[(a - 1) * n + i]
-        for j in range(n):
-            gab = mul(ga, gm[(b - 1) * n + j])
-            for k in range(n):
-                coords[f] = add(coords[f], mul(gab, gi[k * n + (c - 1)]))
-                f += 1
-    return StructureVector(ctx, n, coords)
-
-
-def action_matrix(g, n):
-    """The n^3 x n^3 matrix of the action, rows indexed by source basis triples."""
-    ctx = g.ctx
-    rows = []
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            for c in range(1, n + 1):
-                rows.append(act_on_basis(ctx, n, a, b, c, g).coords)
-    return Matrix.from_rows(ctx, rows)
-
-
-def vector_act(g, v):
-    """Left action on V: coordinates [g][v], the columns of [g] combined by v."""
-    _check_element(g, v)
-    gm, n = g.mat.entries, v.n
-    return v._like(combiner([gm[j::n] for j in range(n)], v.ctx)(v.coords))
-
-
-def dual_act(phi, g):
-    """Right action on the dual: row vector times [g], the rows of [g] combined by phi."""
-    _check_element(g, phi)
-    gm, n = g.mat.entries, phi.n
-    return phi._like(combiner([gm[i * n:i * n + n] for i in range(n)], phi.ctx)(phi.coords))
-
-
 # -- algebra structure ------------------------------------------------------
-
-def opposite(lam):
-    """Structure vector of the opposite algebra: indices (i,j,k) -> (j,i,k)."""
-    return lam._like(_swap_ij(lam.coords, lam.n, lam.ctx))
-
-
-def plus_tilde(lam):
-    """lam + opposite(lam); lands in the commutative submodule."""
-    return lam + opposite(lam)
-
 
 def product(lam, u, v):
     """The algebra product [u, v] determined by lam, as a Vector."""
@@ -481,16 +414,6 @@ def tr(lam):
 def tr_op(lam):
     """Opposite trace functional: i-th coordinate sum_j lam_jij."""
     return _trace(lam, True)
-
-
-def trace_form(lam, u):
-    """The pairing tr(lam, u) = trace of w -> [u, w]."""
-    return tr(lam)(u)
-
-
-def psi(lam):
-    """tr + tr~ (vanishes on the commutative part in characteristic 2)."""
-    return tr(lam) + tr_op(lam)
 
 
 def _trace_rows(ctx, n, opposite):

@@ -1,0 +1,105 @@
+"""Reference constructions the tests compare `algdeg` against.
+
+These are the slow, direct versions of maps that `algdeg` computes another
+way, plus helpers that build test data.  The commands never call them, so
+they live here rather than in `src/`.  Pytest does not collect this module;
+tests import from it the way they import `FIELDS` from `test_packed`:
+
+    from oracles import act_on_basis, dual_act
+"""
+
+from algdeg.canon import epsilon, epsilon_tilde
+from algdeg.exactla import GroupElement, Matrix, combiner
+from algdeg.structvec import (
+    DualVector, StructureVector, _check_element, _check_index, _swap_ij,
+)
+
+
+def act_on_basis(ctx, n, a, b, c, g):
+    """Direct expansion of the basis action: abc*g = sum g_ai g_bj (g^-1)_kc ijk."""
+    if not (1 <= a <= n and 1 <= b <= n and 1 <= c <= n):
+        raise ValueError("basis indices out of range")
+    if g.n != n or g.ctx != ctx:
+        raise ValueError("group element does not match the structure space")
+    zero = ctx.zero()
+    mul, add = ctx.mul, ctx.add
+    gm, gi = g.mat.entries, g.inv.entries
+    coords = [zero] * n ** 3
+    f = 0
+    for i in range(n):
+        ga = gm[(a - 1) * n + i]
+        for j in range(n):
+            gab = mul(ga, gm[(b - 1) * n + j])
+            for k in range(n):
+                coords[f] = add(coords[f], mul(gab, gi[k * n + (c - 1)]))
+                f += 1
+    return StructureVector(ctx, n, coords)
+
+
+def action_matrix(g, n):
+    """The n^3 x n^3 matrix of the action, rows indexed by source basis triples."""
+    ctx = g.ctx
+    rows = []
+    for a in range(1, n + 1):
+        for b in range(1, n + 1):
+            for c in range(1, n + 1):
+                rows.append(act_on_basis(ctx, n, a, b, c, g).coords)
+    return Matrix.from_rows(ctx, rows)
+
+
+def vector_act(g, v):
+    """Left action on V: coordinates [g][v], the columns of [g] combined by v."""
+    _check_element(g, v)
+    gm, n = g.mat.entries, v.n
+    return v._like(combiner([gm[j::n] for j in range(n)], v.ctx)(v.coords))
+
+
+def dual_act(phi, g):
+    """Right action on the dual: row vector times [g], the rows of [g] combined by phi."""
+    _check_element(g, phi)
+    gm, n = g.mat.entries, phi.n
+    return phi._like(combiner([gm[i * n:i * n + n] for i in range(n)], phi.ctx)(phi.coords))
+
+
+def dual_basis_vector(ctx, n, i):
+    _check_index(n, i)
+    coords = [ctx.zero()] * n
+    coords[i - 1] = ctx.one()
+    return DualVector(ctx, n, coords)
+
+
+def opposite(lam):
+    """Structure vector of the opposite algebra: indices (i,j,k) -> (j,i,k)."""
+    return lam._like(_swap_ij(lam.coords, lam.n, lam.ctx))
+
+
+def zero_structure_vector(ctx, n):
+    return StructureVector(ctx, n, [ctx.zero()] * n ** 3)
+
+
+def mu_alpha_delta(alpha, delta):
+    """Structure vector of the product [u,v] = alpha(v)u + delta(u)v."""
+    ctx, n = alpha.ctx, alpha.n
+    if delta.ctx != ctx or delta.n != n:
+        raise ValueError("covector pair over mismatched spaces")
+    out = zero_structure_vector(ctx, n)
+    for a in range(1, n + 1):
+        ca, cd = alpha.coords[a - 1], delta.coords[a - 1]
+        if ca != ctx.zero():
+            out = out + epsilon(ctx, n, a).scale(ca)
+        if cd != ctx.zero():
+            out = out + epsilon_tilde(ctx, n, a).scale(cd)
+    return out
+
+
+def random_invertible(ctx, n, rng):
+    """Uniform-ish random GroupElement: resample raw matrices until invertible."""
+    q = ctx.order
+    while True:
+        rows = [[rng.randrange(q) for _ in range(n)] for _ in range(n)]
+        m = Matrix.from_rows(ctx, rows)
+        try:
+            inv = m.inverse()
+        except ValueError:
+            continue
+        return GroupElement(m, inv)

@@ -7,8 +7,9 @@ import pytest
 from algdeg.gfield import make_field
 from algdeg.exactla import (
     Echelon, Matrix, Subspace, GroupElement, null_space, kernel_rows,
-    quotient_coords, random_invertible, rref_rows,
+    quotient_coords, rref_rows,
 )
+from oracles import random_invertible
 from test_packed import FIELDS
 
 GF3 = make_field(3)

@@ -4,7 +4,7 @@ import pytest
 
 from algdeg import gamma2
 from algdeg.gfield import make_field, primitive_element
-from algdeg.exactla import Echelon, GroupElement, Matrix, random_invertible
+from algdeg.exactla import Echelon, GroupElement, Matrix
 from algdeg.structvec import StructureVector, act, unit
 from algdeg.canon import Bases, basis_C, basis_K, basis_N, basis_U
 from algdeg.spinmx import norton_irreducible, standard_generators
@@ -13,6 +13,7 @@ from algdeg.gamma2 import (
     eq15_identity_holds, gamma_handle, replay_irreducible_from, sigma,
     sigma_gmap_claims, star, verify_gamma_irreducible,
 )
+from oracles import random_invertible
 
 GF4 = make_field(2, 2)
 GF8 = make_field(2, 3)

@@ -1,8 +1,13 @@
-"""Every imported name is used: an `ast` scan of the package and its tests.
+"""Every imported name is used, and every name `src/algdeg` defines is read there.
 
-An import binding counts as used when the module reads the name anywhere
-(a bare name, or the base of an attribute chain) or lists it in `__all__`.
-No linter ships with the test dependencies, so this scan stands in for one.
+Two `ast` scans stand in for a linter, since none ships with the test
+dependencies.  An import binding counts as used when the module reads the
+name anywhere (a bare name, or the base of an attribute chain) or lists it in
+`__all__`.  A module-level function or class of `src/algdeg`, or a non-dunder
+method of such a class, counts as read when code of the package that is
+itself read (or runs at import) reads its name as an `ast.Name` or
+`ast.Attribute` outside its own definition.  Code only the tests need
+belongs in `tests/oracles.py`, not in `src/`.
 """
 
 import ast
@@ -10,10 +15,33 @@ import os
 
 import pytest
 
+import algdeg
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-MODULES = sorted(os.path.join(d, f) for d in (os.path.join(ROOT, "src", "algdeg"),
-                                              os.path.join(ROOT, "tests"))
+SRC = os.path.join(ROOT, "src", "algdeg")
+MODULES = sorted(os.path.join(d, f) for d in (SRC, os.path.join(ROOT, "tests"))
                  for f in os.listdir(d) if f.endswith(".py"))
+
+# Definitions nothing in the package reads, each with the reason it stays.
+# The classes in `algdeg.__all__` and their methods need no entry: they are
+# the API (`Subspace.quotient_dim`, which the tracer wraps, is one of them).
+TRACED = "perfbench/tracing.py wraps it; goes once the benchmark drops the name"
+UNREAD_ALLOWED = {
+    **{f"cli.cmd_{c}": "looked up by name from the subcommand"
+       for c in ("dims", "canon", "spin", "survey", "series", "lattice", "degen",
+                 "gamma", "verify_all")},
+    "exactla.reduce_against": TRACED,
+    "exactla.reduce_with_coeffs": TRACED,
+    "exactla.quotient_coords": TRACED,
+    "exactla.null_space": TRACED,
+    "canon.omega_preimage": TRACED,
+    "canon.predicate_K": TRACED,
+    "spinmx.handle_spin": TRACED,
+    "spinmx.close_subspace": TRACED,
+    "gamma2.replay_irreducible_from": TRACED,
+    "canon.ProjectivePoint.enumerate": "perfbench/workloads.py reads it",
+    "spinmx.rational_generators": "the generators over Q that ROADMAP item 6 builds on",
+}
 
 
 def unused_imports(source):
@@ -45,3 +73,105 @@ def test_the_scan_flags_only_unused_names():
 def test_every_import_is_used(path):
     with open(path) as fh:
         assert unused_imports(fh.read()) == []
+
+
+def definitions(tree):
+    """(qualified name, owner, node) of each module-level function or class,
+    and of each non-dunder method of such a class (owner: its class)."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, None, node
+        if isinstance(node, ast.ClassDef):
+            for m in node.body:
+                if isinstance(m, ast.FunctionDef) and not m.name.startswith("__"):
+                    yield f"{node.name}.{m.name}", node.name, m
+
+
+def _local_names(fn):
+    """The parameters of a function or lambda, and the names assigned in it."""
+    a = fn.args
+    params = a.posonlyargs + a.args + a.kwonlyargs + [x for x in (a.vararg, a.kwarg) if x]
+    return ({p.arg for p in params}
+            | {x.id for x in ast.walk(fn) if isinstance(x, ast.Name)
+               and isinstance(x.ctx, ast.Store)})
+
+
+def reads(node, skip=()):
+    """("name", id) for each `ast.Name` read that no enclosing function binds,
+    and ("attr", attr) for each `ast.Attribute`, under `node`, not descending
+    into the nodes in `skip`."""
+    todo = [(node, frozenset())]
+    while todo:
+        x, local = todo.pop()
+        if isinstance(x, (ast.FunctionDef, ast.Lambda)):
+            local = local | _local_names(x)
+        if isinstance(x, ast.Name) and isinstance(x.ctx, ast.Load) and x.id not in local:
+            yield "name", x.id
+        elif isinstance(x, ast.Attribute):
+            yield "attr", x.attr
+        todo.extend((c, local) for c in ast.iter_child_nodes(x) if c not in skip)
+
+
+def unread_definitions(sources, roots=()):
+    """Qualified names of the definitions in {module: source} that no live code reads.
+
+    Live code is module-level code outside definitions, the definitions in
+    `roots` (a class there keeps its methods), and every definition that live
+    code reads, so a name read only by unread code, or only by itself, is
+    unread.  A class's own code is its body apart from its non-dunder methods.
+    A bare name reads a module-level definition, an attribute reads any.
+    """
+    defs = []
+    live = set()
+    for m, src in sources.items():
+        tree = ast.parse(src)
+        found = list(definitions(tree))
+        methods = [node for _, owner, node in found if owner]
+        live.update(reads(tree, [node for _, _, node in found]))
+        defs += [(node.name, owner is None, f"{m}.{qual}", owner and f"{m}.{owner}",
+                  list(reads(node, methods)))
+                 for qual, owner, node in found]
+    reached = set()
+    grew = True
+    while grew:
+        grew = False
+        for name, top, qual, owner, reads_of in defs:
+            if qual not in reached and (("attr", name) in live or top and ("name", name) in live
+                                        or qual in roots or owner in roots):
+                reached.add(qual)
+                live.update(reads_of)
+                grew = True
+    return sorted(d[2] for d in defs if d[2] not in reached)
+
+
+def test_the_definition_scan_flags_only_unread_names():
+    a = ("import b\n"
+         "def used():\n    return 1\n"
+         "def recursive(k):\n    return recursive(k - 1)\n"
+         "def dead():\n    return only_dead_reads_me()\n"
+         "def only_dead_reads_me():\n    return 0\n"
+         "def shadowed():\n    return 0\n"
+         "def f(shadowed):\n    return [shadowed for len in shadowed]\n"
+         "class C:\n    def m(self):\n        return used()\n"
+         "    def len(self):\n        return 0\n"
+         "    def __len__(self):\n        return helper()\n"
+         "def helper():\n    return 0\n"
+         "class Kept:\n    def kept(self):\n        return 0\n"
+         "print(f(C()), len([]))\n")
+    b = "from a import C\nprint(C().m)\n"
+    assert unread_definitions({"a": a, "b": b}, {"a.Kept"}) == [
+        "a.C.len", "a.dead", "a.only_dead_reads_me", "a.recursive", "a.shadowed"]
+
+
+def test_every_definition_in_the_package_is_read():
+    sources = {}
+    for f in os.listdir(SRC):
+        if f.endswith(".py"):
+            with open(os.path.join(SRC, f)) as fh:
+                sources[f[:-3]] = fh.read()
+    api = {f"{obj.__module__.split('.', 1)[1]}.{obj.__qualname__}"
+           for obj in (getattr(algdeg, name) for name in algdeg.__all__)}
+    unread = unread_definitions(sources, api | set(UNREAD_ALLOWED))
+    assert not unread, "read nowhere in src/algdeg: " + ", ".join(unread)
+    # every allowlisted name is defined and would be flagged without its entry
+    assert set(UNREAD_ALLOWED) <= set(unread_definitions(sources, api))

@@ -19,7 +19,8 @@ from algdeg.exactla import (
     reduce_with_coeffs, rref_rows,
 )
 from algdeg.gfield import make_field
-from algdeg.structvec import StructureVector, act, act_coords, action_matrix
+from algdeg.structvec import StructureVector, act, act_coords
+from oracles import action_matrix
 
 FIELDS = [make_field(p, k) for p, k in
           [(3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (5, 2), (0, 1)]]

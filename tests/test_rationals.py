@@ -7,11 +7,12 @@ import pytest
 
 from algdeg.gfield import make_field
 from algdeg.exactla import GroupElement, Matrix, Subspace
-from algdeg.structvec import StructureVector, act, dual_act, opposite, tr, tr_op
+from algdeg.structvec import StructureVector, act, tr, tr_op
 from algdeg.canon import (
     Bases, basis_Mstar, basis_U, expected_dims, intersection_table, submodule,
 )
 from algdeg.spinmx import rational_generators
+from oracles import dual_act, opposite
 
 Q = make_field(0, 1)
 

@@ -9,7 +9,7 @@ import pytest
 from algdeg import spinmx
 from algdeg.cli import main
 from algdeg.gfield import make_field
-from algdeg.exactla import Subspace, combiner, kernel_rows, random_invertible
+from algdeg.exactla import Subspace, combiner, kernel_rows
 from algdeg.gamma2 import gamma_handle
 from algdeg.structvec import StructureVector, act, unit
 from algdeg.canon import (
@@ -22,6 +22,7 @@ from algdeg.spinmx import (
     rational_generators, spin, spin_contains, standard_generators,
     survey_submodules, verify_lattice_diagrams, is_generator_stable,
 )
+from oracles import dual_act, dual_basis_vector, random_invertible, vector_act
 from test_packed import FIELDS
 from algdeg.spinmx import (
     _all_lines, _first_proper_spin, _handle_appliers, _lines_of, _random_envelope,
@@ -514,7 +515,7 @@ def test_survey_members_fixed_by_closure_and_meataxe_agrees():
 def test_vector_spin_transitive_on_V():
     # spinning any nonzero column vector under the left action fills V
     from algdeg.spinmx import _span_closure
-    from algdeg.structvec import Vector, vector_act
+    from algdeg.structvec import Vector
     for ctx in (GF3, GF5):
         gens = gens_for(ctx, 3)
         appliers = [lambda r, g=g: vector_act(g, Vector(ctx, 3, r)).coords
@@ -524,6 +525,18 @@ def test_vector_spin_transitive_on_V():
             v[lead] = ctx.one()
             ech, _ = _span_closure([v], appliers, 3, ctx)
             assert ech.dim == 3
+
+
+@pytest.mark.parametrize("ctx", FIELDS, ids=repr)
+@pytest.mark.parametrize("n", [3, 4])
+def test_dual_space_handle_matches_the_dual_action(ctx, n):
+    # the handle's applier on V* against the row vector times [g], over
+    # the standard generators (the rational ones over Q)
+    gens = gens_for(ctx, n) if ctx.kind == "finite" else rational_generators(ctx, n)
+    handle = dual_space_handle(gens)
+    for g, action in zip(gens.elements, handle.action):
+        for k in range(n):
+            assert list(action[k]) == dual_act(dual_basis_vector(ctx, n, k + 1), g).coords
 
 
 def test_close_span_of_111_over_gf5():

@@ -3,11 +3,13 @@ import random
 import pytest
 
 from algdeg.gfield import make_field
-from algdeg.exactla import GroupElement, Matrix, random_invertible
+from algdeg.exactla import GroupElement, Matrix
 from algdeg.structvec import (
-    StructureVector, Vector, flat, unit, basis_vector, dual_basis_vector,
-    act, act_on_basis, action_matrix, opposite, plus_tilde, product, tr,
-    tr_op, trace_form, psi, vector_act, dual_act, zero_structure_vector,
+    StructureVector, Vector, flat, unit, basis_vector, act, product, tr, tr_op,
+)
+from oracles import (
+    act_on_basis, action_matrix, dual_act, dual_basis_vector, opposite,
+    random_invertible, vector_act, zero_structure_vector,
 )
 
 GF3 = make_field(3)
@@ -218,7 +220,7 @@ def test_tr_op_121():
 def test_trace_form_evaluates():
     lam = sv(GF5, 3, (2, 1, 2, 2), (1, 1, 1, 1))
     u = Vector(GF5, 3, [1, 0, 0])
-    assert trace_form(lam, u).raw == 3
+    assert tr(lam)(u).raw == 3
     assert tr_op(lam) == tr(opposite(lam))
 
 
@@ -241,14 +243,18 @@ def test_actions_reject_an_element_of_another_size_or_field():
 
 
 def test_psi():
-    assert psi(unit(GF5, 3, 1, 1, 1)) == dual_basis_vector(GF5, 3, 1).scale(2)
-    assert psi(eta(GF5)).is_zero()
+    # psi = tr + tr~
+    lam = unit(GF5, 3, 1, 1, 1)
+    assert tr(lam) + tr_op(lam) == dual_basis_vector(GF5, 3, 1).scale(2)
+    assert (tr(eta(GF5)) + tr_op(eta(GF5))).is_zero()
 
 
 def test_plus_tilde():
-    assert plus_tilde(unit(GF5, 3, 1, 2, 3)) == sv(GF5, 3, (1, 1, 2, 3), (1, 2, 1, 3))
-    ctx = make_field(2, 2)
-    assert plus_tilde(eta(ctx)).is_zero()
+    # lam~ = lam + opposite(lam)
+    lam = unit(GF5, 3, 1, 2, 3)
+    assert lam + opposite(lam) == sv(GF5, 3, (1, 1, 2, 3), (1, 2, 1, 3))
+    lam = eta(make_field(2, 2))
+    assert (lam + opposite(lam)).is_zero()
 
 
 def test_trace_pairing_against_adjoint_matrix():
@@ -262,7 +268,7 @@ def test_trace_pairing_against_adjoint_matrix():
         for j in range(1, n + 1):
             w = product(lam, u, basis_vector(GF7, n, j))
             acc = GF7.add(acc, w.coords[j - 1])
-        assert trace_form(lam, u).raw == acc
+        assert tr(lam)(u).raw == acc
 
 
 def test_json_round_trip():
@@ -280,7 +286,8 @@ def test_psi_vanishes_on_commutative_char2():
     from algdeg.canon import basis_C
     ctx = make_field(2, 2)
     for row in basis_C(ctx, 3).rows:
-        assert psi(StructureVector(ctx, 3, list(row))).is_zero()
+        lam = StructureVector(ctx, 3, list(row))
+        assert (tr(lam) + tr_op(lam)).is_zero()
 
 
 def test_coordinate_validation_keeps_the_per_coordinate_results():
