@@ -528,10 +528,11 @@ def check_trace_biconditional(bases):
         data = {"branch": "char divides n+1", "equal": left == right}
     else:
         w = trace_kernel_witness(ctx, n)
-        ok = (predicate_Mstarstar(w) and tr_op(w).is_zero() and not tr(w).is_zero()
-              and left != right)
+        in_meet = predicate_Mstarstar(w) and tr_op(w).is_zero()
+        outside_t = not tr(w).is_zero()
+        equal = left == right
+        ok = in_meet and outside_t and not equal
         data = {"branch": "char does not divide n+1",
-                "witness_in_Ttilde_meet_Mstarstar": predicate_Mstarstar(w) and tr_op(w).is_zero(),
-                "witness_outside_T": not tr(w).is_zero(),
-                "equal": left == right}
+                "witness_in_Ttilde_meet_Mstarstar": in_meet,
+                "witness_outside_T": outside_t, "equal": equal}
     return claim("TmeetMstarstarBiconditional", "T ^ M** = T~ ^ M** iff char | n+1", ok, data)

@@ -168,8 +168,7 @@ def cmd_spin(args):
 def cmd_survey(args):
     ctx, n = args.field, args.n
     report = Report("survey", {"n": n, "field": _field_label(ctx),
-                               "module": args.module, "budget": spinmx.SURVEY_BUDGET},
-                    args.seed)
+                               "module": args.module}, args.seed)
     gens = spinmx.standard_generators(ctx, n)
     carrier = canon.submodule(args.module, ctx, n)
     handle = spinmx.module_handle(gens, carrier, label=args.module)

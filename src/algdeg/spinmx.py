@@ -68,7 +68,6 @@ from .structvec import act, act_coords, tr_matrix_rows, tr_op_matrix_rows, weigh
 
 LINE_CAP = 128           # max kernel lines spun for one shift of a theta draw
 NORTON_ATTEMPTS = 64
-SURVEY_BUDGET = 2 ** 22  # max |F|^dim of a survey's carrier
 
 
 def derive_seed(base, *tags):
@@ -740,14 +739,13 @@ def survey_submodules(handle, seed=0):
     the image of a nonzero map S -> M/U from a simple type S, and every such
     map is injective, so its row space is simple.  Walking covers up from 0
     reaches every submodule, since each has a composition series starting at
-    0, and no line of M is listed.  Returns the lattice lifted to the
+    0.  No line of M is listed, so the cost follows the members and the hom
+    spaces, not the size of the carrier.  Returns the lattice lifted to the
     carrier's ambient space, sorted by (dim, basis).  `seed` drives the
     splitting only; the lattice does not depend on it.  A factor whose
     kernel-vector test stays inconclusive raises `InconclusiveFactor`.
     """
     ctx, d = handle.ctx, handle.dim
-    if ctx.order ** d > SURVEY_BUDGET:
-        raise ValueError(f"survey budget exceeded: {ctx.order}^{d} > {SURVEY_BUDGET}")
     appliers = _handle_appliers(handle.action, ctx)
     full = Subspace.full(ctx, d)
 
@@ -898,21 +896,17 @@ def verify_lattice_diagrams(bases, gens, seed):
     # dual-space filtration factors via the explicit trace surjections.  T and
     # U are built as kernels of tr, so they are checked against the
     # per-vector tr and the dimension a rank-n map leaves; N is a table basis
-    def rank(rows):
-        return Matrix.from_rows(ctx, rows).rank() if rows else 0
-
     tr_rows = tr_matrix_rows(ctx, n)
     add(claim("LambdaOverT", "tr maps the full space onto the dual with kernel T",
-              rank(tr_rows) == n and T.dim == n ** 3 - n
+              Matrix.from_rows(ctx, tr_rows).rank() == n and T.dim == n ** 3 - n
               and not any(map(any, canon._trace_images(T, n)))))
     add(claim("KOverU", "tr restricted to K is onto the dual with kernel U",
-              rank(canon._trace_images(K, n)) == n
+              Matrix.from_rows(ctx, canon._trace_images(K, n)).rank() == n
               and U <= K and U <= T and U.dim == K.dim - n))
     values = canon._trace_images(C, n)
     add(claim("COverN", "tr restricted to C is onto the dual with kernel N",
-              rank(values) == n and canon._restricted_kernel(C, values, ctx) == N))
-
-    v_handle = dual_space_handle(gens)
+              Matrix.from_rows(ctx, values).rank() == n
+              and canon._restricted_kernel(C, values, ctx) == N))
 
     # diagram over M**
     if (n - 1) % ctx.char == 0:
@@ -926,6 +920,7 @@ def verify_lattice_diagrams(bases, gens, seed):
                   (K & UM) == U and (K | UM) == Mss))
         factor("UplusMstarOverMstar.irr", "(U + M*)/M* is irreducible",
                UM, Ms, "(U+M*)/M*", "UM/M*")
+        v_handle = dual_space_handle(gens)
         hU = module_handle(gens, U, label="U")
         dU, _ = hom_space(hU, v_handle)
         hQ = module_handle(gens, Mss, sub=Ms, label="M**/M*")
@@ -1000,6 +995,7 @@ def verify_lattice_diagrams(bases, gens, seed):
                   Matrix.from_rows(ctx, psi_rows).rank() == n and ker_psi == NM))
         factor("NplusMssOverMss.irr", "(N + M**)/M** is irreducible",
                NM, Mss, "(N+M**)/M**", "NM/Mss")
+        v_handle = dual_space_handle(gens)
         hN = module_handle(gens, N, label="N")
         dN, _ = hom_space(hN, v_handle)
         hQ = module_handle(gens, Lam, sub=Mss, label="Lambda/M**")

@@ -133,6 +133,16 @@ def test_survey_mstar_over_gf9_is_its_closed_form(tmp_path):
     assert len(members) == 12 and set(members[1:-1]) == pieces
 
 
+def test_survey_of_k_at_n4_over_gf3_needs_no_carrier_cap(tmp_path):
+    # 3^24 vectors in the carrier; the cover walk finds 0, M*(1,-1), U and K
+    path = tmp_path / "survey.json"
+    assert run(["--json", str(path), "survey", "--module", "K",
+                "--n", "4", "--field", "3"]) == 0
+    data = json.loads(path.read_text())
+    assert data["config"] == {"field": "3", "module": "K", "n": 4}
+    assert len(data["claims"][0]["data"]["members"]) == 4
+
+
 def test_survey_passes_its_seed(monkeypatch):
     seen = []
     survey = spinmx.survey_submodules
@@ -503,7 +513,7 @@ PINNED_REPORTS = [
     ("series --n 3 --field 2^2 --chain 0,K,C", 1,
      "c0d785315ab23b16b4d833716809047320985b56c3485b39a6685b2e64fbc627"),
     ("survey --n 3 --field 3 --module K", 0,
-     "6e8fc2f4f24958b36bd02940d8bce21e98c75820261e69eed5819e475151dcfb"),
+     "acbb39f03ac57d4d2c193e7b75614babb8daf313addcebb8016dce8409eff781"),
     ("dims --n 4 --field 5", 0,
      "9140fafdba9046d0dc7a4f7d736aa6ed57f083a8c685e0f993cfc9b3f61a021f"),
     ("spin --n 3 --field 5 --vector eta --expect U", 0,

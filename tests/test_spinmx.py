@@ -7,7 +7,7 @@ from operator import mul
 import pytest
 
 from algdeg import spinmx
-from algdeg.cli import main
+from algdeg.cli import DIM_ORDER, main
 from algdeg.gfield import make_field
 from algdeg.exactla import Subspace, combiner, kernel_rows
 from algdeg.gamma2 import gamma_handle
@@ -370,12 +370,26 @@ def test_survey_mstar_gf3():
     assert len(lattice) == len(expect) + 2
 
 
-def test_survey_budget_guard(monkeypatch):
-    gens = gens_for(GF5, 3)
-    h = module_handle(gens, basis_C(GF5, 3), label="C")
-    monkeypatch.setattr(spinmx, "SURVEY_BUDGET", 100)
-    with pytest.raises(ValueError, match="survey budget exceeded"):
-        survey_submodules(h)
+@pytest.mark.parametrize("name, n, ctx, count", [
+    ("K", 4, GF3, 4), ("Mstarstar", 4, GF3, 12), ("C", 4, GF3, 4),
+    ("Lambda", 3, GF3, 24), ("Lambda", 3, GF4, 28), ("Lambda", 3, GF5, 32),
+], ids=str)
+def test_survey_of_a_large_carrier_is_a_lattice_holding_the_named_submodules(name, n, ctx,
+                                                                           count):
+    # carriers of |F|^dim far past 2^22: the cover walk lists no line, so
+    # their size does not bound the survey.  The named submodules of the
+    # dimension table and the q + 1 pieces of M* inside the carrier are members
+    bases = Bases(ctx, n)
+    carrier = bases[name]
+    lattice = survey_submodules(module_handle(gens_for(ctx, n), carrier, label=name))
+    assert len(lattice) == count
+    assert lattice[0].dim == 0 and lattice[-1] == carrier
+    members = set(lattice)
+    for i, a in enumerate(lattice):
+        for b in lattice[i + 1:]:
+            assert (a | b) in members and (a & b) in members
+    named = [bases[m] for m in DIM_ORDER] + [bases[p] for p in ProjectivePoint.enumerate(ctx)]
+    assert all(sub in members for sub in named if sub <= carrier)
 
 
 def test_survey_irreducible_carrier():
