@@ -433,11 +433,12 @@ def _char_divides(ctx, m):
 def intersection_table(bases):
     """Evaluate every claimed intersection with M* / M** and report per claim.
 
-    Claims are dicts {id, anchor, status, computed, expected}: `report.claim`
-    sets the status, and the computed and expected subspaces (as JSON) or
-    dimensions stand in place of data.  Branching follows the divisibility of
-    n-1 and n+1 by the characteristic.  The field, n and the submodules
-    come from `bases`.
+    Claims are dicts {id, anchor, status, computed}: `report.claim` sets the
+    status, and the computed subspace (as JSON) or dimension stands in place
+    of data.  A falsified claim also carries `expected`; a verified one states
+    that the two are equal.  Branching follows the divisibility of n-1 and
+    n+1 by the characteristic.  The field, n and the submodules come from
+    `bases`.
     """
     ctx, n = bases.ctx, bases.n
     if ctx.kind != "finite" or ctx.order <= 2:
@@ -458,7 +459,9 @@ def intersection_table(bases):
     def check(cid, anchor, computed, expected, show=Subspace.to_json):
         entry = claim(cid, anchor, computed == expected)
         del entry["data"]
-        entry.update(computed=show(computed), expected=show(expected))
+        entry["computed"] = show(computed)
+        if entry["status"] == "falsified":
+            entry["expected"] = show(expected)
         claims.append(entry)
 
     check("CmeetMstar", "C ^ M* = M*_(1,1)", meet("C", "Mstar"), mp(one, one))

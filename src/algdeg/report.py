@@ -5,12 +5,15 @@ inconclusive, skipped.  `claim` is the one constructor of that record, and it
 holds the one rule from a verdict to a status: True is verified, False is
 falsified and None is inconclusive.  `norton_claim` maps a kernel-vector
 verdict onto that rule, and `Report.skip_all` writes the skipped claims.  The
-intersection dictionary (`canon.intersection_table`) keeps its own
-{computed, expected} shape in place of `data`.
+intersection dictionary (`canon.intersection_table`) keeps its own shape in
+place of `data`: `computed` always, and `expected` only on a falsified claim,
+since a verified one states that the two are equal.
 
 Wall-clock timing lives in a separate top-level list, one {claims, seconds}
 record per timed phase, so the claim payload is byte-identical across runs for
 a fixed (config, seed); --no-timing drops the list for literal reproducibility.
+A report is written as one line of compact JSON, in one call to the C encoder
+(an indent would select the pure-Python one); `python -m json.tool` reads it.
 """
 
 import json
@@ -18,7 +21,7 @@ import time
 
 from . import __version__
 
-SCHEMA = "algdeg-report/1"
+SCHEMA = "algdeg-report/2"
 
 STATUS_ORDER = ("verified", "falsified", "inconclusive", "skipped")
 
@@ -107,7 +110,7 @@ class Report:
         return body
 
     def dumps(self, with_timing=True):
-        return json.dumps(self.to_json(with_timing), sort_keys=True, indent=2)
+        return json.dumps(self.to_json(with_timing), sort_keys=True, separators=(",", ":"))
 
     def write(self, path, with_timing=True):
         with open(path, "w") as fh:

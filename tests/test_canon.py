@@ -252,6 +252,28 @@ def test_intersection_witness_cases():
     assert Subspace.from_json(table["UmeetMstar"]["computed"]).dim == 0
 
 
+def test_intersection_claims_carry_expected_only_when_falsified(monkeypatch):
+    # a verified claim states that computed equals expected, so only the
+    # falsified one writes both
+    meet = canon.Bases.meet
+
+    def wrong_K_meet(self, a, b):
+        return self["0"] if (a, b) == ("K", "Mstar") else meet(self, a, b)
+
+    monkeypatch.setattr(canon.Bases, "meet", wrong_K_meet)
+    table = {c["id"]: c for c in intersection_table(canon.Bases(GF5, 3))}
+    bad = table.pop("KmeetMstar")
+    assert bad["status"] == "falsified"
+    assert set(bad) == {"id", "anchor", "status", "computed", "expected"}
+    assert Subspace.from_json(bad["computed"]).dim == 0
+    assert Subspace.from_json(bad["expected"]) == basis_MstarP(
+        GF5, 3, ProjectivePoint(GF5, 1, GF5.neg(1)))
+    assert table
+    for c in table.values():
+        assert c["status"] == "verified", c["id"]
+        assert set(c) == {"id", "anchor", "status", "computed"}, c["id"]
+
+
 def test_omega_values():
     # the i-th coordinate of omega is the iii coordinate of lam
     for i in (1, 2, 3):

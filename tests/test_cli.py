@@ -5,7 +5,9 @@ import json
 import pytest
 
 from algdeg import cli, spinmx
-from algdeg.canon import ProjectivePoint, basis_Mstar, basis_MstarP, eta
+from algdeg.canon import (
+    Bases, ProjectivePoint, basis_Mstar, basis_MstarP, eta, intersection_table,
+)
 from algdeg.exactla import Subspace
 from algdeg.cli import main
 from algdeg.gfield import make_field
@@ -235,6 +237,26 @@ def test_report_determinism(tmp_path):
     assert a.read_text() == b.read_text()
 
 
+def test_report_is_one_line_from_the_c_encoder(tmp_path, monkeypatch):
+    if json.encoder.c_make_encoder is None:
+        pytest.skip("this interpreter has no C JSON encoder")
+
+    def pure_python_encoder(*args, **kwargs):
+        raise AssertionError("the report went through the pure-Python encoder")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", pure_python_encoder)
+    r = Report("canon", {"n": 3, "field": "5"}, 0)
+    r.timed(intersection_table, Bases(make_field(5), 3))
+    text = r.dumps()
+    assert text == json.dumps(r.to_json(), sort_keys=True, separators=(",", ":"))
+    assert "\n" not in text
+    assert json.loads(text) == r.to_json()
+    assert json.loads(r.dumps(with_timing=False)) == r.to_json(with_timing=False)
+    path = tmp_path / "r.json"
+    r.write(path)
+    assert path.read_text() == text + "\n"
+
+
 def test_report_exit_codes():
     r = Report("x", {}, 0)
     r.add({"id": "a", "anchor": "x", "status": "verified", "data": {}})
@@ -256,7 +278,7 @@ def test_report_schema_round_trip(tmp_path):
     path = tmp_path / "r.json"
     assert run(["--json", str(path), "dims", "--n", "3", "--field", "5"]) == 0
     data = json.loads(path.read_text())
-    assert data["schema"] == "algdeg-report/1"
+    assert data["schema"] == "algdeg-report/2"
     assert data["tool"] == "algdeg"
     assert {"id", "anchor", "status", "data"} <= set(data["claims"][0])
     _assert_one_timing_record_per_claim(data)
@@ -489,49 +511,49 @@ def test_lattice_gf25_falsifies_nothing(tmp_path, seed):
 # witnesses enter the verify-all, gamma and series reports.
 PINNED_REPORTS = [
     ("verify-all --seed 7", 0,
-     "a40b42f980b89137cca8d8d6a9db1b1204a92a37f818e4ef710fb46cdb9c887e"),
+     "2072583fcaa880d40eebe1dc9c89d532d94e7a48391e122b527ea7bb5c7dc521"),
     ("verify-all --n-list 3 --fields 2^3,3^2,7,5^2 --seed 11", 0,
-     "4499940b88ed3f5772934aa8e177b6d2a0c50daf126f720b44a52de36e971664"),
+     "d33ce4aa4da883c22dd00e31d0b840d5e6b0ba0a50a367663f5ecae8d485dbd6"),
     ("verify-all --n-list 3 --fields 5^2 --seed 130520985369857", 0,
-     "e6f1bf6cbe86119f9e9663e49a3892509a11b249f54ea8408e2260d270608d1b"),
+     "8049b0ad6448a9234e91112fb2a3b5b6d13b5a324b01fcee160e666c29520306"),
     ("verify-all --n-list 3 --fields 2,3 --seed 3", 0,
-     "3df3d514ad1cad2def41acdbb9cff1734b8467a1162b6628f01a917272f711cc"),
+     "009b96c11d4f31a4ef508223f9de98b43699c667aa946925082a1172e63ae70f"),
     ("lattice --n 4 --field 5", 0,
-     "3af72863f947d25fb9daf4495208a8abf61c0ca1fbe970f9266b98bbfcd6982e"),
+     "4b18c913e42840435770d15074b173c8c0935a92d09afd29a872e6fa12c55f9b"),
     ("lattice --n 3 --field 2", 0,
-     "ff8e7c6ef6ca9176aefc565e854a9a01568140e6d8823cbbc1fc5ff50ee695f4"),
+     "ea823bc8f332a5e020223f57569f77daa3162875d269bc4c438816ea6cdc3cc5"),
     ("gamma --n 3 --field 2^3", 0,
-     "d07fa64d3ff16af527273a5f33bf154849530305361a9e7eab0d8b17add0466b"),
+     "433db17ab72baf4bb404ab51f394a6ea2f7637e0a63b477c29de5e3df7e6eb4d"),
     ("gamma --n 3 --field 3", 0,
-     "8ebf9dc47763c53c781e3c34677d4d4a8dffa9a96982fb591c85f0643b08c11f"),
+     "5e618ff8febdc730e31bf8634e3ca79ed24dae654ed42feaeaf51324c1cbcc54"),
     ("canon --n 3 --field 5^2", 0,
-     "110acccf8a621918d88280f68ba75de7f6da69bb67c892c09545cecaf96f7fde"),
+     "1a7b00faceea4033096f1c3f1ac9f0865c6c025d9e9011f5893adfa84d7f3471"),
     ("canon --n 3 --field 2", 0,
-     "202ce712c9ed3e6baf8684e319d93f1bd5451c3e16030e8dd51d9192b6ca1c0e"),
+     "5bc591aa54105d80c605fe542cdef0bd2fa564704d50ce8f3194d7d732b29c2b"),
     ("series --n 4 --field 3 --chain 0,Mstar(1,-1),U,K", 0,
-     "c250e19160cc4a2936123c71b3b7a698aa058514ea619b5aef4050b9f26d4f54"),
+     "639b5dda35ecbd76b86270d71d696a6e4c17611b9eef98ec9e6232023f50cc3a"),
     ("series --n 3 --field 2^2 --chain 0,K,C", 1,
-     "c0d785315ab23b16b4d833716809047320985b56c3485b39a6685b2e64fbc627"),
+     "906eb2e80b07854acded67344e28d7c20bd307a801724a4e6a1d8935949df2f6"),
     ("survey --n 3 --field 3 --module K", 0,
-     "acbb39f03ac57d4d2c193e7b75614babb8daf313addcebb8016dce8409eff781"),
+     "ce7f30c31df46f81700112f13c7b9e0042b9a6f74b7ac092aa734a430920ef04"),
     ("dims --n 4 --field 5", 0,
-     "9140fafdba9046d0dc7a4f7d736aa6ed57f083a8c685e0f993cfc9b3f61a021f"),
+     "45a7d2f5007254a46706b3afc198966d166fdd4569ef5d48e230d099be6c3ec4"),
     ("spin --n 3 --field 5 --vector eta --expect U", 0,
-     "ff8142a049dbff13527a0002203efe320d7304cb4f34648361fa5acac1cb290a"),
+     "fe1e7cf083f0edc1b11473a813007861eac79fcf4da97267ce03f41d4dcc569f"),
     ("spin --n 3 --field 5 --vector delta --expect N", 0,
-     "804b456e29b13f7d7c3e5c56f7df8e517a78295fbb710799d8bf0adafaf1b3f0"),
+     "ff89a62b9d723aa4250df8bb33786ba27b39879bc33b52779b8de7ba858d5f5f"),
     ("spin --n 3 --field 5 --vector eta", 0,
-     "435af8c2e1e651e5084127674fa209fd6c21c858da6f2cbc15ea28caa74dc113"),
+     "89e3b74e5500dfb9332d5350ef686725d135e62012f7bd2ebd20090986a18f15"),
     ("degen q --n 3 --field 5 --lambda eta --q 1,2,3", 0,
-     "7a4992f9e74bf8421f121246a14bdaaca994b067f5133d9af7cd8d978e28d1c8"),
+     "496b78642fd5c96751629e95563cb4089b6d787ada2e8de1e75f022b91929100"),
     ("degen q --n 3 --field 5 --lambda delta --q 0,0,0", 0,
-     "0461247de9cd4e21e58d16c6ef66a8950393b18546dffa0b4342c5fd71dfcf36"),
+     "1e9aa89e501b6f520108608933c4edc54097dc579a0068b27b7f8047ab8358af"),
     ("degen reach-eta --n 3 --field 5 --lambda eta", 0,
-     "4378264620ce146135e3a463894184c14ac4f114a7c92868f0c748a450b0a5c3"),
+     "232bcce2931d64dbb9cb7b39956f924227342163617111afd93a34be93d1f8f5"),
     ("degen reach-delta --n 3 --field 5 --lambda delta", 0,
-     "75f060d5c4c81510055041158f4363ffb267b101c0c1461b6d876216285de4bc"),
+     "9352876531a96888ab694208e61b8a685b3bd2edb76674a8420fb97c440997a3"),
     ("degen reach-eta --n 3 --field 2 --lambda eta", 0,
-     "9958c50d9767ebac53590b0d3ad8c0bb00ac8a6b2b1f18247fd1cf694dd79787"),
+     "80676a047db36f23305268e4f18ff656316babd9e319e2d97ca734597e60899c"),
 ]
 
 
