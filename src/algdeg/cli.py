@@ -396,11 +396,11 @@ def build_parser():
 def _check_report_path(path):
     """Fail before any work with the error that writing the report to `path` would give.
 
-    Covers a missing folder, a folder that is a file and a path that is a
-    folder; any other error (permissions, a full disk) still comes at the write.
+    Covers an empty path, a missing folder, a folder that is a file and a path
+    that is a folder; other errors (permissions, a full disk) come at the write.
     """
     folder = os.path.dirname(path) or "."
-    code = (errno.ENOENT if not os.path.exists(folder)
+    code = (errno.ENOENT if not path or not os.path.exists(folder)
             else errno.ENOTDIR if not os.path.isdir(folder)
             else errno.EISDIR if os.path.isdir(path) else None)
     if code is not None:
@@ -421,11 +421,11 @@ def main(argv=None):
         _parser = build_parser()
     args = _parser.parse_args(argv)
     try:
-        if args.json:
+        if args.json is not None:
             _check_report_path(args.json)
         report = command(args)(args)
         report.print_summary()
-        if args.json:
+        if args.json is not None:
             try:
                 report.write(args.json, with_timing=not args.no_timing)
             except OSError as exc:

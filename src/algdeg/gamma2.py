@@ -335,18 +335,11 @@ def _replay_tail(ctx, n):
 
 
 def _perm_mapping(ctx, n, want):
-    """A permutation element with sigma(src) = dst for each want[src] = dst."""
-    images = [0] * (n + 1)
-    used = set()
-    for src, dst in want.items():
-        images[src] = dst
-        used.add(dst)
-    rest = [k for k in range(1, n + 1) if k not in used]
-    it = iter(rest)
-    for k in range(1, n + 1):
-        if images[k] == 0:
-            images[k] = next(it)
-    return GroupElement.permutation(ctx, images[1:])
+    """A permutation element with sigma(src) = dst for each want[src] = dst,
+    and the other points sent to the unused targets in increasing order."""
+    rest = iter(sorted(set(range(1, n + 1)) - set(want.values())))
+    return GroupElement.permutation(
+        ctx, [want[k] if k in want else next(rest) for k in range(1, n + 1)])
 
 
 def verify_gamma_irreducible(gens, seed):

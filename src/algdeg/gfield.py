@@ -16,6 +16,7 @@ transvections and diagonals run on int views too (`row_shift_add`,
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
 # Fixed irreducible moduli, ascending coefficients c0..ck with ck = 1.
 # Frozen so serialized data is reproducible across runs and machines.
@@ -452,7 +453,7 @@ class FieldCtx:
                 or not isinstance(d.get("modulus", []), list)):
             raise ValueError(f"field descriptor {d!r} is not an object with an integer "
                              "char, an integer degree and a modulus list")
-        ctx = FieldCtx(d["char"], d.get("degree", 1))
+        ctx = make_field(d["char"], d.get("degree", 1))
         if "modulus" in d and ctx.modulus is not None and tuple(d["modulus"]) != ctx.modulus:
             raise ValueError("modulus in descriptor disagrees with the frozen table")
         return ctx
@@ -539,8 +540,11 @@ class FieldElement:
 
 
 def make_field(char, degree=1):
-    """Field constructor: (p, k) for GF(p^k), (0, 1) for the rationals."""
-    return FieldCtx(char, degree)
+    """The one (immutable) context of GF(p^k) for (p, k), of the rationals for (0, 1)."""
+    return _field_ctx(char, degree)
+
+
+_field_ctx = lru_cache(maxsize=None)(FieldCtx)
 
 
 def multiplicative_order(ctx, raw):

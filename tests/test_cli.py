@@ -1,6 +1,8 @@
 import argparse
 import hashlib
 import json
+import os
+import shlex
 
 import pytest
 
@@ -420,6 +422,17 @@ def test_a_missing_report_folder_is_refused_before_the_command_runs(tmp_path, mo
                    f"[Errno 2] No such file or directory: {str(path)!r}\n")
 
 
+def test_an_empty_report_path_is_refused_before_the_command_runs(monkeypatch, capsys):
+    def never(args):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(cli, "cmd_dims", never)
+    assert run(["dims", "--n", "3", "--field", "3", "--json", ""]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: cannot write the report: [Errno 2] No such file or directory: ''\n"
+
+
 def test_internal_error_exits_4(monkeypatch, capsys):
     def crash(args):
         raise RuntimeError("boom")
@@ -596,3 +609,34 @@ def test_every_subcommand_ends_with_the_summary(capsys):
         lines = capsys.readouterr().out.splitlines()
         assert lines[-1].startswith("summary: "), name
         assert sum(line.startswith("summary: ") for line in lines) == 1, name
+
+
+WORKFLOW = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        ".github", "workflows", "tests.yml")
+
+
+def workflow_commands():
+    """Each `python -m algdeg.cli` and console-script `algdeg` command line of the
+    CI workflow, split by `shlex` from the program name on."""
+    commands = []
+    with open(WORKFLOW) as fh:
+        for line in fh:
+            line = line.strip()
+            if line.startswith("algdeg ") or " -m algdeg.cli " in line:
+                words = shlex.split(line)
+                program = "algdeg.cli" if "algdeg.cli" in words else "algdeg"
+                commands.append(words[words.index(program):])
+    return commands
+
+
+def test_every_command_of_the_workflow_parses_and_runs_once():
+    commands = workflow_commands()
+    assert commands, f"no algdeg command found in {WORKFLOW}"
+    parser = cli.build_parser()
+    for words in commands:
+        try:
+            parser.parse_args(words[1:])
+        except SystemExit:
+            pytest.fail(f"the workflow runs an invalid command: {shlex.join(words)}")
+    repeated = [shlex.join(w) for w in commands if commands.count(w) > 1]
+    assert not repeated, f"the workflow runs these commands more than once: {repeated}"

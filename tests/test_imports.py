@@ -1,13 +1,18 @@
-"""Every imported name is used, and every name `src/algdeg` defines is read there.
+"""Every imported name is used, every name `src/algdeg` defines is read there,
+and `python -O` runs the same program as `python`.
 
-Two `ast` scans stand in for a linter, since none ships with the test
+Three `ast` scans stand in for a linter, since none ships with the test
 dependencies.  An import binding counts as used when the module reads the
 name anywhere (a bare name, or the base of an attribute chain) or lists it in
 `__all__`.  A module-level function or class of `src/algdeg`, or a non-dunder
 method of such a class, counts as read when code of the package that is
 itself read (or runs at import) reads its name as an `ast.Name` or
 `ast.Attribute` outside its own definition.  Code only the tests need
-belongs in `tests/oracles.py`, not in `src/`.
+belongs in `tests/oracles.py`, not in `src/`.  `python -O` removes `assert`
+statements and sets `__debug__` to False, and a program sees the flag
+otherwise only through `sys.flags`.  The third scan reads every line of
+`src/algdeg`, not only the lines a test run reaches, and finds none of the
+three, so `-O` strips no check there and no branch depends on the flag.
 """
 
 import ast
@@ -175,3 +180,41 @@ def test_every_definition_in_the_package_is_read():
     assert not unread, "read nowhere in src/algdeg: " + ", ".join(unread)
     # every allowlisted name is defined and would be flagged without its entry
     assert set(UNREAD_ALLOWED) <= set(unread_definitions(sources, api))
+
+
+def optimize_sensitive(source):
+    """(line, what) of each `assert` statement, `__debug__` name and `sys.flags`
+    read (including `from sys import flags`) in `source`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Assert):
+            found.append((node.lineno, "assert"))
+        elif (isinstance(node, ast.Name) and node.id == "__debug__"
+              or isinstance(node, ast.Attribute) and node.attr == "__debug__"):
+            found.append((node.lineno, "__debug__"))
+        elif (isinstance(node, ast.Attribute) and node.attr == "flags"
+              and isinstance(node.value, ast.Name) and node.value.id == "sys"
+              or isinstance(node, ast.ImportFrom) and node.module == "sys"
+              and any(a.name == "flags" for a in node.names)):
+            found.append((node.lineno, "sys.flags"))
+    return sorted(found)
+
+
+def test_the_optimize_scan_flags_what_python_O_changes():
+    src = ("import sys\n"
+           "assert sys.argv, 'no argv'\n"
+           "if __debug__:\n    print('checked')\n"
+           "level = sys.flags.optimize\n"
+           "from sys import flags\n"
+           "if not sys.argv:\n    raise AssertionError('kept under -O')\n"
+           "flags = {'assert': 1}\n"
+           "print(level, flags['assert'], sys.argv.count)\n")
+    assert optimize_sensitive(src) == [
+        (2, "assert"), (3, "__debug__"), (5, "sys.flags"), (6, "sys.flags")]
+
+
+@pytest.mark.parametrize("path", [m for m in MODULES if os.path.dirname(m) == SRC],
+                         ids=lambda p: os.path.relpath(p, ROOT))
+def test_python_O_strips_nothing_from_the_package(path):
+    with open(path) as fh:
+        assert optimize_sensitive(fh.read()) == []

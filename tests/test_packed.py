@@ -18,7 +18,7 @@ from algdeg.exactla import (
     Echelon, GroupElement, Matrix, Subspace, combiner, quotient_coords,
     reduce_with_coeffs, rref_rows,
 )
-from algdeg.gfield import make_field
+from algdeg.gfield import FieldCtx, make_field
 from algdeg.structvec import StructureVector, act, act_coords
 from oracles import action_matrix
 
@@ -82,6 +82,12 @@ def _forms(ctx, row):
 
 def test_packed_fields_are_exactly_the_small_primes_and_char_2():
     assert {repr(ctx) for ctx in FIELDS if ctx.packed} == PACKED
+
+
+@per_field
+def test_each_field_has_one_context(ctx):
+    assert make_field(ctx.char, ctx.degree) is make_field(ctx.char, ctx.degree) is ctx
+    assert FieldCtx.from_json(ctx.to_json()) is ctx
 
 
 @per_field
