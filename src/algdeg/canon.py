@@ -334,13 +334,12 @@ def named_vector(name, ctx, n):
         return eta(ctx, n)
     if name == "delta":
         return delta(ctx, n)
-    if name.startswith("eps~") or name.startswith("epst"):
-        return epsilon_tilde(ctx, n, int(name[4:]))
-    if name.startswith("eps"):
-        return epsilon(ctx, n, int(name[3:]))
-    if name.startswith("unit") and len(name) == 7:
-        a, b, c = (int(ch) for ch in name[4:])
-        return unit(ctx, n, a, b, c)
+    # an index is decimal digits, so 'eps', 'epst' and 'unit1a2' are unknown names
+    for prefix, build in (("eps~", epsilon_tilde), ("epst", epsilon_tilde), ("eps", epsilon)):
+        if name.startswith(prefix) and name[len(prefix):].isdecimal():
+            return build(ctx, n, int(name[len(prefix):]))
+    if name.startswith("unit") and len(name) == 7 and name[4:].isdecimal():
+        return unit(ctx, n, *map(int, name[4:]))
     raise ValueError(f"unknown vector name {name!r}")
 
 

@@ -97,20 +97,6 @@ def _small_field_guard(report, ctx, ids_anchors):
     return False
 
 
-def _timed_cell(report, tag, fn, *args):
-    """report.timed for one grid cell: claim ids (and their timing record) get the tag."""
-
-    def prefixed():
-        claims = fn(*args)
-        if isinstance(claims, dict):
-            claims = [claims]
-        for c in claims:
-            c["id"] = f"{tag}.{c['id']}"
-        return claims
-
-    return report.timed(prefixed)
-
-
 # -- subcommands ---------------------------------------------------------------
 
 def dim_claim(bases, name):
@@ -287,10 +273,10 @@ def _verify_cell(report, args, ctx, n):
     gens = spinmx.standard_generators(ctx, n)
     bases = canon.Bases(ctx, n)
     for name in DIM_ORDER:
-        _timed_cell(report, tag, dim_claim, bases, name)
-    _timed_cell(report, tag, canon.intersection_table, bases)
-    _timed_cell(report, tag, canon.check_trace_biconditional, bases)
-    _timed_cell(report, tag, spinmx.verify_lattice_diagrams, bases, gens, args.seed)
+        report.timed(dim_claim, bases, name, tag=tag)
+    report.timed(canon.intersection_table, bases, tag=tag)
+    report.timed(canon.check_trace_biconditional, bases, tag=tag)
+    report.timed(spinmx.verify_lattice_diagrams, bases, gens, args.seed, tag=tag)
 
     def spin_claims():
         out = []
@@ -300,7 +286,7 @@ def _verify_cell(report, args, ctx, n):
                              {"dim": got.dim}))
         return out
 
-    _timed_cell(report, tag, spin_claims)
+    report.timed(spin_claims, tag=tag)
 
     def degen_claims():
         # looked up per call, so the benchmark tracer's rebinding of degen's
@@ -319,10 +305,10 @@ def _verify_cell(report, args, ctx, n):
             out.append(claim(f"degen.{name}", anchor, not rep["failures"], rep))
         return out
 
-    _timed_cell(report, tag, degen_claims)
+    report.timed(degen_claims, tag=tag)
     if ctx.char == 2 and ctx.order >= 4:
-        _timed_cell(report, tag, gamma2.sigma_gmap_claims, bases, gens)
-        _timed_cell(report, tag, gamma2.verify_gamma_irreducible, gens, args.seed)
+        report.timed(gamma2.sigma_gmap_claims, bases, gens, tag=tag)
+        report.timed(gamma2.verify_gamma_irreducible, gens, args.seed, tag=tag)
 
 
 def build_parser():

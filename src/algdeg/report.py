@@ -65,12 +65,19 @@ class Report:
             self.timing.append({"claims": [c["id"] for c in claims],
                                 "seconds": round(seconds, 6)})
 
-    def timed(self, fn, *args, **kwargs):
-        """Run fn, collect its claim list, and record the elapsed time once."""
+    def timed(self, fn, *args, tag=None):
+        """Run fn, collect its claim list, and record the elapsed time once.
+
+        A `tag`, such as a grid cell's `n5.q3`, prefixes each claim id as
+        `tag.id`, in the claims and in their timing record alike.
+        """
         t0 = time.monotonic()
-        claims = fn(*args, **kwargs)
+        claims = fn(*args)
         if isinstance(claims, dict):
             claims = [claims]
+        if tag is not None:
+            for c in claims:
+                c["id"] = f"{tag}.{c['id']}"
         self.extend(claims, time.monotonic() - t0)
         return claims
 

@@ -53,6 +53,7 @@ first dependent image.  That changes the work, never the span.
 
 import hashlib
 import random
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, compress, product as iproduct
@@ -808,16 +809,19 @@ def hom_space(ha, hb):
     A map is X (da x db) with A X = X B for each action pair, flattened row
     by row.  A module map commutes with the torus, so on graded handles it
     maps each weight class into the same class: X is zero off the blocks
-    ha.classes[i] == hb.classes[j], and only those entries are unknowns,
-    kept in row-major order.  Entry (i, j) of A X - X B gives a row over
-    them: A[i][k] at X_kj and -B[l][j] at X_il.  A row that meets no block
-    entry, as every row of a torus generator, is zero and dropped.  The
-    dense system has the same kernel, zero off the blocks, so the same free
-    columns, and `kernel_rows` returns the same reduced basis, scattered back
-    to the da*db layout.  An ungraded pair (either `classes` None) is one
-    block, the whole da x db system.  The pairs mean something only when
-    both handles come from one generator set, so different fields, `gens`
-    or action counts are a ValueError.
+    ha.classes[k] == hb.classes[l], and only those entries are unknowns,
+    kept in row-major order.  Unknown X_kl puts A[i][k] into equation (i, l)
+    of A X - X B for each nonzero A[i][k], and -B[l][j] into equation (k, j)
+    for each nonzero B[l][j]; an equation is made when an unknown first
+    touches it, so an (i, j) no unknown meets is never built.  Each
+    generator's equations go into one echelon, which drops the zero ones (a
+    torus generator's two terms cancel) and holds at most one row per
+    unknown.  The dense system has the same kernel, zero off the blocks, so the
+    same free columns, and `kernel_rows` returns the same reduced basis,
+    scattered back to the da*db layout.  An ungraded pair (either `classes`
+    None) is one block, the whole da x db system.  The pairs mean something
+    only when both handles come from one generator set, so different fields,
+    `gens` or action counts are a ValueError.
     """
     if ha.ctx != hb.ctx or ha.gens != hb.gens or len(ha.action) != len(hb.action):
         raise ValueError(f"{ha.label!r} and {hb.label!r} are over different generator sets")
@@ -826,29 +830,27 @@ def hom_space(ha, hb):
     ca, cb = ha.classes, hb.classes
     if ca is None or cb is None:
         ca, cb = (0,) * da, (0,) * db
-    unknowns = [i * db + j for i in range(da) for j in range(db) if ca[i] == cb[j]]
-    slot = {x: p for p, x in enumerate(unknowns)}
-    in_col = [[(k, slot[k * db + j]) for k in range(da) if ca[k] == cb[j]] for j in range(db)]
-    in_row = [[(l, slot[i * db + l]) for l in range(db) if ca[i] == cb[l]] for i in range(da)]
+    unknowns = [(k, l) for k in range(da) for l in range(db) if ca[k] == cb[l]]
+    ks, ls = {k for k, _ in unknowns}, {l for _, l in unknowns}
     zero, width = ctx.zero(), len(unknowns)
-    rows = []
+    ech = Echelon(ctx, width)
     for ga, gb in zip(ha.action, hb.action):
-        cols = _transpose_rows(gb)
-        for a, ls in zip(ga, in_row):
-            for b, ks in zip(cols, in_col):
-                row = [zero] * width
-                for k, p in ks:
-                    row[p] = a[k]
-                for l, p in ls:
-                    if b[l]:
-                        row[p] = ctx.sub(row[p], b[l])
-                if any(row):
-                    rows.append(row)
+        col = {k: [(i, a[k]) for i, a in enumerate(ga) if a[k]] for k in ks}
+        row = {l: [(j, b) for j, b in enumerate(gb[l]) if b] for l in ls}
+        eqs = defaultdict(lambda: [zero] * width)
+        for p, (k, l) in enumerate(unknowns):
+            for i, a in col[k]:
+                eqs[i, l][p] = a
+            for j, b in row[l]:
+                eq = eqs[k, j]
+                eq[p] = ctx.sub(eq[p], b)
+        for eq in eqs.values():
+            ech.add(eq)
     basis = []
-    for v in kernel_rows(rows, width, ctx):
+    for v in kernel_rows(ech.reduced()[0], width, ctx):
         x = [zero] * (da * db)
-        for p, c in zip(unknowns, v):
-            x[p] = c
+        for (k, l), c in zip(unknowns, v):
+            x[k * db + l] = c
         basis.append(x)
     return len(basis), basis
 

@@ -65,6 +65,12 @@ def test_spin_rejects_index_outside_range(vector):
     assert run(["spin", "--vector", vector, "--n", "3", "--field", "3"]) == 2
 
 
+@pytest.mark.parametrize("vector", ["eps", "epst", "eps~", "unit1a2"])
+def test_spin_refuses_a_malformed_vector_name_by_name(vector, capsys):
+    assert run(["spin", "--vector", vector, "--n", "3", "--field", "3"]) == 2
+    assert f"unknown vector name {vector!r}" in capsys.readouterr().err
+
+
 def test_spin_json_vector_must_match_field_and_n():
     argv = ["spin", "--n", "3", "--field", "3", "--expect", "U", "--vector"]
     assert run(argv + [json.dumps(eta(make_field(3), 3).to_json())]) == 0

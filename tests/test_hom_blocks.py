@@ -86,11 +86,16 @@ def test_ungraded_and_mixed_pairs_match_the_dense_system(ctx):
             assert hom_space(*pair) == _dense_hom_space(*pair), label
 
 
-@pytest.mark.parametrize("module", ["K", "Mstarstar"])
-def test_survey_pairs_match_the_dense_system(module, monkeypatch):
-    # every (simple type, quotient) pair the survey at (3, GF(3)) solves
-    gens = standard_generators(GF3, 3)
-    h = module_handle(gens, Bases(GF3, 3)[module], label=module)
+@pytest.mark.parametrize("module,ctx,npairs", [
+    ("K", GF3, None), ("Mstarstar", GF3, None),
+    ("Lambda", make_field(2), 194),          # one weight class: the whole system
+    ("Lambda", make_field(2, 2), 87),
+    ("Mstarstar", make_field(3, 2), 47),     # list rows
+], ids=["K", "Mstarstar", "Lambda-GF2", "Lambda-GF4", "Mstarstar-GF9"])
+def test_survey_pairs_match_the_dense_system(module, ctx, npairs, monkeypatch):
+    # every (simple type, quotient) pair the survey at n = 3 solves
+    gens = standard_generators(ctx, 3)
+    h = module_handle(gens, Bases(ctx, 3)[module], label=module)
     pairs = []
 
     def record(ha, hb):
@@ -100,6 +105,7 @@ def test_survey_pairs_match_the_dense_system(module, monkeypatch):
     monkeypatch.setattr(spinmx, "hom_space", record)
     lattice = survey_submodules(h, seed=1)
     assert len(lattice) > 2 and pairs
+    assert npairs is None or len(pairs) == npairs
     for ha, hb in pairs:
         assert ha.classes is not None and hb.classes is not None
         assert hom_space(ha, hb) == _dense_hom_space(ha, hb), (ha.label, hb.label)
@@ -131,6 +137,7 @@ def test_hom_into_the_dual_at_8_solves_only_the_weight_blocks(solves):
         assert h.dim * v.dim == 2240
         dim, basis = hom_space(h, v)
         assert [ncols for ncols, _ in solves] == [112]
+        assert len(solves[0][1]) <= 112      # the echelon's rows, not one per equation
         assert all(any(row) for row in solves[0][1])
         assert dim == len(basis) and all(len(x) == 2240 for x in basis)
 
