@@ -188,13 +188,13 @@ def _restricted_kernel(carrier, images, ctx):
     """
     # row kernel {x : x * images = 0} = right kernel of images^T
     imagesT = [list(col) for col in zip(*images)]
-    lifted = map(combiner(carrier.rows, ctx), kernel_rows(imagesT, len(images), ctx))
+    lifted = map(combiner(carrier._ech.rows, ctx), kernel_rows(imagesT, len(images), ctx))
     return Subspace(ctx, carrier.ambient, lifted)
 
 
 def _trace_images(carrier, n):
     """tr of each basis row of a carrier inside the structure-vector space."""
-    return [tr(StructureVector(carrier.ctx, n, r)).coords for r in carrier.rows]
+    return [tr(StructureVector(carrier.ctx, n, r)).coords for r in carrier._ech.rows]
 
 
 def basis_U(ctx, n, K=None):

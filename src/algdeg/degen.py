@@ -467,9 +467,9 @@ def reach_delta(lam, gens):
 def sample_in_between(ctx, n, inside, outside_pred, rng):
     """A random vector of `inside` failing `outside_pred` (rejection sampling)."""
     q = ctx.order
-    times = combiner(inside.rows, ctx)
+    times = combiner(inside._ech.rows, ctx)
     for _ in range(200):
-        coeffs = [rng.randrange(q) for _ in inside.rows]
+        coeffs = [rng.randrange(q) for _ in range(inside.dim)]
         lam = StructureVector(ctx, n, times(coeffs))
         if not lam.is_zero() and not outside_pred(lam):
             return lam

@@ -14,9 +14,10 @@ pivot entry to 1 with one `translate`.  Over the list fields the stored
 rows are walked in pivot order.  `combiner`, `reduce_against` and
 `Echelon.add` hand back packed rows for further elimination; the results
 that leave the engine, `rref_rows` rows, `Subspace.rows` and
-`Matrix.entries`, stay lists and tuples of raw scalars.  Subspace keeps the
-canonical reduced row-echelon basis, so equal subspaces compare equal as
-data, together with the `Echelon` over it.
+`Matrix.entries`, stay lists and tuples of raw scalars.  A Subspace holds
+only the `Echelon` of its canonical reduced row-echelon basis, so equal
+subspaces compare equal as data, and builds `rows` and `pivots` from it on
+access.
 Pivots are first nonzero entries: exact arithmetic makes stability a
 non-issue and the unique reduced form makes outputs diffable.
 """
@@ -313,7 +314,7 @@ class Matrix:
 
 def kernel_rows(rows, ncols, ctx):
     """Right kernel {v : M v^T = 0} of the matrix with the given rows, as raw rows."""
-    red, pivots = rref_rows(rows, ctx)
+    red, pivots = Echelon(ctx, ncols, rows).reduced()
     pivot_set = set(pivots)
     free = [j for j in range(ncols) if j not in pivot_set]
     zero, one = ctx.zero(), ctx.one()
@@ -332,29 +333,33 @@ def kernel_rows(rows, ncols, ctx):
 class Subspace:
     """A subspace of F^d held as its canonical rref basis (no zero rows).
 
-    `rows` is a tuple of tuples of raw scalars, and `_ech` is the `Echelon`
-    over the same rows in packed form (`FieldCtx.pack`), which every
-    membership test and quotient reduces against.
+    The only copy of the basis is `_ech`, the `Echelon` over it in packed
+    form (`FieldCtx.pack`), which every membership test and quotient reduces
+    against; `rows` (a tuple of tuples of raw scalars) and `pivots` are built
+    from it on each access.
     """
 
-    __slots__ = ("ctx", "ambient", "rows", "pivots", "_ech")
+    __slots__ = ("ctx", "ambient", "_ech")
 
     def __init__(self, ctx, ambient, rows):
         ech = Echelon(ctx, ambient, rows)
         ech.reduced()
-        self._hold(ech)
+        self.ctx, self.ambient, self._ech = ctx, ambient, ech
 
     @classmethod
     def _of(cls, ech):
         """The subspace of a reduced echelon, which it takes over."""
         out = object.__new__(cls)
-        out._hold(ech)
+        out.ctx, out.ambient, out._ech = ech.ctx, ech.ambient, ech
         return out
 
-    def _hold(self, ech):
-        self.ctx, self.ambient, self._ech = ech.ctx, ech.ambient, ech
-        self.rows = tuple(tuple(r) for r in ech.rows)
-        self.pivots = tuple(ech.pivots)
+    @property
+    def rows(self):
+        return tuple(map(tuple, self._ech.rows))
+
+    @property
+    def pivots(self):
+        return tuple(self._ech.pivots)
 
     @classmethod
     def zero(cls, ctx, ambient):
@@ -367,7 +372,7 @@ class Subspace:
 
     @property
     def dim(self):
-        return len(self.rows)
+        return len(self._ech.rows)
 
     def contains(self, vec):
         vec = getattr(vec, "coords", vec)
@@ -387,7 +392,7 @@ class Subspace:
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.ctx == other.ctx
-                and self.ambient == other.ambient and self.rows == other.rows)
+                and self.ambient == other.ambient and self._ech.rows == other._ech.rows)
 
     def __hash__(self):
         return hash((self.ctx, self.ambient, self.rows))
@@ -445,7 +450,7 @@ class Subspace:
         return {
             "field": ctx.to_json(),
             "ambient": self.ambient,
-            "basis": [[ctx.raw_to_json(x) for x in r] for r in self.rows],
+            "basis": [[ctx.raw_to_json(x) for x in r] for r in self._ech.rows],
         }
 
     @staticmethod

@@ -163,7 +163,7 @@ def eq15_identity_holds(ctx, n=3):
     return True
 
 
-def gamma_handle(gens, label="semilinear"):
+def gamma_handle(gens):
     """The semilinear space as a module over the generator set, one star applier per element.
 
     Coordinates are over the matrix units, row-major, so a row r is the map
@@ -174,7 +174,7 @@ def gamma_handle(gens, label="semilinear"):
         raise ValueError("the semilinear module needs characteristic 2")
     appliers = [lambda r, g=g: star(SemilinearMap(Matrix(ctx, n, n, r)), g).coords()
                 for g in gens.elements]
-    return _restricted_handle(gens, appliers, Subspace.full(ctx, n * n), None, label)
+    return _restricted_handle(gens, appliers, Subspace.full(ctx, n * n), None, "semilinear")
 
 
 def sigma_gmap_claims(bases, gens):
@@ -187,7 +187,7 @@ def sigma_gmap_claims(bases, gens):
     check_cell_shape(bases, gens)
     ctx, n = bases.ctx, bases.n
     C = bases["C"]
-    lams = [StructureVector(ctx, n, list(row)) for row in C.rows]
+    lams = [StructureVector(ctx, n, row) for row in C._ech.rows]
     sigmas = [sigma(lam) for lam in lams]
     ok = True
     for g in gens.elements:

@@ -366,7 +366,7 @@ def _restricted_handle(gens, appliers, carrier, sub, label, classes=None):
     if sub is None or sub.dim == 0:
         sub = None
         sub_ech = Echelon(ctx, carrier.ambient)
-        reps = [list(r) for r in carrier.rows]
+        reps = [list(r) for r in carrier._ech.rows]
     else:
         sub_ech = sub._ech
         reps = carrier.coset_representatives(sub)
@@ -394,10 +394,10 @@ def _rep_classes(reps, classes, label):
     return tuple(out)
 
 
-def dual_space_handle(gens, label="dual"):
+def dual_space_handle(gens):
     """The n-dimensional dual space as a right module."""
     ctx, n = gens.ctx, gens.n
-    return module_handle(gens, Subspace.full(ctx, n), label=label)
+    return module_handle(gens, Subspace.full(ctx, n), label="dual")
 
 
 def handle_spin(handle, coeff_row):

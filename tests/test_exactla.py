@@ -1,9 +1,11 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
+from algdeg.canon import Bases
 from algdeg.gfield import make_field
 from algdeg.exactla import (
     Echelon, Matrix, Subspace, GroupElement, null_space, kernel_rows,
@@ -400,3 +402,52 @@ def test_rows_of_the_wrong_length_are_rejected():
             rref_rows([[ctx.one(), zero], [ctx.one()]], ctx)
         with pytest.raises(ValueError):
             Echelon(ctx, 3).add([ctx.one()] * 4)
+
+
+def _nonzero_scalar(ctx, rng):
+    while True:
+        c = _scalar(ctx, rng)
+        if c:
+            return c
+
+
+def _respan(ctx, rows, rng):
+    """The rows shuffled and scaled, with dependent and zero rows added."""
+    out = [ctx.row_scale(r, _nonzero_scalar(ctx, rng)) for r in rows]
+    zero = [ctx.zero()] * len(rows[0])
+    out += [ctx.row_addmul(rng.choice(rows), rng.choice(rows), _scalar(ctx, rng)), zero]
+    rng.shuffle(out)
+    return out
+
+
+@pytest.mark.parametrize("ctx", FIELDS, ids=repr)
+def test_one_subspace_spanned_two_ways_is_one_set_member(ctx):
+    rng = random.Random(71)
+    d = 7
+    rows = [[_scalar(ctx, rng) for _ in range(d)] for _ in range(4)]
+    want = Subspace(ctx, d, rows)
+    a = Subspace(ctx, d, _respan(ctx, rows, rng))
+    b = Echelon(ctx, d, _respan(ctx, rows, rng)).subspace()
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a.rows == b.rows == want.rows
+    assert a.pivots == b.pivots == want.pivots
+
+
+CANONICAL = ("C", "K", "Mstar", "Mstarstar", "T", "Ttilde", "TcapTtilde", "N", "U")
+
+
+def test_the_canonical_submodules_hold_each_basis_once():
+    """At (6, GF(3)) the nine canonical submodules hold 0.6 MB in packed
+    echelon rows; a second tuple copy of each basis takes it to 2.6 MB."""
+    for name in CANONICAL:                # fill the caches the builds share
+        Bases(GF3, 6)[name]
+    tracemalloc.start()
+    try:
+        bases = Bases(GF3, 6)             # which keeps every submodule it builds
+        for name in CANONICAL:
+            bases[name]
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 1.5e6

@@ -55,7 +55,7 @@ def _diagram_handles(ctx, n):
     """V* and the handles the paper's diagrams map into it, by label."""
     gens = standard_generators(ctx, n)
     b = Bases(ctx, n)
-    v = dual_space_handle(gens, "V*")
+    v = dual_space_handle(gens)
     return v, {
         "V*": v,
         "M*": module_handle(gens, b["Mstar"], label="M*"),

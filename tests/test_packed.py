@@ -342,9 +342,10 @@ def test_echelon_on_mixed_rows_matches_all_list_input(ctx, data):
     assert sub == Subspace(ctx, d, rows)
     # and the result is the reduced form of a space holding every input row
     assert all(sub.contains(r) for r in rows)
-    for r, p in zip(sub.rows, sub.pivots):
+    basis = sub.rows
+    for r, p in zip(basis, sub.pivots):
         assert ref_lead(r) == p and r[p] == ctx.one()
-        assert all(s[p] == ctx.zero() for s in sub.rows if s is not r)
+        assert all(s[p] == ctx.zero() for s in basis if s is not r)
 
 
 # -- jump elimination and lazily reduced combiner -----------------------------------------
