@@ -130,7 +130,6 @@ class TransvectionSpec:
 
 def _outer(ctx, coeffs, row):
     """coeffs (x) row, flattened: block i is coeffs[i] * row."""
-    row = list(row)
     return [x for c in coeffs for x in ctx.row_scale(row, c)]
 
 
@@ -428,7 +427,7 @@ def reach_delta(lam, gens):
         # |F| = 3: alpha is forced to 2 = -1 and the zeta([z,z]) term drops out
         mu5 = transvection_g5(lam, TransvectionSpec(z, zeta, ctx.from_int(2)))
         zeta_prime, radical = _alternating_radical(lam, z, zeta)
-        h = _basis_change(ctx, [z.coords, w.coords] + [list(r) for r in radical.rows])
+        h = _basis_change(ctx, [z.coords, w.coords] + radical._ech.rows)
         nu = act(mu5, h)
         c = zeta_prime(w).raw
         expect = (unit(ctx, n, 1, 2, 1) + unit(ctx, n, 2, 1, 1)

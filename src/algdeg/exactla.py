@@ -1,9 +1,10 @@
 """Dense exact linear algebra over a FieldCtx.
 
 Matrices are row-major lists of raw scalars.  `Echelon` is the one elimination
-engine: every rref, rank, kernel, sum and intersection runs on it.  It packs
-each input row once (`FieldCtx.pack`: `bytes` over GF(p), p <= 13, and
-GF(2^k), a list elsewhere) and stores packed rows.  Over packed fields the
+engine: every rref, rank, kernel, sum and intersection runs on it.  Inside
+the engine a row has one form, its field's row form (`FieldCtx.pack`:
+`bytes` over GF(p), p <= 13, and GF(2^k), a list elsewhere).  The echelon
+packs each input row once and stores packed rows.  Over packed fields the
 echelon also holds an int view of each row and a pivot mask, and every
 reduction against echelon rows is one `FieldCtx.row_eliminate`, which jumps
 from one pivot to clear to the next, so a reduction costs one step per row
@@ -11,13 +12,14 @@ operation rather than one per stored row.  There `add` inserts in one pass
 over the row's int view: it eliminates only when the row meets a pivot
 slot, reads the zero test and the new pivot off the int, and scales the
 pivot entry to 1 with one `translate`.  Over the list fields the stored
-rows are walked in pivot order.  `combiner`, `reduce_against` and
-`Echelon.add` hand back packed rows for further elimination; the results
-that leave the engine, `rref_rows` rows, `Subspace.rows` and
-`Matrix.entries`, stay lists and tuples of raw scalars.  A Subspace holds
-only the `Echelon` of its canonical reduced row-echelon basis, so equal
-subspaces compare equal as data, and builds `rows` and `pivots` from it on
-access.
+rows are walked in pivot order.  Every row the engine hands on is in the
+row form too, the coefficients of `reduce_with_coeffs` and `quotient_coords`
+included; rows become lists or tuples of raw scalars only where they leave
+the engine: `rref_rows`, `Subspace.rows`, `Matrix.entries`,
+`StructureVector.coords` and `to_json`.  A Subspace
+holds only the `Echelon` of its canonical reduced row-echelon basis, so
+equal subspaces compare equal as data, and builds `rows` and `pivots` from
+it on access.
 Pivots are first nonzero entries: exact arithmetic makes stability a
 non-issue and the unique reduced form makes outputs diffable.
 """
@@ -181,13 +183,14 @@ class Echelon:
         return rows, pivots
 
     def reduce_with_coeffs(self, vec):
-        """Packed residual plus the elimination coefficients (vec = sum c_i rows_i + residual).
+        """Packed residual and packed coefficients c (vec = sum c_i rows_i + residual).
 
         The rows must be rref rows: each is zero at every pivot but its own,
         so the coefficient of a row is vec's entry at its pivot.
         """
-        v = self.ctx.pack(vec)
-        return self.reduce(v), [v[p] for p in self.pivots]
+        ctx = self.ctx
+        v = ctx.pack(vec)
+        return self.reduce(v), ctx.pack([v[p] for p in self.pivots])
 
     def quotient_coords(self, vec, reps):
         """Coordinates of vec + span(rows) over the rref echelon `reps`; the residual must vanish."""
@@ -313,7 +316,7 @@ class Matrix:
 
 
 def kernel_rows(rows, ncols, ctx):
-    """Right kernel {v : M v^T = 0} of the matrix with the given rows, as raw rows."""
+    """Right kernel {v : M v^T = 0} of the matrix with the given rows, as packed rows."""
     red, pivots = Echelon(ctx, ncols, rows).reduced()
     pivot_set = set(pivots)
     free = [j for j in range(ncols) if j not in pivot_set]
@@ -326,7 +329,7 @@ def kernel_rows(rows, ncols, ctx):
         v[f] = one
         for p, x in zip(pivots, ctx.row_scale(cols[f], mone)):
             v[p] = x
-        out.append(v)
+        out.append(ctx.pack(v))
     return out
 
 
@@ -367,8 +370,9 @@ class Subspace:
 
     @classmethod
     def full(cls, ctx, ambient):
-        ident = Matrix.identity(ctx, ambient)
-        return cls._of(Echelon.from_rref(ctx, ambient, ident.rows(), range(ambient)))
+        zero, one = ctx.zero(), ctx.one()
+        units = ([zero] * i + [one] + [zero] * (ambient - 1 - i) for i in range(ambient))
+        return cls._of(Echelon.from_rref(ctx, ambient, units, range(ambient)))
 
     @property
     def dim(self):
@@ -436,14 +440,14 @@ class Subspace:
         return self.dim - sub.dim
 
     def coset_representatives(self, sub):
-        """Echelon basis of a complement of sub in self; cosets form a quotient basis."""
+        """Packed rref basis of a complement of sub in self; cosets form a quotient basis."""
         self._check_compatible(sub)
         ech = sub._ech.copy()
         reps = [t for t in map(ech.add, self._ech.rows) if t is not None]
         # sub + self has the dimension of self exactly when sub lies in self
         if ech.dim != self.dim:
             raise ValueError("not a subspace of this space")
-        return rref_rows(reps, self.ctx)[0]
+        return Echelon(self.ctx, self.ambient, reps).reduced()[0]
 
     def to_json(self):
         ctx = self.ctx

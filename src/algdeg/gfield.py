@@ -12,7 +12,8 @@ run on the rows read as big ints (`row_eliminate`, `row_combine`): they add
 whole rows and, over GF(p), reduce the slots mod p with one `translate`
 only when a slot could next pass 255.  The structure-vector action's
 transvections and diagonals run on int views too (`row_shift_add`,
-`row_slot_scale`).  Other fields keep rows as lists.
+`row_slot_scale`).  Other fields keep rows as lists.  Every row kernel
+returns its field's row form (`FieldCtx.pack`) whatever form its input takes.
 """
 
 from fractions import Fraction
@@ -56,11 +57,6 @@ def _poly_mul_mod(a, b, modulus, p):
     return [c % p for c in prod[:k]] + [0] * max(0, k - len(prod))
 
 
-# row types the packed kernels hand back as lists, so callers holding list rows
-# never see `bytes`
-_UNPACKED = (list, tuple)
-
-
 class FieldCtx:
     """Immutable arithmetic context: GF(p^k) for the frozen modulus table, or Q.
 
@@ -69,10 +65,9 @@ class FieldCtx:
 
     `packed` is true over GF(p), p <= 13, and GF(2^k).  There the row kernels
     work on `bytes` rows, one raw code per byte: they accept lists, tuples or
-    `bytes`, and return `bytes` unless the first row is a list or tuple, which
-    gets a list back.  `pack` turns any row into the packed form.  Over GF(p)
-    a slot of u + (p-c)*v is at most (p-1) + p(p-1) = p^2 - 1 < 256, so the
-    slots of the big-int sum never carry and one `translate` reduces them
+    `bytes`, and return `bytes`, the form `pack` turns any row into.  Over
+    GF(p) a slot of u + (p-c)*v is at most (p-1) + p(p-1) = p^2 - 1 < 256, so
+    the slots of the big-int sum never carry and one `translate` reduces them
     mod p.  Over GF(2^k) addition is XOR.  Every other field (GF(9), GF(25),
     larger primes, Q) keeps rows as lists.  The byte of a code is the code
     itself, so packed rows order and serialize like the lists they replace.
@@ -237,18 +232,16 @@ class FieldCtx:
         return len(v)
 
     def row_submul(self, u, v, c):
-        """u - c*v, elementwise on raw rows; a list or tuple u gives a list."""
+        """u - c*v, elementwise on raw rows, in the row form (`pack`)."""
         if self.packed:
             d = len(u)
             if self.char == 2:
                 if c != 1:
                     v = bytes(v).translate(self._scale_bytes[c])
-                out = (int.from_bytes(u, "big") ^ int.from_bytes(v, "big")).to_bytes(d, "big")
-            else:
-                p = self.char
-                out = (int.from_bytes(u, "big") + (p - c % p) * int.from_bytes(v, "big")
-                       ).to_bytes(d, "big").translate(self._mod_bytes)
-            return list(out) if type(u) in _UNPACKED else out
+                return (int.from_bytes(u, "big") ^ int.from_bytes(v, "big")).to_bytes(d, "big")
+            p = self.char
+            return (int.from_bytes(u, "big") + (p - c % p) * int.from_bytes(v, "big")
+                    ).to_bytes(d, "big").translate(self._mod_bytes)
         if self.kind == "finite":
             if self.degree == 1:
                 p = self.char
@@ -263,10 +256,9 @@ class FieldCtx:
         return self.row_submul(u, v, self.neg(c))
 
     def row_scale(self, v, c):
-        """c*v on a raw row; a list or tuple v gives a list."""
+        """c*v on a raw row, in the row form (`pack`)."""
         if self.packed:
-            out = bytes(v).translate(self._scale_bytes[c])
-            return list(out) if type(v) in _UNPACKED else out
+            return bytes(v).translate(self._scale_bytes[c])
         if self.kind == "finite":
             if self.degree == 1:
                 p = self.char

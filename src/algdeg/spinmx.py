@@ -287,16 +287,18 @@ class ModuleHandle:
 
     Coordinates are over the complement basis `reps` of `sub` inside
     `carrier` (sub=None means the plain submodule).  Right action:
-    coords' = coords * action[i].  `classes` holds the torus weight class of
-    each rep, or None when the handle is ungraded; on a graded handle every
-    rep is a weight vector, so the torus acts on the coordinates diagonally.
+    coords' = coords * action[i].  `reps` and the rows of each action matrix
+    are in the field's row form (`FieldCtx.pack`).  `classes` holds the torus
+    weight class of each rep, or None when the handle is ungraded; on a graded
+    handle every rep is a weight vector, so the torus acts on the coordinates
+    diagonally.
     """
     ctx: FieldCtx
     label: str
     carrier: Subspace
     sub: Optional[Subspace]
     reps: list
-    action: list            # one row-list matrix per generator
+    action: list            # one matrix per generator, a list of rows
     gens: GeneratorSet
     classes: Optional[tuple] = None
 
@@ -364,22 +366,20 @@ def _restricted_handle(gens, appliers, carrier, sub, label, classes=None):
     """
     ctx = carrier.ctx
     if sub is None or sub.dim == 0:
-        sub = None
-        sub_ech = Echelon(ctx, carrier.ambient)
-        reps = [list(r) for r in carrier._ech.rows]
+        sub, sub_ech, rep_ech = None, Echelon(ctx, carrier.ambient), carrier._ech
     else:
-        sub_ech = sub._ech
         reps = carrier.coset_representatives(sub)
-    packed = [ctx.pack(r) for r in reps]
-    rep_ech = Echelon.from_rref(ctx, carrier.ambient, packed, map(ctx.lead, packed))
+        sub_ech = sub._ech
+        rep_ech = Echelon.from_rref(ctx, carrier.ambient, reps, map(ctx.lead, reps))
+    reps = rep_ech.rows
     try:
-        action = [[sub_ech.quotient_coords(f(rep), rep_ech) for rep in packed]
+        action = [[sub_ech.quotient_coords(f(rep), rep_ech) for rep in reps]
                   for f in appliers]
     except ValueError:
         raise ValueError(f"carrier of {label!r} is not generator-stable") from None
     if sub is not None and not _maps_into_itself(sub, appliers):
         raise ValueError(f"sub of {label!r} is not generator-stable")
-    graded = None if classes is None else _rep_classes(packed, classes, label)
+    graded = None if classes is None else _rep_classes(reps, classes, label)
     return ModuleHandle(ctx, label, carrier, sub, reps, action, gens, graded)
 
 
@@ -417,7 +417,7 @@ def _handle_appliers(action, ctx):
 class NortonResult:
     verdict: str                      # irreducible | reducible | inconclusive
     witness: Optional[Subspace]       # preimage in the carrier ambient
-    witness_coords: Optional[list]
+    witness_coords: Optional[list]    # its rows in handle coordinates, in the row form
     detail: dict = field(default_factory=dict)
 
 
@@ -433,8 +433,8 @@ def _matmul_rows(a, b, ctx):
     return list(map(combiner(b, ctx), a))
 
 
-def _transpose_rows(rows):
-    return [list(col) for col in zip(*rows)]
+def _transpose_rows(rows, ctx):
+    return [ctx.pack(col) for col in zip(*rows)]
 
 
 def _lines_of(rows, ctx):
@@ -449,10 +449,9 @@ def _lines_of(rows, ctx):
 def _random_envelope(handle, rng):
     """Identity + random words in the generator action, randomly weighted."""
     ctx, d = handle.ctx, handle.dim
-    q = ctx.order
-    ident = Matrix.identity(ctx, d).rows()
+    q, zero = ctx.order, ctx.zero()
     c0 = ctx.from_int(rng.randrange(q))
-    theta = [ctx.row_scale(r, c0) for r in ident]
+    theta = [ctx.pack([zero] * i + [c0] + [zero] * (d - 1 - i)) for i in range(d)]
     terms = list(handle.action)
     for _ in range(rng.randrange(2, 5)):
         word = handle.action[rng.randrange(len(handle.action))]
@@ -461,7 +460,7 @@ def _random_envelope(handle, rng):
         terms.append(word)
     for t in terms:
         c = ctx.from_int(rng.randrange(q))
-        if c != ctx.zero():
+        if c != zero:
             theta = [ctx.row_addmul(tr_, wr, c) for tr_, wr in zip(theta, t)]
     return theta
 
@@ -499,10 +498,9 @@ def _root_shifts(theta, ctx):
     """(key, shifted rows, module-side kernel rows) of theta - a*I at each root a."""
     d = len(theta)
     for a in _eigenvalue_candidates(theta, ctx):
-        shifted = [list(r) for r in theta]
-        for i, r in enumerate(shifted):
-            r[i] = ctx.sub(r[i], a)
-        yield {"shift": ctx.raw_to_json(a)}, shifted, kernel_rows(_transpose_rows(shifted), d, ctx)
+        shifted = [r[:i] + ctx.pack([ctx.sub(r[i], a)]) + r[i + 1:] for i, r in enumerate(theta)]
+        yield ({"shift": ctx.raw_to_json(a)}, shifted,
+               kernel_rows(_transpose_rows(shifted, ctx), d, ctx))
 
 
 def _deciding_lines(ker, e, d, ctx):
@@ -533,8 +531,8 @@ def _degree_shift(theta, ctx):
         base = power
         for _ in range(ctx.order - 1):
             power = _matmul_rows(power, base, ctx)
-        shifted = [list(ctx.row_submul(p, t, one)) for p, t in zip(power, theta)]
-        ker = kernel_rows(_transpose_rows(shifted), d, ctx)
+        shifted = [ctx.row_submul(p, t, one) for p, t in zip(power, theta)]
+        ker = kernel_rows(_transpose_rows(shifted, ctx), d, ctx)
         if ker:
             return {"degree": e}, shifted, ker
     raise RuntimeError("theta^(q^e) - theta is invertible for every e <= d")
@@ -615,7 +613,7 @@ def _smallest_weight_space(handle):
         return None
     ctx, d = handle.ctx, handle.dim
     zero, one = ctx.zero(), ctx.one()
-    return [[one if j == i else zero for j in range(d)] for i in smallest]
+    return [ctx.pack([one if j == i else zero for j in range(d)]) for i in smallest]
 
 
 def _module_witness(handle, lines, detail):
@@ -623,7 +621,7 @@ def _module_witness(handle, lines, detail):
     proper = _first_proper_spin(handle.action, lines, handle.dim, handle.ctx)
     if proper is None:
         return None
-    return _reducible(handle, [list(r) for r in proper.rows], {**detail, "side": "module"})
+    return _reducible(handle, proper._ech.rows, {**detail, "side": "module"})
 
 
 def _dual_verdict(handle, vector, detail):
@@ -631,11 +629,11 @@ def _dual_verdict(handle, vector, detail):
     kernel vector of the transpose spins full exactly when the module is
     irreducible, and a proper spin's annihilator is the witness."""
     ctx, d = handle.ctx, handle.dim
-    action_t = [_transpose_rows(m) for m in handle.action]
+    action_t = [_transpose_rows(m, ctx) for m in handle.action]
     proper_t = _first_proper_spin(action_t, [vector], d, ctx)
     if proper_t is None:
         return NortonResult("irreducible", None, None, detail)
-    ann = kernel_rows([list(r) for r in proper_t.rows], d, ctx)
+    ann = kernel_rows(proper_t._ech.rows, d, ctx)
     return _reducible(handle, ann, {**detail, "side": "dual"})
 
 
@@ -768,12 +766,12 @@ def survey_submodules(handle, seed=0):
             images = {Subspace(ctx, top.dim, [x[i * top.dim:(i + 1) * top.dim]
                                               for i in range(s.dim)]) for x in maps}
             for image in images:
-                cover = top.preimage([list(r) for r in image.rows])
+                cover = top.preimage(image._ech.rows)
                 if cover not in found:
                     found.add(cover)
                     lattice.append(cover)
-    lifted = [handle.lift([list(r) for r in s.rows]) for s in lattice]
-    lifted.sort(key=lambda s: (s.dim, s.rows))
+    lifted = [handle.lift(s._ech.rows) for s in lattice]
+    lifted.sort(key=lambda s: (s.dim, s._ech.rows))
     return lifted
 
 
@@ -804,7 +802,7 @@ def _simple_types(quotient, full, seed):
 # -- homomorphism spaces ---------------------------------------------------------
 
 def hom_space(ha, hb):
-    """Dimension and basis of the space of module maps between two handles.
+    """Dimension and packed basis of the space of module maps between two handles.
 
     A map is X (da x db) with A X = X B for each action pair, flattened row
     by row.  A module map commutes with the torus, so on graded handles it
@@ -851,7 +849,7 @@ def hom_space(ha, hb):
         x = [zero] * (da * db)
         for (k, l), c in zip(unknowns, v):
             x[k * db + l] = c
-        basis.append(x)
+        basis.append(ctx.pack(x))
     return len(basis), basis
 
 

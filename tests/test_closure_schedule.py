@@ -148,7 +148,7 @@ def test_handle_spins_on_both_sides_match_the_lifo_closure(ctx, both):
         vectors = [[ctx.one()] + [ctx.zero()] * (d - 1),
                    [ctx.zero()] * (d - 1) + [ctx.one()],
                    [ctx.from_int(rng.randrange(ctx.order or 5)) for _ in range(d)]]
-        action_t = [_transpose_rows(m) for m in h.action]
+        action_t = [_transpose_rows(m, ctx) for m in h.action]
         for v in vectors:
             new, old = both(lambda: handle_spin(h, v))
             _same(new, old)

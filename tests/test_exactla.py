@@ -351,7 +351,7 @@ def test_rref_rows_is_the_reduced_form_of_the_row_space():
             back = [zero] * len(v)
             for r, p in zip(red, pivots):
                 back = [ctx.add(x, ctx.mul(v[p], y)) for x, y in zip(back, r)]
-            assert back == v
+            assert back == list(v)
 
 
 def _brute_span(rows, ncols):
@@ -451,3 +451,16 @@ def test_the_canonical_submodules_hold_each_basis_once():
     finally:
         tracemalloc.stop()
     assert held < 1.5e6
+
+
+def test_the_full_space_is_built_one_unit_row_at_a_time():
+    """F^512 over GF(3) peaks at 0.5 MB in packed rows and their int views; an
+    identity matrix of lists built first takes the peak to 4.7 MB."""
+    tracemalloc.start()
+    try:
+        full = Subspace.full(GF3, 512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert full.dim == 512 and full.pivots == tuple(range(512))
+    assert peak < 1e6

@@ -231,8 +231,8 @@ def test_row_kernels_match_scalar_ops():
         v = list(reversed(u))
         for c in els:
             expect = [ctx.sub(x, ctx.mul(c, y)) for x, y in zip(u, v)]
-            assert ctx.row_submul(u, v, c) == expect
-            assert ctx.row_scale(u, c) == [ctx.mul(c, x) for x in u]
+            assert list(ctx.row_submul(u, v, c)) == expect
+            assert list(ctx.row_scale(u, c)) == [ctx.mul(c, x) for x in u]
 
 
 def test_gf25_constructible():

@@ -35,7 +35,7 @@ def _dense_hom_space(ha, hb):
     zero, one = ctx.zero(), ctx.one()
     rows = []
     for ga, gb in zip(ha.action, hb.action):
-        cols = _transpose_rows(gb)
+        cols = _transpose_rows(gb, ctx)
         for i in range(da):
             block = slice(i * db, (i + 1) * db)
             for j in range(db):

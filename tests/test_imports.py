@@ -45,7 +45,8 @@ UNREAD_ALLOWED = {
     "spinmx.close_subspace": TRACED,
     "gamma2.replay_irreducible_from": TRACED,
     "canon.ProjectivePoint.enumerate": "perfbench/workloads.py reads it",
-    "spinmx.rational_generators": "the generators over Q that ROADMAP item 6 builds on",
+    "spinmx.rational_generators": ("the generators over Q that the ROADMAP item on "
+                                   "characteristic zero builds on"),
 }
 
 

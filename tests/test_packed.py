@@ -14,8 +14,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from algdeg import cli, spinmx
+from algdeg.canon import Bases
 from algdeg.exactla import (
-    Echelon, GroupElement, Matrix, Subspace, combiner, quotient_coords,
+    Echelon, GroupElement, Matrix, Subspace, combiner, kernel_rows, quotient_coords,
     reduce_with_coeffs, rref_rows,
 )
 from algdeg.gfield import FieldCtx, make_field
@@ -102,8 +103,8 @@ def test_row_submul_and_addmul_match_the_list_reference(ctx, data):
                 add = ctx.row_addmul(uf, vf, c)
                 assert list(sub) == ref_submul(ctx, u, v, c)
                 assert list(add) == ref_addmul(ctx, u, v, c)
-                # list and tuple rows come back as lists, packed rows as bytes
-                want = bytes if type(uf) is bytes else list
+                # every form comes back in the field's row form
+                want = bytes if ctx.packed else list
                 assert type(sub) is want and type(add) is want
 
 
@@ -116,7 +117,7 @@ def test_row_scale_matches_the_list_reference(ctx, data):
         for vf in _forms(ctx, v):
             out = ctx.row_scale(vf, c)
             assert list(out) == ref_scale(ctx, v, c)
-            assert type(out) is (bytes if type(vf) is bytes else list)
+            assert type(out) is (bytes if ctx.packed else list)
 
 
 @per_field
@@ -547,7 +548,7 @@ def test_quotient_coords_and_contains_match_the_list_path(ctx, data):
     got = quotient_coords(v, sub.rows, sub.pivots, reps, rep_pivots, ctx)
     # the list path: clear sub's pivots, read the reps' pivots, clear those too
     t = ref_reduce(ctx, v, [list(r) for r in sub.rows], list(sub.pivots))
-    assert got == [t[p] for p in rep_pivots]
+    assert list(got) == [t[p] for p in rep_pivots]
     assert ref_lead(ref_reduce(ctx, t, reps, rep_pivots)) == d
     res, cs = reduce_with_coeffs(t, reps, rep_pivots, ctx)
     assert cs == got and ref_lead(res) == d
@@ -655,5 +656,44 @@ def test_values_leaving_the_engine_hold_no_bytes(capsys):
         assert args.field.packed
         assert not _holds_bytes(cli.command(args)(args).claims)
         handle = spinmx.dual_space_handle(spinmx.standard_generators(args.field, 3))
-        assert not _holds_bytes(handle.reps) and not _holds_bytes(handle.action)
+        assert _holds_bytes(handle.reps) and _holds_bytes(handle.action)
+    for argv in (["series", "--chain", "0,Mstar(1,-1),K", "--n", "3", "--field", "5"],
+                 ["lattice", "--n", "4", "--field", "3"],
+                 ["gamma", "--n", "3", "--field", "2^2"],
+                 ["verify-all", "--n-list", "3", "--fields", "3,2^2"]):
+        args = cli.build_parser().parse_args(argv)
+        assert not _holds_bytes(cli.command(args)(args).to_json()), argv
     capsys.readouterr()
+
+
+@per_field
+def test_rows_inside_the_engine_take_the_row_form_of_their_field(ctx):
+    """Handles, kernels, complements, quotient coordinates and hom-space bases
+    hold `bytes` rows over a packed field and lists elsewhere, whatever the
+    form of the rows they are given."""
+    form = bytes if ctx.packed else list
+
+    def in_form(rows):
+        return bool(rows) and all(type(r) is form for r in rows)
+
+    gens = (spinmx.standard_generators(ctx, 3) if ctx.kind == "finite"
+            else spinmx.rational_generators(ctx, 3))
+    bases = Bases(ctx, 3)
+    Ms, Mss = bases["Mstar"], bases["Mstarstar"]
+    handles = [spinmx.dual_space_handle(gens), spinmx.module_handle(gens, Ms),
+               spinmx.module_handle(gens, Mss, sub=Ms)]
+    for h in handles:
+        assert in_form(h.reps) and all(in_form(m) for m in h.action), h.label
+        assert in_form(spinmx._transpose_rows(h.action[0], ctx)), h.label
+        dim, basis = spinmx.hom_space(h, h)
+        assert dim == len(basis) and in_form(basis), h.label
+    rows = [[ctx.one(), ctx.zero(), ctx.one()], [ctx.zero(), ctx.one(), ctx.one()]]
+    for shaped in (rows, [tuple(r) for r in rows], [ctx.pack(r) for r in rows]):
+        assert in_form(spinmx._transpose_rows(shaped, ctx))
+        assert in_form(kernel_rows(shaped, 3, ctx))
+        big, sub = Subspace(ctx, 3, shaped), Subspace(ctx, 3, shaped[:1])
+        reps = big.coset_representatives(sub)
+        assert in_form(reps)
+        coeffs = quotient_coords(shaped[1], sub.rows, sub.pivots, reps,
+                                 [ctx.lead(r) for r in reps], ctx)
+        assert type(coeffs) is form and list(coeffs) == [ctx.one()]

@@ -140,7 +140,7 @@ def test_action_matrix_matches_act():
     for i, c in enumerate(lam.coords):
         if c:
             out = GF3.row_addmul(out, m.row(i), c)
-    assert out == act(lam, g).coords
+    assert list(out) == act(lam, g).coords
 
 
 def test_opposite_basics():
