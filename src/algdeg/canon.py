@@ -10,6 +10,8 @@ Dictionary of submodules for an n-dimensional algebra space over F:
     C          commutative products            dim n^3/2 + n^2/2
     K          square-zero ("skew") products   dim n^3/2 - n^2/2
     M*         [u,v] in span(u,v)              dim 2n
+    M*_P       projective piece at P = (a, d)  dim n, a copy of V*
+               (M*_(1,0), spanned by the epsilon_k, is the dual's handle)
     M**        [v,v] in span(v)                dim n^3/2 - n^2/2 + n
     T, T~      kernels of the trace pairs      codim n each
     U = K^T    unimodular skew                 dim (n^3-n^2)/2 - n

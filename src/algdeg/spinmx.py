@@ -5,23 +5,24 @@ finite generator set; over a finite field the generators have finite order, so
 closure under each g is closure under g^-1 and the generator closure equals
 the full group closure.
 
-Over a finite field the standard generators grade every module handle of
-the structure space and of the dual by torus weight (`ModuleHandle.classes`):
-the diagonal torus T has order prime to p, so a stable subspace is the sum
-of its parts on the weight classes, and every basis vector of a handle is a
-weight vector, which `_restricted_handle` checks.  On a graded handle the
-irreducibility test needs no draw.  The projection P_c onto the smallest
-weight space lies in F[T], inside the envelope, so theta = I - P_c is a
-singular envelope element whose kernel, and its transpose's, is the span
-of that class's k unit vectors; every line of it is spun on the module and
-one unit vector on the transpose, and Norton's lemma (below) decides.  This
-is the peakword choice of Lux, Mueller & Ringe ("Peakword condensation and
-submodule lattices", J. Symb. Comput. 17, 1994).  The test falls back to
-random draws on an ungraded handle (rational generators, the semilinear
-module of `gamma2`, handles built by hand), over GF(2), where the torus is
-trivial, and when the smallest class holds every vector or spans more than
-`LINE_CAP` lines.  (On weight spaces: Green, "Polynomial Representations of
-GL_n", LNM 830, section 3.)
+Over a finite field the standard generators grade every module handle by
+torus weight (`ModuleHandle.classes`).  Every handle lies in the structure
+space, the dual V* as its piece M*_(1,0), so one table, `weight_classes`,
+grades them all.  The diagonal torus T has order prime to p, so a stable
+subspace is the sum of its parts on the weight classes, and every basis
+vector of a handle is a weight vector, which `_restricted_handle` checks.
+On a graded handle the irreducibility test needs no draw.  The projection
+P_c onto the smallest weight space lies in F[T], inside the envelope, so
+theta = I - P_c is a singular envelope element whose kernel, and its
+transpose's, is the span of that class's k unit vectors; every line of it is
+spun on the module and one unit vector on the transpose, and Norton's lemma
+(below) decides.  This is the peakword choice of Lux, Mueller & Ringe
+("Peakword condensation and submodule lattices", J. Symb. Comput. 17, 1994).
+The test falls back to random draws on an ungraded handle (rational
+generators, the semilinear module of `gamma2`, handles built by hand), over
+GF(2), where the torus is trivial, and when the smallest class holds every
+vector or spans more than `LINE_CAP` lines.  (On weight spaces: Green,
+"Polynomial Representations of GL_n", LNM 830, section 3.)
 
 The random test is the classical kernel-vector criterion with Holt-Rees
 shifts: draw theta in the enveloping algebra; every shift theta - a*I lies
@@ -317,38 +318,23 @@ class ModuleHandle:
         return lifted if self.sub is None else lifted | self.sub
 
 
-def _ambient_appliers(gens, ambient):
-    n = gens.n
-    if ambient == n ** 3:
-        return _structvec_appliers(gens)
-    if ambient == n:
-        # the dual space: row vectors acted on by right multiplication with [g]
-        return _handle_appliers([g.mat.rows() for g in gens.elements], gens.ctx)
-    raise ValueError(f"no generator action on ambient dimension {ambient}")
-
-
-def _ambient_classes(gens, ambient):
-    """The torus weight class of each ambient coordinate, or None.
-
-    The structure space and the dual each take their table from
-    `weight_classes`: e_i + e_j - e_k for coordinate ijk, e_k for unit
-    vector e_k of the dual, mod |F| - 1.  Only a finite field's standard
-    generators are graded: they generate the full group, so its torus, and
-    the rational ones reach a subgroup only.
-    """
-    ctx, n = gens.ctx, gens.n
-    if ctx.kind != "finite" or gens.provenance != "standard-finite":
-        return None
-    return weight_classes(ctx, n, dual=ambient != n ** 3)
-
-
 def module_handle(gens, carrier, sub=None, label="module"):
     """Restrict (and quotient) the generator action to carrier/sub, checking both
-    stable; graded by torus weight over a finite field's standard generators."""
+    stable.  The carrier lies in the structure space F^(n^3); any other
+    ambient is a ValueError (the dual is the piece M*_(1,0), see
+    `dual_space_handle`).
+
+    The handle is graded by `weight_classes` over a finite field's standard
+    generators only: they generate the full group, so its torus, and the
+    rational ones reach a subgroup only.
+    """
     _check_field(gens, carrier, sub)
-    ambient = carrier.ambient
-    return _restricted_handle(gens, _ambient_appliers(gens, ambient), carrier, sub,
-                              label, _ambient_classes(gens, ambient))
+    ctx, n = gens.ctx, gens.n
+    if carrier.ambient != n ** 3:
+        raise ValueError(f"no generator action on ambient dimension {carrier.ambient}")
+    graded = ctx.kind == "finite" and gens.provenance == "standard-finite"
+    return _restricted_handle(gens, _structvec_appliers(gens), carrier, sub, label,
+                              weight_classes(ctx, n) if graded else None)
 
 
 def _restricted_handle(gens, appliers, carrier, sub, label, classes=None):
@@ -395,9 +381,15 @@ def _rep_classes(reps, classes, label):
 
 
 def dual_space_handle(gens):
-    """The n-dimensional dual space as a right module."""
-    ctx, n = gens.ctx, gens.n
-    return module_handle(gens, Subspace.full(ctx, n), label="dual")
+    """The dual V* as a right module: the projective piece M*_(1,0) of the
+    structure space, spanned by epsilon_1..epsilon_n.
+
+    epsilon(mu), the structure vector of [u, v] = mu(v) u, satisfies
+    epsilon(mu) g = epsilon(mu [g]), so in the reps epsilon_1..epsilon_n
+    (pivot order) the action matrices are those of row vectors times [g],
+    and epsilon_k has the weight e_k of the dual's unit vector e_k.
+    """
+    return module_handle(gens, canon.basis_MstarP(gens.ctx, gens.n, (1, 0)), label="dual")
 
 
 def handle_spin(handle, coeff_row):

@@ -56,16 +56,15 @@ def torus_weights(n):
 
 
 @lru_cache(maxsize=64)
-def weight_classes(ctx, n, dual=False):
-    """The torus weight class of every coordinate (i, j, k), in storage order,
-    or with `dual` of every unit vector e_k of the dual, whose weight is e_k.
+def weight_classes(ctx, n):
+    """The torus weight class of every coordinate (i, j, k), in storage order:
+    the one grading table of every graded module handle.
 
     Over GF(q) two characters agree exactly when their exponent vectors
     agree mod q - 1, so the class is the weight (`torus_weights`) mod q - 1
     (one class over GF(2)); over Q it is the weight itself.
     """
-    ws = (tuple(tuple(int(r == k) for r in range(n)) for k in range(n)) if dual
-          else torus_weights(n))
+    ws = torus_weights(n)
     if ctx.kind != "finite":
         return ws
     m = ctx.order - 1

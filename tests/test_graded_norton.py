@@ -1,7 +1,8 @@
 """The weight-space irreducibility test on graded module handles.
 
 Over a finite field the standard generators grade every handle of the
-structure space and of the dual by torus weight, and `norton_irreducible`
+structure space by torus weight (the dual among them, as the piece
+M*_(1,0)), and `norton_irreducible`
 decides it on its smallest weight space with no random draw.  These tests
 hold that verdict against the random test (`norton_random`), check that a
 basis which is not graded is refused, and that the verdicts of a cell no
@@ -24,7 +25,7 @@ from algdeg.degen import _weight_class_translates, weights
 from algdeg.gamma2 import gamma_handle
 from algdeg.gfield import make_field
 from algdeg.spinmx import (
-    _ambient_appliers, _restricted_handle, dual_space_handle, module_handle,
+    _restricted_handle, _structvec_appliers, dual_space_handle, module_handle,
     norton_irreducible, norton_random, rational_generators, standard_generators,
     survey_submodules, verify_lattice_diagrams,
 )
@@ -128,8 +129,10 @@ def test_classes_are_mod_q_minus_one():
     assert weight_classes(gf7, 3) is weight_classes(gf7, 3)
     assert weight_classes(q, 3) == torus_weights(3)
     # unit vector e_k of the dual has weight e_k
-    assert weight_classes(gf7, 3, dual=True) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    assert set(weight_classes(make_field(2), 3, dual=True)) == {(0, 0, 0)}
+    assert dual_space_handle(standard_generators(gf7, 3)).classes == (
+        (1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert set(dual_space_handle(standard_generators(make_field(2), 3)).classes) == {
+        (0, 0, 0)}
 
 
 def test_torus_weights_are_the_weights_at_the_unit_sequences():
@@ -157,7 +160,7 @@ def _refuse_coordinate_grading():
     K = basis_K(ctx, 3)
     assert any(sum(1 for x in row if x) > 1 for row in K.rows)
     try:
-        _restricted_handle(gens, _ambient_appliers(gens, 27), K, None, "K",
+        _restricted_handle(gens, _structvec_appliers(gens), K, None, "K",
                            tuple((f,) for f in range(27)))
     except ValueError as e:
         return str(e)

@@ -15,7 +15,7 @@ from algdeg.gamma2 import gamma_handle
 from algdeg.structvec import StructureVector, act, unit
 from algdeg.canon import (
     Bases, ProjectivePoint, basis_C, basis_K, basis_Mstar, basis_MstarP, basis_N,
-    basis_U, delta, eta, expected_dims, submodule,
+    basis_U, delta, epsilon, eta, expected_dims, submodule,
 )
 from algdeg.spinmx import (
     ModuleHandle, composition_series, close_subspace, derive_seed, dual_space_handle,
@@ -565,6 +565,10 @@ def test_dual_space_handle_matches_the_dual_action(ctx, n):
     # the standard generators (the rational ones over Q)
     gens = gens_for(ctx, n) if ctx.kind == "finite" else rational_generators(ctx, n)
     handle = dual_space_handle(gens)
+    # V* is the piece M*_(1,0), with epsilon_1..epsilon_n as its reps
+    assert handle.carrier == Bases(ctx, n)[ProjectivePoint(ctx, 1, 0)]
+    assert [list(rep) for rep in handle.reps] == [
+        epsilon(ctx, n, k).coords for k in range(1, n + 1)]
     for g, action in zip(gens.elements, handle.action):
         for k in range(n):
             assert list(action[k]) == dual_act(dual_basis_vector(ctx, n, k + 1), g).coords
@@ -881,9 +885,10 @@ _GF3_GENS = standard_generators(GF3, 3)
     lambda: close_subspace(basis_U(GF3, 4), _GF3_GENS),
     lambda: module_handle(_GF3_GENS, basis_C(GF5, 3), label="C"),
     lambda: module_handle(_GF3_GENS, Subspace.full(GF5, 3)),
+    lambda: module_handle(_GF3_GENS, Subspace.full(GF3, 3)),
 ], ids=["spin-field", "spin-n", "spin_contains-field", "spin_contains-n",
         "close_subspace-field", "close_subspace-n", "module_handle-field",
-        "module_handle-dual-field"])
+        "module_handle-dual-field", "module_handle-dual-ambient"])
 def test_entry_points_reject_data_off_the_generator_set(call):
     with pytest.raises(ValueError):
         call()
