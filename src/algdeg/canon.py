@@ -18,10 +18,12 @@ Dictionary of submodules for an n-dimensional algebra space over F:
     N = C^T                                    dim n^3/2 + n^2/2 - n
 """
 
+from functools import lru_cache
+
 from .exactla import Subspace, combiner, kernel_rows
 from .report import claim
 from .structvec import (
-    DualVector, StructureVector, flat, unit, tr, tr_op,
+    DualVector, StructureVector, _slot_mask, _trace_coords, flat, unit, tr, tr_op,
     tr_matrix_rows, tr_op_matrix_rows,
 )
 
@@ -55,73 +57,94 @@ def expected_dims(n):
 
 
 # -- predicates (defining coordinate conditions) -----------------------------
+#
+# Each predicate checks its condition families in the order of the loops
+# over `_pairs` and `_triples` the conditions are stated with, and stops at
+# the first failure.  The flat indices come from `_cells(n)`, one table per
+# n built with `flat` from those same loops, so a check reads its
+# coordinates without computing or bound-checking an index.
+
+@lru_cache(maxsize=64)
+def _cells(n):
+    """Flat indices of the coordinate cells the predicates, `omega` and
+    `gamma2.sigma` read, keyed (family, pattern).
+
+    The family names the loop: "i" over 1..n, "ij" over the index pairs of
+    `_pairs(n)`, "ijk" over the triples of `_triples(n)`, and "kj" over
+    every (k, j) with k outer.  The pattern spells the cell in those
+    letters, so ("ij", "jij") holds flat(n, j, i, j) for each pair in loop
+    order.
+    """
+    families = {"i": [(i,) for i in range(1, n + 1)], "ij": _pairs(n), "ijk": _triples(n),
+                "kj": [(k, j) for k in range(1, n + 1) for j in range(1, n + 1)]}
+    patterns = {"i": ("iii",), "ij": ("iii", "iij", "ijj", "jij", "iji", "jii", "jjj"),
+                "ijk": ("ijk", "jik", "ijj", "ikk", "jij", "kik"), "kj": ("jjk",)}
+    return {(f, p): tuple(flat(n, *(dict(zip(f, t))[c] for c in p)) for t in families[f])
+            for f in families for p in patterns[f]}
+
 
 def predicate_C(lam):
     """[u,v] = [v,u]: lam_ijj = lam_jij and lam_ijk = lam_jik, distinct letters."""
-    n = lam.n
-    c = lam.coords
-    for i, j in _pairs(n):
-        if c[flat(n, i, j, j)] != c[flat(n, j, i, j)]:
+    c, t = lam.coords, _cells(lam.n)
+    for a, b in zip(t["ij", "ijj"], t["ij", "jij"]):
+        if c[a] != c[b]:
             return False
-    for i, j, k in _triples(n):
-        if c[flat(n, i, j, k)] != c[flat(n, j, i, k)]:
+    for a, b in zip(t["ijk", "ijk"], t["ijk", "jik"]):
+        if c[a] != c[b]:
             return False
     return True
 
 
 def predicate_K(lam):
     """[v,v] = 0: lam_iii = lam_iij = 0, lam_ijk + lam_jik = 0, lam_iji + lam_jii = 0."""
-    ctx, n = lam.ctx, lam.n
-    c = lam.coords
-    zero = ctx.zero()
-    for i in range(1, n + 1):
-        if c[flat(n, i, i, i)] != zero:
+    ctx, c, t = lam.ctx, lam.coords, _cells(lam.n)
+    zero, add = ctx.zero(), ctx.add
+    for a in t["i", "iii"]:
+        if c[a] != zero:
             return False
-    for i, j in _pairs(n):
-        if c[flat(n, i, i, j)] != zero:
+    for a, b, e in zip(t["ij", "iij"], t["ij", "iji"], t["ij", "jii"]):
+        if c[a] != zero:
             return False
-        if ctx.add(c[flat(n, i, j, i)], c[flat(n, j, i, i)]) != zero:
+        if add(c[b], c[e]) != zero:
             return False
-    for i, j, k in _triples(n):
-        if ctx.add(c[flat(n, i, j, k)], c[flat(n, j, i, k)]) != zero:
+    for a, b in zip(t["ijk", "ijk"], t["ijk", "jik"]):
+        if add(c[a], c[b]) != zero:
             return False
     return True
 
 
 def predicate_Mstar(lam):
     """[u,v] in span(u,v), as the five coordinate-condition families."""
-    ctx, n = lam.ctx, lam.n
-    c = lam.coords
+    ctx, c, t = lam.ctx, lam.coords, _cells(lam.n)
     zero = ctx.zero()
-    for i, j in _pairs(n):
-        if c[flat(n, i, i, j)] != zero:
+    for a in t["ij", "iij"]:
+        if c[a] != zero:
             return False
-    for i, j, k in _triples(n):
-        if c[flat(n, i, j, k)] != zero:
+    for a, ij, ik, ji, ki in zip(t["ijk", "ijk"], t["ijk", "ijj"], t["ijk", "ikk"],
+                                 t["ijk", "jij"], t["ijk", "kik"]):
+        if c[a] != zero:
             return False
-        if c[flat(n, i, j, j)] != c[flat(n, i, k, k)]:
+        if c[ij] != c[ik]:
             return False
-        if c[flat(n, j, i, j)] != c[flat(n, k, i, k)]:
+        if c[ji] != c[ki]:
             return False
-    for i, j in _pairs(n):
-        want = ctx.add(c[flat(n, i, j, j)], c[flat(n, j, i, j)])
-        if c[flat(n, i, i, i)] != want:
+    for a, ij, ji in zip(t["ij", "iii"], t["ij", "ijj"], t["ij", "jij"]):
+        if c[a] != ctx.add(c[ij], c[ji]):
             return False
     return True
 
 
 def predicate_Mstarstar(lam):
     """[v,v] in span(v): lam_ijk + lam_jik = 0, lam_iij = 0, lam_iji + lam_jii = lam_jjj."""
-    ctx, n = lam.ctx, lam.n
-    c = lam.coords
-    zero = ctx.zero()
-    for i, j in _pairs(n):
-        if c[flat(n, i, i, j)] != zero:
+    ctx, c, t = lam.ctx, lam.coords, _cells(lam.n)
+    zero, add = ctx.zero(), ctx.add
+    for a, b, e, f in zip(t["ij", "iij"], t["ij", "iji"], t["ij", "jii"], t["ij", "jjj"]):
+        if c[a] != zero:
             return False
-        if ctx.add(c[flat(n, i, j, i)], c[flat(n, j, i, i)]) != c[flat(n, j, j, j)]:
+        if add(c[b], c[e]) != c[f]:
             return False
-    for i, j, k in _triples(n):
-        if ctx.add(c[flat(n, i, j, k)], c[flat(n, j, i, k)]) != zero:
+    for a, b in zip(t["ijk", "ijk"], t["ijk", "jik"]):
+        if add(c[a], c[b]) != zero:
             return False
     return True
 
@@ -194,9 +217,35 @@ def _restricted_kernel(carrier, images, ctx):
     return Subspace(ctx, carrier.ambient, lifted)
 
 
+@lru_cache(maxsize=64)
+def _trace_moves(n):
+    """The mask and shifts that gather tr_i of a row's int view into slot i n^2 + n^2 - 1.
+
+    Slot (i, j, j) is i n^2 + j (n + 1), and slot i n^2 + n^2 - 1 is
+    (i, n, n), so a right shift by (n - 1 - j)(n + 1) slots moves the one
+    onto the other for every i at once.  The mask is 0xFF at the n target
+    slots.  Both come from slot arithmetic alone, not from `tr_matrix_rows`,
+    so `LambdaOverT` still compares two constructions of tr.
+    """
+    nn = n * n
+    return (_slot_mask(n ** 3, range(nn - 1, n ** 3, nn)),
+            tuple(8 * (n - 1 - j) * (n + 1) for j in range(n)))
+
+
 def _trace_images(carrier, n):
-    """tr of each basis row of a carrier inside the structure-vector space."""
-    return [tr(StructureVector(carrier.ctx, n, r)).coords for r in carrier._ech.rows]
+    """tr of each basis row of a carrier inside the structure-vector space, as lists.
+
+    Over packed fields each row is one `row_combine` of its n masked shifts
+    (`_trace_moves`), read at stride n^2; over the list fields `tr`'s stride
+    loop runs on the raw row.  No per-row vector is built.
+    """
+    ctx, rows = carrier.ctx, carrier._ech.rows
+    if not ctx.packed:
+        return [_trace_coords(r, n, ctx) for r in rows]
+    mask, shifts = _trace_moves(n)
+    d, nn = n ** 3, n * n
+    return [list(ctx.row_combine([(1, x >> sh & mask) for sh in shifts], d)[nn - 1::nn])
+            for x in (int.from_bytes(r, "big") for r in rows)]
 
 
 def basis_U(ctx, n, K=None):
@@ -299,7 +348,7 @@ def omega(lam):
         raise ValueError("square factor needs |F| > 2")
     if not predicate_Mstarstar(lam):
         raise ValueError("square factor only defined on the [v,v]-in-span(v) submodule")
-    return DualVector(ctx, n, [lam.coords[flat(n, i, i, i)] for i in range(1, n + 1)])
+    return DualVector(ctx, n, [lam.coords[f] for f in _cells(n)["i", "iii"]])
 
 
 def omega_preimage(mu):

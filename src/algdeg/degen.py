@@ -111,21 +111,17 @@ class TransvectionSpec:
             raise ValueError("alpha must avoid 0 and 1")
 
     def group_element(self, scale=None):
-        """The transvection v -> v + c zeta(v) z (c defaults to 1).
+        """The transvection v -> v + c zeta(v) z (c defaults to 1), tagged rank-one.
 
         Its matrix is I + c z (x) zeta, and as zeta(z) = 0 its inverse is
-        I - c z (x) zeta.
+        I - c z (x) zeta (`GroupElement.rank_one`, which still checks the
+        product).  Over packed fields the tag lets `structvec.act_coords`
+        apply it as three rank-one updates; elsewhere it takes the general
+        action.
         """
-        ctx, n = self.z.ctx, self.z.n
-        c = ctx.one() if scale is None else ctx._coerce(scale)
-        rows = Matrix.identity(ctx, n).rows()
-        inv_rows = Matrix.identity(ctx, n).rows()
-        for i in range(n):
-            zi = ctx.mul(c, self.z.coords[i])
-            if zi != ctx.zero():
-                rows[i] = ctx.row_addmul(rows[i], self.zeta.coords, zi)
-                inv_rows[i] = ctx.row_submul(inv_rows[i], self.zeta.coords, zi)
-        return GroupElement(Matrix.from_rows(ctx, rows), Matrix.from_rows(ctx, inv_rows))
+        ctx = self.z.ctx
+        c = ctx.one() if scale is None else scale
+        return GroupElement.rank_one(ctx, self.z.coords, self.zeta.coords, c)
 
 
 def _outer(ctx, coeffs, row):

@@ -493,8 +493,14 @@ def quotient_coords(vec, sub_rows, sub_pivots, reps, rep_pivots, ctx):
 class GroupElement:
     """Invertible n x n matrix with its inverse cached at construction.
 
-    `tag` marks the structured elements (transvections, diagonals,
-    permutations) so the structure-vector action can take its fast path.
+    `tag` marks the structured elements so the structure-vector action can
+    take its fast path (`structvec.act_coords`):
+    ("transvection", r, s, t) for I + t*e_rs (0-based r != s),
+    ("diagonal", (d_1, ..., d_n)), ("permutation", (sigma 1, ..., sigma n)),
+    and ("rank-one", z, zeta, c) for I + c*z (x) zeta with zeta(z) = 0, z and
+    zeta tuples of raw scalars.  An untagged element takes the general
+    action; so does every product, whatever its factors.  Every element,
+    tagged or not, passes the mat * inv = I check.
     """
 
     __slots__ = ("ctx", "n", "mat", "inv", "tag")
@@ -537,6 +543,30 @@ class GroupElement:
             mat.entries[i * n + i] = d
             inv.entries[i * n + i] = ctx.inv(d)
         return cls(mat, inv, tag=("diagonal", tuple(diag)))
+
+    @classmethod
+    def rank_one(cls, ctx, z, zeta, c):
+        """I + c*z (x) zeta, entry (i, j) = delta_ij + c z_i zeta_j, for raw z, zeta in F^n.
+
+        The inverse is I - c*z (x) zeta, written entry by entry beside it;
+        it is the inverse exactly when zeta(z) = 0 (or c z (x) zeta = 0),
+        and the mat * inv = I check of the constructor refuses any other
+        z, zeta.
+        """
+        z, zeta, c = tuple(map(ctx._coerce, z)), tuple(map(ctx._coerce, zeta)), ctx._coerce(c)
+        n = len(z)
+        if len(zeta) != n:
+            raise ValueError("z and zeta have different lengths")
+        mat = Matrix.identity(ctx, n)
+        inv = Matrix.identity(ctx, n)
+        for i, zi in enumerate(z):
+            czi = ctx.mul(c, zi)
+            if czi:
+                for j, zj in enumerate(zeta):
+                    e = ctx.mul(czi, zj)
+                    mat.entries[i * n + j] = ctx.add(mat.entries[i * n + j], e)
+                    inv.entries[i * n + j] = ctx.sub(inv.entries[i * n + j], e)
+        return cls(mat, inv, tag=("rank-one", z, zeta, c))
 
     @classmethod
     def permutation(cls, ctx, images):

@@ -17,12 +17,12 @@ the kernel-vector criterion.
 import random
 from dataclasses import dataclass
 
-from .canon import _restricted_kernel, predicate_C
+from .canon import _cells, _restricted_kernel, predicate_C
 from .exactla import Echelon, GroupElement, Matrix, Subspace
 from .gfield import primitive_element
 from .report import claim, norton_claim
 from .spinmx import _restricted_handle, check_cell_shape, derive_seed, norton_irreducible
-from .structvec import StructureVector, act, flat
+from .structvec import StructureVector, act
 
 
 class SemilinearMap:
@@ -94,11 +94,8 @@ def sigma(lam):
         raise ValueError("the squaring map needs characteristic 2")
     if not predicate_C(lam):
         raise ValueError("the squaring map is additive only on commutative vectors")
-    rows = Matrix.zeros(ctx, n, n).rows()
-    for j in range(1, n + 1):
-        for k in range(1, n + 1):
-            rows[k - 1][j - 1] = lam.coords[flat(n, j, j, k)]
-    return SemilinearMap.from_rows(ctx, rows)
+    c = lam.coords
+    return SemilinearMap(Matrix(ctx, n, n, [c[f] for f in _cells(n)["kj", "jjk"]]))
 
 
 def _frobenius_matrix(ctx, mat):

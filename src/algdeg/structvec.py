@@ -16,6 +16,11 @@ transvection x_rs(t) is three whole-row steps on the row's int view (block s
 += t*block r, run s += t*run r in every block, column r -= t*column s), each
 one cached mask and one shift (`FieldCtx.row_shift_add`), and a diagonal is
 one cached mask per distinct scalar d_i d_j d_k^-1 (`FieldCtx.row_slot_scale`).
+A rank-one transvection I + c z (x) zeta with zeta(z) = 0 (the transvection
+pipeline's elements) changes each tensor index by a rank-one update, slice
+s += u_s * sum_a w_a slice_a; where `FieldCtx.packed` holds that is two
+`FieldCtx.row_combine` calls per index on the int view, through one cached
+mask and n shifts, and over the list fields it takes the general path.
 The general path, and transvections and diagonals over the list fields,
 are slice updates through the field's row kernels (`row_submul`,
 `row_scale`, `combiner`): on a `bytearray` where `FieldCtx.packed` holds,
@@ -218,7 +223,13 @@ def basis_vector(ctx, n, i):
 # -- the right action -----------------------------------------------------
 
 def act_coords(coords, g, n, ctx):
-    """Raw-coordinate action; dispatches on the generator tag when present."""
+    """Raw-coordinate action; dispatches on the group element's tag when present.
+
+    Permutations, transvections and diagonals have a fast path over every
+    field, rank-one elements over packed fields only; every other element,
+    and a rank-one element over a list field, takes `_act_general` with its
+    matrix and cached inverse.
+    """
     tag = g.tag
     if tag is not None:
         if tag[0] == "permutation":
@@ -227,6 +238,8 @@ def act_coords(coords, g, n, ctx):
             return _act_transvection(coords, n, ctx, tag[1], tag[2], tag[3])
         if tag[0] == "diagonal":
             return _act_diagonal(coords, n, ctx, tag[1])
+        if tag[0] == "rank-one" and ctx.packed:
+            return _act_rank_one(coords, n, ctx, tag[1], tag[2], tag[3])
     return _act_general(coords, g.mat, g.inv, n, ctx)
 
 
@@ -353,6 +366,41 @@ def _act_diagonal(coords, n, ctx, diag):
     return out
 
 
+@lru_cache(maxsize=64)
+def _rank_one_moves(n):
+    """The (mask, shifts) of each tensor index on the int view of a row of length n^3.
+
+    The slices of index i, j, k are the blocks, the runs in each block and
+    the stride-n columns.  The mask is 0xFF at the slots of the last slice,
+    and shifts[a] moves slice a onto it, to the right (and back to the left).
+    """
+    nn, d = n * n, n ** 3
+    last = (range(d - nn, d),
+            (b + nn - n + k for b in range(0, d, nn) for k in range(n)),
+            range(n - 1, d, n))
+    return tuple((_slot_mask(d, slots), tuple(8 * (n - 1 - a) * step for a in range(n)))
+                 for slots, step in zip(last, (nn, n, 1)))
+
+
+def _act_rank_one(coords, n, ctx, z, zeta, c):
+    # g = I + c z(x)zeta with zeta(z) = 0, so g_ai = delta_ai + c z_a zeta_i
+    # and (g^-1)_kc = delta_kc - c z_k zeta_c.  Each index in turn is two
+    # `row_combine` calls on the int view x: the first gathers sum_a w_a *
+    # slice_a into the last slice (w = z for i and j, zeta for k), the second
+    # adds u_s times that sum to each slice s (u = c zeta for i and j, -c z
+    # for k).  Packed fields only.
+    d, mul, mc = n ** 3, ctx.mul, ctx.neg(c)
+    spreads = ([mul(c, x) for x in zeta],) * 2 + ([mul(mc, x) for x in z],)
+    x = int.from_bytes(coords, "big")
+    for (mask, shifts), gather, spread in zip(_rank_one_moves(n), (z, z, zeta), spreads):
+        s = int.from_bytes(ctx.row_combine(
+            [(w, x >> sh & mask) for w, sh in zip(gather, shifts) if w], d), "big")
+        if s:
+            x = int.from_bytes(ctx.row_combine(
+                [(1, x)] + [(u, s << sh) for u, sh in zip(spread, shifts) if u], d), "big")
+    return x.to_bytes(d, "big")
+
+
 def _check_element(g, x):
     if g.n != x.n or g.ctx != x.ctx:
         raise ValueError("group element does not match the space it acts on")
@@ -391,10 +439,8 @@ def product(lam, u, v):
     return Vector(ctx, n, out)
 
 
-def _trace(lam, opposite):
-    """i-th coordinate sum_j lam_ijj, or sum_j lam_jij if opposite."""
-    ctx, n = lam.ctx, lam.n
-    src = lam.coords
+def _trace_coords(src, n, ctx, opposite=False):
+    """The raw coordinates sum_j lam_ijj (sum_j lam_jij if opposite) of a raw row lam."""
     a, b = (n, n * n + 1) if opposite else (n * n, n + 1)
     out = []
     for i in range(n):
@@ -402,7 +448,12 @@ def _trace(lam, opposite):
         for j in range(n):
             acc = ctx.add(acc, src[i * a + j * b])
         out.append(acc)
-    return DualVector(ctx, n, out)
+    return out
+
+
+def _trace(lam, opposite):
+    """i-th coordinate sum_j lam_ijj, or sum_j lam_jij if opposite."""
+    return DualVector(lam.ctx, lam.n, _trace_coords(lam.coords, lam.n, lam.ctx, opposite))
 
 
 def tr(lam):

@@ -8,10 +8,10 @@ tests import from it the way they import `FIELDS` from `test_packed`:
     from oracles import act_on_basis, dual_act
 """
 
-from algdeg.canon import epsilon, epsilon_tilde
+from algdeg.canon import _pairs, _triples, epsilon, epsilon_tilde
 from algdeg.exactla import GroupElement, Matrix, combiner
 from algdeg.structvec import (
-    DualVector, StructureVector, _check_element, _check_index, _swap_ij,
+    DualVector, StructureVector, _check_element, _check_index, _swap_ij, flat, tr,
 )
 
 
@@ -103,3 +103,88 @@ def random_invertible(ctx, n, rng):
         except ValueError:
             continue
         return GroupElement(m, inv)
+
+
+def trace_images(carrier, n):
+    """tr of each basis row of a carrier, through one StructureVector per row."""
+    return [tr(StructureVector(carrier.ctx, n, r)).coords for r in carrier._ech.rows]
+
+
+# -- the coordinate-condition predicates, one bounds-checked `flat` per read ------
+
+def predicate_C(lam):
+    n = lam.n
+    c = lam.coords
+    for i, j in _pairs(n):
+        if c[flat(n, i, j, j)] != c[flat(n, j, i, j)]:
+            return False
+    for i, j, k in _triples(n):
+        if c[flat(n, i, j, k)] != c[flat(n, j, i, k)]:
+            return False
+    return True
+
+
+def predicate_K(lam):
+    ctx, n = lam.ctx, lam.n
+    c = lam.coords
+    zero = ctx.zero()
+    for i in range(1, n + 1):
+        if c[flat(n, i, i, i)] != zero:
+            return False
+    for i, j in _pairs(n):
+        if c[flat(n, i, i, j)] != zero:
+            return False
+        if ctx.add(c[flat(n, i, j, i)], c[flat(n, j, i, i)]) != zero:
+            return False
+    for i, j, k in _triples(n):
+        if ctx.add(c[flat(n, i, j, k)], c[flat(n, j, i, k)]) != zero:
+            return False
+    return True
+
+
+def predicate_Mstar(lam):
+    ctx, n = lam.ctx, lam.n
+    c = lam.coords
+    zero = ctx.zero()
+    for i, j in _pairs(n):
+        if c[flat(n, i, i, j)] != zero:
+            return False
+    for i, j, k in _triples(n):
+        if c[flat(n, i, j, k)] != zero:
+            return False
+        if c[flat(n, i, j, j)] != c[flat(n, i, k, k)]:
+            return False
+        if c[flat(n, j, i, j)] != c[flat(n, k, i, k)]:
+            return False
+    for i, j in _pairs(n):
+        want = ctx.add(c[flat(n, i, j, j)], c[flat(n, j, i, j)])
+        if c[flat(n, i, i, i)] != want:
+            return False
+    return True
+
+
+def predicate_Mstarstar(lam):
+    ctx, n = lam.ctx, lam.n
+    c = lam.coords
+    zero = ctx.zero()
+    for i, j in _pairs(n):
+        if c[flat(n, i, i, j)] != zero:
+            return False
+        if ctx.add(c[flat(n, i, j, i)], c[flat(n, j, i, i)]) != c[flat(n, j, j, j)]:
+            return False
+    for i, j, k in _triples(n):
+        if ctx.add(c[flat(n, i, j, k)], c[flat(n, j, i, k)]) != zero:
+            return False
+    return True
+
+
+def omega_coords(lam):
+    """The coordinates lam_iii of the square factor functional."""
+    n = lam.n
+    return [lam.coords[flat(n, i, i, i)] for i in range(1, n + 1)]
+
+
+def sigma_rows(lam):
+    """The rows of the squaring map's matrix: entry (k, j) is lam_jjk."""
+    n = lam.n
+    return [[lam.coords[flat(n, j, j, k)] for j in range(1, n + 1)] for k in range(1, n + 1)]

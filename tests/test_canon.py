@@ -4,7 +4,7 @@ import re
 import pytest
 
 from algdeg.gfield import make_field
-from algdeg.exactla import Subspace
+from algdeg.exactla import Subspace, combiner
 from algdeg.structvec import (
     StructureVector, Vector, act, flat, product, tr, tr_op, unit,
 )
@@ -17,6 +17,7 @@ from algdeg.canon import (
     omega_preimage, predicate_C, predicate_K, predicate_Mstar,
     predicate_Mstarstar, submodule, trace_kernel_witness,
 )
+import oracles
 from oracles import (
     dual_act, dual_basis_vector, mu_alpha_delta, opposite, random_invertible,
 )
@@ -97,6 +98,35 @@ def test_predicate_matches_subspace_membership(ctx):
     for lam in samples:
         for name, pred in PREDICATES.items():
             assert pred(lam) == spaces[name].contains(lam.coords), name
+
+
+@pytest.mark.parametrize("ctx", [GF3, GF5, GF7, GF4, make_field(3, 2), make_field(0, 1)],
+                         ids=repr)
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_predicates_omega_and_sigma_match_the_flat_loops(ctx, n):
+    # members of each canonical submodule and of the full space, and each
+    # with one coordinate moved, so every family is reached and fails
+    bases = canon.Bases(ctx, n)
+    rng = random.Random(100 * n + (ctx.order or 0))
+    scalars = ctx.raw_elements() if ctx.kind == "finite" else [ctx.from_int(m)
+                                                               for m in range(-3, 4)]
+    samples = []
+    for name in ("C", "K", "Mstar", "Mstarstar", "N", "U", "Lambda"):
+        times = combiner(bases[name]._ech.rows, ctx)
+        for _ in range(6):
+            coords = list(times([rng.choice(scalars) for _ in range(bases[name].dim)]))
+            samples.append(StructureVector(ctx, n, coords))
+            coords = list(coords)
+            f = rng.randrange(n ** 3)
+            coords[f] = ctx.add(coords[f], rng.choice(scalars[1:]))
+            samples.append(StructureVector(ctx, n, coords))
+    for lam in samples:
+        for name, pred in PREDICATES.items():
+            assert pred(lam) == getattr(oracles, pred.__name__)(lam), name
+        if predicate_Mstarstar(lam) and (ctx.kind != "finite" or ctx.order > 2):
+            assert omega(lam).coords == oracles.omega_coords(lam)
+        if ctx.kind == "finite" and ctx.char == 2 and predicate_C(lam):
+            assert gamma2.sigma(lam).mat.rows() == oracles.sigma_rows(lam)
 
 
 def test_direct_sum_odd_characteristic():

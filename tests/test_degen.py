@@ -263,6 +263,49 @@ def test_reach_probe_hits_among_the_torus_translates(monkeypatch, target):
     assert probed >= 2
 
 
+@pytest.mark.parametrize("ctx,n", [(make_field(7), 4), (make_field(3, 2), 3)], ids=repr)
+@pytest.mark.parametrize("target", ["delta", "eta"])
+def test_reach_acts_through_rank_one_elements_and_one_basis_change(monkeypatch, ctx, n,
+                                                                   target):
+    # outside the membership probe a certificate acts through g_1, g_alpha
+    # (and g_alpha2 for delta), each tagged rank-one, and through one
+    # untagged element, the basis change h
+    gens, bases = standard_generators(ctx, n), Bases(ctx, n)
+    acts, probing = [], []
+
+    def recording(coords, g, n, ctx):
+        if not probing:
+            acts.append(g)
+        return act_coords(coords, g, n, ctx)
+
+    def probe(*args, **kwargs):
+        probing.append(True)
+        try:
+            return spin_contains(*args, **kwargs)
+        finally:
+            probing.clear()
+
+    monkeypatch.setattr(structvec, "act_coords", recording)
+    monkeypatch.setattr(spinmx, "act_coords", recording)
+    monkeypatch.setattr(degen, "spin_contains", probe)
+    goal = eta(ctx, n) if target == "eta" else delta(ctx, n)
+    inside, outside = ((bases["Mstarstar"], predicate_Mstar) if target == "eta"
+                       else (bases["C"], predicate_Mstarstar))
+    reach = reach_eta if target == "eta" else reach_delta
+    rng = random.Random(11)
+    for lam in [goal] + [sample_in_between(ctx, n, inside, outside, rng) for _ in range(3)]:
+        acts.clear()
+        cert = reach(lam, gens)
+        assert cert.success
+        *transvections, h = acts
+        assert h.tag is None and h.mat.rows() == cert.basis_change
+        tags = [g.tag for g in transvections]
+        assert len(tags) == (2 if target == "eta" else 3)
+        for tag in tags:
+            assert tag[:3] == ("rank-one", tuple(cert.z), tuple(cert.zeta))
+        assert tags[0][3] == ctx.one()
+
+
 def test_g5_pipeline_matches_hand_computation():
     # lam = 332, zeta = dual of v2, z = v3: the rescaled second difference is
     # -222 + (alpha+1)*223 + 233 + 323
@@ -399,7 +442,8 @@ def test_transvection_inverse_in_closed_form_is_the_rref_inverse(ctx):
         for scale in (None, spec.alpha):
             g = spec.group_element(scale)
             assert g.inv == g.mat.inverse()
-            assert g.tag is None
+            c = ctx.one() if scale is None else scale
+            assert g.tag == ("rank-one", tuple(spec.z.coords), tuple(spec.zeta.coords), c)
 
 
 def test_g5_result_in_spin():

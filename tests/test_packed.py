@@ -13,15 +13,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from algdeg import cli, spinmx
+from algdeg import canon, cli, spinmx
 from algdeg.canon import Bases
 from algdeg.exactla import (
     Echelon, GroupElement, Matrix, Subspace, combiner, kernel_rows, quotient_coords,
     reduce_with_coeffs, rref_rows,
 )
 from algdeg.gfield import FieldCtx, make_field
-from algdeg.structvec import StructureVector, act, act_coords
-from oracles import action_matrix
+from algdeg.structvec import StructureVector, _act_general, _act_rank_one, act, act_coords
+from oracles import action_matrix, trace_images
 
 FIELDS = [make_field(p, k) for p, k in
           [(3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (5, 2), (0, 1)]]
@@ -326,6 +326,85 @@ def test_row_slot_scale_matches_the_list_reference(ctx, data):
     expect = [ctx.mul(c, x) for c, x in zip(scalar_of, row)]
     for rf in _forms(ctx, row):
         assert ctx.row_slot_scale(rf, tuple(parts.items())) == bytes(expect)
+
+
+# -- rank-one transvections and trace images on int views -------------------------------
+
+def _some_scalars(ctx):
+    return ctx.raw_elements() if ctx.order else [Fraction(a, b) for a in range(-3, 4)
+                                                 for b in (1, 2)]
+
+
+def _rank_one_cases(ctx, n, rng):
+    """(z, zeta) pairs with zeta(z) = 0: dense, with zero entries, and single units."""
+    scalars, zero = _some_scalars(ctx), ctx.zero()
+    cases = [([ctx.one()] + [zero] * (n - 1), [zero] * (n - 1) + [ctx.one()])]
+    while len(cases) < 6:
+        sparse = len(cases) % 2
+        z = [zero if sparse and rng.random() < 0.5 else rng.choice(scalars) for _ in range(n)]
+        zeta = [zero if sparse and rng.random() < 0.5 else rng.choice(scalars)
+                for _ in range(n)]
+        k = next((i for i, x in enumerate(z) if x != zero), None)
+        if k is None:
+            continue
+        zeta[k] = zero
+        acc = zero
+        for a, b in zip(z, zeta):
+            acc = ctx.add(acc, ctx.mul(a, b))
+        zeta[k] = ctx.neg(ctx.div(acc, z[k]))
+        if any(x != zero for x in zeta):
+            cases.append((z, zeta))
+    return cases
+
+
+@per_field
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_rank_one_action_matches_the_general_action(ctx, n):
+    # every scale a certificate uses (1 and alpha), and c = -1; over the list
+    # fields the tagged element takes the general action itself
+    rng = random.Random(10 * n + (ctx.order or 0))
+    one = ctx.one()
+    alpha = next(x for x in (ctx.raw_elements() if ctx.order else [Fraction(2)])
+                 if x not in (ctx.zero(), one))
+    scalars = _some_scalars(ctx)
+    top = [scalars[-1]] * n ** 3   # over GF(p) every slot at p - 1
+    for z, zeta in _rank_one_cases(ctx, n, rng):
+        for c in (one, alpha, ctx.neg(one)):
+            g = GroupElement.rank_one(ctx, z, zeta, c)
+            assert g.tag == ("rank-one", tuple(z), tuple(zeta), c)
+            for coords in (top, [rng.choice(scalars) for _ in range(n ** 3)]):
+                expect = list(_act_general(coords, g.mat, g.inv, n, ctx))
+                if ctx.packed:
+                    assert list(_act_rank_one(bytes(coords), n, ctx, *g.tag[1:])) == expect
+                for cf in _forms(ctx, coords):
+                    got = act_coords(cf, g, n, ctx)
+                    assert type(got) is (bytes if ctx.packed else list)
+                    assert list(got) == expect
+
+
+@per_field
+def test_rank_one_refuses_a_zeta_that_does_not_vanish_on_z(ctx):
+    zero, one = ctx.zero(), ctx.one()
+    z = [one, zero, zero]
+    with pytest.raises(ValueError, match="cached inverse is wrong"):
+        GroupElement.rank_one(ctx, z, z, one)
+    with pytest.raises(ValueError, match="different lengths"):
+        GroupElement.rank_one(ctx, z, [zero, one], one)
+
+
+@per_field
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_trace_images_match_the_trace_of_each_structure_vector(ctx, n):
+    bases = Bases(ctx, n)
+    rng = random.Random(n + (ctx.order or 0))
+    q = ctx.order or 7
+    full = Subspace.full(ctx, n ** 3)._ech.rows
+    picked = Subspace(ctx, n ** 3, [combiner(full, ctx)([ctx.from_int(rng.randrange(q))
+                                                         for _ in full]) for _ in range(5)])
+    for sub in [bases[name] for name in ("T", "K", "C", "Lambda")] + [picked]:
+        images = canon._trace_images(sub, n)
+        assert images == trace_images(sub, n)
+        assert all(type(r) is list for r in images)
 
 
 # -- the echelon engine ----------------------------------------------------------------
