@@ -152,6 +152,7 @@ def predicate_Mstarstar(lam):
 # -- explicit bases ----------------------------------------------------------
 
 def _table_row(ctx, n, terms):
+    """The raw row of sum coeff * (i j k) over (coeff, i, j, k) terms with int coeffs."""
     row = [ctx.zero()] * n ** 3
     for coeff, i, j, k in terms:
         row[flat(n, i, j, k)] = ctx.add(row[flat(n, i, j, k)], ctx.from_int(coeff))
@@ -271,18 +272,12 @@ def basis_Mstarstar(ctx, n):
 
 def epsilon(ctx, n, a):
     """sum_i (i a i), the structure vector of u,v -> v_a-coefficient scaling u."""
-    coords = [ctx.zero()] * n ** 3
-    for i in range(1, n + 1):
-        coords[flat(n, i, a, i)] = ctx.one()
-    return StructureVector(ctx, n, coords)
+    return StructureVector(ctx, n, _table_row(ctx, n, [(1, i, a, i) for i in range(1, n + 1)]))
 
 
 def epsilon_tilde(ctx, n, a):
     """sum_j (a j j)."""
-    coords = [ctx.zero()] * n ** 3
-    for j in range(1, n + 1):
-        coords[flat(n, a, j, j)] = ctx.one()
-    return StructureVector(ctx, n, coords)
+    return StructureVector(ctx, n, _table_row(ctx, n, [(1, a, j, j) for j in range(1, n + 1)]))
 
 
 def basis_Mstar(ctx, n):
@@ -369,10 +364,7 @@ def omega_preimage(mu):
 
 def eta(ctx, n):
     """123 - 213, the canonical generator of U."""
-    coords = [ctx.zero()] * n ** 3
-    coords[flat(n, 1, 2, 3)] = ctx.one()
-    coords[flat(n, 2, 1, 3)] = ctx.neg(ctx.one())
-    return StructureVector(ctx, n, coords)
+    return StructureVector(ctx, n, _table_row(ctx, n, [(1, 1, 2, 3), (-1, 2, 1, 3)]))
 
 
 def delta(ctx, n):
@@ -563,13 +555,8 @@ def intersection_table(bases):
 
 def trace_kernel_witness(ctx, n):
     """The explicit vector in (T~ ^ M**) - T when char does not divide n+1."""
-    coords = [ctx.zero()] * n ** 3
-    coords[flat(n, 1, 1, 1)] = ctx.one()
-    coords[flat(n, 2, 1, 2)] = ctx.neg(ctx.one())
-    coords[flat(n, 1, 2, 2)] = ctx.from_int(2)
-    for j in range(3, n + 1):
-        coords[flat(n, 1, j, j)] = ctx.one()
-    return StructureVector(ctx, n, coords)
+    terms = [(1, 1, 1, 1), (-1, 2, 1, 2), (2, 1, 2, 2)] + [(1, 1, j, j) for j in range(3, n + 1)]
+    return StructureVector(ctx, n, _table_row(ctx, n, terms))
 
 
 def check_trace_biconditional(bases):

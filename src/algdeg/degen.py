@@ -27,7 +27,7 @@ alternating form reaches 123 - 213, and a second difference reaches 112.
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, combinations, product as cartesian
+from itertools import chain, combinations, islice, product as cartesian
 
 from .canon import delta as delta_vector
 from .canon import eta as eta_vector
@@ -129,24 +129,29 @@ def _outer(ctx, coeffs, row):
     return [x for c in coeffs for x in ctx.row_scale(row, c)]
 
 
+def _zeta_brackets(lam, z, zeta):
+    """The rows zeta([e_i, z]) over i and zeta([z, e_j]) over j, for raw z and
+    zeta: lam contracted with zeta, w[i,j] = zeta([e_i,e_j]), then w with z."""
+    ctx, n, src = lam.ctx, lam.n, lam.coords
+    w = combiner([src[k::n] for k in range(n)], ctx)(zeta)
+    return (combiner([w[j::n] for j in range(n)], ctx)(z),
+            combiner([w[i * n:i * n + n] for i in range(n)], ctx)(z))
+
+
 def _g5_closed_form(lam, spec):
     """[u,v]_5 from the closed bracket form, regrouped for the row kernels.
 
     At the basis pair (e_i, e_j) it is (zeta_i r_j + zeta([e_i,z]) zeta_j) z
     - zeta_i zeta_j [z,z], with r_j = zeta([z,e_j]) + (alpha+1) zeta([z,z])
-    zeta_j.  Every contraction of lam is a `combiner` over its slices, and
-    the outer products are a `row_scale` per block or one `combiner`.
+    zeta_j.  It reads `_zeta_brackets` and `product`; the outer products are
+    a `row_scale` per block or one `combiner`.
     """
     ctx, n = lam.ctx, lam.n
-    z, zeta, src, nn = spec.z.coords, spec.zeta.coords, lam.coords, n * n
-    w = combiner([src[k::n] for k in range(n)], ctx)(zeta)          # w[i,j] = zeta([e_i,e_j])
-    iz = combiner([w[j::n] for j in range(n)], ctx)(z)              # zeta([e_i,z])
-    zj = combiner([w[i * n:i * n + n] for i in range(n)], ctx)(z)   # zeta([z,e_j])
-    half = combiner([src[i * nn:i * nn + nn] for i in range(n)], ctx)(z)
-    zz = combiner([half[j * n:j * n + n] for j in range(n)], ctx)(z)  # [z,z]
-    zeta_zz = spec.zeta(Vector(ctx, n, zz)).raw
-    r = ctx.row_addmul(zj, zeta, ctx.mul(ctx.add(spec.alpha, ctx.one()), zeta_zz))
-    x = ctx.row_submul(_outer(ctx, r, z), _outer(ctx, zeta, zz), ctx.one())
+    z, zeta = spec.z.coords, spec.zeta.coords
+    iz, zj = _zeta_brackets(lam, z, zeta)
+    zz = product(lam, spec.z, spec.z)
+    r = ctx.row_addmul(zj, zeta, ctx.mul(ctx.add(spec.alpha, ctx.one()), spec.zeta(zz).raw))
+    x = ctx.row_submul(_outer(ctx, r, z), _outer(ctx, zeta, zz.coords), ctx.one())
     y = _outer(ctx, zeta, z)
     # block i is zeta_i x + zeta([e_i,z]) y
     xy = combiner([x, y], ctx)
@@ -240,12 +245,10 @@ def _functional_with_values(ctx, rows, values):
 
 
 def _alternating_radical(lam, z, zeta):
-    """zeta' = zeta([z, .]) and the radical ker zeta ^ ker zeta' of the
-    alternating form zeta(u) zeta'(v) - zeta(v) zeta'(u)."""
+    """zeta' = zeta([z, .]) (`_zeta_brackets`) and the radical ker zeta ^
+    ker zeta' of the alternating form zeta(u) zeta'(v) - zeta(v) zeta'(u)."""
     ctx, n = lam.ctx, lam.n
-    zeta_prime = DualVector(
-        ctx, n, [zeta(product(lam, z, basis_vector(ctx, n, j))).raw
-                 for j in range(1, n + 1)])
+    zeta_prime = DualVector(ctx, n, _zeta_brackets(lam, z.coords, zeta.coords)[1])
     return zeta_prime, Subspace(ctx, n, kernel_rows([zeta.coords, zeta_prime.coords], n, ctx))
 
 
@@ -320,12 +323,22 @@ class ReachCertificate:
     data: dict = field(default_factory=dict)
 
 
+def _certificate(lam, gens, target, name, branch, z, zeta, h, final, data):
+    """A reach's certificate: success is final == target and a hit of the
+    probe (`_reach_member`), which always runs."""
+    member = _reach_member(lam, gens, target)
+    return ReachCertificate(
+        success=final == target and member, target=name, branch=branch,
+        z=z.coords, zeta=zeta.coords, basis_change=h.mat.rows(),
+        final=final.coords, spin_member=member, data=data)
+
+
 def reach_eta(lam, gens):
     """Drive a span-escaping square-zero-factor vector onto 123 - 213.
 
     Requires lam in the [v,v]-in-span(v) submodule but outside the
     [u,v]-in-span(u,v) one; certifies both by an explicit basis change and by
-    spin membership.
+    spin membership (`_certificate`).
     """
     ctx, n = lam.ctx, lam.n
     if ctx.kind == "finite" and ctx.order <= 2:
@@ -364,16 +377,9 @@ def reach_eta(lam, gens):
         raise AssertionError("z lies outside the radical of the alternating form")
     rad_rest = radical.coset_representatives(Subspace(ctx, n, [z.coords]))
     h = _basis_change(ctx, [w.coords, (-zw).coords, z.coords] + rad_rest)
-    final = act(mu5, h)
-    target = eta_vector(ctx, n)
-    ok = final == target
-    member = _reach_member(lam, gens, target)
-    return ReachCertificate(
-        success=ok and member, target="eta", branch="symplectic",
-        z=z.coords, zeta=zeta.coords,
-        basis_change=h.mat.rows(),
-        final=final.coords, spin_member=member,
-        data={"a": a.coords, "b": b.coords, "alpha": ctx.raw_to_json(alpha)})
+    return _certificate(lam, gens, eta_vector(ctx, n), "eta", "symplectic", z, zeta, h,
+                        act(mu5, h),
+                        {"a": a.coords, "b": b.coords, "alpha": ctx.raw_to_json(alpha)})
 
 
 def reach_delta(lam, gens):
@@ -381,7 +387,8 @@ def reach_delta(lam, gens):
 
     Over fields with more than three elements a second difference of the
     pipeline isolates zeta(u) zeta(v) z; over the three-element field the two
-    documented fallback branches apply, keyed on zeta([z, [z,z]]).
+    documented fallback branches apply, keyed on zeta([z, [z,z]]).  Every
+    branch ends in one `_certificate`.
     """
     ctx, n = lam.ctx, lam.n
     if ctx.kind == "finite" and ctx.order <= 2:
@@ -397,7 +404,6 @@ def reach_delta(lam, gens):
     z, w = found  # w = [z,z], independent of z
     zero, one = ctx.zero(), ctx.one()
     zeta = _functional_with_values(ctx, [z.coords, w.coords], [zero, one])
-    target = delta_vector(ctx, n)
     if ctx.kind == "rational" or ctx.order > 3:
         alpha = primitive_element(ctx).raw if ctx.kind == "finite" else ctx.from_int(2)
         alpha2 = next(e for e in (ctx.raw_elements() if ctx.kind == "finite"
@@ -416,7 +422,6 @@ def reach_delta(lam, gens):
         rest = ker.coset_representatives(Subspace(ctx, n, [z.coords]))
         h = _basis_change(ctx, [w.coords, z.coords] + rest)
         final = act(lam6, h)
-        ok = final == target
         branch = "big-field"
         steps = {"alpha": ctx.raw_to_json(alpha), "alpha2": ctx.raw_to_json(alpha2)}
     else:
@@ -447,14 +452,9 @@ def reach_delta(lam, gens):
             cyc = GroupElement.permutation(ctx, [2, 3, 1] + list(range(4, n + 1)))
             final = act(diff, cyc)
             branch = "gf3-zero"
-        ok = final == target
         steps = {"zeta_prime_w": ctx.raw_to_json(c)}
-    member = _reach_member(lam, gens, target)
-    return ReachCertificate(
-        success=ok and member, target="delta", branch=branch,
-        z=z.coords, zeta=zeta.coords,
-        basis_change=h.mat.rows(),
-        final=final.coords, spin_member=member, data=steps)
+    return _certificate(lam, gens, delta_vector(ctx, n), "delta", branch, z, zeta, h, final,
+                        steps)
 
 
 # -- seeded suites ---------------------------------------------------------------
@@ -493,44 +493,45 @@ def lindeg_suite(gens, seed, count):
     return {"checked": checked, "failures": failures}
 
 
-def reach_eta_suite(bases, gens, seed, count):
-    """Random vectors of M** outside M*, over bases' (field, n), each reaching eta."""
+def _reach_suite(bases, gens, seed, count, tag, inside, outside, reach, fixtures=None):
+    """The report {checked, failures} of `count` certificates of `reach`, and
+    their sorted branches.
+
+    The vectors are `fixtures(ctx, n)` when given, then draws from
+    bases[inside] that fail `outside`, seeded by the tag.  `reach` and
+    `sample_in_between` are read from the module's globals at call time.
+    """
     check_cell_shape(bases, gens)
     ctx, n = bases.ctx, bases.n
-    rng = random.Random(derive_seed(seed, "reach-eta", ctx.order, n))
-    inside = bases["Mstarstar"]
-    failures = []
-    for _ in range(count):
-        lam = sample_in_between(ctx, n, inside, predicate_Mstar, rng)
-        cert = reach_eta(lam, gens)
-        if not cert.success:
-            failures.append(lam.to_json())
-    return {"checked": count, "failures": failures}
-
-
-def reach_delta_suite(bases, gens, seed, count):
-    """Random vectors of C outside M**, over bases' (field, n), each reaching delta."""
-    check_cell_shape(bases, gens)
-    ctx, n = bases.ctx, bases.n
-    rng = random.Random(derive_seed(seed, "reach-delta", ctx.order, n))
-    inside = bases["C"]
-    fixtures = []
-    if ctx.order == 3:
-        # deterministic fixtures covering both |F| = 3 proof branches
-        fixtures = [
-            unit(ctx, n, 1, 1, 2) + unit(ctx, n, 1, 2, 1) + unit(ctx, n, 2, 1, 1),
-            unit(ctx, n, 1, 1, 2) + (unit(ctx, n, 1, 2, 2)
-                                     + unit(ctx, n, 2, 1, 2)).scale(2),
-        ]
-    failures = []
-    branches = set()
-    for i in range(count):
-        if i < len(fixtures):
-            lam = fixtures[i]
-        else:
-            lam = sample_in_between(ctx, n, inside, predicate_Mstarstar, rng)
-        cert = reach_delta(lam, gens)
+    rng = random.Random(derive_seed(seed, tag, ctx.order, n))
+    draws = (sample_in_between(ctx, n, bases[inside], outside, rng) for _ in range(count))
+    failures, branches = [], set()
+    for lam in islice(chain(fixtures(ctx, n) if fixtures else (), draws), count):
+        cert = reach(lam, gens)
         branches.add(cert.branch)
         if not cert.success:
             failures.append(lam.to_json())
-    return {"checked": count, "failures": failures, "branches": sorted(branches)}
+    return {"checked": count, "failures": failures}, sorted(branches)
+
+
+def _gf3_fixtures(ctx, n):
+    """Over GF(3), one vector for each |F| = 3 branch of `reach_delta`."""
+    if ctx.order != 3:
+        return []
+    return [unit(ctx, n, 1, 1, 2) + unit(ctx, n, 1, 2, 1) + unit(ctx, n, 2, 1, 1),
+            unit(ctx, n, 1, 1, 2) + (unit(ctx, n, 1, 2, 2) + unit(ctx, n, 2, 1, 2)).scale(2)]
+
+
+def reach_eta_suite(bases, gens, seed, count):
+    """Random vectors of M** outside M*, over bases' (field, n), each reaching eta."""
+    report, _ = _reach_suite(bases, gens, seed, count, "reach-eta", "Mstarstar",
+                             predicate_Mstar, reach_eta)
+    return report
+
+
+def reach_delta_suite(bases, gens, seed, count):
+    """Random vectors of C outside M** (over GF(3) after `_gf3_fixtures`), over
+    bases' (field, n), each reaching delta."""
+    report, branches = _reach_suite(bases, gens, seed, count, "reach-delta", "C",
+                                    predicate_Mstarstar, reach_delta, _gf3_fixtures)
+    return {**report, "branches": branches}

@@ -47,26 +47,24 @@ class SemilinearMap:
     @classmethod
     def unit(cls, ctx, n, i, j):
         """The matrix unit e_ij (1-based)."""
-        rows = Matrix.zeros(ctx, n, n).rows()
-        rows[i - 1][j - 1] = ctx.one()
-        return cls(Matrix.from_rows(ctx, rows))
+        entries = [ctx.zero()] * (n * n)
+        entries[(i - 1) * n + j - 1] = ctx.one()
+        return cls(Matrix(ctx, n, n, entries))
 
     @classmethod
     def zero(cls, ctx, n):
         return cls(Matrix.zeros(ctx, n, n))
 
     def __add__(self, other):
-        ctx = self.ctx
-        rows = [ctx.row_addmul(a, b, ctx.one())
-                for a, b in zip(self.mat.rows(), other.mat.rows())]
-        return SemilinearMap.from_rows(ctx, rows)
+        ctx, n = self.ctx, self.n
+        entries = ctx.row_addmul(self.mat.entries, other.mat.entries, ctx.one())
+        return SemilinearMap(Matrix(ctx, n, n, entries))
 
     __sub__ = __add__  # characteristic 2
 
     def scale(self, c):
-        ctx = self.ctx
-        c = ctx._coerce(c)
-        return SemilinearMap.from_rows(ctx, [ctx.row_scale(r, c) for r in self.mat.rows()])
+        ctx, n = self.ctx, self.n
+        return SemilinearMap(Matrix(ctx, n, n, ctx.row_scale(self.mat.entries, ctx._coerce(c))))
 
     def __eq__(self, other):
         return isinstance(other, SemilinearMap) and self.mat == other.mat
@@ -130,15 +128,12 @@ def e_and_f(phi, e, f):
         raise ValueError("matrix units must satisfy ef = fe = 0")
     eu = SemilinearMap.unit(ctx, n, ei, ej)
     fu = SemilinearMap.unit(ctx, n, fi, fj)
-    ident = Matrix.identity(ctx, n)
+    ident = SemilinearMap(Matrix.identity(ctx, n))
     total = SemilinearMap.zero(ctx, n)
-    for parts in ((), (eu,), (fu,), (eu, fu)):
-        m = ident
-        for p in parts:
-            m = Matrix(ctx, n, n, [ctx.add(a, b) for a, b in zip(m.entries, p.mat.entries)])
+    for m in (ident, ident + eu, ident + fu, ident + eu + fu):
         # (I + e + f)(I - e - f) = I - (e + f)^2 = I as ef = fe = 0, and in
         # characteristic 2 I - e - f = I + e + f: each element is its own inverse
-        total = total + star(phi, GroupElement(m, m))
+        total = total + star(phi, GroupElement(m.mat, m.mat))
     closed = SemilinearMap(eu.mat.mul(phi.mat).mul(fu.mat)) \
         + SemilinearMap(fu.mat.mul(phi.mat).mul(eu.mat))
     if total != closed:

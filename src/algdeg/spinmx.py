@@ -641,13 +641,16 @@ def norton_random(handle, seed):
     kernel vectors of the shift to spin full on the module, and one vector
     of the kernel of its transpose to spin full on the transpose (Norton's
     lemma; see the module docstring).  An inconclusive detail counts the
-    draws made.
+    draws made.  The draws need a finite field: past dimension 1 any other
+    field is a ValueError.
     """
     ctx, d = handle.ctx, handle.dim
     if d == 0:
         raise ValueError("empty module")
     if d == 1:
         return NortonResult("irreducible", None, None, {"reason": "dimension 1"})
+    if ctx.kind != "finite":
+        raise ValueError(f"the kernel-vector test draws from a finite field, not {ctx!r}")
     rng = random.Random(derive_seed(seed, "norton", handle.label, d))
     for attempt in range(2 * NORTON_ATTEMPTS):
         found = _shift(_random_envelope(handle, rng), ctx, attempt >= NORTON_ATTEMPTS)

@@ -11,7 +11,8 @@ tests import from it the way they import `FIELDS` from `test_packed`:
 from algdeg.canon import _pairs, _triples, epsilon, epsilon_tilde
 from algdeg.exactla import GroupElement, Matrix, combiner
 from algdeg.structvec import (
-    DualVector, StructureVector, _check_element, _check_index, _swap_ij, flat, tr,
+    DualVector, StructureVector, _check_element, _check_index, _swap_ij, basis_vector, flat,
+    product, tr,
 )
 
 
@@ -188,3 +189,25 @@ def sigma_rows(lam):
     """The rows of the squaring map's matrix: entry (k, j) is lam_jjk."""
     n = lam.n
     return [[lam.coords[flat(n, j, j, k)] for j in range(1, n + 1)] for k in range(1, n + 1)]
+
+
+def zeta_bracket_row(lam, z, zeta):
+    """zeta([z, e_j]) over j, through one `product` and one evaluation per j."""
+    ctx, n = lam.ctx, lam.n
+    return [zeta(product(lam, z, basis_vector(ctx, n, j))).raw for j in range(1, n + 1)]
+
+
+# -- semilinear maps, entry by entry ----------------------------------------------
+
+def semilinear_sum_entries(a, b):
+    return [a.ctx.add(x, y) for x, y in zip(a.mat.entries, b.mat.entries)]
+
+
+def semilinear_scale_entries(phi, c):
+    return [phi.ctx.mul(c, x) for x in phi.mat.entries]
+
+
+def semilinear_unit_entries(ctx, n, i, j):
+    """The entries of the matrix unit e_ij (1-based), row-major."""
+    return [ctx.one() if (a, b) == (i, j) else ctx.zero()
+            for a in range(1, n + 1) for b in range(1, n + 1)]

@@ -525,6 +525,11 @@ def test_lattice_gf25_falsifies_nothing(tmp_path, seed):
     assert claims and all(c["status"] != "falsified" for c in claims)
 
 
+# n = 3 vectors over GF(3) as --lambda JSON: 112 + 121 + 211 and 112 + 2*122 + 2*212
+GF3_LAMBDA = '{"n":3,"field":{"char":3,"degree":1},"coords":[%s]}'
+GF3_ZERO = GF3_LAMBDA % ",".join("0101000001" + "0" * 17)
+GF3_NONZERO = GF3_LAMBDA % ",".join("01002000002" + "0" * 16)
+
 # (command, exit code, sha256 of its --no-timing JSON report); the GF(2)
 # entries are the skip paths.  The kernel-vector test's draws, shifts and
 # witnesses enter the verify-all, gamma and series reports.
@@ -573,6 +578,14 @@ PINNED_REPORTS = [
      "9352876531a96888ab694208e61b8a685b3bd2edb76674a8420fb97c440997a3"),
     ("degen reach-eta --n 3 --field 2 --lambda eta", 0,
      "80676a047db36f23305268e4f18ff656316babd9e319e2d97ca734597e60899c"),
+    # a certificate's z, zeta and basis change on the gf3-zero and
+    # gf3-nonzero branches and on list rows, which no suite report carries
+    ("degen reach-delta --n 3 --field 3 --lambda " + GF3_ZERO, 0,
+     "5999381be8ae9c3cf2910d3756ea7ad86410dc30dec6057ba38f2db60d8e2526"),
+    ("degen reach-delta --n 3 --field 3 --lambda " + GF3_NONZERO, 0,
+     "297bb564d94d3caf4e325be7687477963e89b81060a6d7f66a988a8b4f607004"),
+    ("degen reach-eta --n 3 --field 3^2 --lambda eta", 0,
+     "4401aee6c6286974e7a86a0856c6c7ac3ca2ad31769c4de504f690c788427c12"),
 ]
 
 

@@ -22,11 +22,13 @@ from algdeg.exactla import GroupElement
 from algdeg.spinmx import rational_generators, spin, spin_contains, standard_generators
 from algdeg import degen
 from algdeg.degen import (
-    TransvectionSpec, _g5_closed_form, _reach_member, _weight_class_translates,
+    TransvectionSpec, _alternating_radical, _g5_closed_form, _reach_member,
+    _weight_class_translates,
     lindeg_suite, lindeg_theorem_check, q_truncate,
     reach_delta, reach_delta_suite, reach_eta, reach_eta_suite,
     sample_in_between, transvection_g5, verify_lindeg, weights,
 )
+from oracles import zeta_bracket_row
 
 GF3 = make_field(3)
 GF4 = make_field(2, 2)
@@ -434,6 +436,22 @@ def test_g5_closed_form_matches_the_scalar_reference(ctx, n):
         assert transvection_g5(lam, spec) == want
 
 
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("ctx", G5_FIELDS, ids=repr)
+def test_alternating_radical_reads_the_scalar_zeta_bracket(ctx, n):
+    # zeta' = zeta([z, .]) from the shared contraction, against one product
+    # and one evaluation per basis vector
+    rng = random.Random(2000 * n + (ctx.order or 0))
+    for trial in range(4):
+        lam = StructureVector(ctx, n, [_random_scalar(ctx, rng) if trial else ctx.zero()
+                                       for _ in range(n ** 3)])
+        spec = _random_spec(ctx, n, rng)
+        zeta_prime, radical = _alternating_radical(lam, spec.z, spec.zeta)
+        assert zeta_prime.coords == zeta_bracket_row(lam, spec.z, spec.zeta)
+        # zeta(z) = 0, so z lies in the radical exactly when zeta([z,z]) = 0
+        assert radical.contains(spec.z.coords) == (zeta_prime(spec.z).raw == ctx.zero())
+
+
 @pytest.mark.parametrize("ctx", G5_FIELDS, ids=repr)
 def test_transvection_inverse_in_closed_form_is_the_rref_inverse(ctx):
     rng = random.Random(ctx.order or 0)
@@ -562,6 +580,64 @@ def test_reach_delta_suite_gf3_covers_branches():
     rep = reach_delta_suite(Bases(GF3, 3), gens, 5, 8)
     assert not rep["failures"]
     assert set(rep["branches"]) >= {"gf3-nonzero", "gf3-zero"}
+
+
+# -- certificates that fail ------------------------------------------------------
+
+GF3_BRANCH_VECTORS = {
+    "gf3-zero": sv(GF3, 3, (1, 1, 1, 2), (1, 1, 2, 1), (1, 2, 1, 1)),
+    "gf3-nonzero": sv(GF3, 3, (1, 1, 1, 2), (2, 1, 2, 2), (2, 2, 1, 2)),
+}
+BRANCH_CASES = [(reach_eta, eta(GF5, 3) + epsilon(GF5, 3, 1), "symplectic"),
+                (reach_delta, sv(GF5, 3, (1, 1, 1, 2), (1, 1, 2, 1), (1, 2, 1, 1)),
+                 "big-field")]
+BRANCH_CASES += [(reach_delta, lam, branch) for branch, lam in GF3_BRANCH_VECTORS.items()]
+
+
+@pytest.mark.parametrize("reach,lam,branch", BRANCH_CASES, ids=[b for _, _, b in BRANCH_CASES])
+def test_a_probe_that_misses_fails_every_branch(monkeypatch, reach, lam, branch):
+    gens = standard_generators(lam.ctx, lam.n)
+    assert reach(lam, gens).success
+    monkeypatch.setattr(degen, "_reach_member", lambda lam, gens, target: False)
+    cert = reach(lam, gens)
+    assert cert.branch == branch
+    assert (cert.success, cert.spin_member) == (False, False)
+
+
+@pytest.mark.parametrize("reach,lam,branch", BRANCH_CASES[:2], ids=["symplectic", "big-field"])
+def test_a_wrong_basis_change_fails_the_certificate(monkeypatch, reach, lam, branch):
+    # the GF(3) branches already end at the identity basis change, so the
+    # patch below changes nothing there
+    gens = standard_generators(lam.ctx, lam.n)
+    ident = GroupElement.identity(lam.ctx, lam.n)
+    assert reach(lam, gens).basis_change != ident.mat.rows()
+    monkeypatch.setattr(degen, "_basis_change", lambda ctx, cols: ident)
+    cert = reach(lam, gens)
+    assert cert.branch == branch
+    assert (cert.success, cert.spin_member) == (False, True)
+
+
+@pytest.mark.parametrize("ctx", [GF3, GF5], ids=repr)
+def test_the_suites_list_every_failing_vector(monkeypatch, ctx):
+    # every draw goes through the module's sample_in_between, and the
+    # GF(3) fixtures come first
+    gens, bases = standard_generators(ctx, 3), Bases(ctx, 3)
+    drawn = []
+
+    def recording(*args):
+        drawn.append(sample_in_between(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(degen, "sample_in_between", recording)
+    monkeypatch.setattr(degen, "_reach_member", lambda lam, gens, target: False)
+    rep = reach_eta_suite(bases, gens, 3, 4)
+    assert rep == {"checked": 4, "failures": [lam.to_json() for lam in drawn]}
+    drawn.clear()
+    rep = reach_delta_suite(bases, gens, 3, 4)
+    fixtures = list(GF3_BRANCH_VECTORS.values()) if ctx.order == 3 else []
+    assert len(drawn) == 4 - len(fixtures)
+    assert rep["failures"] == [lam.to_json() for lam in fixtures + drawn]
+    assert rep["checked"] == 4 and rep["branches"]
 
 
 def test_truncation_application_square_factor_vectors():

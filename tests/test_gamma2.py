@@ -13,10 +13,32 @@ from algdeg.gamma2 import (
     eq15_identity_holds, gamma_handle, replay_irreducible_from, sigma,
     sigma_gmap_claims, star, verify_gamma_irreducible,
 )
-from oracles import random_invertible
+from oracles import (
+    random_invertible, semilinear_scale_entries, semilinear_sum_entries,
+    semilinear_unit_entries,
+)
 
 GF4 = make_field(2, 2)
 GF8 = make_field(2, 3)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("ctx", [GF4, GF8], ids=repr)
+def test_semilinear_sums_scales_and_units_match_the_entrywise_references(ctx, n):
+    rng = random.Random(10 * n + ctx.order)
+    maps = [SemilinearMap.zero(ctx, n)]
+    maps += [SemilinearMap(Matrix(ctx, n, n, [rng.randrange(ctx.order) for _ in range(n * n)]))
+             for _ in range(4)]
+    for a in maps:
+        for b in maps:
+            assert (a + b).mat.entries == semilinear_sum_entries(a, b)
+        for c in ctx.raw_elements():
+            assert a.scale(c).mat.entries == semilinear_scale_entries(a, c)
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            e = SemilinearMap.unit(ctx, n, i, j)
+            assert (e.n, e.mat.nrows, e.mat.ncols) == (n, n, n)
+            assert e.mat.entries == semilinear_unit_entries(ctx, n, i, j)
 
 
 def test_sigma_of_unit_jji():

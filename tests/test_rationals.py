@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -11,7 +12,10 @@ from algdeg.structvec import StructureVector, act, tr, tr_op
 from algdeg.canon import (
     Bases, basis_Mstar, basis_U, expected_dims, intersection_table, submodule,
 )
-from algdeg.spinmx import rational_generators
+from algdeg.spinmx import (
+    composition_series, module_handle, norton_irreducible, norton_random, rational_generators,
+    survey_submodules,
+)
 from oracles import dual_act, opposite
 
 Q = make_field(0, 1)
@@ -72,3 +76,18 @@ def test_rational_generator_inverse_closure():
     mats = {tuple(tuple(r) for r in g.mat.rows()) for g in gens.elements}
     for g in gens.elements:
         assert tuple(tuple(r) for r in g.inv.rows()) in mats
+
+
+def test_the_kernel_vector_test_refuses_q_instead_of_crashing():
+    # the random draws need a finite field: a ValueError naming Q, never a
+    # TypeError from the draw itself
+    gens = rational_generators(Q, 3)
+    U = basis_U(Q, 3)
+    h = module_handle(gens, U, label="U")
+    for run in (lambda: norton_irreducible(h, 1), lambda: survey_submodules(h, 1),
+                lambda: composition_series([Subspace.zero(Q, 27), U], gens, 1)):
+        with pytest.raises(ValueError, match="not Q"):
+            run()
+    # a line needs no draw, over Q too
+    line = SimpleNamespace(ctx=Q, dim=1)
+    assert norton_random(line, 1).detail == {"reason": "dimension 1"}
