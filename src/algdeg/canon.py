@@ -159,6 +159,11 @@ def _table_row(ctx, n, terms):
     return row
 
 
+def _swap_rows(ctx, n, sign):
+    """The rows ijk + sign * jik over the triples of distinct letters with i < j."""
+    return [_table_row(ctx, n, [(1, i, j, k), (sign, j, i, k)]) for i, j, k in _triples(n) if i < j]
+
+
 def basis_C(ctx, n):
     rows = []
     for i in range(1, n + 1):
@@ -166,28 +171,19 @@ def basis_C(ctx, n):
     for i, j in _pairs(n):
         rows.append(_table_row(ctx, n, [(1, i, i, j)]))
         rows.append(_table_row(ctx, n, [(1, i, j, i), (1, j, i, i)]))
-    for i, j, k in _triples(n):
-        if i < j:
-            rows.append(_table_row(ctx, n, [(1, i, j, k), (1, j, i, k)]))
-    return Subspace(ctx, n ** 3, rows)
+    return Subspace(ctx, n ** 3, rows + _swap_rows(ctx, n, 1))
 
 
 def basis_K(ctx, n):
     rows = []
     for i, j in _pairs(n):
         rows.append(_table_row(ctx, n, [(1, i, j, i), (-1, j, i, i)]))
-    for i, j, k in _triples(n):
-        if i < j:
-            rows.append(_table_row(ctx, n, [(1, i, j, k), (-1, j, i, k)]))
-    return Subspace(ctx, n ** 3, rows)
+    return Subspace(ctx, n ** 3, rows + _swap_rows(ctx, n, -1))
 
 
 def basis_N(ctx, n):
     """The explicit table basis of N = C meet T."""
-    rows = []
-    for i, j, k in _triples(n):
-        if i < j:
-            rows.append(_table_row(ctx, n, [(1, i, j, k), (1, j, i, k)]))
+    rows = _swap_rows(ctx, n, 1)
     for i, j in _pairs(n):
         rows.append(_table_row(ctx, n, [(1, i, i, j)]))
         rows.append(_table_row(ctx, n, [(1, i, j, j), (1, j, i, j), (-1, i, i, i)]))
@@ -262,10 +258,7 @@ def basis_Mstarstar(ctx, n):
     for i, j in _pairs(n):
         rows.append(_table_row(ctx, n, [(1, i, i, j)]))
         rows.append(_table_row(ctx, n, [(1, i, j, i), (1, j, i, i), (-1, j, j, j)]))
-    for i, j, k in _triples(n):
-        if i < j:
-            rows.append(_table_row(ctx, n, [(1, i, j, k), (1, j, i, k)]))
-    return Subspace(ctx, n ** 3, kernel_rows(rows, n ** 3, ctx))
+    return Subspace(ctx, n ** 3, kernel_rows(rows + _swap_rows(ctx, n, 1), n ** 3, ctx))
 
 
 # -- the 2n-dimensional submodule and its projective pieces ------------------

@@ -191,10 +191,6 @@ def _g5_from_first_difference(lam, spec, lam2):
 
 # -- witness searches ------------------------------------------------------------
 
-def _rank(rows, ctx):
-    return Echelon(ctx, len(rows[0]), rows).dim
-
-
 def _independent_pair_pool(ctx, n):
     pool = [basis_vector(ctx, n, i) for i in range(1, n + 1)]
     for a, b in combinations(range(1, n + 1), 2):
@@ -206,22 +202,24 @@ def _independent_pair_pool(ctx, n):
 def _find_span_escape_pair(lam):
     """Vectors a, b with a, b, [a,b] independent; exists outside the
     span-preserving submodule, and the pool of standard vectors and pair sums
-    is enough to exhibit it."""
+    is enough to exhibit it, so an exhausted pool is an AssertionError."""
     ctx, n = lam.ctx, lam.n
     pool = _independent_pair_pool(ctx, n)
     for a in pool:
         for b in pool:
             ab = product(lam, a, b)
-            if _rank([a.coords, b.coords, ab.coords], ctx) == 3:
+            if Echelon(ctx, n, [a.coords, b.coords, ab.coords]).dim == 3:
                 return a, b
-    return None
+    raise AssertionError("no independent triple found; contradicts the "
+                         "membership predicates")
 
 
 def _find_square_escape(lam):
     """z with z, [z,z] independent; searched over units then two-index sums.
 
     For a commutative vector outside the square-factor submodule at most one
-    coefficient ratio per index pair fails, so the pool below always hits.
+    coefficient ratio per index pair fails, so the pool below always hits and
+    an exhausted pool is an AssertionError.
     """
     ctx, n = lam.ctx, lam.n
     scalars = (ctx.raw_elements()[1:] if ctx.kind == "finite"
@@ -232,9 +230,9 @@ def _find_square_escape(lam):
                                for i, j in combinations(range(n), 2) for c in scalars))
     for z in candidates:
         zz = product(lam, z, z)
-        if _rank([z.coords, zz.coords], ctx) == 2:
+        if Echelon(ctx, n, [z.coords, zz.coords]).dim == 2:
             return z, zz
-    return None
+    raise AssertionError("no escaping square found; contradicts the predicates")
 
 
 def _functional_with_values(ctx, rows, values):
@@ -348,11 +346,7 @@ def reach_eta(lam, gens):
     if predicate_Mstar(lam):
         raise ValueError("vector lies in the span-preserving submodule; no "
                          "independent triple exists")
-    pair = _find_span_escape_pair(lam)
-    if pair is None:
-        raise AssertionError("no independent triple found; contradicts the "
-                             "membership predicates")
-    a, b = pair
+    a, b = _find_span_escape_pair(lam)
     w_fn = omega(lam)
     zero = ctx.zero()
     # z in span(a,b) with omega(z) = 0: at most one ratio is excluded
@@ -364,7 +358,7 @@ def reach_eta(lam, gens):
         z = a.scale(w_fn(b).raw) - b.scale(w_fn(a).raw)
         w = a
     zw = product(lam, z, w)
-    if _rank([z.coords, w.coords, zw.coords], ctx) != 3:
+    if Echelon(ctx, n, [z.coords, w.coords, zw.coords]).dim != 3:
         raise AssertionError("degenerate witness triple; pool search is wrong")
     zeta = _functional_with_values(
         ctx, [z.coords, w.coords, zw.coords], [zero, zero, ctx.one()])
@@ -398,10 +392,7 @@ def reach_delta(lam, gens):
     if predicate_Mstarstar(lam):
         raise ValueError("vector lies in the square-factor submodule; no "
                          "escaping square exists")
-    found = _find_square_escape(lam)
-    if found is None:
-        raise AssertionError("no escaping square found; contradicts the predicates")
-    z, w = found  # w = [z,z], independent of z
+    z, w = _find_square_escape(lam)  # w = [z,z], independent of z
     zero, one = ctx.zero(), ctx.one()
     zeta = _functional_with_values(ctx, [z.coords, w.coords], [zero, one])
     if ctx.kind == "rational" or ctx.order > 3:

@@ -189,7 +189,7 @@ def sigma_gmap_claims(bases, gens):
                 ok = False
     # kernel of sigma restricted to C equals K, and sigma is onto (rank n^2)
     values = [s.coords() for s in sigmas]
-    rank = Matrix.from_rows(ctx, values).rank()
+    rank = Echelon(ctx, n * n, values).dim
     ok2 = rank == n * n and _restricted_kernel(C, values, ctx) == bases["K"]
     return [claim("sigmaGmap", "sigma(lam g) = sigma(lam) * g on the commutative submodule",
                   ok),

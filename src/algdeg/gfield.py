@@ -421,7 +421,7 @@ class FieldCtx:
             if raw.ctx != self:
                 raise ValueError("element from a different field")
             return raw.raw
-        if self.kind == "rational":
+        if self.kind == "rational" and isinstance(raw, (int, Fraction)):
             return Fraction(raw)
         if isinstance(raw, int):
             # over GF(p) a code and an integer read the same; over GF(p^k) they

@@ -61,9 +61,7 @@ from itertools import chain, compress, product as iproduct
 from typing import Optional
 
 from . import canon
-from .exactla import (
-    Echelon, GroupElement, Matrix, Subspace, combiner, kernel_rows,
-)
+from .exactla import Echelon, GroupElement, Subspace, combiner, kernel_rows
 from .gfield import FieldCtx, primitive_element
 from .report import claim, norton_claim
 from .structvec import act, act_coords, tr_matrix_rows, tr_op_matrix_rows, weight_classes
@@ -689,15 +687,14 @@ def _all_lines(ctx, d):
 # -- composition series --------------------------------------------------------
 
 def composition_series(chain, gens, seed):
-    """Certify a chain of subspaces as a composition series via factor tests."""
+    """Certify a chain of subspaces as a composition series via factor tests;
+    `certified` when every factor is irreducible, `conclusive` when none is inconclusive."""
     if len(chain) < 2:
         raise ValueError("a chain needs at least two terms")
     for a, b in zip(chain, chain[1:]):
         if not a < b:
             raise ValueError("chain must be strictly increasing")
     factors = []
-    certified = True
-    conclusive = True
     for i, (a, b) in enumerate(zip(chain, chain[1:])):
         handle = module_handle(gens, b, sub=a, label=f"factor{i}")
         res = norton_irreducible(handle, derive_seed(seed, "series", i))
@@ -707,17 +704,14 @@ def composition_series(chain, gens, seed):
             "verdict": res.verdict,
         }
         if res.verdict == "reducible":
-            certified = False
             facts["witness_dim"] = len(res.witness_coords)
             facts["witness"] = res.witness.to_json()
-        elif res.verdict == "inconclusive":
-            certified = False
-            conclusive = False
         factors.append(facts)
+    verdicts = {f["verdict"] for f in factors}
     return {
         "factors": factors,
-        "certified": certified,
-        "conclusive": conclusive,
+        "certified": verdicts == {"irreducible"},
+        "conclusive": "inconclusive" not in verdicts,
         "dims": [s.dim for s in chain],
     }
 
@@ -888,19 +882,27 @@ def verify_lattice_diagrams(bases, gens, seed):
         add(norton_claim(cid, anchor, res, want, {"verdict": res.verdict, **extra}, holds))
         return res
 
+    def dual_top(cid, anchor, sub, top, sub_key, top_key):
+        """Claim hom(sub, dual) = 0 and hom(top, dual) != 0; sub and top are
+        `module_handle` (carrier, sub, label), built after the dual handle."""
+        v_handle = dual_space_handle(gens)
+        d_sub, _ = hom_space(module_handle(gens, *sub), v_handle)
+        d_top, _ = hom_space(module_handle(gens, *top), v_handle)
+        add(claim(cid, anchor, d_sub == 0 and d_top >= 1, {sub_key: d_sub, top_key: d_top}))
+
     # dual-space filtration factors via the explicit trace surjections.  T and
     # U are built as kernels of tr, so they are checked against the
     # per-vector tr and the dimension a rank-n map leaves; N is a table basis
     tr_rows = tr_matrix_rows(ctx, n)
     add(claim("LambdaOverT", "tr maps the full space onto the dual with kernel T",
-              Matrix.from_rows(ctx, tr_rows).rank() == n and T.dim == n ** 3 - n
+              Echelon(ctx, n ** 3, tr_rows).dim == n and T.dim == n ** 3 - n
               and not any(map(any, canon._trace_images(T, n)))))
     add(claim("KOverU", "tr restricted to K is onto the dual with kernel U",
-              Matrix.from_rows(ctx, canon._trace_images(K, n)).rank() == n
+              Echelon(ctx, n, canon._trace_images(K, n)).dim == n
               and U <= K and U <= T and U.dim == K.dim - n))
     values = canon._trace_images(C, n)
     add(claim("COverN", "tr restricted to C is onto the dual with kernel N",
-              Matrix.from_rows(ctx, values).rank() == n
+              Echelon(ctx, n, values).dim == n
               and canon._restricted_kernel(C, values, ctx) == N))
 
     # diagram over M**
@@ -915,14 +917,9 @@ def verify_lattice_diagrams(bases, gens, seed):
                   (K & UM) == U and (K | UM) == Mss))
         factor("UplusMstarOverMstar.irr", "(U + M*)/M* is irreducible",
                UM, Ms, "(U+M*)/M*", "UM/M*")
-        v_handle = dual_space_handle(gens)
-        hU = module_handle(gens, U, label="U")
-        dU, _ = hom_space(hU, v_handle)
-        hQ = module_handle(gens, Mss, sub=Ms, label="M**/M*")
-        dQ, _ = hom_space(hQ, v_handle)
-        add(claim("MssOverMstar.notU",
-                  "the dual is a top factor of M**/M* but not of U (hom-space dims)",
-                  dU == 0 and dQ >= 1, {"hom(U,dual)": dU, "hom(M**/M*,dual)": dQ}))
+        dual_top("MssOverMstar.notU",
+                 "the dual is a top factor of M**/M* but not of U (hom-space dims)",
+                 (U, None, "U"), (Mss, Ms, "M**/M*"), "hom(U,dual)", "hom(M**/M*,dual)")
     else:
         add(claim("MssSplit", "M** = U (+) M* when char does not divide n-1",
                   bases.meet("U", "Mstar").dim == 0 and (U | Ms) == Mss))
@@ -987,17 +984,12 @@ def verify_lattice_diagrams(bases, gens, seed):
                     zip(tr_rows, tr_op_matrix_rows(ctx, n))]
         ker_psi = Subspace(ctx, n ** 3, kernel_rows(psi_rows, n ** 3, ctx))
         add(claim("kerPsi", "ker(tr + tr~) = N + M**, so the top factor is the dual",
-                  Matrix.from_rows(ctx, psi_rows).rank() == n and ker_psi == NM))
+                  Echelon(ctx, n ** 3, psi_rows).dim == n and ker_psi == NM))
         factor("NplusMssOverMss.irr", "(N + M**)/M** is irreducible",
                NM, Mss, "(N+M**)/M**", "NM/Mss")
-        v_handle = dual_space_handle(gens)
-        hN = module_handle(gens, N, label="N")
-        dN, _ = hom_space(hN, v_handle)
-        hQ = module_handle(gens, Lam, sub=Mss, label="Lambda/M**")
-        dQ, _ = hom_space(hQ, v_handle)
-        add(claim("LambdaOverMss.notN",
-                  "the dual is a top factor of the quotient by M** but not of N",
-                  dN == 0 and dQ >= 1, {"hom(N,dual)": dN, "hom(L/M**,dual)": dQ}))
+        dual_top("LambdaOverMss.notN",
+                 "the dual is a top factor of the quotient by M** but not of N",
+                 (N, None, "N"), (Lam, Mss, "Lambda/M**"), "hom(N,dual)", "hom(L/M**,dual)")
     else:
         split = bases.meet("N", "Mstarstar").dim == 0 and (N | Mss) == Lam
         add(claim("LambdaSplit", "the full space is N (+) M** away from char | n+1", split))

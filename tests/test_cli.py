@@ -546,10 +546,20 @@ PINNED_REPORTS = [
      "4b18c913e42840435770d15074b173c8c0935a92d09afd29a872e6fa12c55f9b"),
     ("lattice --n 3 --field 2", 0,
      "ea823bc8f332a5e020223f57569f77daa3162875d269bc4c438816ea6cdc3cc5"),
+    # MssOverMstar.notU (char | n-1) at n = 4 and LambdaOverMss.notN
+    # (char | n+1) at n = 5 over GF(3); the even-n claims of characteristic 2
+    ("lattice --n 4 --field 3", 0,
+     "0720421dbddaee1b88f660d902020952f2526138c81fad426fc2e53f2fd7ea21"),
+    ("lattice --n 5 --field 3", 0,
+     "b16bbd08419fff08f15d83eda6e368e2ea37898511e51b8a9d4f8484e55c170e"),
+    ("lattice --n 4 --field 2^2", 0,
+     "76c459696e9702df008638a5c425ab73f024d2a11f4f184c4e23229b4d64ed49"),
     ("gamma --n 3 --field 2^3", 0,
      "433db17ab72baf4bb404ab51f394a6ea2f7637e0a63b477c29de5e3df7e6eb4d"),
     ("gamma --n 3 --field 3", 0,
      "5e618ff8febdc730e31bf8634e3ca79ed24dae654ed42feaeaf51324c1cbcc54"),
+    ("gamma --n 4 --field 2^2", 0,
+     "09ff9bee6f5402740366f6b6ecf13902a9eea1adbd1abbf089b96c9484ed3038"),
     ("canon --n 3 --field 5^2", 0,
      "1a7b00faceea4033096f1c3f1ac9f0865c6c025d9e9011f5893adfa84d7f3471"),
     ("canon --n 3 --field 2", 0,

@@ -14,7 +14,7 @@ from algdeg.structvec import (
     DualVector, StructureVector, Vector, act_coords, basis_vector, flat, product, unit,
 )
 from algdeg.canon import (
-    Bases, basis_C, basis_K, basis_Mstarstar, delta, epsilon, eta,
+    Bases, basis_C, basis_K, basis_Mstarstar, delta, epsilon, epsilon_tilde, eta,
     predicate_C, predicate_Mstar, predicate_Mstarstar,
 )
 from algdeg import spinmx, structvec
@@ -28,6 +28,7 @@ from algdeg.degen import (
     reach_delta, reach_delta_suite, reach_eta, reach_eta_suite,
     sample_in_between, transvection_g5, verify_lindeg, weights,
 )
+from algdeg.cli import main
 from oracles import zeta_bracket_row
 
 GF3 = make_field(3)
@@ -60,6 +61,10 @@ def test_q_truncate_keeps_eta():
 def test_q_truncate_length_check():
     with pytest.raises(ValueError):
         q_truncate(eta(GF5, 3), [0, 0])
+    with pytest.raises(ValueError, match="length must match the dimension"):
+        lindeg_theorem_check(eta(GF5, 3), [0, 0])
+    with pytest.raises(ValueError, match="needs a finite field"):
+        lindeg_theorem_check(eta(make_field(0), 3), [0, 0, 0])
 
 
 def test_theorem_check_ones_and_twos():
@@ -505,10 +510,22 @@ def test_reach_eta_eta_plus_eps():
 
 def test_reach_eta_rejects_mstar():
     gens = standard_generators(GF5, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="lies in the span-preserving submodule"):
         reach_eta(epsilon(GF5, 3, 1), gens)
-    with pytest.raises(ValueError):
-        reach_eta(unit(GF5, 3, 1, 1, 2), gens)  # outside the square-factor space
+    with pytest.raises(ValueError, match="outside the square-factor submodule"):
+        reach_eta(unit(GF5, 3, 1, 1, 2), gens)
+    gf2 = make_field(2)
+    with pytest.raises(ValueError, match=r"needs \|F\| > 2"):
+        reach_eta(eta(gf2, 3), standard_generators(gf2, 3))
+
+
+def test_the_pipeline_refuses_gf2():
+    # no alpha of GF(2) avoids 0 and 1, so the spec comes from GF(5): the
+    # refusal reads the vector's field before the spec is used
+    spec = TransvectionSpec(z=basis_vector(GF5, 3, 3),
+                            zeta=DualVector(GF5, 3, [0, 1, 0]), alpha=2)
+    with pytest.raises(ValueError, match=r"the pipeline needs \|F\| > 2"):
+        transvection_g5(eta(make_field(2), 3), spec)
 
 
 def test_reach_eta_k_sample_n4_gf3():
@@ -555,16 +572,37 @@ def test_reach_delta_gf4():
 
 def test_reach_delta_rejects():
     gens = standard_generators(GF5, 3)
-    with pytest.raises(ValueError):
-        reach_delta(eta(GF5, 3), gens)  # not commutative
-    with pytest.raises(ValueError):
-        reach_delta(epsilon(GF5, 3, 1) + epsilon(GF5, 3, 1), gens)
+    with pytest.raises(ValueError, match="vector is not commutative"):
+        reach_delta(eta(GF5, 3), gens)
+    # eps_1 + eps~_1 is commutative and lies in C ^ M* = M*_(1,1) inside M**
+    with pytest.raises(ValueError, match="vector lies in the square-factor submodule"):
+        reach_delta(epsilon(GF5, 3, 1) + epsilon_tilde(GF5, 3, 1), gens)
+    gf2 = make_field(2)
+    with pytest.raises(ValueError, match=r"needs \|F\| > 2"):
+        reach_delta(delta(gf2, 3), standard_generators(gf2, 3))
 
 
 def test_lindeg_suite_small():
     gens = standard_generators(GF5, 3)
     rep = lindeg_suite(gens, 123, 15)
     assert rep["checked"] == 15 and not rep["failures"]
+
+
+def test_lindeg_suite_lists_every_failed_sample(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(degen, "verify_lindeg", lambda lam, q, gens: False)
+    rep = lindeg_suite(standard_generators(GF5, 3), 123, 4)
+    assert rep["checked"] == 4 and len(rep["failures"]) == 4
+    for f in rep["failures"]:
+        assert set(f) == {"q", "lam", "max_weight"}
+        assert lindeg_theorem_check(StructureVector.from_json(f["lam"]), f["q"]) == (
+            True, f["max_weight"])
+    path = tmp_path / "r.json"
+    assert main(["--json", str(path), "--no-timing", "verify-all", "--n-list", "3",
+                 "--fields", "5"]) == 1
+    capsys.readouterr()
+    claims = {c["id"]: c for c in json.loads(path.read_text())["claims"]}
+    assert claims["n3.q5.degen.lindeg"]["status"] == "falsified"
+    assert [c for c in claims if claims[c]["status"] != "verified"] == ["n3.q5.degen.lindeg"]
 
 
 def test_reach_suites_small():

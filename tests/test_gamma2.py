@@ -151,6 +151,22 @@ def test_sigma_gmap_claims():
         assert c["status"] == "verified"
 
 
+def test_sigma_gmap_is_falsified_when_the_star_ignores_g(monkeypatch):
+    # with phi * g = phi the intertwining fails, while the rank and kernel
+    # check, which never acts, still holds
+    monkeypatch.setattr(gamma2, "_star", lambda phi, ginv, gsq: phi)
+    claims = sigma_gmap_claims(Bases(GF4, 3), standard_generators(GF4, 3))
+    assert {c["id"]: c["status"] for c in claims} == {"sigmaGmap": "falsified",
+                                                      "sigmaKernel": "verified"}
+
+
+def test_eq15_fails_when_the_star_ignores_g(monkeypatch):
+    # e_12 * g + e_12 is then 0 in characteristic 2, not a e_22 + a^2 e_11 + a^3 e_21
+    monkeypatch.setattr(gamma2, "star", lambda phi, g: phi)
+    assert not eq15_identity_holds(GF4)
+    assert not eq15_identity_holds(GF8)
+
+
 def test_replay_from_every_unit():
     for i in range(1, 4):
         for j in range(1, 4):

@@ -7,6 +7,8 @@ from algdeg.gfield import (
     FieldCtx, make_field, primitive_element, frobenius,
     multiplicative_order,
 )
+from algdeg.exactla import GroupElement, Matrix
+from algdeg.structvec import StructureVector
 
 SMALL_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (2, 3), (3, 2)]
 
@@ -32,6 +34,10 @@ def test_make_field_rejects_nonprime():
         make_field(4, 1)
     with pytest.raises(ValueError):
         make_field(1, 1)
+    with pytest.raises(ValueError, match="rational field has degree 1"):
+        make_field(0, 2)
+    with pytest.raises(ValueError, match="degree must be >= 1, got 0"):
+        make_field(3, 0)
 
 
 def test_make_field_rejects_unknown_extension():
@@ -54,6 +60,25 @@ def test_rationals():
     assert (a + a).raw == 1
     with pytest.raises(ValueError):
         list(ctx)
+
+
+def test_rational_scalars_are_ints_and_fractions_only():
+    # a float is a binary fraction, not the decimal it prints as, and a string
+    # is no scalar: both are refused over Q as over every finite field
+    q = make_field(0, 1)
+    assert q.element(3).raw == 3
+    assert q.element(True).raw == 1 and q.element(False).raw == 0
+    assert q.element(Fraction(1, 2)).raw == Fraction(1, 2)
+    assert all(type(q.element(x).raw) is Fraction for x in (3, True, Fraction(1, 2)))
+    for bad in (0.1, 1.0, "1/3"):
+        with pytest.raises(TypeError, match="cannot coerce"):
+            q.element(bad)
+        with pytest.raises(TypeError, match="cannot coerce"):
+            StructureVector(q, 3, [bad] + [0] * 26)
+        with pytest.raises(TypeError, match="cannot coerce"):
+            Matrix.from_rows(q, [[bad, 0], [0, 1]])
+        with pytest.raises(TypeError, match="cannot coerce"):
+            GroupElement.diagonal(q, [bad, 1, 1])
 
 
 @pytest.mark.parametrize("p,k", SMALL_FIELDS)

@@ -14,7 +14,7 @@ from algdeg.canon import (
 )
 from algdeg.spinmx import (
     composition_series, module_handle, norton_irreducible, norton_random, rational_generators,
-    survey_submodules,
+    standard_generators, survey_submodules, verify_lattice_diagrams,
 )
 from oracles import dual_act, opposite
 
@@ -67,8 +67,11 @@ def test_split_intersections_over_q():
 def test_intersection_table_rejects_non_finite():
     with pytest.raises(ValueError):
         intersection_table(Bases(Q, 3))
+    gf2 = make_field(2)
     with pytest.raises(ValueError):
-        intersection_table(Bases(make_field(2), 3))
+        intersection_table(Bases(gf2, 3))
+    with pytest.raises(ValueError, match=r"\|F\| > 2"):
+        verify_lattice_diagrams(Bases(gf2, 3), standard_generators(gf2, 3), 1)
 
 
 def test_rational_generator_inverse_closure():

@@ -365,6 +365,32 @@ def test_composition_series_rejects_non_nested():
     gens = gens_for(GF5, 3)
     with pytest.raises(ValueError):
         composition_series([basis_U(GF5, 3), Subspace.zero(GF5, 27)], gens, seed=0)
+    with pytest.raises(ValueError, match="a chain needs at least two terms"):
+        composition_series([basis_U(GF5, 3)], gens, seed=0)
+
+
+def test_the_length_two_factor_is_falsified_by_an_irreducible_verdict(monkeypatch):
+    # at (3, GF(4)) the factor over N + M** must split; an irreducible verdict
+    # on it is the opposite one
+    real = spinmx.norton_irreducible
+
+    def calls_it_irreducible(handle, seed):
+        if handle.label == "Lambda/(N+M**)":
+            return spinmx.NortonResult("irreducible", None, None, {})
+        return real(handle, seed)
+
+    monkeypatch.setattr(spinmx, "norton_irreducible", calls_it_irreducible)
+    claims = {c["id"]: c for c in verify_lattice_diagrams(Bases(GF4, 3), gens_for(GF4, 3), 1)}
+    odd = claims["LambdaOverNplusMss.odd"]
+    assert odd["status"] == "falsified"
+    assert odd["data"] == {"verdict": "irreducible", "dim": 6}
+
+
+def test_the_kernel_vector_test_refuses_an_empty_module():
+    h = module_handle(gens_for(GF5, 3), Subspace.zero(GF5, 27), label="0")
+    assert h.dim == 0
+    with pytest.raises(ValueError, match="empty module"):
+        norton_irreducible(h, 1)
 
 
 def test_composition_series_reports_reducible_factor():
