@@ -162,7 +162,7 @@ def cmd_survey(args):
     def survey_claim():
         anchor = f"exhaustive submodule lattice of {args.module}"
         try:
-            lattice = spinmx.survey_submodules(handle, seed=args.seed)
+            lattice = spinmx.survey_submodules(handle)
         except spinmx.InconclusiveFactor as exc:
             print(f"submodule lattice of {args.module}: {exc}")
             return claim("survey", anchor, None, {"factor": exc.label, "dim": exc.dim})
@@ -184,7 +184,7 @@ def cmd_series(args):
     chain = [bases[name] for name in split_chain(args.chain)]
 
     def series_claim():
-        rep = spinmx.composition_series(chain, gens, args.seed)
+        rep = spinmx.composition_series(chain, gens)
         for f in rep["factors"]:
             print(f"  factor {f['index']}: dim {f['dim']} -> {f['verdict']}")
         # one reducible factor refutes the chain, whatever the other verdicts
@@ -201,7 +201,7 @@ def cmd_lattice(args):
     report = Report("lattice", {"n": n, "field": _field_label(ctx)}, args.seed)
     if not _small_field_guard(report, ctx, [("lattice", "submodule diagrams")]):
         report.timed(spinmx.verify_lattice_diagrams, canon.Bases(ctx, n),
-                     spinmx.standard_generators(ctx, n), args.seed)
+                     spinmx.standard_generators(ctx, n))
     return report
 
 
@@ -276,7 +276,7 @@ def _verify_cell(report, args, ctx, n):
         report.timed(dim_claim, bases, name, tag=tag)
     report.timed(canon.intersection_table, bases, tag=tag)
     report.timed(canon.check_trace_biconditional, bases, tag=tag)
-    report.timed(spinmx.verify_lattice_diagrams, bases, gens, args.seed, tag=tag)
+    report.timed(spinmx.verify_lattice_diagrams, bases, gens, tag=tag)
 
     def spin_claims():
         out = []
@@ -317,7 +317,7 @@ def build_parser():
     shared.add_argument("--json", default=argparse.SUPPRESS,
                         help="write the JSON report to this path")
     shared.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                        help="base 64-bit seed")
+                        help="seed of the degen samples and the gamma replay heads")
     shared.add_argument("--no-timing", action="store_true",
                         default=argparse.SUPPRESS,
                         help="omit wall-clock data for byte-identical reports")

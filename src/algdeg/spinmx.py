@@ -44,7 +44,10 @@ polynomial they test N = theta^(q^e) - theta at the least e with a nonzero
 kernel.  When its nullity is e, ker N is a simple F[theta]-module, so a
 submodule meeting it contains it, and one kernel vector stands for every
 line.  (Holt & Rees, "Testing modules for irreducibility", J. Austral. Math.
-Soc. A 57, 1994.)
+Soc. A 57, 1994.)  The draws come from one fixed stream, `random.Random(0)`
+made fresh on each call, as the MeatAxe takes its test elements from a fixed
+sequence (Parker 1984): a verdict and its witness are a function of the
+module's action matrices, and no kernel-vector test takes a seed.
 
 Every closure, the Norton spins included, runs through `_span_closure`,
 scheduled by applier yield as in the MeatAxe's spinning (Parker 1984): a
@@ -567,7 +570,7 @@ def _reducible(handle, rows, detail):
     return NortonResult("reducible", handle.preimage(rows), rows, detail)
 
 
-def norton_irreducible(handle, seed):
+def norton_irreducible(handle):
     """Kernel-vector irreducibility test: on the smallest weight space of a
     graded handle, else with random draws (`norton_random`).
 
@@ -584,7 +587,7 @@ def norton_irreducible(handle, seed):
     units = _smallest_weight_space(handle)
     lines = None if units is None else _lines_of(units, handle.ctx)
     if lines is None:
-        return norton_random(handle, seed)
+        return norton_random(handle)
     detail = {"weight_space": len(units)}
     return (_module_witness(handle, lines, detail)
             or _dual_verdict(handle, units[0], detail))
@@ -627,7 +630,7 @@ def _dual_verdict(handle, vector, detail):
     return _reducible(handle, ann, {**detail, "side": "dual"})
 
 
-def norton_random(handle, seed):
+def norton_random(handle):
     """Kernel-vector irreducibility test with Holt-Rees shifts of random draws.
 
     Each of the first `NORTON_ATTEMPTS` draws theta is tested at the first
@@ -640,7 +643,8 @@ def norton_random(handle, seed):
     of the kernel of its transpose to spin full on the transpose (Norton's
     lemma; see the module docstring).  An inconclusive detail counts the
     draws made.  The draws need a finite field: past dimension 1 any other
-    field is a ValueError.
+    field is a ValueError.  Each call draws from a fresh `random.Random(0)`,
+    so the result depends on the action matrices alone, not on the label.
     """
     ctx, d = handle.ctx, handle.dim
     if d == 0:
@@ -649,7 +653,7 @@ def norton_random(handle, seed):
         return NortonResult("irreducible", None, None, {"reason": "dimension 1"})
     if ctx.kind != "finite":
         raise ValueError(f"the kernel-vector test draws from a finite field, not {ctx!r}")
-    rng = random.Random(derive_seed(seed, "norton", handle.label, d))
+    rng = random.Random(0)
     for attempt in range(2 * NORTON_ATTEMPTS):
         found = _shift(_random_envelope(handle, rng), ctx, attempt >= NORTON_ATTEMPTS)
         if found is None:
@@ -686,9 +690,10 @@ def _all_lines(ctx, d):
 
 # -- composition series --------------------------------------------------------
 
-def composition_series(chain, gens, seed):
+def composition_series(chain, gens):
     """Certify a chain of subspaces as a composition series via factor tests;
-    `certified` when every factor is irreducible, `conclusive` when none is inconclusive."""
+    `certified` when every factor is irreducible, `conclusive` when none is inconclusive.
+    The factor tests take no seed, so the report is a function of the chain."""
     if len(chain) < 2:
         raise ValueError("a chain needs at least two terms")
     for a, b in zip(chain, chain[1:]):
@@ -697,7 +702,7 @@ def composition_series(chain, gens, seed):
     factors = []
     for i, (a, b) in enumerate(zip(chain, chain[1:])):
         handle = module_handle(gens, b, sub=a, label=f"factor{i}")
-        res = norton_irreducible(handle, derive_seed(seed, "series", i))
+        res = norton_irreducible(handle)
         facts = {
             "index": i,
             "dim": handle.dim,
@@ -718,7 +723,7 @@ def composition_series(chain, gens, seed):
 
 # -- submodule survey -------------------------------------------------------------
 
-def survey_submodules(handle, seed=0):
+def survey_submodules(handle):
     """Every submodule of the handle's module, from its composition factors and covers.
 
     Repeated kernel-vector splitting chops the module into composition
@@ -729,9 +734,9 @@ def survey_submodules(handle, seed=0):
     reaches every submodule, since each has a composition series starting at
     0.  No line of M is listed, so the cost follows the members and the hom
     spaces, not the size of the carrier.  Returns the lattice lifted to the
-    carrier's ambient space, sorted by (dim, basis).  `seed` drives the
-    splitting only; the lattice does not depend on it.  A factor whose
-    kernel-vector test stays inconclusive raises `InconclusiveFactor`.
+    carrier's ambient space, sorted by (dim, basis).  The kernel-vector
+    tests take no seed, so neither the splitting nor the lattice depends on
+    one.  A factor whose test stays inconclusive raises `InconclusiveFactor`.
     """
     ctx, d = handle.ctx, handle.dim
     appliers = _handle_appliers(handle.action, ctx)
@@ -742,7 +747,7 @@ def survey_submodules(handle, seed=0):
         return _restricted_handle(handle.gens, appliers, top, bottom,
                                   f"{handle.label}:{label}", handle.classes)
 
-    types = _simple_types(quotient, full, seed)
+    types = _simple_types(quotient, full)
     lattice = [Subspace.zero(ctx, d)]
     found = set(lattice)
     for u in lattice:                    # breadth first: covers are appended as found
@@ -764,7 +769,7 @@ def survey_submodules(handle, seed=0):
     return lifted
 
 
-def _simple_types(quotient, full, seed):
+def _simple_types(quotient, full):
     """One handle per isomorphism class of composition factors of the module on `full`.
 
     Each pair (top, bottom) still to chop is split at the witness of a
@@ -773,12 +778,10 @@ def _simple_types(quotient, full, seed):
     """
     types = []
     todo = [(full, Subspace.zero(full.ctx, full.ambient))] if full.dim else []
-    step = 0
     while todo:
         top, bottom = todo.pop()
         h = quotient(top, bottom, f"{top.dim}/{bottom.dim}")
-        res = norton_irreducible(h, derive_seed(seed, "survey", step))
-        step += 1
+        res = norton_irreducible(h)
         if res.verdict == "reducible":
             todo += [(res.witness, bottom), (top, res.witness)]
         elif res.verdict != "irreducible":
@@ -844,7 +847,7 @@ def hom_space(ha, hb):
 
 # -- diagram verification ----------------------------------------------------------
 
-def verify_lattice_diagrams(bases, gens, seed):
+def verify_lattice_diagrams(bases, gens):
     """Check the submodule diagrams branch by branch for one (n, field).
 
     Covers the two diagrams over M** (split by char | n-1), the three over
@@ -870,14 +873,14 @@ def verify_lattice_diagrams(bases, gens, seed):
 
     add = claims.append
 
-    def factor(cid, anchor, carrier, sub, label, tag, want="irreducible", rest=None):
+    def factor(cid, anchor, carrier, sub, label, want="irreducible", rest=None):
         """Build carrier/sub's handle, run the kernel-vector test, add the claim.
 
         `rest(handle, result)` gives the claim's extra data and its
         deterministic part.  Returns the test's result.
         """
         h = module_handle(gens, carrier, sub=sub, label=label)
-        res = norton_irreducible(h, derive_seed(seed, tag))
+        res = norton_irreducible(h)
         extra, holds = rest(h, res) if rest else ({}, True)
         add(norton_claim(cid, anchor, res, want, {"verdict": res.verdict, **extra}, holds))
         return res
@@ -915,16 +918,15 @@ def verify_lattice_diagrams(bases, gens, seed):
                   UM.dim == (n ** 3 - n ** 2) // 2, {"dim": UM.dim}))
         add(claim("MssOverU.split", "K and U+M* are distinct complements over U inside M**",
                   (K & UM) == U and (K | UM) == Mss))
-        factor("UplusMstarOverMstar.irr", "(U + M*)/M* is irreducible",
-               UM, Ms, "(U+M*)/M*", "UM/M*")
+        factor("UplusMstarOverMstar.irr", "(U + M*)/M* is irreducible", UM, Ms, "(U+M*)/M*")
         dual_top("MssOverMstar.notU",
                  "the dual is a top factor of M**/M* but not of U (hom-space dims)",
                  (U, None, "U"), (Mss, Ms, "M**/M*"), "hom(U,dual)", "hom(M**/M*,dual)")
     else:
         add(claim("MssSplit", "M** = U (+) M* when char does not divide n-1",
                   bases.meet("U", "Mstar").dim == 0 and (U | Ms) == Mss))
-        factor("U.irr", "U is irreducible when char does not divide n-1", U, None, "U", "U")
-        factor("Mstar.red", "M* is reducible (a sum of two dual copies)", Ms, None, "M*", "M*",
+        factor("U.irr", "U is irreducible when char does not divide n-1", U, None, "U")
+        factor("Mstar.red", "M* is reducible (a sum of two dual copies)", Ms, None, "M*",
                "reducible", lambda h, res: ({"witness_dim": len(res.witness_coords or [])}, True))
 
     # diagram over the full space
@@ -944,9 +946,9 @@ def verify_lattice_diagrams(bases, gens, seed):
                       TM.dim == n ** 3 - n, {"dim": TM.dim}))
             factor("LambdaOverTTplusMss.irr",
                    "the top factor over (T ^ T~) + M** is irreducible",
-                   Lam, TM, "Lambda/(TT+M**)", "L/TTM", rest=lambda h, res: ({"dim": n}, True))
+                   Lam, TM, "Lambda/(TT+M**)", rest=lambda h, res: ({"dim": n}, True))
             factor("TTplusMssOverNplusMss.irr", "((T ^ T~) + M**)/(N + M**) is irreducible",
-                   TM, NM, "(TT+M**)/(N+M**)", "TTM/NM")
+                   TM, NM, "(TT+M**)/(N+M**)")
         else:
             # for even n the traces satisfy tr + tr~ = omega on M**, so the
             # triple intersection collapses to U and the sum is everything;
@@ -959,8 +961,7 @@ def verify_lattice_diagrams(bases, gens, seed):
         if n % 2 == 0:
             factor("LambdaOverNplusMss.even",
                    "the factor over N + M** is irreducible of dim U for even n",
-                   Lam, NM, "Lambda/(N+M**)", "L/NM",
-                   rest=lambda h, res: ({"dim": h.dim}, h.dim == du))
+                   Lam, NM, "Lambda/(N+M**)", rest=lambda h, res: ({"dim": h.dim}, h.dim == du))
         else:
             def length_two(h, res):
                 if res.verdict != "reducible":
@@ -972,7 +973,7 @@ def verify_lattice_diagrams(bases, gens, seed):
 
             factor("LambdaOverNplusMss.odd",
                    "the factor over N + M** has length two with the factor dims of U (odd n)",
-                   Lam, NM, "Lambda/(N+M**)", "L/NM", "reducible", length_two)
+                   Lam, NM, "Lambda/(N+M**)", "reducible", length_two)
     elif (n + 1) % ctx.char == 0:
         NM = N | Mss
         M11 = bases[canon.ProjectivePoint(ctx, one, one)]
@@ -985,8 +986,7 @@ def verify_lattice_diagrams(bases, gens, seed):
         ker_psi = Subspace(ctx, n ** 3, kernel_rows(psi_rows, n ** 3, ctx))
         add(claim("kerPsi", "ker(tr + tr~) = N + M**, so the top factor is the dual",
                   Echelon(ctx, n ** 3, psi_rows).dim == n and ker_psi == NM))
-        factor("NplusMssOverMss.irr", "(N + M**)/M** is irreducible",
-               NM, Mss, "(N+M**)/M**", "NM/Mss")
+        factor("NplusMssOverMss.irr", "(N + M**)/M** is irreducible", NM, Mss, "(N+M**)/M**")
         dual_top("LambdaOverMss.notN",
                  "the dual is a top factor of the quotient by M** but not of N",
                  (N, None, "N"), (Lam, Mss, "Lambda/M**"), "hom(N,dual)", "hom(L/M**,dual)")
@@ -995,8 +995,7 @@ def verify_lattice_diagrams(bases, gens, seed):
         add(claim("LambdaSplit", "the full space is N (+) M** away from char | n+1", split))
         # N's handle proves N stable; with M** stable and the split, N maps
         # isomorphically onto the quotient, so N's verdict is the quotient's
-        res = factor("N.irr", "N is irreducible when char does not divide n+1",
-                     N, None, "N", "N")
+        res = factor("N.irr", "N is irreducible when char does not divide n+1", N, None, "N")
         dim = Lam.dim - Mss.dim
         add(norton_claim("LambdaOverMss.irr",
                          "the quotient by M** is irreducible of the dimension of N",

@@ -138,7 +138,7 @@ def test_criterion_07_composition_series():
     with criterion(7, "composition-series"):
         def run(ctx, n, names):
             chain = [submodule(x, ctx, n) for x in names]
-            rep = composition_series(chain, gens_for(ctx, n), SEED)
+            rep = composition_series(chain, gens_for(ctx, n))
             assert rep["conclusive"], (ctx, n, names, rep)
             assert rep["certified"], (ctx, n, names, rep)
 
@@ -184,7 +184,7 @@ def test_criterion_09_lattice_diagrams():
         ]
         seen = set()
         for ctx, n in cases:
-            for c in verify_lattice_diagrams(Bases(ctx, n), gens_for(ctx, n), SEED):
+            for c in verify_lattice_diagrams(Bases(ctx, n), gens_for(ctx, n)):
                 assert c["status"] == "verified", (ctx, n, c["id"], c["data"])
                 seen.add(c["id"])
         # every branch actually executed, with the stated dims at odd n

@@ -483,7 +483,7 @@ def test_bases_reject_unknown_names():
 
 
 @pytest.mark.parametrize("check", [
-    lambda bases, gens: spinmx.verify_lattice_diagrams(bases, gens, 1),
+    lambda bases, gens: spinmx.verify_lattice_diagrams(bases, gens),
     lambda bases, gens: degen.reach_eta_suite(bases, gens, 1, 2),
     lambda bases, gens: degen.reach_delta_suite(bases, gens, 1, 2),
     lambda bases, gens: gamma2.sigma_gmap_claims(bases, gens),
@@ -532,7 +532,7 @@ def test_a_cell_intersects_each_pair_of_submodules_once(ctx, n, count, monkeypat
     table = intersection_table(bases)
     bicond = canon.check_trace_biconditional(bases)
     gens = spinmx.standard_generators(ctx, n)
-    diagrams = spinmx.verify_lattice_diagrams(bases, gens, 1)
+    diagrams = spinmx.verify_lattice_diagrams(bases, gens)
     assert all(c["status"] == "verified" for c in table + [bicond] + diagrams)
     pairs = {frozenset((a.rows, b.rows)) for a, b in calls}
     assert len(calls) == len(pairs) == count

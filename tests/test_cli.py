@@ -153,13 +153,40 @@ def test_survey_of_k_at_n4_over_gf3_needs_no_carrier_cap(tmp_path):
     assert len(data["claims"][0]["data"]["members"]) == 4
 
 
-def test_survey_passes_its_seed(monkeypatch):
+def test_survey_records_its_seed_and_passes_none(monkeypatch, tmp_path):
     seen = []
     survey = spinmx.survey_submodules
     monkeypatch.setattr(spinmx, "survey_submodules",
-                        lambda handle, **kw: seen.append(kw) or survey(handle, **kw))
-    assert run(["survey", "--module", "U", "--n", "3", "--field", "3", "--seed", "7"]) == 0
-    assert seen == [{"seed": 7}]
+                        lambda *a, **kw: seen.append((len(a), kw)) or survey(*a, **kw))
+    path = tmp_path / "r.json"
+    assert run(["--json", str(path), "survey", "--module", "U", "--n", "3", "--field", "3",
+                "--seed", "7"]) == 0
+    assert seen == [(1, {})]
+    assert json.loads(path.read_text())["seed"] == 7
+
+
+# (command, exit code): each one reaches the random kernel-vector test, the
+# semilinear module being ungraded and each GF(2) factor having one torus class
+SEED_FREE_COMMANDS = [
+    ("gamma --n 3 --field 2^3", 0),
+    ("gamma --n 4 --field 2^2", 0),
+    ("series --n 3 --field 2 --chain 0,K,C", 1),
+]
+
+
+@pytest.mark.parametrize("command,code", SEED_FREE_COMMANDS)
+def test_kernel_vector_verdicts_do_not_move_with_the_seed(command, code, tmp_path, capsys):
+    reports, outs = [], []
+    for seed in (1, 2):
+        path = tmp_path / f"seed{seed}.json"
+        assert run(["--no-timing", "--json", str(path), "--seed", str(seed)]
+                   + command.split()) == code
+        data = json.loads(path.read_text())
+        assert data.pop("seed") == seed
+        reports.append(data)
+        outs.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+    assert outs[0] == outs[1]
 
 
 def test_series_certified():
@@ -180,10 +207,10 @@ def test_series_with_a_reducible_factor_is_falsified_even_if_another_is_inconclu
     # (dim 21) is given an inconclusive verdict
     real = spinmx.norton_irreducible
 
-    def stub(handle, seed):
+    def stub(handle):
         if handle.label == "factor1":
             return spinmx.NortonResult("inconclusive", None, None)
-        res = real(handle, seed)
+        res = real(handle)
         assert res.verdict == "reducible"
         return res
 
@@ -535,9 +562,9 @@ GF3_NONZERO = GF3_LAMBDA % ",".join("01002000002" + "0" * 16)
 # witnesses enter the verify-all, gamma and series reports.
 PINNED_REPORTS = [
     ("verify-all --seed 7", 0,
-     "2072583fcaa880d40eebe1dc9c89d532d94e7a48391e122b527ea7bb5c7dc521"),
+     "cb4a64036805cf3626d87ae21627a7accabb85233b4f8383a0f10572aef06a02"),
     ("verify-all --n-list 3 --fields 2^3,3^2,7,5^2 --seed 11", 0,
-     "d33ce4aa4da883c22dd00e31d0b840d5e6b0ba0a50a367663f5ecae8d485dbd6"),
+     "a488f33d7e43432311636fdbc8a994406b016a37eb4bf8694f70683d2e410f57"),
     ("verify-all --n-list 3 --fields 5^2 --seed 130520985369857", 0,
      "8049b0ad6448a9234e91112fb2a3b5b6d13b5a324b01fcee160e666c29520306"),
     ("verify-all --n-list 3 --fields 2,3 --seed 3", 0,
@@ -555,11 +582,11 @@ PINNED_REPORTS = [
     ("lattice --n 4 --field 2^2", 0,
      "76c459696e9702df008638a5c425ab73f024d2a11f4f184c4e23229b4d64ed49"),
     ("gamma --n 3 --field 2^3", 0,
-     "433db17ab72baf4bb404ab51f394a6ea2f7637e0a63b477c29de5e3df7e6eb4d"),
+     "024c2bd8193b73b76ff2de9b1899cf2c22ef05962a20f4f88e65cc0a5eff54fc"),
     ("gamma --n 3 --field 3", 0,
      "5e618ff8febdc730e31bf8634e3ca79ed24dae654ed42feaeaf51324c1cbcc54"),
     ("gamma --n 4 --field 2^2", 0,
-     "09ff9bee6f5402740366f6b6ecf13902a9eea1adbd1abbf089b96c9484ed3038"),
+     "83e306125cc3bd6f33e58b6a29888bbef346add35948915168adc75354f60320"),
     ("canon --n 3 --field 5^2", 0,
      "1a7b00faceea4033096f1c3f1ac9f0865c6c025d9e9011f5893adfa84d7f3471"),
     ("canon --n 3 --field 2", 0,

@@ -189,7 +189,7 @@ def test_replay_rejects_gf2():
 
 def test_gamma_norton_irreducible():
     gens = standard_generators(GF4, 3)
-    res = norton_irreducible(gamma_handle(gens), seed=1)
+    res = norton_irreducible(gamma_handle(gens))
     assert res.verdict == "irreducible"
 
 

@@ -103,7 +103,7 @@ def test_survey_pairs_match_the_dense_system(module, ctx, npairs, monkeypatch):
         return hom_space(ha, hb)
 
     monkeypatch.setattr(spinmx, "hom_space", record)
-    lattice = survey_submodules(h, seed=1)
+    lattice = survey_submodules(h)
     assert len(lattice) > 2 and pairs
     assert npairs is None or len(pairs) == npairs
     for ha, hb in pairs:
@@ -149,7 +149,7 @@ def test_diagram_claims_match_the_dense_system(ctx, n, solves, monkeypatch):
     # (4, GF(5)), where 5 | n + 1, hom(N, V*) and hom(Lambda/M**, V*): both
     # branches of the diagrams solve on the blocks
     gens = standard_generators(ctx, n)
-    new = [verify_lattice_diagrams(Bases(ctx, n), gens, seed) for seed in (1, 2, 3)]
+    new = verify_lattice_diagrams(Bases(ctx, n), gens)
     assert solves and all(any(row) for _, rows in solves for row in rows)
     monkeypatch.setattr(spinmx, "hom_space", _dense_hom_space)
-    assert [verify_lattice_diagrams(Bases(ctx, n), gens, seed) for seed in (1, 2, 3)] == new
+    assert verify_lattice_diagrams(Bases(ctx, n), gens) == new

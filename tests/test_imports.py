@@ -1,7 +1,7 @@
-"""Every imported name is used, every name `src/algdeg` defines is read there,
-and `python -O` runs the same program as `python`.
+"""Every imported name is used, every name and parameter `src/algdeg` defines is read
+there, and `python -O` runs the same program as `python`.
 
-Three `ast` scans stand in for a linter, since none ships with the test
+Four `ast` scans stand in for a linter, since none ships with the test
 dependencies.  An import binding counts as used when the module reads the
 name anywhere (a bare name, or the base of an attribute chain) or lists it in
 `__all__`.  A module-level function or class of `src/algdeg`, or a non-dunder
@@ -13,6 +13,8 @@ statements and sets `__debug__` to False, and a program sees the flag
 otherwise only through `sys.flags`.  The third scan reads every line of
 `src/algdeg`, not only the lines a test run reaches, and finds none of the
 three, so `-O` strips no check there and no branch depends on the flag.
+The fourth finds every parameter of a `def` in `src/algdeg` that its body
+never reads, so a setting that does nothing cannot hide in a signature.
 """
 
 import ast
@@ -40,7 +42,8 @@ UNREAD_ALLOWED = {
     "exactla.quotient_coords": TRACED,
     "exactla.null_space": TRACED,
     "canon.omega_preimage": TRACED,
-    "canon.predicate_K": TRACED,
+    "canon.predicate_K": ("the predicate half of the K pair (predicate vs basis), "
+                          "which ROADMAP aim 2 keeps on purpose"),
     "spinmx.handle_spin": TRACED,
     "spinmx.close_subspace": TRACED,
     "gamma2.replay_irreducible_from": TRACED,
@@ -181,6 +184,46 @@ def test_every_definition_in_the_package_is_read():
     assert not unread, "read nowhere in src/algdeg: " + ", ".join(unread)
     # every allowlisted name is defined and would be flagged without its entry
     assert set(UNREAD_ALLOWED) <= set(unread_definitions(sources, api))
+
+
+def unread_parameters(source):
+    """("qualified function: parameter") for each parameter of a `def` in
+    `source` that its body never reads.  `self` and `cls` are exempt, and so
+    are lambdas, which keep fixed callback signatures.  A read inside a nested
+    function or lambda counts unless that one binds the same name."""
+    found = []
+    todo = [(node, "") for node in ast.parse(source).body]
+    while todo:
+        node, prefix = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [x for x in (a.vararg, a.kwarg) if x]
+            read = {name for stmt in node.body for kind, name in reads(stmt) if kind == "name"}
+            found += [f"{prefix}{node.name}: {p.arg}" for p in params
+                      if p.arg not in ("self", "cls") and p.arg not in read]
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            prefix = f"{prefix}{node.name}."
+        todo.extend((c, prefix) for c in ast.iter_child_nodes(node))
+    return sorted(found)
+
+
+def test_the_parameter_scan_flags_only_unread_parameters():
+    src = ("def f(a, b, *args, c=1, **kw):\n    return a + c\n"
+           "class C:\n    def m(self, x):\n        return 0\n"
+           "    @classmethod\n    def k(cls):\n        return 0\n"
+           "def outer(x, y, z):\n"
+           "    def inner(y):\n        return y\n"
+           "    g = lambda unused: x\n"
+           "    return inner(0), [z for _ in ()], g\n")
+    assert unread_parameters(src) == [
+        "C.m: x", "f: args", "f: b", "f: kw", "outer: y"]
+
+
+@pytest.mark.parametrize("path", [m for m in MODULES if os.path.dirname(m) == SRC],
+                         ids=lambda p: os.path.relpath(p, ROOT))
+def test_every_parameter_in_the_package_is_read(path):
+    with open(path) as fh:
+        assert unread_parameters(fh.read()) == []
 
 
 def optimize_sensitive(source):

@@ -71,7 +71,7 @@ def test_intersection_table_rejects_non_finite():
     with pytest.raises(ValueError):
         intersection_table(Bases(gf2, 3))
     with pytest.raises(ValueError, match=r"\|F\| > 2"):
-        verify_lattice_diagrams(Bases(gf2, 3), standard_generators(gf2, 3), 1)
+        verify_lattice_diagrams(Bases(gf2, 3), standard_generators(gf2, 3))
 
 
 def test_rational_generator_inverse_closure():
@@ -87,10 +87,10 @@ def test_the_kernel_vector_test_refuses_q_instead_of_crashing():
     gens = rational_generators(Q, 3)
     U = basis_U(Q, 3)
     h = module_handle(gens, U, label="U")
-    for run in (lambda: norton_irreducible(h, 1), lambda: survey_submodules(h, 1),
-                lambda: composition_series([Subspace.zero(Q, 27), U], gens, 1)):
+    for run in (lambda: norton_irreducible(h), lambda: survey_submodules(h),
+                lambda: composition_series([Subspace.zero(Q, 27), U], gens)):
         with pytest.raises(ValueError, match="not Q"):
             run()
     # a line needs no draw, over Q too
     line = SimpleNamespace(ctx=Q, dim=1)
-    assert norton_random(line, 1).detail == {"reason": "dimension 1"}
+    assert norton_random(line).detail == {"reason": "dimension 1"}

@@ -137,7 +137,7 @@ def test_a_witness_that_is_not_invariant_is_an_internal_error(monkeypatch, capsy
         monkeypatch.setattr(spinmx, "_first_proper_spin",
                             lambda action, lines, d, ctx: Subspace(ctx, d, witness))
         with pytest.raises(RuntimeError, match=message):
-            norton_irreducible(h, seed=7)
+            norton_irreducible(h)
     # through the command line the check is an internal error, exit 4
     assert main(["lattice", "--n", "3", "--field", "5"]) == 4
     assert "RuntimeError: the witness for" in capsys.readouterr().err
@@ -266,7 +266,16 @@ def test_module_handle_rejects_unstable():
             module_handle(gens, carrier, sub=sub, label="bad")
 
 
-def test_norton_lemma_one_dual_vector_decides():
+# an envelope element of N over GF(4) at n = 3, one row per string
+_THETA_N_GF4 = [
+    "010010000000100", "110110000100010", "001001000000001", "000010000000000",
+    "000010100000100", "000000010000000", "000000010100000", "000000110001100",
+    "001000000000000", "110010000000000", "010000000000000", "000001000000000",
+    "000100010100000", "000000000010000", "000000001000001",
+]
+
+
+def test_norton_lemma_one_dual_vector_decides(monkeypatch):
     """Once every line of ker(theta) spins full, the lines of ker(theta^T) spin
     all full (irreducible module) or all proper (reducible module)."""
     GF8 = make_field(2, 3)
@@ -295,10 +304,12 @@ def test_norton_lemma_one_dual_vector_decides():
             if decided == 8:
                 break
         assert decided == 8, h.label
-    # on N over GF(4), the random test at seed 11 decides on the dual side at
-    # nullity 2, where the kernel of the shift's transpose has five lines
+    # on N over GF(4), the random test with this draw decides on the dual side
+    # at nullity 2, where the kernel of the shift's transpose has five lines
     N = basis_N(GF4, 3)
-    res = norton_random(module_handle(gens_for(GF4, 3), N, label="N"), seed=11)
+    theta = [GF4.pack([int(c) for c in row]) for row in _THETA_N_GF4]
+    monkeypatch.setattr(spinmx, "_random_envelope", lambda handle, rng: theta)
+    res = norton_random(module_handle(gens_for(GF4, 3), N, label="N"))
     assert res.verdict == "reducible" and res.detail["side"] == "dual"
     assert res.detail["nullity"] == 2
     assert Subspace.zero(GF4, 27) < res.witness < N
@@ -307,14 +318,14 @@ def test_norton_lemma_one_dual_vector_decides():
 
 def test_norton_dual_space_irreducible():
     for ctx in (GF3, GF4, GF5):
-        res = norton_irreducible(dual_space_handle(gens_for(ctx, 3)), seed=1)
+        res = norton_irreducible(dual_space_handle(gens_for(ctx, 3)))
         assert res.verdict == "irreducible"
 
 
 def test_norton_K_reducible_gf5():
     gens = gens_for(GF5, 3)
     h = module_handle(gens, basis_K(GF5, 3), label="K")
-    res = norton_irreducible(h, seed=7)
+    res = norton_irreducible(h)
     assert res.verdict == "reducible"
     U = basis_U(GF5, 3)
     M = basis_MstarP(GF5, 3, ProjectivePoint(GF5, 1, GF5.neg(1)))
@@ -324,7 +335,7 @@ def test_norton_K_reducible_gf5():
 def test_norton_CK_quotient_irreducible_gf4():
     gens = gens_for(GF4, 3)
     h = module_handle(gens, basis_C(GF4, 3), sub=basis_K(GF4, 3), label="C/K")
-    res = norton_irreducible(h, seed=3)
+    res = norton_irreducible(h)
     assert res.verdict == "irreducible"
     assert h.dim == 9
 
@@ -332,7 +343,7 @@ def test_norton_CK_quotient_irreducible_gf4():
 def test_norton_mstar_reducible_with_witness():
     gens = gens_for(GF3, 3)
     h = module_handle(gens, basis_Mstar(GF3, 3), label="M*")
-    res = norton_irreducible(h, seed=5)
+    res = norton_irreducible(h)
     assert res.verdict == "reducible"
     # the witness must be one of the projective-line pieces
     pieces = [basis_MstarP(GF3, 3, p) for p in ProjectivePoint.enumerate(GF3)]
@@ -342,8 +353,16 @@ def test_norton_mstar_reducible_with_witness():
 def test_norton_deterministic():
     gens = gens_for(GF5, 3)
     h = module_handle(gens, basis_K(GF5, 3), label="K")
-    r1 = norton_irreducible(h, seed=42)
-    r2 = norton_irreducible(h, seed=42)
+    r1 = norton_irreducible(h)
+    r2 = norton_irreducible(h)
+    assert r1.verdict == r2.verdict and r1.witness == r2.witness
+
+
+def test_the_random_test_does_not_read_the_label():
+    # two handles that differ only in their display name get the same draws
+    gens, N = gens_for(GF4, 3), basis_N(GF4, 3)
+    r1, r2 = (norton_random(module_handle(gens, N, label=label)) for label in ("N", "other"))
+    assert r1.detail == r2.detail and "attempt" in r1.detail
     assert r1.verdict == r2.verdict and r1.witness == r2.witness
 
 
@@ -355,18 +374,18 @@ def test_composition_series_K_gf5_both_refinements():
     zero = Subspace.zero(GF5, 27)
     assert (U & M).dim == 0 and (U | M) == K
     for mid in (U, M):
-        rep = composition_series([zero, mid, K], gens, seed=2)
+        rep = composition_series([zero, mid, K], gens)
         assert rep["certified"] and rep["conclusive"]
-    rep = composition_series([zero, M, K], gens, seed=2)
+    rep = composition_series([zero, M, K], gens)
     assert rep["factors"][1]["dim"] == 6
 
 
 def test_composition_series_rejects_non_nested():
     gens = gens_for(GF5, 3)
     with pytest.raises(ValueError):
-        composition_series([basis_U(GF5, 3), Subspace.zero(GF5, 27)], gens, seed=0)
+        composition_series([basis_U(GF5, 3), Subspace.zero(GF5, 27)], gens)
     with pytest.raises(ValueError, match="a chain needs at least two terms"):
-        composition_series([basis_U(GF5, 3)], gens, seed=0)
+        composition_series([basis_U(GF5, 3)], gens)
 
 
 def test_the_length_two_factor_is_falsified_by_an_irreducible_verdict(monkeypatch):
@@ -374,13 +393,13 @@ def test_the_length_two_factor_is_falsified_by_an_irreducible_verdict(monkeypatc
     # on it is the opposite one
     real = spinmx.norton_irreducible
 
-    def calls_it_irreducible(handle, seed):
+    def calls_it_irreducible(handle):
         if handle.label == "Lambda/(N+M**)":
             return spinmx.NortonResult("irreducible", None, None, {})
-        return real(handle, seed)
+        return real(handle)
 
     monkeypatch.setattr(spinmx, "norton_irreducible", calls_it_irreducible)
-    claims = {c["id"]: c for c in verify_lattice_diagrams(Bases(GF4, 3), gens_for(GF4, 3), 1)}
+    claims = {c["id"]: c for c in verify_lattice_diagrams(Bases(GF4, 3), gens_for(GF4, 3))}
     odd = claims["LambdaOverNplusMss.odd"]
     assert odd["status"] == "falsified"
     assert odd["data"] == {"verdict": "irreducible", "dim": 6}
@@ -390,14 +409,14 @@ def test_the_kernel_vector_test_refuses_an_empty_module():
     h = module_handle(gens_for(GF5, 3), Subspace.zero(GF5, 27), label="0")
     assert h.dim == 0
     with pytest.raises(ValueError, match="empty module"):
-        norton_irreducible(h, 1)
+        norton_irreducible(h)
 
 
 def test_composition_series_reports_reducible_factor():
     # chain 0 < U < N < C over GF(4): first factor U is reducible there
     gens = gens_for(GF4, 3)
     chain = [Subspace.zero(GF4, 27), basis_U(GF4, 3), basis_N(GF4, 3), basis_C(GF4, 3)]
-    rep = composition_series(chain, gens, seed=9)
+    rep = composition_series(chain, gens)
     assert not rep["certified"]
     assert rep["factors"][0]["verdict"] == "reducible"
     assert rep["factors"][0]["witness_dim"] == 3
@@ -482,14 +501,14 @@ def test_hom_space_basis_maps_commute_with_every_generator(ctx):
                     == [list(combiner(b, ctx)(r)) for r in x])
 
 
-@pytest.mark.parametrize("ctx,n", [(GF5, 3), (GF3, 3)])
+@pytest.mark.parametrize("ctx,n", [(GF5, 3), (GF3, 3), (GF5, 5), (make_field(3, 2), 4)])
 def test_lattice_diagrams_generic(ctx, n):
-    for c in verify_lattice_diagrams(Bases(ctx, n), standard_generators(ctx, n), 11):
+    for c in verify_lattice_diagrams(Bases(ctx, n), standard_generators(ctx, n)):
         assert c["status"] == "verified", (c["id"], c["anchor"], c["data"])
 
 
 def test_lattice_diagrams_char2():
-    for c in verify_lattice_diagrams(Bases(GF4, 3), standard_generators(GF4, 3), 11):
+    for c in verify_lattice_diagrams(Bases(GF4, 3), standard_generators(GF4, 3)):
         assert c["status"] == "verified", (c["id"], c["anchor"], c["data"])
 
 
@@ -500,12 +519,12 @@ SPLIT_CELLS = [(make_field(7), 3), (GF3, 4), (GF5, 5)]   # char odd, not dividin
 def test_the_quotient_by_mss_carries_the_verdict_of_n(ctx, n, monkeypatch):
     bases, tested = Bases(ctx, n), []
 
-    def recording(handle, seed):
+    def recording(handle):
         tested.append(handle)
-        return norton_irreducible(handle, seed)
+        return norton_irreducible(handle)
 
     monkeypatch.setattr(spinmx, "norton_irreducible", recording)
-    claims = {c["id"]: c for c in verify_lattice_diagrams(bases, standard_generators(ctx, n), 1)}
+    claims = {c["id"]: c for c in verify_lattice_diagrams(bases, standard_generators(ctx, n))}
     assert [h.label for h in tested].count("N") == 1
     assert not any(h.carrier == bases["Lambda"] and h.sub == bases["Mstarstar"] for h in tested)
     carried = claims["LambdaOverMss.irr"]
@@ -518,7 +537,7 @@ def test_an_n_that_meets_mss_falsifies_the_quotient_claim():
     ctx, n = make_field(7), 3
     bases = Bases(ctx, n)
     bases._built["N"] = bases["U"]
-    claims = {c["id"]: c for c in verify_lattice_diagrams(bases, standard_generators(ctx, n), 1)}
+    claims = {c["id"]: c for c in verify_lattice_diagrams(bases, standard_generators(ctx, n))}
     assert claims["LambdaSplit"]["status"] == "falsified"
     assert claims["LambdaOverMss.irr"]["status"] == "falsified"
 
@@ -528,10 +547,9 @@ def test_the_quotient_handle_agrees_with_the_carried_verdict(ctx, n):
     # the Norton test on the quotient's own handle, which the diagrams no longer run
     bases, gens = Bases(ctx, n), standard_generators(ctx, n)
     quotient = module_handle(gens, bases["Lambda"], sub=bases["Mstarstar"], label="Lambda/M**")
-    for seed in range(1, 11):
-        claims = {c["id"]: c for c in verify_lattice_diagrams(bases, gens, seed)}
-        verdict = norton_irreducible(quotient, derive_seed(seed, "L/Mss")).verdict
-        assert claims["LambdaOverMss.irr"]["data"]["verdict"] == verdict == "irreducible"
+    claims = {c["id"]: c for c in verify_lattice_diagrams(bases, gens)}
+    verdict = norton_irreducible(quotient).verdict
+    assert claims["LambdaOverMss.irr"]["data"]["verdict"] == verdict == "irreducible"
 
 
 def test_lambda_over_t_catches_a_trace_matrix_with_another_kernel(monkeypatch):
@@ -540,7 +558,7 @@ def test_lambda_over_t_catches_a_trace_matrix_with_another_kernel(monkeypatch):
     from algdeg import canon, structvec
     for module in (structvec, canon):
         monkeypatch.setattr(module, "tr_matrix_rows", structvec.tr_op_matrix_rows)
-    claims = verify_lattice_diagrams(Bases(GF5, 3), standard_generators(GF5, 3), 11)
+    claims = verify_lattice_diagrams(Bases(GF5, 3), standard_generators(GF5, 3))
     status = {c["id"]: c["status"] for c in claims}
     assert status["LambdaOverT"] == "falsified"
 
@@ -562,7 +580,7 @@ def test_survey_members_fixed_by_closure_and_meataxe_agrees():
         for s in lattice:
             if s.dim:
                 assert close_subspace(s, gens) == s
-        res = norton_irreducible(h, seed=3)
+        res = norton_irreducible(h)
         lattice_says_irreducible = len(lattice) == 2
         assert (res.verdict == "irreducible") == lattice_says_irreducible
         if res.verdict == "reducible":
@@ -764,9 +782,7 @@ _GF9 = make_field(3, 2)
     ("Mstar", GF4), ("U", GF4), ("Mstar", GF5), ("U", GF5), ("Mstar", _GF9), ("U", _GF9)])
 def test_survey_matches_the_orbit_walk_at_every_seed(name, ctx):
     h = module_handle(gens_for(ctx, 3), submodule(name, ctx, 3), label=name)
-    oracle = _orbit_walk_survey(h)
-    for seed in (0, 1, 7):
-        assert survey_submodules(h, seed=seed) == oracle
+    assert survey_submodules(h) == _orbit_walk_survey(h)
 
 
 def test_survey_matches_the_orbit_walk_on_criterion_06():
@@ -826,15 +842,14 @@ def test_norton_on_modules_that_are_not_absolutely_irreducible(make):
     ctx, d = h.ctx, h.dim
     brute = _first_proper_spin(h.action, _all_lines(ctx, d), d, ctx)
     appliers = _handle_appliers(h.action, ctx)
-    for seed in (0, 1, 7):
-        res = norton_irreducible(h, seed)
-        assert res.detail["attempt"] >= spinmx.NORTON_ATTEMPTS
-        assert res.verdict == ("irreducible" if brute is None else "reducible")
-        if res.verdict == "reducible":
-            wit = Subspace(ctx, d, res.witness_coords)
-            assert 0 < wit.dim < d
-            assert all(wit.contains(f(r)) for f in appliers for r in wit.rows)
-            assert res.witness == h.preimage(res.witness_coords)
+    res = norton_irreducible(h)
+    assert res.detail["attempt"] >= spinmx.NORTON_ATTEMPTS
+    assert res.verdict == ("irreducible" if brute is None else "reducible")
+    if res.verdict == "reducible":
+        wit = Subspace(ctx, d, res.witness_coords)
+        assert 0 < wit.dim < d
+        assert all(wit.contains(f(r)) for f in appliers for r in wit.rows)
+        assert res.witness == h.preimage(res.witness_coords)
 
 
 @pytest.mark.parametrize("name,ctx,verdict", [
@@ -851,12 +866,11 @@ def test_general_draws_alone_decide_the_canonical_modules(monkeypatch, name, ctx
         return shift(theta, ctx, True)
 
     monkeypatch.setattr(spinmx, "_shift", general)
-    for seed in (0, 1, 7):
-        res = norton_random(h, seed)
-        assert res.verdict == verdict
-        if verdict == "reducible":
-            assert Subspace.zero(ctx, 27) < res.witness < h.carrier
-            assert is_generator_stable(res.witness, h.gens)
+    res = norton_random(h)
+    assert res.verdict == verdict
+    if verdict == "reducible":
+        assert Subspace.zero(ctx, 27) < res.witness < h.carrier
+        assert is_generator_stable(res.witness, h.gens)
     assert draws
 
 
@@ -885,7 +899,7 @@ def test_survey_refuses_a_factor_without_a_verdict(monkeypatch, tmp_path, capsys
     # survey claim is inconclusive (exit 3), not an internal error (exit 4)
     h = module_handle(gens_for(GF3, 3), basis_U(GF3, 3), label="U")
     monkeypatch.setattr(spinmx, "norton_irreducible",
-                        lambda handle, seed: spinmx.NortonResult("inconclusive", None, None))
+                        lambda handle: spinmx.NortonResult("inconclusive", None, None))
     with pytest.raises(spinmx.InconclusiveFactor) as exc:
         survey_submodules(h)
     assert (exc.value.label, exc.value.dim) == ("U:6/0", 6)
