@@ -22,7 +22,7 @@ from .exactla import Echelon, GroupElement, Matrix, Subspace
 from .gfield import primitive_element
 from .report import claim, norton_claim
 from .spinmx import _restricted_handle, check_cell_shape, derive_seed, norton_irreducible
-from .structvec import StructureVector, act
+from .structvec import StructureVector, _check_index, act
 
 
 class SemilinearMap:
@@ -46,7 +46,9 @@ class SemilinearMap:
 
     @classmethod
     def unit(cls, ctx, n, i, j):
-        """The matrix unit e_ij (1-based)."""
+        """The matrix unit e_ij (1-based); an index outside 1..n is a ValueError."""
+        _check_index(n, i)
+        _check_index(n, j)
         entries = [ctx.zero()] * (n * n)
         entries[(i - 1) * n + j - 1] = ctx.one()
         return cls(Matrix(ctx, n, n, entries))
@@ -70,7 +72,10 @@ class SemilinearMap:
         return isinstance(other, SemilinearMap) and self.mat == other.mat
 
     def __getitem__(self, ij):
+        """The (i, j) entry (1-based); an index outside 1..n is a ValueError."""
         i, j = ij
+        _check_index(self.n, i)
+        _check_index(self.n, j)
         return self.mat[i - 1, j - 1]
 
     def is_zero(self):
@@ -114,31 +119,55 @@ def _star(phi, ginv, gsq):
     return SemilinearMap(ginv.mul(phi.mat).mul(gsq))
 
 
-def e_and_f(phi, e, f):
+def e_and_f(phi, e, f, elements=None):
     """The four-term star average over {I, I+e, I+f, I+e+f}; equals e phi f + f phi e.
 
     e and f are 1-based index pairs of off-diagonal matrix units with
-    ef = fe = 0; both evaluations are computed and compared.
+    ef = fe = 0; both evaluations are computed and compared.  `elements`
+    are the (g^-1, g^(2)) of the four group elements from `_ef_elements`,
+    which a caller applying one pair to many maps builds once; by default
+    they are built here.
     """
     ctx, n = phi.ctx, phi.n
+    if elements is None:
+        elements = _ef_elements(ctx, n, e, f)
+    total = SemilinearMap.zero(ctx, n)
+    for ginv, gsq in elements:
+        total = total + _star(phi, ginv, gsq)
+    if total != _ef_closed_form(phi, e, f):
+        raise AssertionError("four-term star sum disagrees with e phi f + f phi e")
+    return total
+
+
+def _ef_elements(ctx, n, e, f):
+    """(g^-1, g^(2)) for g = I, I + e, I + f and I + e + f, each a checked `GroupElement`.
+
+    (I + e + f)(I - e - f) = I - (e + f)^2 = I as ef = fe = 0, and in
+    characteristic 2 I - e - f = I + e + f: each element is its own inverse.
+    """
+    eu, fu = SemilinearMap.unit(ctx, n, *e), SemilinearMap.unit(ctx, n, *f)
     (ei, ej), (fi, fj) = e, f
     if ei == ej or fi == fj:
         raise ValueError("matrix units must be off-diagonal")
     if ej == fi or fj == ei:
         raise ValueError("matrix units must satisfy ef = fe = 0")
-    eu = SemilinearMap.unit(ctx, n, ei, ej)
-    fu = SemilinearMap.unit(ctx, n, fi, fj)
     ident = SemilinearMap(Matrix.identity(ctx, n))
-    total = SemilinearMap.zero(ctx, n)
+    out = []
     for m in (ident, ident + eu, ident + fu, ident + eu + fu):
-        # (I + e + f)(I - e - f) = I - (e + f)^2 = I as ef = fe = 0, and in
-        # characteristic 2 I - e - f = I + e + f: each element is its own inverse
-        total = total + star(phi, GroupElement(m.mat, m.mat))
-    closed = SemilinearMap(eu.mat.mul(phi.mat).mul(fu.mat)) \
-        + SemilinearMap(fu.mat.mul(phi.mat).mul(eu.mat))
-    if total != closed:
-        raise AssertionError("four-term star sum disagrees with e phi f + f phi e")
-    return total
+        g = GroupElement(m.mat, m.mat)
+        out.append((g.inv, _frobenius_matrix(ctx, g.mat)))
+    return out
+
+
+def _ef_closed_form(phi, e, f):
+    """e phi f + f phi e for e = e_ab and f = e_cd: phi_bc e_ad + phi_da e_cb."""
+    ctx, n = phi.ctx, phi.n
+    (a, b), (c, d) = e, f
+    entries = [ctx.zero()] * (n * n)
+    entries[(a - 1) * n + d - 1] = phi[b, c]
+    k = (c - 1) * n + b - 1
+    entries[k] = ctx.add(entries[k], phi[d, a])
+    return SemilinearMap(Matrix(ctx, n, n, entries))
 
 
 def eq15_identity_holds(ctx, n=3):
@@ -159,12 +188,14 @@ def gamma_handle(gens):
     """The semilinear space as a module over the generator set, one star applier per element.
 
     Coordinates are over the matrix units, row-major, so a row r is the map
-    with matrix r and its image under g is star(r, g).
+    with matrix r and its image under g is star(r, g); g^(2) is computed
+    once per generator.
     """
     ctx, n = gens.ctx, gens.n
     if ctx.char != 2:
         raise ValueError("the semilinear module needs characteristic 2")
-    appliers = [lambda r, g=g: star(SemilinearMap(Matrix(ctx, n, n, r)), g).coords()
+    appliers = [lambda r, ginv=g.inv, gsq=_frobenius_matrix(ctx, g.mat):
+                _star(SemilinearMap(Matrix(ctx, n, n, r)), ginv, gsq).coords()
                 for g in gens.elements]
     return _restricted_handle(gens, appliers, Subspace.full(ctx, n * n), None, "semilinear")
 
@@ -220,15 +251,44 @@ def _replay_seeds(seeds):
     """`replay_irreducible_from` of each seed, with one tail shared by all of them.
 
     A seed's replay is its own head, the moves down to e_23, followed by the
-    tail from e_23 on, which does not depend on the seed.
+    tail from e_23 on, which does not depend on the seed.  The group elements
+    of the moves are built once for the call (`_ReplayElements`).
     """
-    tail = _replay_tail(seeds[0].ctx, seeds[0].n)
-    return [ReplayResult(tail.reached_full, _replay_head(phi) + tail.steps)
+    elements = _ReplayElements(seeds[0].ctx, seeds[0].n)
+    tail = _replay_tail(elements)
+    return [ReplayResult(tail.reached_full, _replay_head(phi, elements) + tail.steps)
             for phi in seeds]
 
 
-def _replay_head(phi):
-    """The steps that take phi exactly to e_23 (checked)."""
+class _ReplayElements:
+    """The group elements of one batch of replays, as (g^-1, g^(2)) pairs.
+
+    Each is built, and passes the `GroupElement` check, once per batch and
+    is shared by every move that uses it: the quadruples of both e&f pairs
+    and the shear x_12(1) up front, each permutation on first use.
+    """
+
+    EF_PAIRS = (((2, 1), (3, 1)), ((1, 3), (2, 3)))
+
+    def __init__(self, ctx, n):
+        self.ctx, self.n = ctx, n
+        self.ef = {pair: _ef_elements(ctx, n, *pair) for pair in self.EF_PAIRS}
+        self.shear = self._pair(GroupElement.transvection(ctx, n, 1, 2))
+        self._perms = {}
+
+    def _pair(self, g):
+        return g.inv, _frobenius_matrix(self.ctx, g.mat)
+
+    def perm(self, want):
+        """The permutation `_perm_mapping(ctx, n, want)`."""
+        key = frozenset(want.items())
+        if key not in self._perms:
+            self._perms[key] = self._pair(_perm_mapping(self.ctx, self.n, want))
+        return self._perms[key]
+
+
+def _replay_head(phi, elements):
+    """The steps that take phi exactly to e_23 (checked), by the batch's elements."""
     ctx, n = phi.ctx, phi.n
     if phi.is_zero():
         raise ValueError("seed must be nonzero")
@@ -254,41 +314,38 @@ def _replay_head(phi):
             g = GroupElement.diagonal(ctx, [gamma] + [ctx.one()] * (n - 1))
             e11_like = star(phi, g) + phi     # d (gamma + 1) e_11
             steps.append(("diagonal-twist", ctx.raw_to_json(gamma)))
-            shear = GroupElement.transvection(ctx, n, 1, 2)
-            phi = star(e11_like, shear) + e11_like   # multiple of e_12
+            phi = _star(e11_like, *elements.shear) + e11_like   # multiple of e_12
             steps.append(("unit-seed-shear", (1, 2)))
         else:
             i, j = distinct
-            perm = _perm_mapping(ctx, n, {1: i, 2: j})
-            moved = star(phi, perm)
+            moved = _star(phi, *elements.perm({1: i, 2: j}))
             steps.append(("relabel", (i, j)))
-            shear = GroupElement.transvection(ctx, n, 1, 2)
-            phi = star(moved, shear) + moved  # (d_i + d_j) e_12
+            phi = _star(moved, *elements.shear) + moved  # (d_i + d_j) e_12
             steps.append(("diagonal-shear", None))
         pos = offdiag(phi)
         if pos is None:
             raise AssertionError("the diagonal escape left no off-diagonal entry")
     i, j = pos
-    perm = _perm_mapping(ctx, n, {1: i, 2: j})
-    phi12 = star(phi, perm)
+    phi12 = _star(phi, *elements.perm({1: i, 2: j}))
     steps.append(("relabel", (i, j)))
-    psi1 = e_and_f(phi12, (2, 1), (3, 1))     # phi_12 e_31 + phi_13 e_21
-    steps.append(("e&f", ((2, 1), (3, 1))))
-    psi2 = e_and_f(psi1, (1, 3), (2, 3))      # phi_12 e_23
-    steps.append(("e&f", ((1, 3), (2, 3))))
-    e23 = psi2.scale(ctx.inv(psi2[2, 3]))
+    psi = phi12
+    for e, f in elements.EF_PAIRS:   # phi_12 e_31 + phi_13 e_21, then phi_12 e_23
+        psi = e_and_f(psi, e, f, elements.ef[e, f])
+        steps.append(("e&f", (e, f)))
+    e23 = psi.scale(ctx.inv(psi[2, 3]))
     steps.append(("scale", None))
     if e23 != SemilinearMap.unit(ctx, n, 2, 3):
         raise AssertionError("the e&f moves did not reach e_23")
     return steps
 
 
-def _replay_tail(ctx, n):
+def _replay_tail(elements):
     """Every matrix unit from e_23: permutations, the shear identity, permutations.
 
     Each extracted unit is checked to be exactly the unit it should be, and
     `reached_full` says that together they span the n^2-dimensional space.
     """
+    ctx, n = elements.ctx, elements.n
     if ctx.order < 4:
         raise ValueError("the extraction argument needs |F| >= 4")
     steps = []
@@ -300,8 +357,7 @@ def _replay_tail(ctx, n):
     for a in range(1, n + 1):
         for b in range(1, n + 1):
             if a != b:
-                perm = _perm_mapping(ctx, n, {a: 2, b: 3})
-                units[(a, b)] = star(e23, perm)
+                units[(a, b)] = _star(e23, *elements.perm({a: 2, b: 3}))
                 if units[(a, b)] != SemilinearMap.unit(ctx, n, a, b):
                     raise AssertionError(f"relabeling e_23 did not give e_{a}{b}")
                 span.add(units[(a, b)].coords())
@@ -320,8 +376,7 @@ def _replay_tail(ctx, n):
     if e11 != SemilinearMap.unit(ctx, n, 1, 1):
         raise AssertionError("the shear identity did not isolate e_11")
     for a in range(1, n + 1):
-        perm = _perm_mapping(ctx, n, {a: 1})
-        span.add(star(e11, perm).coords())
+        span.add(_star(e11, *elements.perm({a: 1})).coords())
     steps.append(("permutation-closure", "diagonal units"))
     return ReplayResult(span.dim == n * n, steps)
 

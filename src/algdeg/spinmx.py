@@ -27,8 +27,11 @@ vector or spans more than `LINE_CAP` lines.  (On weight spaces: Green,
 The random test is the classical kernel-vector criterion with Holt-Rees
 shifts: draw theta in the enveloping algebra; every shift theta - a*I lies
 in the envelope too, and a root a of the order polynomial of e_1 under
-theta makes it singular.  The first such shift whose kernel has at most
-`LINE_CAP` lines is tested, and a draw with none is redrawn.  If some
+theta makes it singular.  Each of the first `NORTON_ATTEMPTS` draws is
+decided at its first root shift of nullity 1, as the MeatAxe decides only
+at a shift whose nullity equals its degree; when every root shift of the
+draw has a larger proper kernel, the first kernel vector of the first one
+is spun, which can only find a witness, and the draw is redrawn.  If some
 kernel-line spin (or transposed-side spin) is proper the module is reducible
 with an exhibited witness, checked invariant before it is returned.  If
 every line of ker(theta - a*I) spins to the whole module, a proper
@@ -39,15 +42,17 @@ decides (Norton's lemma): it spins full exactly when the module is
 irreducible.  The same holds for any singular N in the envelope whose
 kernel meets every proper submodule in 0.  Draws past the first
 `NORTON_ATTEMPTS` reach the modules that are not absolutely irreducible,
-where every shift may have a large kernel: with no root of e_1's order
-polynomial they test N = theta^(q^e) - theta at the least e with a nonzero
-kernel.  When its nullity is e, ker N is a simple F[theta]-module, so a
-submodule meeting it contains it, and one kernel vector stands for every
-line.  (Holt & Rees, "Testing modules for irreducibility", J. Austral. Math.
-Soc. A 57, 1994.)  The draws come from one fixed stream, `random.Random(0)`
-made fresh on each call, as the MeatAxe takes its test elements from a fixed
-sequence (Parker 1984): a verdict and its witness are a function of the
-module's action matrices, and no kernel-vector test takes a seed.
+where every shift may have a large kernel: they spin every line of the
+first root shift whose kernel has at most `LINE_CAP` lines, and with no
+root of e_1's order polynomial they test N = theta^(q^e) - theta at the
+least e with a nonzero kernel.  When its nullity is e, ker N is a simple
+F[theta]-module, so a submodule meeting it contains it, and one kernel
+vector stands for every line.  (Holt & Rees, "Testing modules for
+irreducibility", J. Austral. Math. Soc. A 57, 1994.)  The draws come from
+one fixed stream, `random.Random(0)` made fresh on each call, as the MeatAxe
+takes its test elements from a fixed sequence (Parker 1984): a verdict and
+its witness are a function of the module's action matrices, and no
+kernel-vector test takes a seed.
 
 Every closure, the Norton spins included, runs through `_span_closure`,
 scheduled by applier yield as in the MeatAxe's spinning (Parker 1984): a
@@ -534,23 +539,27 @@ def _degree_shift(theta, ctx):
 def _shift(theta, ctx, general):
     """The shift a draw is tested at: (key, shifted rows, kernel rows, lines), or None.
 
-    First the first root shift whose kernel has deciding lines.  A general
-    draw (`general`) without one takes the first root's shift, or with no
-    root `_degree_shift`'s.  `lines` are the deciding kernel vectors, or None
-    when only the first kernel vector may be spun, which can only give a
-    reducible witness (this covers theta - a*I = 0 too).
+    A draw among the first `NORTON_ATTEMPTS` decides only at a root shift of
+    nullity 1, the first one met, where one kernel vector stands for the
+    kernel (the MeatAxe's rule).  Without one it takes the first root shift
+    of a larger, proper kernel, or None when there is none (theta a scalar
+    has only the zero shift).  A general draw (`general`) decides at the
+    first root shift whose kernel has deciding lines; without one it takes
+    the first root's shift, or with no root `_degree_shift`'s.  `lines` are
+    the deciding kernel vectors, or None when only the first kernel vector
+    may be spun, which can only give a reducible witness (this covers
+    theta - a*I = 0 too).
     """
-    first = None
+    d, first = len(theta), None
     for key, shifted, ker in _root_shifts(theta, ctx):
-        lines = _deciding_lines(ker, 1, len(theta), ctx)
+        lines = _deciding_lines(ker, 1, d, ctx) if general or len(ker) == 1 else None
         if lines:
             return key, shifted, ker, lines
-        first = first or (key, shifted, ker, None)
-    if not general:
-        return None
-    if first is None:
+        if first is None and (general or len(ker) < d):
+            first = key, shifted, ker, None
+    if first is None and general:
         key, shifted, ker = _degree_shift(theta, ctx)
-        first = key, shifted, ker, _deciding_lines(ker, key["degree"], len(theta), ctx)
+        first = key, shifted, ker, _deciding_lines(ker, key["degree"], d, ctx)
     return first
 
 
@@ -633,10 +642,14 @@ def _dual_verdict(handle, vector, detail):
 def norton_random(handle):
     """Kernel-vector irreducibility test with Holt-Rees shifts of random draws.
 
-    Each of the first `NORTON_ATTEMPTS` draws theta is tested at the first
-    root a whose kernel of theta - a*I has at most `LINE_CAP` lines, or
-    redrawn.  The next `NORTON_ATTEMPTS` draws are general (`_shift`); a
-    general draw without deciding kernel vectors can still give a witness.
+    Each of the first `NORTON_ATTEMPTS` draws theta is decided at the first
+    root a with theta - a*I of nullity 1; without one, the first kernel
+    vector of the first root shift of a larger proper kernel is spun, which
+    can only give a witness, and theta is redrawn.  The next
+    `NORTON_ATTEMPTS` draws are general: they decide at the first root
+    shift of at most `LINE_CAP` kernel lines, else at the degree shift
+    (`_shift`); a general draw without deciding kernel vectors can still
+    give a witness.
     Reducible verdicts always carry an explicit witness subspace, checked
     invariant (`_reducible`).  Irreducible verdicts require the deciding
     kernel vectors of the shift to spin full on the module, and one vector

@@ -564,7 +564,7 @@ PINNED_REPORTS = [
     ("verify-all --seed 7", 0,
      "cb4a64036805cf3626d87ae21627a7accabb85233b4f8383a0f10572aef06a02"),
     ("verify-all --n-list 3 --fields 2^3,3^2,7,5^2 --seed 11", 0,
-     "a488f33d7e43432311636fdbc8a994406b016a37eb4bf8694f70683d2e410f57"),
+     "a7d840c6fff4ae571a8f9389a4fa09ed6624a23ef53d83af36fda15e9c610b43"),
     ("verify-all --n-list 3 --fields 5^2 --seed 130520985369857", 0,
      "8049b0ad6448a9234e91112fb2a3b5b6d13b5a324b01fcee160e666c29520306"),
     ("verify-all --n-list 3 --fields 2,3 --seed 3", 0,
@@ -582,7 +582,7 @@ PINNED_REPORTS = [
     ("lattice --n 4 --field 2^2", 0,
      "76c459696e9702df008638a5c425ab73f024d2a11f4f184c4e23229b4d64ed49"),
     ("gamma --n 3 --field 2^3", 0,
-     "024c2bd8193b73b76ff2de9b1899cf2c22ef05962a20f4f88e65cc0a5eff54fc"),
+     "f8dadb540d30351f710e5b50cde94375b352741cac977453cffbbdb51002caea"),
     ("gamma --n 3 --field 3", 0,
      "5e618ff8febdc730e31bf8634e3ca79ed24dae654ed42feaeaf51324c1cbcc54"),
     ("gamma --n 4 --field 2^2", 0,

@@ -9,7 +9,7 @@ from algdeg.structvec import StructureVector, act, unit
 from algdeg.canon import Bases, basis_C, basis_K, basis_N, basis_U
 from algdeg.spinmx import norton_irreducible, standard_generators
 from algdeg.gamma2 import (
-    ReplayResult, SemilinearMap, _perm_mapping, _replay_seeds, e_and_f,
+    ReplayResult, SemilinearMap, _ef_elements, _perm_mapping, _replay_seeds, e_and_f,
     eq15_identity_holds, gamma_handle, replay_irreducible_from, sigma,
     sigma_gmap_claims, star, verify_gamma_irreducible,
 )
@@ -128,6 +128,23 @@ def test_e_and_f_zero_and_validation():
         e_and_f(phi, (1, 2), (2, 3))  # ef != 0
     with pytest.raises(ValueError):
         e_and_f(phi, (1, 1), (2, 3))
+
+
+@pytest.mark.parametrize("i,j", [(0, 1), (-1, 2), (4, 1), (1, 0), (2, 4)])
+def test_a_matrix_unit_outside_one_to_n_is_refused(i, j):
+    # index 0 used to wrap to e_3j and -1 to e_2j; 4 was an IndexError
+    with pytest.raises(ValueError, match=r"outside 1\.\.3"):
+        SemilinearMap.unit(GF4, 3, i, j)
+    with pytest.raises(ValueError, match=r"outside 1\.\.3"):
+        SemilinearMap.unit(GF4, 3, 1, 2)[i, j]
+
+
+@pytest.mark.parametrize("e,f", [((0, 1), (3, 1)), ((2, 1), (3, 4)), ((1, -1), (2, 3))])
+def test_e_and_f_refuses_indices_outside_one_to_n(e, f):
+    # ((0, 1), (3, 1)) used to give the zero map
+    phi = SemilinearMap.from_rows(GF4, [[1, 2, 3], [0, 1, 2], [3, 0, 1]])
+    with pytest.raises(ValueError, match=r"outside 1\.\.3"):
+        e_and_f(phi, e, f)
 
 
 def test_e_and_f_closed_form_random_gf8():
@@ -336,6 +353,54 @@ def test_one_gamma_verification_builds_the_replay_tail_once(monkeypatch):
         assert claims[0]["id"] == "gammaReplay" and claims[0]["status"] == "verified"
         assert claims[0]["data"]["seeds"] > 1
         assert calls.count(1) == n
+
+
+def test_one_gamma_verification_builds_each_head_element_once(monkeypatch):
+    # the e&f quadruples and the permutations (the heads' relabelings and
+    # the tail's) are built once per verification, not once per seed
+    perms, quadruples = [], []
+
+    def counting_perm(ctx, n, want):
+        perms.append(frozenset(want.items()))
+        return _perm_mapping(ctx, n, want)
+
+    def counting_ef(ctx, n, e, f):
+        quadruples.append((e, f))
+        return _ef_elements(ctx, n, e, f)
+
+    monkeypatch.setattr(gamma2, "_perm_mapping", counting_perm)
+    monkeypatch.setattr(gamma2, "_ef_elements", counting_ef)
+    for ctx, n in ((GF4, 3), (GF8, 4)):
+        perms.clear()
+        quadruples.clear()
+        claims = verify_gamma_irreducible(standard_generators(ctx, n), 3)
+        assert claims[0]["id"] == "gammaReplay" and claims[0]["status"] == "verified"
+        seeds = claims[0]["data"]["seeds"]
+        assert seeds > n * n
+        assert sorted(quadruples) == sorted([((2, 1), (3, 1)), ((1, 3), (2, 3))])
+        assert len(perms) == len(set(perms))
+        # each off-diagonal unit seed takes its own relabeling {1: i, 2: j}
+        assert sum({k for k, _ in p} == {1, 2} for p in perms) == n * (n - 1)
+
+
+def test_a_closed_form_with_one_entry_flipped_is_refused(monkeypatch):
+    # the four-term star sum is checked against e phi f + f phi e entry for
+    # entry: one wrong entry of the closed form stops e&f and the replay
+    closed_form = gamma2._ef_closed_form
+
+    def flipped(phi, e, f):
+        out = closed_form(phi, e, f)
+        entries = list(out.mat.entries)
+        entries[0] = phi.ctx.add(entries[0], phi.ctx.one())
+        return SemilinearMap(Matrix(phi.ctx, phi.n, phi.n, entries))
+
+    phi = SemilinearMap.from_rows(GF8, [[1, 2, 3], [4, 5, 6], [7, 0, 1]])
+    assert e_and_f(phi, (2, 1), (3, 1)) == closed_form(phi, (2, 1), (3, 1))
+    monkeypatch.setattr(gamma2, "_ef_closed_form", flipped)
+    with pytest.raises(AssertionError, match="four-term star sum"):
+        e_and_f(phi, (2, 1), (3, 1))
+    with pytest.raises(AssertionError, match="four-term star sum"):
+        replay_irreducible_from(SemilinearMap.unit(GF4, 3, 1, 2))
 
 
 # -- closed-form inverses against the rref inverse -----------------------------

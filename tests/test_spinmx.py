@@ -874,6 +874,68 @@ def test_general_draws_alone_decide_the_canonical_modules(monkeypatch, name, ctx
     assert draws
 
 
+def _counting_closures(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return _span_closure(*args, **kwargs)
+
+    monkeypatch.setattr(spinmx, "_span_closure", counting)
+    return calls
+
+
+def test_a_first_draw_decides_only_at_a_shift_of_nullity_one(monkeypatch):
+    # the semilinear module at (3, GF(8)): the first draw has only shifts of
+    # nullity 3, whose 73 lines the test no longer spins; one spin of the
+    # first kernel vector is full, and the second draw decides at nullity 1
+    # with one spin on the module and one on the transpose
+    h = gamma_handle(gens_for(make_field(2, 3), 3))
+    calls = _counting_closures(monkeypatch)
+    res = norton_random(h)
+    assert res.verdict == "irreducible"
+    assert res.detail == {"attempt": 1, "shift": 6, "nullity": 1}
+    assert calls == [9, 9, 9]
+
+
+def _two_dual_copies(ctx, n):
+    """V* (+) V* as an ungraded handle on F^(2n): each action matrix twice on the diagonal."""
+    dual = dual_space_handle(gens_for(ctx, n))
+    zero = [0] * n
+    action = [[ctx.pack(list(r) + zero) for r in m] + [ctx.pack(zero + list(r)) for r in m]
+              for m in dual.action]
+    ident = [ctx.pack([int(i == j) for j in range(2 * n)]) for i in range(2 * n)]
+    return ModuleHandle(ctx, "V*+V*", Subspace.full(ctx, 2 * n), None, ident, action, None)
+
+
+def test_two_dual_copies_split_at_a_first_kernel_vector_before_the_general_draws(monkeypatch):
+    # every envelope element is A (+) A, so every root shift has an even
+    # nullity of at least 2 and no first draw decides; at nullity 2 (A - a of
+    # nullity 1, kernel u (x) F^2) every kernel vector lies in one of the q + 1
+    # copies of V*, so the one vector spun gives a checked witness of
+    # dimension n before the general draws
+    ctx, n = GF3, 3
+    h = _two_dual_copies(ctx, n)
+    nullities, root_shifts = [], spinmx._root_shifts
+
+    def recording(theta, ctx):
+        for key, shifted, ker in root_shifts(theta, ctx):
+            nullities.append(len(ker))
+            yield key, shifted, ker
+
+    monkeypatch.setattr(spinmx, "_root_shifts", recording)
+    calls = _counting_closures(monkeypatch)
+    res = norton_irreducible(h)
+    assert res.verdict == "reducible" and res.detail["side"] == "module"
+    assert res.detail["attempt"] < spinmx.NORTON_ATTEMPTS
+    assert nullities and min(nullities) >= 2 and all(k % 2 == 0 for k in nullities)
+    assert res.detail["nullity"] == 2
+    assert len(calls) <= res.detail["attempt"] + 1      # one spin per draw at most
+    wit = Subspace(ctx, 2 * n, res.witness_coords)
+    assert wit.dim == n and res.witness == wit
+    assert all(wit.contains(f(r)) for f in _handle_appliers(h.action, ctx) for r in wit.rows)
+
+
 def test_general_shift_stops_at_the_least_degree_with_a_kernel():
     # theta = (companion of x^3 + 2x + 1, irreducible over GF(3)) (+) diag(1, 2),
     # e_1 in the cubic block: e_1's order polynomial has no root in GF(3), but
