@@ -3,12 +3,13 @@
 The weight truncation keeps exactly the coordinates with q_i + q_j - q_k = 0;
 when the negative-weight coordinates of lam vanish and the maximal weight M
 is below |F| - 1, the truncation stays inside the cyclic module lam(FG).  The
-torus translate lam*diag(t^q_1, ..., t^q_n) scales the weight-w part of lam
-by t^w, so with t = zeta^e (zeta primitive) for e = 0..M the translates are
-a Vandermonde system in the M + 1 distinct values zeta^e over the weights
-0..M, and the weight-zero part is a combination of them.  `verify_lindeg`
-seeds its membership closure with these translates, so the truncation is
-found in their span before any generator image is taken.
+torus element t = diag(zeta^q_1, ..., zeta^q_n) (zeta primitive) scales the
+weight-w part of lam by zeta^w, and the M + 1 values zeta^w over the weights
+0..M are distinct, so the Lagrange factors (t - zeta^u)/(1 - zeta^u) for
+u = 1..M kill every weight part but the zeroth: their product, applied to
+lam through the group action, is the truncation.  `verify_lindeg` seeds its
+membership closure with lam and that projection, so the truncation is found
+at closure dimension 2 before any generator image is taken.
 
 The transvection pipeline produces new members of lam(FG) from g: v -> v +
 zeta(v) z with zeta(z) = 0: subtracting lam from lam*g, repeating with
@@ -27,7 +28,7 @@ alternating form reaches 123 - 213, and a second difference reaches 112.
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, combinations, islice, product as cartesian
+from itertools import chain, combinations, islice
 
 from .canon import delta as delta_vector
 from .canon import eta as eta_vector
@@ -37,7 +38,7 @@ from .exactla import (
 )
 from .gfield import primitive_element
 from .structvec import (
-    DualVector, StructureVector, Vector, act, basis_vector, product, torus_weights, unit,
+    DualVector, StructureVector, Vector, act, basis_vector, product, unit,
     weight_classes,
 )
 from .spinmx import check_cell_shape, derive_seed, spin_contains
@@ -74,21 +75,25 @@ def lindeg_theorem_check(lam, q):
 def verify_lindeg(lam, q, gens):
     """Membership of the truncation in the cyclic module (the checkable claim).
 
-    The closure is seeded with the torus translates lam*diag(zeta^(e q_1),
-    ..., zeta^(e q_n)) for e = 1..max_weight after lam itself (e = 0).  They
-    are group elements, so the closure is lam(FG) whatever the seeds, and
-    the verdict is the full spin's; under the hypotheses the truncation lies
-    in the span of the seeds, so the probe hits among them.
+    The probe's projector (`spin_contains`) is the product of the Lagrange
+    factors (t - zeta^u)/(1 - zeta^u), u = 1..max_weight, with t =
+    diag(zeta^q_1, ..., zeta^q_n).  Each factor is a combination of t and
+    the identity, so the projection of lam is a member of lam(FG), the
+    closure is lam(FG) and the verdict is the full spin's; under the
+    hypotheses the projection is the truncation, so the probe hits at it.
     """
     applicable, max_weight = lindeg_theorem_check(lam, q)
     if not applicable:
         raise ValueError("hypotheses of the degeneration bound do not hold")
     ctx = lam.ctx
-    # at max weight 0 lam is the only seed, and GF(2) has no primitive element
-    zeta = primitive_element(ctx).raw if max_weight >= 1 else None
-    torus = [GroupElement.diagonal(ctx, [ctx.pow(zeta, e * qi) for qi in q])
-             for e in range(1, max_weight + 1)]
-    return spin_contains(lam, gens, q_truncate(lam, q), translates=torus)
+    projector = ()
+    # at max weight 0 lam is the truncation, and GF(2) has no primitive element
+    if max_weight >= 1:
+        zeta = primitive_element(ctx).raw
+        t = GroupElement.diagonal(ctx, [ctx.pow(zeta, qi) for qi in q])
+        powers = [ctx.pow(zeta, u) for u in range(1, max_weight + 1)]
+        projector = tuple((t, a, ctx.inv(ctx.sub(ctx.one(), a))) for a in powers)
+    return spin_contains(lam, gens, q_truncate(lam, q), projector=projector)
 
 
 # -- transvection pipeline -----------------------------------------------------
@@ -191,12 +196,11 @@ def _g5_from_first_difference(lam, spec, lam2):
 
 # -- witness searches ------------------------------------------------------------
 
+@lru_cache(maxsize=64)
 def _independent_pair_pool(ctx, n):
-    pool = [basis_vector(ctx, n, i) for i in range(1, n + 1)]
-    for a, b in combinations(range(1, n + 1), 2):
-        v = basis_vector(ctx, n, a) + basis_vector(ctx, n, b)
-        pool.append(v)
-    return pool
+    """The standard vectors, then the pair sums e_a + e_b (a < b), built once per (ctx, n)."""
+    units = [basis_vector(ctx, n, i) for i in range(1, n + 1)]
+    return tuple(units) + tuple(units[a] + units[b] for a, b in combinations(range(n), 2))
 
 
 def _find_span_escape_pair(lam):
@@ -256,36 +260,36 @@ def _basis_change(ctx, cols):
 
 
 @lru_cache(maxsize=64)
-def _weight_class_translates(ctx, n, f):
+def _class_projector(ctx, n, f):
     """The flat indices of coordinate f's torus-weight class
-    (`weight_classes`), and the torus elements whose translates of any lam
-    span lam's component on that class.
+    (`weight_classes`), and the factors (g, a, s) of the `spin_contains`
+    projector that maps any lam onto its component on that class.
 
-    Coordinate (i, j, k) has weight e_i + e_j - e_k (`torus_weights`),
-    whose entries lie in -1..2, and diag(t_1, ..., t_n) scales it by
-    t^weight.  Stage m keeps the coordinates whose first m - 1 weight
-    entries are f's; r_m counts the m-th entries among them.  With a_m over
-    0..r_m - 1 the diagonals
-    diag(zeta^a_1, ..., zeta^a_n) give a tensor Vandermonde system: a
-    coordinate outside the class is told apart at the first stage where its
-    entry differs, among the r_m values zeta^v of that stage (distinct, as
-    -1..2 stay distinct mod |F| - 1 >= 4).  a = 0 is lam itself and is
-    left out.  There are none below |F| = 5 or over Q.
+    Coordinate (i, j, k) has weight e_i + e_j - e_k (`torus_weights`), and
+    over GF(q) its class is that weight mod q - 1; d_m = diag(1, ..., zeta,
+    ..., 1), with the primitive zeta at m, scales it by zeta^(w_m).  Stage m
+    keeps the coordinates whose first m - 1 class entries are f's; for each
+    other residue u of the m-th entry among them, the factor v -> (v d_m -
+    zeta^u v)/(zeta^(f_m) - zeta^u) kills the coordinates with entry u and
+    fixes those with f's entry f_m (the zeta^u are distinct over residues mod
+    q - 1).  After the last stage only f's class is left.  That is 6 factors
+    for eta's class {123, 213} at n >= 4 (5 at n = 3) and 4 for delta's
+    {112}.  There are none over GF(2), whose torus is trivial, or over Q.
     """
     classes = weight_classes(ctx, n)
     cls = tuple(g for g, c in enumerate(classes) if c == classes[f])
-    if ctx.kind != "finite" or ctx.order < 5:
+    if ctx.kind != "finite" or ctx.order < 3:
         return cls, ()
-    # from |F| = 5 on, entries -1..2 are distinct mod |F| - 1, so the exact
-    # weights split the coordinates into the classes above
-    ws = torus_weights(n)
-    zeta = primitive_element(ctx).raw
-    left, ranges = ws, []
-    for m in range(n):
-        ranges.append(range(len({w[m] for w in left})))
-        left = [w for w in left if w[m] == ws[f][m]]
-    return cls, tuple(GroupElement.diagonal(ctx, [ctx.pow(zeta, e) for e in a])
-                      for a in cartesian(*ranges) if any(a))
+    zeta, one = primitive_element(ctx).raw, ctx.one()
+    left, factors = classes, []
+    for m, fm in enumerate(classes[f]):
+        d = GroupElement.diagonal(ctx, [zeta if r == m else one for r in range(n)])
+        kept = ctx.pow(zeta, fm)
+        for u in sorted({c[m] for c in left} - {fm}):
+            a = ctx.pow(zeta, u)
+            factors.append((d, a, ctx.inv(ctx.sub(kept, a))))
+        left = [c for c in left if c[m] == fm]
+    return cls, tuple(factors)
 
 
 def _reach_member(lam, gens, target):
@@ -293,19 +297,21 @@ def _reach_member(lam, gens, target):
 
     The support of target lies in one torus-weight class (eta's {123, 213},
     delta's {112}).  When lam's component on that class is a nonzero multiple
-    of target, the class's torus translates of lam span target, so they seed
-    the closure and the probe hits among them; otherwise the probe spins
-    from lam alone.  The seeds depend on target's weight only, never on the
-    pipeline's witnesses, and each is lam*g for g in the full group, so the
-    closure is lam(FG) and the verdict is the full spin's either way.
+    of target, the class's projector (`_class_projector`) maps lam onto a
+    multiple of target through the group action, so the probe hits at
+    closure dimension 2; otherwise the probe spins from lam alone.  The
+    projector depends on target's weight only, never on the pipeline's
+    witnesses, and each factor is a combination of a group element and the
+    identity, so the closure is lam(FG) and the verdict is the full spin's
+    either way.
     """
     ctx, t = lam.ctx, target.coords
     f = ctx.lead(t)
-    cls, torus = _weight_class_translates(ctx, lam.n, f)
+    cls, projector = _class_projector(ctx, lam.n, f)
     c = ctx.div(lam.coords[f], t[f])
     if c == ctx.zero() or any(lam.coords[g] != ctx.mul(c, t[g]) for g in cls):
-        torus = ()
-    return spin_contains(lam, gens, target, translates=torus)
+        projector = ()
+    return spin_contains(lam, gens, target, projector=projector)
 
 
 @dataclass

@@ -65,14 +65,14 @@ import random
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, compress, product as iproduct
+from itertools import compress, product as iproduct
 from typing import Optional
 
 from . import canon
 from .exactla import Echelon, GroupElement, Subspace, combiner, kernel_rows
 from .gfield import FieldCtx, primitive_element
 from .report import claim, norton_claim
-from .structvec import act, act_coords, tr_matrix_rows, tr_op_matrix_rows, weight_classes
+from .structvec import act_coords, tr_matrix_rows, tr_op_matrix_rows, weight_classes
 
 LINE_CAP = 128           # max kernel lines spun for one shift of a theta draw
 NORTON_ATTEMPTS = 64
@@ -246,27 +246,38 @@ def spin(lam, gens):
     return ech.subspace()
 
 
-def spin_contains(lam, gens, probe, translates=()):
+def spin_contains(lam, gens, probe, projector=()):
     """Whether probe lies in lam(FG); the probe runs inside the closure loop
     (early exit on success).
 
     Spins with `gens.probe_elements`, which generate the same group as
-    `gens.elements`, so the closure and the answer are the same.  The
-    closure is seeded with lam and then with lam*g for each g in
-    `translates` (built here by `act`, lazily, so a hit skips the rest).
-    Each g is an element of the full group, so each seed is a member of
-    lam(FG) and the closure of the seeds is lam(FG) again: the seeds only
-    let a probe in their span hit before any generator image is taken, and
-    a probe outside lam(FG) still gives False after the full spin.  The
-    rational generators reach a subgroup only, so they take no translates.
+    `gens.elements`, so the closure and the answer are the same.  With a
+    `projector`, factors (g, a, s) each acting as v -> s (v*g - a v), the
+    closure is seeded with lam and then with lam*x, x the product of the
+    factors (built here, lazily, so a hit at lam skips it).  Each g is an
+    element of the full group, so each factor maps lam(FG) into itself,
+    lam*x is a member, and the closure of the two seeds is lam(FG) again:
+    the second seed only lets a probe in span(lam, lam*x) hit before any
+    generator image is taken, and a probe outside lam(FG) still gives False
+    after the full spin.  The rational generators reach a subgroup only, so
+    they take no projector.
     """
-    _check_field(gens, lam, probe)
-    if translates and gens.subgroup_caveat:
-        raise ValueError("translates need generators of the full group")
-    seeds = chain([getattr(lam, "coords", lam)], (act(lam, g).coords for g in translates))
-    _, hit = _span_closure(seeds, _structvec_appliers(gens, gens.probe_elements),
+    _check_field(gens, lam, probe, *(g for g, _, _ in projector))
+    if projector and gens.subgroup_caveat:
+        raise ValueError("a projector needs generators of the full group")
+    _, hit = _span_closure(_projected(getattr(lam, "coords", lam), projector, gens.n, gens.ctx),
+                           _structvec_appliers(gens, gens.probe_elements),
                            gens.n ** 3, gens.ctx, probe=getattr(probe, "coords", probe))
     return hit
+
+
+def _projected(row, projector, n, ctx):
+    """row, then (with factors) row*x for x the product of v -> s (v*g - a v)."""
+    yield row
+    if projector:
+        for g, a, s in projector:
+            row = ctx.row_scale(ctx.row_submul(act_coords(row, g, n, ctx), row, a), s)
+        yield row
 
 
 def close_subspace(sub, gens):

@@ -16,7 +16,7 @@ from algdeg import spinmx
 from algdeg.canon import (
     basis_K, basis_Mstar, basis_N, basis_U, delta, eta, predicate_Mstarstar, submodule,
 )
-from algdeg.degen import _reach_member, _weight_class_translates, sample_in_between
+from algdeg.degen import _class_projector, _reach_member, sample_in_between
 from algdeg.exactla import Echelon, Subspace, combiner
 from algdeg.gfield import make_field
 from algdeg.spinmx import (
@@ -24,7 +24,8 @@ from algdeg.spinmx import (
     _transpose_rows, close_subspace, dual_space_handle, handle_spin, module_handle,
     rational_generators, spin, spin_contains, standard_generators,
 )
-from algdeg.structvec import StructureVector, act, unit
+from algdeg.structvec import StructureVector, unit
+from test_degen import _projection
 
 QQ = make_field(0, 1)
 # the prime fields, every field of the modulus table, and Q
@@ -170,17 +171,17 @@ def test_spin_contains_matches_the_lifo_closure(ctx, both):
     gens = standard_generators(ctx, n)
     target = delta(ctx, n)
     f = ctx.lead(target.coords)
-    _, torus = _weight_class_translates(ctx, n, f)
-    assert torus
+    _, projector = _class_projector(ctx, n, f)
+    assert projector
     C, mss = submodule("C", ctx, n), submodule("Mstarstar", ctx, n)
     hits = [delta(ctx, n), unit(ctx, n, 1, 1, 2) + unit(ctx, n, 1, 2, 1) + unit(ctx, n, 2, 1, 1)]
     hits += [sample_in_between(ctx, n, C, predicate_Mstarstar, rng) for _ in range(3)]
     misses = [eta(ctx, n)] + [_random_vector(ctx, n, rng, mss) for _ in range(3)]
     for lam, want in chain(((h, True) for h in hits), ((m, False) for m in misses)):
-        for translates in ((), torus):
-            new, old = both(lambda: spin_contains(lam, gens, target, translates=translates))
+        for factors in ((), projector):
+            new, old = both(lambda: spin_contains(lam, gens, target, projector=factors))
             assert new == old == want
-            seeds = [lam.coords] + [act(lam, g).coords for g in translates]
+            seeds = [lam.coords] + ([_projection(lam, factors).coords] if factors else [])
             appliers = _structvec_appliers(gens, gens.probe_elements)
             _same(_span_closure(seeds, appliers, n ** 3, ctx, probe=target.coords),
                   _lifo_closure(seeds, appliers, n ** 3, ctx, probe=target.coords))
@@ -238,7 +239,7 @@ def test_full_spin_of_n_at_5_gf5_stays_within_its_applier_budget():
 
 def test_delta_reach_probe_at_5_gf5_stays_within_its_applier_budget(monkeypatch):
     # a seeded vector of C outside M** with lam_112 = 0, so the probe for
-    # delta takes no torus translates and spins from lam: 78 act_coords
+    # delta takes no projector and spins from lam: 78 act_coords
     # calls in the LIFO loop, 18 in the scheduled one
     n = 5
     gens = standard_generators(GF5, n)

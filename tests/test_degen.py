@@ -9,7 +9,7 @@ import pytest
 
 import algdeg
 
-from algdeg.gfield import make_field
+from algdeg.gfield import make_field, primitive_element
 from algdeg.structvec import (
     DualVector, StructureVector, Vector, act_coords, basis_vector, flat, product, unit,
 )
@@ -22,8 +22,8 @@ from algdeg.exactla import GroupElement
 from algdeg.spinmx import rational_generators, spin, spin_contains, standard_generators
 from algdeg import degen
 from algdeg.degen import (
-    TransvectionSpec, _alternating_radical, _g5_closed_form, _reach_member,
-    _weight_class_translates,
+    TransvectionSpec, _alternating_radical, _class_projector, _find_span_escape_pair,
+    _g5_closed_form, _independent_pair_pool, _reach_member,
     lindeg_suite, lindeg_theorem_check, q_truncate,
     reach_delta, reach_delta_suite, reach_eta, reach_eta_suite,
     sample_in_between, transvection_g5, verify_lindeg, weights,
@@ -128,10 +128,25 @@ def test_seeded_verify_lindeg_matches_the_full_spin(ctx):
     assert cases >= 4
 
 
+@pytest.fixture
+def closure_dims(monkeypatch):
+    """The echelon dimension at which each `spinmx._span_closure` returned."""
+    dims, span_closure = [], spinmx._span_closure
+
+    def closing(*args, **kwargs):
+        ech, hit = span_closure(*args, **kwargs)
+        dims.append(ech.dim)
+        return ech, hit
+
+    monkeypatch.setattr(spinmx, "_span_closure", closing)
+    return dims
+
+
 @pytest.mark.parametrize("q", [[0, 1, 1, 0], [0, 1, -1, 0]])
-def test_verify_lindeg_hits_among_the_torus_translates(monkeypatch, q):
-    # the truncation lies in the span of lam's translates, so no generator
-    # image is taken: every action is one of the max_weight diagonals
+def test_verify_lindeg_hits_among_the_torus_translates(monkeypatch, closure_dims, q):
+    # the projector maps lam onto the truncation, so no generator image is
+    # taken: every action is one of the max_weight Lagrange factors' diagonal,
+    # and the probe hits at closure dimension 2
     tags = []
 
     def recording(coords, g, n, ctx):
@@ -149,87 +164,140 @@ def test_verify_lindeg_hits_among_the_torus_translates(monkeypatch, q):
         assert applicable and q_truncate(lam, q) != lam
         tags.clear()
         assert verify_lindeg(lam, q, gens)
-        assert tags and set(tags) == {"diagonal"} and len(tags) <= mw
+        assert tags and set(tags) == {"diagonal"} and len(tags) == mw and closure_dims[-1] == 2
 
 
 def test_seeded_spin_contains_still_rejects_a_probe_outside():
-    # eta spins to U, which does not hold delta; seeding with translates of
-    # eta leaves the closure U, so the answer is still False
+    # eta spins to U, which does not hold delta; a projection of eta is a
+    # member of U, so the closure stays U and the answer is still False,
+    # whether the projection is eta itself (its own class) or 0 (delta's)
     gens = standard_generators(GF5, 3)
-    torus = [GroupElement.diagonal(GF5, [GF5.pow(2, e * qi) for qi in (0, 1, -1)])
-             for e in range(1, 4)]
-    assert not spin_contains(eta(GF5, 3), gens, delta(GF5, 3), translates=torus)
-    assert spin_contains(eta(GF5, 3), gens, eta(GF5, 3), translates=torus)
+    for target in (eta(GF5, 3), delta(GF5, 3)):
+        _, projector = _target_projector(target)
+        assert projector
+        assert not spin_contains(eta(GF5, 3), gens, delta(GF5, 3), projector=projector)
+        assert spin_contains(eta(GF5, 3), gens, eta(GF5, 3), projector=projector)
     rat = make_field(0, 1)
     with pytest.raises(ValueError, match="full group"):
         spin_contains(eta(rat, 3), rational_generators(rat, 3), eta(rat, 3),
-                      translates=[GroupElement.diagonal(rat, [2, 1, 1])])
+                      projector=[(GroupElement.diagonal(rat, [2, 1, 1]), rat.one(), rat.one())])
 
 
 SEEDED_FIELDS = [GF5, make_field(7), make_field(2, 3), make_field(3, 2), make_field(5, 2)]
+# every field of the modulus table and the primes 3..13
+PROJECTED_FIELDS = [make_field(p, k) for p, k in
+                    [(3, 1), (5, 1), (7, 1), (11, 1), (13, 1),
+                     (2, 2), (2, 3), (3, 2), (5, 2)]]
 
 
-def _class_translates(target):
-    return _weight_class_translates(target.ctx, target.n, target.ctx.lead(target.coords))
+def _target_projector(target):
+    return _class_projector(target.ctx, target.n, target.ctx.lead(target.coords))
+
+
+def _projection(lam, projector):
+    """lam*x for the product x of the factors v -> s (v*g - a v), through `act`."""
+    for g, a, s in projector:
+        lam = (structvec.act(lam, g) - lam.scale(a)).scale(s)
+    return lam
 
 
 @pytest.mark.parametrize("n", [3, 4])
-@pytest.mark.parametrize("ctx", SEEDED_FIELDS, ids=repr)
+@pytest.mark.parametrize("ctx", PROJECTED_FIELDS, ids=repr)
 def test_seeded_reach_probe_matches_the_unseeded_probe(ctx, n):
     gens, bases = standard_generators(ctx, n), Bases(ctx, n)
     rng = random.Random(ctx.order * 10 + n)
     e, d = eta(ctx, n), delta(ctx, n)
     # eta's class in another position, and 113: zero components on the classes
     eta_132 = unit(ctx, n, 1, 3, 2) - unit(ctx, n, 3, 1, 2)
-    cases = [(e, e), (eta_132, e), (d, d), (unit(ctx, n, 1, 1, 3), d)]
-    cases += [(sample_in_between(ctx, n, bases["Mstarstar"], predicate_Mstar, rng), e)
+    cases = [(e, e, True), (eta_132, e, True), (d, d, True), (unit(ctx, n, 1, 1, 3), d, True)]
+    cases += [(sample_in_between(ctx, n, bases["Mstarstar"], predicate_Mstar, rng), e, True)
               for _ in range(3)]
-    cases += [(sample_in_between(ctx, n, bases["C"], predicate_Mstarstar, rng), d)
+    cases += [(sample_in_between(ctx, n, bases["C"], predicate_Mstarstar, rng), d, True)
               for _ in range(3)]
-    for lam, target in cases:
-        _, torus = _class_translates(target)
+    # misses: delta from vectors of M**, a proper submodule
+    cases += [(v, d, False) for v in [e] + [
+        sample_in_between(ctx, n, bases["Mstarstar"], lambda v: False, rng) for _ in range(2)]]
+    for lam, target, member in cases:
+        _, projector = _target_projector(target)
         want = spin_contains(lam, gens, target)
-        # the seeds are group translates of lam, so they never change the
-        # verdict, whether or not lam's class component is a multiple of target
-        assert spin_contains(lam, gens, target, translates=torus) == want
+        assert want == member
+        # the projection is a combination of group translates of lam, so it
+        # never changes the verdict, whether or not lam's class component is
+        # a multiple of target
+        assert spin_contains(lam, gens, target, projector=projector) == want
         assert _reach_member(lam, gens, target) == want
     assert _reach_member(eta_132, gens, e) and _reach_member(unit(ctx, n, 1, 1, 3), gens, d)
 
 
 @pytest.mark.parametrize("ctx", SEEDED_FIELDS, ids=repr)
 def test_seeded_delta_probe_rejects_a_vector_of_mstarstar(ctx):
-    # delta lies outside M**, so no vector of M** reaches it, seeded or not
+    # delta lies outside M**, so no vector of M** reaches it, projected or not
     n = 3
     gens, mss = standard_generators(ctx, n), Bases(ctx, n)["Mstarstar"]
-    _, torus = _class_translates(delta(ctx, n))
+    _, projector = _target_projector(delta(ctx, n))
     rng = random.Random(ctx.order)
     lams = [eta(ctx, n)] + [sample_in_between(ctx, n, mss, lambda v: False, rng)
                             for _ in range(2)]
     for lam in lams:
         assert predicate_Mstarstar(lam)
         assert not spin_contains(lam, gens, delta(ctx, n))
-        assert not spin_contains(lam, gens, delta(ctx, n), translates=torus)
+        assert not spin_contains(lam, gens, delta(ctx, n), projector=projector)
         assert not _reach_member(lam, gens, delta(ctx, n))
 
 
+def _stage_diagonals(ctx, n):
+    """The tags of d_m = diag(1, ..., zeta, ..., 1), zeta primitive at m."""
+    one, zeta = ctx.one(), primitive_element(ctx).raw
+    return {("diagonal", tuple(zeta if r == m else one for r in range(n))) for m in range(n)}
+
+
 def test_translate_counts():
+    # every factor of a class projector acts through a stage diagonal d_m:
+    # 4 for delta, and 6 for eta at n >= 4 (5 at n = 3, where the third
+    # weight entry is forced), against 7 and 23 (11) torus translates
     for ctx in SEEDED_FIELDS:
         for n in (3, 4, 5):
-            assert len(_class_translates(delta(ctx, n))[1]) == 7
-            assert len(_class_translates(eta(ctx, n))[1]) == (11 if n == 3 else 23)
-    for ctx in (GF3, GF4, make_field(0, 1)):
+            for target, count in ((delta(ctx, n), 4), (eta(ctx, n), 5 if n == 3 else 6)):
+                _, projector = _target_projector(target)
+                assert len(projector) == count
+                assert {g.tag for g, _, _ in projector} <= _stage_diagonals(ctx, n)
+    # from |F| = 3 on each field has a projector; GF(2) and Q have none
+    for ctx in (GF3, GF4):
         for n in (3, 4):
-            assert _class_translates(delta(ctx, n))[1] == ()
-            assert _class_translates(eta(ctx, n))[1] == ()
+            for target in (delta(ctx, n), eta(ctx, n)):
+                _, projector = _target_projector(target)
+                assert 0 < len(projector) <= (5 if target == eta(ctx, n) else 4)
+                assert {g.tag for g, _, _ in projector} <= _stage_diagonals(ctx, n)
+    for ctx in (make_field(2), make_field(0, 1)):
+        for n in (3, 4):
+            assert _target_projector(delta(ctx, n))[1] == ()
+            assert _target_projector(eta(ctx, n))[1] == ()
     gf7 = make_field(7)
-    assert _class_translates(eta(gf7, 4))[0] == (flat(4, 1, 2, 3), flat(4, 2, 1, 3))
-    assert _class_translates(delta(gf7, 4))[0] == (flat(4, 1, 1, 2),)
+    assert _target_projector(eta(gf7, 4))[0] == (flat(4, 1, 2, 3), flat(4, 2, 1, 3))
+    assert _target_projector(delta(gf7, 4))[0] == (flat(4, 1, 1, 2),)
+
+
+@pytest.mark.parametrize("ctx", [GF3, GF4, GF5, make_field(7), make_field(2, 3),
+                                 make_field(3, 2), make_field(5, 2)], ids=repr)
+def test_class_projector_maps_lam_onto_its_class_component(ctx):
+    # through the group action, the projector keeps lam's coordinates on the
+    # class of f and kills every other one, for every coordinate f
+    n, rng = 3, random.Random(ctx.order)
+    lam = StructureVector(ctx, n, [rng.randrange(ctx.order) for _ in range(n ** 3)])
+    for f in range(n ** 3):
+        cls, projector = _class_projector(ctx, n, f)
+        kept = set(cls)
+        assert f in kept
+        assert _projection(lam, projector).coords == [
+            x if g in kept else ctx.zero() for g, x in enumerate(lam.coords)]
 
 
 @pytest.mark.parametrize("target", ["delta", "eta"])
-def test_reach_probe_hits_among_the_torus_translates(monkeypatch, target):
+def test_reach_probe_hits_among_the_torus_translates(monkeypatch, closure_dims, target):
     # at (4, GF7) with lam's class component a nonzero multiple of the target,
-    # the probe takes no generator image: each action is one of its translates
+    # the probe takes no generator image: each action is a stage diagonal of
+    # the projector, at most 6 for eta and 4 for delta, and the probe hits at
+    # closure dimension 2
     ctx, n = make_field(7), 4
     gens, bases = standard_generators(ctx, n), Bases(ctx, n)
     tags, probing = [], []
@@ -250,8 +318,8 @@ def test_reach_probe_hits_among_the_torus_translates(monkeypatch, target):
     monkeypatch.setattr(spinmx, "act_coords", recording)
     monkeypatch.setattr(degen, "spin_contains", probe)
     goal = eta(ctx, n) if target == "eta" else delta(ctx, n)
-    _, torus = _class_translates(goal)
-    allowed = {g.tag for g in torus}
+    _, projector = _target_projector(goal)
+    assert len(projector) == (6 if target == "eta" else 4)
     inside, outside = ((bases["Mstarstar"], predicate_Mstar) if target == "eta"
                        else (bases["C"], predicate_Mstarstar))
     reach = reach_eta if target == "eta" else reach_delta
@@ -264,10 +332,71 @@ def test_reach_probe_hits_among_the_torus_translates(monkeypatch, target):
         tags.clear()
         cert = reach(lam, gens)
         assert cert.success and cert.spin_member
-        # the target itself hits at lam, before any translate
-        assert set(tags) <= allowed and len(tags) <= len(torus)
+        # the target itself hits at lam, before the projection
+        assert set(tags) <= _stage_diagonals(ctx, n) and len(tags) <= len(projector)
+        assert closure_dims[-1] == (2 if tags else 1)
         probed += bool(tags)
     assert probed >= 2
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("ctx", PROJECTED_FIELDS, ids=repr)
+def test_projected_lindeg_probe_matches_the_unseeded_probe(ctx, n):
+    # applicable (lam, q) with a positive max weight; over GF(3) only
+    # q = (1, ..., 1) applies, whose truncation is 0
+    gens, rng, cases = standard_generators(ctx, n), random.Random(ctx.order * 10 + n), 0
+    for q in ([1] * n, [0, 1] + [0] * (n - 2), [1, 0, 1] + [0] * (n - 3),
+              [0, 1, -1] + [0] * (n - 3)):
+        ws = weights(q)
+        if max(ws) >= ctx.order - 1:
+            continue
+        lam = StructureVector(ctx, n, [0 if w < 0 else rng.randrange(ctx.order) for w in ws])
+        assert lindeg_theorem_check(lam, q)[0]
+        assert verify_lindeg(lam, q, gens) == spin_contains(lam, gens, q_truncate(lam, q))
+        cases += 1
+    assert cases == (1 if ctx.order == 3 else 3 if ctx.order == 4 else 4)
+
+
+def test_eta_probe_over_gf4_hits_at_closure_dimension_two(monkeypatch, closure_dims):
+    # over GF(4) eta's class is still {123, 213}, and its projector takes
+    # stage diagonals only: the probe hits at lam and one projection
+    ctx, n = GF4, 3
+    gens, tags = standard_generators(ctx, n), []
+
+    def recording(coords, g, n, ctx):
+        tags.append(g.tag)
+        return act_coords(coords, g, n, ctx)
+
+    monkeypatch.setattr(spinmx, "act_coords", recording)
+    e = eta(ctx, n)
+    cls, projector = _target_projector(e)
+    assert cls == (flat(n, 1, 2, 3), flat(n, 2, 1, 3)) and projector
+    lams = [e.scale(primitive_element(ctx).raw) + unit(ctx, n, 1, 3, 2) - unit(ctx, n, 3, 1, 2),
+            e + unit(ctx, n, 1, 1, 1) + unit(ctx, n, 2, 3, 3)]
+    for lam in lams:
+        tags.clear()
+        assert _reach_member(lam, gens, e)
+        assert closure_dims[-1] == 2 and tags and set(tags) <= _stage_diagonals(ctx, n)
+
+
+@pytest.mark.parametrize("ctx", [make_field(p, k) for p, k in [(2, 2), (2, 3), (3, 2), (5, 2)]],
+                         ids=repr)
+def test_the_cached_pair_pool_finds_the_pair_of_a_fresh_pool(monkeypatch, ctx):
+    rng = random.Random(ctx.order)
+    for n in (3, 4):
+        mss = Bases(ctx, n)["Mstarstar"]
+        lams = [eta(ctx, n)] + [sample_in_between(ctx, n, mss, predicate_Mstar, rng)
+                                for _ in range(3)]
+        cached = [_find_span_escape_pair(lam) for lam in lams]
+        assert _independent_pair_pool(ctx, n) is _independent_pair_pool(ctx, n)
+        with monkeypatch.context() as m:
+            m.setattr(degen, "_independent_pair_pool", _independent_pair_pool.__wrapped__)
+            fresh = [_find_span_escape_pair(lam) for lam in lams]
+        assert cached == fresh
+        # the certificates hand on the pool's coordinate lists, and none changes them
+        gens = standard_generators(ctx, n)
+        assert all(reach_eta(lam, gens).success for lam in lams)
+        assert _independent_pair_pool(ctx, n) == _independent_pair_pool.__wrapped__(ctx, n)
 
 
 @pytest.mark.parametrize("ctx,n", [(make_field(7), 4), (make_field(3, 2), 3)], ids=repr)

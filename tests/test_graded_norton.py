@@ -21,7 +21,7 @@ import algdeg
 from algdeg import spinmx
 from algdeg.canon import Bases, basis_K, basis_U
 from algdeg.cli import main
-from algdeg.degen import _weight_class_translates, weights
+from algdeg.degen import _class_projector, weights
 from algdeg.gamma2 import gamma_handle
 from algdeg.gfield import make_field
 from algdeg.spinmx import (
@@ -142,12 +142,12 @@ def test_torus_weights_are_the_weights_at_the_unit_sequences():
 
 @pytest.mark.parametrize("ctx", [c for c in FINITE if c.order >= 5], ids=repr)
 def test_reach_probe_classes_are_the_exact_weight_classes_from_gf5_on(ctx):
-    # degen's translates separate the exact weights e_i + e_j - e_k, whose
+    # degen's projectors separate the exact weights e_i + e_j - e_k, whose
     # entries -1..2 stay distinct mod |F| - 1 >= 4
     exact = weight_classes(make_field(0, 1), 3)
     for f in range(27):
-        cls, torus = _weight_class_translates(ctx, 3, f)
-        assert torus and cls == tuple(g for g in range(27) if exact[g] == exact[f])
+        cls, projector = _class_projector(ctx, 3, f)
+        assert projector and cls == tuple(g for g in range(27) if exact[g] == exact[f])
 
 
 def _refuse_coordinate_grading():
