@@ -24,6 +24,7 @@ Pivots are first nonzero entries: exact arithmetic makes stability a
 non-issue and the unique reduced form makes outputs diffable.
 """
 from bisect import bisect_left
+from operator import itemgetter
 
 from .gfield import FieldCtx
 
@@ -57,9 +58,11 @@ class Echelon:
     pivot slot; `add`, `reduce` and `reduced` hand them to
     `FieldCtx.row_eliminate`, which goes straight to the next pivot to
     clear.  Elsewhere the stored rows are walked in pivot order (`_clear`).
+    `_gather` caches (pivot count, itemgetter over the pivots) for
+    `reduce_with_coeffs`; pivots only grow, so the count tells it is stale.
     """
 
-    __slots__ = ("ctx", "ambient", "rows", "pivots", "_ints", "_mask")
+    __slots__ = ("ctx", "ambient", "rows", "pivots", "_ints", "_mask", "_gather")
 
     def __init__(self, ctx, ambient, rows=()):
         self.ctx = ctx
@@ -68,6 +71,7 @@ class Echelon:
         self.pivots = []
         self._ints = {} if ctx.packed else None
         self._mask = 0
+        self._gather = (-1, None)
         for r in rows:
             self.add(r)
 
@@ -188,9 +192,16 @@ class Echelon:
         The rows must be rref rows: each is zero at every pivot but its own,
         so the coefficient of a row is vec's entry at its pivot.
         """
-        ctx = self.ctx
+        ctx, pivots = self.ctx, self.pivots
+        count, get = self._gather
+        if count != len(pivots):
+            # itemgetter(p) returns a bare scalar and itemgetter() is an error,
+            # so fewer than two pivots take a slice
+            get = (itemgetter(*pivots) if len(pivots) > 1 else
+                   itemgetter(slice(pivots[0], pivots[0] + 1) if pivots else slice(0)))
+            self._gather = (len(pivots), get)
         v = ctx.pack(vec)
-        return self.reduce(v), ctx.pack([v[p] for p in self.pivots])
+        return self.reduce(v), ctx.pack(get(v))
 
     def quotient_coords(self, vec, reps):
         """Coordinates of vec + span(rows) over the rref echelon `reps`; the residual must vanish."""

@@ -756,8 +756,13 @@ def survey_submodules(handle):
     the image of a nonzero map S -> M/U from a simple type S, and every such
     map is injective, so its row space is simple.  Walking covers up from 0
     reaches every submodule, since each has a composition series starting at
-    0.  No line of M is listed, so the cost follows the members and the hom
-    spaces, not the size of the carrier.  Returns the lattice lifted to the
+    0.  Every composition factor of M is one of the types (Jordan-Hoelder),
+    so when dim M/U is below twice the least type dimension only one factor
+    fits, M/U is simple and M is the one cover of U: that member gets no
+    quotient handle and no hom space, only the check that U maps into
+    itself, which its quotient handle would have made.  No line of M is
+    listed, so the cost follows the members and the hom spaces, not the
+    size of the carrier.  Returns the lattice lifted to the
     carrier's ambient space, sorted by (dim, basis).  The kernel-vector
     tests take no seed, so neither the splitting nor the lattice depends on
     one.  A factor whose test stays inconclusive raises `InconclusiveFactor`.
@@ -772,10 +777,19 @@ def survey_submodules(handle):
                                   f"{handle.label}:{label}", handle.classes)
 
     types = _simple_types(quotient, full)
+    simple_below = 2 * min((t.dim for t in types), default=d)
     lattice = [Subspace.zero(ctx, d)]
     found = set(lattice)
     for u in lattice:                    # breadth first: covers are appended as found
         if u.dim == d:
+            continue
+        if d - u.dim < simple_below:     # one composition factor fits: M/U is simple
+            if not _maps_into_itself(u, appliers):      # what its quotient handle proved
+                label = f"{handle.label}:/{u.dim}"
+                raise ValueError(f"sub of {label!r} is not generator-stable")
+            if full not in found:
+                found.add(full)
+                lattice.append(full)
             continue
         top = quotient(full, u, f"/{u.dim}")
         for s in types:

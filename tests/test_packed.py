@@ -635,6 +635,18 @@ def test_quotient_coords_and_contains_match_the_list_path(ctx, data):
     assert big.contains(w) == (ref_lead(ref_reduce(ctx, w, [list(r) for r in big.rows],
                                                      list(big.pivots))) == d)
     assert sub.contains(v) == (ref_lead(t) == d)
+    # the pivot gather of an echelon with 0, 1, then more pivots, the same
+    # echelon gathered again after each row it takes, and the full space
+    grown = Echelon(ctx, d)
+    for row in rows + [None]:
+        for _ in range(2):
+            res, cs = grown.reduce_with_coeffs(w)
+            assert list(cs) == [w[p] for p in grown.pivots]
+            assert res == grown.reduce(w)
+        if row is not None:
+            grown.add(row)
+    assert grown.dim == big.dim
+    assert list(Subspace.full(ctx, d)._ech.reduce_with_coeffs(w)[1]) == w
 
 
 def _count_reductions(monkeypatch, ctx):

@@ -10,7 +10,7 @@ import pytest
 from algdeg import spinmx
 from algdeg.cli import DIM_ORDER, main
 from algdeg.gfield import make_field
-from algdeg.exactla import Subspace, combiner, kernel_rows
+from algdeg.exactla import Echelon, Subspace, combiner, kernel_rows
 from algdeg.gamma2 import gamma_handle
 from algdeg.structvec import StructureVector, act, unit
 from algdeg.canon import (
@@ -27,7 +27,8 @@ from oracles import dual_act, dual_basis_vector, random_invertible, vector_act
 from test_packed import FIELDS
 from algdeg.spinmx import (
     _all_lines, _first_proper_spin, _handle_appliers, _lines_of, _random_envelope,
-    _shift, _span_closure, _structvec_appliers, _transpose_rows,
+    _restricted_handle, _shift, _simple_types, _span_closure, _structvec_appliers,
+    _transpose_rows,
 )
 
 GF3 = make_field(3)
@@ -779,7 +780,8 @@ _GF9 = make_field(3, 2)
 
 @pytest.mark.parametrize("name,ctx", [
     ("K", GF3), ("Mstar", GF3), ("Mstarstar", GF3), ("U", GF3),
-    ("Mstar", GF4), ("U", GF4), ("Mstar", GF5), ("U", GF5), ("Mstar", _GF9), ("U", _GF9)])
+    ("Mstar", GF4), ("U", GF4), ("Mstar", GF5), ("U", GF5), ("Mstar", _GF9), ("U", _GF9),
+    ("Mstar", make_field(7)), ("Mstar", make_field(2, 3))])
 def test_survey_matches_the_orbit_walk_at_every_seed(name, ctx):
     h = module_handle(gens_for(ctx, 3), submodule(name, ctx, 3), label=name)
     assert survey_submodules(h) == _orbit_walk_survey(h)
@@ -790,6 +792,91 @@ def test_survey_matches_the_orbit_walk_on_criterion_06():
     for name, label in (("K", "K"), ("Mstar", "M*")):
         h = module_handle(gens, submodule(name, GF3, 3), label=label)
         assert survey_submodules(h) == _orbit_walk_survey(h)
+
+
+def dimension_decided(handle):
+    """The simple types of the handle's module and the survey members U != M
+    with dim M/U below twice the least type dimension, each with its quotient
+    handle M/U: the members `survey_submodules` settles without building one."""
+    ctx, d = handle.ctx, handle.dim
+    appliers = _handle_appliers(handle.action, ctx)
+
+    def quotient(top, bottom, label):
+        return _restricted_handle(handle.gens, appliers, top, bottom,
+                                  f"{handle.label}:{label}", handle.classes)
+
+    full = Subspace.full(ctx, d)
+    types = _simple_types(quotient, full)
+    least = min((t.dim for t in types), default=d)
+    # the lattice comes back lifted; read it in handle coordinates over the reps
+    reps = Echelon.from_rref(ctx, handle.carrier.ambient, handle.reps,
+                             map(ctx.lead, handle.reps))
+    none = Echelon(ctx, handle.carrier.ambient)
+    members = [Subspace(ctx, d, [none.quotient_coords(r, reps) for r in s._ech.rows])
+               for s in survey_submodules(handle)]
+    decided = [(u, quotient(full, u, f"/{u.dim}")) for u in members
+               if 0 < d - u.dim < 2 * least]
+    return types, decided
+
+
+def test_survey_of_mstar_at_gf7_builds_and_solves_only_above_the_simple_quotients(monkeypatch):
+    # M* = V* + V* of dim 6, one type of dim 3: every proper member but 0
+    # has a simple quotient, so the walk builds M/0 only; the two hom spaces
+    # are the isomorphism test in `_simple_types` and the one into M/0
+    builds, homs = [], []
+    build, hom = spinmx._restricted_handle, spinmx.hom_space
+    monkeypatch.setattr(spinmx, "_restricted_handle",
+                        lambda *a, **k: builds.append(a[4]) or build(*a, **k))
+    monkeypatch.setattr(spinmx, "hom_space", lambda ha, hb: homs.append(hb.label) or hom(ha, hb))
+    ctx = make_field(7)
+    lattice = survey_submodules(module_handle(gens_for(ctx, 3), submodule("Mstar", ctx, 3),
+                                              label="M*"))
+    assert [s.dim for s in lattice] == [0] + [3] * 8 + [6]
+    assert len(builds) == 5 and builds[0] == "M*" and builds[-1] == "M*:/0"
+    assert len(homs) == 2 and homs[-1] == "M*:/0"
+
+
+# the five surveys of the benchmark's lattice workload, and the full space
+@pytest.mark.parametrize("name,ctx,n", [
+    ("K", GF3, 3), ("Mstar", GF3, 4), ("Mstar", GF5, 3), ("U", GF5, 3),
+    ("Mstar", make_field(7), 3), ("Lambda", GF3, 3)])
+def test_members_decided_by_dimension_have_a_simple_quotient(name, ctx, n):
+    h = module_handle(gens_for(ctx, n), submodule(name, ctx, n), label=name)
+    types, decided = dimension_decided(h)
+    assert decided
+    for u, top in decided:
+        assert norton_irreducible(top).verdict == "irreducible", u.dim
+        assert sum(hom_space(t, top)[0] > 0 for t in types) == 1, u.dim
+
+
+@pytest.mark.parametrize("ctx", [make_field(7), make_field(2, 3), _GF9], ids=repr)
+def test_mstar_survey_decides_its_copies_of_the_dual_by_dimension(ctx):
+    # the lattices match the orbit walk in
+    # test_survey_matches_the_orbit_walk_at_every_seed
+    h = module_handle(gens_for(ctx, 3), submodule("Mstar", ctx, 3), label="M*")
+    _, decided = dimension_decided(h)
+    assert len(decided) == ctx.order + 1 and {u.dim for u, _ in decided} == {3}
+
+
+def test_survey_refuses_an_unstable_member_it_decides_by_dimension(monkeypatch):
+    # once the types are found, every cover the walk lifts is replaced by a
+    # line of M* = V* + V*; no line is stable, and its quotient of dimension
+    # 5 < 2 * 3 is never built, so the explicit check refuses it with the
+    # error the build would raise
+    ctx = make_field(7)
+    h = module_handle(gens_for(ctx, 3), submodule("Mstar", ctx, 3), label="M*")
+    line = Subspace(ctx, h.dim, [[1, 0, 0, 0, 0, 2]])
+    assert handle_spin(h, line._ech.rows[0])[0].dim > 1
+    simple_types = spinmx._simple_types
+
+    def then_lift_to_the_line(*args):
+        types = simple_types(*args)
+        monkeypatch.setattr(ModuleHandle, "preimage", lambda self, rows: line)
+        return types
+
+    monkeypatch.setattr(spinmx, "_simple_types", then_lift_to_the_line)
+    with pytest.raises(ValueError, match=r"^sub of 'M\*:/1' is not generator-stable$"):
+        survey_submodules(h)
 
 
 _GF2 = make_field(2)
