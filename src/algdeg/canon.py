@@ -23,7 +23,7 @@ from functools import lru_cache
 from .exactla import Subspace, combiner, kernel_rows
 from .report import claim
 from .structvec import (
-    DualVector, StructureVector, _slot_mask, _trace_coords, flat, unit, tr, tr_op,
+    DualVector, StructureVector, _trace_coords, flat, unit, tr, tr_op,
     tr_matrix_rows, tr_op_matrix_rows,
 )
 
@@ -214,35 +214,13 @@ def _restricted_kernel(carrier, images, ctx):
     return Subspace(ctx, carrier.ambient, lifted)
 
 
-@lru_cache(maxsize=64)
-def _trace_moves(n):
-    """The mask and shifts that gather tr_i of a row's int view into slot i n^2 + n^2 - 1.
-
-    Slot (i, j, j) is i n^2 + j (n + 1), and slot i n^2 + n^2 - 1 is
-    (i, n, n), so a right shift by (n - 1 - j)(n + 1) slots moves the one
-    onto the other for every i at once.  The mask is 0xFF at the n target
-    slots.  Both come from slot arithmetic alone, not from `tr_matrix_rows`,
-    so `LambdaOverT` still compares two constructions of tr.
-    """
-    nn = n * n
-    return (_slot_mask(n ** 3, range(nn - 1, n ** 3, nn)),
-            tuple(8 * (n - 1 - j) * (n + 1) for j in range(n)))
-
-
 def _trace_images(carrier, n):
-    """tr of each basis row of a carrier inside the structure-vector space, as lists.
-
-    Over packed fields each row is one `row_combine` of its n masked shifts
-    (`_trace_moves`), read at stride n^2; over the list fields `tr`'s stride
-    loop runs on the raw row.  No per-row vector is built.
+    """tr of each basis row of a carrier inside the structure-vector space, as
+    lists: `tr`'s stride loop (`_trace_coords`) on each raw row, building no
+    per-row vector.  The strides are apart from the flat indices of
+    `tr_matrix_rows`, so `LambdaOverT` still compares two constructions of tr.
     """
-    ctx, rows = carrier.ctx, carrier._ech.rows
-    if not ctx.packed:
-        return [_trace_coords(r, n, ctx) for r in rows]
-    mask, shifts = _trace_moves(n)
-    d, nn = n ** 3, n * n
-    return [list(ctx.row_combine([(1, x >> sh & mask) for sh in shifts], d)[nn - 1::nn])
-            for x in (int.from_bytes(r, "big") for r in rows)]
+    return [_trace_coords(r, n, carrier.ctx) for r in carrier._ech.rows]
 
 
 def basis_U(ctx, n, K=None):

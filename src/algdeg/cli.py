@@ -15,7 +15,7 @@ import traceback
 
 from . import canon, degen, gamma2, spinmx
 from .gfield import make_field
-from .report import Report, claim
+from .report import Report, claim, skipped
 from .structvec import StructureVector
 
 DIM_ORDER = ("C", "K", "Mstar", "Mstarstar", "T", "Ttilde", "TcapTtilde", "N", "U")
@@ -206,6 +206,8 @@ def cmd_lattice(args):
 
 
 def cmd_degen(args):
+    if args.q is not None and args.mode != "q":
+        raise ValueError(f"--q applies to mode 'q' only, not to {args.mode!r}")
     ctx, n = args.field, args.n
     report = Report(f"degen {args.mode}", {"n": n, "field": _field_label(ctx),
                                            "lambda": args.lam, "q": args.q}, args.seed)
@@ -222,8 +224,7 @@ def cmd_degen(args):
             applicable, mw = degen.lindeg_theorem_check(lam, q)
             anchor = "weight truncation stays in the cyclic module"
             if not applicable:
-                return {"id": "degen.q", "anchor": anchor, "status": "skipped",
-                        "data": {"reason": "hypotheses fail", "max_weight": mw}}
+                return skipped("degen.q", anchor, {"reason": "hypotheses fail", "max_weight": mw})
             return claim("degen.q", anchor, degen.verify_lindeg(lam, q, gens),
                          {"max_weight": mw})
         fn = degen.reach_eta if args.mode == "reach-eta" else degen.reach_delta

@@ -23,6 +23,9 @@ alpha*zeta, recombining and rescaling leaves the bracket
 construction below cross-checks the closed form coordinate-exactly).  Chosen
 witnesses turn this bracket into the canonical generators: a rank-2
 alternating form reaches 123 - 213, and a second difference reaches 112.
+Each reach is also probed by spin membership, seeded with lam and its
+component on the target's torus-weight class (`_class_projector`), whose
+factors, like the truncation's, come from `_lagrange_factors`.
 """
 
 import random
@@ -76,11 +79,12 @@ def verify_lindeg(lam, q, gens):
     """Membership of the truncation in the cyclic module (the checkable claim).
 
     The probe's projector (`spin_contains`) is the product of the Lagrange
-    factors (t - zeta^u)/(1 - zeta^u), u = 1..max_weight, with t =
-    diag(zeta^q_1, ..., zeta^q_n).  Each factor is a combination of t and
-    the identity, so the projection of lam is a member of lam(FG), the
-    closure is lam(FG) and the verdict is the full spin's; under the
-    hypotheses the projection is the truncation, so the probe hits at it.
+    factors (t - zeta^u)/(1 - zeta^u) (`_lagrange_factors`), u =
+    1..max_weight, with t = diag(zeta^q_1, ..., zeta^q_n).  Each factor is a
+    combination of t and the identity, so the projection of lam is a member
+    of lam(FG), the closure is lam(FG) and the verdict is the full spin's;
+    under the hypotheses the projection is the truncation, so the probe hits
+    at it.
     """
     applicable, max_weight = lindeg_theorem_check(lam, q)
     if not applicable:
@@ -92,8 +96,16 @@ def verify_lindeg(lam, q, gens):
         zeta = primitive_element(ctx).raw
         t = GroupElement.diagonal(ctx, [ctx.pow(zeta, qi) for qi in q])
         powers = [ctx.pow(zeta, u) for u in range(1, max_weight + 1)]
-        projector = tuple((t, a, ctx.inv(ctx.sub(ctx.one(), a))) for a in powers)
+        projector = _lagrange_factors(ctx, t, ctx.one(), powers)
     return spin_contains(lam, gens, q_truncate(lam, q), projector=projector)
+
+
+def _lagrange_factors(ctx, g, kept, killed):
+    """The `spin_contains` factors (g, a, 1/(kept - a)) over the eigenvalues a
+    in killed, each acting as v -> (v*g - a v)/(kept - a): it kills the
+    eigenvectors of g with eigenvalue a and fixes those with eigenvalue kept.
+    """
+    return tuple((g, a, ctx.inv(ctx.sub(kept, a))) for a in killed)
 
 
 # -- transvection pipeline -----------------------------------------------------
@@ -261,56 +273,49 @@ def _basis_change(ctx, cols):
 
 @lru_cache(maxsize=64)
 def _class_projector(ctx, n, f):
-    """The flat indices of coordinate f's torus-weight class
-    (`weight_classes`), and the factors (g, a, s) of the `spin_contains`
-    projector that maps any lam onto its component on that class.
+    """The factors (g, a, s) of the `spin_contains` projector that maps any
+    lam onto its component on coordinate f's torus-weight class
+    (`weight_classes`).
 
     Coordinate (i, j, k) has weight e_i + e_j - e_k (`torus_weights`), and
     over GF(q) its class is that weight mod q - 1; d_m = diag(1, ..., zeta,
     ..., 1), with the primitive zeta at m, scales it by zeta^(w_m).  Stage m
     keeps the coordinates whose first m - 1 class entries are f's; for each
     other residue u of the m-th entry among them, the factor v -> (v d_m -
-    zeta^u v)/(zeta^(f_m) - zeta^u) kills the coordinates with entry u and
-    fixes those with f's entry f_m (the zeta^u are distinct over residues mod
-    q - 1).  After the last stage only f's class is left.  That is 6 factors
-    for eta's class {123, 213} at n >= 4 (5 at n = 3) and 4 for delta's
-    {112}.  There are none over GF(2), whose torus is trivial, or over Q.
+    zeta^u v)/(zeta^(f_m) - zeta^u) (`_lagrange_factors`) kills the
+    coordinates with entry u and fixes those with f's entry f_m (the zeta^u
+    are distinct over residues mod q - 1).  After the last stage only f's
+    class is left.  That is 6 factors for eta's class {123, 213} at n >= 4
+    (5 at n = 3) and 4 for delta's {112} from |F| = 5 on, and fewer over
+    GF(3) and GF(4).  There are none over GF(2), whose torus is trivial, or
+    over Q.
     """
-    classes = weight_classes(ctx, n)
-    cls = tuple(g for g, c in enumerate(classes) if c == classes[f])
     if ctx.kind != "finite" or ctx.order < 3:
-        return cls, ()
+        return ()
+    classes = weight_classes(ctx, n)
     zeta, one = primitive_element(ctx).raw, ctx.one()
     left, factors = classes, []
     for m, fm in enumerate(classes[f]):
         d = GroupElement.diagonal(ctx, [zeta if r == m else one for r in range(n)])
-        kept = ctx.pow(zeta, fm)
-        for u in sorted({c[m] for c in left} - {fm}):
-            a = ctx.pow(zeta, u)
-            factors.append((d, a, ctx.inv(ctx.sub(kept, a))))
+        others = sorted({c[m] for c in left} - {fm})
+        factors += _lagrange_factors(ctx, d, ctx.pow(zeta, fm),
+                                     [ctx.pow(zeta, u) for u in others])
         left = [c for c in left if c[m] == fm]
-    return cls, tuple(factors)
+    return tuple(factors)
 
 
 def _reach_member(lam, gens, target):
     """Whether target lies in lam(FG), as `spin_contains` decides it.
 
     The support of target lies in one torus-weight class (eta's {123, 213},
-    delta's {112}).  When lam's component on that class is a nonzero multiple
-    of target, the class's projector (`_class_projector`) maps lam onto a
-    multiple of target through the group action, so the probe hits at
-    closure dimension 2; otherwise the probe spins from lam alone.  The
-    projector depends on target's weight only, never on the pipeline's
-    witnesses, and each factor is a combination of a group element and the
-    identity, so the closure is lam(FG) and the verdict is the full spin's
-    either way.
+    delta's {112}), and the probe is seeded with lam and its component on
+    that class (`_class_projector`).  When that component is a nonzero
+    multiple of target the probe hits at closure dimension 2.  The projector depends on
+    target's weight only, never on lam or the pipeline's witnesses, and each
+    factor is a combination of a group element and the identity, so the
+    closure is lam(FG) and the verdict is the full spin's.
     """
-    ctx, t = lam.ctx, target.coords
-    f = ctx.lead(t)
-    cls, projector = _class_projector(ctx, lam.n, f)
-    c = ctx.div(lam.coords[f], t[f])
-    if c == ctx.zero() or any(lam.coords[g] != ctx.mul(c, t[g]) for g in cls):
-        projector = ()
+    projector = _class_projector(lam.ctx, lam.n, lam.ctx.lead(target.coords))
     return spin_contains(lam, gens, target, projector=projector)
 
 

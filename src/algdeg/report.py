@@ -1,10 +1,11 @@
 """Verification reports: per-claim records with a versioned JSON schema.
 
 A claim is {id, anchor, status, data} with status one of verified, falsified,
-inconclusive, skipped.  `claim` is the one constructor of that record, and it
-holds the one rule from a verdict to a status: True is verified, False is
-falsified and None is inconclusive.  `norton_claim` maps a kernel-vector
-verdict onto that rule, and `Report.skip_all` writes the skipped claims.  The
+inconclusive, skipped.  `claim` is the one constructor of a checked claim,
+and it holds the one rule from a verdict to a status: True is verified, False
+is falsified and None is inconclusive.  `norton_claim` maps a kernel-vector
+verdict onto that rule.  `skipped` is the one constructor of a claim that was
+not checked, and `Report.skip_all` writes such claims with their reason.  The
 intersection dictionary (`canon.intersection_table`) keeps its own shape in
 place of `data`: `computed` always, and `expected` only on a falsified claim,
 since a verified one states that the two are equal.
@@ -31,6 +32,11 @@ def claim(cid, anchor, ok, data=None):
     status = "inconclusive" if ok is None else "verified" if ok else "falsified"
     return {"id": cid, "anchor": anchor, "status": status,
             "data": {} if data is None else data}
+
+
+def skipped(cid, anchor, data):
+    """The record of a claim that was not checked; `data` holds its reason."""
+    return {"id": cid, "anchor": anchor, "status": "skipped", "data": data}
 
 
 def norton_claim(cid, anchor, res, want, data, holds=True):
@@ -83,8 +89,7 @@ class Report:
 
     def skip_all(self, ids_anchors, reason):
         for cid, anchor in ids_anchors:
-            self.add({"id": cid, "anchor": anchor, "status": "skipped",
-                      "data": {"reason": reason}})
+            self.add(skipped(cid, anchor, {"reason": reason}))
 
     @property
     def counts(self):

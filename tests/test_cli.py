@@ -239,6 +239,15 @@ def test_degen_q_needs_weights():
     assert run(["degen", "q", "--lambda", "eta", "--n", "3", "--field", "5"]) == 2
 
 
+@pytest.mark.parametrize("mode, lam", [("reach-eta", "eta"), ("reach-delta", "delta")])
+def test_degen_refuses_weights_outside_mode_q(mode, lam, capsys):
+    # a reach ignores the weights, so taking them would record a setting that
+    # did nothing; without --q each command exits 0
+    assert run(["degen", mode, "--lambda", lam, "--q", "1,2,3",
+                "--n", "3", "--field", "5"]) == 2
+    assert "--q applies to mode 'q' only" in capsys.readouterr().err
+
+
 def test_degen_reach_eta():
     assert run(["degen", "reach-eta", "--lambda", "eta",
                 "--n", "3", "--field", "5"]) == 0

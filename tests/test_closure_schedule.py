@@ -171,7 +171,7 @@ def test_spin_contains_matches_the_lifo_closure(ctx, both):
     gens = standard_generators(ctx, n)
     target = delta(ctx, n)
     f = ctx.lead(target.coords)
-    _, projector = _class_projector(ctx, n, f)
+    projector = _class_projector(ctx, n, f)
     assert projector
     C, mss = submodule("C", ctx, n), submodule("Mstarstar", ctx, n)
     hits = [delta(ctx, n), unit(ctx, n, 1, 1, 2) + unit(ctx, n, 1, 2, 1) + unit(ctx, n, 2, 1, 1)]
@@ -239,8 +239,8 @@ def test_full_spin_of_n_at_5_gf5_stays_within_its_applier_budget():
 
 def test_delta_reach_probe_at_5_gf5_stays_within_its_applier_budget(monkeypatch):
     # a seeded vector of C outside M** with lam_112 = 0, so the probe for
-    # delta takes no projector and spins from lam: 78 act_coords
-    # calls in the LIFO loop, 18 in the scheduled one
+    # delta projects lam onto 0 (4 act_coords calls) and spins from lam: 82
+    # calls in the LIFO loop, 22 in the scheduled one
     n = 5
     gens = standard_generators(GF5, n)
     lam = sample_in_between(GF5, n, submodule("C", GF5, n), predicate_Mstarstar,

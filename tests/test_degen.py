@@ -12,13 +12,14 @@ import algdeg
 from algdeg.gfield import make_field, primitive_element
 from algdeg.structvec import (
     DualVector, StructureVector, Vector, act_coords, basis_vector, flat, product, unit,
+    weight_classes,
 )
 from algdeg.canon import (
     Bases, basis_C, basis_K, basis_Mstarstar, delta, epsilon, epsilon_tilde, eta,
     predicate_C, predicate_Mstar, predicate_Mstarstar,
 )
 from algdeg import spinmx, structvec
-from algdeg.exactla import GroupElement
+from algdeg.exactla import Echelon, GroupElement
 from algdeg.spinmx import rational_generators, spin, spin_contains, standard_generators
 from algdeg import degen
 from algdeg.degen import (
@@ -173,7 +174,7 @@ def test_seeded_spin_contains_still_rejects_a_probe_outside():
     # whether the projection is eta itself (its own class) or 0 (delta's)
     gens = standard_generators(GF5, 3)
     for target in (eta(GF5, 3), delta(GF5, 3)):
-        _, projector = _target_projector(target)
+        projector = _target_projector(target)
         assert projector
         assert not spin_contains(eta(GF5, 3), gens, delta(GF5, 3), projector=projector)
         assert spin_contains(eta(GF5, 3), gens, eta(GF5, 3), projector=projector)
@@ -192,6 +193,12 @@ PROJECTED_FIELDS = [make_field(p, k) for p, k in
 
 def _target_projector(target):
     return _class_projector(target.ctx, target.n, target.ctx.lead(target.coords))
+
+
+def _weight_class(ctx, n, f):
+    """The flat indices of coordinate f's torus-weight class."""
+    classes = weight_classes(ctx, n)
+    return tuple(g for g, c in enumerate(classes) if c == classes[f])
 
 
 def _projection(lam, projector):
@@ -218,7 +225,7 @@ def test_seeded_reach_probe_matches_the_unseeded_probe(ctx, n):
     cases += [(v, d, False) for v in [e] + [
         sample_in_between(ctx, n, bases["Mstarstar"], lambda v: False, rng) for _ in range(2)]]
     for lam, target, member in cases:
-        _, projector = _target_projector(target)
+        projector = _target_projector(target)
         want = spin_contains(lam, gens, target)
         assert want == member
         # the projection is a combination of group translates of lam, so it
@@ -234,7 +241,7 @@ def test_seeded_delta_probe_rejects_a_vector_of_mstarstar(ctx):
     # delta lies outside M**, so no vector of M** reaches it, projected or not
     n = 3
     gens, mss = standard_generators(ctx, n), Bases(ctx, n)["Mstarstar"]
-    _, projector = _target_projector(delta(ctx, n))
+    projector = _target_projector(delta(ctx, n))
     rng = random.Random(ctx.order)
     lams = [eta(ctx, n)] + [sample_in_between(ctx, n, mss, lambda v: False, rng)
                             for _ in range(2)]
@@ -243,6 +250,36 @@ def test_seeded_delta_probe_rejects_a_vector_of_mstarstar(ctx):
         assert not spin_contains(lam, gens, delta(ctx, n))
         assert not spin_contains(lam, gens, delta(ctx, n), projector=projector)
         assert not _reach_member(lam, gens, delta(ctx, n))
+
+
+@pytest.mark.parametrize("ctx", [GF3, GF4, GF5], ids=repr)
+def test_reach_probe_always_takes_the_class_projector(monkeypatch, ctx):
+    # every probe is seeded with lam's component on the target's class,
+    # whether it is a multiple of the target, zero, or neither (123 for eta)
+    n = 3
+    gens, e, d = standard_generators(ctx, n), eta(ctx, n), delta(ctx, n)
+    seen = []
+
+    def recording(lam, gens, probe, projector=()):
+        seen.append(projector)
+        return spin_contains(lam, gens, probe, projector=projector)
+
+    monkeypatch.setattr(degen, "spin_contains", recording)
+    # off 112 but on its class over GF(3) and GF(4); over GF(5) that class is {112}
+    off = {3: unit(ctx, n, 1, 2, 1) + unit(ctx, n, 2, 1, 1),
+           4: unit(ctx, n, 2, 2, 1)}.get(ctx.order, unit(ctx, n, 1, 1, 3))
+    cases = [(e, e), (d, d), (unit(ctx, n, 1, 2, 3), e), (e + off, e),
+             (unit(ctx, n, 1, 1, 3), d), (d + off, d), (e, d)]
+    unlike = 0
+    for lam, target in cases:
+        f = ctx.lead(target.coords)
+        cls = _weight_class(ctx, n, f)
+        rows = [[lam.coords[g] for g in cls], [target.coords[g] for g in cls]]
+        unlike += Echelon(ctx, len(cls), rows).dim == 2 or not any(rows[0])
+        seen.clear()
+        assert _reach_member(lam, gens, target) == spin_contains(lam, gens, target)
+        assert seen == [_class_projector(ctx, n, f)] and seen[0]
+    assert unlike >= 3
 
 
 def _stage_diagonals(ctx, n):
@@ -258,23 +295,29 @@ def test_translate_counts():
     for ctx in SEEDED_FIELDS:
         for n in (3, 4, 5):
             for target, count in ((delta(ctx, n), 4), (eta(ctx, n), 5 if n == 3 else 6)):
-                _, projector = _target_projector(target)
+                projector = _target_projector(target)
                 assert len(projector) == count
                 assert {g.tag for g, _, _ in projector} <= _stage_diagonals(ctx, n)
     # from |F| = 3 on each field has a projector; GF(2) and Q have none
     for ctx in (GF3, GF4):
         for n in (3, 4):
             for target in (delta(ctx, n), eta(ctx, n)):
-                _, projector = _target_projector(target)
+                projector = _target_projector(target)
                 assert 0 < len(projector) <= (5 if target == eta(ctx, n) else 4)
                 assert {g.tag for g, _, _ in projector} <= _stage_diagonals(ctx, n)
     for ctx in (make_field(2), make_field(0, 1)):
         for n in (3, 4):
-            assert _target_projector(delta(ctx, n))[1] == ()
-            assert _target_projector(eta(ctx, n))[1] == ()
-    gf7 = make_field(7)
-    assert _target_projector(eta(gf7, 4))[0] == (flat(4, 1, 2, 3), flat(4, 2, 1, 3))
-    assert _target_projector(delta(gf7, 4))[0] == (flat(4, 1, 1, 2),)
+            assert _target_projector(delta(ctx, n)) == ()
+            assert _target_projector(eta(ctx, n)) == ()
+    # over GF(7) the classes of the targets are their supports, and the
+    # projectors keep exactly those coordinates of a vector with full support
+    gf7, n = make_field(7), 4
+    lam = StructureVector(gf7, n, [1 + g % 6 for g in range(n ** 3)])
+    for target, support in ((eta(gf7, n), (flat(n, 1, 2, 3), flat(n, 2, 1, 3))),
+                            (delta(gf7, n), (flat(n, 1, 1, 2),))):
+        assert _weight_class(gf7, n, gf7.lead(target.coords)) == support
+        assert _projection(lam, _target_projector(target)).coords == [
+            x if g in support else 0 for g, x in enumerate(lam.coords)]
 
 
 @pytest.mark.parametrize("ctx", [GF3, GF4, GF5, make_field(7), make_field(2, 3),
@@ -285,10 +328,9 @@ def test_class_projector_maps_lam_onto_its_class_component(ctx):
     n, rng = 3, random.Random(ctx.order)
     lam = StructureVector(ctx, n, [rng.randrange(ctx.order) for _ in range(n ** 3)])
     for f in range(n ** 3):
-        cls, projector = _class_projector(ctx, n, f)
-        kept = set(cls)
+        kept = set(_weight_class(ctx, n, f))
         assert f in kept
-        assert _projection(lam, projector).coords == [
+        assert _projection(lam, _class_projector(ctx, n, f)).coords == [
             x if g in kept else ctx.zero() for g, x in enumerate(lam.coords)]
 
 
@@ -318,7 +360,7 @@ def test_reach_probe_hits_among_the_torus_translates(monkeypatch, closure_dims, 
     monkeypatch.setattr(spinmx, "act_coords", recording)
     monkeypatch.setattr(degen, "spin_contains", probe)
     goal = eta(ctx, n) if target == "eta" else delta(ctx, n)
-    _, projector = _target_projector(goal)
+    projector = _target_projector(goal)
     assert len(projector) == (6 if target == "eta" else 4)
     inside, outside = ((bases["Mstarstar"], predicate_Mstar) if target == "eta"
                        else (bases["C"], predicate_Mstarstar))
@@ -369,8 +411,8 @@ def test_eta_probe_over_gf4_hits_at_closure_dimension_two(monkeypatch, closure_d
 
     monkeypatch.setattr(spinmx, "act_coords", recording)
     e = eta(ctx, n)
-    cls, projector = _target_projector(e)
-    assert cls == (flat(n, 1, 2, 3), flat(n, 2, 1, 3)) and projector
+    assert _weight_class(ctx, n, ctx.lead(e.coords)) == (flat(n, 1, 2, 3), flat(n, 2, 1, 3))
+    assert _target_projector(e)
     lams = [e.scale(primitive_element(ctx).raw) + unit(ctx, n, 1, 3, 2) - unit(ctx, n, 3, 1, 2),
             e + unit(ctx, n, 1, 1, 1) + unit(ctx, n, 2, 3, 3)]
     for lam in lams:

@@ -29,7 +29,7 @@ from algdeg.spinmx import (
     norton_irreducible, norton_random, rational_generators, standard_generators,
     survey_submodules,
 )
-from algdeg.structvec import flat, torus_weights, weight_classes
+from algdeg.structvec import StructureVector, act, flat, torus_weights, weight_classes
 from test_packed import FIELDS
 
 FINITE = [make_field(2)] + [ctx for ctx in FIELDS if ctx.kind == "finite"]
@@ -143,11 +143,20 @@ def test_torus_weights_are_the_weights_at_the_unit_sequences():
 @pytest.mark.parametrize("ctx", [c for c in FINITE if c.order >= 5], ids=repr)
 def test_reach_probe_classes_are_the_exact_weight_classes_from_gf5_on(ctx):
     # degen's projectors separate the exact weights e_i + e_j - e_k, whose
-    # entries -1..2 stay distinct mod |F| - 1 >= 4
-    exact = weight_classes(make_field(0, 1), 3)
+    # entries -1..2 stay distinct mod |F| - 1 >= 4: each fixes the unit
+    # vectors of f's exact weight and kills the others
+    exact, classes = weight_classes(make_field(0, 1), 3), weight_classes(ctx, 3)
     for f in range(27):
-        cls, projector = _class_projector(ctx, 3, f)
-        assert projector and cls == tuple(g for g in range(27) if exact[g] == exact[f])
+        cls = [g for g in range(27) if exact[g] == exact[f]]
+        assert cls == [g for g in range(27) if classes[g] == classes[f]]
+        projector = _class_projector(ctx, 3, f)
+        assert projector
+        for g in range(27):
+            v = StructureVector(ctx, 3, [int(h == g) for h in range(27)])
+            image = v
+            for e, a, s in projector:
+                image = (act(image, e) - image.scale(a)).scale(s)
+            assert image == (v if g in cls else v.scale(ctx.zero()))
 
 
 def _refuse_coordinate_grading():
