@@ -2,16 +2,14 @@
 
 __version__ = "0.1.0"
 
-from .gfield import FieldCtx, FieldElement, make_field, primitive_element, frobenius
+from .gfield import FieldCtx, make_field, primitive_element
 from .exactla import Matrix, Subspace, GroupElement
 from .structvec import StructureVector, Vector, DualVector
 
 __all__ = [
     "FieldCtx",
-    "FieldElement",
     "make_field",
     "primitive_element",
-    "frobenius",
     "Matrix",
     "Subspace",
     "GroupElement",

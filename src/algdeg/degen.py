@@ -93,7 +93,7 @@ def verify_lindeg(lam, q, gens):
     projector = ()
     # at max weight 0 lam is the truncation, and GF(2) has no primitive element
     if max_weight >= 1:
-        zeta = primitive_element(ctx).raw
+        zeta = primitive_element(ctx)
         t = GroupElement.diagonal(ctx, [ctx.pow(zeta, qi) for qi in q])
         powers = [ctx.pow(zeta, u) for u in range(1, max_weight + 1)]
         projector = _lagrange_factors(ctx, t, ctx.one(), powers)
@@ -122,7 +122,7 @@ class TransvectionSpec:
         self.alpha = ctx._coerce(self.alpha)
         if self.z.is_zero() or self.zeta.is_zero():
             raise ValueError("transvection data must be nonzero")
-        if self.zeta(self.z).raw != ctx.zero():
+        if self.zeta(self.z) != ctx.zero():
             raise ValueError("zeta must vanish on z")
         if self.alpha in (ctx.zero(), ctx.one()):
             raise ValueError("alpha must avoid 0 and 1")
@@ -167,7 +167,7 @@ def _g5_closed_form(lam, spec):
     z, zeta = spec.z.coords, spec.zeta.coords
     iz, zj = _zeta_brackets(lam, z, zeta)
     zz = product(lam, spec.z, spec.z)
-    r = ctx.row_addmul(zj, zeta, ctx.mul(ctx.add(spec.alpha, ctx.one()), spec.zeta(zz).raw))
+    r = ctx.row_addmul(zj, zeta, ctx.mul(ctx.add(spec.alpha, ctx.one()), spec.zeta(zz)))
     x = ctx.row_submul(_outer(ctx, r, z), _outer(ctx, zeta, zz.coords), ctx.one())
     y = _outer(ctx, zeta, z)
     # block i is zeta_i x + zeta([e_i,z]) y
@@ -293,7 +293,7 @@ def _class_projector(ctx, n, f):
     if ctx.kind != "finite" or ctx.order < 3:
         return ()
     classes = weight_classes(ctx, n)
-    zeta, one = primitive_element(ctx).raw, ctx.one()
+    zeta, one = primitive_element(ctx), ctx.one()
     left, factors = classes, []
     for m, fm in enumerate(classes[f]):
         d = GroupElement.diagonal(ctx, [zeta if r == m else one for r in range(n)])
@@ -361,19 +361,19 @@ def reach_eta(lam, gens):
     w_fn = omega(lam)
     zero = ctx.zero()
     # z in span(a,b) with omega(z) = 0: at most one ratio is excluded
-    if w_fn(a).raw == zero:
+    if w_fn(a) == zero:
         z, w = a, b
-    elif w_fn(b).raw == zero:
+    elif w_fn(b) == zero:
         z, w = b, a
     else:
-        z = a.scale(w_fn(b).raw) - b.scale(w_fn(a).raw)
+        z = a.scale(w_fn(b)) - b.scale(w_fn(a))
         w = a
     zw = product(lam, z, w)
     if Echelon(ctx, n, [z.coords, w.coords, zw.coords]).dim != 3:
         raise AssertionError("degenerate witness triple; pool search is wrong")
     zeta = _functional_with_values(
         ctx, [z.coords, w.coords, zw.coords], [zero, zero, ctx.one()])
-    alpha = primitive_element(ctx).raw
+    alpha = primitive_element(ctx)
     spec = TransvectionSpec(z, zeta, alpha)
     mu5 = transvection_g5(lam, spec)
     # the alternating form has rank 2 and z sits inside its radical
@@ -407,7 +407,7 @@ def reach_delta(lam, gens):
     zero, one = ctx.zero(), ctx.one()
     zeta = _functional_with_values(ctx, [z.coords, w.coords], [zero, one])
     if ctx.kind == "rational" or ctx.order > 3:
-        alpha = primitive_element(ctx).raw if ctx.kind == "finite" else ctx.from_int(2)
+        alpha = primitive_element(ctx) if ctx.kind == "finite" else ctx.from_int(2)
         alpha2 = next(e for e in (ctx.raw_elements() if ctx.kind == "finite"
                                   else [ctx.from_int(3)])
                       if e not in (zero, one, alpha))
@@ -432,7 +432,7 @@ def reach_delta(lam, gens):
         zeta_prime, radical = _alternating_radical(lam, z, zeta)
         h = _basis_change(ctx, [z.coords, w.coords] + radical._ech.rows)
         nu = act(mu5, h)
-        c = zeta_prime(w).raw
+        c = zeta_prime(w)
         expect = (unit(ctx, n, 1, 2, 1) + unit(ctx, n, 2, 1, 1)
                   - unit(ctx, n, 2, 2, 1).scale(c) - unit(ctx, n, 2, 2, 2))
         if nu != expect:

@@ -535,6 +535,8 @@ class GroupElement:
     @classmethod
     def transvection(cls, ctx, n, i, j, t=1):
         """I + t*e_ij for 1-based i != j."""
+        if not (0 < i <= n and 0 < j <= n):
+            raise ValueError(f"index ({i}, {j}) outside 1..{n}")
         if i == j:
             raise ValueError("transvections need i != j")
         t = ctx._coerce(t)

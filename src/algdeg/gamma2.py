@@ -310,7 +310,7 @@ def _replay_head(phi, elements):
                          if d[i - 1] != d[j - 1]), None)
         if distinct is None:
             # scalar matrix: d * I. Twist by diag(gamma, 1, ..) to isolate e_11.
-            gamma = primitive_element(ctx).raw
+            gamma = primitive_element(ctx)
             g = GroupElement.diagonal(ctx, [gamma] + [ctx.one()] * (n - 1))
             e11_like = star(phi, g) + phi     # d (gamma + 1) e_11
             steps.append(("diagonal-twist", ctx.raw_to_json(gamma)))

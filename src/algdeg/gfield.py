@@ -1,8 +1,8 @@
 """Exact scalar arithmetic: prime fields GF(p), small extensions GF(p^k), rationals.
 
-A FieldCtx owns the arithmetic; raw scalars are plain ints (finite fields,
-encoding polynomial-basis coefficients base p) or Fractions (rationals).
-FieldElement is a thin operator-overloading wrapper around (ctx, raw).
+A FieldCtx owns the arithmetic on raw scalars, the package's one scalar
+form: plain ints (finite fields, encoding polynomial-basis coefficients base
+p) or Fractions (rationals).
 Hot loops in the linear algebra work on raw rows through the ctx kernels
 (`row_submul`, `row_scale`, `lead`).  Over GF(p), p <= 13, and GF(2^k) a row
 is packed: a `bytes` object holding one raw code per byte, and a row update
@@ -198,9 +198,6 @@ class FieldCtx:
         if self.degree == 1:
             return pow(a, self.char - 2, self.char)
         return self._inv_table[a]
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
 
     def pow(self, a, e):
         """a^e; for e < 0 the inverse of a is raised, so 0^e raises ZeroDivisionError."""
@@ -409,18 +406,7 @@ class FieldCtx:
             return f"GF({self.char})"
         return f"GF({self.char}^{self.degree})"
 
-    def __iter__(self):
-        for r in self.raw_elements():
-            yield FieldElement(self, r)
-
-    def element(self, raw):
-        return FieldElement(self, self._coerce(raw))
-
     def _coerce(self, raw):
-        if isinstance(raw, FieldElement):
-            if raw.ctx != self:
-                raise ValueError("element from a different field")
-            return raw.raw
         if self.kind == "rational" and isinstance(raw, (int, Fraction)):
             return Fraction(raw)
         if isinstance(raw, int):
@@ -472,65 +458,6 @@ class FieldCtx:
         return v
 
 
-class FieldElement:
-    """A scalar tied to its FieldCtx, with the usual operator sugar."""
-
-    __slots__ = ("ctx", "raw")
-
-    def __init__(self, ctx, raw):
-        self.ctx = ctx
-        self.raw = raw
-
-    def _other(self, other):
-        if isinstance(other, FieldElement):
-            if other.ctx != self.ctx:
-                raise ValueError("mixed field contexts")
-            return other.raw
-        return self.ctx._coerce(other)
-
-    def __add__(self, other):
-        return FieldElement(self.ctx, self.ctx.add(self.raw, self._other(other)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return FieldElement(self.ctx, self.ctx.sub(self.raw, self._other(other)))
-
-    def __rsub__(self, other):
-        return FieldElement(self.ctx, self.ctx.sub(self._other(other), self.raw))
-
-    def __mul__(self, other):
-        return FieldElement(self.ctx, self.ctx.mul(self.raw, self._other(other)))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return FieldElement(self.ctx, self.ctx.div(self.raw, self._other(other)))
-
-    def __neg__(self):
-        return FieldElement(self.ctx, self.ctx.neg(self.raw))
-
-    def __pow__(self, e):
-        return FieldElement(self.ctx, self.ctx.pow(self.raw, e))
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self.ctx == other.ctx and self.raw == other.raw
-        try:
-            return self.raw == self._other(other)
-        except (TypeError, ValueError):
-            return NotImplemented
-
-    def __hash__(self):
-        return hash((self.ctx, self.raw))
-
-    def __bool__(self):
-        return self.raw != self.ctx.zero()
-
-    def __repr__(self):
-        return f"{self.raw}:{self.ctx!r}"
-
-
 def make_field(char, degree=1):
     """The one (immutable) context of GF(p^k) for (p, k), of the rationals for (0, 1)."""
     return _field_ctx(char, degree)
@@ -550,7 +477,7 @@ def multiplicative_order(ctx, raw):
 
 
 def primitive_element(ctx):
-    """Least element (repr order) generating the multiplicative group."""
+    """The least raw code generating the multiplicative group."""
     if ctx.kind != "finite":
         raise ValueError("primitive element needs a finite field")
     if ctx.order < 3:
@@ -558,13 +485,6 @@ def primitive_element(ctx):
     target = ctx.order - 1
     for r in range(1, ctx.order):
         if multiplicative_order(ctx, r) == target:
-            return FieldElement(ctx, r)
+            return r
     raise AssertionError("no generator found in a finite field")
 
-
-def frobenius(a):
-    """a -> a^p for the field characteristic p; an automorphism."""
-    ctx = a.ctx
-    if ctx.kind != "finite":
-        raise ValueError("Frobenius needs a finite field")
-    return FieldElement(ctx, ctx.pow(a.raw, ctx.char))

@@ -140,7 +140,7 @@ def standard_generators(ctx, n):
     if swap != cycle:
         gens.append(GroupElement.permutation(ctx, swap))
     if ctx.order > 2:
-        zeta = primitive_element(ctx).raw
+        zeta = primitive_element(ctx)
         gens.append(GroupElement.diagonal(ctx, [zeta] + [ctx.one()] * (n - 1)))
     return GeneratorSet(gens, "standard-finite", ctx, n)
 

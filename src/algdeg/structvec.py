@@ -32,7 +32,7 @@ from functools import lru_cache
 from operator import itemgetter
 
 from .exactla import combiner
-from .gfield import FieldCtx, FieldElement
+from .gfield import FieldCtx
 
 
 def flat(n, i, j, k):
@@ -76,6 +76,12 @@ def weight_classes(ctx, n):
     return tuple(tuple(x % m for x in w) for w in ws)
 
 
+def _check_space(x, cls, ctx, n):
+    """Refuse x unless it is a `cls` of size n over ctx."""
+    if type(x) is not cls or x.ctx != ctx or x.n != n:
+        raise ValueError("operands live in different spaces")
+
+
 class _Coords:
     """Shared plumbing for coordinate-tuple wrappers."""
 
@@ -86,7 +92,7 @@ class _Coords:
         self.n = n
         coords = list(coords)
         # over a finite field a list of plain ints in 0..q-1 already is raw
-        # codes; anything else (bools, other ints, elements, Q) is coerced
+        # codes; anything else (bools, other ints, Q) is coerced
         if not (ctx.kind == "finite" and coords and set(map(type, coords)) == {int}
                 and min(coords) >= 0 and max(coords) < ctx.order):
             coords = [ctx._coerce(x) for x in coords]
@@ -102,16 +108,12 @@ class _Coords:
         out.coords = coords if type(coords) is list else list(coords)
         return out
 
-    def _check(self, other):
-        if type(other) is not type(self) or other.ctx != self.ctx or other.n != self.n:
-            raise ValueError("operands live in different spaces")
-
     def __add__(self, other):
-        self._check(other)
+        _check_space(other, type(self), self.ctx, self.n)
         return self._like(self.ctx.row_addmul(self.coords, other.coords, self.ctx.one()))
 
     def __sub__(self, other):
-        self._check(other)
+        _check_space(other, type(self), self.ctx, self.n)
         return self._like(self.ctx.row_submul(self.coords, other.coords, self.ctx.one()))
 
     def __neg__(self):
@@ -191,11 +193,13 @@ class DualVector(_Coords):
         return self.n
 
     def __call__(self, v):
+        """The raw scalar this functional takes at the Vector v."""
         ctx = self.ctx
+        _check_space(v, Vector, ctx, self.n)
         acc = ctx.zero()
         for c, x in zip(self.coords, v.coords):
             acc = ctx.add(acc, ctx.mul(c, x))
-        return FieldElement(ctx, acc)
+        return acc
 
     def __repr__(self):
         return f"DualVector({self.coords})"
@@ -417,8 +421,8 @@ def act(lam, g):
 def product(lam, u, v):
     """The algebra product [u, v] determined by lam, as a Vector."""
     ctx, n = lam.ctx, lam.n
-    if u.n != n or v.n != n:
-        raise ValueError("vector size mismatch")
+    _check_space(u, Vector, ctx, n)
+    _check_space(v, Vector, ctx, n)
     zero = ctx.zero()
     mul, add = ctx.mul, ctx.add
     out = [zero] * n

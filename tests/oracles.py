@@ -194,7 +194,7 @@ def sigma_rows(lam):
 def zeta_bracket_row(lam, z, zeta):
     """zeta([z, e_j]) over j, through one `product` and one evaluation per j."""
     ctx, n = lam.ctx, lam.n
-    return [zeta(product(lam, z, basis_vector(ctx, n, j))).raw for j in range(1, n + 1)]
+    return [zeta(product(lam, z, basis_vector(ctx, n, j))) for j in range(1, n + 1)]
 
 
 # -- semilinear maps, entry by entry ----------------------------------------------

@@ -238,7 +238,7 @@ def test_mu_product_rule():
     for _ in range(20):
         u = Vector(ctx, n, [rng.randrange(7) for _ in range(n)])
         v = Vector(ctx, n, [rng.randrange(7) for _ in range(n)])
-        assert product(mu, u, v) == u.scale(alpha(v).raw) + v.scale(dl(u).raw)
+        assert product(mu, u, v) == u.scale(alpha(v)) + v.scale(dl(u))
 
 
 def test_projective_points():
@@ -331,7 +331,7 @@ def test_omega_square_factor_property():
         w = omega(lam)
         for _ in range(5):
             v = Vector(ctx, n, [rng.randrange(5) for _ in range(n)])
-            assert product(lam, v, v) == v.scale(w(v).raw)
+            assert product(lam, v, v) == v.scale(w(v))
 
 
 def test_omega_rejects_outside():

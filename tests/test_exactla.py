@@ -228,6 +228,11 @@ def test_group_element_constructors():
     assert p.tag == ("permutation", (2, 1, 3))
     with pytest.raises(ValueError):
         GroupElement.transvection(GF3, 3, 2, 2)
+    # an unchecked index outside 1..n writes a wrapped-round matrix entry
+    # that the tag, which the fast action reads, does not describe
+    for i, j in ((1, 4), (0, 2), (2, 0), (4, 1), (-1, 2)):
+        with pytest.raises(ValueError, match=r"outside 1\.\.3"):
+            GroupElement.transvection(GF5, 3, i, j)
     for images in ([1, 1, 2], [0, 1, 2], [1, 2, 4]):
         with pytest.raises(ValueError, match="is not a permutation"):
             GroupElement.permutation(GF3, images)

@@ -253,7 +253,7 @@ def _reference_replay(phi):
         distinct = next(((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
                          if d[i - 1] != d[j - 1]), None)
         if distinct is None:
-            gamma = primitive_element(ctx).raw
+            gamma = primitive_element(ctx)
             rows = Matrix.identity(ctx, n).rows()
             rows[0][0] = gamma
             e11_like = star(phi, GroupElement(Matrix.from_rows(ctx, rows))) + phi

@@ -2,11 +2,9 @@ import pytest
 from fractions import Fraction
 from itertools import product
 
+import algdeg
 from algdeg import gfield
-from algdeg.gfield import (
-    FieldCtx, make_field, primitive_element, frobenius,
-    multiplicative_order,
-)
+from algdeg.gfield import FieldCtx, make_field, primitive_element, multiplicative_order
 from algdeg.exactla import GroupElement, Matrix
 from algdeg.structvec import StructureVector
 
@@ -55,24 +53,24 @@ def test_reducible_modulus_is_rejected_when_the_context_is_built(monkeypatch):
 def test_rationals():
     ctx = make_field(0, 1)
     assert ctx.kind == "rational"
-    a = ctx.element(Fraction(2, 4))
-    assert a.raw == Fraction(1, 2)
-    assert (a + a).raw == 1
-    with pytest.raises(ValueError):
-        list(ctx)
+    a = ctx._coerce(Fraction(2, 4))
+    assert a == Fraction(1, 2)
+    assert ctx.add(a, a) == 1
+    with pytest.raises(ValueError, match="enumeration needs a finite field"):
+        ctx.raw_elements()
 
 
 def test_rational_scalars_are_ints_and_fractions_only():
     # a float is a binary fraction, not the decimal it prints as, and a string
     # is no scalar: both are refused over Q as over every finite field
     q = make_field(0, 1)
-    assert q.element(3).raw == 3
-    assert q.element(True).raw == 1 and q.element(False).raw == 0
-    assert q.element(Fraction(1, 2)).raw == Fraction(1, 2)
-    assert all(type(q.element(x).raw) is Fraction for x in (3, True, Fraction(1, 2)))
+    assert q._coerce(3) == 3
+    assert q._coerce(True) == 1 and q._coerce(False) == 0
+    assert q._coerce(Fraction(1, 2)) == Fraction(1, 2)
+    assert all(type(q._coerce(x)) is Fraction for x in (3, True, Fraction(1, 2)))
     for bad in (0.1, 1.0, "1/3"):
         with pytest.raises(TypeError, match="cannot coerce"):
-            q.element(bad)
+            q._coerce(bad)
         with pytest.raises(TypeError, match="cannot coerce"):
             StructureVector(q, 3, [bad] + [0] * 26)
         with pytest.raises(TypeError, match="cannot coerce"):
@@ -100,21 +98,21 @@ def test_field_axioms_exhaustive(p, k):
 
 
 def test_enumerate_order():
-    assert [e.raw for e in make_field(3)] == [0, 1, 2]
-    assert [e.raw for e in make_field(2, 2)] == [0, 1, 2, 3]
-    assert len(list(make_field(3, 2))) == 9
+    assert make_field(3).raw_elements() == [0, 1, 2]
+    assert make_field(2, 2).raw_elements() == [0, 1, 2, 3]
+    assert len(make_field(3, 2).raw_elements()) == 9
 
 
 def test_primitive_element_gf3():
-    assert primitive_element(make_field(3)).raw == 2
+    assert primitive_element(make_field(3)) == 2
 
 
 def test_primitive_element_gf4():
     # x has order 3 under x^2 + x + 1
     ctx = make_field(2, 2)
     g = primitive_element(ctx)
-    assert g.raw == 2
-    assert multiplicative_order(ctx, g.raw) == 3
+    assert g == 2
+    assert multiplicative_order(ctx, g) == 3
 
 
 def test_primitive_element_gf9():
@@ -122,7 +120,7 @@ def test_primitive_element_gf9():
     ctx = make_field(3, 2)
     assert multiplicative_order(ctx, 3) == 4
     g = primitive_element(ctx)
-    assert g.raw == 4
+    assert g == 4
     assert multiplicative_order(ctx, 4) == 8
 
 
@@ -138,7 +136,7 @@ def test_primitive_element_order(p, k):
     if p ** k == 2:
         return
     ctx = make_field(p, k)
-    g = primitive_element(ctx).raw
+    g = primitive_element(ctx)
     target = ctx.order - 1
     assert ctx.pow(g, target) == 1
     for d in range(1, target):
@@ -149,14 +147,24 @@ def test_primitive_element_order(p, k):
 MODULUS_TABLE_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (11, 1), (13, 1)] + sorted(gfield._MODULI)
 
 
+def test_the_api_is_nine_names_and_its_scalars_are_raw_codes():
+    assert algdeg.__all__ == ["FieldCtx", "make_field", "primitive_element", "Matrix",
+                              "Subspace", "GroupElement", "StructureVector", "Vector",
+                              "DualVector"]
+    for p, k in sorted(MODULUS_TABLE_FIELDS):
+        if p ** k > 2:
+            g = primitive_element(make_field(p, k))
+            assert type(g) is int and 0 < g < p ** k
+
+
 def test_negative_powers_are_powers_of_the_inverse():
-    assert make_field(5).element(2) ** -1 == 3
+    assert make_field(5).pow(2, -1) == 3
     assert make_field(3, 2).pow(3, -1) == 6
     for p, k in MODULUS_TABLE_FIELDS:
         ctx = make_field(p, k)
         for a in range(1, ctx.order):
             inv = ctx.inv(a)
-            assert ctx.pow(a, -1) == inv and (ctx.element(a) ** -1).raw == inv
+            assert ctx.pow(a, -1) == inv
             for e in range(1, ctx.order + 1):
                 assert ctx.pow(a, -e) == ctx.pow(inv, e)
                 assert ctx.mul(ctx.pow(a, -e), ctx.pow(a, e)) == 1
@@ -164,7 +172,7 @@ def test_negative_powers_are_powers_of_the_inverse():
         with pytest.raises(ZeroDivisionError):
             ctx.pow(0, -1)
         with pytest.raises(ZeroDivisionError):
-            ctx.element(0) ** -2
+            ctx.pow(0, -2)
     q = make_field(0, 1)
     assert q.pow(Fraction(2, 3), -2) == Fraction(9, 4)
     with pytest.raises(ZeroDivisionError):
@@ -172,49 +180,43 @@ def test_negative_powers_are_powers_of_the_inverse():
 
 
 def test_frobenius_gf4():
-    ctx = make_field(2, 2)
-    x = ctx.element(2)
-    assert frobenius(x).raw == 3  # x^2 = x + 1
+    # x^2 = x + 1 under x^2 + x + 1
+    assert make_field(2, 2).pow(2, 2) == 3
 
 
 def test_frobenius_fixes_prime_field():
     ctx = make_field(5)
-    for e in ctx:
-        assert frobenius(e) == e
+    for a in ctx.raw_elements():
+        assert ctx.pow(a, 5) == a
 
 
 def test_frobenius_gf9():
     # x^3 = -x under x^2 + 1
     ctx = make_field(3, 2)
-    x = ctx.element(3)
-    assert frobenius(x) == -x
+    assert ctx.pow(3, 3) == ctx.neg(3)
 
 
-@pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (3, 2)])
+@pytest.mark.parametrize("p,k", sorted(gfield._MODULI))
 def test_frobenius_is_automorphism(p, k):
+    # x -> x^p is additive and multiplicative, and its k-th power is the identity
     ctx = make_field(p, k)
-    els = list(ctx)
+    els = ctx.raw_elements()
+
+    def frob(a):
+        return ctx.pow(a, p)
+
     for a, b in product(els, repeat=2):
-        assert frobenius(a + b) == frobenius(a) + frobenius(b)
-        assert frobenius(a * b) == frobenius(a) * frobenius(b)
+        assert frob(ctx.add(a, b)) == ctx.add(frob(a), frob(b))
+        assert frob(ctx.mul(a, b)) == ctx.mul(frob(a), frob(b))
+    moved = 0
     for a in els:
         r = a
         for _ in range(k):
-            r = frobenius(r)
+            r = frob(r)
         assert r == a
-
-
-def test_element_operators():
-    ctx = make_field(7)
-    a, b = ctx.element(3), ctx.element(5)
-    assert (a + b).raw == 1
-    assert (a - b).raw == 5
-    assert (a * b).raw == 1
-    assert (a / b).raw == (3 * pow(5, 5, 7)) % 7
-    assert (-a).raw == 4
-    assert (a ** 3).raw == 27 % 7
-    with pytest.raises(ValueError):
-        a + make_field(5).element(1)
+        moved += frob(a) != a
+    # it fixes the prime field only, so it is not the identity
+    assert moved == p ** k - p
 
 
 def test_ctx_identity():
@@ -265,7 +267,7 @@ def test_gf25_constructible():
     assert ctx.order == 25
     assert ctx.modulus == (1, 1, 1)
     g = primitive_element(ctx)
-    assert multiplicative_order(ctx, g.raw) == 24
+    assert multiplicative_order(ctx, g) == 24
 
 
 def test_raw_codes_outside_the_field_are_rejected():
@@ -279,12 +281,12 @@ def test_raw_codes_outside_the_field_are_rejected():
         for code in (-1, q, q + 3):
             if k == 1:
                 # over GF(p) the integer and the code readings agree
-                assert ctx.element(code).raw == code % p
+                assert ctx._coerce(code) == code % p
             else:
                 with pytest.raises(ValueError):
-                    ctx.element(code)
+                    ctx._coerce(code)
     gf9 = make_field(3, 2)
-    assert gf9.element(5).raw == 5
+    assert gf9._coerce(5) == 5
     assert gf9.from_int(10) == 1
     # over Q a raw code is a non-bool integer or a 'p/q' string, never a float
     rationals = make_field(0)

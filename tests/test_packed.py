@@ -351,7 +351,7 @@ def _rank_one_cases(ctx, n, rng):
         acc = zero
         for a, b in zip(z, zeta):
             acc = ctx.add(acc, ctx.mul(a, b))
-        zeta[k] = ctx.neg(ctx.div(acc, z[k]))
+        zeta[k] = ctx.neg(ctx.mul(acc, ctx.inv(z[k])))
         if any(x != zero for x in zeta):
             cases.append((z, zeta))
     return cases
