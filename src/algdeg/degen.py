@@ -29,7 +29,7 @@ factors, like the truncation's, come from `_lagrange_factors`.
 """
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations, islice
 
@@ -329,17 +329,16 @@ class ReachCertificate:
     basis_change: list
     final: list
     spin_member: bool
-    data: dict = field(default_factory=dict)
 
 
-def _certificate(lam, gens, target, name, branch, z, zeta, h, final, data):
+def _certificate(lam, gens, target, name, branch, z, zeta, h, final):
     """A reach's certificate: success is final == target and a hit of the
     probe (`_reach_member`), which always runs."""
     member = _reach_member(lam, gens, target)
     return ReachCertificate(
         success=final == target and member, target=name, branch=branch,
         z=z.coords, zeta=zeta.coords, basis_change=h.mat.rows(),
-        final=final.coords, spin_member=member, data=data)
+        final=final.coords, spin_member=member)
 
 
 def reach_eta(lam, gens):
@@ -383,8 +382,7 @@ def reach_eta(lam, gens):
     rad_rest = radical.coset_representatives(Subspace(ctx, n, [z.coords]))
     h = _basis_change(ctx, [w.coords, (-zw).coords, z.coords] + rad_rest)
     return _certificate(lam, gens, eta_vector(ctx, n), "eta", "symplectic", z, zeta, h,
-                        act(mu5, h),
-                        {"a": a.coords, "b": b.coords, "alpha": ctx.raw_to_json(alpha)})
+                        act(mu5, h))
 
 
 def reach_delta(lam, gens):
@@ -425,7 +423,6 @@ def reach_delta(lam, gens):
         h = _basis_change(ctx, [w.coords, z.coords] + rest)
         final = act(lam6, h)
         branch = "big-field"
-        steps = {"alpha": ctx.raw_to_json(alpha), "alpha2": ctx.raw_to_json(alpha2)}
     else:
         # |F| = 3: alpha is forced to 2 = -1 and the zeta([z,z]) term drops out
         mu5 = transvection_g5(lam, TransvectionSpec(z, zeta, ctx.from_int(2)))
@@ -454,9 +451,7 @@ def reach_delta(lam, gens):
             cyc = GroupElement.permutation(ctx, [2, 3, 1] + list(range(4, n + 1)))
             final = act(diff, cyc)
             branch = "gf3-zero"
-        steps = {"zeta_prime_w": ctx.raw_to_json(c)}
-    return _certificate(lam, gens, delta_vector(ctx, n), "delta", branch, z, zeta, h, final,
-                        steps)
+    return _certificate(lam, gens, delta_vector(ctx, n), "delta", branch, z, zeta, h, final)
 
 
 # -- seeded suites ---------------------------------------------------------------

@@ -528,11 +528,6 @@ class GroupElement:
         self.tag = tag
 
     @classmethod
-    def identity(cls, ctx, n):
-        ident = Matrix.identity(ctx, n)
-        return cls(ident, ident, tag=("diagonal", (ctx.one(),) * n))
-
-    @classmethod
     def transvection(cls, ctx, n, i, j, t=1):
         """I + t*e_ij for 1-based i != j."""
         if not (0 < i <= n and 0 < j <= n):
@@ -549,6 +544,8 @@ class GroupElement:
     @classmethod
     def diagonal(cls, ctx, diag):
         diag = [ctx._coerce(d) for d in diag]
+        if ctx.zero() in diag:
+            raise ValueError("diagonal entries must be nonzero")
         n = len(diag)
         mat = Matrix.identity(ctx, n)
         inv = Matrix.identity(ctx, n)

@@ -101,21 +101,21 @@ def sigma(lam):
     return SemilinearMap(Matrix(ctx, n, n, [c[f] for f in _cells(n)["kj", "jjk"]]))
 
 
-def _frobenius_matrix(ctx, mat):
-    return Matrix(ctx, mat.nrows, mat.ncols,
-                  [ctx.mul(x, x) for x in mat.entries])
-
-
 def star(phi, g):
     """phi * g = g^-1 phi g^(2); a right action compatible with sigma."""
-    ctx = phi.ctx
-    if g.ctx != ctx or g.n != phi.n:
+    if g.ctx != phi.ctx or g.n != phi.n:
         raise ValueError("group element does not match the map")
-    return _star(phi, g.inv, _frobenius_matrix(ctx, g.mat))
+    return _star(phi, *_star_pair(g))
+
+
+def _star_pair(g):
+    """(g^-1, g^(2)) of a group element, what `_star` applies, for callers that reuse it."""
+    ctx = g.ctx
+    return g.inv, Matrix(ctx, g.n, g.n, [ctx.mul(x, x) for x in g.mat.entries])
 
 
 def _star(phi, ginv, gsq):
-    """phi * g from g^-1 and g^(2), for callers that reuse them."""
+    """phi * g from g^-1 and g^(2) (`_star_pair`)."""
     return SemilinearMap(ginv.mul(phi.mat).mul(gsq))
 
 
@@ -152,11 +152,8 @@ def _ef_elements(ctx, n, e, f):
     if ej == fi or fj == ei:
         raise ValueError("matrix units must satisfy ef = fe = 0")
     ident = SemilinearMap(Matrix.identity(ctx, n))
-    out = []
-    for m in (ident, ident + eu, ident + fu, ident + eu + fu):
-        g = GroupElement(m.mat, m.mat)
-        out.append((g.inv, _frobenius_matrix(ctx, g.mat)))
-    return out
+    return [_star_pair(GroupElement(m.mat, m.mat))
+            for m in (ident, ident + eu, ident + fu, ident + eu + fu)]
 
 
 def _ef_closed_form(phi, e, f):
@@ -194,8 +191,8 @@ def gamma_handle(gens):
     ctx, n = gens.ctx, gens.n
     if ctx.char != 2:
         raise ValueError("the semilinear module needs characteristic 2")
-    appliers = [lambda r, ginv=g.inv, gsq=_frobenius_matrix(ctx, g.mat):
-                _star(SemilinearMap(Matrix(ctx, n, n, r)), ginv, gsq).coords()
+    appliers = [lambda r, pair=_star_pair(g):
+                _star(SemilinearMap(Matrix(ctx, n, n, r)), *pair).coords()
                 for g in gens.elements]
     return _restricted_handle(gens, appliers, Subspace.full(ctx, n * n), None, "semilinear")
 
@@ -214,9 +211,9 @@ def sigma_gmap_claims(bases, gens):
     sigmas = [sigma(lam) for lam in lams]
     ok = True
     for g in gens.elements:
-        gsq = _frobenius_matrix(ctx, g.mat)
+        pair = _star_pair(g)
         for lam, s in zip(lams, sigmas):
-            if sigma(act(lam, g)) != _star(s, g.inv, gsq):
+            if sigma(act(lam, g)) != _star(s, *pair):
                 ok = False
     # kernel of sigma restricted to C equals K, and sigma is onto (rank n^2)
     values = [s.coords() for s in sigmas]
@@ -273,17 +270,14 @@ class _ReplayElements:
     def __init__(self, ctx, n):
         self.ctx, self.n = ctx, n
         self.ef = {pair: _ef_elements(ctx, n, *pair) for pair in self.EF_PAIRS}
-        self.shear = self._pair(GroupElement.transvection(ctx, n, 1, 2))
+        self.shear = _star_pair(GroupElement.transvection(ctx, n, 1, 2))
         self._perms = {}
-
-    def _pair(self, g):
-        return g.inv, _frobenius_matrix(self.ctx, g.mat)
 
     def perm(self, want):
         """The permutation `_perm_mapping(ctx, n, want)`."""
         key = frozenset(want.items())
         if key not in self._perms:
-            self._perms[key] = self._pair(_perm_mapping(self.ctx, self.n, want))
+            self._perms[key] = _star_pair(_perm_mapping(self.ctx, self.n, want))
         return self._perms[key]
 
 

@@ -26,15 +26,17 @@ vector or spans more than `LINE_CAP` lines.  (On weight spaces: Green,
 
 The random test is the classical kernel-vector criterion with Holt-Rees
 shifts: draw theta in the enveloping algebra; every shift theta - a*I lies
-in the envelope too, and a root a of the order polynomial of e_1 under
-theta makes it singular.  Each of the first `NORTON_ATTEMPTS` draws is
-decided at its first root shift of nullity 1, as the MeatAxe decides only
-at a shift whose nullity equals its degree; when every root shift of the
-draw has a larger proper kernel, the first kernel vector of the first one
-is spun, which can only find a witness, and the draw is redrawn.  If some
-kernel-line spin (or transposed-side spin) is proper the module is reducible
-with an exhibited witness, checked invariant before it is returned.  If
-every line of ker(theta - a*I) spins to the whole module, a proper
+in the envelope too, and it is singular exactly at each eigenvalue a of
+theta in F, found by its kernel: these root shifts are the linear factors
+of theta's characteristic polynomial, whose factors the MeatAxe tests.
+Each of the first `NORTON_ATTEMPTS` draws is decided at its first root
+shift of nullity 1, as the MeatAxe decides only at a shift whose nullity
+equals its degree; when every root shift of the draw has a larger proper
+kernel, the first kernel vector of the first one is spun, which can only
+find a witness, and the draw is redrawn.  If some kernel-line spin (or
+transposed-side spin) is proper the module is reducible with an exhibited
+witness, checked invariant before it is returned.  If every line of
+ker(theta - a*I) spins to the whole module, a proper
 submodule S meets that kernel in 0, so theta - a*I is invertible on S,
 S lies in its image, and all of ker((theta - a*I)^T) lies in the annihilator
 of S, a proper submodule of the transpose.  So one vector of that kernel
@@ -44,7 +46,7 @@ kernel meets every proper submodule in 0.  Draws past the first
 `NORTON_ATTEMPTS` reach the modules that are not absolutely irreducible,
 where every shift may have a large kernel: they spin every line of the
 first root shift whose kernel has at most `LINE_CAP` lines, and with no
-root of e_1's order polynomial they test N = theta^(q^e) - theta at the
+eigenvalue of theta in F they test N = theta^(q^e) - theta at the
 least e with a nonzero kernel.  When its nullity is e, ker N is a simple
 F[theta]-module, so a submodule meeting it contains it, and one kernel
 vector stands for every line.  (Holt & Rees, "Testing modules for
@@ -474,42 +476,15 @@ def _random_envelope(handle, rng):
     return theta
 
 
-def _eigenvalue_candidates(theta, ctx):
-    """The roots in F of the order polynomial of e_1 under theta (rows act on the right).
-
-    Echelon rows [e_1 theta^k | x^k] of length 2d + 1: the first one whose
-    vector part reduces to zero carries in its tail a nonzero multiple of the
-    least polynomial p with e_1 p(theta) = 0.  Each root a of p is an
-    eigenvalue, so theta - a*I is singular.  Roots are tested by Horner.
-    """
-    d = len(theta)
-    times_theta = combiner(theta, ctx)
-    zero, one = ctx.zero(), ctx.one()
-    ech = Echelon(ctx, 2 * d + 1)
-    v = ctx.pack([one] + [zero] * (d - 1))
-    for k in range(d + 1):
-        row = ech.add(v + ctx.pack([zero] * k + [one] + [zero] * (d - k)))
-        if ctx.lead(row) >= d:
-            poly = row[d:d + k + 1]
-            break
-        v = times_theta(v)
-    roots = []
-    for a in ctx.raw_elements():
-        acc = zero
-        for c in reversed(poly):
-            acc = ctx.add(ctx.mul(acc, a), c)
-        if acc == zero:
-            roots.append(a)
-    return roots
-
-
 def _root_shifts(theta, ctx):
-    """(key, shifted rows, module-side kernel rows) of theta - a*I at each root a."""
+    """(key, shifted rows, module-side kernel rows) of theta - a*I at each
+    eigenvalue a of theta in F, found by its kernel, in `raw_elements` order."""
     d = len(theta)
-    for a in _eigenvalue_candidates(theta, ctx):
+    for a in ctx.raw_elements():
         shifted = [r[:i] + ctx.pack([ctx.sub(r[i], a)]) + r[i + 1:] for i, r in enumerate(theta)]
-        yield ({"shift": ctx.raw_to_json(a)}, shifted,
-               kernel_rows(_transpose_rows(shifted, ctx), d, ctx))
+        ker = kernel_rows(_transpose_rows(shifted, ctx), d, ctx)
+        if ker:
+            yield {"shift": ctx.raw_to_json(a)}, shifted, ker
 
 
 def _deciding_lines(ker, e, d, ctx):
@@ -550,15 +525,17 @@ def _degree_shift(theta, ctx):
 def _shift(theta, ctx, general):
     """The shift a draw is tested at: (key, shifted rows, kernel rows, lines), or None.
 
-    A draw among the first `NORTON_ATTEMPTS` decides only at a root shift of
-    nullity 1, the first one met, where one kernel vector stands for the
-    kernel (the MeatAxe's rule).  Without one it takes the first root shift
-    of a larger, proper kernel, or None when there is none (theta a scalar
-    has only the zero shift).  A general draw (`general`) decides at the
-    first root shift whose kernel has deciding lines; without one it takes
-    the first root's shift, or with no root `_degree_shift`'s.  `lines` are
-    the deciding kernel vectors, or None when only the first kernel vector
-    may be spun, which can only give a reducible witness (this covers
+    The root shifts are theta - a*I at each eigenvalue a of theta in F,
+    found by its kernel (`_root_shifts`).  A draw among the first
+    `NORTON_ATTEMPTS` decides only at a root shift of nullity 1, the first
+    one met, where one kernel vector stands for the kernel (the MeatAxe's
+    rule).  Without one it takes the first root shift of a larger, proper
+    kernel, or None when there is none (theta a scalar has only the zero
+    shift).  A general draw (`general`) decides at the first root shift
+    whose kernel has deciding lines; without one it takes the first root
+    shift, or with no eigenvalue in F `_degree_shift`'s.  `lines` are the
+    deciding kernel vectors, or None when only the first kernel vector may
+    be spun, which can only give a reducible witness (this covers
     theta - a*I = 0 too).
     """
     d, first = len(theta), None
@@ -654,13 +631,13 @@ def norton_random(handle):
     """Kernel-vector irreducibility test with Holt-Rees shifts of random draws.
 
     Each of the first `NORTON_ATTEMPTS` draws theta is decided at the first
-    root a with theta - a*I of nullity 1; without one, the first kernel
-    vector of the first root shift of a larger proper kernel is spun, which
-    can only give a witness, and theta is redrawn.  The next
-    `NORTON_ATTEMPTS` draws are general: they decide at the first root
-    shift of at most `LINE_CAP` kernel lines, else at the degree shift
-    (`_shift`); a general draw without deciding kernel vectors can still
-    give a witness.
+    eigenvalue a of theta in F, found by its kernel, with theta - a*I of
+    nullity 1; without one, the first kernel vector of the first root shift
+    of a larger proper kernel is spun, which can only give a witness, and
+    theta is redrawn.  The next `NORTON_ATTEMPTS` draws are general: they
+    decide at the first root shift of at most `LINE_CAP` kernel lines, else
+    at the degree shift (`_shift`); a general draw without deciding kernel
+    vectors can still give a witness.
     Reducible verdicts always carry an explicit witness subspace, checked
     invariant (`_reducible`).  Irreducible verdicts require the deciding
     kernel vectors of the shift to spin full on the module, and one vector

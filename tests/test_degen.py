@@ -818,7 +818,7 @@ def test_a_wrong_basis_change_fails_the_certificate(monkeypatch, reach, lam, bra
     # the GF(3) branches already end at the identity basis change, so the
     # patch below changes nothing there
     gens = standard_generators(lam.ctx, lam.n)
-    ident = GroupElement.identity(lam.ctx, lam.n)
+    ident = GroupElement.diagonal(lam.ctx, [lam.ctx.one()] * lam.n)
     assert reach(lam, gens).basis_change != ident.mat.rows()
     monkeypatch.setattr(degen, "_basis_change", lambda ctx, cols: ident)
     cert = reach(lam, gens)
@@ -892,7 +892,8 @@ def test_proof_checks_survive_optimize():
         rep = reach_delta_suite(Bases(gf3, 3), standard_generators(gf3, 3), 5, 4)
         out["delta"] = [len(rep["failures"]), rep["branches"]]
         # break one proof step: the relabeling permutations become the identity
-        gamma2._perm_mapping = lambda ctx, n, want: gamma2.GroupElement.identity(ctx, n)
+        gamma2._perm_mapping = lambda ctx, n, want: gamma2.GroupElement.diagonal(
+            ctx, [ctx.one()] * n)
         try:
             gamma2.replay_irreducible_from(seed)
             out["broken"] = "returned"

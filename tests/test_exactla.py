@@ -236,6 +236,10 @@ def test_group_element_constructors():
     for images in ([1, 1, 2], [0, 1, 2], [1, 2, 4]):
         with pytest.raises(ValueError, match="is not a permutation"):
             GroupElement.permutation(GF3, images)
+    # a zero entry has no inverse; it was refused only by FieldCtx.inv's ZeroDivisionError
+    for ctx, diag in ((GF5, [0, 1, 1]), (GF5, [2, 1, 0]), (make_field(0, 1), [Fraction(0), 1, 2])):
+        with pytest.raises(ValueError, match="must be nonzero"):
+            GroupElement.diagonal(ctx, diag)
 
 
 def test_group_element_compose():

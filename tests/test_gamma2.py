@@ -64,7 +64,7 @@ def test_sigma_rejects_noncommutative_and_odd_char():
 def test_star_identity_and_right_action():
     rng = random.Random(2)
     for ctx in (GF4, GF8):
-        ident = GroupElement.identity(ctx, 3)
+        ident = GroupElement.diagonal(ctx, [ctx.one()] * 3)
         phi = SemilinearMap.from_rows(ctx, [[rng.randrange(ctx.order) for _ in range(3)]
                                             for _ in range(3)])
         assert star(phi, ident) == phi

@@ -7,7 +7,8 @@ name anywhere (a bare name, or the base of an attribute chain) or lists it in
 `__all__`.  A module-level function or class of `src/algdeg`, or a non-dunder
 method of such a class, counts as read when code of the package that is
 itself read (or runs at import) reads its name as an `ast.Name` or
-`ast.Attribute` outside its own definition.  Code only the tests need
+`ast.Attribute` outside its own definition; an attribute spelled `C.m`, with
+C a class of the package, reads C's method m alone.  Code only the tests need
 belongs in `tests/oracles.py`, not in `src/`.  `python -O` removes `assert`
 statements and sets `__debug__` to False, and a program sees the flag
 otherwise only through `sys.flags`.  The third scan reads every line of
@@ -48,6 +49,7 @@ UNREAD_ALLOWED = {
     "spinmx.close_subspace": TRACED,
     "gamma2.replay_irreducible_from": TRACED,
     "canon.ProjectivePoint.enumerate": "perfbench/workloads.py reads it",
+    "exactla.Subspace.from_json": "perfbench/workloads.py reads it",
     "spinmx.rational_generators": ("the generators over Q that the ROADMAP item on "
                                    "characteristic zero builds on"),
 }
@@ -105,10 +107,11 @@ def _local_names(fn):
                and isinstance(x.ctx, ast.Store)})
 
 
-def reads(node, skip=()):
+def reads(node, skip=(), classes=()):
     """("name", id) for each `ast.Name` read that no enclosing function binds,
-    and ("attr", attr) for each `ast.Attribute`, under `node`, not descending
-    into the nodes in `skip`."""
+    and for each `ast.Attribute` ("attr", "C.m") when it is spelled C.m with C
+    one of `classes` that no enclosing function binds, else ("attr", attr),
+    under `node`, not descending into the nodes in `skip`."""
     todo = [(node, frozenset())]
     while todo:
         x, local = todo.pop()
@@ -117,7 +120,11 @@ def reads(node, skip=()):
         if isinstance(x, ast.Name) and isinstance(x.ctx, ast.Load) and x.id not in local:
             yield "name", x.id
         elif isinstance(x, ast.Attribute):
-            yield "attr", x.attr
+            v = x.value
+            if isinstance(v, ast.Name) and v.id in classes and v.id not in local:
+                yield "attr", f"{v.id}.{x.attr}"
+            else:
+                yield "attr", x.attr
         todo.extend((c, local) for c in ast.iter_child_nodes(x) if c not in skip)
 
 
@@ -128,29 +135,33 @@ def unread_definitions(sources, roots=()):
     `roots` (a class there keeps its methods), and every definition that live
     code reads, so a name read only by unread code, or only by itself, is
     unread.  A class's own code is its body apart from its non-dunder methods.
-    A bare name reads a module-level definition, an attribute reads any.
+    A bare name reads a module-level definition, an attribute reads any, and
+    an attribute spelled C.m, C a class defined in `sources`, reads C.m alone.
     """
+    trees = {m: ast.parse(src) for m, src in sources.items()}
+    classes = {node.name for tree in trees.values() for node in tree.body
+               if isinstance(node, ast.ClassDef)}
     defs = []
     live = set()
-    for m, src in sources.items():
-        tree = ast.parse(src)
+    for m, tree in trees.items():
         found = list(definitions(tree))
         methods = [node for _, owner, node in found if owner]
-        live.update(reads(tree, [node for _, _, node in found]))
-        defs += [(node.name, owner is None, f"{m}.{qual}", owner and f"{m}.{owner}",
-                  list(reads(node, methods)))
+        live.update(reads(tree, [node for _, _, node in found], classes))
+        defs += [(node.name, qual, owner is None, f"{m}.{qual}", owner and f"{m}.{owner}",
+                  list(reads(node, methods, classes)))
                  for qual, owner, node in found]
     reached = set()
     grew = True
     while grew:
         grew = False
-        for name, top, qual, owner, reads_of in defs:
-            if qual not in reached and (("attr", name) in live or top and ("name", name) in live
+        for name, short, top, qual, owner, reads_of in defs:
+            if qual not in reached and (("attr", name) in live or ("attr", short) in live
+                                        or top and ("name", name) in live
                                         or qual in roots or owner in roots):
                 reached.add(qual)
                 live.update(reads_of)
                 grew = True
-    return sorted(d[2] for d in defs if d[2] not in reached)
+    return sorted(d[3] for d in defs if d[3] not in reached)
 
 
 def test_the_definition_scan_flags_only_unread_names():
@@ -166,10 +177,15 @@ def test_the_definition_scan_flags_only_unread_names():
          "    def __len__(self):\n        return helper()\n"
          "def helper():\n    return 0\n"
          "class Kept:\n    def kept(self):\n        return 0\n"
+         "class D:\n    def m(self):\n        return 0\n"
+         "    def n(self):\n        return 0\n"
+         "    def k(self):\n        return 0\n"
          "print(f(C()), len([]))\n")
-    b = "from a import C\nprint(C().m)\n"
+    # C.m reads C's m alone, so D.m stays unread; D bound by the lambda is
+    # not the class, so its D.k reads every k
+    b = "from a import C, D\nprint(C.m, D.n, (lambda D: D.k)(D))\n"
     assert unread_definitions({"a": a, "b": b}, {"a.Kept"}) == [
-        "a.C.len", "a.dead", "a.only_dead_reads_me", "a.recursive", "a.shadowed"]
+        "a.C.len", "a.D.m", "a.dead", "a.only_dead_reads_me", "a.recursive", "a.shadowed"]
 
 
 def test_every_definition_in_the_package_is_read():

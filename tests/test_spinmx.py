@@ -972,16 +972,32 @@ def _counting_closures(monkeypatch):
     return calls
 
 
+def _recording_root_shifts(monkeypatch):
+    """Patch `_root_shifts` to record (shift key, nullity) of each shift the test takes."""
+    taken, root_shifts = [], spinmx._root_shifts
+
+    def recording(theta, ctx):
+        for key, shifted, ker in root_shifts(theta, ctx):
+            taken.append((key, len(ker)))
+            yield key, shifted, ker
+
+    monkeypatch.setattr(spinmx, "_root_shifts", recording)
+    return taken
+
+
 def test_a_first_draw_decides_only_at_a_shift_of_nullity_one(monkeypatch):
-    # the semilinear module at (3, GF(8)): the first draw has only shifts of
-    # nullity 3, whose 73 lines the test no longer spins; one spin of the
-    # first kernel vector is full, and the second draw decides at nullity 1
-    # with one spin on the module and one on the transpose
+    # the semilinear module at (3, GF(8)): the first draw has the eigenvalues
+    # 0 and 1 in F, both of nullity 3, whose 73 lines the test does not spin;
+    # one spin of the first kernel vector at shift 0 is full, and the second
+    # draw, whose eigenvalue 0 has nullity 4, decides at its next one, 1, of
+    # nullity 1, with one spin on the module and one on the transpose
     h = gamma_handle(gens_for(make_field(2, 3), 3))
+    taken = _recording_root_shifts(monkeypatch)
     calls = _counting_closures(monkeypatch)
     res = norton_random(h)
     assert res.verdict == "irreducible"
-    assert res.detail == {"attempt": 1, "shift": 6, "nullity": 1}
+    assert res.detail == {"attempt": 1, "shift": 1, "nullity": 1}
+    assert taken == [({"shift": 0}, 3), ({"shift": 1}, 3), ({"shift": 0}, 4), ({"shift": 1}, 1)]
     assert calls == [9, 9, 9]
 
 
@@ -1003,16 +1019,10 @@ def test_two_dual_copies_split_at_a_first_kernel_vector_before_the_general_draws
     # dimension n before the general draws
     ctx, n = GF3, 3
     h = _two_dual_copies(ctx, n)
-    nullities, root_shifts = [], spinmx._root_shifts
-
-    def recording(theta, ctx):
-        for key, shifted, ker in root_shifts(theta, ctx):
-            nullities.append(len(ker))
-            yield key, shifted, ker
-
-    monkeypatch.setattr(spinmx, "_root_shifts", recording)
+    taken = _recording_root_shifts(monkeypatch)
     calls = _counting_closures(monkeypatch)
     res = norton_irreducible(h)
+    nullities = [k for _, k in taken]
     assert res.verdict == "reducible" and res.detail["side"] == "module"
     assert res.detail["attempt"] < spinmx.NORTON_ATTEMPTS
     assert nullities and min(nullities) >= 2 and all(k % 2 == 0 for k in nullities)
@@ -1023,24 +1033,84 @@ def test_two_dual_copies_split_at_a_first_kernel_vector_before_the_general_draws
     assert all(wit.contains(f(r)) for f in _handle_appliers(h.action, ctx) for r in wit.rows)
 
 
+def _block_sum(ctx, *blocks):
+    """The block-diagonal matrix of square blocks of integers, read in ctx, as packed rows."""
+    d = sum(map(len, blocks))
+    rows, at = [], 0
+    for b in blocks:
+        rows += [[0] * at + [ctx.from_int(x) for x in r] + [0] * (d - at - len(b)) for r in b]
+        at += len(b)
+    return [ctx.pack(r) for r in rows]
+
+
+CUBIC = [[0, 1, 0], [0, 0, 1], [2, 1, 0]]    # companion of x^3 + 2x + 1, irreducible over GF(3)
+QUADRATIC = [[0, 1], [2, 0]]                  # companion of x^2 + 1, irreducible over GF(3)
+
+
 def test_general_shift_stops_at_the_least_degree_with_a_kernel():
-    # theta = (companion of x^3 + 2x + 1, irreducible over GF(3)) (+) diag(1, 2),
-    # e_1 in the cubic block: e_1's order polynomial has no root in GF(3), but
-    # theta^3 - theta kills the diagonal block, so the shift has degree 1 and
-    # nullity 2, and all four kernel lines decide, not one vector
-    theta = [[0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [2, 1, 0, 0, 0],
-             [0, 0, 0, 1, 0], [0, 0, 0, 0, 2]]
+    # theta = CUBIC (+) diag(1, 2) has the eigenvalues 1 and 2 in GF(3),
+    # e_1's cyclic subspace (the cubic block) none: each draw decides at the
+    # first one, 1, of nullity 1, on its one kernel vector
+    theta = _block_sum(GF3, CUBIC, [[1]], [[2]])
+    for general in (False, True):
+        key, shifted, ker, lines = _shift(theta, GF3, general)
+        assert key == {"shift": 1} and ker == [GF3.pack([0, 0, 0, 1, 0])] and lines == ker
+    # with no eigenvalue in F the degree shift is taken at the least e with a
+    # kernel: QUADRATIC (+) CUBIC stops at e = 2 with the quadratic block as
+    # its kernel, where nullity e makes one vector decide
+    theta = _block_sum(GF3, QUADRATIC, CUBIC)
     assert _shift(theta, GF3, general=False) is None
-    key, shifted, ker, lines = _shift(theta, GF3, general=True)
-    assert key == {"degree": 1} and len(ker) == 2
-    plane = Subspace(GF3, 5, [[0, 0, 0, 1, 0], [0, 0, 0, 0, 1]])
-    assert Subspace(GF3, 5, ker) == plane
-    assert len(lines) == 4 and {Subspace(GF3, 5, [v]) for v in lines} == {
-        Subspace(GF3, 5, [v]) for v in ([0, 0, 0, 1, 0], [0, 0, 0, 0, 1],
-                                        [0, 0, 0, 1, 1], [0, 0, 0, 1, 2])}
-    # the companion block alone is a field element of degree 3
-    key, _, ker, lines = _shift([r[:3] for r in theta[:3]], GF3, general=True)
+    key, _, ker, lines = _shift(theta, GF3, general=True)
+    assert key == {"degree": 2} and len(lines) == 1
+    assert Subspace(GF3, 5, ker) == Subspace(GF3, 5, [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0]])
+    # two quadratic blocks give nullity 4 at e = 2, and all 40 lines decide
+    key, _, ker, lines = _shift(_block_sum(GF3, QUADRATIC, QUADRATIC, CUBIC), GF3, general=True)
+    assert key == {"degree": 2} and len(ker) == 4 and len(lines) == 40
+    assert {Subspace(GF3, 7, [v]) for v in lines} == {
+        Subspace(GF3, 7, [list(v) + [0, 0, 0]]) for v in _all_lines(GF3, 4)}
+    # the cubic block alone is a field element of degree 3
+    key, _, ker, lines = _shift(_block_sum(GF3, CUBIC), GF3, general=True)
     assert key == {"degree": 3} and len(ker) == 3 and len(lines) == 1
+
+
+def _brute_eigenvalues(theta, ctx):
+    """{a: lines of ker(theta - a*I)} over the a in F with a nonzero kernel, by
+    testing every line v of F^d for v theta = a v."""
+    times_theta = combiner(theta, ctx)
+    out = {}
+    for v in _all_lines(ctx, len(theta)):
+        w = list(times_theta(ctx.pack(v)))
+        a = w[v.index(ctx.one())]
+        if w == [ctx.mul(a, x) for x in v]:
+            out.setdefault(a, []).append(v)
+    return out
+
+
+@pytest.mark.parametrize("ctx", [make_field(2), GF3, GF4, GF5, make_field(2, 3),
+                                 make_field(3, 2), make_field(13)], ids=str)
+def test_root_shifts_are_the_eigenvalues_with_their_kernels(ctx):
+    # differential: _root_shifts yields exactly the a in F with
+    # ker(theta - a*I) != 0, in raw_elements order, with that whole kernel
+    rng = random.Random(ctx.order)
+    thetas = [[[rng.randrange(ctx.order) for _ in range(3)] for _ in range(3)]
+              for _ in range(6)]
+    thetas += [[[c if i == j else 0 for j in range(3)] for i in range(3)]
+               for c in (0, ctx.order - 1)]
+    thetas.append(list(map(list, _block_sum(ctx, CUBIC, [[1]], [[2]]))))
+    for rows in thetas:
+        theta = [ctx.pack(r) for r in rows]
+        d, brute = len(theta), _brute_eigenvalues(theta, ctx)
+        got = list(spinmx._root_shifts(theta, ctx))
+        assert [key for key, _, _ in got] == [
+            {"shift": a} for a in ctx.raw_elements() if a in brute]
+        for key, shifted, ker in got:
+            a = key["shift"]
+            assert [list(r) for r in shifted] == [
+                [ctx.sub(x, a) if i == j else x for j, x in enumerate(r)]
+                for i, r in enumerate(rows)]
+            k, q = len(ker), ctx.order
+            assert Echelon(ctx, d, ker).dim == k and len(brute[a]) == (q ** k - 1) // (q - 1)
+            assert all(Subspace(ctx, d, ker).contains(ctx.pack(v)) for v in brute[a])
 
 
 def test_survey_refuses_a_factor_without_a_verdict(monkeypatch, tmp_path, capsys):

@@ -49,7 +49,7 @@ def test_indices_outside_1_to_n_are_rejected(index):
 
 def test_act_identity():
     lam = sv(GF5, 3, (2, 1, 1, 2), (3, 3, 2, 1))
-    g = GroupElement.identity(GF5, 3)
+    g = GroupElement.diagonal(GF5, [GF5.one()] * 3)
     assert act(lam, g) == lam
 
 
@@ -77,12 +77,13 @@ def test_act_on_basis_112_shear():
 
 
 def test_act_on_basis_identity():
-    assert act_on_basis(GF3, 3, 2, 3, 1, GroupElement.identity(GF3, 3)) == unit(GF3, 3, 2, 3, 1)
+    ident = GroupElement.diagonal(GF3, [GF3.one()] * 3)
+    assert act_on_basis(GF3, 3, 2, 3, 1, ident) == unit(GF3, 3, 2, 3, 1)
 
 
 def test_act_on_basis_range_check():
     with pytest.raises(ValueError):
-        act_on_basis(GF3, 3, 0, 1, 1, GroupElement.identity(GF3, 3))
+        act_on_basis(GF3, 3, 0, 1, 1, GroupElement.diagonal(GF3, [GF3.one()] * 3))
 
 
 def test_act_matches_act_on_basis_random():
