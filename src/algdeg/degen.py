@@ -327,7 +327,6 @@ class ReachCertificate:
     z: list
     zeta: list
     basis_change: list
-    final: list
     spin_member: bool
 
 
@@ -337,8 +336,7 @@ def _certificate(lam, gens, target, name, branch, z, zeta, h, final):
     member = _reach_member(lam, gens, target)
     return ReachCertificate(
         success=final == target and member, target=name, branch=branch,
-        z=z.coords, zeta=zeta.coords, basis_change=h.mat.rows(),
-        final=final.coords, spin_member=member)
+        z=z.coords, zeta=zeta.coords, basis_change=h.mat.rows(), spin_member=member)
 
 
 def reach_eta(lam, gens):

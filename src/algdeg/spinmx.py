@@ -11,20 +11,21 @@ space, the dual V* as its piece M*_(1,0), so one table, `weight_classes`,
 grades them all.  The diagonal torus T has order prime to p, so a stable
 subspace is the sum of its parts on the weight classes, and every basis
 vector of a handle is a weight vector, which `_restricted_handle` checks.
-On a graded handle the irreducibility test needs no draw.  The projection
-P_c onto the smallest weight space lies in F[T], inside the envelope, so
-theta = I - P_c is a singular envelope element whose kernel, and its
-transpose's, is the span of that class's k unit vectors; every line of it is
-spun on the module and one unit vector on the transpose, and Norton's lemma
-(below) decides.  This is the peakword choice of Lux, Mueller & Ringe
-("Peakword condensation and submodule lattices", J. Symb. Comput. 17, 1994).
-The test falls back to random draws on an ungraded handle (rational
-generators, the semilinear module of `gamma2`, handles built by hand), over
-GF(2), where the torus is trivial, and when the smallest class holds every
-vector or spans more than `LINE_CAP` lines.  (On weight spaces: Green,
-"Polynomial Representations of GL_n", LNM 830, section 3.)
+On a graded handle the irreducibility test is condensed to its smallest
+weight class c, of k basis vectors.  The projection P_c onto that weight
+space lies in F[T], inside the envelope, so with theta in the envelope so
+is theta' = P_c theta P_c - a*P_c + (I - P_c), and the kernel of theta', and
+of its transpose, is that of B - a*I for B the k x k block of theta on the
+class, placed at the class's indices.  Each draw is therefore read on k
+rows and columns, its shifts and kernels are found in F^k, and a class of
+one vector needs no draw at all.  This is the condensation of Lux, Mueller
+& Ringe ("Peakword condensation and submodule lattices", J. Symb. Comput.
+17, 1994).  An ungraded handle (rational generators, the semilinear module
+of `gamma2`, handles built by hand) and one with a single class (over
+GF(2) the torus is trivial) are tested on every basis vector.  (On weight
+spaces: Green, "Polynomial Representations of GL_n", LNM 830, section 3.)
 
-The random test is the classical kernel-vector criterion with Holt-Rees
+The test is the classical kernel-vector criterion with Holt-Rees
 shifts: draw theta in the enveloping algebra; every shift theta - a*I lies
 in the envelope too, and it is singular exactly at each eigenvalue a of
 theta in F, found by its kernel: these root shifts are the linear factors
@@ -53,8 +54,9 @@ vector stands for every line.  (Holt & Rees, "Testing modules for
 irreducibility", J. Austral. Math. Soc. A 57, 1994.)  The draws come from
 one fixed stream, `random.Random(0)` made fresh on each call, as the MeatAxe
 takes its test elements from a fixed sequence (Parker 1984): a verdict and
-its witness are a function of the module's action matrices, and no
-kernel-vector test takes a seed.
+its witness are a function of the module's action matrices, and the test
+takes no seed.  On a graded handle all of this runs on the block B, whose
+shifts and powers are those of theta' on the class.
 
 Every closure, the Norton spins included, runs through `_span_closure`,
 scheduled by applier yield as in the MeatAxe's spinning (Parker 1984): a
@@ -68,6 +70,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress, product as iproduct
+from operator import itemgetter
 from typing import Optional
 
 from . import canon
@@ -448,32 +451,26 @@ def _transpose_rows(rows, ctx):
     return [ctx.pack(col) for col in zip(*rows)]
 
 
-def _lines_of(rows, ctx):
-    """All scalar-line representatives in the span of independent rows; None past `LINE_CAP`."""
-    k = len(rows)
-    q = ctx.order
-    if (q ** k - 1) // (q - 1) > LINE_CAP:
-        return None
-    return list(map(combiner(rows, ctx), _all_lines(ctx, k)))
-
-
-def _random_envelope(handle, rng):
-    """Identity + random words in the generator action, randomly weighted."""
-    ctx, d = handle.ctx, handle.dim
+def _random_envelope(handle, rng, block):
+    """Rows and columns `block` of identity + random words in the generator
+    action, randomly weighted: each word is built on those rows alone."""
+    ctx, action, d = handle.ctx, handle.action, handle.dim
     q, zero = ctx.order, ctx.zero()
     c0 = ctx.from_int(rng.randrange(q))
-    theta = [ctx.pack([zero] * i + [c0] + [zero] * (d - 1 - i)) for i in range(d)]
-    terms = list(handle.action)
+    theta = [ctx.pack([zero] * i + [c0] + [zero] * (d - 1 - i)) for i in block]
+    terms = [[m[i] for i in block] for m in action]
     for _ in range(rng.randrange(2, 5)):
-        word = handle.action[rng.randrange(len(handle.action))]
+        g = action[rng.randrange(len(action))]
+        word = [g[i] for i in block]
         for _ in range(rng.randrange(0, 3)):
-            word = _matmul_rows(word, handle.action[rng.randrange(len(handle.action))], ctx)
+            word = _matmul_rows(word, action[rng.randrange(len(action))], ctx)
         terms.append(word)
     for t in terms:
         c = ctx.from_int(rng.randrange(q))
         if c != zero:
             theta = [ctx.row_addmul(tr_, wr, c) for tr_, wr in zip(theta, t)]
-    return theta
+    cols = itemgetter(*block)
+    return [ctx.pack(cols(r)) for r in theta]
 
 
 def _root_shifts(theta, ctx):
@@ -493,9 +490,12 @@ def _deciding_lines(ker, e, d, ctx):
     One vector when the nullity is e (see `_degree_shift`), else every line
     when the kernel has 1..`LINE_CAP` lines and is not the whole space.
     """
-    if len(ker) == e:
+    k, q = len(ker), ctx.order
+    if k == e:
         return ker[:1]
-    return _lines_of(ker, ctx) if len(ker) < d else None
+    if k < d and (q ** k - 1) // (q - 1) <= LINE_CAP:
+        return list(map(combiner(ker, ctx), _all_lines(ctx, k)))
+    return None
 
 
 def _degree_shift(theta, ctx):
@@ -522,23 +522,25 @@ def _degree_shift(theta, ctx):
     raise RuntimeError("theta^(q^e) - theta is invertible for every e <= d")
 
 
-def _shift(theta, ctx, general):
+def _shift(theta, ctx, general, d):
     """The shift a draw is tested at: (key, shifted rows, kernel rows, lines), or None.
 
-    The root shifts are theta - a*I at each eigenvalue a of theta in F,
-    found by its kernel (`_root_shifts`).  A draw among the first
-    `NORTON_ATTEMPTS` decides only at a root shift of nullity 1, the first
-    one met, where one kernel vector stands for the kernel (the MeatAxe's
-    rule).  Without one it takes the first root shift of a larger, proper
-    kernel, or None when there is none (theta a scalar has only the zero
-    shift).  A general draw (`general`) decides at the first root shift
+    theta is a draw's block (`_random_envelope`) and d the module's
+    dimension: a kernel is proper, and its lines may decide, when it has
+    fewer than d rows.  The root shifts are theta - a*I at each eigenvalue
+    a of theta in F, found by its kernel (`_root_shifts`).  A draw among
+    the first `NORTON_ATTEMPTS` decides only at a root shift of nullity 1,
+    the first one met, where one kernel vector stands for the kernel (the
+    MeatAxe's rule).  Without one it takes the first root shift of a
+    larger, proper kernel, or None when there is none (a scalar theta of d
+    rows has only the zero shift).  A general draw (`general`) decides at the first root shift
     whose kernel has deciding lines; without one it takes the first root
     shift, or with no eigenvalue in F `_degree_shift`'s.  `lines` are the
     deciding kernel vectors, or None when only the first kernel vector may
     be spun, which can only give a reducible witness (this covers
-    theta - a*I = 0 too).
+    theta - a*I = 0 on d rows too).
     """
-    d, first = len(theta), None
+    first = None
     for key, shifted, ker in _root_shifts(theta, ctx):
         lines = _deciding_lines(ker, 1, d, ctx) if general or len(ker) == 1 else None
         if lines:
@@ -567,45 +569,6 @@ def _reducible(handle, rows, detail):
     return NortonResult("reducible", handle.preimage(rows), rows, detail)
 
 
-def norton_irreducible(handle):
-    """Kernel-vector irreducibility test: on the smallest weight space of a
-    graded handle, else with random draws (`norton_random`).
-
-    Let c be the class with the fewest basis vectors, k of them.  The torus
-    has order prime to p, so the idempotent P_c of F[T] lies in FG, and
-    theta = I - P_c is a singular element of the envelope.  In graded
-    coordinates it is diagonal, and ker theta and ker theta^T are both the
-    span of the k unit vectors of class c.  Norton's lemma then decides with
-    no draw: every line of that span is spun on the module, then one of the
-    unit vectors on the transpose (`_module_witness`, `_dual_verdict`).  An
-    ungraded handle, or one whose smallest class has as many vectors as the
-    module or more than `LINE_CAP` lines, takes the random test.
-    """
-    units = _smallest_weight_space(handle)
-    lines = None if units is None else _lines_of(units, handle.ctx)
-    if lines is None:
-        return norton_random(handle)
-    detail = {"weight_space": len(units)}
-    return (_module_witness(handle, lines, detail)
-            or _dual_verdict(handle, units[0], detail))
-
-
-def _smallest_weight_space(handle):
-    """Unit rows of the handle's smallest weight class (the first one met on a
-    tie), or None when the handle is ungraded, empty or has a single class."""
-    if not handle.classes:
-        return None
-    members = {}
-    for i, c in enumerate(handle.classes):
-        members.setdefault(c, []).append(i)
-    smallest = min(members.values(), key=len)
-    if len(smallest) == handle.dim:
-        return None
-    ctx, d = handle.ctx, handle.dim
-    zero, one = ctx.zero(), ctx.one()
-    return [ctx.pack([one if j == i else zero for j in range(d)]) for i in smallest]
-
-
 def _module_witness(handle, lines, detail):
     """The reducible verdict on the first line that spins proper, or None."""
     proper = _first_proper_spin(handle.action, lines, handle.dim, handle.ctx)
@@ -627,14 +590,23 @@ def _dual_verdict(handle, vector, detail):
     return _reducible(handle, ann, {**detail, "side": "dual"})
 
 
-def norton_random(handle):
-    """Kernel-vector irreducibility test with Holt-Rees shifts of random draws.
+def norton_irreducible(handle):
+    """Kernel-vector irreducibility test with Holt-Rees shifts of random
+    draws, condensed to the block of the handle's smallest weight class.
 
-    Each of the first `NORTON_ATTEMPTS` draws theta is decided at the first
-    eigenvalue a of theta in F, found by its kernel, with theta - a*I of
+    The block is that class, the first met on a tie, or every basis vector
+    of an ungraded handle.  Each draw is read on the block's rows and
+    columns (`_random_envelope`), its shifts are found there and judged
+    proper against the module's dimension (`_shift`), and their kernel
+    vectors are placed at the block's indices and spun on the module (see
+    the module docstring).  A one-vector class takes no draw: every block is
+    a scalar b, and the shift at b has the unit vector as its kernel on both
+    sides (detail: nullity 1 with no attempt).
+    Each of the first `NORTON_ATTEMPTS` draws is decided at the first
+    eigenvalue a of the block in F, found by its kernel, with a shift of
     nullity 1; without one, the first kernel vector of the first root shift
     of a larger proper kernel is spun, which can only give a witness, and
-    theta is redrawn.  The next `NORTON_ATTEMPTS` draws are general: they
+    the draw is redone.  The next `NORTON_ATTEMPTS` draws are general: they
     decide at the first root shift of at most `LINE_CAP` kernel lines, else
     at the degree shift (`_shift`); a general draw without deciding kernel
     vectors can still give a witness.
@@ -642,10 +614,10 @@ def norton_random(handle):
     invariant (`_reducible`).  Irreducible verdicts require the deciding
     kernel vectors of the shift to spin full on the module, and one vector
     of the kernel of its transpose to spin full on the transpose (Norton's
-    lemma; see the module docstring).  An inconclusive detail counts the
-    draws made.  The draws need a finite field: past dimension 1 any other
-    field is a ValueError.  Each call draws from a fresh `random.Random(0)`,
-    so the result depends on the action matrices alone, not on the label.
+    lemma).  An inconclusive detail counts the draws made.  The draws need
+    a finite field: past dimension 1 any other field is a ValueError.  Each
+    call draws from a fresh `random.Random(0)`, so the result depends on the
+    action matrices alone, not on the label.
     """
     ctx, d = handle.ctx, handle.dim
     if d == 0:
@@ -654,20 +626,34 @@ def norton_random(handle):
         return NortonResult("irreducible", None, None, {"reason": "dimension 1"})
     if ctx.kind != "finite":
         raise ValueError(f"the kernel-vector test draws from a finite field, not {ctx!r}")
-    rng = random.Random(0)
+    block, zero, one = _smallest_class(handle), ctx.zero(), ctx.one()
+    units = [ctx.pack([one if j == i else zero for j in range(d)]) for i in block]
+    if len(units) == 1:
+        return (_module_witness(handle, units, {"nullity": 1})
+                or _dual_verdict(handle, units[0], {"nullity": 1}))
+    lift, rng = combiner(units, ctx), random.Random(0)
     for attempt in range(2 * NORTON_ATTEMPTS):
-        found = _shift(_random_envelope(handle, rng), ctx, attempt >= NORTON_ATTEMPTS)
+        found = _shift(_random_envelope(handle, rng, block), ctx, attempt >= NORTON_ATTEMPTS, d)
         if found is None:
             continue
         key, shifted, ker, lines = found
         detail = {"attempt": attempt, **key, "nullity": len(ker)}
-        res = _module_witness(handle, lines or ker[:1], detail)
+        res = _module_witness(handle, list(map(lift, lines or ker[:1])), detail)
         if res is None and lines is not None:
             # the transpose has the same nullity; its first kernel row decides
-            res = _dual_verdict(handle, kernel_rows(shifted, d, ctx)[0], detail)
+            res = _dual_verdict(handle, lift(kernel_rows(shifted, len(block), ctx)[0]), detail)
         if res is not None:
             return res
     return NortonResult("inconclusive", None, None, {"attempts": 2 * NORTON_ATTEMPTS})
+
+
+def _smallest_class(handle):
+    """Indices of the handle's smallest weight class, the first met on a tie;
+    every index when the handle is ungraded."""
+    members = {}
+    for i, c in enumerate(handle.classes or [None] * handle.dim):
+        members.setdefault(c, []).append(i)
+    return min(members.values(), key=len)
 
 
 def _first_proper_spin(action, lines, d, ctx):

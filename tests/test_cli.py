@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -341,10 +342,12 @@ def test_verify_all_ids_unique_and_deterministic(tmp_path):
 
 def test_inconclusive_norton_verdict_is_not_falsified(tmp_path, monkeypatch):
     # with no draws the kernel-vector test gives up on the quotient by M**,
-    # 15-dimensional over GF(25), while its dimension check holds; at a line
-    # cap of 0 the weight-space test declines and hands over to the draws
+    # 15-dimensional over GF(25), while its dimension check holds; every
+    # handle's classes are dropped, so no one-vector class is decided undrawn
+    test = spinmx.norton_irreducible
     monkeypatch.setattr(spinmx, "NORTON_ATTEMPTS", 0)
-    monkeypatch.setattr(spinmx, "LINE_CAP", 0)
+    monkeypatch.setattr(spinmx, "norton_irreducible",
+                        lambda h: test(dataclasses.replace(h, classes=None)))
     path = tmp_path / "r.json"
     assert run(["--json", str(path), "--no-timing", "verify-all", "--n-list", "3",
                 "--fields", "5^2", "--seed", "130520985369857"]) == 3

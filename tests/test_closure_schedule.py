@@ -14,7 +14,8 @@ import pytest
 
 from algdeg import spinmx
 from algdeg.canon import (
-    basis_K, basis_Mstar, basis_N, basis_U, delta, eta, predicate_Mstarstar, submodule,
+    Bases, basis_K, basis_Mstar, basis_N, basis_U, delta, eta, predicate_Mstarstar,
+    submodule,
 )
 from algdeg.degen import _class_projector, _reach_member, sample_in_between
 from algdeg.exactla import Echelon, Subspace, combiner
@@ -22,7 +23,7 @@ from algdeg.gfield import make_field
 from algdeg.spinmx import (
     _first_proper_spin, _handle_appliers, _span_closure, _structvec_appliers,
     _transpose_rows, close_subspace, dual_space_handle, handle_spin, module_handle,
-    rational_generators, spin, spin_contains, standard_generators,
+    norton_irreducible, rational_generators, spin, spin_contains, standard_generators,
 )
 from algdeg.structvec import StructureVector, unit
 from test_degen import _projection
@@ -259,3 +260,26 @@ def test_delta_reach_probe_at_5_gf5_stays_within_its_applier_budget(monkeypatch)
     monkeypatch.setattr(spinmx, "_span_closure", _lifo_closure)
     assert _reach_member(lam, gens, delta(GF5, n))
     assert new_calls <= budget and calls[0] >= 1.25 * budget
+
+
+def test_condensed_tests_at_8_gf3_stay_within_their_closure_budget(monkeypatch):
+    # U and (N+M**)/M** at (8, GF(3)) have a smallest weight class of 3
+    # vectors: spinning each of its 13 lines and one vector on the transpose
+    # took 14 closures each; condensed to that class, the first draw has no
+    # shift of nullity 1 and spins one kernel vector, and the second decides
+    # at a shift of nullity 1 with one spin on each side
+    gens, b = standard_generators(make_field(3), 8), Bases(make_field(3), 8)
+    for h in (module_handle(gens, b["U"], label="U"),
+              module_handle(gens, b["N"] | b["Mstarstar"], sub=b["Mstarstar"],
+                            label="(N+M**)/M**")):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return _span_closure(*args, **kwargs)
+
+        monkeypatch.setattr(spinmx, "_span_closure", counting)
+        res = norton_irreducible(h)
+        assert res.verdict == "irreducible", h.label
+        assert res.detail == {"attempt": 1, "shift": 2, "nullity": 1}, h.label
+        assert calls == [h.dim] * 3, h.label

@@ -1,14 +1,15 @@
-"""The weight-space irreducibility test on graded module handles.
+"""The condensed irreducibility test on graded module handles.
 
 Over a finite field the standard generators grade every handle of the
 structure space by torus weight (the dual among them, as the piece
-M*_(1,0)), and `norton_irreducible`
-decides it on its smallest weight space with no random draw.  These tests
-hold that verdict against the random test (`norton_random`), check that a
-basis which is not graded is refused, and that `verify-all` over GF(25)
-verifies at every seed.
+M*_(1,0)), and `norton_irreducible` reads each draw on its smallest weight
+class only.  These tests hold that verdict against the uncondensed test
+(the same handle with its classes dropped), check that a one-vector class
+takes no draw, that a basis which is not graded is refused, and that
+`verify-all` over GF(25) verifies at every seed.
 """
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -19,14 +20,14 @@ import pytest
 
 import algdeg
 from algdeg import spinmx
-from algdeg.canon import Bases, basis_K, basis_U
+from algdeg.canon import Bases, basis_K, basis_N, basis_U
 from algdeg.cli import main
 from algdeg.degen import _class_projector, weights
 from algdeg.gamma2 import gamma_handle
 from algdeg.gfield import make_field
 from algdeg.spinmx import (
-    _restricted_handle, _structvec_appliers, dual_space_handle, module_handle,
-    norton_irreducible, norton_random, rational_generators, standard_generators,
+    _restricted_handle, _smallest_class, _structvec_appliers, dual_space_handle,
+    module_handle, norton_irreducible, rational_generators, standard_generators,
     survey_submodules,
 )
 from algdeg.structvec import StructureVector, act, flat, torus_weights, weight_classes
@@ -69,11 +70,15 @@ def test_graded_verdict_matches_the_random_one_at_n3(ctx):
             handles.append(module_handle(gens, top, sub=bottom, label=label))
     for h in handles:
         assert h.classes is not None and len(h.classes) == h.dim
-        graded, drawn = norton_irreducible(h), norton_random(h)
+        graded = norton_irreducible(h)
+        drawn = norton_irreducible(dataclasses.replace(h, classes=None))
         assert drawn.verdict in ("irreducible", "reducible"), h.label
         assert graded.verdict == drawn.verdict, h.label
-        # the weight-space test runs wherever the torus has two classes
-        assert ("weight_space" in graded.detail) == (ctx.order > 2 and h.dim > 1), h.label
+        # the draws are condensed wherever the torus has two classes (over
+        # GF(2) the one class is every vector), and a one-vector class draws none
+        k = len(_smallest_class(h))
+        assert (k == h.dim) == (ctx.order == 2 or h.dim == 1), h.label
+        assert ("attempt" in graded.detail) == (k > 1), h.label
         if graded.verdict == "reducible":
             assert 0 < graded.witness.dim - (h.sub.dim if h.sub else 0) < h.dim
 
@@ -98,20 +103,36 @@ def test_survey_quotients_carry_the_base_grading(ctx, monkeypatch):
 
 
 def test_graded_test_draws_nothing(monkeypatch):
+    # U over GF(7) has a one-vector class: every draw's block is a scalar b,
+    # and the shift at b has that unit vector as its kernel on both sides
     ctx = make_field(7)
     h = module_handle(standard_generators(ctx, 3), basis_U(ctx, 3), label="U")
+    assert len(_smallest_class(h)) == 1
     monkeypatch.setattr(spinmx, "_random_envelope",
-                        lambda handle, rng: pytest.fail("a graded handle drew"))
+                        lambda handle, rng, block: pytest.fail("a one-vector class drew"))
     res = norton_irreducible(h)
-    assert res.verdict == "irreducible" and res.detail == {"weight_space": 1}
+    assert res.verdict == "irreducible" and res.detail == {"nullity": 1}
 
 
 def test_a_smallest_class_over_the_line_cap_takes_the_draws(monkeypatch):
-    ctx = make_field(5)
-    h = module_handle(standard_generators(ctx, 3), basis_U(ctx, 3), label="U")
+    # N over GF(3): the smallest class has 3 vectors, and at a line cap of 0
+    # its lines are never spun one by one; every draw is condensed to the
+    # class and decides at a shift of nullity 1
+    ctx = make_field(3)
+    h = module_handle(standard_generators(ctx, 3), basis_N(ctx, 3), label="N")
+    block = _smallest_class(h)
+    assert 1 < len(block) < h.dim
+    blocks, envelope = [], spinmx._random_envelope
+
+    def recording(handle, rng, block):
+        blocks.append(block)
+        return envelope(handle, rng, block)
+
+    monkeypatch.setattr(spinmx, "_random_envelope", recording)
     monkeypatch.setattr(spinmx, "LINE_CAP", 0)
     res = norton_irreducible(h)
-    assert res.verdict == "irreducible" and "attempt" in res.detail
+    assert res.verdict == "irreducible" and res.detail["nullity"] == 1
+    assert blocks and all(b == block for b in blocks)
 
 
 def test_classes_are_mod_q_minus_one():

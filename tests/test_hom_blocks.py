@@ -118,14 +118,24 @@ def test_survey_pairs_match_the_dense_system(module, ctx, npairs, monkeypatch):
 
 @pytest.fixture
 def solves(monkeypatch):
-    """The (ncols, rows) of every `kernel_rows` call made through `spinmx`."""
-    seen = []
+    """The (ncols, rows) of every `kernel_rows` call made inside `spinmx.hom_space`,
+    not the kernel-vector test's, whose blocks may be 1 x 1."""
+    seen, inside = [], []
 
     def record(rows, ncols, ctx):
-        seen.append((ncols, rows))
+        if inside:
+            seen.append((ncols, rows))
         return kernel_rows(rows, ncols, ctx)
 
+    def solving(ha, hb):
+        inside.append(True)
+        try:
+            return hom_space(ha, hb)
+        finally:
+            inside.pop()
+
     monkeypatch.setattr(spinmx, "kernel_rows", record)
+    monkeypatch.setattr(spinmx, "hom_space", solving)
     return seen
 
 
@@ -140,7 +150,7 @@ def test_hom_into_the_dual_at_8_solves_only_the_weight_blocks(solves):
               module_handle(gens, b["Lambda"], sub=b["Mstarstar"], label="Lambda/M**")):
         solves.clear()
         assert h.dim * v.dim == 2240
-        dim, basis = hom_space(h, v)
+        dim, basis = spinmx.hom_space(h, v)
         assert [ncols for ncols, _ in solves] == [112]
         assert len(solves[0][1]) <= 112      # the echelon's rows, not one per equation
         assert all(any(row) for row in solves[0][1])

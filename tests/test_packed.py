@@ -3,7 +3,8 @@
 Over GF(p), p <= 13, and GF(2^k) a row is packed into `bytes`; over the other
 fields rows stay lists.  Every kernel and every packed path of the engine is
 compared here with a reference written on the scalar operations alone, over
-every field in the modulus table, two packed primes above 7, and Q.
+every field in the modulus table, two packed primes above 7, and Q; the row
+kernels also over GF(17), whose rows are lists of codes.
 """
 
 import functools
@@ -29,6 +30,8 @@ PACKED = {"GF(3)", "GF(2^2)", "GF(5)", "GF(7)", "GF(2^3)", "GF(11)", "GF(13)"}
 
 SETTINGS = settings(max_examples=25, deadline=None)
 per_field = pytest.mark.parametrize("ctx", FIELDS, ids=repr)
+# the row kernels' list branch over a prime field, which no packed field reaches
+per_row_field = pytest.mark.parametrize("ctx", FIELDS + [make_field(17)], ids=repr)
 
 
 def _scalars(ctx):
@@ -91,7 +94,7 @@ def test_each_field_has_one_context(ctx):
     assert FieldCtx.from_json(ctx.to_json()) is ctx
 
 
-@per_field
+@per_row_field
 @SETTINGS
 @given(data=st.data())
 def test_row_submul_and_addmul_match_the_list_reference(ctx, data):
@@ -108,7 +111,7 @@ def test_row_submul_and_addmul_match_the_list_reference(ctx, data):
                 assert type(sub) is want and type(add) is want
 
 
-@per_field
+@per_row_field
 @SETTINGS
 @given(data=st.data())
 def test_row_scale_matches_the_list_reference(ctx, data):

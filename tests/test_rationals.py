@@ -13,7 +13,7 @@ from algdeg.canon import (
     Bases, basis_Mstar, basis_U, expected_dims, intersection_table, submodule,
 )
 from algdeg.spinmx import (
-    composition_series, module_handle, norton_irreducible, norton_random, rational_generators,
+    composition_series, module_handle, norton_irreducible, rational_generators,
     standard_generators, survey_submodules, verify_lattice_diagrams,
 )
 from oracles import dual_act, opposite
@@ -93,4 +93,4 @@ def test_the_kernel_vector_test_refuses_q_instead_of_crashing():
             run()
     # a line needs no draw, over Q too
     line = SimpleNamespace(ctx=Q, dim=1)
-    assert norton_random(line).detail == {"reason": "dimension 1"}
+    assert norton_irreducible(line).detail == {"reason": "dimension 1"}

@@ -19,14 +19,13 @@ from algdeg.canon import (
 )
 from algdeg.spinmx import (
     ModuleHandle, composition_series, close_subspace, derive_seed, dual_space_handle,
-    handle_spin, hom_space, module_handle, norton_irreducible, norton_random,
-    rational_generators, spin, spin_contains, standard_generators,
+    handle_spin, hom_space, module_handle, norton_irreducible, rational_generators, spin, spin_contains, standard_generators,
     survey_submodules, verify_lattice_diagrams, is_generator_stable,
 )
 from oracles import dual_act, dual_basis_vector, random_invertible, vector_act
 from test_packed import FIELDS
 from algdeg.spinmx import (
-    _all_lines, _first_proper_spin, _handle_appliers, _lines_of, _random_envelope,
+    _all_lines, _first_proper_spin, _handle_appliers, _random_envelope,
     _restricted_handle, _shift, _simple_types, _span_closure, _structvec_appliers,
     _transpose_rows,
 )
@@ -276,6 +275,11 @@ _THETA_N_GF4 = [
 ]
 
 
+def _every_line(rows, ctx):
+    """Every scalar line of the span of independent rows, one vector each."""
+    return list(map(combiner(rows, ctx), _all_lines(ctx, len(rows))))
+
+
 def test_norton_lemma_one_dual_vector_decides(monkeypatch):
     """Once every line of ker(theta) spins full, the lines of ker(theta^T) spin
     all full (irreducible module) or all proper (reducible module)."""
@@ -291,26 +295,28 @@ def test_norton_lemma_one_dual_vector_decides(monkeypatch):
         action_t = [_transpose_rows(m, ctx) for m in h.action]
         decided = 0
         for _ in range(300):
-            theta = _random_envelope(h, rng)
+            theta = _random_envelope(h, rng, range(d))
             ker = kernel_rows(_transpose_rows(theta, ctx), d, ctx)
-            lines = _lines_of(ker, ctx) if 0 < len(ker) < d else None
+            lines = _every_line(ker, ctx) if 0 < len(ker) < d else None
             if lines is None or _first_proper_spin(h.action, lines, d, ctx) is not None:
                 continue
             ker_t = kernel_rows(theta, d, ctx)
             assert len(ker_t) == len(ker)
             full = {_first_proper_spin(action_t, [v], d, ctx) is None
-                    for v in _lines_of(ker_t, ctx)}
+                    for v in _every_line(ker_t, ctx)}
             assert full == {irreducible}, h.label
             decided += 1
             if decided == 8:
                 break
         assert decided == 8, h.label
-    # on N over GF(4), the random test with this draw decides on the dual side
-    # at nullity 2, where the kernel of the shift's transpose has five lines
+    # on N over GF(4), the uncondensed test with this draw decides on the
+    # dual side at nullity 2, where the kernel of the shift's transpose has
+    # five lines
     N = basis_N(GF4, 3)
     theta = [GF4.pack([int(c) for c in row]) for row in _THETA_N_GF4]
-    monkeypatch.setattr(spinmx, "_random_envelope", lambda handle, rng: theta)
-    res = norton_random(module_handle(gens_for(GF4, 3), N, label="N"))
+    monkeypatch.setattr(spinmx, "_random_envelope", lambda handle, rng, block: theta)
+    h = module_handle(gens_for(GF4, 3), N, label="N")
+    res = norton_irreducible(dataclasses.replace(h, classes=None))
     assert res.verdict == "reducible" and res.detail["side"] == "dual"
     assert res.detail["nullity"] == 2
     assert Subspace.zero(GF4, 27) < res.witness < N
@@ -362,7 +368,9 @@ def test_norton_deterministic():
 def test_the_random_test_does_not_read_the_label():
     # two handles that differ only in their display name get the same draws
     gens, N = gens_for(GF4, 3), basis_N(GF4, 3)
-    r1, r2 = (norton_random(module_handle(gens, N, label=label)) for label in ("N", "other"))
+    r1, r2 = (norton_irreducible(dataclasses.replace(module_handle(gens, N, label=label),
+                                                     classes=None))
+              for label in ("N", "other"))
     assert r1.detail == r2.detail and "attempt" in r1.detail
     assert r1.verdict == r2.verdict and r1.witness == r2.witness
 
@@ -944,16 +952,16 @@ def test_norton_on_modules_that_are_not_absolutely_irreducible(make):
 def test_general_draws_alone_decide_the_canonical_modules(monkeypatch, name, ctx, verdict):
     # every draw general: the modules the exhaustive test was checked on keep
     # their verdicts, and a witness is a proper submodule; the handles are
-    # graded, so the random test is called by name
+    # graded, so their classes are dropped to draw on every basis vector
     h = module_handle(gens_for(ctx, 3), submodule(name, ctx, 3), label=name)
     shift, draws = spinmx._shift, []
 
-    def general(theta, ctx, _):
+    def general(theta, ctx, _, d):
         draws.append(theta)
-        return shift(theta, ctx, True)
+        return shift(theta, ctx, True, d)
 
     monkeypatch.setattr(spinmx, "_shift", general)
-    res = norton_random(h)
+    res = norton_irreducible(dataclasses.replace(h, classes=None))
     assert res.verdict == verdict
     if verdict == "reducible":
         assert Subspace.zero(ctx, 27) < res.witness < h.carrier
@@ -994,7 +1002,7 @@ def test_a_first_draw_decides_only_at_a_shift_of_nullity_one(monkeypatch):
     h = gamma_handle(gens_for(make_field(2, 3), 3))
     taken = _recording_root_shifts(monkeypatch)
     calls = _counting_closures(monkeypatch)
-    res = norton_random(h)
+    res = norton_irreducible(h)
     assert res.verdict == "irreducible"
     assert res.detail == {"attempt": 1, "shift": 1, "nullity": 1}
     assert taken == [({"shift": 0}, 3), ({"shift": 1}, 3), ({"shift": 0}, 4), ({"shift": 1}, 1)]
@@ -1053,23 +1061,23 @@ def test_general_shift_stops_at_the_least_degree_with_a_kernel():
     # first one, 1, of nullity 1, on its one kernel vector
     theta = _block_sum(GF3, CUBIC, [[1]], [[2]])
     for general in (False, True):
-        key, shifted, ker, lines = _shift(theta, GF3, general)
+        key, shifted, ker, lines = _shift(theta, GF3, general, 5)
         assert key == {"shift": 1} and ker == [GF3.pack([0, 0, 0, 1, 0])] and lines == ker
     # with no eigenvalue in F the degree shift is taken at the least e with a
     # kernel: QUADRATIC (+) CUBIC stops at e = 2 with the quadratic block as
     # its kernel, where nullity e makes one vector decide
     theta = _block_sum(GF3, QUADRATIC, CUBIC)
-    assert _shift(theta, GF3, general=False) is None
-    key, _, ker, lines = _shift(theta, GF3, general=True)
+    assert _shift(theta, GF3, False, 5) is None
+    key, _, ker, lines = _shift(theta, GF3, True, 5)
     assert key == {"degree": 2} and len(lines) == 1
     assert Subspace(GF3, 5, ker) == Subspace(GF3, 5, [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0]])
     # two quadratic blocks give nullity 4 at e = 2, and all 40 lines decide
-    key, _, ker, lines = _shift(_block_sum(GF3, QUADRATIC, QUADRATIC, CUBIC), GF3, general=True)
+    key, _, ker, lines = _shift(_block_sum(GF3, QUADRATIC, QUADRATIC, CUBIC), GF3, True, 7)
     assert key == {"degree": 2} and len(ker) == 4 and len(lines) == 40
     assert {Subspace(GF3, 7, [v]) for v in lines} == {
         Subspace(GF3, 7, [list(v) + [0, 0, 0]]) for v in _all_lines(GF3, 4)}
     # the cubic block alone is a field element of degree 3
-    key, _, ker, lines = _shift(_block_sum(GF3, CUBIC), GF3, general=True)
+    key, _, ker, lines = _shift(_block_sum(GF3, CUBIC), GF3, True, 3)
     assert key == {"degree": 3} and len(ker) == 3 and len(lines) == 1
 
 
