@@ -10,6 +10,7 @@ import argparse
 import errno
 import json
 import os
+import re
 import sys
 import traceback
 
@@ -74,19 +75,13 @@ def parse_vector(text, ctx, n):
 
 
 def split_chain(text):
-    """Split a chain spec on commas, except inside parenthesized points."""
-    parts, depth, cur = [], 0, []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(cur).strip())
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur).strip())
+    """Split a chain spec on commas, except inside parenthesized points.
+
+    A comma lies inside a point such as Mstar(1,-1) when a ')' follows it
+    before any '('; a point holds no nested parentheses.  Parts are stripped
+    and empty ones dropped.
+    """
+    parts = (p.strip() for p in re.split(r",(?![^(]*\))", text))
     return [p for p in parts if p]
 
 

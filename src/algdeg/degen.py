@@ -44,7 +44,7 @@ from .structvec import (
     DualVector, StructureVector, Vector, act, basis_vector, product, unit,
     weight_classes,
 )
-from .spinmx import check_cell_shape, derive_seed, spin_contains
+from .spinmx import check_cell_shape, spin_contains
 
 
 def weights(q):
@@ -469,7 +469,7 @@ def sample_in_between(ctx, n, inside, outside_pred, rng):
 def lindeg_suite(gens, seed, count):
     """Random applicable pairs (lam, q) over gens' (field, n): truncation stays in the spin."""
     ctx, n = gens.ctx, gens.n
-    rng = random.Random(derive_seed(seed, "lindeg", ctx.order, n))
+    rng = random.Random(f"{seed}/lindeg/{ctx.order}/{n}")
     q_max = (ctx.order - 2) // 2
     checked = 0
     failures = []
@@ -493,12 +493,12 @@ def _reach_suite(bases, gens, seed, count, tag, inside, outside, reach, fixtures
     their sorted branches.
 
     The vectors are `fixtures(ctx, n)` when given, then draws from
-    bases[inside] that fail `outside`, seeded by the tag.  `reach` and
+    bases[inside] that fail `outside`, seeded by `seed/tag/q/n`.  `reach` and
     `sample_in_between` are read from the module's globals at call time.
     """
     check_cell_shape(bases, gens)
     ctx, n = bases.ctx, bases.n
-    rng = random.Random(derive_seed(seed, tag, ctx.order, n))
+    rng = random.Random(f"{seed}/{tag}/{ctx.order}/{n}")
     draws = (sample_in_between(ctx, n, bases[inside], outside, rng) for _ in range(count))
     failures, branches = [], set()
     for lam in islice(chain(fixtures(ctx, n) if fixtures else (), draws), count):

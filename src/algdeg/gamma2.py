@@ -21,7 +21,7 @@ from .canon import _cells, _restricted_kernel, predicate_C
 from .exactla import Echelon, GroupElement, Matrix, Subspace
 from .gfield import primitive_element
 from .report import claim, norton_claim
-from .spinmx import _restricted_handle, check_cell_shape, derive_seed, norton_irreducible
+from .spinmx import _restricted_handle, check_cell_shape, norton_irreducible
 from .structvec import StructureVector, _check_index, act
 
 
@@ -395,7 +395,7 @@ def verify_gamma_irreducible(gens, seed):
         raise ValueError("needs a finite field of characteristic 2 with |F| >= 4")
     seeds = [SemilinearMap.unit(ctx, n, i, j)
              for i in range(1, n + 1) for j in range(1, n + 1)]
-    rng = random.Random(derive_seed(seed, "gamma-seeds", ctx.order, n))
+    rng = random.Random(f"{seed}/gamma-seeds/{ctx.order}/{n}")
     for _ in range(5):
         rows = [[rng.randrange(ctx.order) for _ in range(n)] for _ in range(n)]
         phi = SemilinearMap.from_rows(ctx, rows)

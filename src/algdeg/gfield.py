@@ -432,7 +432,7 @@ class FieldCtx:
             raise ValueError(f"field descriptor {d!r} is not an object with an integer "
                              "char, an integer degree and a modulus list")
         ctx = make_field(d["char"], d.get("degree", 1))
-        if "modulus" in d and ctx.modulus is not None and tuple(d["modulus"]) != ctx.modulus:
+        if "modulus" in d and tuple(d["modulus"]) != ctx.modulus:
             raise ValueError("modulus in descriptor disagrees with the frozen table")
         return ctx
 

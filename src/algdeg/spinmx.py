@@ -64,7 +64,6 @@ generator keeps mapping rows while its images are new and hands over at its
 first dependent image.  That changes the work, never the span.
 """
 
-import hashlib
 import random
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -83,24 +82,15 @@ LINE_CAP = 128           # max kernel lines spun for one shift of a theta draw
 NORTON_ATTEMPTS = 64
 
 
-def derive_seed(base, *tags):
-    """Stable per-operation seed split (independent of PYTHONHASHSEED)."""
-    h = hashlib.blake2b(digest_size=8)
-    h.update(str(base).encode())
-    for t in tags:
-        h.update(b"/")
-        h.update(str(t).encode())
-    return int.from_bytes(h.digest(), "big")
-
-
 @dataclass
 class GeneratorSet:
-    """Group generators with provenance.
+    """Group generators; which set they are follows from ctx.kind.
 
-    standard-finite: x_12(1), the n-cycle, the transposition (1 2) and one
-    primitive diagonal; they generate the full matrix group over a finite
-    field.  rational-subgroup: integer transvections and a 2-power diagonal;
-    they generate a subgroup only, so results spun with it carry a caveat.
+    Over a finite field, `standard_generators`: x_12(1), the n-cycle, the
+    transposition (1 2) and one primitive diagonal, which generate the full
+    matrix group.  Over Q, `rational_generators`: integer transvections and
+    a 2-power diagonal, which generate a subgroup only, so results spun with
+    them carry a caveat (`subgroup_caveat`).
     `probe_elements` generates the same group as `elements` and is what the
     early-exit membership probe `spin_contains` spins with: for the standard
     set the unit transvections plus its diagonal, which reach the probes of
@@ -109,17 +99,16 @@ class GeneratorSet:
     commands never probe.
     """
     elements: list
-    provenance: str
     ctx: FieldCtx
     n: int
 
     @property
     def subgroup_caveat(self):
-        return self.provenance == "rational-subgroup"
+        return self.ctx.kind != "finite"
 
     @cached_property
     def probe_elements(self):
-        if self.provenance != "standard-finite":
+        if self.subgroup_caveat:
             return self.elements
         ctx, n = self.ctx, self.n
         probe = [GroupElement.transvection(ctx, n, i, j)
@@ -147,7 +136,7 @@ def standard_generators(ctx, n):
     if ctx.order > 2:
         zeta = primitive_element(ctx)
         gens.append(GroupElement.diagonal(ctx, [zeta] + [ctx.one()] * (n - 1)))
-    return GeneratorSet(gens, "standard-finite", ctx, n)
+    return GeneratorSet(gens, ctx, n)
 
 
 def rational_generators(ctx, n):
@@ -163,7 +152,7 @@ def rational_generators(ctx, n):
     two = ctx.from_int(2)
     gens.append(GroupElement.diagonal(ctx, [two] + [ctx.one()] * (n - 1)))
     gens.append(GroupElement.diagonal(ctx, [ctx.inv(two)] + [ctx.one()] * (n - 1)))
-    return GeneratorSet(gens, "rational-subgroup", ctx, n)
+    return GeneratorSet(gens, ctx, n)
 
 
 def _span_closure(seed_rows, appliers, ambient, ctx, probe=None):
@@ -346,17 +335,16 @@ def module_handle(gens, carrier, sub=None, label="module"):
     ambient is a ValueError (the dual is the piece M*_(1,0), see
     `dual_space_handle`).
 
-    The handle is graded by `weight_classes` over a finite field's standard
-    generators only: they generate the full group, so its torus, and the
-    rational ones reach a subgroup only.
+    The handle is graded by `weight_classes` exactly when the generators
+    carry no subgroup caveat: a finite field's standard generators generate
+    the full group, so its torus, and the rational ones reach a subgroup only.
     """
     _check_field(gens, carrier, sub)
     ctx, n = gens.ctx, gens.n
     if carrier.ambient != n ** 3:
         raise ValueError(f"no generator action on ambient dimension {carrier.ambient}")
-    graded = ctx.kind == "finite" and gens.provenance == "standard-finite"
     return _restricted_handle(gens, _structvec_appliers(gens), carrier, sub, label,
-                              weight_classes(ctx, n) if graded else None)
+                              None if gens.subgroup_caveat else weight_classes(ctx, n))
 
 
 def _restricted_handle(gens, appliers, carrier, sub, label, classes=None):

@@ -83,7 +83,7 @@ def _check_space(x, cls, ctx, n):
 
 
 class _Coords:
-    """Shared plumbing for coordinate-tuple wrappers."""
+    """Shared plumbing for coordinate-tuple wrappers, of length n by default."""
 
     __slots__ = ("ctx", "n", "coords")
 
@@ -99,6 +99,12 @@ class _Coords:
         self.coords = coords
         if len(self.coords) != self._expected_len():
             raise ValueError("coordinate list has the wrong length")
+
+    def _expected_len(self):
+        return self.n
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.coords})"
 
     def _like(self, coords):
         """A new vector of this type; kernel rows (possibly `bytes`) become a list."""
@@ -179,18 +185,9 @@ class StructureVector(_Coords):
 class Vector(_Coords):
     """Coordinate vector of an element of V over the standard basis."""
 
-    def _expected_len(self):
-        return self.n
-
-    def __repr__(self):
-        return f"Vector({self.coords})"
-
 
 class DualVector(_Coords):
     """Coefficients of a linear functional over the dual basis."""
-
-    def _expected_len(self):
-        return self.n
 
     def __call__(self, v):
         """The raw scalar this functional takes at the Vector v."""
@@ -200,9 +197,6 @@ class DualVector(_Coords):
         for c, x in zip(self.coords, v.coords):
             acc = ctx.add(acc, ctx.mul(c, x))
         return acc
-
-    def __repr__(self):
-        return f"DualVector({self.coords})"
 
 
 def unit(ctx, n, a, b, c):

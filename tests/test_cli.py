@@ -4,9 +4,12 @@ import hashlib
 import json
 import os
 import shlex
+import subprocess
+import sys
 
 import pytest
 
+import algdeg
 from algdeg import cli, spinmx
 from algdeg.canon import (
     Bases, ProjectivePoint, basis_Mstar, basis_MstarP, eta, intersection_table,
@@ -653,6 +656,25 @@ def test_no_timing_reports_match_pinned_digests(tmp_path, capsys):
             mismatches.append((command, got_code, got))
     capsys.readouterr()
     assert mismatches == []
+
+
+def test_a_seeded_report_is_the_same_at_every_hash_seed(tmp_path):
+    """The degen samples and gamma's replay heads draw from `random.Random` on
+    a string seed, which Python hashes with SHA-512 whatever PYTHONHASHSEED
+    is, so a seeded report replays byte for byte in a new process."""
+    argv = ["--no-timing", "--json", str(tmp_path / "r.json"), "verify-all",
+            "--n-list", "3", "--fields", "5,2^2", "--seed", "3"]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(algdeg.__file__)))
+    runs = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed)
+        proc = subprocess.run([sys.executable, "-m", "algdeg.cli"] + argv, env=env,
+                              capture_output=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        runs.append((proc.stdout, (tmp_path / "r.json").read_bytes()))
+    assert runs[0] == runs[1]
+    ids = [c["id"] for c in json.loads(runs[0][1])["claims"]]
+    assert {"n3.q5.degen.lindeg", "n3.q2^2.degen.delta", "n3.q2^2.gammaReplay"} <= set(ids)
 
 
 SUMMARY_RUNS = {

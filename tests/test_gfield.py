@@ -235,6 +235,15 @@ def test_json_round_trip():
     assert q.raw_to_json(raw) == "3/4"
 
 
+@pytest.mark.parametrize("d", [
+    {"char": 5, "modulus": [9, 9, 9]}, {"char": 5, "degree": 1, "modulus": []},
+    {"char": 0, "modulus": [1, 0, 1]}, {"char": 2, "degree": 2, "modulus": [1, 0, 1]}])
+def test_json_refuses_a_modulus_the_frozen_table_does_not_hold(d):
+    # a prime field and Q have no modulus, so a descriptor that gives one is refused
+    with pytest.raises(ValueError, match="disagrees with the frozen table"):
+        FieldCtx.from_json(d)
+
+
 def _digits(r, p, k):
     return [(r // p ** t) % p for t in range(k)]
 
