@@ -475,7 +475,7 @@ def lindeg_suite(gens, seed, count):
     failures = []
     while checked < count:
         q = [rng.randrange(0, q_max + 1) for _ in range(n)]
-        coords = [ctx.from_int(rng.randrange(ctx.order)) for _ in range(n ** 3)]
+        coords = [rng.randrange(ctx.order) for _ in range(n ** 3)]
         # satisfy the vanishing hypothesis by construction
         lam = StructureVector(ctx, n, [ctx.zero() if w < 0 else x
                                        for x, w in zip(coords, weights(q))])

@@ -3,12 +3,13 @@
 Matrices are row-major lists of raw scalars.  `Echelon` is the one elimination
 engine: every rref, rank, kernel, sum and intersection runs on it.  Inside
 the engine a row has one form, its field's row form (`FieldCtx.pack`:
-`bytes` over GF(p), p <= 13, and GF(2^k), a list elsewhere).  The echelon
-packs each input row once and stores packed rows.  Over packed fields the
-echelon also holds an int view of each row and a pivot mask, and every
-reduction against echelon rows is one `FieldCtx.row_eliminate`, which jumps
-from one pivot to clear to the next, so a reduction costs one step per row
-operation rather than one per stored row.  There `add` inserts in one pass
+`bytes` over GF(p), p <= 13, GF(2^k), GF(9) and GF(25), a list over larger
+primes and Q).  The echelon packs each input row once and stores packed
+rows.  Over packed fields the echelon also holds an int view of each row
+and a pivot mask, and every reduction against echelon rows is one
+`FieldCtx.row_eliminate`, which jumps from one pivot to clear to the next,
+so a reduction costs one step per row operation rather than one per stored
+row.  There `add` inserts in one pass
 over the row's int view: it eliminates only when the row meets a pivot
 slot, reads the zero test and the new pivot off the int, and scales the
 pivot entry to 1 with one `translate`.  Over the list fields the stored

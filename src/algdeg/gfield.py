@@ -4,16 +4,20 @@ A FieldCtx owns the arithmetic on raw scalars, the package's one scalar
 form: plain ints (finite fields, encoding polynomial-basis coefficients base
 p) or Fractions (rationals).
 Hot loops in the linear algebra work on raw rows through the ctx kernels
-(`row_submul`, `row_scale`, `lead`).  Over GF(p), p <= 13, and GF(2^k) a row
-is packed: a `bytes` object holding one raw code per byte, and a row update
-is one big-int operation plus one `bytes.translate` (the packed-row method of
-Boothby & Bradshaw, arXiv:0901.1413).  Eliminations and linear combinations
-run on the rows read as big ints (`row_eliminate`, `row_combine`): they add
-whole rows and, over GF(p), reduce the slots mod p with one `translate`
-only when a slot could next pass 255.  The structure-vector action's
+(`row_submul`, `row_scale`, `lead`).  Over GF(p), p <= 13, GF(2^k), GF(9)
+and GF(25) a row is packed: a `bytes` object holding one raw code per byte,
+and a row update is one big-int operation plus one `bytes.translate` (the
+packed-row method of Boothby & Bradshaw, arXiv:0901.1413).  Eliminations and
+linear combinations run on the rows read as big ints (`row_eliminate`,
+`row_combine`): they add whole rows and, over GF(p), reduce the slots mod p
+with one `translate` only when a slot could next pass 255.  Over GF(9) and
+GF(25) the kernels first translate each code a0 + p*a1 to the byte
+a0 | a1 << 4, so that the two base-p digits add in separate nibbles, and
+reduce the digits before one could pass 15.  The structure-vector action's
 transvections and diagonals run on int views too (`row_shift_add`,
-`row_slot_scale`).  Other fields keep rows as lists.  Every row kernel
-returns its field's row form (`FieldCtx.pack`) whatever form its input takes.
+`row_slot_scale`).  Larger primes and Q keep rows as lists.  Every row
+kernel returns its field's row form (`FieldCtx.pack`) whatever form its
+input takes.
 """
 
 from fractions import Fraction
@@ -63,14 +67,17 @@ class FieldCtx:
     Two contexts are interchangeable iff (char, degree, modulus) agree.
     All operations are pure.
 
-    `packed` is true over GF(p), p <= 13, and GF(2^k).  There the row kernels
-    work on `bytes` rows, one raw code per byte: they accept lists, tuples or
-    `bytes`, and return `bytes`, the form `pack` turns any row into.  Over
-    GF(p) a slot of u + (p-c)*v is at most (p-1) + p(p-1) = p^2 - 1 < 256, so
-    the slots of the big-int sum never carry and one `translate` reduces them
-    mod p.  Over GF(2^k) addition is XOR.  Every other field (GF(9), GF(25),
-    larger primes, Q) keeps rows as lists.  The byte of a code is the code
-    itself, so packed rows order and serialize like the lists they replace.
+    `packed` is true over GF(p), p <= 13, GF(2^k) and GF(p^2) for p = 3, 5.
+    There the row kernels work on `bytes` rows, one raw code per byte: they
+    accept lists, tuples or `bytes`, and return `bytes`, the form `pack`
+    turns any row into.  Over GF(p) a slot of u + (p-c)*v is at most
+    (p-1) + p(p-1) = p^2 - 1 < 256, so the slots of the big-int sum never
+    carry and one `translate` reduces them mod p.  Over GF(2^k) addition is
+    XOR.  Over GF(p^2) the kernels add the rows' nibble views
+    (`_build_nibble_tables`) and read the sum back as codes with one
+    `translate`.  Every other field (larger primes, Q) keeps rows as lists.
+    The byte of a code is the code itself, so packed rows order and
+    serialize like the lists they replace.
     `unscale_bytes[c]` is the `translate` table of multiplication by c^-1,
     with which `Echelon.add` makes a new pivot entry 1.
     """
@@ -102,18 +109,23 @@ class FieldCtx:
             except KeyError:
                 raise ValueError(f"no modulus on file for GF({char}^{degree})")
             self._build_tables()
-        if char == 2 or (degree == 1 and char <= 13):
+        # GF(p^2) packs while a sum of two digits fits a nibble: p <= 7
+        if char == 2 or char <= 13 and degree == 1 or char <= 7 and degree == 2:
             self.packed = True
             q = self.order
             # translate tables: multiplication by each scalar, by the inverse of
             # each nonzero scalar (the echelon's normalization), and reduction mod p
-            self._scale_bytes = [bytes(self.mul(c, x) if x < q else 0 for x in range(256))
-                                 for c in range(q)]
+            mul = (self._mul_table if degree > 1 else
+                   [[c * x % char for x in range(q)] for c in range(q)])
+            self._scale_bytes = [bytes(row) + bytes(256 - q) for row in mul]
             self.unscale_bytes = [None] + [self._scale_bytes[self.inv(c)] for c in range(1, q)]
-            self._mod_bytes = bytes(x % char for x in range(256))
-            # terms a reduced slot takes before it could pass 255: each adds
-            # at most (p-1)^2 to a slot of at most p-1
-            self._lazy_terms = (256 - char) // (char - 1) ** 2
+            if char == 2 or degree == 1:
+                self._mod_bytes = bytes(x % char for x in range(256))
+                # terms a reduced slot takes before it could pass 255: each adds
+                # at most (p-1)^2 to a slot of at most p-1
+                self._lazy_terms = (256 - char) // (char - 1) ** 2
+            else:
+                self._build_nibble_tables()
 
     def _decode(self, r):
         """Integer repr -> coefficient list, least-significant (constant) first."""
@@ -149,6 +161,27 @@ class FieldCtx:
                 raise ValueError(f"modulus for GF({p}^{self.degree}) is reducible")
         self._mul_table = mul
         self._inv_table = inv
+
+    def _build_nibble_tables(self):
+        """The nibble view of GF(p^2), p odd: code a0 + p*a1 is the byte a0 | a1 << 4.
+
+        `_nib_bytes` maps a code to its nibble byte and `_nib_scale[c]` a code
+        to the nibble byte of c times it, built from the rows of `_mul_table`.
+        A sum of nibble views adds each digit in its own nibble, which holds
+        15 before it carries; `_mod_bytes` reduces both digits of a byte mod p,
+        `_code_bytes` reads a byte back as a code, and `_any_scale[c]` maps any
+        byte to the nibble byte of c times its code.
+        """
+        p, q = self.char, self.order
+        self._nib_bytes = bytes([x % p | x // p << 4 for x in range(q)]) + bytes(256 - q)
+        self._nib_scale = [row.translate(self._nib_bytes) for row in self._scale_bytes]
+        digit = [x % p for x in range(16)]      # byte hi << 4 | lo has digits lo, hi mod p
+        self._mod_bytes = bytes([lo | hi << 4 for hi in digit for lo in digit])
+        self._code_bytes = bytes([lo + hi * p for hi in digit for lo in digit])
+        self._any_scale = [self._code_bytes.translate(t) for t in self._nib_scale]
+        # terms a reduced digit takes before it could pass 15: each adds at
+        # most p-1 to a digit of at most p-1
+        self._lazy_terms = (16 - p) // (p - 1)
 
     # -- raw scalar operations ------------------------------------------
 
@@ -237,15 +270,16 @@ class FieldCtx:
                     v = bytes(v).translate(self._scale_bytes[c])
                 return (int.from_bytes(u, "big") ^ int.from_bytes(v, "big")).to_bytes(d, "big")
             p = self.char
-            return (int.from_bytes(u, "big") + (p - c % p) * int.from_bytes(v, "big")
-                    ).to_bytes(d, "big").translate(self._mod_bytes)
-        if self.kind == "finite":
             if self.degree == 1:
-                p = self.char
-                return [(x - c * y) % p for x, y in zip(u, v)]
-            mc = self._mul_table[self._neg_table[c]]
-            add = self._add_table
-            return [add[x][mc[y]] for x, y in zip(u, v)]
+                return (int.from_bytes(u, "big") + (p - c % p) * int.from_bytes(v, "big")
+                        ).to_bytes(d, "big").translate(self._mod_bytes)
+            scale = self._nib_scale[self._neg_table[c]]
+            return (int.from_bytes(bytes(u).translate(self._nib_bytes), "big")
+                    + int.from_bytes(bytes(v).translate(scale), "big")
+                    ).to_bytes(d, "big").translate(self._code_bytes)
+        if self.kind == "finite":
+            p = self.char
+            return [(x - c * y) % p for x, y in zip(u, v)]
         return [x - c * y for x, y in zip(u, v)]
 
     def row_addmul(self, u, v, c):
@@ -257,11 +291,8 @@ class FieldCtx:
         if self.packed:
             return bytes(v).translate(self._scale_bytes[c])
         if self.kind == "finite":
-            if self.degree == 1:
-                p = self.char
-                return [(c * y) % p for y in v]
-            mc = self._mul_table[c]
-            return [mc[y] for y in v]
+            p = self.char
+            return [(c * y) % p for y in v]
         return [c * y for y in v]
 
     # -- big-int row kernels (packed fields only) --------------------------
@@ -271,6 +302,9 @@ class FieldCtx:
     # kernels add whole rows and reduce the slots only once they could pass
     # 255, every `_lazy_terms` terms (63 for GF(3), 15 for GF(5), 6 for GF(7),
     # 2 for GF(11), 1 for GF(13)) and once at the end; over GF(2^k) they XOR.
+    # Over GF(p^2) they translate each term to nibbles, scaled on the way,
+    # add, and reduce the digits every `_lazy_terms` terms (6 for GF(9), 2 for
+    # GF(25)); the int views they take and give are of codes all the same.
     # `row_combine` and `row_eliminate` take int views; `row_shift_add` and
     # `row_slot_scale` take a row in any form and move or scale masked slots
     # of its int view.  All return packed rows.
@@ -291,13 +325,22 @@ class FieldCtx:
             return x.to_bytes(d, "big")
         lazy = left = self._lazy_terms
         x = 0
+        if self.degree == 1:
+            for c, y in terms:
+                if c:
+                    if not left:
+                        x, left = self._reduced_int(x, d), lazy
+                    x += c * y
+                    left -= 1
+            return x.to_bytes(d, "big").translate(self._mod_bytes)
+        scale = self._nib_scale
         for c, y in terms:
             if c:
                 if not left:
                     x, left = self._reduced_int(x, d), lazy
-                x += c * y
+                x += int.from_bytes(y.to_bytes(d, "big").translate(scale[c]), "big")
                 left -= 1
-        return x.to_bytes(d, "big").translate(self._mod_bytes)
+        return x.to_bytes(d, "big").translate(self._code_bytes)
 
     def row_eliminate(self, x, mask, rows, d):
         """The int view x with every pivot slot under `mask` cleared, as a packed row of length d.
@@ -309,7 +352,8 @@ class FieldCtx:
         row operation, not one per stored row; each step clears its slot
         and changes x only to the right (below), so the slots above stay
         clear.  Over GF(p) an unreduced slot is read mod p, so a slot that
-        is a nonzero multiple of p is skipped.
+        is a nonzero multiple of p is skipped; over GF(p^2) x is cleared in
+        its nibble view, and a slot is read through `_code_bytes`.
         """
         m = x & mask
         if self.char == 2:
@@ -325,16 +369,30 @@ class FieldCtx:
             return x.to_bytes(d, "big")
         p = self.char
         lazy = left = self._lazy_terms
+        if self.degree == 1:
+            while m:
+                sh = (m.bit_length() - 1) & -8
+                c = (m >> sh) % p
+                if c:
+                    if not left:
+                        x, left = self._reduced_int(x, d), lazy
+                    x += (p - c) * rows[sh]
+                    left -= 1
+                m = x & mask & ((1 << sh) - 1)
+            return x.to_bytes(d, "big").translate(self._mod_bytes)
+        code, neg, scale = self._code_bytes, self._neg_table, self._nib_scale
+        x = int.from_bytes(x.to_bytes(d, "big").translate(self._nib_bytes), "big")
+        m = x & mask
         while m:
             sh = (m.bit_length() - 1) & -8
-            c = (m >> sh) % p
+            c = code[m >> sh]
             if c:
                 if not left:
                     x, left = self._reduced_int(x, d), lazy
-                x += (p - c) * rows[sh]
+                x += int.from_bytes(rows[sh].to_bytes(d, "big").translate(scale[neg[c]]), "big")
                 left -= 1
             m = x & mask & ((1 << sh) - 1)
-        return x.to_bytes(d, "big").translate(self._mod_bytes)
+        return x.to_bytes(d, "big").translate(code)
 
     def row_shift_add(self, row, steps):
         """The row after each (c, mask, shift) step in turn, as a packed row.
@@ -345,7 +403,9 @@ class FieldCtx:
         the source slots.  Over GF(p) a step takes the largest slot from b
         to at most b + c*b; the slots are reduced before a step that could
         take one past 255, and once at the end.  Over GF(2^k) a step is an
-        XOR, and c != 1 scales the source slots with one `translate`.
+        XOR, and c != 1 scales the source slots with one `translate`.  Over
+        GF(p^2) a step scales the source slots of the nibble view with one
+        `translate` (`_any_scale`), which adds at most p-1 to each digit.
         """
         d = len(row)
         x = int.from_bytes(row, "big")
@@ -358,6 +418,18 @@ class FieldCtx:
                         y = int.from_bytes(y.to_bytes(d, "big").translate(scale[c]), "big")
                     x ^= y << sh if sh > 0 else y >> -sh
             return x.to_bytes(d, "big")
+        if self.degree > 1:
+            scale = self._any_scale
+            lazy = left = self._lazy_terms
+            x = int.from_bytes(bytes(row).translate(self._nib_bytes), "big")
+            for c, mask, sh in steps:
+                if c:
+                    if not left:
+                        x, left = self._reduced_int(x, d), lazy
+                    y = int.from_bytes((x & mask).to_bytes(d, "big").translate(scale[c]), "big")
+                    x += y << sh if sh > 0 else y >> -sh
+                    left -= 1
+            return x.to_bytes(d, "big").translate(self._code_bytes)
         top = self.char - 1
         for c, mask, sh in steps:
             if c:
@@ -373,13 +445,13 @@ class FieldCtx:
 
         The masks (0xFF at each slot) partition the slots.  Over GF(p) a
         scaled slot is at most (p-1)^2 < 256, so the parts are summed and
-        reduced by one `translate`; over GF(2^k) each part c != 1 is scaled
-        by one `translate` of the row.
+        reduced by one `translate`; over GF(2^k) and GF(p^2) each part
+        c != 1 is scaled by one `translate` of the row.
         """
         d = len(row)
         row = bytes(row)
         x = int.from_bytes(row, "big")
-        if self.char == 2:
+        if self.char == 2 or self.degree > 1:
             scale = self._scale_bytes
             out = 0
             for c, mask in parts:

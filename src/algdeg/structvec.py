@@ -11,16 +11,18 @@ g v_1, ..., g v_n:
 computed as three mode contractions (O(n^4) each), with fast paths for
 tagged group elements.  A permutation sigma (g v_j = v_sigma(j)) only
 relabels coordinates, (lam g)_ijk = lam_{sigma i, sigma j, sigma k}, which is
-one cached `itemgetter` gather.  Where `FieldCtx.packed` holds, a
-transvection x_rs(t) is three whole-row steps on the row's int view (block s
-+= t*block r, run s += t*run r in every block, column r -= t*column s), each
-one cached mask and one shift (`FieldCtx.row_shift_add`), and a diagonal is
-one cached mask per distinct scalar d_i d_j d_k^-1 (`FieldCtx.row_slot_scale`).
+one cached `itemgetter` gather.  Where `FieldCtx.packed` holds (GF(p) for
+p <= 13, GF(2^k), GF(9) and GF(25)), a transvection x_rs(t) is three
+whole-row steps on the row's int view (block s += t*block r, run s +=
+t*run r in every block, column r -= t*column s), each one cached mask and
+one shift (`FieldCtx.row_shift_add`), and a diagonal is one cached mask per
+distinct scalar d_i d_j d_k^-1 (`FieldCtx.row_slot_scale`).
 A rank-one transvection I + c z (x) zeta with zeta(z) = 0 (the transvection
 pipeline's elements) changes each tensor index by a rank-one update, slice
 s += u_s * sum_a w_a slice_a; where `FieldCtx.packed` holds that is two
 `FieldCtx.row_combine` calls per index on the int view, through one cached
-mask and n shifts, and over the list fields it takes the general path.
+mask and n shifts, and over the list fields (larger primes and Q) it takes
+the general path.
 The general path, and transvections and diagonals over the list fields,
 are slice updates through the field's row kernels (`row_submul`,
 `row_scale`, `combiner`): on a `bytearray` where `FieldCtx.packed` holds,
@@ -224,8 +226,9 @@ def act_coords(coords, g, n, ctx):
     """Raw-coordinate action; dispatches on the group element's tag when present.
 
     Permutations, transvections and diagonals have a fast path over every
-    field, rank-one elements over packed fields only; every other element,
-    and a rank-one element over a list field, takes `_act_general` with its
+    field, rank-one elements over packed fields only (GF(p) for p <= 13,
+    GF(2^k), GF(9) and GF(25)); every other element, and a rank-one element
+    over a list field (a larger prime or Q), takes `_act_general` with its
     matrix and cached inverse.
     """
     tag = g.tag

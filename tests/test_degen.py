@@ -759,6 +759,16 @@ def test_lindeg_suite_small():
     assert rep["checked"] == 15 and not rep["failures"]
 
 
+@pytest.mark.parametrize("p, k", [(2, 3), (3, 2), (5, 2)])
+def test_lindeg_suite_samples_outside_the_prime_subfield(monkeypatch, p, k):
+    # each coordinate is drawn as a raw code, so over GF(p^k) the samples
+    # leave the prime subfield, whose codes are 0..p-1
+    ctx, seen = make_field(p, k), []
+    monkeypatch.setattr(degen, "verify_lindeg", lambda lam, q, gens: seen.append(lam) or True)
+    assert lindeg_suite(standard_generators(ctx, 3), 1, 10) == {"checked": 10, "failures": []}
+    assert max(max(lam.coords) for lam in seen) >= p
+
+
 def test_lindeg_suite_lists_every_failed_sample(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(degen, "verify_lindeg", lambda lam, q, gens: False)
     rep = lindeg_suite(standard_generators(GF5, 3), 123, 4)

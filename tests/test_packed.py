@@ -1,10 +1,10 @@
 """Differential tests of the packed row kernels against plain list references.
 
-Over GF(p), p <= 13, and GF(2^k) a row is packed into `bytes`; over the other
-fields rows stay lists.  Every kernel and every packed path of the engine is
-compared here with a reference written on the scalar operations alone, over
-every field in the modulus table, two packed primes above 7, and Q; the row
-kernels also over GF(17), whose rows are lists of codes.
+Over GF(p), p <= 13, GF(2^k), GF(9) and GF(25) a row is packed into `bytes`;
+over the other fields rows stay lists.  Every kernel and every packed path of
+the engine is compared here with a reference written on the scalar operations
+alone, over every field in the modulus table, two packed primes above 7, and
+Q; the row kernels also over GF(17), whose rows are lists of codes.
 """
 
 import functools
@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from algdeg import canon, cli, spinmx
+from algdeg import canon, cli, gfield, spinmx
 from algdeg.canon import Bases
 from algdeg.exactla import (
     Echelon, GroupElement, Matrix, Subspace, combiner, kernel_rows, quotient_coords,
@@ -26,7 +26,10 @@ from oracles import action_matrix, trace_images
 
 FIELDS = [make_field(p, k) for p, k in
           [(3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (5, 2), (0, 1)]]
-PACKED = {"GF(3)", "GF(2^2)", "GF(5)", "GF(7)", "GF(2^3)", "GF(11)", "GF(13)"}
+# the fields whose kernels add base-p digits in nibbles
+NIBBLE = [make_field(3, 2), make_field(5, 2)]
+PACKED = {"GF(3)", "GF(2^2)", "GF(5)", "GF(7)", "GF(2^3)", "GF(3^2)", "GF(11)", "GF(13)",
+          "GF(5^2)"}
 
 SETTINGS = settings(max_examples=25, deadline=None)
 per_field = pytest.mark.parametrize("ctx", FIELDS, ids=repr)
@@ -84,8 +87,10 @@ def _forms(ctx, row):
 
 # -- the kernels ------------------------------------------------------------------
 
-def test_packed_fields_are_exactly_the_small_primes_and_char_2():
+def test_packed_fields_are_the_small_primes_char_2_and_gf9_gf25():
     assert {repr(ctx) for ctx in FIELDS if ctx.packed} == PACKED
+    # the list branches of the row kernels are written for prime fields only
+    assert all(make_field(p, k).packed for p, k in gfield._MODULI)
 
 
 @per_field
@@ -253,12 +258,14 @@ def test_transvection_and_diagonal_match_the_defining_sum(ctx, n, data):
             assert list(got) == expect
 
 
-@pytest.mark.parametrize("ctx", [c for c in FIELDS if c.char in (11, 13)], ids=repr)
+@pytest.mark.parametrize("ctx", [c for c in FIELDS if c.char in (11, 13) or c in NIBBLE],
+                         ids=repr)
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_transvections_with_every_slot_and_t_at_p_minus_1(ctx, n):
     # the largest slot the lazy bound allows: every entry p - 1, and t = p - 1
-    # (steps 1 and 2 add (p-1) times a slot, step 3 adds 1 times one)
-    top = ctx.char - 1
+    # (steps 1 and 2 add (p-1) times a slot, step 3 adds 1 times one); over
+    # GF(p^2) every digit at p - 1, the code q - 1
+    top = ctx.order - 1
     coords = [top] * n ** 3
     for r in range(1, n + 1):
         for s in range(1, n + 1):
@@ -476,10 +483,17 @@ def _check_views(ech):
 
 
 def test_lazy_terms_keep_every_slot_below_256():
-    got = {ctx.char: ctx._lazy_terms for ctx in FIELDS if ctx.packed and ctx.char != 2}
-    assert got == {3: 63, 5: 15, 7: 6, 11: 2, 13: 1}
-    for p, k in got.items():
-        assert (p - 1) + k * (p - 1) ** 2 <= 255 < (p - 1) + (k + 1) * (p - 1) ** 2
+    got = {repr(ctx): ctx._lazy_terms for ctx in FIELDS if ctx.packed and ctx.char != 2}
+    assert got == {"GF(3)": 63, "GF(5)": 15, "GF(7)": 6, "GF(11)": 2, "GF(13)": 1,
+                   "GF(3^2)": 6, "GF(5^2)": 2}
+    for ctx in FIELDS:
+        if ctx.packed and ctx.char != 2:
+            p, k = ctx.char, ctx._lazy_terms
+            if ctx.degree == 1:
+                assert (p - 1) + k * (p - 1) ** 2 <= 255 < (p - 1) + (k + 1) * (p - 1) ** 2
+            else:
+                # each digit of a nibble view stays below 16, so no nibble carries
+                assert (p - 1) + k * (p - 1) <= 15 < (p - 1) + (k + 1) * (p - 1)
 
 
 @per_field
@@ -526,9 +540,10 @@ def test_reduced_then_more_adds_keeps_the_views_consistent(ctx, data):
     _check_views(ech)
 
 
-# every packed field: GF(p) for p <= 13, and GF(2^k)
+# every packed field: GF(p) for p <= 13, GF(2^k), GF(9) and GF(25)
 PACKED_FIELDS = [make_field(p, k) for p, k in
-                 [(2, 1), (3, 1), (5, 1), (7, 1), (11, 1), (13, 1), (2, 2), (2, 3)]]
+                 [(2, 1), (3, 1), (5, 1), (7, 1), (11, 1), (13, 1), (2, 2), (2, 3), (3, 2),
+                  (5, 2)]]
 
 
 def _insert_cases(ctx, d, rng):
@@ -700,6 +715,102 @@ def test_a_pivot_slot_that_is_a_nonzero_multiple_of_p_is_skipped():
     v = [1, 2, 1, 0]
     want = ref_reduce(ctx, v, [list(r) for r in ech.rows], ech.pivots)
     assert list(ech.reduce(v)) == want == [0, 0, 0, 2]
+
+
+# -- the nibble view of GF(9) and GF(25) -------------------------------------------------
+#
+# Over GF(p^2), p odd, the kernels read code a0 + p*a1 as the byte a0 | a1 << 4,
+# add whole rows so that each digit sums in its own nibble, and reduce the
+# digits every `_lazy_terms` terms (6 over GF(9), 2 over GF(25)).  The rows
+# below have 216 and 512 slots (n = 6 and 8), and every sum takes more terms
+# than the lazy bound, so each reduction runs; the counts check that it does.
+
+def test_nibble_tables_read_back_every_code():
+    for ctx in NIBBLE:
+        p, q = ctx.char, ctx.order
+        for a in range(q):
+            nib = ctx._nib_bytes[a]
+            assert nib == a % p | a // p << 4 and ctx._code_bytes[nib] == a
+            for c in range(q):
+                prod = ctx._nib_scale[c][a]
+                assert ctx._code_bytes[prod] == ctx.mul(c, a) and ctx._mod_bytes[prod] == prod
+        for x in range(256):
+            code = (x & 15) % p + (x >> 4) % p * p
+            assert ctx._code_bytes[x] == code and ctx._mod_bytes[x] == ctx._nib_bytes[code]
+            assert [t[x] for t in ctx._any_scale] == [ctx._nib_bytes[ctx.mul(c, code)]
+                                                      for c in range(q)]
+
+
+def _nibble_rows(ctx, d, rng):
+    """A row with every digit at p - 1, then 3L + 2 random rows, L the lazy bound."""
+    q = ctx.order
+    return [[q - 1] * d] + [[rng.randrange(q) for _ in range(d)]
+                            for _ in range(3 * ctx._lazy_terms + 2)]
+
+
+@pytest.mark.parametrize("ctx", NIBBLE, ids=repr)
+@pytest.mark.parametrize("d", [216, 512])
+def test_nibble_row_kernels_match_the_list_reference_on_long_rows(monkeypatch, ctx, d):
+    rng, q, lazy = random.Random(d + ctx.order), ctx.order, ctx._lazy_terms
+    rows = _nibble_rows(ctx, d, rng)
+    top, u, v = rows[:3]
+    calls = _count_reductions(monkeypatch, ctx)
+    for c in range(q):
+        for a, b in ((u, v), (top, top), (u, top)):
+            assert ctx.row_submul(bytes(a), b, c) == bytes(ref_submul(ctx, a, b, c))
+            assert ctx.row_addmul(a, bytes(b), c) == bytes(ref_addmul(ctx, a, b, c))
+        assert ctx.row_scale(u, c) == bytes(ref_scale(ctx, u, c))
+    scalar_of = [rng.randrange(q) for _ in range(d)]
+    parts = {}
+    for f, c in enumerate(scalar_of):
+        parts[c] = parts.get(c, 0) | 0xFF << 8 * (d - 1 - f)
+    assert ctx.row_slot_scale(u, tuple(parts.items())) == bytes(
+        ctx.mul(c, x) for c, x in zip(scalar_of, u))
+    assert not calls
+    # row_combine: 3L + 3 nonzero terms, a reduction before every L more
+    coeffs = [q - 1] + [rng.randrange(1, q) for _ in rows[1:]]
+    assert combiner(rows, ctx)(coeffs) == bytes(ref_combine(ctx, coeffs, rows))
+    assert len(calls) == (len(rows) - 1) // lazy
+    # row_shift_add: 3L + 1 steps, each adding c times a random half of the
+    # left half of the row to the matching slots of the right half
+    del calls[:]
+    m, expect, steps = d // 2, list(top), []
+    for _ in range(3 * lazy + 1):
+        src = [f for f in range(m) if rng.random() < 0.5]
+        c = rng.choice([q - 1, 1] + list(range(1, q)))
+        steps.append((c, sum(0xFF << 8 * (d - 1 - f) for f in src), -8 * m))
+        old = list(expect)
+        for f in src:
+            expect[f + m] = ctx.add(old[f + m], ctx.mul(c, old[f]))
+    assert ctx.row_shift_add(top, steps) == bytes(expect)
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("ctx", NIBBLE, ids=repr)
+@pytest.mark.parametrize("d", [216, 512])
+def test_nibble_elimination_matches_the_textbook_loop_on_long_rows(monkeypatch, ctx, d):
+    rng, lazy = random.Random(d * ctx.order), ctx._lazy_terms
+    rows = _nibble_rows(ctx, d, rng)
+    ech, ref_rows, ref_pivots = Echelon(ctx, d), [], []
+    for r in rows:
+        added = ech.add(r)
+        ref_rows, ref_pivots = ref_insert(ctx, ref_rows, ref_pivots, r)
+        assert list(added) == ref_rows[ref_pivots.index(ref_lead(added))]
+        _check_views(ech)
+    calls = _count_reductions(monkeypatch, ctx)
+    for v in _nibble_rows(ctx, d, rng):
+        # the row operations the textbook loop makes, one per pivot it meets
+        ops, w = 0, list(v)
+        for row, p in zip(ref_rows, ref_pivots):
+            if w[p]:
+                ops, w = ops + 1, ref_submul(ctx, w, row, w[p])
+        del calls[:]
+        assert ech.reduce(v) == bytes(w)
+        assert len(calls) == max(ops - 1, 0) // lazy
+    assert ops > lazy
+    red, pivots = ech.reduced()
+    assert [list(r) for r in red] == [list(r) for r in Subspace(ctx, d, rows).rows]
+    _check_views(ech)
 
 
 @pytest.mark.parametrize("ctx", [make_field(2, 2), make_field(2, 3)], ids=repr)
