@@ -32,6 +32,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations, islice
+from typing import NamedTuple
 
 from .canon import delta as delta_vector
 from .canon import eta as eta_vector
@@ -155,52 +156,76 @@ def _zeta_brackets(lam, z, zeta):
             combiner([w[i * n:i * n + n] for i in range(n)], ctx)(z))
 
 
-def _g5_closed_form(lam, spec):
+class _G5Parts(NamedTuple):
+    """The rows zeta([e_i,z]) over i and zeta([z,e_j]) over j, the scalar
+    zeta(w) and the outer products zeta (x) w and zeta (x) z, w = [z,z]."""
+    iz: object
+    zj: object
+    zeta_w: object
+    zeta_x_w: list
+    zeta_x_z: list
+
+
+def _g5_parts(lam, z, zeta):
+    """What `_g5_closed_form` reads that does not depend on alpha, for z and
+    zeta, from `_zeta_brackets`, `product` and `_outer` alone, never from the
+    pipeline's actions.  The pipelines of one (z, zeta) at several alphas
+    share them, and zeta([z, .]) is the form of `_alternating_radical`.
+    """
+    ctx = lam.ctx
+    iz, zj = _zeta_brackets(lam, z.coords, zeta.coords)
+    w = product(lam, z, z)
+    return _G5Parts(iz, zj, zeta(w), _outer(ctx, zeta.coords, w.coords),
+                    _outer(ctx, zeta.coords, z.coords))
+
+
+def _g5_closed_form(lam, spec, parts):
     """[u,v]_5 from the closed bracket form, regrouped for the row kernels.
 
     At the basis pair (e_i, e_j) it is (zeta_i r_j + zeta([e_i,z]) zeta_j) z
     - zeta_i zeta_j [z,z], with r_j = zeta([z,e_j]) + (alpha+1) zeta([z,z])
-    zeta_j.  It reads `_zeta_brackets` and `product`; the outer products are
-    a `row_scale` per block or one `combiner`.
+    zeta_j.  Only r depends on alpha; the rest is `_g5_parts(lam, z, zeta)`.
+    The outer products are a `row_scale` per block or one `combiner`.
     """
     ctx, n = lam.ctx, lam.n
     z, zeta = spec.z.coords, spec.zeta.coords
-    iz, zj = _zeta_brackets(lam, z, zeta)
-    zz = product(lam, spec.z, spec.z)
-    r = ctx.row_addmul(zj, zeta, ctx.mul(ctx.add(spec.alpha, ctx.one()), spec.zeta(zz)))
-    x = ctx.row_submul(_outer(ctx, r, z), _outer(ctx, zeta, zz.coords), ctx.one())
-    y = _outer(ctx, zeta, z)
-    # block i is zeta_i x + zeta([e_i,z]) y
-    xy = combiner([x, y], ctx)
-    coords = [v for ab in zip(zeta, iz) for v in xy(ab)]
+    r = ctx.row_addmul(parts.zj, zeta, ctx.mul(ctx.add(spec.alpha, ctx.one()), parts.zeta_w))
+    x = ctx.row_submul(_outer(ctx, r, z), parts.zeta_x_w, ctx.one())
+    # block i is zeta_i x + zeta([e_i,z]) (zeta (x) z)
+    xy = combiner([x, parts.zeta_x_z], ctx)
+    coords = [v for ab in zip(zeta, parts.iz) for v in xy(ab)]
     return StructureVector(ctx, n, coords)
 
 
-def transvection_g5(lam, spec):
+def transvection_g5(lam, spec, parts=None):
     """The rescaled second difference of lam along the transvection family.
 
     Built through the explicit member chain of lam(FG) and cross-checked
     against the closed bracket form; the result is guaranteed to lie in
-    lam(FG).
+    lam(FG).  `parts` are `_g5_parts(lam, spec.z, spec.zeta)`, computed here
+    unless the caller already has them.
     """
     ctx = lam.ctx
     if ctx.kind == "finite" and ctx.order <= 2:
         raise ValueError("the pipeline needs |F| > 2")
-    return _g5_from_first_difference(lam, spec, act(lam, spec.group_element()) - lam)
+    if parts is None:
+        parts = _g5_parts(lam, spec.z, spec.zeta)
+    return _g5_from_first_difference(lam, spec, act(lam, spec.group_element()) - lam, parts)
 
 
-def _g5_from_first_difference(lam, spec, lam2):
+def _g5_from_first_difference(lam, spec, lam2, parts):
     """`transvection_g5` given its first difference lam2 = lam*g_1 - lam.
 
     g_1 = I + z (x) zeta does not depend on alpha, so the pipelines of one
-    (z, zeta) at several alphas share lam2.
+    (z, zeta) at several alphas share lam2, as they share the closed form's
+    `parts`.
     """
     ctx, alpha = lam.ctx, spec.alpha
     lam3 = act(lam, spec.group_element(scale=alpha)) - lam
     lam4 = lam3 - lam2.scale(alpha)
     denom = ctx.neg(ctx.sub(ctx.mul(alpha, alpha), alpha))  # -(alpha^2 - alpha)
     lam5 = lam4.scale(ctx.inv(denom))
-    closed = _g5_closed_form(lam, spec)
+    closed = _g5_closed_form(lam, spec, parts)
     if lam5 != closed:
         raise AssertionError("pipeline and closed form disagree on the given data")
     return lam5
@@ -258,17 +283,17 @@ def _functional_with_values(ctx, rows, values):
     return DualVector(ctx, len(rows[0]), x)
 
 
-def _alternating_radical(lam, z, zeta):
-    """zeta' = zeta([z, .]) (`_zeta_brackets`) and the radical ker zeta ^
-    ker zeta' of the alternating form zeta(u) zeta'(v) - zeta(v) zeta'(u)."""
-    ctx, n = lam.ctx, lam.n
-    zeta_prime = DualVector(ctx, n, _zeta_brackets(lam, z.coords, zeta.coords)[1])
-    return zeta_prime, Subspace(ctx, n, kernel_rows([zeta.coords, zeta_prime.coords], n, ctx))
+def _alternating_radical(ctx, n, zeta, zeta_prime):
+    """The radical ker zeta ^ ker zeta' of the alternating form zeta(u) zeta'(v)
+    - zeta(v) zeta'(u), for raw rows zeta and zeta' = zeta([z, .]) (`_g5_parts`)."""
+    return Subspace(ctx, n, kernel_rows([zeta, zeta_prime], n, ctx))
 
 
 def _basis_change(ctx, cols):
-    """The group element whose matrix has the given columns."""
-    return GroupElement(Matrix.from_rows(ctx, cols).transpose())
+    """The group element whose matrix has the given columns, raw or packed rows;
+    its inverse comes from `Matrix.inverse`."""
+    return GroupElement(Matrix(ctx, len(cols), len(cols),
+                               [x for row in zip(*cols) for x in row]))
 
 
 @lru_cache(maxsize=64)
@@ -372,9 +397,10 @@ def reach_eta(lam, gens):
         ctx, [z.coords, w.coords, zw.coords], [zero, zero, ctx.one()])
     alpha = primitive_element(ctx)
     spec = TransvectionSpec(z, zeta, alpha)
-    mu5 = transvection_g5(lam, spec)
+    parts = _g5_parts(lam, z, zeta)
+    mu5 = transvection_g5(lam, spec, parts)
     # the alternating form has rank 2 and z sits inside its radical
-    _, radical = _alternating_radical(lam, z, zeta)
+    radical = _alternating_radical(ctx, n, zeta.coords, parts.zj)
     if not radical.contains(z.coords):
         raise AssertionError("z lies outside the radical of the alternating form")
     rad_rest = radical.coset_representatives(Subspace(ctx, n, [z.coords]))
@@ -408,12 +434,14 @@ def reach_delta(lam, gens):
                                   else [ctx.from_int(3)])
                       if e not in (zero, one, alpha))
         spec = TransvectionSpec(z, zeta, alpha)
-        lam2 = act(lam, spec.group_element()) - lam     # one first difference for both
-        mu5 = _g5_from_first_difference(lam, spec, lam2)
-        mu5p = _g5_from_first_difference(lam, TransvectionSpec(z, zeta, alpha2), lam2)
+        # one first difference and one set of closed-form parts for both alphas
+        lam2 = act(lam, spec.group_element()) - lam
+        parts = _g5_parts(lam, z, zeta)
+        mu5 = _g5_from_first_difference(lam, spec, lam2, parts)
+        mu5p = _g5_from_first_difference(lam, TransvectionSpec(z, zeta, alpha2), lam2, parts)
         lam6 = (mu5p - mu5).scale(ctx.inv(ctx.sub(alpha2, alpha)))
         # closed form: zeta(u) zeta(v) z
-        coords = _outer(ctx, zeta.coords, _outer(ctx, zeta.coords, z.coords))
+        coords = _outer(ctx, zeta.coords, parts.zeta_x_z)
         if lam6.coords != coords:
             raise AssertionError("second difference disagrees with zeta(u) zeta(v) z")
         ker = Subspace(ctx, n, kernel_rows([zeta.coords], n, ctx))
@@ -423,8 +451,10 @@ def reach_delta(lam, gens):
         branch = "big-field"
     else:
         # |F| = 3: alpha is forced to 2 = -1 and the zeta([z,z]) term drops out
-        mu5 = transvection_g5(lam, TransvectionSpec(z, zeta, ctx.from_int(2)))
-        zeta_prime, radical = _alternating_radical(lam, z, zeta)
+        parts = _g5_parts(lam, z, zeta)
+        mu5 = transvection_g5(lam, TransvectionSpec(z, zeta, ctx.from_int(2)), parts)
+        zeta_prime = DualVector(ctx, n, parts.zj)
+        radical = _alternating_radical(ctx, n, zeta.coords, parts.zj)
         h = _basis_change(ctx, [z.coords, w.coords] + radical._ech.rows)
         nu = act(mu5, h)
         c = zeta_prime(w)

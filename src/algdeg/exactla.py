@@ -25,6 +25,7 @@ Pivots are first nonzero entries: exact arithmetic makes stability a
 non-issue and the unique reduced form makes outputs diffable.
 """
 from bisect import bisect_left
+from functools import lru_cache
 from operator import itemgetter
 
 from .gfield import FieldCtx
@@ -285,12 +286,6 @@ class Matrix:
         i, j = ij
         return self.entries[i * self.ncols + j]
 
-    def transpose(self):
-        e = self.entries
-        nc = self.ncols
-        flat = [e[i * nc + j] for j in range(nc) for i in range(self.nrows)]
-        return Matrix(self.ctx, nc, self.nrows, flat)
-
     def mul(self, other):
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in matrix product")
@@ -315,16 +310,32 @@ class Matrix:
         return Echelon(self.ctx, self.ncols, self.rows()).dim
 
     def inverse(self):
+        """The inverse, from the packed rows [row_i | e_i] reduced by one `Echelon`."""
         if self.nrows != self.ncols:
             raise ValueError("only square matrices invert")
-        n = self.nrows
-        ctx = self.ctx
-        ident = Matrix.identity(ctx, n)
-        aug = [self.row(i) + ident.row(i) for i in range(n)]
-        red, pivots = rref_rows(aug, ctx)
+        n, ctx = self.nrows, self.ctx
+        units = _unit_rows(ctx, n)
+        red, pivots = Echelon(ctx, 2 * n, [ctx.pack(self.row(i)) + units[i]
+                                           for i in range(n)]).reduced()
         if pivots != list(range(n)):
             raise ValueError("matrix is singular")
-        return Matrix.from_rows(ctx, [r[n:] for r in red])
+        return _square(ctx, [r[n:] for r in red])
+
+
+def _square(ctx, rows):
+    """The n x n Matrix with these n rows, in any row form, read as raw codes."""
+    return Matrix(ctx, len(rows), len(rows), [x for r in rows for x in r])
+
+
+@lru_cache(maxsize=64)
+def _unit_rows(ctx, n):
+    """The unit rows e_1..e_n of F^n in the row form (`FieldCtx.pack`), built once.
+
+    Shared by every caller, so a list-field row here is never mutated: the
+    row kernels return new rows.
+    """
+    zero, one = ctx.zero(), ctx.one()
+    return tuple(ctx.pack([one if i == j else zero for j in range(n)]) for i in range(n))
 
 
 def kernel_rows(rows, ncols, ctx):
@@ -511,8 +522,14 @@ class GroupElement:
     ("diagonal", (d_1, ..., d_n)), ("permutation", (sigma 1, ..., sigma n)),
     and ("rank-one", z, zeta, c) for I + c*z (x) zeta with zeta(z) = 0, z and
     zeta tuples of raw scalars.  An untagged element takes the general
-    action; so does every product, whatever its factors.  Every element,
-    tagged or not, passes the mat * inv = I check.
+    action; so does every product, whatever its factors.
+
+    Every element, tagged or not, passes the mat * inv = I check, one row at
+    a time: row i of mat, as coefficients, combines the rows of inv
+    (`combiner`, one `row_combine` over packed fields), and the result must
+    be the unit row e_i of (ctx, n), built once (`_unit_rows`).  No product
+    or identity `Matrix` is built.  The structured constructors build both
+    matrices' rows from those unit rows with the row kernels.
     """
 
     __slots__ = ("ctx", "n", "mat", "inv", "tag")
@@ -520,13 +537,20 @@ class GroupElement:
     def __init__(self, mat, inv=None, tag=None):
         if mat.nrows != mat.ncols:
             raise ValueError("group elements are square")
-        self.ctx = mat.ctx
-        self.n = mat.nrows
-        self.mat = mat
-        self.inv = inv if inv is not None else mat.inverse()
-        if self.mat.mul(self.inv) != Matrix.identity(self.ctx, self.n):
+        ctx, n = mat.ctx, mat.nrows
+        inv = inv if inv is not None else mat.inverse()
+        # the row-wise check reads n rows of inv, so its shape is checked first
+        if inv.ctx != ctx or inv.nrows != n or inv.ncols != n:
             raise ValueError("cached inverse is wrong")
-        self.tag = tag
+        times = combiner(inv.rows(), ctx)
+        for i, unit in enumerate(_unit_rows(ctx, n)):
+            if times(mat.row(i)) != unit:
+                raise ValueError("cached inverse is wrong")
+        self.ctx, self.n, self.mat, self.inv, self.tag = ctx, n, mat, inv, tag
+
+    @classmethod
+    def _of_rows(cls, ctx, rows, inv_rows, tag):
+        return cls(_square(ctx, rows), _square(ctx, inv_rows), tag)
 
     @classmethod
     def transvection(cls, ctx, n, i, j, t=1):
@@ -536,48 +560,43 @@ class GroupElement:
         if i == j:
             raise ValueError("transvections need i != j")
         t = ctx._coerce(t)
-        mat = Matrix.identity(ctx, n)
-        inv = Matrix.identity(ctx, n)
-        mat.entries[(i - 1) * n + (j - 1)] = t
-        inv.entries[(i - 1) * n + (j - 1)] = ctx.neg(t)
-        return cls(mat, inv, tag=("transvection", i - 1, j - 1, t))
+        units = _unit_rows(ctx, n)
+        rows, inv_rows = list(units), list(units)
+        rows[i - 1] = ctx.row_addmul(units[i - 1], units[j - 1], t)
+        inv_rows[i - 1] = ctx.row_submul(units[i - 1], units[j - 1], t)
+        return cls._of_rows(ctx, rows, inv_rows, ("transvection", i - 1, j - 1, t))
 
     @classmethod
     def diagonal(cls, ctx, diag):
         diag = [ctx._coerce(d) for d in diag]
         if ctx.zero() in diag:
             raise ValueError("diagonal entries must be nonzero")
-        n = len(diag)
-        mat = Matrix.identity(ctx, n)
-        inv = Matrix.identity(ctx, n)
-        for i, d in enumerate(diag):
-            mat.entries[i * n + i] = d
-            inv.entries[i * n + i] = ctx.inv(d)
-        return cls(mat, inv, tag=("diagonal", tuple(diag)))
+        units = _unit_rows(ctx, len(diag))
+        return cls._of_rows(ctx, list(map(ctx.row_scale, units, diag)),
+                            [ctx.row_scale(u, ctx.inv(d)) for u, d in zip(units, diag)],
+                            ("diagonal", tuple(diag)))
 
     @classmethod
     def rank_one(cls, ctx, z, zeta, c):
         """I + c*z (x) zeta, entry (i, j) = delta_ij + c z_i zeta_j, for raw z, zeta in F^n.
 
-        The inverse is I - c*z (x) zeta, written entry by entry beside it;
-        it is the inverse exactly when zeta(z) = 0 (or c z (x) zeta = 0),
-        and the mat * inv = I check of the constructor refuses any other
-        z, zeta.
+        Row i is e_i + c z_i zeta, and the inverse's row i is e_i - c z_i
+        zeta, one `row_addmul` and one `row_submul` on the unit row; the
+        inverse is right exactly when zeta(z) = 0 (or c z (x) zeta = 0), and
+        the mat * inv = I check of the constructor refuses any other z, zeta.
         """
         z, zeta, c = tuple(map(ctx._coerce, z)), tuple(map(ctx._coerce, zeta)), ctx._coerce(c)
         n = len(z)
         if len(zeta) != n:
             raise ValueError("z and zeta have different lengths")
-        mat = Matrix.identity(ctx, n)
-        inv = Matrix.identity(ctx, n)
+        units, row = _unit_rows(ctx, n), ctx.pack(zeta)
+        rows, inv_rows = list(units), list(units)
         for i, zi in enumerate(z):
             czi = ctx.mul(c, zi)
             if czi:
-                for j, zj in enumerate(zeta):
-                    e = ctx.mul(czi, zj)
-                    mat.entries[i * n + j] = ctx.add(mat.entries[i * n + j], e)
-                    inv.entries[i * n + j] = ctx.sub(inv.entries[i * n + j], e)
-        return cls(mat, inv, tag=("rank-one", z, zeta, c))
+                rows[i] = ctx.row_addmul(units[i], row, czi)
+                inv_rows[i] = ctx.row_submul(units[i], row, czi)
+        return cls._of_rows(ctx, rows, inv_rows, ("rank-one", z, zeta, c))
 
     @classmethod
     def permutation(cls, ctx, images):
@@ -586,10 +605,13 @@ class GroupElement:
         n = len(images)
         if sorted(images) != list(range(1, n + 1)):
             raise ValueError(f"{list(images)} is not a permutation of 1..{n}")
-        mat = Matrix.zeros(ctx, n, n)
+        units = _unit_rows(ctx, n)
+        # column j of the matrix is e_sigma(j): row sigma(j) is e_j
+        rows = [None] * n
         for j, im in enumerate(images):
-            mat.entries[(im - 1) * n + j] = ctx.one()
-        return cls(mat, mat.transpose(), tag=("permutation", images))
+            rows[im - 1] = units[j]
+        return cls._of_rows(ctx, rows, [units[im - 1] for im in images],
+                            ("permutation", images))
 
     def compose(self, other):
         """Product g*h as transformations (apply h's matrix on the right of [g])."""

@@ -8,7 +8,10 @@ action matching the structure-vector action is
     phi * g = g^-1 phi g^(2)        (g^(2): entries squared)
 
 and lam -> squaring(lam) intertwines the two actions with kernel the
-square-zero submodule.  The irreducibility of the semilinear space is
+square-zero submodule.  For a fixed g the star is F-linear in phi: on the
+n^2 coordinates of phi it is one n^2 x n^2 matrix K, built once per element
+(`_star_pair`), and each star is one linear combination of the rows of K
+(`_star`).  The irreducibility of the semilinear space is
 verified twice: by replaying the explicit extraction moves (permutations,
 the e&f operator, the shear identity needing |F| >= 4), and independently by
 the kernel-vector criterion.
@@ -18,7 +21,7 @@ import random
 from dataclasses import dataclass
 
 from .canon import _cells, _restricted_kernel, predicate_C
-from .exactla import Echelon, GroupElement, Matrix, Subspace
+from .exactla import Echelon, GroupElement, Matrix, Subspace, combiner
 from .gfield import primitive_element
 from .report import claim, norton_claim
 from .spinmx import _restricted_handle, check_cell_shape, norton_irreducible
@@ -105,18 +108,27 @@ def star(phi, g):
     """phi * g = g^-1 phi g^(2); a right action compatible with sigma."""
     if g.ctx != phi.ctx or g.n != phi.n:
         raise ValueError("group element does not match the map")
-    return _star(phi, *_star_pair(g))
+    return _star(phi, _star_pair(g))
 
 
 def _star_pair(g):
-    """(g^-1, g^(2)) of a group element, what `_star` applies, for callers that reuse it."""
-    ctx = g.ctx
-    return g.inv, Matrix(ctx, g.n, g.n, [ctx.mul(x, x) for x in g.mat.entries])
+    """The star by g as one linear map on the n^2 coordinates: a `combiner`
+    over the rows of K, which `_star` applies; callers that reuse g keep it.
+
+    (g^-1 phi g^(2))_il = sum_jk (g^-1)_ij phi_jk (g^(2))_kl, so vec(phi * g)
+    = vec(phi) K with K[(j,k), (i,l)] = (g^-1)_ij (g^(2))_kl: row (j, k) of
+    K is column j of g^-1 times row k of g^(2), block by block over i.
+    """
+    ctx, n, gi = g.ctx, g.n, g.inv.entries
+    sq = [ctx.pack([ctx.mul(x, x) for x in g.mat.row(k)]) for k in range(n)]
+    return combiner([[x for i in range(n) for x in ctx.row_scale(sq[k], gi[i * n + j])]
+                     for j in range(n) for k in range(n)], ctx)
 
 
-def _star(phi, ginv, gsq):
-    """phi * g from g^-1 and g^(2) (`_star_pair`)."""
-    return SemilinearMap(ginv.mul(phi.mat).mul(gsq))
+def _star(phi, times):
+    """phi * g from the linear map of g (`_star_pair`): one combination of its rows."""
+    ctx, n = phi.ctx, phi.n
+    return SemilinearMap(Matrix(ctx, n, n, times(phi.mat.entries)))
 
 
 def e_and_f(phi, e, f, elements=None):
@@ -124,7 +136,7 @@ def e_and_f(phi, e, f, elements=None):
 
     e and f are 1-based index pairs of off-diagonal matrix units with
     ef = fe = 0; both evaluations are computed and compared.  `elements`
-    are the (g^-1, g^(2)) of the four group elements from `_ef_elements`,
+    are the star maps (`_star_pair`) of the four group elements from `_ef_elements`,
     which a caller applying one pair to many maps builds once; by default
     they are built here.
     """
@@ -132,15 +144,15 @@ def e_and_f(phi, e, f, elements=None):
     if elements is None:
         elements = _ef_elements(ctx, n, e, f)
     total = SemilinearMap.zero(ctx, n)
-    for ginv, gsq in elements:
-        total = total + _star(phi, ginv, gsq)
+    for times in elements:
+        total = total + _star(phi, times)
     if total != _ef_closed_form(phi, e, f):
         raise AssertionError("four-term star sum disagrees with e phi f + f phi e")
     return total
 
 
 def _ef_elements(ctx, n, e, f):
-    """(g^-1, g^(2)) for g = I, I + e, I + f and I + e + f, each a checked `GroupElement`.
+    """The star maps of g = I, I + e, I + f and I + e + f, each a checked `GroupElement`.
 
     (I + e + f)(I - e - f) = I - (e + f)^2 = I as ef = fe = 0, and in
     characteristic 2 I - e - f = I + e + f: each element is its own inverse.
@@ -185,15 +197,13 @@ def gamma_handle(gens):
     """The semilinear space as a module over the generator set, one star applier per element.
 
     Coordinates are over the matrix units, row-major, so a row r is the map
-    with matrix r and its image under g is star(r, g); g^(2) is computed
-    once per generator.
+    with matrix r and its image under g is star(r, g): the applier of g is
+    its star map (`_star_pair`), built once per generator.
     """
     ctx, n = gens.ctx, gens.n
     if ctx.char != 2:
         raise ValueError("the semilinear module needs characteristic 2")
-    appliers = [lambda r, pair=_star_pair(g):
-                _star(SemilinearMap(Matrix(ctx, n, n, r)), *pair).coords()
-                for g in gens.elements]
+    appliers = [_star_pair(g) for g in gens.elements]
     return _restricted_handle(gens, appliers, Subspace.full(ctx, n * n), None, "semilinear")
 
 
@@ -201,7 +211,7 @@ def sigma_gmap_claims(bases, gens):
     """sigma intertwines the two actions and has kernel K on C (both checked).
 
     The field, n, C and K come from `bases`.  sigma(lam) is computed once per
-    row lam of C and g^-1, g^(2) once per generator; the rank and kernel
+    row lam of C and the star map once per generator; the rank and kernel
     check reuses the same sigma values.
     """
     check_cell_shape(bases, gens)
@@ -211,9 +221,9 @@ def sigma_gmap_claims(bases, gens):
     sigmas = [sigma(lam) for lam in lams]
     ok = True
     for g in gens.elements:
-        pair = _star_pair(g)
+        times = _star_pair(g)
         for lam, s in zip(lams, sigmas):
-            if sigma(act(lam, g)) != _star(s, *pair):
+            if sigma(act(lam, g)) != _star(s, times):
                 ok = False
     # kernel of sigma restricted to C equals K, and sigma is onto (rank n^2)
     values = [s.coords() for s in sigmas]
@@ -258,7 +268,7 @@ def _replay_seeds(seeds):
 
 
 class _ReplayElements:
-    """The group elements of one batch of replays, as (g^-1, g^(2)) pairs.
+    """The group elements of one batch of replays, as star maps (`_star_pair`).
 
     Each is built, and passes the `GroupElement` check, once per batch and
     is shared by every move that uses it: the quadruples of both e&f pairs
@@ -308,19 +318,19 @@ def _replay_head(phi, elements):
             g = GroupElement.diagonal(ctx, [gamma] + [ctx.one()] * (n - 1))
             e11_like = star(phi, g) + phi     # d (gamma + 1) e_11
             steps.append(("diagonal-twist", ctx.raw_to_json(gamma)))
-            phi = _star(e11_like, *elements.shear) + e11_like   # multiple of e_12
+            phi = _star(e11_like, elements.shear) + e11_like   # multiple of e_12
             steps.append(("unit-seed-shear", (1, 2)))
         else:
             i, j = distinct
-            moved = _star(phi, *elements.perm({1: i, 2: j}))
+            moved = _star(phi, elements.perm({1: i, 2: j}))
             steps.append(("relabel", (i, j)))
-            phi = _star(moved, *elements.shear) + moved  # (d_i + d_j) e_12
+            phi = _star(moved, elements.shear) + moved  # (d_i + d_j) e_12
             steps.append(("diagonal-shear", None))
         pos = offdiag(phi)
         if pos is None:
             raise AssertionError("the diagonal escape left no off-diagonal entry")
     i, j = pos
-    phi12 = _star(phi, *elements.perm({1: i, 2: j}))
+    phi12 = _star(phi, elements.perm({1: i, 2: j}))
     steps.append(("relabel", (i, j)))
     psi = phi12
     for e, f in elements.EF_PAIRS:   # phi_12 e_31 + phi_13 e_21, then phi_12 e_23
@@ -351,7 +361,7 @@ def _replay_tail(elements):
     for a in range(1, n + 1):
         for b in range(1, n + 1):
             if a != b:
-                units[(a, b)] = _star(e23, *elements.perm({a: 2, b: 3}))
+                units[(a, b)] = _star(e23, elements.perm({a: 2, b: 3}))
                 if units[(a, b)] != SemilinearMap.unit(ctx, n, a, b):
                     raise AssertionError(f"relabeling e_23 did not give e_{a}{b}")
                 span.add(units[(a, b)].coords())
@@ -370,7 +380,7 @@ def _replay_tail(elements):
     if e11 != SemilinearMap.unit(ctx, n, 1, 1):
         raise AssertionError("the shear identity did not isolate e_11")
     for a in range(1, n + 1):
-        span.add(_star(e11, *elements.perm({a: 1})).coords())
+        span.add(_star(e11, elements.perm({a: 1})).coords())
     steps.append(("permutation-closure", "diagonal units"))
     return ReplayResult(span.dim == n * n, steps)
 

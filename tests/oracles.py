@@ -106,6 +106,39 @@ def random_invertible(ctx, n, rng):
         return GroupElement(m, inv)
 
 
+def dense_product(ctx, a, b):
+    """The product of two n x n flat entry lists, one scalar product per entry."""
+    n = round(len(a) ** 0.5)
+    out = []
+    for i in range(n):
+        for j in range(n):
+            acc = ctx.zero()
+            for k in range(n):
+                acc = ctx.add(acc, ctx.mul(a[i * n + k], b[k * n + j]))
+            out.append(acc)
+    return out
+
+
+def dense_inverse(ctx, a):
+    """The inverse of an n x n flat entry list by scalar Gauss-Jordan, or None if singular."""
+    n = round(len(a) ** 0.5)
+    zero, one = ctx.zero(), ctx.one()
+    aug = [list(a[i * n:i * n + n]) + [one if j == i else zero for j in range(n)]
+           for i in range(n)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if aug[r][col] != zero), None)
+        if piv is None:
+            return None
+        aug[col], aug[piv] = aug[piv], aug[col]
+        s = ctx.inv(aug[col][col])
+        aug[col] = [ctx.mul(s, x) for x in aug[col]]
+        for r in range(n):
+            c = aug[r][col]
+            if r != col and c != zero:
+                aug[r] = [ctx.sub(x, ctx.mul(c, y)) for x, y in zip(aug[r], aug[col])]
+    return [x for row in aug for x in row[n:]]
+
+
 def trace_images(carrier, n):
     """tr of each basis row of a carrier, through one StructureVector per row."""
     return [tr(StructureVector(carrier.ctx, n, r)).coords for r in carrier._ech.rows]

@@ -499,8 +499,8 @@ def test_pipeline_disagreeing_with_its_closed_form_is_an_internal_error(
     from algdeg import degen
     closed_form = degen._g5_closed_form
 
-    def one_coordinate_off(lam, spec):
-        coords = list(closed_form(lam, spec).coords)
+    def one_coordinate_off(lam, spec, parts):
+        coords = list(closed_form(lam, spec, parts).coords)
         coords[0] = lam.ctx.add(coords[0], lam.ctx.one())
         return StructureVector(lam.ctx, lam.n, coords)
 

@@ -24,7 +24,7 @@ from algdeg.spinmx import rational_generators, spin, spin_contains, standard_gen
 from algdeg import degen
 from algdeg.degen import (
     TransvectionSpec, _alternating_radical, _class_projector, _find_span_escape_pair,
-    _g5_closed_form, _independent_pair_pool, _reach_member,
+    _g5_closed_form, _g5_parts, _independent_pair_pool, _reach_member,
     lindeg_suite, lindeg_theorem_check, q_truncate,
     reach_delta, reach_delta_suite, reach_eta, reach_eta_suite,
     sample_in_between, transvection_g5, verify_lindeg, weights,
@@ -608,7 +608,7 @@ def test_g5_closed_form_matches_the_scalar_reference(ctx, n):
                                        for _ in range(n ** 3)])
         spec = _random_spec(ctx, n, rng)
         want = _g5_scalar_reference(lam, spec)
-        assert _g5_closed_form(lam, spec) == want
+        assert _g5_closed_form(lam, spec, _g5_parts(lam, spec.z, spec.zeta)) == want
         assert transvection_g5(lam, spec) == want
 
 
@@ -622,7 +622,8 @@ def test_alternating_radical_reads_the_scalar_zeta_bracket(ctx, n):
         lam = StructureVector(ctx, n, [_random_scalar(ctx, rng) if trial else ctx.zero()
                                        for _ in range(n ** 3)])
         spec = _random_spec(ctx, n, rng)
-        zeta_prime, radical = _alternating_radical(lam, spec.z, spec.zeta)
+        zeta_prime = DualVector(ctx, n, _g5_parts(lam, spec.z, spec.zeta).zj)
+        radical = _alternating_radical(ctx, n, spec.zeta.coords, zeta_prime.coords)
         assert zeta_prime.coords == zeta_bracket_row(lam, spec.z, spec.zeta)
         # zeta(z) = 0, so z lies in the radical exactly when zeta([z,z]) = 0
         assert radical.contains(spec.z.coords) == (zeta_prime(spec.z) == ctx.zero())

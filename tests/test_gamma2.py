@@ -171,7 +171,7 @@ def test_sigma_gmap_claims():
 def test_sigma_gmap_is_falsified_when_the_star_ignores_g(monkeypatch):
     # with phi * g = phi the intertwining fails, while the rank and kernel
     # check, which never acts, still holds
-    monkeypatch.setattr(gamma2, "_star", lambda phi, ginv, gsq: phi)
+    monkeypatch.setattr(gamma2, "_star", lambda phi, times: phi)
     claims = sigma_gmap_claims(Bases(GF4, 3), standard_generators(GF4, 3))
     assert {c["id"]: c["status"] for c in claims} == {"sigmaGmap": "falsified",
                                                       "sigmaKernel": "verified"}

@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from algdeg import canon, cli, gfield, spinmx
+from algdeg import canon, cli, gamma2, gfield, spinmx
 from algdeg.canon import Bases
 from algdeg.exactla import (
     Echelon, GroupElement, Matrix, Subspace, combiner, kernel_rows, quotient_coords,
@@ -22,7 +22,9 @@ from algdeg.exactla import (
 )
 from algdeg.gfield import FieldCtx, make_field
 from algdeg.structvec import StructureVector, _act_general, _act_rank_one, act, act_coords
-from oracles import action_matrix, trace_images
+from oracles import (
+    action_matrix, dense_inverse, dense_product, random_invertible, trace_images,
+)
 
 FIELDS = [make_field(p, k) for p, k in
           [(3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (5, 2), (0, 1)]]
@@ -400,6 +402,116 @@ def test_rank_one_refuses_a_zeta_that_does_not_vanish_on_z(ctx):
         GroupElement.rank_one(ctx, z, z, one)
     with pytest.raises(ValueError, match="different lengths"):
         GroupElement.rank_one(ctx, z, [zero, one], one)
+
+
+# -- group elements on unit rows, the row-wise inverse check, the star map ----------
+
+def _dense(n, entry):
+    """The flat entries of the n x n matrix with entry(i, j) at 0-based (i, j)."""
+    return [entry(i, j) for i in range(n) for j in range(n)]
+
+
+def _dense_builds(ctx, n, rng):
+    """(element, dense matrix entries, tag) for every constructor, several draws each."""
+    zero, one = ctx.zero(), ctx.one()
+    add, mul = ctx.add, ctx.mul
+    nonzero = [x for x in _some_scalars(ctx) if x != zero]
+
+    def delta(i, j):
+        return one if i == j else zero
+
+    out = []
+    for _ in range(3):
+        r, s = rng.sample(range(n), 2)
+        t = rng.choice(nonzero)
+        out.append((GroupElement.transvection(ctx, n, r + 1, s + 1, t),
+                    _dense(n, lambda i, j: t if (i, j) == (r, s) else delta(i, j)),
+                    ("transvection", r, s, t)))
+        diag = [rng.choice(nonzero) for _ in range(n)]
+        out.append((GroupElement.diagonal(ctx, diag),
+                    _dense(n, lambda i, j: diag[i] if i == j else zero),
+                    ("diagonal", tuple(diag))))
+        images = rng.sample(range(1, n + 1), n)
+        out.append((GroupElement.permutation(ctx, images),
+                    _dense(n, lambda i, j: one if i == images[j] - 1 else zero),
+                    ("permutation", tuple(images))))
+    for z, zeta in _rank_one_cases(ctx, n, rng):
+        c = rng.choice(nonzero)
+        out.append((GroupElement.rank_one(ctx, z, zeta, c),
+                    _dense(n, lambda i, j: add(delta(i, j), mul(c, mul(z[i], zeta[j])))),
+                    ("rank-one", tuple(z), tuple(zeta), c)))
+    scalars = _some_scalars(ctx)
+    while sum(tag is None for _, _, tag in out) < 3:
+        entries = [rng.choice(scalars) for _ in range(n * n)]
+        if dense_inverse(ctx, entries) is None:
+            with pytest.raises(ValueError, match="singular"):
+                GroupElement(Matrix(ctx, n, n, entries))
+            continue
+        out.append((GroupElement(Matrix(ctx, n, n, entries)), entries, None))
+    return out
+
+
+@per_row_field
+@pytest.mark.parametrize("n", [3, 4])
+def test_group_element_constructors_match_a_dense_build(ctx, n):
+    # the matrix entry by entry, its inverse by scalar Gauss-Jordan; the
+    # entries stay raw scalars over every field, packed or not
+    rng = random.Random(30 * n + (ctx.order or 0))
+    for g, entries, tag in _dense_builds(ctx, n, rng):
+        assert g.mat.entries == entries
+        assert g.inv.entries == dense_inverse(ctx, entries)
+        assert g.tag == tag
+        assert all(type(x) is type(ctx.zero()) for x in g.mat.entries + g.inv.entries)
+
+
+@pytest.mark.parametrize("ctx", [make_field(2, 2), make_field(17)], ids=repr)
+def test_the_row_wise_check_refuses_every_wrong_inverse(ctx):
+    # one packed field and one list field; a refusal must name the inverse
+    n, zero = 3, ctx.zero()
+    assert ctx.packed == (ctx.char == 2)
+    rng = random.Random(ctx.order)
+    g = random_invertible(ctx, n, rng)
+    for f in range(n * n):
+        entries = list(g.inv.entries)
+        entries[f] = ctx.add(entries[f], rng.choice(ctx.raw_elements()[1:]))
+        with pytest.raises(ValueError, match="cached inverse is wrong"):
+            GroupElement(g.mat, Matrix(ctx, n, n, entries))
+    # an inverse with a row too many, whose first n rows are right
+    with pytest.raises(ValueError, match="cached inverse is wrong"):
+        GroupElement(g.mat, Matrix(ctx, n + 1, n, g.inv.entries + [zero] * n))
+    refused = 0
+    while refused < 6:
+        z, zeta = ([rng.randrange(ctx.order) for _ in range(n)] for _ in range(2))
+        value = zero
+        for a, b in zip(z, zeta):
+            value = ctx.add(value, ctx.mul(a, b))
+        if value == zero:
+            continue
+        with pytest.raises(ValueError, match="cached inverse is wrong"):
+            GroupElement.rank_one(ctx, z, zeta, rng.choice(ctx.raw_elements()[1:]))
+        refused += 1
+
+
+@pytest.mark.parametrize("ctx", [make_field(2), make_field(2, 2), make_field(2, 3)],
+                         ids=repr)
+@pytest.mark.parametrize("n", [3, 4])
+def test_the_star_map_is_the_textbook_product(ctx, n):
+    # g^-1 phi g^(2) from dense products, g^-1 by scalar Gauss-Jordan; one
+    # star map serves several maps
+    rng = random.Random(40 * n + ctx.order)
+    q = ctx.order
+    elements = [random_invertible(ctx, n, rng) for _ in range(4)]
+    elements += [g for g, _, _ in _dense_builds(ctx, n, rng)]
+    for g in elements:
+        times = gamma2._star_pair(g)
+        gsq = [ctx.mul(x, x) for x in g.mat.entries]
+        ginv = dense_inverse(ctx, g.mat.entries)
+        for _ in range(3):
+            phi = gamma2.SemilinearMap(Matrix(ctx, n, n, [rng.randrange(q)
+                                                          for _ in range(n * n)]))
+            want = dense_product(ctx, dense_product(ctx, ginv, phi.mat.entries), gsq)
+            assert gamma2._star(phi, times).mat.entries == want
+            assert gamma2.star(phi, g).mat.entries == want
 
 
 @per_field
